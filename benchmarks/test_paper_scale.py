@@ -3,8 +3,8 @@
 Runs one full S-CORE iteration (|V| token holds) at the published scales —
 the 2560-host canonical tree (~35k VM slots) and the k=16 fat-tree — which
 the naive per-pair loops could not finish in CI budgets, and records
-wall-clock into ``BENCH_fastcost.json`` at the repo root so future PRs
-have a perf trajectory to compare against.
+wall-clock into ``.benchmarks/BENCH_fastcost.json`` (git-ignored); CI
+trends it against the committed ``BENCH_fastcost.json`` baseline.
 
 The report schema (``repro-bench/fastcost/v1``) is one record per scenario:
 name, scale (hosts/VMs/pairs), build and iteration wall-clock seconds,
@@ -31,7 +31,10 @@ from repro.sim.experiment import (
 from repro.util.rng import make_rng
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_fastcost.json")
+#: Fresh reports land in the git-ignored ``.benchmarks/`` so a test run
+#: leaves the tree clean; the tracked ``BENCH_fastcost.json`` at the repo
+#: root is the committed baseline ``bench_trend.py`` compares against.
+REPORT_PATH = os.path.join(REPO_ROOT, ".benchmarks", "BENCH_fastcost.json")
 SCHEMA = "repro-bench/fastcost/v1"
 
 #: Hard ceiling from the acceptance criterion: one full S-CORE iteration
@@ -63,6 +66,7 @@ def _write_report(record: dict) -> None:
         r for r in report.get("results", []) if r.get("name") != record["name"]
     ] + [record]
     report["results"].sort(key=lambda r: r["name"])
+    os.makedirs(os.path.dirname(REPORT_PATH), exist_ok=True)
     with open(REPORT_PATH, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

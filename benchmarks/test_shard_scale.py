@@ -7,7 +7,8 @@ single-domain wave engine, and through the sharded coordinator
 cross-domain reconciliation).  Records both wall-clocks, the sharded
 run's per-phase split (partition / domain-build / domain-solve / merge /
 reconcile) and the headline ``speedup_vs_single_domain`` into
-``BENCH_fastcost.json``.
+``.benchmarks/BENCH_fastcost.json`` (git-ignored; the committed
+``BENCH_fastcost.json`` is the trend baseline).
 
 The speedup on a single-core runner comes from decomposition, not
 parallelism: candidate probing scales with the *global* rack count, so
@@ -87,7 +88,10 @@ def _gc_quiesced():
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_fastcost.json")
+#: Fresh reports land in the git-ignored ``.benchmarks/`` so a test run
+#: leaves the tree clean; the tracked ``BENCH_fastcost.json`` at the repo
+#: root is the committed baseline ``bench_trend.py`` compares against.
+REPORT_PATH = os.path.join(REPO_ROOT, ".benchmarks", "BENCH_fastcost.json")
 SCHEMA = "repro-bench/fastcost/v1"
 
 
@@ -106,6 +110,7 @@ def _write_report(record: dict) -> None:
         r for r in report.get("results", []) if r.get("name") != record["name"]
     ] + [record]
     report["results"].sort(key=lambda r: r["name"])
+    os.makedirs(os.path.dirname(REPORT_PATH), exist_ok=True)
     with open(REPORT_PATH, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

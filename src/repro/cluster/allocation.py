@@ -13,7 +13,8 @@ the ``Server`` class models a live machine for the testbed emulation layer.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain, islice
+from operator import attrgetter, contains, itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -464,21 +465,63 @@ class Allocation:
         return True
 
     def validate(self) -> None:
-        """Internal-consistency check; raises AssertionError on corruption."""
-        for vm_id, host in self._host_of.items():
-            assert vm_id in self._vms_on[host], (
+        """Internal-consistency check; raises AssertionError on corruption.
+
+        C-speed passes over the mapping and the per-host sets, then array
+        compares: every VM sits in its mapped host's set, and per host
+        (ascending, first failure reported) slots, RAM accounting, CPU
+        accounting and RAM capacity hold.
+        """
+        n_hosts = self._cluster.n_servers
+        in_its_set = np.fromiter(
+            map(
+                contains,
+                map(self._vms_on.__getitem__, self._host_of.values()),
+                self._host_of.keys(),
+            ),
+            dtype=bool,
+            count=len(self._host_of),
+        )
+        if not in_its_set.all():
+            lost = int(np.argmin(in_its_set))
+            vm_id, host = next(islice(self._host_of.items(), lost, None))
+            raise AssertionError(
                 f"VM {vm_id} mapped to host {host} but missing from its set"
             )
-        for host, vm_ids in enumerate(self._vms_on):
-            cap = self._cluster.server(host).capacity
-            assert len(vm_ids) <= cap.max_vms, f"host {host} over slot capacity"
-            ram = sum(self._vms[v].ram_mb for v in vm_ids)
-            cpu = sum(self._vms[v].cpu for v in vm_ids)
-            assert ram == self._used_ram[host], f"host {host} RAM accounting drift"
-            assert abs(cpu - self._used_cpu[host]) < 1e-9, (
-                f"host {host} CPU accounting drift"
-            )
-            assert ram <= cap.ram_mb, f"host {host} over RAM capacity"
+        lens = np.fromiter(map(len, self._vms_on), dtype=np.int64, count=n_hosts)
+        total = int(lens.sum())
+        members = list(chain.from_iterable(self._vms_on))
+        member_host = np.repeat(np.arange(n_hosts), lens)
+        vms = self.vms_of(members)
+        ram = np.bincount(
+            member_host,
+            weights=np.fromiter(
+                map(attrgetter("ram_mb"), vms), dtype=np.int64, count=total
+            ),
+            minlength=n_hosts,
+        ).astype(np.int64)
+        cpu = np.bincount(
+            member_host,
+            weights=np.fromiter(
+                map(attrgetter("cpu"), vms), dtype=float, count=total
+            ),
+            minlength=n_hosts,
+        )
+        cap_slots, cap_ram, _cap_cpu, _nic = self._cluster.capacity_arrays()
+        checks = (
+            (lens > cap_slots, "over slot capacity"),
+            (ram != np.asarray(self._used_ram), "RAM accounting drift"),
+            (
+                ~(np.abs(cpu - np.asarray(self._used_cpu)) < 1e-9),
+                "CPU accounting drift",
+            ),
+            (ram > cap_ram, "over RAM capacity"),
+        )
+        bad = np.logical_or.reduce([failed for failed, _ in checks])
+        if bad.any():
+            host = int(np.argmax(bad))
+            what = next(text for failed, text in checks if failed[host])
+            raise AssertionError(f"host {host} {what}")
 
     def __repr__(self) -> str:
         return f"Allocation(vms={len(self._vms)}, servers={self._cluster.n_servers})"

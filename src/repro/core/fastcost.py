@@ -26,7 +26,7 @@ two agree to within 1e-9 on randomized scenarios.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +62,24 @@ def path_weight_table(weights: LinkWeights, max_level: int) -> np.ndarray:
     )
 
 
+def _k_smallest(k: int, keys: np.ndarray, *ties: np.ndarray) -> np.ndarray:
+    """Indices of the ``k`` smallest entries under the ordering
+    ``(keys, *ties, index)``, in that order.
+
+    A partition finds the k-th key; only the entries at or below it
+    (equal keys included) are sorted, so the cost is O(n) plus a sort
+    of the tied head instead of a full O(n log n) ranking.
+    """
+    if k < len(keys):
+        cut = np.partition(keys, k - 1)[k - 1]
+        low = np.nonzero(keys <= cut)[0]
+    else:
+        low = np.arange(len(keys))
+    # lexsort is stable and takes its primary key last.
+    order = np.lexsort(tuple(t[low] for t in reversed(ties)) + (keys[low],))
+    return low[order[:k]]
+
+
 class TrafficSnapshot:
     """An array view of a traffic matrix over a dense VM index.
 
@@ -69,16 +87,16 @@ class TrafficSnapshot:
     (`FastCostEngine.apply_traffic_delta`/`add_vms`/`remove_vms`); every
     other consumer treats them as frozen.
 
-    ``vm_ids`` fixes the index space (ascending VM id order); the CSR
-    triplet (``ptr``, ``peer``, ``rate``) stores each VM's peers — peers
-    appear in ascending VM-id order within a slice, matching the sort
-    order the naive candidate ranking uses for ties.  ``pair_u/pair_v/
-    pair_rate`` hold every unordered pair once (u < v in dense indices).
+    ``vm_ids`` fixes the index space (ascending VM id order, so a dense
+    index is a binary search away); the CSR triplet (``ptr``, ``peer``,
+    ``rate``) stores each VM's peers — peers appear in ascending VM-id
+    order within a slice, matching the sort order the naive candidate
+    ranking uses for ties.  ``pair_u/pair_v/pair_rate`` hold every
+    unordered pair once (u < v in dense indices).
     """
 
     __slots__ = (
         "vm_ids",
-        "vm_index",
         "ptr",
         "peer",
         "rate",
@@ -91,7 +109,6 @@ class TrafficSnapshot:
     def __init__(
         self,
         vm_ids: np.ndarray,
-        vm_index: Dict[int, int],
         ptr: np.ndarray,
         peer: np.ndarray,
         rate: np.ndarray,
@@ -101,7 +118,6 @@ class TrafficSnapshot:
         pair_rate: np.ndarray,
     ) -> None:
         self.vm_ids = vm_ids
-        self.vm_index = vm_index
         self.ptr = ptr
         self.peer = peer
         self.rate = rate
@@ -133,7 +149,6 @@ class TrafficSnapshot:
         the 1e-9 differential pins keep ``compact=False``.
         """
         ids = np.array(sorted(vm_ids), dtype=np.int64)
-        index = {int(vm_id): i for i, vm_id in enumerate(ids)}
         us, vs, rates = traffic.pair_arrays()
         if len(ids) == 0:
             if strict and len(us):
@@ -183,7 +198,6 @@ class TrafficSnapshot:
         np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
         return cls(
             vm_ids=ids,
-            vm_index=index,
             ptr=ptr,
             peer=col,
             rate=val,
@@ -220,16 +234,40 @@ class TrafficSnapshot:
         1M-VM snapshot must stay inside a fixed byte envelope, so a
         float64/int64 copy sneaking back into a delta path fails loudly.
         """
-        return sum(
-            getattr(self, name).nbytes
-            for name in self.__slots__
-            if name != "vm_index"
-        )
+        return sum(getattr(self, name).nbytes for name in self.__slots__)
 
     def peers_slice(self, dense_vm: int) -> Tuple[np.ndarray, np.ndarray]:
         """(peer dense indices, rates) of one VM, ascending by peer id."""
         lo, hi = self.ptr[dense_vm], self.ptr[dense_vm + 1]
         return self.peer[lo:hi], self.rate[lo:hi]
+
+    def vm_loads(self) -> np.ndarray:
+        """Aggregate rate of every VM (aligned with ``vm_ids``), one pass.
+
+        ``bincount`` accumulates each VM's rates left to right in CSR
+        order — ascending peer id — so the sums are bit-identical for
+        any two snapshots of the same matrix, however each was reached
+        (delta-patched live, unpickled, or freshly built).  Event
+        selection ranks VMs on these values and must pick the same VMs
+        on a recovered service as on the uninterrupted one.
+        """
+        return np.bincount(self.row, weights=self.rate, minlength=self.n_vms)
+
+    def ranked_vms(self, k: int, hottest: bool) -> np.ndarray:
+        """Ids of the ``k`` hottest VMs by ``(-load, id)``, or the ``k``
+        coldest by ``(load, id)``; fewer when fewer VMs exist."""
+        loads = self.vm_loads()
+        return self.vm_ids[_k_smallest(k, -loads if hottest else loads)]
+
+    def heaviest_pairs(self, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``k`` heaviest pairs as ``(us, vs, rates)`` in VM ids,
+        ranked by ``(-rate, u, v)``; fewer when fewer pairs exist."""
+        top = _k_smallest(k, -self.pair_rate, self.pair_u, self.pair_v)
+        return (
+            self.vm_ids[self.pair_u[top]],
+            self.vm_ids[self.pair_v[top]],
+            self.pair_rate[top],
+        )
 
 
 def assignment_cost(
@@ -1253,7 +1291,6 @@ class FastCostEngine:
             pos, np.arange(old_n), side="right"
         )
         snap.vm_ids = np.insert(snap.vm_ids, pos, add_ids)
-        snap.vm_index = {int(v): i for i, v in enumerate(snap.vm_ids)}
         idx = snap.index_dtype
         snap.peer = old_to_new[snap.peer].astype(idx, copy=False)
         snap.row = old_to_new[snap.row].astype(idx, copy=False)
@@ -1314,7 +1351,6 @@ class FastCostEngine:
         pair_v = old_to_new[snap.pair_v[pair_keep]]
         pair_rate = snap.pair_rate[pair_keep]
         snap.vm_ids = snap.vm_ids[keep_mask]
-        snap.vm_index = {int(v): i for i, v in enumerate(snap.vm_ids)}
         self._host_of = self._host_of[keep_mask]
         self._vm_ram = self._vm_ram[keep_mask]
         self._vm_cpu = self._vm_cpu[keep_mask]
@@ -1531,18 +1567,8 @@ class FastCostEngine:
     # -- wave-batched round API ---------------------------------------------
 
     def dense_indices(self, vm_ids: Sequence[int]) -> np.ndarray:
-        """Dense snapshot indices of the given VM ids (KeyError on misses).
-
-        Bulk queries run as one binary search over the sorted id vector;
-        small ones walk the dict index.
-        """
-        if len(vm_ids) < 64:
-            index = self._snap.vm_index
-            return np.fromiter(
-                (index[int(v)] for v in vm_ids),
-                dtype=np.int64,
-                count=len(vm_ids),
-            )
+        """Dense snapshot indices of the given VM ids (KeyError on misses):
+        one binary search over the sorted id vector."""
         ids = np.asarray(vm_ids, dtype=np.int64)
         table = self._snap.vm_ids
         if len(table) == 0:
@@ -2243,12 +2269,13 @@ class FastCostEngine:
     # -- internals ----------------------------------------------------------
 
     def _dense(self, vm_u: int) -> int:
-        try:
-            return self._snap.vm_index[vm_u]
-        except KeyError:
+        table = self._snap.vm_ids
+        pos = int(np.searchsorted(table, vm_u))
+        if pos == len(table) or table[pos] != vm_u:
             raise KeyError(
                 f"VM {vm_u} is not in the engine's snapshot; call rebuild()"
-            ) from None
+            )
+        return pos
 
     def __repr__(self) -> str:
         return (

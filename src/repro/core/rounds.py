@@ -81,12 +81,11 @@ class DecisionColumns:
     paper-scale iteration — so the hot loop writes flat columns and the
     :class:`~repro.core.migration.MigrationDecision` tuples are built
     only when someone actually reads them (reports, tests, analyses).
-    Behaves as an immutable sequence; ``overlay`` carries the rare
-    decisions produced by the sequential fallback path verbatim.
+    Behaves as an immutable sequence.  ``target`` is meaningful on
+    migrated rows only (``reason`` code 3).
     """
 
-    __slots__ = ("vm", "source", "target", "delta", "reason", "overlay",
-                 "_materialized")
+    __slots__ = ("vm", "source", "target", "delta", "reason", "_materialized")
 
     def __init__(self, n: int) -> None:
         self.vm = np.zeros(n, dtype=np.int64)
@@ -94,8 +93,39 @@ class DecisionColumns:
         self.target = np.full(n, -1, dtype=np.int64)
         self.delta = np.zeros(n)
         self.reason = np.full(n, -1, dtype=np.int8)
-        self.overlay: dict = {}
         self._materialized: Optional[List[MigrationDecision]] = None
+
+    @classmethod
+    def from_decisions(
+        cls, decisions: Sequence[MigrationDecision]
+    ) -> "DecisionColumns":
+        """Pack settled decision tuples (the per-hold reference loop's
+        output) into columns; the inverse of materializing."""
+        decisions = list(decisions)
+        cols = cls(len(decisions))
+        for pos, decision in enumerate(decisions):
+            cols.set(pos, decision)
+        return cols
+
+    @classmethod
+    def concatenate(
+        cls, blocks: Sequence["DecisionColumns"]
+    ) -> "DecisionColumns":
+        """One record holding the given blocks' holds, in order."""
+        cols = cls(0)
+        for name in ("vm", "source", "target", "delta", "reason"):
+            parts = [getattr(block, name) for block in (cols, *blocks)]
+            setattr(cols, name, np.concatenate(parts))
+        return cols
+
+    def set(self, pos: int, decision: MigrationDecision) -> None:
+        """Write one settled decision tuple at hold ``pos``."""
+        self.vm[pos] = decision.vm_id
+        self.source[pos] = decision.source_host
+        target = decision.target_host
+        self.target[pos] = -1 if target is None else target
+        self.delta[pos] = decision.delta
+        self.reason[pos] = _REASONS.index(decision.reason)
 
     @property
     def complete(self) -> bool:
@@ -104,7 +134,7 @@ class DecisionColumns:
 
     def _materialize(self) -> List[MigrationDecision]:
         if self._materialized is None:
-            out = [
+            self._materialized = [
                 MigrationDecision(
                     vm, src, tgt if code == 3 else None, delta, code == 3,
                     _REASONS[code],
@@ -117,9 +147,6 @@ class DecisionColumns:
                     self.reason.tolist(),
                 )
             ]
-            for pos, decision in self.overlay.items():
-                out[pos] = decision
-            self._materialized = out
         return self._materialized
 
     def __len__(self) -> int:
@@ -134,6 +161,18 @@ class DecisionColumns:
     def migrated_count(self) -> int:
         """Number of migrated holds, without materializing."""
         return int((self.reason == 3).sum())
+
+    def moves(self) -> List[Tuple[int, int, int]]:
+        """``(vm_id, source_host, target_host)`` of every migrated hold,
+        in hold order, without materializing."""
+        rows = np.nonzero(self.reason == 3)[0]
+        return list(
+            zip(
+                self.vm[rows].tolist(),
+                self.source[rows].tolist(),
+                self.target[rows].tolist(),
+            )
+        )
 
 
 @dataclass
@@ -1400,9 +1439,7 @@ class BatchedRoundEngine:
                         allocation, self._traffic, vm_id
                     )
                     pos = int(positions[wave[row]])
-                    cols = result.decisions
-                    cols.overlay[pos] = decision
-                    cols.reason[pos] = 3 if decision.migrated else 2
+                    result.decisions.set(pos, decision)
                     if decision.migrated:
                         result.migrations += 1
                         result.hold_migrated[pos] = True

@@ -24,10 +24,10 @@ import numpy as np
 from repro.cluster.allocation import Allocation, CapacityError
 from repro.cluster.placement import locality_probe_order
 from repro.core.cost import CostModel
-from repro.core.fastcost import FastCostEngine
+from repro.core.fastcost import FastCostEngine, TrafficSnapshot
 from repro.core.migration import MigrationDecision, MigrationEngine
 from repro.core.policies import TokenPolicy
-from repro.core.rounds import BatchedRoundEngine
+from repro.core.rounds import BatchedRoundEngine, DecisionColumns
 from repro.core.token import Token
 from repro.traffic.matrix import TrafficMatrix
 from repro.util.validation import check_positive
@@ -107,6 +107,24 @@ class DecisionLog:
             else:
                 total += sum(1 for d in block if d.migrated)
         return total
+
+    def columns(self) -> DecisionColumns:
+        """The whole log as one column record, without materializing.
+
+        A batched round logs exactly one column block, which is returned
+        as is; the reference loop's decision lists are packed into
+        columns first.  What the round commit digests and the migration
+        plan is cut from.
+        """
+        blocks = [
+            block
+            if isinstance(block, DecisionColumns)
+            else DecisionColumns.from_decisions(block)
+            for block in self._blocks
+        ]
+        if len(blocks) == 1:
+            return blocks[0]
+        return DecisionColumns.concatenate(blocks)
 
 
 @dataclass
@@ -300,6 +318,25 @@ class SCOREScheduler:
     def fastcost(self) -> Optional[FastCostEngine]:
         """The vectorized engine threaded through the loop (None if naive)."""
         return self._fast
+
+    def traffic_snapshot(self) -> TrafficSnapshot:
+        """Array view of the live population and traffic — the read side
+        event selection ranks VMs and pairs on
+        (:meth:`TrafficSnapshot.ranked_vms`, ``heaviest_pairs``).
+
+        The fast engine's snapshot when it describes the live state (no
+        copy; treat it as frozen), else one built from the matrix's pair
+        arrays.  Both are the same canonical arrays, so a selection does
+        not depend on which one served it.
+        """
+        fast = self._fast
+        if (
+            fast is not None
+            and fast.traffic is self._traffic
+            and fast.in_sync
+        ):
+            return fast.snapshot
+        return TrafficSnapshot.build(self._traffic, self._token.vm_ids)
 
     @property
     def profile(self):
@@ -988,7 +1025,7 @@ class SCOREScheduler:
         if not ids:
             return
         gone = set(ids)
-        if not set(self._token.vm_ids) - gone:
+        if sum(1 for v in gone if v in self._token) >= len(self._token):
             raise ValueError("cannot retire every VM; the token needs a holder")
         missing = [v for v in ids if v not in self._allocation]
         if missing:

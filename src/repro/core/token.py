@@ -15,6 +15,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cluster.vm import MAX_VM_ID
 
 #: Highest communication level representable in the 8-bit entry field.
@@ -86,6 +88,13 @@ class Token:
     def level_of(self, vm_id: int) -> int:
         """Recorded highest-level estimate l_v for a VM."""
         return self._levels[vm_id]
+
+    def levels_of(self, vm_ids: Iterable[int]) -> np.ndarray:
+        """Recorded level estimates of many VMs, in order (KeyError on
+        ids outside the token) — the bulk sibling of :meth:`level_of`."""
+        return np.fromiter(
+            map(self._levels.__getitem__, vm_ids), dtype=np.int64
+        )
 
     @property
     def version(self) -> int:

@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.core.rounds import DecisionColumns
 from repro.persist.faults import FaultPlan
 from repro.persist.journal import JOURNAL_NAME, Journal, JournalRecord
 from repro.persist.snapshot import (
@@ -80,7 +81,9 @@ from repro.sim.experiment import (
 from repro.sim.dynamics import count_returning_migrations
 from repro.util.validation import check_engine_invariants
 
-JOURNAL_FORMAT = "score-journal/v1"
+#: v2: round commits carry the column-wise decision digest
+#: (:func:`_decisions_digest`); a v1 directory's digests cannot verify.
+JOURNAL_FORMAT = "score-journal/v2"
 
 #: Dict keys whose recorded/re-executed values are floats compared with
 #: the acceptance tolerance instead of exactly (JSON round-trips doubles
@@ -147,22 +150,27 @@ def compact_journal_to_snapshots(directory: str, journal: Journal) -> int:
     return journal.compact(min(positions))
 
 
-def _decisions_digest(decisions) -> str:
-    """Order-sensitive digest of one round's full decision sequence."""
+def _decisions_digest(columns: DecisionColumns) -> str:
+    """Order-sensitive digest of one round's full decision sequence.
+
+    Hashed column-wise, no per-hold python: the hold count, then per
+    hold the VM id, source host, target host (−1 unless migrated), the
+    reason code — which also says whether it migrated — and the delta.
+    Every column has a fixed little-endian width, so the byte stream
+    decodes uniquely: any changed field, and any two swapped holds,
+    change the digest.
+    """
     digest = hashlib.sha256()
-    for d in decisions:
-        digest.update(
-            repr(
-                (
-                    int(d.vm_id),
-                    int(d.source_host),
-                    -1 if d.target_host is None else int(d.target_host),
-                    bool(d.migrated),
-                    str(d.reason),
-                    0.0 if d.delta is None else float(d.delta),
-                )
-            ).encode("utf-8")
-        )
+    digest.update(np.int64(len(columns)).astype("<i8").tobytes())
+    target = np.where(columns.reason == 3, columns.target, -1)
+    for column, dtype in (
+        (columns.vm, "<i8"),
+        (columns.source, "<i8"),
+        (target, "<i8"),
+        (columns.reason, "i1"),
+        (columns.delta, "<f8"),
+    ):
+        digest.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
     return digest.hexdigest()[:16]
 
 
@@ -437,6 +445,12 @@ class DurableScenarioRun:
             raise RecoveryError(
                 f"{directory!r} has no usable journal begin record"
             )
+        if begin.data.get("format") != JOURNAL_FORMAT:
+            journal.close()
+            raise RecoveryError(
+                f"{directory!r} is not a {JOURNAL_FORMAT} run directory "
+                f"(begin format {begin.data.get('format')!r})"
+            )
         scenario = _scenario_from_dict(begin.data["scenario"])
         run = cls(
             directory,
@@ -676,7 +690,7 @@ class DurableScenarioRun:
             "migrations": int(report.total_migrations),
             "clock": float(self._scheduler.clock),
             "next_holder": report.next_holder,
-            "digest": _decisions_digest(report.decisions),
+            "digest": _decisions_digest(report.decisions.columns()),
         }
         if expected is not None:
             self._verify("round", expected, data)

@@ -88,7 +88,9 @@ from repro.sim.experiment import (
 )
 from repro.util.validation import InvariantViolation, check_engine_invariants
 
-SERVICE_FORMAT = "score-service/v1"
+#: v2: round commits carry the column-wise decision digest; a v1
+#: directory is refused at resume instead of failing replay on it.
+SERVICE_FORMAT = "score-service/v2"
 
 # Service lifecycle states (ServiceReport.transitions records each move).
 RUNNING = "running"
@@ -779,13 +781,14 @@ class SchedulerService:
                 context=f"service round {self._rounds_done}",
                 deep=deep,
             )
+        decisions = report.decisions.columns()
         data = {
             "round": self._rounds_done,
             "cost": float(report.final_cost),
             "migrations": int(report.total_migrations),
             "clock": float(self._scheduler.clock),
             "next_holder": report.next_holder,
-            "digest": _decisions_digest(report.decisions),
+            "digest": _decisions_digest(decisions),
             "events": len(applied),
         }
         if expected is not None:
@@ -805,11 +808,7 @@ class SchedulerService:
             clock=float(self._scheduler.clock),
             cost=float(report.final_cost),
             events_absorbed=len(applied),
-            moves=tuple(
-                (int(d.vm_id), int(d.source_host), int(d.target_host))
-                for d in report.decisions
-                if d.migrated
-            ),
+            moves=tuple(decisions.moves()),
         )
         self.plans.append(plan)
         self._report.plans += 1

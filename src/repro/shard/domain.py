@@ -323,9 +323,6 @@ class ShardDomain:
             ),
         )
 
-    def _to_global(self, local_host: int) -> int:
-        return int(self.global_hosts[local_host])
-
     def _globalize_wave(
         self, wave: List[Tuple[int, int, int]]
     ) -> List[Tuple[int, int, int]]:
@@ -347,13 +344,4 @@ class ShardDomain:
         cols.source = self.global_hosts[cols.source]
         migrated = cols.target >= 0
         cols.target[migrated] = self.global_hosts[cols.target[migrated]]
-        for pos, decision in list(cols.overlay.items()):
-            cols.overlay[pos] = decision._replace(
-                source_host=self._to_global(decision.source_host),
-                target_host=(
-                    self._to_global(decision.target_host)
-                    if decision.target_host is not None
-                    else None
-                ),
-            )
         return cols

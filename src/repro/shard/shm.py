@@ -22,9 +22,9 @@ preallocated ``multiprocessing.shared_memory`` slabs:
   arrays — wave lengths ``int32``, moves ``int32 (vm, src, tgt)``,
   decision ids ``int32``, deltas ``float64``, reasons ``int8`` — and
   the pipe carries only a tiny header tuple (offsets, counts, scalar
-  stats, the rare decision overlay).  Decoding copies the columns out
-  of the slab into fresh arrays, so the buffer is free for reuse the
-  moment the header is processed.
+  stats).  Decoding copies the columns out of the slab into fresh
+  arrays, so the buffer is free for reuse the moment the header is
+  processed.
 
 Frames fall back to the pickled pipe path (a ``bulk`` header) when a
 round outgrows its buffer — churn can grow a domain past its build-time
@@ -133,7 +133,6 @@ def pack_outcome(
     start = offset
     offset = _put(buf, offset, wave_lens)
     offset = _put(buf, offset, move_arr.astype(np.int32))
-    overlay = None
     if decisions is not None:
         ids = np.stack([decisions.vm, decisions.source, decisions.target])
         if ids.size and int(ids.max()) > _I32_MAX:
@@ -143,7 +142,6 @@ def pack_outcome(
         offset = _put(buf, offset, decisions.target.astype(np.int32))
         offset = _put(buf, offset, np.ascontiguousarray(decisions.delta))
         offset = _put(buf, offset, np.ascontiguousarray(decisions.reason))
-        overlay = decisions.overlay or None
     header = (
         FRAME,
         round_index,
@@ -156,7 +154,6 @@ def pack_outcome(
         len(wave_lens),
         len(move_arr),
         n_dec if decisions is not None else -1,
-        overlay,
     )
     return header, offset
 
@@ -175,7 +172,6 @@ def unpack_outcome(buf: memoryview, header: tuple) -> DomainRoundOutcome:
         n_waves,
         n_moves,
         n_dec,
-        overlay,
     ) = header
     wave_lens, offset = _take(buf, offset, n_waves, np.int32)
     flat, offset = _take(buf, offset, n_moves * 3, np.int32)
@@ -199,8 +195,6 @@ def unpack_outcome(buf: memoryview, header: tuple) -> DomainRoundOutcome:
         decisions.target = target.astype(np.int64)
         decisions.delta = delta
         decisions.reason = reason
-        if overlay:
-            decisions.overlay = dict(overlay)
     return DomainRoundOutcome(
         domain_id=domain_id,
         wave_moves=wave_moves,

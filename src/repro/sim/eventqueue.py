@@ -119,14 +119,12 @@ class Arrival(Event):
             )
         scheduler = runner.scheduler
         allocation = scheduler.allocation
-        matrix = scheduler.traffic
         free = environment.cluster.total_vm_slots - allocation.n_vms
         size = min(self.count, max(0, free))
         if size == 0:
             return False
-        seed_vm = max(
-            allocation.vm_ids(), key=lambda v: (matrix.vm_load(v), -v)
-        )
+        snapshot = scheduler.traffic_snapshot()
+        seed_vm = int(snapshot.ranked_vms(1, hottest=True)[0])
         rack = allocation.topology.rack_of(allocation.server_of(seed_vm))
         config = environment.config
         vms = environment.manager.create_vms(
@@ -178,22 +176,24 @@ class Retirement(Event):
         self.vm_ids = tuple(int(v) for v in vm_ids)
 
     def _select(self, scheduler: SCOREScheduler) -> List[int]:
-        alive = list(scheduler.token.vm_ids)
+        token = scheduler.token
         if self.vm_ids:
             chosen = [v for v in self.vm_ids if v in scheduler.allocation]
+        elif self.pick in ("hottest", "coldest"):
+            chosen = (
+                scheduler.traffic_snapshot()
+                .ranked_vms(self.count, hottest=self.pick == "hottest")
+                .tolist()
+            )
         else:
-            matrix = scheduler.traffic
-            if self.pick == "hottest":
-                alive.sort(key=lambda v: (-matrix.vm_load(v), v))
-            elif self.pick == "coldest":
-                alive.sort(key=lambda v: (matrix.vm_load(v), v))
-            elif self.pick == "newest":
-                alive.sort(reverse=True)
-            else:  # oldest
-                alive.sort()
-            chosen = alive[: self.count]
+            alive = token.vm_ids  # ascending
+            chosen = list(
+                alive[: -self.count - 1 : -1]
+                if self.pick == "newest"
+                else alive[: self.count]
+            )
         # The token refuses to lose its last entry; clip, don't crash.
-        survivors = len(alive) - len(set(chosen) & set(alive))
+        survivors = len(token) - len({v for v in chosen if v in token})
         while chosen and survivors < 1:
             survivors += 1
             chosen.pop()
@@ -242,13 +242,14 @@ class TrafficSurge(Event):
         return None
 
     def apply(self, runner: "EventQueueRunner", now: float) -> bool:
-        matrix = runner.scheduler.traffic
-        ranked = sorted(
-            matrix.pairs(), key=lambda p: (-p[2], p[0], p[1])
-        )[: self.top_pairs]
-        if not ranked or self.factor == 1.0:
+        us, vs, rates = runner.scheduler.traffic_snapshot().heaviest_pairs(
+            self.top_pairs
+        )
+        if not len(us) or self.factor == 1.0:
             return False
-        delta = [(u, v, rate * self.factor) for u, v, rate in ranked]
+        delta = list(
+            zip(us.tolist(), vs.tolist(), (rates * self.factor).tolist())
+        )
         return runner.scheduler.apply_traffic_delta(delta) > 0
 
     def describe(self) -> str:

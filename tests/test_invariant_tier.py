@@ -1,0 +1,212 @@
+"""The numpy invariant tier: one corruption at a time, same verdicts.
+
+``check_engine_invariants`` and ``Allocation.validate`` walk no VM in
+python any more; what they report must not have moved.  Every row below
+corrupts exactly one thing on a healthy stack and pins the invariant
+name, the offending indices and (for the allocation's own checks) the
+message — the values the per-element walks reported for the same
+corruption.  One row differs on purpose: an out-of-range token level
+used to die inside ``Token.entries()`` with a ``ValueError`` before the
+check that names it could run; it now reports ``token-level-range``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import CanonicalTree, Cluster, CostModel, ServerCapacity
+from repro.cluster.allocation import Allocation
+from repro.cluster.vm import VM
+from repro.core.migration import MigrationEngine
+from repro.core.policies import policy_by_name
+from repro.core.scheduler import SCOREScheduler
+from repro.sim.experiment import (
+    ExperimentConfig,
+    build_environment,
+    make_scheduler,
+)
+from repro.traffic.matrix import TrafficMatrix
+from repro.util.validation import InvariantViolation, check_engine_invariants
+
+SMALL = dict(n_racks=8, hosts_per_rack=2, vms_per_host=4, fill_fraction=0.6)
+
+
+def healthy():
+    """A settled rr stack: every token level is 0, one bucket."""
+    config = ExperimentConfig(seed=9, policy="rr", **SMALL)
+    scheduler = make_scheduler(build_environment(config))
+    scheduler.run(n_iterations=1)
+    check_engine_invariants(scheduler, deep=False)
+    return scheduler
+
+
+def _busy_host(scheduler):
+    allocation = scheduler.allocation
+    return next(
+        h for h in range(allocation.cluster.n_servers) if allocation.vms_on(h)
+    )
+
+
+# Each corruption mutates the stack and returns (invariant, indices,
+# message fragment).
+def level_out_of_range(s):
+    vm = s.token.vm_ids[3]
+    s.token._levels[vm] = 300
+    return "token-level-range", (vm,), f"vm {vm} at level 300"
+
+
+def level_without_bucket(s):
+    s.token._levels[s.token.vm_ids[3]] = 7
+    return "token-level-buckets", (7,), "level buckets disagree"
+
+
+def bucket_desync(s):
+    a, b = s.token.vm_ids[2], s.token.vm_ids[5]
+    s.token._levels[a] = 1  # a stays bucketed at 0 ...
+    s.token._buckets[0].remove(b)
+    s.token._buckets[1] = [b]  # ... while b, recorded 0, sits in bucket 1
+    return "token-bucket-desync", (a,), f"vm {a} bucketed at 0, recorded 1"
+
+
+def missing_bucket_member(s):
+    s.token._buckets[0].remove(s.token.vm_ids[4])
+    return "token-bucket-partition", (), f"token {len(s.token)}"
+
+
+def token_membership(s):
+    vm = s.token.vm_ids[1]
+    s.token.remove_vm(vm)
+    return "token-membership", (vm,), "allocation places"
+
+
+def host_map(s):
+    fast = s.fastcost
+    fast._host_of[3] = (fast._host_of[3] + 1) % len(fast._slot_cap)
+    return "host-map", (3,), "host map disagrees"
+
+
+def slot_mirror(s):
+    s.fastcost._slot_used[2] += 1
+    return "slot-mirror", (2,), "slot-usage mirror desync"
+
+
+def ram_mirror(s):
+    s.fastcost._ram_used[5] += 1
+    return "ram-mirror", (5,), "RAM-usage mirror desync"
+
+
+def cpu_mirror(s):
+    s.fastcost._cpu_used[6] += 0.25
+    return "cpu-mirror", (6,), "CPU-usage mirror desync"
+
+
+def allocation_host_set(s):
+    host = _busy_host(s)
+    vm = min(s.allocation.vms_on(host))
+    s.allocation._vms_on[host].discard(vm)
+    return (
+        "allocation-structure",
+        (),
+        f"VM {vm} mapped to host {host} but missing from its set",
+    )
+
+
+def ram_accounting(s):
+    s.allocation._used_ram[4] += 1
+    return "allocation-structure", (), "host 4 RAM accounting drift"
+
+
+def cpu_accounting(s):
+    s.allocation._used_cpu[7] += 0.5
+    return "allocation-structure", (), "host 7 CPU accounting drift"
+
+
+def lowest_host_first_check(s):
+    # Two hosts fail at once, the lower one on two counts: its first
+    # failing check (slots, then RAM, CPU accounting, RAM capacity) wins.
+    host = _busy_host(s)
+    s.allocation._used_ram[host] += 1
+    s.allocation._used_ram[host + 1] += 1
+    cluster = s.allocation.cluster
+    capacity = cluster.server(host).capacity
+    cluster.set_host_capacity(
+        host,
+        ServerCapacity(
+            max_vms=0, ram_mb=capacity.ram_mb, cpu=capacity.cpu,
+            nic_bps=capacity.nic_bps,
+        ),
+    )
+    return "allocation-structure", (), f"host {host} over slot capacity"
+
+
+CORRUPTIONS = [
+    level_out_of_range, level_without_bucket, bucket_desync,
+    missing_bucket_member, token_membership, host_map, slot_mirror,
+    ram_mirror, cpu_mirror, allocation_host_set, ram_accounting,
+    cpu_accounting, lowest_host_first_check,
+]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+def test_one_corruption_one_verdict(corrupt):
+    scheduler = healthy()
+    invariant, indices, fragment = corrupt(scheduler)
+    with pytest.raises(InvariantViolation) as caught:
+        check_engine_invariants(scheduler, context="table", deep=False)
+    assert caught.value.invariant == invariant
+    assert caught.value.indices == indices
+    assert fragment in str(caught.value)
+    assert caught.value.context == "table"
+
+
+# -- deep tier: the egress mirror's tolerance --------------------------------
+
+GBPS = 4e10
+
+
+def _crossing_stack():
+    """Hosts 0/1 exchange tens of Gbps over six pairs; hosts 4/6 carry an
+    anchor pair that never moves (the fleet's egress magnitude)."""
+    tree = CanonicalTree(n_racks=8, hosts_per_rack=2, tors_per_agg=4, n_cores=2)
+    cluster = Cluster(tree, ServerCapacity(max_vms=8, ram_mb=1 << 20, cpu=64.0))
+    allocation = Allocation(cluster)
+    allocation.add_vms(
+        [VM(i, 512, 0.5) for i in range(8)], [0, 0, 0, 1, 1, 1, 4, 6]
+    )
+    traffic = TrafficMatrix.from_pairs([
+        (0, 3, GBPS / 3), (0, 4, GBPS / 7), (1, 4, GBPS * 1.1),
+        (1, 5, GBPS / 11), (2, 3, GBPS / 13), (2, 5, GBPS * 0.7),
+        (6, 7, GBPS * 1.3),
+    ])
+    scheduler = SCOREScheduler(
+        allocation, traffic, policy_by_name("rr"),
+        MigrationEngine(CostModel(tree)),
+    )
+    scheduler._prepare_engines()
+    return scheduler
+
+
+def test_fully_localized_host_keeps_residue_not_a_violation():
+    scheduler = _crossing_stack()
+    fast = scheduler.fastcost
+    for vm, target in [(3, 0), (4, 0), (5, 0)]:
+        scheduler.allocation.migrate(vm, target)
+        fast.apply_migration(vm, target)
+    # Everything hosts 0 and 1 exchanged is local now: their egress is
+    # exactly zero, the incrementally maintained mirror is not.
+    residue = max(fast.host_egress(0), fast.host_egress(1))
+    assert 1e-6 < residue < 1e-3  # beyond the former fixed 1e-6 floor
+    check_engine_invariants(scheduler, deep=True)
+
+
+def test_a_few_bps_per_gbps_of_real_desync_still_trips():
+    scheduler = _crossing_stack()
+    fast = scheduler.fastcost
+    check_engine_invariants(scheduler, deep=True)
+    busiest = int(np.argmax(fast._egress))
+    fast._egress[busiest] *= 1 + 3e-9
+    with pytest.raises(InvariantViolation) as caught:
+        check_engine_invariants(scheduler, deep=True)
+    assert caught.value.invariant == "egress-mirror"
+    assert caught.value.indices == (busiest,)
