@@ -424,8 +424,10 @@ class Allocation:
             )
         hosts = np.array(itemgetter(*ids)(self._host_of), dtype=np.int64)
         vms = itemgetter(*ids)(self._vms)
-        ram = np.fromiter((vm.ram_mb for vm in vms), dtype=np.int64, count=len(ids))
-        cpu = np.fromiter((vm.cpu for vm in vms), dtype=float, count=len(ids))
+        ram = np.fromiter(
+            map(attrgetter("ram_mb"), vms), dtype=np.int64, count=len(ids)
+        )
+        cpu = np.fromiter(map(attrgetter("cpu"), vms), dtype=float, count=len(ids))
         return hosts, ram, cpu
 
     def apply_mapping(self, mapping: Dict[int, int]) -> None:
@@ -464,13 +466,20 @@ class Allocation:
                 return False
         return True
 
-    def validate(self) -> None:
+    def validate(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Internal-consistency check; raises AssertionError on corruption.
 
         C-speed passes over the mapping and the per-host sets, then array
         compares: every VM sits in its mapped host's set, and per host
         (ascending, first failure reported) slots, RAM accounting, CPU
         accounting and RAM capacity hold.
+
+        Returns the per-VM ``(ids, hosts, ram_mb, cpu)`` arrays the check
+        extracted, ascending by id (:meth:`mapping_arrays` of every
+        placed VM), so a caller that goes on to compare its own mirrors
+        against the allocation need not walk the VM objects again.
         """
         n_hosts = self._cluster.n_servers
         in_its_set = np.fromiter(
@@ -488,25 +497,27 @@ class Allocation:
             raise AssertionError(
                 f"VM {vm_id} mapped to host {host} but missing from its set"
             )
+        ids = np.array(sorted(self._vms), dtype=np.int64)
+        hosts, vm_ram, vm_cpu = self.mapping_arrays(ids.tolist())
         lens = np.fromiter(map(len, self._vms_on), dtype=np.int64, count=n_hosts)
-        total = int(lens.sum())
-        members = list(chain.from_iterable(self._vms_on))
-        member_host = np.repeat(np.arange(n_hosts), lens)
-        vms = self.vms_of(members)
-        ram = np.bincount(
-            member_host,
-            weights=np.fromiter(
-                map(attrgetter("ram_mb"), vms), dtype=np.int64, count=total
-            ),
-            minlength=n_hosts,
-        ).astype(np.int64)
-        cpu = np.bincount(
-            member_host,
-            weights=np.fromiter(
-                map(attrgetter("cpu"), vms), dtype=float, count=total
-            ),
-            minlength=n_hosts,
+        members = np.fromiter(
+            chain.from_iterable(self._vms_on),
+            dtype=np.int64,
+            count=int(lens.sum()),
         )
+        # Per-host sums run over the sets' members; sorting them first
+        # turns the id lookup into one sequential merge.
+        order = np.argsort(members)
+        members = members[order]
+        member_host = np.repeat(np.arange(n_hosts), lens)[order]
+        at = np.searchsorted(ids, members).clip(max=len(ids) - 1)
+        stray = members[ids[at] != members] if len(ids) else members
+        if stray.size:
+            raise KeyError(int(stray[0]))
+        ram = np.bincount(
+            member_host, weights=vm_ram[at], minlength=n_hosts
+        ).astype(np.int64)
+        cpu = np.bincount(member_host, weights=vm_cpu[at], minlength=n_hosts)
         cap_slots, cap_ram, _cap_cpu, _nic = self._cluster.capacity_arrays()
         checks = (
             (lens > cap_slots, "over slot capacity"),
@@ -522,6 +533,7 @@ class Allocation:
             host = int(np.argmax(bad))
             what = next(text for failed, text in checks if failed[host])
             raise AssertionError(f"host {host} {what}")
+        return ids, hosts, vm_ram, vm_cpu
 
     def __repr__(self) -> str:
         return f"Allocation(vms={len(self._vms)}, servers={self._cluster.n_servers})"

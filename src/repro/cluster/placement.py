@@ -19,7 +19,7 @@ Four strategies are provided:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -183,18 +183,25 @@ def place_arrivals(
     probe_order = locality_probe_order(topology, preferred_rack)
 
     # Track headroom consumed by earlier arrivals of this same batch so
-    # the chosen hosts stay feasible when the batch lands together.
-    slots = {h: allocation.free_slots(h) for h in probe_order}
-    ram = {h: allocation.free_ram_mb(h) for h in probe_order}
-    cpu = {h: allocation.free_cpu(h) for h in probe_order}
+    # the chosen hosts stay feasible when the batch lands together.  A
+    # host's headroom is read on its first probe: a batch usually lands
+    # within the first few hosts of the order.
+    headroom: Dict[int, List] = {}
     chosen: List[int] = []
     for vm in vms:
         for host in probe_order:
-            if slots[host] >= 1 and ram[host] >= vm.ram_mb and cpu[host] >= vm.cpu:
+            free = headroom.get(host)
+            if free is None:
+                free = headroom[host] = [
+                    allocation.free_slots(host),
+                    allocation.free_ram_mb(host),
+                    allocation.free_cpu(host),
+                ]
+            if free[0] >= 1 and free[1] >= vm.ram_mb and free[2] >= vm.cpu:
                 chosen.append(host)
-                slots[host] -= 1
-                ram[host] -= vm.ram_mb
-                cpu[host] -= vm.cpu
+                free[0] -= 1
+                free[1] -= vm.ram_mb
+                free[2] -= vm.cpu
                 break
         else:
             raise CapacityError(f"no server can accommodate VM {vm.vm_id}")

@@ -80,6 +80,24 @@ def _k_smallest(k: int, keys: np.ndarray, *ties: np.ndarray) -> np.ndarray:
     return low[order[:k]]
 
 
+def _weighted_bincount(
+    index: np.ndarray, weights: np.ndarray, minlength: int
+) -> np.ndarray:
+    """``np.bincount`` with weights, float64 whatever the input: numpy
+    returns int64 for an empty input even with weights, and the engine
+    shifts these arrays in place by float terms."""
+    return np.bincount(index, weights=weights, minlength=minlength).astype(
+        float, copy=False
+    )
+
+
+def _row_pointers(row: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers (``n + 1`` int64 offsets) of an ascending row array."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return ptr
+
+
 class TrafficSnapshot:
     """An array view of a traffic matrix over a dense VM index.
 
@@ -92,7 +110,9 @@ class TrafficSnapshot:
     ``rate``) stores each VM's peers — peers appear in ascending VM-id
     order within a slice, matching the sort order the naive candidate
     ranking uses for ties.  ``pair_u/pair_v/pair_rate`` hold every
-    unordered pair once (u < v in dense indices).
+    unordered pair once (u < v in dense indices), in no particular order:
+    a fresh build lists them as the matrix does, a delta-patched snapshot
+    appends arrivals at the end, and readers rank or look up by value.
     """
 
     __slots__ = (
@@ -194,11 +214,9 @@ class TrafficSnapshot:
         val[:m], val[m:] = pair_rate, pair_rate
         order = np.lexsort((col, row))
         row, col, val = row[order], col[order], val[order]
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
         return cls(
             vm_ids=ids,
-            ptr=ptr,
+            ptr=_row_pointers(row, n),
             peer=col,
             rate=val,
             row=row,
@@ -874,8 +892,10 @@ class FastCostEngine:
         This is the pinned reference path for epoch transitions: the
         delta APIs (:meth:`apply_traffic_delta`, :meth:`add_vms`,
         :meth:`remove_vms`) must leave the engine in exactly the state a
-        full rebuild would produce (within float-summation reordering),
-        which the delta differential suite asserts.
+        full rebuild would produce — the CSR arrays array-equal, the pair
+        arrays equal as a set, the caches within float-summation
+        reordering — which the delta and splice differential suites
+        assert.  It is also the only place that sorts a whole snapshot.
         """
         self._snap = TrafficSnapshot.build(
             self._traffic,
@@ -980,7 +1000,7 @@ class FastCostEngine:
         )
         self._ram_used = np.bincount(self._host_of, weights=ram, minlength=n_hosts)
         self._ram_used = self._ram_used.astype(np.int64)
-        self._cpu_used = np.bincount(self._host_of, weights=cpu, minlength=n_hosts)
+        self._cpu_used = _weighted_bincount(self._host_of, cpu, n_hosts)
 
     def _index_pairs(self) -> None:
         """(Re)build the sorted-key lookup indexes over the pair arrays.
@@ -988,15 +1008,41 @@ class FastCostEngine:
         ``_pair_key_sorted``/``_pair_sorted_order`` answer "where is pair
         (u, v)?" by binary search, and ``_csr_key`` does the same for the
         two directed CSR entries of a pair — what lets a traffic delta
-        patch rates in place instead of re-snapshotting.
+        patch rates, and splice pairs in and out, in place instead of
+        re-snapshotting.  Only :meth:`rebuild` sorts; every delta keeps
+        the order and calls :meth:`_repack_keys` at most.
+        """
+        snap = self._snap
+        key = snap.pair_u.astype(np.int64) * snap.n_vms + snap.pair_v
+        self._pair_sorted_order = np.argsort(key, kind="stable")
+        self._repack_keys()
+
+    def _remap_dense(self, old_to_new: np.ndarray) -> None:
+        """Renumber every stored dense index through a monotone map
+        (arrivals shift indices up, departures slide them down; call
+        with ``vm_ids`` already updated).  Monotone means no order
+        changes: one gather per array, then the keys are repacked."""
+        snap = self._snap
+        idx = snap.index_dtype
+        for name in ("row", "peer", "pair_u", "pair_v"):
+            remapped = old_to_new[getattr(snap, name)]
+            setattr(snap, name, remapped.astype(idx, copy=False))
+        self._repack_keys()
+
+    def _repack_keys(self) -> None:
+        """Recompute the packed keys under the current population size.
+
+        Keys are packed as u·n + v: force int64 so compact (int32)
+        snapshots cannot overflow at large populations.  A monotone
+        remap of the dense index (arrivals, departures) changes ``n``
+        but no order, so this is all those ops owe the indexes.
         """
         snap = self._snap
         n = snap.n_vms
-        # Keys are packed as u·n + v: force int64 so compact (int32)
-        # snapshots cannot overflow at large populations.
-        key = snap.pair_u.astype(np.int64) * n + snap.pair_v
-        self._pair_sorted_order = np.argsort(key, kind="stable")
-        self._pair_key_sorted = key[self._pair_sorted_order]
+        order = self._pair_sorted_order
+        self._pair_key_sorted = (
+            snap.pair_u[order].astype(np.int64) * n + snap.pair_v[order]
+        )
         # CSR entries are sorted by (row, peer), so this key is ascending.
         self._csr_key = snap.row.astype(np.int64) * n + snap.peer
 
@@ -1013,17 +1059,15 @@ class FastCostEngine:
             self._pod_of,
         )
         edge_cost = snap.rate * self._path_weight[levels]
-        self._vm_cost = np.bincount(snap.row, weights=edge_cost, minlength=n)
+        self._vm_cost = _weighted_bincount(snap.row, edge_cost, n)
         self._total = assignment_cost(
             self._host_of, snap, self._rack_of, self._pod_of, self._path_weight
         )
         # Per-host NIC egress (§V-C): every directed edge whose endpoints sit
         # on different hosts contributes its rate to the owner's host.
         crossing = levels > 0
-        self._egress = np.bincount(
-            self._host_of[snap.row][crossing],
-            weights=snap.rate[crossing],
-            minlength=n_hosts,
+        self._egress = _weighted_bincount(
+            self._host_of[snap.row][crossing], snap.rate[crossing], n_hosts
         )
 
     # -- incremental epoch transitions (state deltas) ------------------------
@@ -1076,14 +1120,16 @@ class FastCostEngine:
         engine records the matrix's post-delta version so :attr:`in_sync`
         holds afterwards.
 
-        Rate-only deltas (every changed pair already snapshotted, none
-        removed) are patched in place in O(changed) with incremental
-        Eq. 1/2 and egress adjustments; structural deltas (new or
-        vanished pairs) rebuild the CSR from the merged pair arrays —
-        still numpy end-to-end, skipping the python-dict walk of a full
-        rebuild.  VM ids outside the snapshot population raise
-        ``KeyError`` (add the VMs first via :meth:`add_vms`).  Returns
-        the number of pair changes applied.
+        Everything is patched in place in O(changed): rates of pairs
+        already snapshotted are overwritten, vanished pairs are spliced
+        out of and new pairs spliced into the sorted CSR and pair index
+        at their binary-search positions, and the Eq. 1/2 and egress
+        caches move by ``(new − old) · w[level]`` with old = 0 for an
+        addition and new = 0 for a removal.  The CSR stays in the
+        canonical (row, peer) order a fresh snapshot has; the pair
+        arrays' order is free.  VM ids outside the snapshot population
+        raise ``KeyError`` (add the VMs first via :meth:`add_vms`).
+        Returns the number of pair changes applied.
         """
         us, vs, rates = self._parse_delta(changed_pairs)
         if us.size == 0:
@@ -1106,7 +1152,7 @@ class FastCostEngine:
         hi = np.maximum(iu, iv)
         n = snap.n_vms
         key = lo * n + hi
-        # Dedup keeping the last occurrence per pair.
+        # Dedup keeping the last occurrence per pair (keys end ascending).
         order = np.argsort(key, kind="stable")
         last = np.ones(len(order), dtype=bool)
         key_sorted = key[order]
@@ -1114,6 +1160,11 @@ class FastCostEngine:
         sel = order[last]
         lo, hi, rates, key = lo[sel], hi[sel], rates[sel], key_sorted[last]
         n_applied = len(key)
+        # Only the endpoints' scored rows reference the changed rates (an
+        # owner's Lemma 3 terms involve its own incident edges alone);
+        # other owners' CSR slices keep their content wherever a splice
+        # moves them.
+        touched = np.unique(np.concatenate([lo, hi]))
 
         table = self._pair_key_sorted
         if len(table):
@@ -1122,38 +1173,34 @@ class FastCostEngine:
         else:
             pos = np.zeros(len(key), dtype=np.int64)
             found = np.zeros(len(key), dtype=bool)
-        additions = ~found & (rates > 0)
-        removals = found & (rates == 0)
-        if not np.any(additions) and not np.any(removals):
-            live = found  # ~found & rate==0 rows are no-ops
-            if np.any(live):
-                self._patch_rates(
-                    self._pair_sorted_order[pos[live]],
-                    lo[live],
-                    hi[live],
-                    rates[live],
-                )
-        else:
-            updates = found & (rates > 0)
-            pair_rate = snap.pair_rate.copy()
-            pair_rate[self._pair_sorted_order[pos[updates]]] = rates[updates]
-            pair_u, pair_v = snap.pair_u, snap.pair_v
-            if np.any(removals):
-                keep = np.ones(len(pair_rate), dtype=bool)
-                keep[self._pair_sorted_order[pos[removals]]] = False
-                pair_u = pair_u[keep]
-                pair_v = pair_v[keep]
-                pair_rate = pair_rate[keep]
-            if np.any(additions):
-                pair_u = np.concatenate([pair_u, lo[additions]])
-                pair_v = np.concatenate([pair_v, hi[additions]])
-                pair_rate = np.concatenate([pair_rate, rates[additions]])
-            self._set_pairs(pair_u, pair_v, pair_rate)
-        # Only the endpoints' scored rows reference the changed rates (an
-        # owner's Lemma 3 terms involve its own incident edges alone);
-        # other owners' CSR slices keep their content even when a
-        # structural delta rebuilds the arrays.
-        self._invalidate_owners(np.unique(np.concatenate([lo, hi])))
+        live = found | (rates > 0)  # zeroing an absent pair is a no-op
+        if not live.all():
+            lo, hi, rates, key = lo[live], hi[live], rates[live], key[live]
+            pos, found = pos[live], found[live]
+        if len(key):
+            # The caches move by what the snapshot stores: under
+            # ``compact`` that is the float32-rounded rate, as in a
+            # fresh build.
+            new = rates.astype(snap.rate_dtype).astype(float)
+            old = np.zeros(len(new))
+            old[found] = snap.pair_rate[self._pair_sorted_order[pos[found]]]
+            self._shift_costs(lo, hi, new - old)
+            updated = found & (rates > 0)
+            removed = found & (rates == 0)
+            added = ~found
+            if updated.any():
+                u, v, rate = lo[updated], hi[updated], new[updated]
+                snap.pair_rate[self._pair_sorted_order[pos[updated]]] = rate
+                # Both directed CSR entries of each pair.
+                snap.rate[np.searchsorted(self._csr_key, u * n + v)] = rate
+                snap.rate[np.searchsorted(self._csr_key, v * n + u)] = rate
+            if removed.any():
+                self._drop_pairs(self._pair_sorted_order[pos[removed]])
+            if added.any():
+                self._insert_pairs(lo[added], hi[added], key[added], new[added])
+            if removed.any() or added.any():
+                snap.ptr = _row_pointers(snap.row, n)
+        self._invalidate_owners(touched)
         self._advance_sync(traffic=True)
         return n_applied
 
@@ -1187,26 +1234,17 @@ class FastCostEngine:
             raise ValueError("rates must be >= 0")
         return us, vs, rates
 
-    def _patch_rates(
-        self,
-        pair_idx: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        new_rates: np.ndarray,
+    def _shift_costs(
+        self, lo: np.ndarray, hi: np.ndarray, delta: np.ndarray
     ) -> None:
-        """In-place rate update for pairs already in the snapshot.
+        """Move the Eq. 1/2 and egress caches for pairs ``(lo, hi)`` whose
+        rates change by ``delta`` — a re-estimate, an addition (from 0)
+        or a removal (to 0) alike.
 
         The placement is untouched, so every changed pair's level — and
         therefore its path weight — is fixed; the caches shift by
         ``(new − old) · w[level]`` terms only.
         """
-        snap = self._snap
-        n = snap.n_vms
-        delta = new_rates - snap.pair_rate[pair_idx]
-        snap.pair_rate[pair_idx] = new_rates
-        # Both directed CSR entries of each pair.
-        snap.rate[np.searchsorted(self._csr_key, lo * n + hi)] = new_rates
-        snap.rate[np.searchsorted(self._csr_key, hi * n + lo)] = new_rates
         host_lo = self._host_of[lo]
         host_hi = self._host_of[hi]
         levels = pair_levels(host_lo, host_hi, self._rack_of, self._pod_of)
@@ -1214,7 +1252,7 @@ class FastCostEngine:
         self._vm_cost += np.bincount(
             np.concatenate([lo, hi]),
             weights=np.concatenate([contrib, contrib]),
-            minlength=n,
+            minlength=len(self._vm_cost),
         )
         self._total += float(contrib.sum())
         crossing = levels > 0
@@ -1226,32 +1264,62 @@ class FastCostEngine:
                 minlength=len(self._egress),
             )
 
-    def _set_pairs(
-        self, pair_u: np.ndarray, pair_v: np.ndarray, pair_rate: np.ndarray
-    ) -> None:
-        """Install new undirected pair arrays (dense indices, u < v) over
-        the same VM population and rebuild the CSR, indexes and caches."""
+    def _drop_pairs(self, pair_idx: np.ndarray) -> None:
+        """Splice pairs (positions in the pair arrays) out of the CSR,
+        the pair arrays and the sorted pair index.  Caches and ``ptr``
+        are the caller's (:meth:`_shift_costs`, :func:`_row_pointers`)."""
         snap = self._snap
         n = snap.n_vms
-        # Preserve the snapshot's (possibly compact) dtypes: a structural
-        # delta must not silently promote a compact snapshot to int64/
-        # float64 arrays.
-        pair_u = np.asarray(pair_u).astype(snap.index_dtype, copy=False)
-        pair_v = np.asarray(pair_v).astype(snap.index_dtype, copy=False)
-        pair_rate = np.asarray(pair_rate).astype(snap.rate_dtype, copy=False)
-        row = np.concatenate([pair_u, pair_v])
-        col = np.concatenate([pair_v, pair_u])
-        val = np.concatenate([pair_rate, pair_rate])
-        order = np.lexsort((col, row))
-        snap.row = row[order]
-        snap.peer = col[order]
-        snap.rate = val[order]
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(snap.row, minlength=n), out=ptr[1:])
-        snap.ptr = ptr
-        snap.pair_u, snap.pair_v, snap.pair_rate = pair_u, pair_v, pair_rate
-        self._index_pairs()
-        self._recompute_cost_caches()
+        u = snap.pair_u[pair_idx].astype(np.int64)
+        v = snap.pair_v[pair_idx].astype(np.int64)
+        entries = np.searchsorted(
+            self._csr_key, np.concatenate([u * n + v, v * n + u])
+        )
+        self._csr_key = np.delete(self._csr_key, entries)
+        snap.row = np.delete(snap.row, entries)
+        snap.peer = np.delete(snap.peer, entries)
+        snap.rate = np.delete(snap.rate, entries)
+        pos = np.searchsorted(self._pair_key_sorted, u * n + v)
+        self._pair_key_sorted = np.delete(self._pair_key_sorted, pos)
+        order = np.delete(self._pair_sorted_order, pos)
+        # Surviving pairs slide down by the number of dropped pairs
+        # stored before them.
+        dropped = np.zeros(snap.n_pairs, dtype=np.int64)
+        dropped[pair_idx] = 1
+        self._pair_sorted_order = order - np.cumsum(dropped)[order]
+        snap.pair_u = np.delete(snap.pair_u, pair_idx)
+        snap.pair_v = np.delete(snap.pair_v, pair_idx)
+        snap.pair_rate = np.delete(snap.pair_rate, pair_idx)
+
+    def _insert_pairs(
+        self, lo: np.ndarray, hi: np.ndarray, key: np.ndarray, rates: np.ndarray
+    ) -> None:
+        """Splice new pairs (dense ``lo < hi``, packed ``key`` ascending)
+        into the CSR at their sorted positions, append them to the pair
+        arrays and thread them into the sorted pair index.  Caches and
+        ``ptr`` are the caller's, as for :meth:`_drop_pairs`."""
+        snap = self._snap
+        n = snap.n_vms
+        at = np.searchsorted(self._pair_key_sorted, key)
+        self._pair_key_sorted = np.insert(self._pair_key_sorted, at, key)
+        self._pair_sorted_order = np.insert(
+            self._pair_sorted_order, at, snap.n_pairs + np.arange(len(key))
+        )
+        # np.insert keeps the target's dtype: compact snapshots stay
+        # int32/float32 through the splice.
+        snap.pair_u = np.insert(snap.pair_u, len(snap.pair_u), lo)
+        snap.pair_v = np.insert(snap.pair_v, len(snap.pair_v), hi)
+        snap.pair_rate = np.insert(snap.pair_rate, len(snap.pair_rate), rates)
+        row = np.concatenate([lo, hi])
+        peer = np.concatenate([hi, lo])
+        entry_key = row * n + peer
+        order = np.argsort(entry_key)
+        entry_key = entry_key[order]
+        at = np.searchsorted(self._csr_key, entry_key)
+        self._csr_key = np.insert(self._csr_key, at, entry_key)
+        snap.row = np.insert(snap.row, at, row[order])
+        snap.peer = np.insert(snap.peer, at, peer[order])
+        snap.rate = np.insert(snap.rate, at, np.concatenate([rates, rates])[order])
 
     def add_vms(self, vms: Sequence) -> TouchedSet:
         """Mirror one batch of VM arrivals already applied to the allocation.
@@ -1291,15 +1359,9 @@ class FastCostEngine:
             pos, np.arange(old_n), side="right"
         )
         snap.vm_ids = np.insert(snap.vm_ids, pos, add_ids)
-        idx = snap.index_dtype
-        snap.peer = old_to_new[snap.peer].astype(idx, copy=False)
-        snap.row = old_to_new[snap.row].astype(idx, copy=False)
-        snap.pair_u = old_to_new[snap.pair_u].astype(idx, copy=False)
-        snap.pair_v = old_to_new[snap.pair_v].astype(idx, copy=False)
-        new_n = old_n + len(add_ids)
-        ptr = np.zeros(new_n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(snap.row, minlength=new_n), out=ptr[1:])
-        snap.ptr = ptr
+        self._remap_dense(old_to_new)
+        # Arrivals join with degree 0: an empty slice where each lands.
+        snap.ptr = np.insert(snap.ptr, pos, snap.ptr[pos])
         self._host_of = np.insert(self._host_of, pos, hosts)
         self._vm_ram = np.insert(self._vm_ram, pos, add_ram)
         self._vm_cpu = np.insert(self._vm_cpu, pos, add_cpu)
@@ -1314,7 +1376,6 @@ class FastCostEngine:
             (self._vm_ram == self._vm_ram[0]).all()
             and (self._vm_cpu == self._vm_cpu[0]).all()
         )
-        self._index_pairs()
         self._advance_sync(allocation=True)
         # Arrivals remap the dense VM index; owner-keyed caches flush.
         self._flush_round_cache()
@@ -1323,18 +1384,20 @@ class FastCostEngine:
     def remove_vms(self, vm_ids: Sequence[int]) -> TouchedSet:
         """Mirror one batch of VM departures already applied to the allocation.
 
-        Drops the VMs from the dense index, removes every pair touching
-        them (the matrix-side zeroing is the caller's job —
-        ``SCOREScheduler.retire_vms`` does both) and patches the capacity
-        mirrors; the cost caches are recomputed in one vectorized pass.
+        Drops the VMs from the dense index and patches the capacity
+        mirrors.  Pairs still touching them are spliced out first with
+        their cache shifts, as a removal delta would (the matrix-side
+        zeroing is the caller's job — ``SCOREScheduler.retire_vms`` does
+        both, flows first, so usually none are left); the survivors'
+        indices then slide down monotonically, which keeps every sorted
+        order — nothing is re-sorted or recomputed.
         """
         ids = np.unique(np.asarray(list(vm_ids), dtype=np.int64))
         if ids.size == 0:
             return TouchedSet.empty()
         snap = self._snap
         dense = self.dense_indices(ids.tolist())  # KeyError on unknowns
-        old_n = snap.n_vms
-        keep_mask = np.ones(old_n, dtype=bool)
+        keep_mask = np.ones(snap.n_vms, dtype=bool)
         keep_mask[dense] = False
         hosts = self._host_of[dense]
         n_hosts = len(self._slot_cap)
@@ -1345,22 +1408,30 @@ class FastCostEngine:
         self._cpu_used -= np.bincount(
             hosts, weights=self._vm_cpu[dense], minlength=n_hosts
         )
-        old_to_new = np.cumsum(keep_mask) - 1  # valid at kept indices only
-        pair_keep = keep_mask[snap.pair_u] & keep_mask[snap.pair_v]
-        pair_u = old_to_new[snap.pair_u[pair_keep]]
-        pair_v = old_to_new[snap.pair_v[pair_keep]]
-        pair_rate = snap.pair_rate[pair_keep]
+        if (snap.ptr[dense + 1] > snap.ptr[dense]).any():
+            stale = np.nonzero(
+                ~(keep_mask[snap.pair_u] & keep_mask[snap.pair_v])
+            )[0]
+            self._shift_costs(
+                snap.pair_u[stale].astype(np.int64),
+                snap.pair_v[stale].astype(np.int64),
+                -snap.pair_rate[stale].astype(float),
+            )
+            self._drop_pairs(stale)
+            snap.ptr = _row_pointers(snap.row, snap.n_vms)
+        # The departed rows are empty now; everyone else slides down.
         snap.vm_ids = snap.vm_ids[keep_mask]
+        self._remap_dense(np.cumsum(keep_mask) - 1)  # valid at kept indices
+        snap.ptr = np.delete(snap.ptr, dense)
         self._host_of = self._host_of[keep_mask]
         self._vm_ram = self._vm_ram[keep_mask]
         self._vm_cpu = self._vm_cpu[keep_mask]
-        n = snap.n_vms
+        self._vm_cost = self._vm_cost[keep_mask]
         self._uniform_vm = bool(
-            n > 0
+            snap.n_vms > 0
             and (self._vm_ram == self._vm_ram[0]).all()
             and (self._vm_cpu == self._vm_cpu[0]).all()
         )
-        self._set_pairs(pair_u, pair_v, pair_rate)
         self._advance_sync(allocation=True)
         # Departures remap the dense VM index; owner-keyed caches flush.
         self._flush_round_cache()

@@ -680,8 +680,9 @@ class DurableScenarioRun:
             self._acc["cost_before"] = float(report.initial_cost)
         self._acc["cost_after"] = float(report.final_cost)
         self._acc["migrations"] += report.total_migrations
+        columns = report.decisions.columns()
         self._acc["returning"] += count_returning_migrations(
-            report.decisions, self._former_hosts
+            columns.moves(), self._former_hosts
         )
         data = {
             "epoch": self._epoch,
@@ -690,7 +691,7 @@ class DurableScenarioRun:
             "migrations": int(report.total_migrations),
             "clock": float(self._scheduler.clock),
             "next_holder": report.next_holder,
-            "digest": _decisions_digest(report.decisions.columns()),
+            "digest": _decisions_digest(columns),
         }
         if expected is not None:
             self._verify("round", expected, data)

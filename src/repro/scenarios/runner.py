@@ -256,7 +256,7 @@ def _run_epochs(
                 n_vms=environment.allocation.n_vms,
                 migrations=report.total_migrations,
                 returning=count_returning_migrations(
-                    report.decisions, former_hosts
+                    report.decisions.columns().moves(), former_hosts
                 ),
                 arrivals=arrivals,
                 departures=departures,

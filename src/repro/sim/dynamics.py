@@ -45,27 +45,29 @@ class DynamicRunResult:
         return bool(self.migrations_per_epoch) and self.migrations_per_epoch[-1] == 0
 
 
-def count_returning_migrations(decisions, former_hosts: Dict[int, Set[int]]) -> int:
+def count_returning_migrations(moves, former_hosts: Dict[int, Set[int]]) -> int:
     """Count migrations that return a VM to a host it previously left.
 
-    ``former_hosts`` (VM → hosts it has departed) carries across calls, so
-    feeding one epoch's decisions at a time yields per-epoch returning
-    counts against the full history.  Histories are strictly per-VM: the
-    wave-batched scheduler applies a round's migrations as simultaneous
-    ``Allocation.migrate_many`` batches, so another VM vacating a host in
-    the same batch must never make a landing there count as a "return" —
-    only the VM's *own* earlier departures do.  A VM moves at most once
-    per round and the report lists rounds in order, so its decisions are
-    chronological regardless of how waves interleaved within a round.
+    ``moves`` is the migrated holds of a report as ``(vm_id,
+    source_host, target_host)`` triples in hold order —
+    ``report.decisions.columns().moves()``, which never materialises the
+    non-migrating holds.  ``former_hosts`` (VM → hosts it has departed)
+    carries across calls, so feeding one epoch's moves at a time yields
+    per-epoch returning counts against the full history.  Histories are
+    strictly per-VM: the wave-batched scheduler applies a round's
+    migrations as simultaneous ``Allocation.migrate_many`` batches, so
+    another VM vacating a host in the same batch must never make a
+    landing there count as a "return" — only the VM's *own* earlier
+    departures do.  A VM moves at most once per round and the report
+    lists rounds in order, so its moves are chronological regardless of
+    how waves interleaved within a round.
     """
     returning = 0
-    for decision in decisions:
-        if not decision.migrated:
-            continue
-        history = former_hosts.setdefault(decision.vm_id, set())
-        if decision.target_host in history:
+    for vm_id, source_host, target_host in moves:
+        history = former_hosts.setdefault(vm_id, set())
+        if target_host in history:
             returning += 1
-        history.add(decision.source_host)
+        history.add(source_host)
     return returning
 
 
@@ -110,7 +112,9 @@ def run_dynamic(
             if delta:
                 scheduler.apply_traffic_delta(delta)
         report = scheduler.run(n_iterations=iterations_per_epoch)
-        returning = count_returning_migrations(report.decisions, former_hosts)
+        returning = count_returning_migrations(
+            report.decisions.columns().moves(), former_hosts
+        )
         result.total_migrations += report.total_migrations
         result.returning_migrations += returning
         result.epoch_reports.append(report)

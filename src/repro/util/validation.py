@@ -127,15 +127,14 @@ def check_engine_invariants(
     traffic = scheduler.traffic
 
     try:
-        allocation.validate()
+        # One walk over the VM objects serves both sides: the
+        # allocation's own accounting and the engine-mirror compares.
+        placed, expected_hosts, ram, cpu = allocation.validate()
     except AssertionError as exc:
         if isinstance(exc, InvariantViolation):
             raise
         fail("allocation-structure", str(exc))
 
-    placed = np.sort(
-        np.fromiter(allocation.vm_ids(), dtype=np.int64, count=allocation.n_vms)
-    )
     vm_ids = token.vm_ids
     token_ids = np.array(vm_ids, dtype=np.int64)
     if not np.array_equal(token_ids, placed):
@@ -197,7 +196,6 @@ def check_engine_invariants(
             "fast snapshot dense index disagrees with the allocation",
             indices=np.setxor1d(snap.vm_ids, placed),
         )
-    expected_hosts, ram, cpu = allocation.mapping_arrays(placed.tolist())
     if not np.array_equal(fast._host_of, expected_hosts):
         fail(
             "host-map",
