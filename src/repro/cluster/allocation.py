@@ -349,23 +349,32 @@ class Allocation:
         these batches.
         """
         host_of = self._host_of
-        vms = self._vms
         vms_on = self._vms_on
         used_ram = self._used_ram
         used_cpu = self._used_cpu
-        server = self._cluster.server
         moves = [
             (vm_id, target)
             for vm_id, target in moves
             if host_of[vm_id] != target
         ]
-        for vm_id, target in moves:
-            vm = vms[vm_id]
-            cap = server(target).capacity
+        if not moves:
+            return
+        vm_ids, targets = zip(*moves)
+        movers = self.vms_of(vm_ids)
+        at = np.array(targets, dtype=np.int64)
+        slots, ram_mb, cpu, _ = self._cluster.capacity_arrays()
+        for vm_id, target, vm, max_vms, cap_ram, cap_cpu in zip(
+            vm_ids,
+            targets,
+            movers,
+            slots[at].tolist(),
+            ram_mb[at].tolist(),
+            cpu[at].tolist(),
+        ):
             if (
-                cap.max_vms - len(vms_on[target]) < 1
-                or cap.ram_mb - used_ram[target] < vm.ram_mb
-                or cap.cpu - used_cpu[target] < vm.cpu
+                max_vms - len(vms_on[target]) < 1
+                or cap_ram - used_ram[target] < vm.ram_mb
+                or cap_cpu - used_cpu[target] < vm.cpu
             ):
                 raise CapacityError(
                     f"wave rejected: VM {vm_id} does not fit host {target}: "
@@ -373,19 +382,16 @@ class Allocation:
                     f"ram={self.free_ram_mb(target)}MiB, "
                     f"cpu={self.free_cpu(target)}"
                 )
-        for vm_id, target in moves:
-            vm = vms[vm_id]
-            ram, cpu = vm.ram_mb, vm.cpu
+        for vm_id, target, vm in zip(vm_ids, targets, movers):
             current = host_of[vm_id]
             vms_on[current].discard(vm_id)
-            used_ram[current] -= ram
-            used_cpu[current] -= cpu
+            used_ram[current] -= vm.ram_mb
+            used_cpu[current] -= vm.cpu
             host_of[vm_id] = target
             vms_on[target].add(vm_id)
-            used_ram[target] += ram
-            used_cpu[target] += cpu
-        if moves:
-            self._version += 1
+            used_ram[target] += vm.ram_mb
+            used_cpu[target] += vm.cpu
+        self._version += 1
 
     # -- bulk / copy -----------------------------------------------------------------
 

@@ -62,6 +62,102 @@ def segment_rows(ptr: np.ndarray, owners: np.ndarray) -> Tuple[np.ndarray, np.nd
     return rows, seg_ptr
 
 
+class ShadowIndex:
+    """Blocked candidate rows that matter if their host frees: unordered.
+
+    An append-only ``(row, host)`` buffer plus a per-row membership
+    bitmap.  :meth:`add` appends only non-members, so a row has at most
+    one live entry and lookups never return duplicates; :meth:`discard`
+    clears the bit and *tombstones* the entry by re-homing it on the
+    sentinel host ``n_hosts``, which no host flag ever selects.  Entry
+    order is free: every consumer re-checks ``delta >= best[owner]`` and
+    sorts what it keeps, so "which blocked rows sit on these hosts" is
+    one flag gather over the buffer instead of a host-sorted bisect.
+    """
+
+    __slots__ = ("member", "_rows", "_hosts", "_size", "_n_hosts")
+
+    def __init__(self, n_rows: int, n_hosts: int) -> None:
+        #: ``member[row]`` — whether ``row`` has a live entry.
+        self.member = np.zeros(n_rows, dtype=bool)
+        self._rows = np.empty(0, dtype=np.int64)
+        self._hosts = np.empty(0, dtype=np.int64)
+        self._size = 0
+        self._n_hosts = n_hosts
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row of every entry, tombstones included (a view)."""
+        return self._rows[: self._size]
+
+    @property
+    def hosts(self) -> np.ndarray:
+        """Host of every entry; ``n_hosts`` marks a tombstone (a view)."""
+        return self._hosts[: self._size]
+
+    def add(self, rows: np.ndarray, hosts: np.ndarray) -> None:
+        """Append the non-member rows (``rows`` unique within the call)."""
+        new = ~self.member[rows]
+        rows = rows[new]
+        if rows.size == 0:
+            return
+        self.member[rows] = True
+        end = self._size + len(rows)
+        if end > len(self._rows):
+            capacity = end + (end >> 2)
+            for name in ("_rows", "_hosts"):
+                grown = np.empty(capacity, dtype=np.int64)
+                grown[: self._size] = getattr(self, name)[: self._size]
+                setattr(self, name, grown)
+        self._rows[self._size : end] = rows
+        self._hosts[self._size : end] = hosts[new]
+        self._size = end
+
+    def on_hosts(self, host_flag: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(entry positions, rows) of the live entries on flagged hosts.
+
+        ``host_flag`` has ``n_hosts + 1`` entries, the last (the
+        tombstone sentinel) False.
+        """
+        pos = np.flatnonzero(host_flag[self.hosts])
+        return pos, self._rows[pos]
+
+    def discard(self, pos: np.ndarray) -> None:
+        """Drop the live entries at the given positions."""
+        self.member[self._rows[pos]] = False
+        self._hosts[pos] = self._n_hosts
+
+    def compact(self, keep: Optional[np.ndarray] = None) -> None:
+        """Squeeze the tombstones out; with ``keep`` (a mask over the
+        entries) also drop every entry it does not select."""
+        live = self.hosts != self._n_hosts
+        if keep is not None:
+            self.member[self.rows[live & ~keep]] = False
+            live &= keep
+        self._store(self.rows[live], self.hosts[live])
+
+    def remap(
+        self,
+        row_owner: np.ndarray,
+        shift: np.ndarray,
+        dirty_mask: np.ndarray,
+        n_rows: int,
+    ) -> None:
+        """Re-key after a splice: clean owners' rows move by their
+        segment's displacement, dirty owners' entries are dropped."""
+        owner = row_owner[self.rows]
+        live = (self.hosts != self._n_hosts) & ~dirty_mask[owner]
+        rows = self.rows[live] + shift[owner[live]]
+        self._store(rows, self.hosts[live])
+        self.member = np.zeros(n_rows, dtype=bool)
+        self.member[rows] = True
+
+    def _store(self, rows: np.ndarray, hosts: np.ndarray) -> None:
+        self._size = len(rows)
+        self._rows[: self._size] = rows
+        self._hosts[: self._size] = hosts
+
+
 class DecisionState:
     """Per-owner decisions carried *across* rounds and epochs.
 
@@ -71,11 +167,11 @@ class DecisionState:
     vector.  ``stale_decision`` is the owner-granular invalidation mark:
     it is set exactly when something that could change the owner's
     carried decision happened while the owner was not being maintained —
-    a tie row's host filled after the owner settled, or a host holding a
-    qualifying shadow row freed.  The next round start re-evaluates
-    marked and re-scored owners and keeps everything else, which turns a
-    mostly-converged round into a sparse re-score instead of a full
-    O(rows) evaluation.
+    its rows were re-scored, a tie row's host filled after the owner
+    settled, or a host holding a qualifying shadow row freed.  The next
+    round start re-evaluates the marked owners and keeps everything
+    else, which turns a mostly-converged round into a sparse re-score
+    instead of a full O(rows) evaluation.
     """
 
     __slots__ = (
@@ -84,64 +180,65 @@ class DecisionState:
         "pool_rows",
         "pool_owner",
         "pool_hosts",
-        "pool_hkeys",
         "shadow",
-        "shadow_hosts",
-        "in_shadow",
         "host_ok",
         "stale_decision",
         "row_owner",
         "owner_pods",
     )
 
-    def __init__(self, n: int, n_hosts: int) -> None:
-        self.choice = np.full(n, -1, dtype=np.int64)
-        self.best = np.full(n, -np.inf)
+    def __init__(
+        self,
+        choice: np.ndarray,
+        best: np.ndarray,
+        host_ok: np.ndarray,
+        row_owner: np.ndarray,
+        owner_pods: np.ndarray,
+        shadow: ShadowIndex,
+    ) -> None:
+        self.choice = choice
+        self.best = best
+        #: The exact-tie pool, row-sorted, with each row's owner and host
+        #: ("which ties sit on a filled host" is a flag gather over
+        #: ``pool_hosts``).  Filled in when the building round ends.
         self.pool_rows = np.empty(0, dtype=np.int64)
         self.pool_owner = np.empty(0, dtype=np.int64)
-        #: Host of each pool row at insertion time (survives in-place
-        #: re-scores, so deletions can always reconstruct their keys).
         self.pool_hosts = np.empty(0, dtype=np.int64)
-        #: The host-keyed pool order (``host << 40 | row``), or None when
-        #: a splice renumbered rows and the index must be rebuilt.
-        self.pool_hkeys: Optional[np.ndarray] = None
-        self.shadow = np.empty(0, dtype=np.int64)
-        self.shadow_hosts = np.empty(0, dtype=np.int64)
-        self.in_shadow: Optional[np.ndarray] = None
-        self.host_ok: Optional[np.ndarray] = None
-        self.stale_decision = np.zeros(n, dtype=bool)
-        self.row_owner: Optional[np.ndarray] = None
-        self.owner_pods: Optional[np.ndarray] = None
+        self.shadow = shadow
+        self.host_ok = host_ok
+        self.stale_decision = np.zeros(len(choice), dtype=bool)
+        #: Row → owner map of the CSR the rows above index; None between
+        #: a splice and the next round start (which rebuilds it).
+        self.row_owner: Optional[np.ndarray] = row_owner
+        #: (owner × pod) candidate incidence (see ``_adjust_stale``).
+        self.owner_pods = owner_pods
 
     def remap_rows(
-        self,
-        old_ptr: np.ndarray,
-        new_ptr: np.ndarray,
-        dirty_mask: np.ndarray,
-        n_pairs: int,
+        self, old_ptr: np.ndarray, new_ptr: np.ndarray, dirty_mask: np.ndarray
     ) -> None:
         """Re-key the carried row ids after a refresh splice.
 
-        Clean owners keep their within-segment offsets, so their rows
-        shift by the per-owner segment displacement; dirty owners' rows
-        are dropped (they are re-evaluated from the fresh scores).
+        A splice renumbers monotonically — clean owners keep their
+        within-segment offsets and their relative order — so their rows
+        shift by the per-owner segment displacement and sorted arrays
+        stay sorted; dirty owners' rows are dropped (they are
+        re-evaluated from the fresh scores).  Owners come from the
+        carried ``row_owner``, never from bisecting rows into ``old_ptr``.
         """
         shift = new_ptr[:-1] - old_ptr[:-1]
         keep = ~dirty_mask[self.pool_owner]
-        self.pool_rows = self.pool_rows[keep] + shift[self.pool_owner[keep]]
-        self.pool_hosts = self.pool_hosts[keep]
         self.pool_owner = self.pool_owner[keep]
-        self.pool_hkeys = None  # rows renumbered; rebuilt on demand
-        if self.shadow.size:
-            shadow_owner = (
-                np.searchsorted(old_ptr, self.shadow, side="right") - 1
+        self.pool_rows = self.pool_rows[keep] + shift[self.pool_owner]
+        self.pool_hosts = self.pool_hosts[keep]
+        chosen = ~dirty_mask & (self.choice >= 0)
+        self.choice[chosen] += shift[chosen]
+        row_owner = self.row_owner
+        if row_owner is None:  # a second splice before any round ran
+            row_owner = np.repeat(
+                np.arange(len(shift), dtype=np.int64), np.diff(old_ptr)
             )
-            keep = ~dirty_mask[shadow_owner]
-            self.shadow = self.shadow[keep] + shift[shadow_owner[keep]]
-            self.shadow_hosts = self.shadow_hosts[keep]
-        self.in_shadow = np.zeros(n_pairs, dtype=bool)
-        self.in_shadow[self.shadow] = True
-        self.row_owner = None  # rebuilt from the new CSR on demand
+        self.shadow.remap(row_owner, shift, dirty_mask, int(new_ptr[-1]))
+        self.row_owner = None
 
 
 class RoundScoreCache:
@@ -220,9 +317,10 @@ class RoundScoreCache:
 
         Returns ``(batch, dirty)``: the batch's arrays are the cache's
         own (zero copy), with ``vms[i] == i`` over the dense index, and
-        ``dirty`` the owners that were re-scored (the loop re-evaluates
-        exactly those).  A carried :class:`DecisionState` is row-remapped
-        across a splice and dropped on a full re-score.  The round
+        ``dirty`` the owners that were re-scored.  A carried
+        :class:`DecisionState` has those owners marked ``stale_decision``
+        (the next round re-evaluates them), is row-remapped across a
+        splice and dropped on a full re-score.  The round
         engine may correct rows of owners whose peers move mid-round in
         place: those owners are invalidated by the very ``apply_moves``
         that moved the peers, so a mutated row is always re-scored
@@ -296,12 +394,13 @@ class RoundScoreCache:
                     if state is not None:
                         dirty_mask = np.zeros(n, dtype=bool)
                         dirty_mask[changed] = True
-                        state.remap_rows(
-                            old_ptr, self._ptr, dirty_mask, len(self._host)
-                        )
+                        state.remap_rows(old_ptr, self._ptr, dirty_mask)
                     self.owners_scattered += int(same.sum())
                     self.owners_spliced += int(changed.size)
-                if state is not None and state.owner_pods is not None:
+                if state is not None:
+                    # Whenever the next round runs, it re-evaluates the
+                    # re-scored owners (also after a refresh of its own).
+                    state.stale_decision[dirty] = True
                     if fresh.n_pairs:
                         n_pods = state.owner_pods.shape[1]
                         hits = np.bincount(
@@ -347,38 +446,35 @@ class RoundScoreCache:
     def _splice(self, dirty: np.ndarray, fresh: CandidateBatch) -> None:
         """Replace the dirty owners' segments with freshly scored ones.
 
-        One gather per retained array: clean segments copy over from the
-        old CSR, dirty segments from the fresh batch — per-owner scoring
-        is deterministic and self-contained, so the spliced CSR is
+        A mask compress/expand per retained array: ``keep`` over the old
+        rows and ``stay`` over the new ones are cleared only at the dirty
+        owners' segments, so clean rows copy across in their old relative
+        order and the fresh rows fill the gaps — per-owner scoring is
+        deterministic and self-contained, so the spliced CSR is
         bit-identical to a full re-score.
         """
         old_ptr = self._ptr
-        counts = (old_ptr[1:] - old_ptr[:-1]).astype(np.int64)
-        counts[dirty] = fresh.ptr[1:] - fresh.ptr[:-1]
-        n = len(counts)
-        new_ptr = np.zeros(n + 1, dtype=np.int64)
+        counts = np.diff(old_ptr)
+        counts[dirty] = np.diff(fresh.ptr)
+        new_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=new_ptr[1:])
         total = int(new_ptr[-1])
-        host = np.empty(total, dtype=self._host.dtype)
-        delta = np.empty(total)
-        onto = np.empty(total)
-
-        clean = np.nonzero(self._valid)[0]
-        src_rows, _ = segment_rows(old_ptr, clean)
-        dst_rows, _ = segment_rows(new_ptr, clean)
-        host[dst_rows] = self._host[src_rows]
-        delta[dst_rows] = self._delta[src_rows]
-        onto[dst_rows] = self._onto[src_rows]
-
-        fresh_dst, _ = segment_rows(new_ptr, dirty)
-        host[fresh_dst] = fresh.host
-        delta[fresh_dst] = fresh.delta
-        onto[fresh_dst] = fresh.onto_rate
-
+        keep = np.ones(len(self._host), dtype=bool)
+        keep[segment_rows(old_ptr, dirty)[0]] = False
+        fresh_dst = segment_rows(new_ptr, dirty)[0]
+        stay = np.ones(total, dtype=bool)
+        stay[fresh_dst] = False
+        for name, scored in (
+            ("_host", fresh.host),
+            ("_delta", fresh.delta),
+            ("_onto", fresh.onto_rate),
+        ):
+            old = getattr(self, name)
+            out = np.empty(total, dtype=old.dtype)
+            out[stay] = old[keep]
+            out[fresh_dst] = scored
+            setattr(self, name, out)
         self._ptr = new_ptr
-        self._host = host
-        self._delta = delta
-        self._onto = onto
         self._source[dirty] = fresh.source
         self._degree[dirty] = fresh.degree
         self._total_rate[dirty] = fresh.total_rate

@@ -64,7 +64,7 @@ import numpy as np
 from repro.cluster.allocation import Allocation, CapacityError
 from repro.core.fastcost import CandidateBatch, FastCostEngine, pair_levels
 from repro.core.migration import MigrationDecision, MigrationEngine
-from repro.core.roundcache import segment_rows
+from repro.core.roundcache import DecisionState, ShadowIndex, segment_rows
 from repro.traffic.matrix import TrafficMatrix
 
 
@@ -463,9 +463,6 @@ class BatchedRoundEngine:
 
     # -- cached round loop ---------------------------------------------------
 
-    #: Bit position of the host field in pool-by-host keys (rows < 2^40).
-    _HOST_SHIFT = 40
-
     def _run_round_cached(
         self, order: Sequence[int], dense_order: np.ndarray, injector=None
     ) -> RoundResult:
@@ -482,7 +479,7 @@ class BatchedRoundEngine:
         planner can use — and is small (proposals shrink wave over
         wave), so per-wave maintenance is O(touched).  Everything else
         sits in the cache's persistent pool plus the shadow index, which
-        are only *read* mid-round (host-keyed slices marking settled
+        are only *read* mid-round (host-flag gathers marking settled
         owners stale) and batch-updated once per round, so a
         mostly-converged round costs a sparse re-score, not a full
         O(rows) evaluation.
@@ -516,22 +513,15 @@ class BatchedRoundEngine:
         if state is not None:
             # Mostly-dirty rounds (early convergence, big drift bursts):
             # one vectorized full evaluation beats piecewise catch-up.
-            state.stale_decision[dirty] = True
+            # (``refresh`` marked the re-scored owners stale.)
             if int(state.stale_decision.sum()) * 4 > n:
                 state = None
                 cache.decision_state = None
-        shadow = np.empty(0, dtype=np.int64)
-        shadow_hosts = np.empty(0, dtype=np.int64)
-        in_shadow = None
+        shadow: Optional[ShadowIndex] = None
         owner_pods = None
         empty64 = np.empty(0, dtype=np.int64)
-        act_rows = empty64
-        act_owner = empty64.copy()
+        act_rows = act_owner = pool_rows = pool_owner = pool_hosts = empty64
         retired: List[np.ndarray] = []
-        # Round-local shadow additions (bitmap-gated, so duplicates are
-        # impossible); merged into the host-sorted index once at round
-        # end instead of re-building it every wave.
-        shadow_side: List[np.ndarray] = []
         if state is not None:
             # Carried decisions: re-evaluate only the re-scored owners
             # plus those whose ``stale_decision`` mark was set while they
@@ -543,22 +533,15 @@ class BatchedRoundEngine:
             choice, best = state.choice, state.best
             if state.row_owner is None:
                 state.row_owner = np.repeat(
-                    np.arange(n, dtype=np.int64), ptr[1:] - ptr[:-1]
+                    np.arange(n, dtype=np.int64), np.diff(ptr)
                 )
             row_owner_arr = state.row_owner
             owner_pods = state.owner_pods
             pool_rows = state.pool_rows
             pool_owner = state.pool_owner
             pool_hosts = state.pool_hosts
-            hpool = state.pool_hkeys
-            if hpool is None:
-                pool_hosts = batch.host[pool_rows].astype(np.int64)
-                hpool = np.sort((pool_hosts << self._HOST_SHIFT) | pool_rows)
             shadow = state.shadow
-            shadow_hosts = state.shadow_hosts
-            in_shadow = state.in_shadow
             need = state.stale_decision
-            need[dirty] = True
             flips = np.nonzero(host_ok != state.host_ok)[0]
             if flips.size:
                 # Out-of-round capacity changes (drains, resizes, runs
@@ -567,74 +550,51 @@ class BatchedRoundEngine:
                 # the shadow index, exactly like a mid-round wave.
                 filled = flips[~host_ok[flips]]
                 if filled.size:
-                    _, rows = self._host_pool_rows(hpool, filled)
-                    if rows.size:
-                        need[row_owner_arr[rows]] = True
+                    on_filled = self._host_flags(n_hosts, filled)[pool_hosts]
+                    need[pool_owner[on_filled]] = True
                 freed = flips[host_ok[flips]]
-                if freed.size and shadow.size:
-                    _, cand = self._shadow_rows(shadow, shadow_hosts, freed)
-                    if cand.size:
-                        c_owner = row_owner_arr[cand]
-                        hit = batch.delta[cand] >= best[c_owner]
-                        need[c_owner[hit]] = True
+                if freed.size:
+                    _, cand = shadow.on_hosts(self._host_flags(n_hosts, freed))
+                    c_owner = row_owner_arr[cand]
+                    need[c_owner[batch.delta[cand] >= best[c_owner]]] = True
             state.host_ok = host_ok
             sub = np.nonzero(need)[0]
+            new_rows = new_owner = empty64
             if sub.size:
-                pos, rows = self._owner_pool_rows(pool_rows, ptr, sub)
-                if rows.size:
-                    pool_rows, pool_owner, pool_hosts, hpool = (
-                        self._pool_delete(
-                            pool_rows, pool_owner, pool_hosts, hpool,
-                            rows, row_pos=pos,
-                        )
-                    )
-                if shadow.size:
-                    # Re-evaluated owners rebuild their blocked rows
-                    # against their fresh best; drop the stale entries so
-                    # the shadow never accumulates garbage across rounds.
-                    sh_keep = ~need[row_owner_arr[shadow]]
-                    in_shadow[shadow[~sh_keep]] = False
-                    shadow = shadow[sh_keep]
-                    shadow_hosts = shadow_hosts[sh_keep]
+                # Re-evaluated owners rebuild their blocked rows against
+                # their fresh best; drop the stale entries so the shadow
+                # never accumulates garbage across rounds.
+                shadow.compact(~need[row_owner_arr[shadow.rows]])
                 new_rows, new_owner, new_blocked = self._rescore_owners(
                     batch, sub, host_ok, threshold, choice, best,
                     with_blocked=True,
                 )
-                shadow, shadow_hosts = self._shadow_insert(
-                    shadow, shadow_hosts, in_shadow, new_blocked, batch
-                )
+                shadow.add(new_blocked, batch.host[new_blocked])
             else:
-                new_rows = empty64
-                new_owner = empty64.copy()
-            need[:] = False
+                shadow.compact()
             # Activate the beneficial owners' ties: fresh ones routed by
             # their owner's verdict, carried ones extracted from the
             # persistent pool (and re-inserted when the round retires
-            # them again).
+            # them again).  The re-evaluated owners' old ties leave the
+            # pool in the same pass.
             beneficial0 = (choice >= 0) & (best > 0) & (best > cm)
-            if new_rows.size:
-                act_mask = beneficial0[new_owner]
-                act_rows = new_rows[act_mask]
-                act_owner = new_owner[act_mask]
-                if not bool(act_mask.all()):
-                    retired.append(new_rows[~act_mask])
-            ben = np.nonzero(beneficial0)[0]
-            if sub.size:
-                fresh_mask = np.zeros(n, dtype=bool)
-                fresh_mask[sub] = True
-                ben = ben[~fresh_mask[ben]]
-            if ben.size:
-                pos, rows = self._owner_pool_rows(pool_rows, ptr, ben)
-                if rows.size:
-                    act_rows, act_owner = self._active_merge(
-                        act_rows, act_owner, rows, pool_owner[pos]
-                    )
-                    pool_rows, pool_owner, pool_hosts, hpool = (
-                        self._pool_delete(
-                            pool_rows, pool_owner, pool_hosts, hpool,
-                            rows, row_pos=pos,
-                        )
-                    )
+            act_mask = beneficial0[new_owner]
+            act_rows = new_rows[act_mask]
+            act_owner = new_owner[act_mask]
+            retired.append(new_rows[~act_mask])
+            pos, rows = self._owner_pool_rows(
+                pool_rows, ptr, np.nonzero(need | beneficial0)[0]
+            )
+            if pos.size:
+                owner = pool_owner[pos]
+                carried = ~need[owner]
+                act_rows, act_owner = self._active_merge(
+                    act_rows, act_owner, rows[carried], owner[carried]
+                )
+                pool_rows, pool_owner, pool_hosts = self._without(
+                    pos, pool_rows, pool_owner, pool_hosts
+                )
+            need[:] = False
         else:
             # Round-start evaluation of every owner — the one full pass;
             # the values (and the exact-tie row pool) are then maintained
@@ -647,13 +607,9 @@ class BatchedRoundEngine:
             # Row → owner map (one pass; the freed-host scan and tie-pool
             # bookkeeping gather from it instead of bisecting).
             row_owner_arr = np.repeat(
-                np.arange(n, dtype=np.int64), ptr[1:] - ptr[:-1]
+                np.arange(n, dtype=np.int64), np.diff(ptr)
             )
             tie_owner = row_owner_arr[tie_rows]
-            pool_rows = tie_rows
-            pool_owner = tie_owner
-            pool_hosts = batch.host[tie_rows].astype(np.int64)
-            hpool = empty64
             if host_ok is not None:
                 # Split: beneficial owners' ties go live; the rest are
                 # only needed when decisions carry across rounds.
@@ -674,35 +630,24 @@ class BatchedRoundEngine:
                 # Shadow index: infeasible rows whose delta already
                 # reaches their owner's best.  Only these can change a
                 # decision when their host frees up, so the freed-host
-                # scan touches them alone.  Host-sorted for sliced
-                # lookup; later qualifiers merge in by sorted insertion,
-                # gated by an O(1) membership bitmap.
+                # scan touches them alone; later qualifiers are appended,
+                # gated by the index's membership bitmap.
                 blocked = np.nonzero(
                     ~feasible & (batch.delta >= best[row_owner_arr])
                 )[0]
-                by_host = np.argsort(batch.host[blocked])
-                shadow = blocked[by_host]
-                shadow_hosts = batch.host[shadow].astype(np.int64)
-                in_shadow = np.zeros(batch.n_pairs, dtype=bool)
-                in_shadow[shadow] = True
+                shadow = ShadowIndex(batch.n_pairs, n_hosts)
+                shadow.add(blocked, batch.host[blocked])
                 if int(dirty.size) * 4 <= n:
                     # Mostly-clean round: worth carrying decisions into
                     # the next one.  (Heavy rounds skip the pool build —
                     # the next round would mass-invalidate it anyway.)
-                    from repro.core.roundcache import DecisionState
-
                     pool_rows = tie_rows[~act_mask]
                     pool_owner = tie_owner[~act_mask]
-                    pool_hosts = pool_hosts[~act_mask]
-                    hpool = np.sort(
-                        (pool_hosts << self._HOST_SHIFT) | pool_rows
+                    pool_hosts = batch.host[pool_rows].astype(np.int64)
+                    state = DecisionState(
+                        choice, best, host_ok, row_owner_arr, owner_pods,
+                        shadow,
                     )
-                    state = DecisionState(n, n_hosts)
-                    state.choice = choice
-                    state.best = best
-                    state.host_ok = host_ok
-                    state.row_owner = row_owner_arr
-                    state.owner_pods = owner_pods
             else:
                 act_rows = tie_rows
                 act_owner = tie_owner
@@ -801,7 +746,6 @@ class BatchedRoundEngine:
                 filled = touched[flipped & ~now_ok]
                 host_ok[touched] = now_ok
                 dropped_owner = empty64
-                shadow_new = []
                 affected = []
                 if filled.size:
                     # Filled picks.  Active ties drop out (a pending
@@ -810,19 +754,18 @@ class BatchedRoundEngine:
                     # the host frees again).  Pooled ties of unmaintained
                     # owners only *mark* them for lazy round-start
                     # catch-up; the pool itself is not touched mid-round.
-                    filled_flag = np.zeros(n_hosts, dtype=bool)
-                    filled_flag[filled] = True
+                    filled_flag = self._host_flags(n_hosts, filled)
                     hit = filled_flag[batch.host[act_rows]]
                     if bool(hit.any()):
                         dropped_owner = act_owner[hit]
-                        shadow_new.append(act_rows[hit])
+                        dropped = act_rows[hit]
+                        shadow.add(dropped, batch.host[dropped])
                         affected.append(dropped_owner)
                         act_rows = act_rows[~hit]
                         act_owner = act_owner[~hit]
-                    if hpool.size:
-                        _, prows = self._host_pool_rows(hpool, filled)
-                        if prows.size:
-                            state.stale_decision[row_owner_arr[prows]] = True
+                    if state is not None:
+                        on_filled = filled_flag[pool_hosts]
+                        state.stale_decision[pool_owner[on_filled]] = True
                 rescore = np.zeros(n, dtype=bool)
                 rescore[stale] = True
                 if dropped_owner.size:
@@ -836,39 +779,23 @@ class BatchedRoundEngine:
                 if sub.size:
                     pos, _ = self._owner_pool_rows(act_rows, ptr, sub)
                     if pos.size:
-                        keep = np.ones(len(act_rows), dtype=bool)
-                        keep[pos] = False
-                        act_rows = act_rows[keep]
-                        act_owner = act_owner[keep]
+                        act_rows, act_owner = self._without(
+                            pos, act_rows, act_owner
+                        )
                     new_rows, new_owner, new_blocked = self._rescore_owners(
                         batch, sub, host_ok, threshold, choice, best,
                         with_blocked=True,
                     )
                     added.append((new_rows, new_owner))
-                    if new_blocked.size:
-                        shadow_new.append(new_blocked)
-                if freed.size and (shadow.size or shadow_side):
+                    shadow.add(new_blocked, batch.host[new_blocked])
+                if freed.size:
                     # Freed strictly-better (or tying) hosts, via the
-                    # shadow index (plus this round's gated side buffer).
-                    # Settled owners with a qualifying blocked row are
-                    # marked for lazy round-start catch-up; pending ones
-                    # update right here.
-                    cand_pos, cand = self._shadow_rows(
-                        shadow, shadow_hosts, freed
+                    # shadow index.  Settled owners with a qualifying
+                    # blocked row are marked for lazy round-start
+                    # catch-up; pending ones update right here.
+                    cand_pos, cand = shadow.on_hosts(
+                        self._host_flags(n_hosts, freed)
                     )
-                    if shadow_side:
-                        freed_flag = np.zeros(n_hosts, dtype=bool)
-                        freed_flag[freed] = True
-                        side = np.concatenate(shadow_side)
-                        side_hit = side[freed_flag[batch.host[side]]]
-                        # The side buffer is append-only: a promoted row
-                        # leaves only by its membership bit, and can be
-                        # re-appended after a later fill.  Gate + dedup,
-                        # or a twice-freed host would hand the same row
-                        # to the pool twice and desync the host index.
-                        side_hit = np.unique(side_hit[in_shadow[side_hit]])
-                        if side_hit.size:
-                            cand = np.concatenate([cand, side_hit])
                     c_owner = row_owner_arr[cand]
                     if state is not None:
                         settled_hit = ~pending[c_owner] & (
@@ -877,45 +804,26 @@ class BatchedRoundEngine:
                         state.stale_decision[c_owner[settled_hit]] = True
                     eligible = pending & ~rescore
                     fr_rows, fr_owner, improved = self._freed_rows_update(
-                        batch, cand, row_owner_arr, eligible, best
+                        batch, cand, c_owner, eligible, best
                     )
                     if improved.size:
                         pos, _ = self._owner_pool_rows(
                             act_rows, ptr, improved
                         )
                         if pos.size:
-                            keep = np.ones(len(act_rows), dtype=bool)
-                            keep[pos] = False
-                            act_rows = act_rows[keep]
-                            act_owner = act_owner[keep]
+                            act_rows, act_owner = self._without(
+                                pos, act_rows, act_owner
+                            )
                     if fr_rows.size:
                         added.append((fr_rows, fr_owner))
                         affected.append(fr_owner)
                         # Promoted rows leave the shadow: a live tie must
                         # never double as a blocked entry, or a later
-                        # freed slice would re-add it.  Rows from the
-                        # main index delete in place; side-buffer rows
-                        # only clear their membership bit (the round-end
-                        # merge re-checks it).
-                        in_main = np.zeros(len(cand), dtype=bool)
-                        in_main[: len(cand_pos)] = True
+                        # freed host would re-add it.
                         at = np.searchsorted(fr_rows, cand).clip(
                             max=len(fr_rows) - 1
                         )
-                        taken = fr_rows[at] == cand
-                        in_shadow[cand[taken]] = False
-                        tm = taken & in_main
-                        if tm.any():
-                            shadow = np.delete(shadow, cand_pos[tm[: len(cand_pos)]])
-                            shadow_hosts = np.delete(
-                                shadow_hosts, cand_pos[tm[: len(cand_pos)]]
-                            )
-                if shadow_new:
-                    ins = np.unique(np.concatenate(shadow_new))
-                    ins = ins[~in_shadow[ins]]
-                    if ins.size:
-                        in_shadow[ins] = True
-                        shadow_side.append(ins)
+                        shadow.discard(cand_pos[fr_rows[at] == cand])
                 if added:
                     new_rows = np.concatenate([a[0] for a in added])
                     new_owner = np.concatenate([a[1] for a in added])
@@ -943,47 +851,40 @@ class BatchedRoundEngine:
                 self._lap("re-mask", t0)
 
         if state is not None:
-            if shadow_side:
-                # Unique: a row can re-enter the side buffer after a
-                # promotion cleared its membership bit mid-round.
-                side = np.unique(np.concatenate(shadow_side))
-                side = side[in_shadow[side]]  # promoted rows dropped out
-                if side.size:
-                    hosts_s = batch.host[side].astype(np.int64)
-                    by_host = np.argsort(hosts_s, kind="stable")
-                    side = side[by_host]
-                    hosts_s = hosts_s[by_host]
-                    at = np.searchsorted(shadow_hosts, hosts_s)
-                    shadow = np.insert(shadow, at, side)
-                    shadow_hosts = np.insert(shadow_hosts, at, hosts_s)
             # Retire the round's settled ties back into the persistent
             # pool; fills that happened after an owner settled are caught
             # here (the owner re-evaluates next round).
             assert act_rows.size == 0
-            if retired:
-                ret_rows = np.concatenate(retired)
-                order_r = np.argsort(ret_rows, kind="stable")
-                ret_rows = ret_rows[order_r]
+            ret_rows = np.sort(np.concatenate(retired)) if retired else empty64
+            if ret_rows.size:
                 ret_owner = row_owner_arr[ret_rows]
-                bad = ~host_ok[batch.host[ret_rows]]
-                if bool(bad.any()):
-                    state.stale_decision[ret_owner[bad]] = True
-                pool_rows, pool_owner, pool_hosts, hpool = self._pool_insert(
-                    pool_rows, pool_owner, pool_hosts, hpool, ret_rows,
-                    ret_owner, batch,
-                )
+                ret_hosts = batch.host[ret_rows].astype(np.int64)
+                state.stale_decision[ret_owner[~host_ok[ret_hosts]]] = True
+                at = np.searchsorted(pool_rows, ret_rows)
+                pool_rows = np.insert(pool_rows, at, ret_rows)
+                pool_owner = np.insert(pool_owner, at, ret_owner)
+                pool_hosts = np.insert(pool_hosts, at, ret_hosts)
             state.pool_rows = pool_rows
             state.pool_owner = pool_owner
             state.pool_hosts = pool_hosts
-            state.pool_hkeys = hpool
-            state.shadow = shadow
-            state.shadow_hosts = shadow_hosts
-            state.in_shadow = in_shadow
-            state.row_owner = row_owner_arr
-            state.owner_pods = owner_pods
             cache.decision_state = state
         assert result.decisions.complete
         return result
+
+    @staticmethod
+    def _host_flags(n_hosts: int, hosts: np.ndarray) -> np.ndarray:
+        """Per-host flag vector with the given hosts set.  The extra last
+        entry stays False: it is the shadow index's tombstone host."""
+        flag = np.zeros(n_hosts + 1, dtype=bool)
+        flag[hosts] = True
+        return flag
+
+    @staticmethod
+    def _without(pos: np.ndarray, *arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The parallel arrays with the entries at ``pos`` removed."""
+        keep = np.ones(len(arrays[0]), dtype=bool)
+        keep[pos] = False
+        return tuple(array[keep] for array in arrays)
 
     # -- active-tie bookkeeping ----------------------------------------------
 
@@ -1018,25 +919,9 @@ class BatchedRoundEngine:
         if pos.size == 0:
             return act_rows, act_owner
         retired.append(rows)
-        keep = np.ones(len(act_rows), dtype=bool)
-        keep[pos] = False
-        return act_rows[keep], act_owner[keep]
+        return self._without(pos, act_rows, act_owner)
 
     # -- pool / shadow bookkeeping -------------------------------------------
-
-    def _host_pool_rows(
-        self, hpool: np.ndarray, hosts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(positions, row ids) of the pool entries on the given hosts."""
-        base = np.asarray(hosts, dtype=np.int64) << self._HOST_SHIFT
-        lo = np.searchsorted(hpool, base)
-        hi = np.searchsorted(hpool, base + (np.int64(1) << self._HOST_SHIFT))
-        counts = hi - lo
-        seg = np.zeros(len(lo) + 1, dtype=np.int64)
-        np.cumsum(counts, out=seg[1:])
-        pos = np.repeat(lo - seg[:-1], counts) + np.arange(int(seg[-1]))
-        rows = hpool[pos] & ((np.int64(1) << self._HOST_SHIFT) - 1)
-        return pos, rows
 
     def _owner_pool_rows(
         self, tie_rows: np.ndarray, ptr: np.ndarray, owners: np.ndarray
@@ -1060,98 +945,11 @@ class BatchedRoundEngine:
         has[has] &= tie_rows[lo[has]] < ptr[owners[has] + 1]
         return lo, has
 
-    def _pool_delete(
-        self,
-        tie_rows: np.ndarray,
-        tie_owner: np.ndarray,
-        tie_hosts: np.ndarray,
-        hpool: np.ndarray,
-        rows: np.ndarray,
-        row_pos: Optional[np.ndarray] = None,
-        hpool_pos: Optional[np.ndarray] = None,
-    ):
-        """Remove the given row ids from both pool orders."""
-        if row_pos is None:
-            row_pos = np.searchsorted(tie_rows, np.sort(rows))
-        if hpool_pos is None:
-            keys = (tie_hosts[row_pos] << self._HOST_SHIFT) | tie_rows[row_pos]
-            hpool_pos = np.searchsorted(hpool, np.sort(keys))
-        return (
-            np.delete(tie_rows, row_pos),
-            np.delete(tie_owner, row_pos),
-            np.delete(tie_hosts, row_pos),
-            np.delete(hpool, hpool_pos),
-        )
-
-    def _pool_insert(
-        self,
-        tie_rows: np.ndarray,
-        tie_owner: np.ndarray,
-        tie_hosts: np.ndarray,
-        hpool: np.ndarray,
-        add_rows: np.ndarray,
-        add_owner: np.ndarray,
-        batch: CandidateBatch,
-    ):
-        """Insert row-sorted additions into both pool orders."""
-        if add_rows.size == 0:
-            return tie_rows, tie_owner, tie_hosts, hpool
-        hosts = batch.host[add_rows].astype(np.int64)
-        at = np.searchsorted(tie_rows, add_rows)
-        tie_rows = np.insert(tie_rows, at, add_rows)
-        tie_owner = np.insert(tie_owner, at, add_owner)
-        tie_hosts = np.insert(tie_hosts, at, hosts)
-        keys = np.sort((hosts << self._HOST_SHIFT) | add_rows)
-        hpool = np.insert(hpool, np.searchsorted(hpool, keys), keys)
-        return tie_rows, tie_owner, tie_hosts, hpool
-
-    def _shadow_rows(
-        self, shadow: np.ndarray, shadow_hosts: np.ndarray, hosts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(positions, row ids) of shadow entries on the given hosts."""
-        lo = np.searchsorted(shadow_hosts, hosts, side="left")
-        hi = np.searchsorted(shadow_hosts, hosts, side="right")
-        counts = hi - lo
-        seg = np.zeros(len(hosts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=seg[1:])
-        flat = np.repeat(lo - seg[:-1], counts) + np.arange(int(seg[-1]))
-        return flat, shadow[flat]
-
-    def _shadow_insert(
-        self,
-        shadow: np.ndarray,
-        shadow_hosts: np.ndarray,
-        in_shadow: np.ndarray,
-        rows: np.ndarray,
-        batch: CandidateBatch,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Merge qualifying rows into the host-sorted shadow index.
-
-        Gated by the O(1) membership bitmap, so re-qualifying rows
-        (oscillating hosts) never balloon the index.  A row can arrive
-        twice in one batch (a dropped tie that also re-qualifies through
-        its owner's re-score), hence the dedup.
-        """
-        rows = np.unique(rows)
-        rows = rows[~in_shadow[rows]]
-        if rows.size == 0:
-            return shadow, shadow_hosts
-        in_shadow[rows] = True
-        hosts = batch.host[rows].astype(np.int64)
-        by_host = np.argsort(hosts, kind="stable")
-        rows = rows[by_host]
-        hosts = hosts[by_host]
-        at = np.searchsorted(shadow_hosts, hosts)
-        return (
-            np.insert(shadow, at, rows),
-            np.insert(shadow_hosts, at, hosts),
-        )
-
     def _freed_rows_update(
         self,
         batch: CandidateBatch,
         rows: np.ndarray,
-        row_owner_arr: np.ndarray,
+        row_owner: np.ndarray,
         eligible: np.ndarray,
         best: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1162,18 +960,16 @@ class BatchedRoundEngine:
         owner's cached best: strictly better replaces the best (the
         "freed strictly-better host" invalidation), exactly equal joins
         the tie set.  Everything below the bar is untouched — which is
-        precisely what a full re-mask would conclude.  ``rows`` come from
-        the caller's shadow index (possibly with duplicates and stale
-        entries; both are filtered here).
+        precisely what a full re-mask would conclude.  ``rows`` (with
+        their owners) come from the caller's shadow index: distinct, in
+        no particular order, possibly stale — stale ones are filtered
+        here and the survivors sorted.
 
         Returns ``(tie_rows, tie_owners, improved_owners)``: the rows to
         add to the live tie pool and the owners whose previous ties are
         now obsolete.  ``best`` is updated in place.
         """
         empty = np.empty(0, dtype=np.int64)
-        if rows.size == 0:
-            return empty, empty.copy(), empty.copy()
-        row_owner = row_owner_arr[rows]
         ok = eligible[row_owner]
         rows, row_owner = rows[ok], row_owner[ok]
         if rows.size == 0:

@@ -88,6 +88,45 @@ class TestMigration:
         assert allocation.free_ram_mb(2) == 2048 - 512
         allocation.validate()
 
+    def test_migrate_many_moves_the_wave(self, allocation):
+        allocation.add_vms([vm(1, ram=512), vm(2), vm(3)], [0, 0, 1])
+        allocation.migrate_many([(1, 4), (2, 0), (3, 5)])  # (2, 0) is a no-op
+        assert [allocation.server_of(i) for i in (1, 2, 3)] == [4, 0, 5]
+        assert allocation.free_ram_mb(0) == 2048 - 256
+        assert allocation.free_ram_mb(4) == 2048 - 512
+        allocation.validate()
+
+    def test_migrate_many_rejects_the_whole_wave_at_the_first_misfit(
+        self, allocation
+    ):
+        allocation.add_vms(
+            [vm(1), vm(2), vm(3), vm(4, ram=2000), vm(5)], [0, 0, 1, 2, 3]
+        )
+        before = allocation.as_dict()
+        version = allocation.version
+        # VM 3 fits host 4; VM 5 overflows host 2's RAM and VM 1 host 1's
+        # slots: the first misfit in wave order is the one named.
+        with pytest.raises(CapacityError) as rejected:
+            allocation.migrate_many([(3, 4), (5, 2), (1, 1), (2, 1)])
+        assert str(rejected.value) == (
+            "wave rejected: VM 5 does not fit host 2: "
+            "slots=1, ram=48MiB, cpu=3.5"
+        )
+        assert allocation.as_dict() == before
+        assert allocation.version == version
+        allocation.validate()
+
+    def test_migrate_many_sees_a_resized_host(self, allocation, cluster):
+        allocation.add_vms([vm(1), vm(2)], [0, 1])
+        cluster.set_host_capacity(5, ServerCapacity(max_vms=0, ram_mb=2048, cpu=4.0))
+        with pytest.raises(CapacityError, match="VM 1 does not fit host 5"):
+            allocation.migrate_many([(1, 5)])
+        cluster.set_host_capacity(5, ServerCapacity(max_vms=1, ram_mb=2048, cpu=4.0))
+        allocation.migrate_many([(1, 5)])
+        assert allocation.server_of(1) == 5
+        with pytest.raises(KeyError):
+            allocation.migrate_many([(99, 0)])
+
 
 class TestLevels:
     def test_level_between_vms(self, allocation):
