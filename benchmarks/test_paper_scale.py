@@ -23,6 +23,7 @@ from repro.baselines.ga import GAConfig, GeneticOptimizer
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.scheduler import SCOREScheduler
+from repro.reference import UncachedScheduler
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
@@ -86,7 +87,6 @@ def test_one_score_iteration_at_paper_scale(name, emit):
         env.traffic,
         policy_by_name(config.policy, seed=config.seed),
         engine,
-        use_fastcost=True,
     )
     t1 = time.perf_counter()
     report = scheduler.run(n_iterations=1)
@@ -148,14 +148,13 @@ def test_batched_rounds_at_paper_scale(emit):
     """
     config = ExperimentConfig.paper_canonical(policy="rr", n_iterations=5)
     env = build_environment(config)
-    scheduler = SCOREScheduler(
+    # This record tracks the round-cache-free wave engine; the cached
+    # path has its own record (paper_canonical_cached_rounds).
+    scheduler = UncachedScheduler(
         env.allocation,
         env.traffic,
         policy_by_name(config.policy, seed=config.seed),
         MigrationEngine(env.cost_model),
-        # This record tracks the round-cache-free wave engine; the cached
-        # path has its own record (paper_canonical_cached_rounds).
-        use_round_cache=False,
     )
     t0 = time.perf_counter()
     first = scheduler.run(n_iterations=1)
@@ -247,14 +246,13 @@ def test_cached_rounds_at_paper_scale(emit):
     """
     config = ExperimentConfig.paper_canonical(policy="rr", n_iterations=5)
 
-    def measure(use_round_cache):
+    def measure(scheduler_class):
         env = build_environment(config)
-        scheduler = SCOREScheduler(
+        scheduler = scheduler_class(
             env.allocation,
             env.traffic,
             policy_by_name(config.policy, seed=config.seed),
             MigrationEngine(env.cost_model),
-            use_round_cache=use_round_cache,
         )
         t0 = time.perf_counter()
         cold = scheduler.run(n_iterations=5)
@@ -267,8 +265,8 @@ def test_cached_rounds_at_paper_scale(emit):
             warm_s.append(time.perf_counter() - t1)
         return scheduler, cold, cold_s, warm, min(warm_s)
 
-    sched_u, cold_u, cold_u_s, warm_u, warm_u_s = measure(False)
-    sched_c, cold_c, cold_c_s, warm_c, warm_c_s = measure(True)
+    sched_u, cold_u, cold_u_s, warm_u, warm_u_s = measure(UncachedScheduler)
+    sched_c, cold_c, cold_c_s, warm_c, warm_c_s = measure(SCOREScheduler)
 
     # Exact equivalence: the cached trajectory IS the uncached one.
     assert cold_c.total_migrations == cold_u.total_migrations

@@ -80,16 +80,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         help="forked worker processes for the sharded domains (with "
         "--shards; 1 = in-process)",
     )
-    parser.add_argument(
-        "--shard-compact", action="store_true",
-        help="run the domain engines on the compact int32/float32 "
-        "snapshot (with --shards; the global cost gate stays float64)",
-    )
-    parser.add_argument(
-        "--shard-transport", choices=["shm", "pipe"], default="shm",
-        help="worker outcome transport (with --shards --workers>1): "
-        "zero-copy shared-memory slabs (default) or pickled pipes",
-    )
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -112,8 +102,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         sharding=args.shards is not None,
         shard_domains=args.shards,
         shard_workers=args.workers,
-        shard_compact=args.shard_compact,
-        shard_transport=args.shard_transport,
     )
 
 

@@ -152,7 +152,6 @@ class TrafficSnapshot:
         traffic: TrafficMatrix,
         vm_ids: Sequence[int],
         strict: bool = False,
-        compact: bool = False,
     ) -> "TrafficSnapshot":
         """Snapshot ``traffic`` over the given VM population.
 
@@ -160,13 +159,6 @@ class TrafficSnapshot:
         is set, in which case they raise (the scheduler guarantees the
         traffic matrix only references placed VMs, so the engine builds in
         strict mode to catch drift).
-
-        ``compact`` stores the CSR/pair index arrays as int32 and the rate
-        arrays as float32 — half the footprint, sized for 1M-VM
-        populations (the hyperscale sharding path builds its domain
-        sub-snapshots this way).  Scoring still runs in float64 (numpy
-        promotes), but last-ulp sums can differ from the default build, so
-        the 1e-9 differential pins keep ``compact=False``.
         """
         ids = np.array(sorted(vm_ids), dtype=np.int64)
         us, vs, rates = traffic.pair_arrays()
@@ -196,19 +188,14 @@ class TrafficSnapshot:
             pair_rate = rates[known]
 
         n = len(ids)
-        index_dtype = np.int32 if compact else np.int64
-        rate_dtype = np.float32 if compact else np.float64
-        pair_u = pair_u.astype(index_dtype, copy=False)
-        pair_v = pair_v.astype(index_dtype, copy=False)
-        pair_rate = pair_rate.astype(rate_dtype, copy=False)
         # Directed edge list (each pair twice) -> CSR sorted by (owner, peer).
         # Preallocated at exactly 2·|pairs| capacity and filled in halves —
         # no concatenate temporaries, so peak memory stays proportional to
         # the final arrays even at 1M-VM scale.
         m = len(pair_rate)
-        row = np.empty(2 * m, dtype=index_dtype)
-        col = np.empty(2 * m, dtype=index_dtype)
-        val = np.empty(2 * m, dtype=rate_dtype)
+        row = np.empty(2 * m, dtype=np.int64)
+        col = np.empty(2 * m, dtype=np.int64)
+        val = np.empty(2 * m, dtype=np.float64)
         row[:m], row[m:] = pair_u, pair_v
         col[:m], col[m:] = pair_v, pair_u
         val[:m], val[m:] = pair_rate, pair_rate
@@ -234,25 +221,6 @@ class TrafficSnapshot:
     def n_pairs(self) -> int:
         """Number of communicating (unordered) pairs captured."""
         return len(self.pair_rate)
-
-    @property
-    def index_dtype(self) -> np.dtype:
-        """Dtype of the CSR/pair index arrays (int32 under ``compact``)."""
-        return self.peer.dtype
-
-    @property
-    def rate_dtype(self) -> np.dtype:
-        """Dtype of the rate arrays (float32 under ``compact``)."""
-        return self.rate.dtype
-
-    def arrays_nbytes(self) -> int:
-        """Total bytes of every array the snapshot holds.
-
-        The memory-audit budget the hyperscale suite asserts: a compact
-        1M-VM snapshot must stay inside a fixed byte envelope, so a
-        float64/int64 copy sneaking back into a delta path fails loudly.
-        """
-        return sum(getattr(self, name).nbytes for name in self.__slots__)
 
     def peers_slice(self, dense_vm: int) -> Tuple[np.ndarray, np.ndarray]:
         """(peer dense indices, rates) of one VM, ascending by peer id."""
@@ -806,13 +774,8 @@ class FastCostEngine:
         allocation: Allocation,
         traffic: TrafficMatrix,
         weights: Optional[LinkWeights] = None,
-        compact: bool = False,
     ) -> None:
         topology: Topology = allocation.topology
-        #: Compact snapshot dtypes (int32 indices / float32 rates) — the
-        #: hyperscale memory mode; defaults off so the 1e-9 differential
-        #: pins against the naive model stay bit-stable.
-        self._compact = bool(compact)
         self._weights = weights or LinkWeights.paper()
         if self._weights.max_level < topology.max_level:
             raise ValueError(
@@ -901,7 +864,6 @@ class FastCostEngine:
             self._traffic,
             list(self._allocation.vm_ids()),
             strict=True,
-            compact=self._compact,
         )
         self._sync_allocation_mirrors()
         self._index_pairs()
@@ -1013,7 +975,7 @@ class FastCostEngine:
         the order and calls :meth:`_repack_keys` at most.
         """
         snap = self._snap
-        key = snap.pair_u.astype(np.int64) * snap.n_vms + snap.pair_v
+        key = snap.pair_u * snap.n_vms + snap.pair_v
         self._pair_sorted_order = np.argsort(key, kind="stable")
         self._repack_keys()
 
@@ -1023,28 +985,23 @@ class FastCostEngine:
         with ``vm_ids`` already updated).  Monotone means no order
         changes: one gather per array, then the keys are repacked."""
         snap = self._snap
-        idx = snap.index_dtype
         for name in ("row", "peer", "pair_u", "pair_v"):
-            remapped = old_to_new[getattr(snap, name)]
-            setattr(snap, name, remapped.astype(idx, copy=False))
+            setattr(snap, name, old_to_new[getattr(snap, name)])
         self._repack_keys()
 
     def _repack_keys(self) -> None:
         """Recompute the packed keys under the current population size.
 
-        Keys are packed as u·n + v: force int64 so compact (int32)
-        snapshots cannot overflow at large populations.  A monotone
-        remap of the dense index (arrivals, departures) changes ``n``
-        but no order, so this is all those ops owe the indexes.
+        Keys are packed as u·n + v.  A monotone remap of the dense index
+        (arrivals, departures) changes ``n`` but no order, so this is all
+        those ops owe the indexes.
         """
         snap = self._snap
         n = snap.n_vms
         order = self._pair_sorted_order
-        self._pair_key_sorted = (
-            snap.pair_u[order].astype(np.int64) * n + snap.pair_v[order]
-        )
+        self._pair_key_sorted = snap.pair_u[order] * n + snap.pair_v[order]
         # CSR entries are sorted by (row, peer), so this key is ascending.
-        self._csr_key = snap.row.astype(np.int64) * n + snap.peer
+        self._csr_key = snap.row * n + snap.peer
 
     def _recompute_cost_caches(self) -> None:
         """Per-VM Eq. (1) costs, the Eq. (2) total and §V-C egress, from
@@ -1178,10 +1135,7 @@ class FastCostEngine:
             lo, hi, rates, key = lo[live], hi[live], rates[live], key[live]
             pos, found = pos[live], found[live]
         if len(key):
-            # The caches move by what the snapshot stores: under
-            # ``compact`` that is the float32-rounded rate, as in a
-            # fresh build.
-            new = rates.astype(snap.rate_dtype).astype(float)
+            new = rates
             old = np.zeros(len(new))
             old[found] = snap.pair_rate[self._pair_sorted_order[pos[found]]]
             self._shift_costs(lo, hi, new - old)
@@ -1305,8 +1259,6 @@ class FastCostEngine:
         self._pair_sorted_order = np.insert(
             self._pair_sorted_order, at, snap.n_pairs + np.arange(len(key))
         )
-        # np.insert keeps the target's dtype: compact snapshots stay
-        # int32/float32 through the splice.
         snap.pair_u = np.insert(snap.pair_u, len(snap.pair_u), lo)
         snap.pair_v = np.insert(snap.pair_v, len(snap.pair_v), hi)
         snap.pair_rate = np.insert(snap.pair_rate, len(snap.pair_rate), rates)
@@ -2011,45 +1963,6 @@ class FastCostEngine:
             & (ram_cap - ram_used >= self._vm_ram[0])
             & (cpu_cap - cpu_used >= self._vm_cpu[0])
         )
-
-    def candidate_feasible_rows(
-        self,
-        batch: CandidateBatch,
-        rows: np.ndarray,
-        row_owner: np.ndarray,
-        bandwidth_threshold: Optional[float] = None,
-    ) -> np.ndarray:
-        """:meth:`candidate_feasible` restricted to a row subset.
-
-        ``row_owner`` holds each row's owner position in the batch (the
-        callers' segment expansions carry it along).  Exactly the same
-        float expressions as the full mask, so a partial re-probe agrees
-        with a full one row for row.
-        """
-        hosts = batch.host[rows]
-        if self._uniform_vm:
-            ok = (
-                (self._slot_cap[hosts] - self._slot_used[hosts] >= 1)
-                & (self._ram_cap[hosts] - self._ram_used[hosts] >= self._vm_ram[0])
-                & (self._cpu_cap[hosts] - self._cpu_used[hosts] >= self._vm_cpu[0])
-            )
-        else:
-            dense = batch.vms[row_owner]
-            ok = (
-                (self._slot_cap[hosts] - self._slot_used[hosts] >= 1)
-                & (self._ram_cap[hosts] - self._ram_used[hosts] >= self._vm_ram[dense])
-                & (self._cpu_cap[hosts] - self._cpu_used[hosts] >= self._vm_cpu[dense])
-            )
-        if bandwidth_threshold is not None:
-            budget = bandwidth_threshold * self._nic_cap[hosts]
-            onto = batch.onto_rate[rows]
-            load_after = (
-                self._egress[hosts]
-                + (batch.total_rate[row_owner] - onto)
-                - onto
-            )
-            ok &= load_after <= budget
-        return ok
 
     def set_host_capacity(
         self,

@@ -40,17 +40,22 @@ with another the outcomes are identical, and when they do interact the
 round still only applies exact positive deltas (``tests/test_wave_rounds``
 pins both properties, plus the interference rule itself on live waves).
 
-**Incremental round cache.**  With ``use_cache=True`` the engine runs the
-same protocol against the :class:`~repro.core.roundcache.RoundScoreCache`
-instead of a per-round throwaway batch: scored candidate rows persist
-across waves, rounds and epochs, and each wave re-evaluates only the
-owners inside its dependency footprint — owners with a moved peer (their
-Lemma 3 terms changed) and owners holding a candidate in a rack whose
-capacity state *flipped* (a filled pick, a freed strictly-better host).
-Everything else keeps its cached decision untouched, which is exactly
-what a full re-evaluation would recompute, so the cached trajectory is
-bit-for-bit the uncached one (``tests/test_round_cache.py`` pins the
-equivalence; the uncached loop survives as the reference path).
+**Incremental round cache.**  A round whose order covers the engine's
+whole population runs the same protocol against the
+:class:`~repro.core.roundcache.RoundScoreCache` instead of a per-round
+throwaway batch: scored candidate rows persist across waves, rounds and
+epochs, and each wave re-evaluates only the owners inside its dependency
+footprint — owners with a moved peer (their Lemma 3 terms changed) and
+owners holding a candidate in a rack whose capacity state *flipped* (a
+filled pick, a freed strictly-better host).  Everything else keeps its
+cached decision untouched, which is exactly what a full re-evaluation
+would recompute, so the cached trajectory is bit-for-bit the uncached
+one.  Partial orders (the shard reconcile boundary) and the mid-round
+live finish take the uncached loop, and so does a cached round with
+nothing to carry out (a mostly-dirty cache, per-row feasibility) — over
+the cache's rows; ``repro.reference.UncachedScheduler`` forces it for
+every round, the twin ``tests/test_round_cache.py`` pins the cached loop
+against.
 """
 
 from __future__ import annotations
@@ -230,7 +235,6 @@ class BatchedRoundEngine:
         fast: FastCostEngine,
         record_waves: bool = False,
         wave_callback=None,
-        use_cache: bool = False,
         profile=None,
     ) -> None:
         """``wave_callback``, when given, is invoked after every wave with
@@ -239,10 +243,7 @@ class BatchedRoundEngine:
         across the round's waves).  The scheduler wires it to the
         policy's mid-round token refresh (``TokenPolicy.wave_refresh``).
 
-        ``use_cache`` routes full-population rounds through the engine's
-        persistent :class:`~repro.core.roundcache.RoundScoreCache`
-        (dirty-owner re-scoring within and across rounds; exact same
-        trajectory).  ``profile``, when given, is a
+        ``profile``, when given, is a
         :class:`repro.util.profiling.PhaseTimings` accumulating per-phase
         wall clock (score / re-mask / plan / wave-apply / adjust /
         settle)."""
@@ -256,7 +257,6 @@ class BatchedRoundEngine:
         self._fast = fast
         self._record_waves = record_waves
         self._wave_callback = wave_callback
-        self._use_cache = use_cache
         self._profile = profile
 
     # -- profiling hooks -----------------------------------------------------
@@ -271,9 +271,9 @@ class BatchedRoundEngine:
     def run_round(self, order: Sequence[int], injector=None) -> RoundResult:
         """Run one full token round over ``order`` (a visit-order snapshot).
 
-        Dispatches to the cached loop when enabled and ``order`` covers
-        the engine's whole population (the round cache is keyed by the
-        dense VM index); partial orders always take the uncached path.
+        Takes the cached loop exactly when ``order`` covers the engine's
+        whole population (the round cache is keyed by the dense VM
+        index); partial orders take the uncached wave loop.
 
         ``injector``, when given, is pumped after every applied wave (and
         after the wave callback) with the number of holds decided so far:
@@ -287,29 +287,37 @@ class BatchedRoundEngine:
         an identical injector sees identical pump times and produces the
         identical trajectory.
         """
-        if self._use_cache:
-            n = self._fast.snapshot.n_vms
-            if len(order) == n:
-                dense_order = self._fast.dense_indices(order)
-                if bool(np.bincount(dense_order, minlength=n).all()):
-                    return self._run_round_cached(order, dense_order, injector)
+        n = self._fast.snapshot.n_vms
+        if len(order) == n:
+            dense_order = self._fast.dense_indices(order)
+            if bool(np.bincount(dense_order, minlength=n).all()):
+                return self._run_round_cached(order, dense_order, injector)
         return self._run_round_uncached(order, injector)
 
     def _run_round_uncached(
         self, order: Sequence[int], injector=None
     ) -> RoundResult:
-        """The reference wave loop: full re-mask of every pending owner
+        """The uncached wave loop: full re-mask of every pending owner
         per wave, round-local candidate batch.  Pinned against the cached
         loop by ``tests/test_round_cache.py``."""
         fast = self._fast
-        n = len(order)
-        result = RoundResult.for_round(n)
         t0 = self._tick()
         batch = fast.candidate_batch(
             fast.dense_indices(order), self._engine.max_candidates
         )
         self._lap("score", t0)
-        positions = np.arange(n, dtype=np.int64)
+        positions = np.arange(len(order), dtype=np.int64)
+        return self._run_batch(order, batch, positions, injector)
+
+    def _run_batch(
+        self,
+        order: Sequence[int],
+        batch: CandidateBatch,
+        positions: np.ndarray,
+        injector=None,
+    ) -> RoundResult:
+        """The uncached wave loop over a batch scoring the whole round."""
+        result = RoundResult.for_round(len(order))
         if self._wave_segment(result, batch, positions, injector):
             self._finish_round_live(result, list(order), injector)
         assert result.decisions.complete
@@ -325,10 +333,13 @@ class BatchedRoundEngine:
         """Run the uncached wave loop over one scored batch to completion.
 
         ``positions`` maps the batch's owners to their visit positions in
-        the round.  Returns ``True`` when the injector fired mid-segment:
-        the batch (round-snapshot candidate sets, incrementally adjusted
-        deltas) no longer describes the live engine state, so the caller
-        must re-score whatever is still undecided and run a new segment.
+        the round; owners are settled and proposed in visit order, so the
+        batch itself may be in any owner order (the round cache's is
+        dense-VM order).  Returns ``True`` when the injector fired
+        mid-segment: the batch (round-snapshot candidate sets,
+        incrementally adjusted deltas) no longer describes the live
+        engine state, so the caller must re-score whatever is still
+        undecided and run a new segment.
         """
         fast = self._fast
         engine = self._engine
@@ -344,13 +355,14 @@ class BatchedRoundEngine:
             )
             self._lap("re-mask", t0)
             beneficial = (choice >= 0) & (best > 0) & (best > cm)
+            visit = np.argsort(positions, kind="stable")
             t0 = self._tick()
             settled_ids = self._settle_owners(
-                result, batch, np.nonzero(~beneficial)[0], positions, choice,
+                result, batch, visit[~beneficial[visit]], positions, choice,
                 best,
             )
             self._lap("settle", t0)
-            prop = np.nonzero(beneficial)[0]
+            prop = visit[beneficial[visit]]
             if prop.size == 0:
                 if self._wave_callback is not None and settled_ids:
                     self._wave_callback(settled_ids)
@@ -487,7 +499,6 @@ class BatchedRoundEngine:
         fast = self._fast
         engine = self._engine
         n = len(order)
-        result = RoundResult.for_round(n)
         t0 = self._tick()
         cache = fast.round_cache(engine.max_candidates)
         batch, dirty = cache.refresh()
@@ -505,8 +516,6 @@ class BatchedRoundEngine:
 
         # Incremental feasibility (and therefore decision persistence)
         # needs per-host state: a uniform population and no §V-C budget.
-        # Otherwise every wave re-evaluates all pending owners — the
-        # uncached cost profile, same semantics.
         t0 = self._tick()
         host_ok = fast.uniform_host_ok() if threshold is None else None
         state = cache.decision_state if host_ok is not None else None
@@ -517,10 +526,16 @@ class BatchedRoundEngine:
             if int(state.stale_decision.sum()) * 4 > n:
                 state = None
                 cache.decision_state = None
-        shadow: Optional[ShadowIndex] = None
-        owner_pods = None
+        if state is None and (host_ok is None or int(dirty.size) * 4 > n):
+            # No decisions will carry out of this round (per-row
+            # feasibility, or a mostly-dirty cache): the incremental
+            # structures would be built only to be dropped, so run the
+            # uncached wave loop over the cache's rows.
+            cache.decision_state = None
+            self._lap("re-mask", t0)
+            return self._run_batch(order, batch, pos_of, injector)
+        result = RoundResult.for_round(n)
         empty64 = np.empty(0, dtype=np.int64)
-        act_rows = act_owner = pool_rows = pool_owner = pool_hosts = empty64
         retired: List[np.ndarray] = []
         if state is not None:
             # Carried decisions: re-evaluate only the re-scored owners
@@ -566,8 +581,7 @@ class BatchedRoundEngine:
                 # never accumulates garbage across rounds.
                 shadow.compact(~need[row_owner_arr[shadow.rows]])
                 new_rows, new_owner, new_blocked = self._rescore_owners(
-                    batch, sub, host_ok, threshold, choice, best,
-                    with_blocked=True,
+                    batch, sub, host_ok, choice, best
                 )
                 shadow.add(new_blocked, batch.host[new_blocked])
             else:
@@ -596,9 +610,9 @@ class BatchedRoundEngine:
                 )
             need[:] = False
         else:
-            # Round-start evaluation of every owner — the one full pass;
-            # the values (and the exact-tie row pool) are then maintained
-            # incrementally wave over wave and, in the uniform case,
+            # Round-start evaluation of every owner — the one full pass on
+            # a mostly-clean cache; the values (and the exact-tie row
+            # pool) are then maintained incrementally wave over wave and
             # carried into the next round.
             feasible = fast.candidate_feasible(batch, threshold)
             choice, best, _, tie_rows = fast.best_candidates(
@@ -610,47 +624,38 @@ class BatchedRoundEngine:
                 np.arange(n, dtype=np.int64), np.diff(ptr)
             )
             tie_owner = row_owner_arr[tie_rows]
-            if host_ok is not None:
-                # Split: beneficial owners' ties go live; the rest are
-                # only needed when decisions carry across rounds.
-                beneficial0 = (choice >= 0) & (best > 0) & (best > cm)
-                act_mask = beneficial0[tie_owner]
-                act_rows = tie_rows[act_mask]
-                act_owner = tie_owner[act_mask]
-                # (owner × pod) candidate incidence, pruning stale-delta
-                # corrections to incidences that can touch a candidate.
-                n_pods = int(pod_of_host.max()) + 1
-                owner_pods = (
-                    np.bincount(
-                        row_owner_arr * n_pods + pod_of_host[batch.host],
-                        minlength=n * n_pods,
-                    ).reshape(n, n_pods)
-                    > 0
-                )
-                # Shadow index: infeasible rows whose delta already
-                # reaches their owner's best.  Only these can change a
-                # decision when their host frees up, so the freed-host
-                # scan touches them alone; later qualifiers are appended,
-                # gated by the index's membership bitmap.
-                blocked = np.nonzero(
-                    ~feasible & (batch.delta >= best[row_owner_arr])
-                )[0]
-                shadow = ShadowIndex(batch.n_pairs, n_hosts)
-                shadow.add(blocked, batch.host[blocked])
-                if int(dirty.size) * 4 <= n:
-                    # Mostly-clean round: worth carrying decisions into
-                    # the next one.  (Heavy rounds skip the pool build —
-                    # the next round would mass-invalidate it anyway.)
-                    pool_rows = tie_rows[~act_mask]
-                    pool_owner = tie_owner[~act_mask]
-                    pool_hosts = batch.host[pool_rows].astype(np.int64)
-                    state = DecisionState(
-                        choice, best, host_ok, row_owner_arr, owner_pods,
-                        shadow,
-                    )
-            else:
-                act_rows = tie_rows
-                act_owner = tie_owner
+            # Split: beneficial owners' ties go live; the rest wait in
+            # the persistent pool.
+            beneficial0 = (choice >= 0) & (best > 0) & (best > cm)
+            act_mask = beneficial0[tie_owner]
+            act_rows = tie_rows[act_mask]
+            act_owner = tie_owner[act_mask]
+            pool_rows = tie_rows[~act_mask]
+            pool_owner = tie_owner[~act_mask]
+            pool_hosts = batch.host[pool_rows].astype(np.int64)
+            # (owner × pod) candidate incidence, pruning stale-delta
+            # corrections to incidences that can touch a candidate.
+            n_pods = int(pod_of_host.max()) + 1
+            owner_pods = (
+                np.bincount(
+                    row_owner_arr * n_pods + pod_of_host[batch.host],
+                    minlength=n * n_pods,
+                ).reshape(n, n_pods)
+                > 0
+            )
+            # Shadow index: infeasible rows whose delta already reaches
+            # their owner's best.  Only these can change a decision when
+            # their host frees up, so the freed-host scan touches them
+            # alone; later qualifiers are appended, gated by the index's
+            # membership bitmap.
+            blocked = np.nonzero(
+                ~feasible & (batch.delta >= best[row_owner_arr])
+            )[0]
+            shadow = ShadowIndex(batch.n_pairs, n_hosts)
+            shadow.add(blocked, batch.host[blocked])
+            state = DecisionState(
+                choice, best, host_ok, row_owner_arr, owner_pods, shadow
+            )
             del feasible
         self._lap("re-mask", t0)
         pending = np.ones(n, dtype=bool)
@@ -664,10 +669,9 @@ class BatchedRoundEngine:
                     np.argsort(pos_of[to_settle], kind="stable")
                 ]
                 pending[to_settle] = False
-                if state is not None:
-                    act_rows, act_owner = self._active_retire(
-                        act_rows, act_owner, ptr, to_settle, retired
-                    )
+                act_rows, act_owner = self._active_retire(
+                    act_rows, act_owner, ptr, to_settle, retired
+                )
             settled_ids = self._settle_owners(
                 result, batch, to_settle, pos_of, choice, best
             )
@@ -707,7 +711,7 @@ class BatchedRoundEngine:
                 return result
             wave_owners = prop[accepted]
             pending[wave_owners] = False
-            if state is not None and wave_owners.size:
+            if wave_owners.size:
                 act_rows, act_owner = self._active_retire(
                     act_rows, act_owner, ptr, np.sort(wave_owners), retired
                 )
@@ -723,17 +727,6 @@ class BatchedRoundEngine:
                 )
                 self._lap("adjust", t0)
                 t0 = self._tick()
-                if host_ok is None:
-                    # Per-row feasibility (mixed VM sizes or a §V-C
-                    # budget): every pending owner re-probes — the
-                    # uncached loop's cost profile, same semantics.
-                    cache.decision_state = None
-                    sub = np.nonzero(pending)[0]
-                    act_rows, act_owner = self._rescore_owners(
-                        batch, sub, None, threshold, choice, best
-                    )
-                    self._lap("re-mask", t0)
-                    continue
                 # Surgical invalidation: exactly the owners inside this
                 # wave's dependency footprint.
                 host_hit = np.zeros(n_hosts, dtype=bool)
@@ -763,9 +756,8 @@ class BatchedRoundEngine:
                         affected.append(dropped_owner)
                         act_rows = act_rows[~hit]
                         act_owner = act_owner[~hit]
-                    if state is not None:
-                        on_filled = filled_flag[pool_hosts]
-                        state.stale_decision[pool_owner[on_filled]] = True
+                    on_filled = filled_flag[pool_hosts]
+                    state.stale_decision[pool_owner[on_filled]] = True
                 rescore = np.zeros(n, dtype=bool)
                 rescore[stale] = True
                 if dropped_owner.size:
@@ -783,8 +775,7 @@ class BatchedRoundEngine:
                             pos, act_rows, act_owner
                         )
                     new_rows, new_owner, new_blocked = self._rescore_owners(
-                        batch, sub, host_ok, threshold, choice, best,
-                        with_blocked=True,
+                        batch, sub, host_ok, choice, best
                     )
                     added.append((new_rows, new_owner))
                     shadow.add(new_blocked, batch.host[new_blocked])
@@ -797,11 +788,10 @@ class BatchedRoundEngine:
                         self._host_flags(n_hosts, freed)
                     )
                     c_owner = row_owner_arr[cand]
-                    if state is not None:
-                        settled_hit = ~pending[c_owner] & (
-                            batch.delta[cand] >= best[c_owner]
-                        )
-                        state.stale_decision[c_owner[settled_hit]] = True
+                    settled_hit = ~pending[c_owner] & (
+                        batch.delta[cand] >= best[c_owner]
+                    )
+                    state.stale_decision[c_owner[settled_hit]] = True
                     eligible = pending & ~rescore
                     fr_rows, fr_owner, improved = self._freed_rows_update(
                         batch, cand, c_owner, eligible, best
@@ -850,24 +840,23 @@ class BatchedRoundEngine:
                     choice[aff[has_rows]] = act_rows[first[has_rows]]
                 self._lap("re-mask", t0)
 
-        if state is not None:
-            # Retire the round's settled ties back into the persistent
-            # pool; fills that happened after an owner settled are caught
-            # here (the owner re-evaluates next round).
-            assert act_rows.size == 0
-            ret_rows = np.sort(np.concatenate(retired)) if retired else empty64
-            if ret_rows.size:
-                ret_owner = row_owner_arr[ret_rows]
-                ret_hosts = batch.host[ret_rows].astype(np.int64)
-                state.stale_decision[ret_owner[~host_ok[ret_hosts]]] = True
-                at = np.searchsorted(pool_rows, ret_rows)
-                pool_rows = np.insert(pool_rows, at, ret_rows)
-                pool_owner = np.insert(pool_owner, at, ret_owner)
-                pool_hosts = np.insert(pool_hosts, at, ret_hosts)
-            state.pool_rows = pool_rows
-            state.pool_owner = pool_owner
-            state.pool_hosts = pool_hosts
-            cache.decision_state = state
+        # Retire the round's settled ties back into the persistent
+        # pool; fills that happened after an owner settled are caught
+        # here (the owner re-evaluates next round).
+        assert act_rows.size == 0
+        ret_rows = np.sort(np.concatenate(retired)) if retired else empty64
+        if ret_rows.size:
+            ret_owner = row_owner_arr[ret_rows]
+            ret_hosts = batch.host[ret_rows].astype(np.int64)
+            state.stale_decision[ret_owner[~host_ok[ret_hosts]]] = True
+            at = np.searchsorted(pool_rows, ret_rows)
+            pool_rows = np.insert(pool_rows, at, ret_rows)
+            pool_owner = np.insert(pool_owner, at, ret_owner)
+            pool_hosts = np.insert(pool_hosts, at, ret_hosts)
+        state.pool_rows = pool_rows
+        state.pool_owner = pool_owner
+        state.pool_hosts = pool_hosts
+        cache.decision_state = state
         assert result.decisions.complete
         return result
 
@@ -996,40 +985,29 @@ class BatchedRoundEngine:
         self,
         batch: CandidateBatch,
         owners: np.ndarray,
-        host_ok: Optional[np.ndarray],
-        threshold: Optional[float],
+        host_ok: np.ndarray,
         choice: np.ndarray,
         best: np.ndarray,
-        with_blocked: bool = False,
-    ) -> Tuple[np.ndarray, ...]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Recompute (choice, best) plus exact-tie rows for a dirty subset.
 
-        The subset restriction of :meth:`FastCostEngine.best_candidates`:
-        same masking, same segment maxima, same first-in-probing-order
-        tie-breaking, evaluated only over the given owners' candidate
-        rows.  Updates ``choice``/``best`` in place and returns the
-        owners' fresh tie rows (row-ascending, therefore owner-grouped);
-        with ``with_blocked`` a third element carries the owners'
-        *infeasible* rows whose delta reaches the fresh best — the rows
-        the caller's shadow index must track in case their host frees.
+        The subset restriction of :meth:`FastCostEngine.best_candidates`
+        under per-host feasibility ``host_ok``: same masking, same
+        segment maxima, same first-in-probing-order tie-breaking,
+        evaluated only over the given owners' candidate rows.  Updates
+        ``choice``/``best`` in place and returns the owners' fresh tie
+        rows (row-ascending, therefore owner-grouped), their owners, and
+        the owners' *infeasible* rows whose delta reaches the fresh best
+        — the rows the caller's shadow index must track in case their
+        host frees.
         """
-        fast = self._fast
         rows, seg_ptr = segment_rows(batch.ptr, owners)
         choice[owners] = -1
         best[owners] = -np.inf
         empty = np.empty(0, dtype=np.int64)
         if rows.size == 0:
-            if with_blocked:
-                return empty, empty.copy(), empty.copy()
-            return empty, empty.copy()
-        if host_ok is not None:
-            feas = host_ok[batch.host[rows]]
-        else:
-            seg_len = (seg_ptr[1:] - seg_ptr[:-1]).astype(np.int64)
-            row_owner = np.repeat(owners, seg_len)
-            feas = fast.candidate_feasible_rows(
-                batch, rows, row_owner, threshold
-            )
+            return empty, empty.copy(), empty.copy()
+        feas = host_ok[batch.host[rows]]
         deltas = batch.delta[rows]
         masked = np.where(feas, deltas, -np.inf)
         starts = seg_ptr[:-1]
@@ -1052,8 +1030,6 @@ class BatchedRoundEngine:
         else:
             new_rows = empty
             new_owner = empty.copy()
-        if not with_blocked:
-            return new_rows, new_owner
         blocked = rows[~feas & (deltas >= max_rep)]
         return new_rows, new_owner, blocked
 

@@ -29,6 +29,7 @@ from repro.core.migration import MigrationDecision, MigrationEngine
 from repro.core.policies import TokenPolicy
 from repro.core.rounds import BatchedRoundEngine, DecisionColumns
 from repro.core.token import Token
+from repro.topology.tree import CanonicalTree
 from repro.traffic.matrix import TrafficMatrix
 from repro.util.validation import check_positive
 
@@ -144,6 +145,7 @@ class SchedulerReport:
     #: restored snapshot (``None`` for a never-restored scheduler).
     recovered_from: Optional[str] = None
     #: Executor a sharded run actually used (``"shm ×8"``, ``"serial"``,
+    #: ``"fork ×8 (fallback: shared memory unavailable: ...)"``,
     #: ``"serial (fallback: ...)"``); ``None`` for non-sharded runs.
     shard_executor: Optional[str] = None
 
@@ -186,6 +188,9 @@ class SchedulerReport:
 class SCOREScheduler:
     """Runs the token-driven S-CORE algorithm over an allocation."""
 
+    #: The round engine :meth:`run` drives wave rounds through.
+    _rounds_class = BatchedRoundEngine
+
     def __init__(
         self,
         allocation: Allocation,
@@ -193,54 +198,37 @@ class SCOREScheduler:
         policy: TokenPolicy,
         engine: MigrationEngine,
         token_interval_s: float = 1.0,
-        use_fastcost: bool = True,
-        use_batched_rounds: bool = True,
-        use_round_cache: bool = True,
         use_sharding: bool = False,
         n_domains: Optional[int] = None,
         n_workers: int = 1,
         shard_policy_factory=None,
-        shard_compact: bool = False,
-        shard_transport: str = "shm",
     ) -> None:
         """
-        ``use_fastcost`` (default on) builds a
+        The first :meth:`run` builds a
         :class:`repro.core.fastcost.FastCostEngine` over the allocation and
         traffic, attaches it to the migration engine, and threads it through
         the token loop — batched candidate scoring, O(peers) incremental
         cost updates, and vectorized highest-level queries for the policy.
-        Disable it to run every decision through the naive
-        :class:`~repro.core.cost.CostModel` reference path.
-
-        ``use_batched_rounds`` (default on) executes each token round as
-        interference-free migration *waves* over the policy's round-order
-        snapshot (:mod:`repro.core.rounds`) whenever the policy can freeze
-        its visit order up front (RR exactly; HLF via a priority snapshot)
-        and the fast engine is active; otherwise — and always with
-        ``use_fastcost=False`` or an order-free policy — :meth:`run` falls
-        back to the per-hold reference loop (:meth:`run_reference`).
-
-        ``use_round_cache`` (default on) additionally runs batched rounds
-        against the engine's persistent per-owner score cache
-        (:mod:`repro.core.roundcache`): only the owners a wave / round /
-        epoch actually touched are re-scored, with the exact same
-        trajectory as the uncached wave loop (which ``False`` pins as the
-        reference).
+        Each run then picks its loop from the policy: when the policy can
+        freeze its visit order up front (RR exactly; HLF via a priority
+        snapshot) the round executes as interference-free migration
+        *waves* (:mod:`repro.core.rounds`, against the engine's persistent
+        per-owner score cache); order-free policies (random, LRV) run the
+        per-hold loop (:meth:`run_reference`).  The naive
+        :class:`~repro.core.cost.CostModel` path and the uncached wave loop
+        live on as oracles in :mod:`repro.reference`.
 
         ``use_sharding`` (default off) runs each schedule as
         community-partitioned parallel domains with a cross-domain
-        reconciliation pass (:mod:`repro.shard`; requires the fast
-        engine and a CanonicalTree topology).  ``n_domains`` caps the
+        reconciliation pass (:mod:`repro.shard`; requires a
+        CanonicalTree topology, checked here).  ``n_domains`` caps the
         partition (default: one domain per pod, at most 16);
-        ``n_workers`` > 1 fans domains out over forked worker processes.
-        ``shard_policy_factory`` builds each domain's private policy
-        instance; by default the scheduler's policy type is instantiated
-        with no arguments.  ``shard_compact`` runs the *domain* engines
-        on the compact (int32/float32) snapshot — the global engine that
-        gates and applies every move stays float64, so the incremental
-        global cost remains exact.  ``shard_transport`` picks the worker
-        payload path (``"shm"`` zero-copy slabs, default, or ``"pipe"``
-        pickled outcomes).
+        ``n_workers`` > 1 fans domains out over forked worker processes
+        (shared-memory slabs, degrading on their own to pickled pipes,
+        then to in-process; the report's ``shard_executor`` says which
+        ran).  ``shard_policy_factory`` builds each domain's private
+        policy instance; by default the scheduler's policy type is
+        instantiated with no arguments.
 
         A sharded scheduler keeps its domain fleet (and worker
         processes) alive across :meth:`run` calls; the churn / delta /
@@ -256,6 +244,12 @@ class SCOREScheduler:
                 f"traffic references VMs absent from the allocation: "
                 f"{sorted(missing)[:5]}..."
             )
+        topology = allocation.topology
+        if use_sharding and not isinstance(topology, CanonicalTree):
+            raise ValueError(
+                "sharding requires a canonical tree topology (domains are "
+                f"whole-pod sub-trees); got {type(topology).__name__}"
+            )
         self._allocation = allocation
         self._traffic = traffic
         self._policy = policy
@@ -263,22 +257,15 @@ class SCOREScheduler:
         self._interval = token_interval_s
         self._token = Token(allocation.vm_ids())
         self._clock = 0.0
-        # Built lazily on the first run() — churn and traffic updates before
-        # that point then cost nothing, and the run-start sync isn't paid
-        # twice for a freshly constructed scheduler.
-        self._use_fastcost = use_fastcost
-        self._use_batched_rounds = use_batched_rounds
-        self._use_round_cache = use_round_cache
         self._use_sharding = use_sharding
         self._n_domains = n_domains
         self._n_workers = n_workers
         self._shard_policy_factory = shard_policy_factory
-        self._shard_compact = shard_compact
-        self._shard_transport = shard_transport
         self._shard_coordinator = None
         self._shard_solve_hints: dict = {}
-        if use_sharding and not use_fastcost:
-            raise ValueError("use_sharding requires use_fastcost")
+        # Built lazily on the first run() — churn and traffic updates before
+        # that point then cost nothing, and the run-start sync isn't paid
+        # twice for a freshly constructed scheduler.
         self._fast: Optional[FastCostEngine] = None
         self._profile = None
         self._saved_capacity: dict = {}
@@ -316,7 +303,8 @@ class SCOREScheduler:
 
     @property
     def fastcost(self) -> Optional[FastCostEngine]:
-        """The vectorized engine threaded through the loop (None if naive)."""
+        """The vectorized engine threaded through the loop (None before the
+        first run, and always on the naive oracle)."""
         return self._fast
 
     def traffic_snapshot(self) -> TrafficSnapshot:
@@ -369,9 +357,8 @@ class SCOREScheduler:
     ) -> SchedulerReport:
         """Circulate the token for ``n_iterations`` full rounds.
 
-        Dispatches to the wave-batched round engine when it applies (fast
-        engine active, batched rounds enabled, and the policy provides a
-        round-order snapshot), else to the per-hold reference loop — the
+        Dispatches to the wave-batched round engine when the policy
+        provides a round-order snapshot, else to the per-hold loop — the
         two agree whenever round decisions don't interact, and the wave
         differential suite pins their relationship when they do.
 
@@ -408,7 +395,7 @@ class SCOREScheduler:
             return self._run_sharded(
                 cost_model, n_iterations, stop_when_stable, event_pump
             )
-        if self._use_batched_rounds and self._fast is not None:
+        if self._fast is not None:  # wave rounds need the fast engine
             order = self._policy.round_order(
                 self._token,
                 (
@@ -468,10 +455,10 @@ class SCOREScheduler:
         """The per-hold token loop (pre-batching semantics), kept verbatim.
 
         One Theorem 1 decision per hold, policy ``on_hold``/``next_vm``
-        after every decision — the oracle the wave-batched path is pinned
-        against.  Honors ``use_fastcost`` exactly like :meth:`run` (the
-        per-decision math still goes through the fast engine when active);
-        only the round batching is bypassed.
+        after every decision — what :meth:`run` executes for order-free
+        policies, and the oracle the wave-batched path is pinned against.
+        The per-decision math goes through the same cost engine as
+        :meth:`run`; only the round batching is bypassed.
         """
         if n_iterations < 1:
             raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
@@ -481,29 +468,31 @@ class SCOREScheduler:
         )
 
     def _prepare_engines(self) -> CostModel:
-        """Build/resync the fast engine; return the active cost model."""
-        if self._use_fastcost:
-            if self._fast is None:
-                self._fast = FastCostEngine(
-                    self._allocation,
-                    self._traffic,
-                    weights=self._engine.cost_model.weights,
-                )
-                self._engine.attach_fastcost(self._fast)
-            elif self._fast.traffic is not self._traffic:
-                self._fast.update_traffic(self._traffic)
-            elif not self._fast.in_sync:
-                # Some writer bypassed the engine's update path since the
-                # last run (direct allocation moves, out-of-band set_rate):
-                # pay one full resync.  Mutations routed through the
-                # scheduler's churn/delta APIs keep the engine in sync, so
-                # multi-epoch dynamic runs skip this entirely.  Whatever
-                # desynced the engine also bypassed the shard fleet.
-                self._fast.rebuild()
-                self._close_shard_fleet()
-        # Policies take whichever implementation is active — the fast engine
-        # answers highest_level from its arrays with the CostModel signature.
-        return self._fast or self._engine.cost_model
+        """Build/resync the fast engine; return the active cost model.
+
+        Policies take it in place of a :class:`CostModel` — the fast
+        engine answers ``highest_level`` and ``total_cost`` from its
+        arrays with the same signature.
+        """
+        if self._fast is None:
+            self._fast = FastCostEngine(
+                self._allocation,
+                self._traffic,
+                weights=self._engine.cost_model.weights,
+            )
+            self._engine.attach_fastcost(self._fast)
+        elif self._fast.traffic is not self._traffic:
+            self._fast.update_traffic(self._traffic)
+        elif not self._fast.in_sync:
+            # Some writer bypassed the engine's update path since the
+            # last run (direct allocation moves, out-of-band set_rate):
+            # pay one full resync.  Mutations routed through the
+            # scheduler's churn/delta APIs keep the engine in sync, so
+            # multi-epoch dynamic runs skip this entirely.  Whatever
+            # desynced the engine also bypassed the shard fleet.
+            self._fast.rebuild()
+            self._close_shard_fleet()
+        return self._fast
 
     def _run_reference_loop(
         self,
@@ -616,10 +605,9 @@ class SCOREScheduler:
                     cost_model,
                 )
 
-        rounds = BatchedRoundEngine(
+        rounds = self._rounds_class(
             self._allocation, self._traffic, self._engine, self._fast,
             wave_callback=wave_callback,
-            use_cache=self._use_round_cache,
             profile=self._profile,
         )
         cost = cost_model.total_cost(self._allocation, self._traffic)
@@ -743,9 +731,6 @@ class SCOREScheduler:
                 self._shard_policy_factory or self._default_policy_factory(),
                 n_domains=n_domains,
                 n_workers=self._n_workers,
-                compact_domains=self._shard_compact,
-                use_round_cache=self._use_round_cache,
-                transport=self._shard_transport,
                 solve_hints=self._shard_solve_hints,
                 profile=self._profile,
             )
@@ -787,10 +772,18 @@ class SCOREScheduler:
 
     def __setstate__(self, state):
         # Snapshots written before the persistent fleet existed restore
-        # with the fleet fields defaulted.
+        # with the fleet fields defaulted; the path switches older
+        # snapshots still carry are dropped (the code picks the path).
         state.setdefault("_shard_coordinator", None)
         state.setdefault("_shard_solve_hints", {})
-        state.setdefault("_shard_transport", "shm")
+        for obsolete in (
+            "_use_fastcost",
+            "_use_batched_rounds",
+            "_use_round_cache",
+            "_shard_compact",
+            "_shard_transport",
+        ):
+            state.pop(obsolete, None)
         self.__dict__.update(state)
 
     def _run_sharded(

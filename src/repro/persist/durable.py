@@ -83,7 +83,9 @@ from repro.util.validation import check_engine_invariants
 
 #: v2: round commits carry the column-wise decision digest
 #: (:func:`_decisions_digest`); a v1 directory's digests cannot verify.
-JOURNAL_FORMAT = "score-journal/v2"
+#: v3: the scenario's experiment spec lost its path switches, so a v2
+#: begin record no longer rebuilds; it is refused with its tag.
+JOURNAL_FORMAT = "score-journal/v3"
 
 #: Dict keys whose recorded/re-executed values are floats compared with
 #: the acceptance tolerance instead of exactly (JSON round-trips doubles

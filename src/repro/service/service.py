@@ -88,9 +88,11 @@ from repro.sim.experiment import (
 )
 from repro.util.validation import InvariantViolation, check_engine_invariants
 
-#: v2: round commits carry the column-wise decision digest; a v1
+#: v2: round commits carry the column-wise decision digest; v3: the
+#: experiment spec lost its path switches (``fastcost``,
+#: ``batched_rounds``, ``shard_compact``, ``shard_transport``).  An older
 #: directory is refused at resume instead of failing replay on it.
-SERVICE_FORMAT = "score-service/v2"
+SERVICE_FORMAT = "score-service/v3"
 
 # Service lifecycle states (ServiceReport.transitions records each move).
 RUNNING = "running"

@@ -9,11 +9,7 @@ boundary VMs.  Wired through
 ``n_domains`` / ``n_workers``) and the CLI (``--shards/--workers``).
 """
 
-from repro.shard.coordinator import (
-    ShardedCoordinator,
-    ShardedIteration,
-    ShardedRunOutcome,
-)
+from repro.shard.coordinator import ShardedCoordinator, ShardedIteration
 from repro.shard.domain import DomainRoundOutcome, ShardDomain
 from repro.shard.executor import (
     ForkExecutor,
@@ -37,7 +33,6 @@ __all__ = [
     "ShardWorkerError",
     "ShardedCoordinator",
     "ShardedIteration",
-    "ShardedRunOutcome",
     "ShmExecutor",
     "build_partition",
     "fork_available",

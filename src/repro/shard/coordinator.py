@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.shard.domain import ShardDomain
 from repro.shard.executor import make_executor
-from repro.shard.partition import Partition, build_partition
+from repro.shard.partition import build_partition
 from repro.shard.reconcile import ReconcileOutcome, reconcile_boundary
 
 
@@ -70,27 +70,6 @@ class ShardedIteration:
     imbalance: float = 1.0
 
 
-@dataclass
-class ShardedRunOutcome:
-    """Everything the scheduler needs to shape a report."""
-
-    partition: Partition
-    iterations: List[ShardedIteration] = field(default_factory=list)
-    reconcile: Optional[ReconcileOutcome] = None
-    #: Executor actually used (``serial`` / ``fork`` / ``shm``).
-    executor_kind: str = "serial"
-    executor_workers: int = 1
-    #: Why a requested worker pool degraded to serial (``None`` if not).
-    executor_fallback: Optional[str] = None
-
-    @property
-    def total_migrations(self) -> int:
-        moved = sum(it.migrations for it in self.iterations)
-        if self.reconcile is not None:
-            moved += self.reconcile.migrations
-        return moved
-
-
 class ShardedCoordinator:
     """Owns the domain fleet across one or more sharded schedules."""
 
@@ -103,10 +82,6 @@ class ShardedCoordinator:
         policy_factory,
         n_domains: int,
         n_workers: int = 1,
-        compact_domains: bool = False,
-        collect_decisions: bool = True,
-        use_round_cache: bool = True,
-        transport: str = "shm",
         solve_hints: Optional[Dict[int, float]] = None,
         profile=None,
     ) -> None:
@@ -115,7 +90,6 @@ class ShardedCoordinator:
         self._engine = engine
         self._fast = fast
         self._profile = profile
-        self._collect_decisions = collect_decisions
         #: Set when the fleet no longer mirrors the global state; the
         #: scheduler rebuilds a stale coordinator before its next run.
         self.stale = False
@@ -139,15 +113,12 @@ class ShardedCoordinator:
                 bandwidth_threshold=engine.bandwidth_threshold,
                 max_candidates=engine.max_candidates,
                 weights=engine.cost_model.weights,
-                compact=compact_domains,
-                collect_decisions=collect_decisions,
-                use_cache=use_round_cache,
             )
             for d in range(self.partition.n_domains)
         ]
         self._lap("domain-build", t0)
         self._executor = make_executor(
-            self.domains, n_workers, transport=transport, hints=solve_hints
+            self.domains, n_workers, hints=solve_hints
         )
         self.last_imbalance = 1.0
 

@@ -56,8 +56,8 @@ class DomainRoundOutcome:
     migrations: int
     waves: int
     deferrals: int
-    #: Final per-hold decision columns (global hosts), or ``None`` when
-    #: the caller asked to skip decision collection.
+    #: Final per-hold decision columns (global hosts); ``None`` when the
+    #: domain had no VMs to visit.
     decisions: Optional[object] = None
 
 
@@ -76,18 +76,11 @@ class ShardDomain:
         bandwidth_threshold: Optional[float] = None,
         max_candidates: Optional[int] = None,
         weights=None,
-        compact: bool = False,
-        collect_decisions: bool = True,
-        use_cache: bool = True,
     ) -> None:
+        # A canonical tree (checked once, when the sharded scheduler is
+        # built): domains are whole-pod sub-trees of it.
         topology = global_allocation.topology
-        if not isinstance(topology, CanonicalTree):
-            raise TypeError(
-                "sharded domains require a CanonicalTree topology "
-                f"(whole-pod sub-trees); got {type(topology).__name__}"
-            )
         self.domain_id = int(domain_id)
-        self._collect_decisions = collect_decisions
         hosts_per_rack = topology.hosts_per_rack
         tors_per_agg = topology.n_racks // topology.n_aggs
         hosts_per_pod = hosts_per_rack * tors_per_agg
@@ -181,7 +174,7 @@ class ShardDomain:
             max_candidates=max_candidates,
         )
         self.fast = FastCostEngine(
-            self.allocation, self.traffic, weights=weights, compact=compact
+            self.allocation, self.traffic, weights=weights
         )
         self.engine.attach_fastcost(self.fast)
         self.rounds = BatchedRoundEngine(
@@ -190,7 +183,6 @@ class ShardDomain:
             self.engine,
             self.fast,
             record_waves=True,
-            use_cache=use_cache,
         )
         self.holder: Optional[int] = None
         #: When the delta channel retires the domain's whole population,
@@ -316,11 +308,7 @@ class ShardDomain:
             migrations=result.migrations,
             waves=result.waves,
             deferrals=result.deferrals,
-            decisions=(
-                self._globalize_decisions(result)
-                if self._collect_decisions
-                else None
-            ),
+            decisions=self._globalize_decisions(result),
         )
 
     def _globalize_wave(

@@ -23,13 +23,13 @@ The executors:
 * :class:`SerialExecutor` runs each domain in-process — deterministic,
   zero IPC, the pinned reference for every parallel path.
 * :class:`ForkExecutor` forks long-lived workers and ships outcomes
-  *pickled over pipes* (the PR 9 transport, kept as the slab-free
-  fallback).  Its gather now polls with a timeout and raises
-  :class:`ShardWorkerError` instead of blocking forever on a dead or
-  stalled worker.
+  *pickled over pipes* — what :func:`make_executor` degrades to on its
+  own when shared memory is unavailable.  Its gather polls with a
+  timeout and raises :class:`ShardWorkerError` instead of blocking
+  forever on a dead or stalled worker.
 * :class:`ShmExecutor` adds the zero-copy slab transport: workers pack
   moves and decision columns into preallocated shared-memory slabs and
-  the pipes carry only tiny headers.
+  the pipes carry only tiny headers.  The default for ``n_workers > 1``.
 
 Domains are packed onto workers by **LPT bin packing** over a
 per-domain work estimate (:func:`pack_workers`) — measured solve times
@@ -270,10 +270,22 @@ class _ProcessExecutor:
         #: Measured seconds of each domain's most recent round.
         self.solve_seconds: Dict[int, float] = {}
 
-        context = multiprocessing.get_context("fork")
         self._slabs = []
         self._readers: List[Optional[slab.SlabReader]] = []
         self._workers = []
+        try:
+            self._start_workers(owned)
+        except BaseException:
+            # A slab or fork failing part-way must not leak the workers
+            # and segments already started.
+            _cleanup_workers(self._workers, self._slabs)
+            raise
+        self._finalizer = weakref.finalize(
+            self, _cleanup_workers, self._workers, self._slabs
+        )
+
+    def _start_workers(self, owned: List[List[ShardDomain]]) -> None:
+        context = multiprocessing.get_context("fork")
         for w, worker_domains in enumerate(owned):
             ids = [d.domain_id for d in worker_domains]
             self._owned_ids.append(ids)
@@ -306,9 +318,6 @@ class _ProcessExecutor:
             child_conn.close()
             self._workers.append((process, parent_conn))
             self._commanded.append(-1)
-        self._finalizer = weakref.finalize(
-            self, _cleanup_workers, self._workers, self._slabs
-        )
 
     @property
     def n_workers(self) -> int:
@@ -485,21 +494,19 @@ class ShmExecutor(_ProcessExecutor):
 def make_executor(
     domains: List[ShardDomain],
     n_workers: int,
-    transport: str = "shm",
     hints: Optional[Dict[int, float]] = None,
     stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
 ):
-    """The right executor for ``n_workers``, with the fallback recorded.
+    """The right executor for ``n_workers``, with any fallback recorded.
 
-    ``transport`` picks the worker payload path: ``"shm"`` (default,
-    zero-copy slabs) or ``"pipe"`` (pickled outcomes).  When workers
-    cannot run at all — one worker requested, a single domain, or no
-    ``fork`` support — a :class:`SerialExecutor` comes back with
-    ``fallback_reason`` set so callers can surface *why* (the silent
-    fallback of PR 9 is a satellite fix of PR 10).
+    Workers return their outcomes through shared-memory slabs
+    (:class:`ShmExecutor`); without usable shared memory they degrade to
+    pickled pipes (:class:`ForkExecutor`), and when workers cannot run
+    at all — one worker requested, a single domain, no ``fork`` support
+    — a :class:`SerialExecutor` comes back.  Every degradation sets
+    ``fallback_reason``, so callers can surface *why* the requested
+    executor did not run.
     """
-    if transport not in ("shm", "pipe"):
-        raise ValueError(f"unknown shard transport {transport!r}")
     reason = None
     if n_workers <= 1:
         pass  # serial was asked for; not a fallback
@@ -508,25 +515,18 @@ def make_executor(
     elif not fork_available():
         reason = "the 'fork' start method is unavailable"
     else:
-        cls = ShmExecutor if transport == "shm" else ForkExecutor
+        options = dict(hints=hints, stall_timeout_s=stall_timeout_s)
         try:
-            return cls(
-                domains, n_workers, hints=hints,
-                stall_timeout_s=stall_timeout_s,
-            )
+            return ShmExecutor(domains, n_workers, **options)
         except OSError as error:
-            if transport == "shm":
-                # No usable shared memory (e.g. /dev/shm missing):
-                # degrade to the pipe transport before going serial.
-                try:
-                    return ForkExecutor(
-                        domains, n_workers, hints=hints,
-                        stall_timeout_s=stall_timeout_s,
-                    )
-                except OSError as pipe_error:
-                    reason = f"worker pool unavailable: {pipe_error}"
-            else:
-                reason = f"worker pool unavailable: {error}"
+            reason = f"shared memory unavailable: {error}"
+        try:
+            executor = ForkExecutor(domains, n_workers, **options)
+        except OSError as error:
+            reason = f"worker pool unavailable: {error}"
+        else:
+            executor.fallback_reason = reason
+            return executor
     executor = SerialExecutor(domains)
     executor.fallback_reason = reason
     return executor

@@ -164,12 +164,24 @@ def build_partition(
     pods_of_domain = [
         np.nonzero(domain_of_pod == d)[0] for d in range(n_domains)
     ]
+    # One stable sort per array groups it by domain and keeps each
+    # group in its original (ascending id / pair) order.
+    vm_order = np.argsort(domain_of_vm, kind="stable")
+    vm_bounds = np.searchsorted(
+        domain_of_vm[vm_order], np.arange(n_domains + 1)
+    ).tolist()
     vms_of_domain = [
-        vm_ids[domain_of_vm == d] for d in range(n_domains)
+        vm_ids[vm_order[vm_bounds[d] : vm_bounds[d + 1]]]
+        for d in range(n_domains)
     ]
+    intra = np.flatnonzero(~cross)
+    pair_order = intra[np.argsort(dom_u[intra], kind="stable")]
+    pair_bounds = np.searchsorted(
+        dom_u[pair_order], np.arange(n_domains + 1)
+    ).tolist()
     intra_pairs = []
     for d in range(n_domains):
-        inside = (dom_u == d) & (dom_v == d)
+        inside = pair_order[pair_bounds[d] : pair_bounds[d + 1]]
         intra_pairs.append((us[inside], vs[inside], rates[inside]))
     cross_pairs = (us[cross], vs[cross], rates[cross])
     boundary_vms = np.unique(np.concatenate([us[cross], vs[cross]]))

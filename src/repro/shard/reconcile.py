@@ -4,7 +4,7 @@ Domain rounds optimize each domain's *intra-domain* cost; the pairs the
 partition could not confine are invisible to them.  Reconciliation runs
 bounded passes of the **global** wave-batched round engine restricted to
 the boundary VMs (the endpoints of cross-domain pairs): a partial visit
-order drives the engine's uncached path, which scores candidates over
+order drives the engine's uncached wave loop, which scores candidates over
 the full cluster with the complete traffic snapshot and applies the
 exact Theorem-1 gate — so every reconciliation move is a certified
 global-cost reduction, and a pass that moves nothing certifies that no
@@ -67,7 +67,7 @@ def reconcile_boundary(
     if boundary.size == 0 or fast.snapshot.n_vms == 0:
         return outcome
     rounds = BatchedRoundEngine(
-        allocation, traffic, engine, fast, use_cache=False, profile=profile,
+        allocation, traffic, engine, fast, profile=profile,
         record_waves=record_moves,
     )
     for _ in range(max_passes):

@@ -60,24 +60,14 @@ class ExperimentConfig:
     n_iterations: int = 5
     token_interval_s: float = 1.0
     seed: int = 42
-    # Engine: vectorized fast-cost engine (default) vs naive CostModel loops.
-    fastcost: bool = True
-    # Wave-batched token rounds (default) vs the per-hold reference loop;
-    # only takes effect with fastcost and an order-known policy (rr/hlf).
-    batched_rounds: bool = True
     # Hyperscale sharding (repro.shard): community-partitioned parallel
-    # domains + cross-domain reconciliation.  Default off; requires
-    # fastcost and the canonical-tree topology.
+    # domains + cross-domain reconciliation.  Default off; requires the
+    # canonical-tree topology.
     sharding: bool = False
     # Domain cap for the partition (None: one per pod, at most 16).
     shard_domains: Optional[int] = None
     # Forked worker processes fanning the domains out (1 = in-process).
     shard_workers: int = 1
-    # Compact (int32/float32) domain engines; the global gate stays float64.
-    shard_compact: bool = False
-    # Worker outcome transport: zero-copy shared-memory slabs ("shm",
-    # default) or pickled pipes ("pipe").  Only matters with workers > 1.
-    shard_transport: str = "shm"
 
     def __post_init__(self) -> None:
         if self.topology not in ("canonical", "fattree"):
@@ -88,11 +78,6 @@ class ExperimentConfig:
         if not 0 < self.fill_fraction <= 1:
             raise ValueError(
                 f"fill_fraction must be in (0, 1], got {self.fill_fraction}"
-            )
-        if self.shard_transport not in ("shm", "pipe"):
-            raise ValueError(
-                f"shard_transport must be 'shm' or 'pipe', "
-                f"got {self.shard_transport!r}"
             )
 
     def with_(self, **changes) -> "ExperimentConfig":
@@ -218,13 +203,9 @@ def make_scheduler(
         policy_by_name(config.policy, seed=config.seed),
         engine,
         token_interval_s=config.token_interval_s,
-        use_fastcost=config.fastcost,
-        use_batched_rounds=config.batched_rounds,
         use_sharding=config.sharding,
         n_domains=config.shard_domains,
         n_workers=config.shard_workers,
-        shard_compact=config.shard_compact,
-        shard_transport=config.shard_transport,
         shard_policy_factory=(
             (lambda: policy_by_name(config.policy, seed=config.seed))
             if config.sharding

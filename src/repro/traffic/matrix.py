@@ -24,13 +24,33 @@ class TrafficMatrix:
     """
 
     def __init__(self) -> None:
-        self._adj: Dict[int, Dict[int, float]] = {}
+        #: u -> {v: λ(u, v)}; ``None`` while a bulk-built matrix is still
+        #: described by its pair arrays alone (see :attr:`_adj`).
+        self._adjacency: Optional[Dict[int, Dict[int, float]]] = {}
         self._version = 0
         #: Canonical (us, vs, rates, version) cache for :meth:`pair_arrays`,
         #: seeded by the bulk constructor and dropped on the next mutation.
         self._pair_cache: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, int]
         ] = None
+
+    @property
+    def _adj(self) -> Dict[int, Dict[int, float]]:
+        """The adjacency index, built on first use after a bulk build.
+
+        :meth:`from_pair_arrays` keeps only its canonical pair arrays:
+        the per-domain matrices of a sharded run are read through
+        :meth:`pair_arrays` and never need a dict.  Every query and
+        mutation below goes through here, so the index exists before
+        anything reads or edits it; until then the pair cache is the
+        whole matrix (nothing can bump the version without building the
+        index first).
+        """
+        adj = self._adjacency
+        if adj is None:
+            us, vs, rates, _ = self._pair_cache
+            adj = self._adjacency = _adjacency_of(us, vs, rates)
+        return adj
 
     @property
     def version(self) -> int:
@@ -49,17 +69,18 @@ class TrafficMatrix:
         if vm_u == vm_v:
             raise ValueError(f"self-traffic is not modelled (VM {vm_u})")
         check_non_negative("rate", rate)
+        adj = self._adj
         self._version += 1
         if rate == 0.0:
-            self._adj.get(vm_u, {}).pop(vm_v, None)
-            self._adj.get(vm_v, {}).pop(vm_u, None)
-            if vm_u in self._adj and not self._adj[vm_u]:
-                del self._adj[vm_u]
-            if vm_v in self._adj and not self._adj[vm_v]:
-                del self._adj[vm_v]
+            adj.get(vm_u, {}).pop(vm_v, None)
+            adj.get(vm_v, {}).pop(vm_u, None)
+            if vm_u in adj and not adj[vm_u]:
+                del adj[vm_u]
+            if vm_v in adj and not adj[vm_v]:
+                del adj[vm_v]
             return
-        self._adj.setdefault(vm_u, {})[vm_v] = rate
-        self._adj.setdefault(vm_v, {})[vm_u] = rate
+        adj.setdefault(vm_u, {})[vm_v] = rate
+        adj.setdefault(vm_v, {})[vm_u] = rate
 
     def add_rate(self, vm_u: int, vm_v: int, rate: float) -> None:
         """Accumulate onto λ(u, v)."""
@@ -188,7 +209,9 @@ class TrafficMatrix:
     @property
     def n_pairs(self) -> int:
         """Number of communicating pairs."""
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        if self._adjacency is None:
+            return len(self._pair_cache[0])
+        return sum(len(nbrs) for nbrs in self._adjacency.values()) // 2
 
     @property
     def vms_with_traffic(self) -> FrozenSet[int]:
@@ -226,7 +249,7 @@ class TrafficMatrix:
     def copy(self) -> "TrafficMatrix":
         """Deep copy."""
         clone = TrafficMatrix()
-        clone._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
+        clone._adjacency = {u: dict(nbrs) for u, nbrs in self._adj.items()}
         return clone
 
     @classmethod
@@ -243,11 +266,11 @@ class TrafficMatrix:
         rate > 0.
 
         The vectorized sibling of :meth:`from_pairs` for inputs that are
-        already in :meth:`pair_arrays` form — one grouped numpy pass plus
-        a C-speed ``dict(zip(...))`` per source VM instead of two dict
-        probes per pair.  The sharded coordinator builds hundreds of
-        per-domain matrices from slices of the global pair arrays through
-        this path.
+        already in :meth:`pair_arrays` form.  The matrix keeps (copies of)
+        the arrays and builds its adjacency index only when something
+        first needs it (:attr:`_adj`): the sharded coordinator builds
+        hundreds of per-domain matrices from slices of the global pair
+        arrays, and their engines read them through :meth:`pair_arrays`.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
@@ -261,25 +284,16 @@ class TrafficMatrix:
             raise ValueError("pairs must be canonical: u < v for every pair")
         if not (rates > 0.0).all():
             raise ValueError("rates must be > 0 (zero pairs are absent)")
-        src = np.concatenate([us, vs])
-        dst = np.concatenate([vs, us])
-        both = np.concatenate([rates, rates])
-        order = np.argsort(src, kind="stable")
-        src, dst, both = src[order], dst[order], both[order]
-        uniq, starts = np.unique(src, return_index=True)
-        bounds = np.append(starts, src.size).tolist()
-        dst_list = dst.tolist()
-        rate_list = both.tolist()
-        adj = matrix._adj
-        for i, u in enumerate(uniq.tolist()):
-            lo, hi = bounds[i], bounds[i + 1]
-            row = dict(zip(dst_list[lo:hi], rate_list[lo:hi]))
-            if len(row) != hi - lo:
-                raise ValueError(
-                    f"duplicate pairs for VM {u}; from_pair_arrays needs "
-                    "unique pairs (accumulate duplicates via from_pairs)"
-                )
-            adj[u] = row
+        order = np.lexsort((vs, us))
+        su, sv = us[order], vs[order]
+        dup = (su[1:] == su[:-1]) & (sv[1:] == sv[:-1])
+        if dup.any():
+            raise ValueError(
+                f"duplicate pairs for VM {int(su[1:][dup][0])}; "
+                "from_pair_arrays needs unique pairs (accumulate "
+                "duplicates via from_pairs)"
+            )
+        matrix._adjacency = None
         matrix._version = 1
         cached = (us.copy(), vs.copy(), rates.copy())
         for array in cached:
@@ -295,3 +309,22 @@ class TrafficMatrix:
             f"TrafficMatrix(pairs={self.n_pairs}, "
             f"vms={len(self._adj)}, total={self.total_rate():.3g} B/s)"
         )
+
+
+def _adjacency_of(us, vs, rates) -> Dict[int, Dict[int, float]]:
+    """The adjacency index of canonical, unique pair arrays: one grouped
+    numpy pass plus a C-speed ``dict(zip(...))`` per source VM."""
+    src = np.concatenate([us, vs])
+    dst = np.concatenate([vs, us])
+    both = np.concatenate([rates, rates])
+    order = np.argsort(src, kind="stable")
+    src, dst, both = src[order], dst[order], both[order]
+    uniq, starts = np.unique(src, return_index=True)
+    bounds = np.append(starts, src.size).tolist()
+    dst_list = dst.tolist()
+    rate_list = both.tolist()
+    return {
+        u: dict(zip(dst_list[bounds[i] : bounds[i + 1]],
+                    rate_list[bounds[i] : bounds[i + 1]]))
+        for i, u in enumerate(uniq.tolist())
+    }

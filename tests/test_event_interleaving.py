@@ -34,6 +34,7 @@ from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.scheduler import SCOREScheduler
+from repro.reference import UncachedScheduler
 from repro.scenarios import EventSpec
 from repro.sim import EventQueueRunner
 from repro.sim.experiment import ExperimentConfig, build_environment
@@ -52,12 +53,12 @@ def build_runner(seed, policy, cached, validate=False):
     """One independently built environment + scheduler + event runner."""
     config = ExperimentConfig(policy=policy, seed=seed, **SMALL)
     env = build_environment(config)
-    scheduler = SCOREScheduler(
+    scheduler_class = SCOREScheduler if cached else UncachedScheduler
+    scheduler = scheduler_class(
         env.allocation,
         env.traffic,
         policy_by_name(policy, seed=seed),
         MigrationEngine(env.cost_model),
-        use_round_cache=cached,
     )
     return env, scheduler, EventQueueRunner(
         scheduler, environment=env, validate=validate

@@ -163,11 +163,9 @@ def test_engine_and_matrix_sources_agree_through_churn_and_drift(seed):
     retirements: the same VMs and pairs are picked at every step."""
 
     def twin(fastcost):
-        env = build_environment(
-            ExperimentConfig(seed=seed, fastcost=fastcost, **SMALL)
-        )
+        env = build_environment(ExperimentConfig(seed=seed, **SMALL))
         scheduler = make_scheduler(env)
-        if fastcost:
+        if fastcost:  # a never-run scheduler has no engine yet
             scheduler.run(n_iterations=1)
         return env, scheduler, EventQueueRunner(scheduler, environment=env)
 

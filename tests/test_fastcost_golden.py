@@ -21,7 +21,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.experiment import ExperimentConfig, run_experiment
+from repro.reference import NaiveScheduler, run_oracle
+from repro.sim.experiment import (
+    ExperimentConfig,
+    build_environment,
+    make_scheduler,
+    run_experiment,
+)
 
 GOLDEN = {
     "canonical-default": {
@@ -58,16 +64,17 @@ def test_seed42_headline_numbers_are_stable(name):
 def test_seed42_reference_trajectory_is_stable(name):
     """The per-hold loop still lands on the pre-batching golden numbers."""
     golden = GOLDEN[name]
-    result = run_experiment(
-        ExperimentConfig(**golden["config"], batched_rounds=False)
+    config = ExperimentConfig(**golden["config"])
+    report = make_scheduler(build_environment(config)).run_reference(
+        n_iterations=config.n_iterations
     )
-    assert result.initial_cost == pytest.approx(
+    assert report.initial_cost == pytest.approx(
         golden["initial_cost"], rel=1e-9
     )
-    assert result.final_cost == pytest.approx(
+    assert report.final_cost == pytest.approx(
         golden["reference_final_cost"], rel=1e-9
     )
-    assert result.report.total_migrations == golden["reference_migrations"]
+    assert report.total_migrations == golden["reference_migrations"]
 
 
 def test_batched_rounds_do_not_lose_quality_on_the_golden_runs():
@@ -81,11 +88,11 @@ def test_batched_rounds_do_not_lose_quality_on_the_golden_runs():
 def test_naive_engine_reproduces_the_golden_trajectory():
     """The readable CostModel path lands on the reference numbers (1e-9)."""
     golden = GOLDEN["canonical-default"]
-    result = run_experiment(ExperimentConfig(fastcost=False))
-    assert result.initial_cost == pytest.approx(
+    report = run_oracle(NaiveScheduler, ExperimentConfig())
+    assert report.initial_cost == pytest.approx(
         golden["initial_cost"], rel=1e-9
     )
-    assert result.final_cost == pytest.approx(
+    assert report.final_cost == pytest.approx(
         golden["reference_final_cost"], rel=1e-9
     )
-    assert result.report.total_migrations == golden["reference_migrations"]
+    assert report.total_migrations == golden["reference_migrations"]

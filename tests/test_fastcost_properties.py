@@ -21,6 +21,7 @@ from repro import (
     SCOREScheduler,
 )
 from repro.core.fastcost import FastCostEngine
+from repro.reference import NaiveScheduler
 
 
 @pytest.fixture
@@ -40,7 +41,6 @@ class TestDeltaSumExactness:
             traffic,
             HighestLevelFirstPolicy(),
             MigrationEngine(cost_model),
-            use_fastcost=True,
         )
         report = scheduler.run(n_iterations=5)
         assert report.total_migrations > 0
@@ -66,15 +66,12 @@ class TestDeltaSumExactness:
             traffic,
             HighestLevelFirstPolicy(),
             MigrationEngine(cost_model),
-            use_fastcost=True,
-            use_batched_rounds=False,
-        ).run(n_iterations=5)
-        naive_report = SCOREScheduler(
+        ).run_reference(n_iterations=5)
+        naive_report = NaiveScheduler(
             alloc_naive,
             traffic,
             HighestLevelFirstPolicy(),
             MigrationEngine(cost_model),
-            use_fastcost=False,
         ).run(n_iterations=5)
         assert fast_report.initial_cost == pytest.approx(
             naive_report.initial_cost, rel=1e-9

@@ -47,16 +47,15 @@ N_HOSTS = 16
 #: middle so arrivals can land below, between and above it.
 ID_POOL = range(40)
 BOOT_IDS = range(10, 30, 2)
-#: 0 removes; 0.1 and 1234.567 are not float32-representable, so a
-#: compact engine only matches a fresh one if the caches move by the
-#: *stored* rate.
+#: 0 removes; the rest are rate changes, including two that are not
+#: exactly representable in binary.
 RATES = (0.0, 0.0, 0.5, 1.0, 2.0, 2.0, 0.1, 1234.567)
 
 
 BOOT_PAIRS = ((10, 12, 2.0), (12, 20, 1.0), (14, 28, 0.1))
 
 
-def build(compact, ids=BOOT_IDS, pairs=BOOT_PAIRS):
+def build(ids=BOOT_IDS, pairs=BOOT_PAIRS):
     tree = CanonicalTree(n_racks=8, hosts_per_rack=2, tors_per_agg=4, n_cores=2)
     cluster = Cluster(tree, ServerCapacity(max_vms=4, ram_mb=4096, cpu=4.0))
     allocation = Allocation(cluster)
@@ -65,7 +64,7 @@ def build(compact, ids=BOOT_IDS, pairs=BOOT_PAIRS):
         [VM(i, 512, 0.5) for i in ids], [(7 * i) % N_HOSTS for i in ids]
     )
     traffic = TrafficMatrix.from_pairs(list(pairs))
-    return allocation, traffic, FastCostEngine(allocation, traffic, compact=compact)
+    return allocation, traffic, FastCostEngine(allocation, traffic)
 
 
 def pair_set(snapshot):
@@ -79,7 +78,7 @@ def pair_set(snapshot):
 
 
 def assert_spliced_matches_fresh(engine, allocation, traffic):
-    fresh = FastCostEngine(allocation, traffic, compact=engine._compact)
+    fresh = FastCostEngine(allocation, traffic)
     snap, ref = engine.snapshot, fresh.snapshot
     for name in ("vm_ids", "ptr", "row", "peer", "rate"):
         got, want = getattr(snap, name), getattr(ref, name)
@@ -92,13 +91,11 @@ def assert_spliced_matches_fresh(engine, allocation, traffic):
 
     # Lookup indexes: sorted, and pointing at what they claim to.
     n = snap.n_vms
-    key = snap.pair_u.astype(np.int64) * n + snap.pair_v
+    key = snap.pair_u * n + snap.pair_v
     assert sorted(engine._pair_sorted_order.tolist()) == list(range(len(key)))
     assert np.array_equal(engine._pair_key_sorted, key[engine._pair_sorted_order])
     assert (np.diff(engine._pair_key_sorted) > 0).all()
-    assert np.array_equal(
-        engine._csr_key, snap.row.astype(np.int64) * n + snap.peer
-    )
+    assert np.array_equal(engine._csr_key, snap.row * n + snap.peer)
     assert (np.diff(engine._csr_key) > 0).all()
 
     # What event selection reads: bit-identical, not merely close.
@@ -151,11 +148,9 @@ def retire_with_pairs(engine, allocation, traffic, ids):
 class SpliceMachine(RuleBasedStateMachine):
     """Random op sequences over one long-lived engine, never rebuilt."""
 
-    compact = False
-
     @initialize()
     def boot(self):
-        self.allocation, self.traffic, self.engine = build(self.compact)
+        self.allocation, self.traffic, self.engine = build()
 
     def live(self):
         return sorted(self.allocation.vm_ids())
@@ -210,23 +205,15 @@ class SpliceMachine(RuleBasedStateMachine):
             assert_spliced_matches_fresh(self.engine, self.allocation, self.traffic)
 
 
-class CompactSpliceMachine(SpliceMachine):
-    compact = True
-
-
-_machine_settings = settings(
+TestSpliceMachine = SpliceMachine.TestCase
+TestSpliceMachine.settings = settings(
     max_examples=40, stateful_step_count=20, deadline=None
 )
-TestSpliceMachine = SpliceMachine.TestCase
-TestSpliceMachine.settings = _machine_settings
-TestCompactSpliceMachine = CompactSpliceMachine.TestCase
-TestCompactSpliceMachine.settings = _machine_settings
 
 
-@pytest.mark.parametrize("compact", [False, True])
-def test_scripted_corner_cases(compact):
+def test_scripted_corner_cases():
     """The cases the splice has to get right, spelled out one by one."""
-    allocation, traffic, engine = build(compact)
+    allocation, traffic, engine = build()
 
     def check():
         assert_spliced_matches_fresh(engine, allocation, traffic)
@@ -281,17 +268,16 @@ def test_scripted_corner_cases(compact):
     check()
 
 
-@pytest.mark.parametrize("compact", [False, True])
-def test_engine_built_over_an_empty_matrix_takes_its_first_delta(compact):
+def test_engine_built_over_an_empty_matrix_takes_its_first_delta():
     # Regression: bincount of an empty input is int64 even with weights,
     # so the caches were integer arrays and the first in-place float
     # shift raised UFuncTypeError.
-    allocation, traffic, engine = build(compact, pairs=())
+    allocation, traffic, engine = build(pairs=())
     assert engine._vm_cost.dtype == engine._egress.dtype == np.float64
     apply_delta(engine, traffic, [(10, 12, 0.5)])
     assert_spliced_matches_fresh(engine, allocation, traffic)
     # Same pitfall on the CPU mirror of an engine built over no VMs.
-    allocation, traffic, engine = build(compact, ids=(), pairs=())
+    allocation, traffic, engine = build(ids=(), pairs=())
     admit(engine, allocation, [7])
     assert_spliced_matches_fresh(engine, allocation, traffic)
 

@@ -2,8 +2,9 @@
 
 Pins the tentpole invariant: a scheduler running wave-batched rounds
 against the persistent :class:`repro.core.roundcache.RoundScoreCache`
-(``use_round_cache=True``, the default) produces *exactly* the
-trajectory of the uncached reference loop — decision for decision
+(the default :class:`~repro.core.scheduler.SCOREScheduler`) produces
+*exactly* the trajectory of the uncached wave loop
+(:class:`repro.reference.UncachedScheduler`) — decision for decision
 (vm, target, migrated, reason and delta), migration for migration, run
 after run — across policies, churn, traffic deltas and adversarial
 invalidation patterns (freed better hosts, filled picks, mid-round
@@ -26,6 +27,7 @@ from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.scheduler import SCOREScheduler
+from repro.reference import UncachedScheduler
 from repro.sim.experiment import ExperimentConfig, build_environment
 from repro.topology.tree import CanonicalTree
 from repro.traffic.matrix import TrafficMatrix
@@ -36,7 +38,7 @@ def build_twins(seed=1, policy="rr", bandwidth_threshold=None, **overrides):
     """Two identical environments + schedulers: cached and uncached."""
     config = ExperimentConfig(policy=policy, seed=seed, **overrides)
     out = []
-    for cached in (True, False):
+    for scheduler_class in (SCOREScheduler, UncachedScheduler):
         env = build_environment(config)
         engine = MigrationEngine(
             env.cost_model, bandwidth_threshold=bandwidth_threshold
@@ -44,12 +46,11 @@ def build_twins(seed=1, policy="rr", bandwidth_threshold=None, **overrides):
         out.append(
             (
                 env,
-                SCOREScheduler(
+                scheduler_class(
                     env.allocation,
                     env.traffic,
                     policy_by_name(policy, seed=seed),
                     engine,
-                    use_round_cache=cached,
                 ),
             )
         )

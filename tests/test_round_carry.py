@@ -5,7 +5,7 @@ This suite pins the *carried structures* themselves, so bookkeeping that
 happens to be harmless today cannot rot silently:
 
 * the spliced score cache equals a from-scratch re-score, array for
-  array, on default and compact engines;
+  array;
 * after every epoch of a drift / drain / fill / free script, the carried
   :class:`~repro.core.roundcache.DecisionState` is what a full evaluation
   against its own ``host_ok`` would produce;
@@ -73,12 +73,11 @@ def assert_cache_equals_fresh_scores(fast, cache):
         assert np.array_equal(got, want), mine
 
 
-@pytest.mark.parametrize("compact", [False, True])
 @pytest.mark.parametrize("seed", [3, 8])
-def test_spliced_cache_equals_a_fresh_score(seed, compact):
+def test_spliced_cache_equals_a_fresh_score(seed):
     env = build_environment(small_config(seed))
     allocation, traffic = env.allocation, env.traffic
-    fast = FastCostEngine(allocation, traffic, compact=compact)
+    fast = FastCostEngine(allocation, traffic)
     cache = fast.round_cache()
     rng = make_rng(seed)
     vm_ids = sorted(allocation.vm_ids())

@@ -1,11 +1,13 @@
-"""The columnar round commit: decision digest, plan moves, v2 formats.
+"""The columnar round commit: decision digest, plan moves, format tags.
 
 A round commits a digest of its decision *columns* (no per-hold python)
 and cuts the migration plan from the migrated rows.  Pinned here: the
 digest sees every field of every hold and their order, does not depend
 on how the holds were blocked or whether they arrived as columns or as
-decision tuples, and a state directory written under the v1 digest is
-refused by the format check instead of failing replay.
+decision tuples, and a state directory written under an older format —
+the v1 digest, or a v2 experiment spec that still carries the removed
+path switches — is refused by the format check instead of failing
+replay.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ class TestDecisionDigest:
         ]
 
 
-def _rewrite_begin_format(directory, old_format):
-    """Re-stamp the journal's begin record (valid CRC) as ``old_format``."""
+def _rewrite_begin_format(directory, old_format, edit=None):
+    """Re-stamp the journal's begin record (valid CRC) as ``old_format``;
+    ``edit(data)``, when given, rewrites the record's payload too."""
     path = os.path.join(directory, JOURNAL_NAME)
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
@@ -113,15 +116,52 @@ def _rewrite_begin_format(directory, old_format):
         if body["kind"] == "begin":
             body.pop("crc")
             body["data"]["format"] = old_format
+            if edit is not None:
+                edit(body["data"])
             lines[i] = _canonical({**body, "crc": _crc(body)})
     with open(path, "wb") as fh:
         fh.write(b"\n".join(lines) + b"\n")
 
 
-class TestV1DirectoriesAreRefused:
-    def test_formats_moved_to_v2(self):
-        assert SERVICE_FORMAT == "score-service/v2"
-        assert JOURNAL_FORMAT == "score-journal/v2"
+def _with_removed_switches(spec):
+    """An experiment spec as a v2 begin record wrote it."""
+    spec.update(
+        fastcost=True,
+        batched_rounds=True,
+        shard_compact=False,
+        shard_transport="shm",
+    )
+
+
+class TestOlderDirectoriesAreRefused:
+    def test_formats_moved_to_v3(self):
+        assert SERVICE_FORMAT == "score-service/v3"
+        assert JOURNAL_FORMAT == "score-journal/v3"
+
+    def test_service_resume_refuses_a_v2_spec(self, tmp_path):
+        directory = str(tmp_path)
+        with SchedulerService.create(
+            ExperimentConfig(seed=5, **SMALL), directory
+        ) as service:
+            service.step()
+        _rewrite_begin_format(
+            directory,
+            "score-service/v2",
+            lambda data: _with_removed_switches(data["experiment"]),
+        )
+        with pytest.raises(RecoveryError, match="score-service/v2"):
+            SchedulerService.resume(directory)
+
+    def test_durable_run_resume_refuses_a_v2_spec(self, tmp_path):
+        directory = str(tmp_path)
+        run_durable_scenario("steady", directory, scale="toy", epochs=1)
+        _rewrite_begin_format(
+            directory,
+            "score-journal/v2",
+            lambda data: _with_removed_switches(data["scenario"]["config"]),
+        )
+        with pytest.raises(RecoveryError, match="score-journal/v2"):
+            DurableScenarioRun.resume(directory)
 
     def test_service_resume(self, tmp_path):
         directory = str(tmp_path)
@@ -129,7 +169,7 @@ class TestV1DirectoriesAreRefused:
             ExperimentConfig(seed=5, **SMALL), directory
         ) as service:
             service.step()
-        SchedulerService.resume(directory).close()  # v2 resumes fine
+        SchedulerService.resume(directory).close()  # v3 resumes fine
         _rewrite_begin_format(directory, "score-service/v1")
         with pytest.raises(RecoveryError, match="score-service/v1"):
             SchedulerService.resume(directory)

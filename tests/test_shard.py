@@ -27,8 +27,13 @@ from repro.core.cost import CostModel
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.scheduler import SCOREScheduler
+from repro.reference import NaiveScheduler
 from repro.shard import build_partition
-from repro.sim.experiment import ExperimentConfig, build_environment
+from repro.sim.experiment import (
+    ExperimentConfig,
+    build_environment,
+    make_scheduler,
+)
 from repro.traffic.matrix import TrafficMatrix
 
 SMALL = ExperimentConfig(
@@ -139,6 +144,27 @@ class TestPartition:
         n_intra = sum(p[0].size for p in part.intra_pairs)
         assert n_intra + us.size == traffic.n_pairs
 
+    def test_domain_slices_keep_the_global_order(self):
+        """Each domain's VMs and intra pairs are exactly the global arrays
+        masked to that domain, in their global order."""
+        env = build_environment(SMALL.with_(seed=7))
+        traffic = mixed_traffic(env, 7)
+        part = build_partition(env.allocation, traffic, env.topology, 4)
+        vm_ids = np.array(sorted(env.allocation.vm_ids()))
+        pods = env.topology.host_pod_ids()
+        hosts, _, _ = env.allocation.mapping_arrays(vm_ids)
+        domain_of_vm = part.domain_of_pod[pods[hosts]]
+        us, vs, rates = traffic.pair_arrays()
+        dom_u = domain_of_vm[np.searchsorted(vm_ids, us)]
+        dom_v = domain_of_vm[np.searchsorted(vm_ids, vs)]
+        for d in range(part.n_domains):
+            assert np.array_equal(
+                part.vms_of_domain[d], vm_ids[domain_of_vm == d]
+            )
+            inside = (dom_u == d) & (dom_v == d)
+            for got, want in zip(part.intra_pairs[d], (us, vs, rates)):
+                assert np.array_equal(got, want[inside])
+
     def test_partition_is_deterministic(self):
         env = build_environment(SMALL.with_(seed=9))
         traffic = mixed_traffic(env, 9)
@@ -241,15 +267,32 @@ class TestCrossDomainReconciliation:
         exact = env.cost_model.total_cost(env.allocation, scheduler.traffic)
         assert report.final_cost == pytest.approx(exact, rel=1e-9)
 
-    def test_sharding_requires_fastcost(self):
+
+class TestShardingRefusals:
+    """Sharding that cannot run is refused when the scheduler is built,
+    with a ``ValueError`` — not at the first ``run()``."""
+
+    def test_fat_tree_is_refused_by_name(self):
+        config = ExperimentConfig(topology="fattree", sharding=True)
+        env = build_environment(config)
+        with pytest.raises(ValueError, match="FatTree"):
+            make_scheduler(env)
+
+    def test_cli_refuses_fat_tree_sharding(self):
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match="canonical tree"):
+            main(["run", "--topology", "fattree", "--shards", "4",
+                  "--iterations", "1"])
+
+    def test_naive_oracle_refuses_sharding(self):
         env = build_environment(SMALL.with_(seed=5))
-        with pytest.raises(ValueError, match="fastcost"):
-            SCOREScheduler(
+        with pytest.raises(ValueError, match="fast engine"):
+            NaiveScheduler(
                 env.allocation,
                 env.traffic,
                 policy_by_name("hlf"),
                 MigrationEngine(env.cost_model),
-                use_fastcost=False,
                 use_sharding=True,
             )
 

@@ -5,9 +5,12 @@ Pins every worker transport bit-identical to the in-process reference
 domain-major merge order makes the parallel gather deterministic, so
 the comparison is **exact equality**, not a tolerance:
 
-* shm slab transport == pipe transport == serial, on both order-known
-  policies and a fuzzed seed matrix: same final mapping, same migration
-  count, exactly equal final cost and per-iteration cost series.
+* shm slab transport == serial, on both order-known policies and a
+  fuzzed seed matrix: same final mapping, same migration count, exactly
+  equal final cost and per-iteration cost series.
+* the pipe transport, reached the only way production reaches it — a
+  shared-memory failure — == serial too, with the fallback on the label
+  and no ``/dev/shm`` segment left behind.
 * clean teardown — ``close()`` unlinks every ``/dev/shm`` slab, and the
   experiment/scenario/service wrappers close the fleet they opened.
 * liveness — a killed or stalled worker raises a typed
@@ -45,13 +48,12 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _run_sharded(config, seed, policy, n_workers, transport="shm",
-                 n_iterations=3, cross_fraction=0.15):
+def _run_sharded(config, seed, policy, n_workers, n_iterations=3,
+                 cross_fraction=0.15):
     env = build_environment(config)
     traffic = mixed_traffic(env, seed, cross_fraction=cross_fraction)
     scheduler = sharded_scheduler(
-        env, traffic, policy, n_domains=4, n_workers=n_workers,
-        shard_transport=transport,
+        env, traffic, policy, n_domains=4, n_workers=n_workers
     )
     report = scheduler.run(n_iterations)
     return env, scheduler, report
@@ -72,13 +74,10 @@ class TestBitExactTransports:
     """Parallel executors are pinned *exactly* equal to serial."""
 
     @pytest.mark.parametrize("policy", ["rr", "hlf"])
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_workers_match_serial_exactly(self, policy, transport):
+    def test_workers_match_serial_exactly(self, policy):
         config = SMALL.with_(seed=31)
         env_s, sched_s, r_s = _run_sharded(config, 31, policy, n_workers=1)
-        env_p, sched_p, r_p = _run_sharded(
-            config, 31, policy, n_workers=3, transport=transport
-        )
+        env_p, sched_p, r_p = _run_sharded(config, 31, policy, n_workers=3)
         try:
             assert env_s.allocation.as_dict() == env_p.allocation.as_dict()
             assert r_s.final_cost == r_p.final_cost
@@ -87,6 +86,53 @@ class TestBitExactTransports:
         finally:
             sched_s.close()
             sched_p.close()
+
+    @pytest.mark.shard
+    @pytest.mark.parametrize("policy", ["rr", "hlf"])
+    def test_degraded_pipe_matches_serial_exactly(self, policy, monkeypatch):
+        """Shared memory fails part-way through the pool build: the
+        executor degrades to pickled pipes on its own, the label says so,
+        the run stays bit-exact with serial, and the segment created
+        before the failure is unlinked."""
+        from multiprocessing import shared_memory
+
+        real = shared_memory.SharedMemory
+        created = []
+
+        def second_fails(*args, **kwargs):
+            if created:
+                raise OSError(28, "No space left on device")
+            created.append(real(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", second_fails)
+        before = set(os.listdir("/dev/shm"))
+        config = SMALL.with_(seed=31)
+        env_s, sched_s, r_s = _run_sharded(config, 31, policy, n_workers=1)
+        env_p, sched_p, r_p = _run_sharded(config, 31, policy, n_workers=3)
+        executor = sched_p._shard_coordinator._executor
+        try:
+            if executor.kind == "serial":
+                pytest.skip(
+                    f"worker pool unavailable: {executor.fallback_reason}"
+                )
+            assert created, "the first slab must have been created"
+            assert r_p.shard_executor == (
+                f"fork ×{executor.n_workers} (fallback: shared memory "
+                "unavailable: [Errno 28] No space left on device)"
+            )
+            assert env_s.allocation.as_dict() == env_p.allocation.as_dict()
+            assert r_s.final_cost == r_p.final_cost
+            assert r_s.total_migrations == r_p.total_migrations
+            assert _iteration_series(r_s) == _iteration_series(r_p)
+        finally:
+            sched_s.close()
+            sched_p.close()
+        leaked = {
+            n for n in set(os.listdir("/dev/shm")) - before
+            if n.startswith("reproshard_")
+        }
+        assert leaked == set()
 
     @pytest.mark.parametrize("policy", ["rr", "hlf"])
     @pytest.mark.parametrize("seed", _shard_parallel_seeds())
@@ -203,20 +249,16 @@ class TestExecutorRecording:
         scheduler.close()
         assert report.shard_executor == "serial"
 
-    @pytest.mark.parametrize(
-        "transport,kind", [("shm", "shm"), ("pipe", "fork")]
-    )
-    def test_worker_pool_recorded(self, transport, kind):
+    def test_worker_pool_recorded(self):
         config = SMALL.with_(seed=17)
         _, scheduler, report = _run_sharded(
-            config, 17, "hlf", n_workers=2, transport=transport,
-            n_iterations=1,
+            config, 17, "hlf", n_workers=2, n_iterations=1
         )
         executor = scheduler._shard_coordinator._executor
         scheduler.close()
         if executor.kind == "serial":
             pytest.skip(f"worker pool unavailable: {executor.fallback_reason}")
-        assert report.shard_executor == f"{kind} ×2"
+        assert report.shard_executor == "shm ×2"
 
     def test_fallback_reason_recorded(self, monkeypatch):
         monkeypatch.setattr(

@@ -5,12 +5,14 @@ import pytest
 from repro.baselines.ga import GAConfig
 from repro.core import MigrationEngine
 from repro.core.policies import HighestLevelFirstPolicy
+from repro.reference import NaiveScheduler, run_oracle
 from repro.sim import (
     ExperimentConfig,
     build_environment,
     run_dynamic,
     run_experiment,
 )
+from repro.sim.experiment import make_scheduler
 
 SMALL = ExperimentConfig(
     n_racks=8, hosts_per_rack=2, tors_per_agg=4, n_cores=2,
@@ -92,11 +94,13 @@ class TestRunExperiment:
         # Engine-math agreement is pinned on the per-hold loop (batched
         # rounds follow a different trajectory by design and are pinned
         # against run_reference in test_wave_rounds).
-        fast = run_experiment(SMALL.with_(batched_rounds=False))
-        naive = run_experiment(SMALL.with_(fastcost=False))
+        fast = make_scheduler(build_environment(SMALL)).run_reference(
+            n_iterations=SMALL.n_iterations
+        )
+        naive = run_oracle(NaiveScheduler, SMALL)
         assert fast.initial_cost == pytest.approx(naive.initial_cost, rel=1e-9)
         assert fast.final_cost == pytest.approx(naive.final_cost, rel=1e-9)
-        assert fast.report.total_migrations == naive.report.total_migrations
+        assert fast.total_migrations == naive.total_migrations
 
 
 class TestReductionVsOptimal:

@@ -1,5 +1,7 @@
 """Tests for the sparse symmetric traffic matrix."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -228,6 +230,40 @@ class TestFromPairArrays:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="equal-length"):
             TrafficMatrix.from_pair_arrays([1, 2], [3], [5.0])
+
+    @pytest.mark.parametrize(
+        "first_use", ["read", "set_rate", "apply_delta", "copy", "pickle"]
+    )
+    def test_deferred_index_behaves_like_a_built_one(self, first_use):
+        """A bulk build keeps only its arrays until something needs the
+        adjacency index; whatever uses it first sees the same matrix."""
+        us, vs, rates = self._random_canonical(np.random.default_rng(13))
+        bulk = TrafficMatrix.from_pair_arrays(us, vs, rates)
+        loop = TrafficMatrix.from_pairs(
+            zip(us.tolist(), vs.tolist(), rates.tolist())
+        )
+        assert bulk._adjacency is None
+        assert bulk.n_pairs == loop.n_pairs
+        u, v, w = int(us[0]), int(vs[0]), int(vs[1])
+        if first_use == "read":
+            assert bulk.peer_rates(u) == loop.peer_rates(u)
+        elif first_use == "set_rate":
+            for tm in (bulk, loop):
+                tm.set_rate(u, v, 0.0)
+                tm.set_rate(u, w, 3.5)
+        elif first_use == "apply_delta":
+            for tm in (bulk, loop):
+                tm.apply_delta([(u, v, 0.0), (u, w, 3.5)])
+        elif first_use == "copy":
+            bulk = bulk.copy()
+        else:
+            bulk = pickle.loads(pickle.dumps(bulk))
+        assert sorted(bulk.pairs()) == sorted(loop.pairs())
+        assert bulk.n_pairs == loop.n_pairs
+        got, want = bulk.pair_arrays(), loop.pair_arrays()
+        assert sorted(zip(*(a.tolist() for a in got))) == sorted(
+            zip(*(a.tolist() for a in want))
+        )
 
     def test_pair_arrays_cache_survives_reads_not_writes(self):
         rng = np.random.default_rng(11)

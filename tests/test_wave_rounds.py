@@ -221,7 +221,6 @@ class TestInterferenceFreeEquivalence:
             traffic,
             RoundRobinPolicy(),
             MigrationEngine(model),
-            use_fastcost=True,
         )
         ref = scheduler.run_reference(n_iterations=1)
         assert batched_alloc.as_dict() == ref_alloc.as_dict()
