@@ -23,7 +23,11 @@ from repro.baselines.ga import GAConfig, GeneticOptimizer
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.scheduler import SCOREScheduler
-from repro.reference import UncachedScheduler
+from repro.reference import (
+    PerHoldScheduler,
+    UncachedScheduler,
+    ga_step_reference,
+)
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
@@ -166,14 +170,14 @@ def test_batched_rounds_at_paper_scale(emit):
     migrations = first.total_migrations + rest.total_migrations
 
     ref_env = build_environment(config)
-    ref_scheduler = SCOREScheduler(
+    ref_scheduler = PerHoldScheduler(
         ref_env.allocation,
         ref_env.traffic,
         policy_by_name(config.policy, seed=config.seed),
         MigrationEngine(ref_env.cost_model),
     )
     t2 = time.perf_counter()
-    ref_scheduler.run_reference(n_iterations=1)
+    ref_scheduler.run(n_iterations=1)
     reference_round_s = time.perf_counter() - t2
 
     record = {
@@ -367,7 +371,7 @@ def test_ga_generation_at_paper_scale(emit):
     n_offspring = max(1, ga._config.population_size // 2)
     sample = min(GA_REFERENCE_SAMPLE, n_offspring)
     t2 = time.perf_counter()
-    ga.step_reference(population, costs, n_offspring=sample)
+    ga_step_reference(ga, population, costs, n_offspring=sample)
     reference_sample_s = time.perf_counter() - t2
     reference_generation_s = reference_sample_s * (n_offspring / sample)
     speedup = reference_generation_s / generation_s

@@ -25,7 +25,7 @@ Implementation notes
 * Capacity uses the slot limit only, matching the paper's GP reduction
   where all VMs have vertex weight 1 (uniform size).
 * The pre-batching per-individual generation survives as
-  :meth:`GeneticOptimizer.step_reference` — the differential-test and
+  ``repro.reference.ga_step_reference`` — the differential-test and
   benchmark reference the batched path is pinned against.  The batched
   engine draws its random numbers in matrix-shaped blocks, so the RNG
   stream necessarily differs from the per-individual reference; seeded runs
@@ -35,7 +35,7 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -47,14 +47,13 @@ from repro.core.fastcost import (
     assignment_cost,
     owner_host_rate_lookup,
     owner_host_rate_table,
-    pair_levels,
     path_weight_table,
     population_cost,
     population_repair,
     tournament_select,
 )
 from repro.traffic.matrix import TrafficMatrix
-from repro.util.rng import SeedLike, make_rng
+from repro.util.rng import make_rng
 from repro.util.validation import check_positive, check_probability
 
 #: Dtype of the population matrix; host indices comfortably fit 32 bits and
@@ -527,101 +526,6 @@ class GeneticOptimizer:
             max_passes,
         )
         assignment[:] = out.astype(assignment.dtype)
-
-    # -- per-individual reference (pre-batching semantics) ----------------------------
-
-    def step_reference(
-        self,
-        population: np.ndarray,
-        costs: np.ndarray,
-        n_offspring: Optional[int] = None,
-    ) -> None:
-        """The pre-batching per-individual generation, kept verbatim.
-
-        Differential tests and the paper-scale benchmark use this as the
-        reference the batched :meth:`step` is compared against — same
-        operators, python loops over individuals and traffic components.
-        ``n_offspring`` trims the brood (benchmarks time a sample and
-        extrapolate); defaults to the production ``pop // 2``.
-        """
-        config = self._config
-        pop = population.shape[0]
-        if n_offspring is None:
-            n_offspring = max(1, pop // 2)
-        offspring: List[np.ndarray] = []
-        for _ in range(n_offspring):
-            a = self._tournament_reference(costs)
-            if self._rng.random() < config.crossover_rate:
-                b = self._tournament_reference(costs)
-                child = self._crossover_reference(population[a], population[b])
-            else:
-                child = population[a].copy()
-            if self._rng.random() < config.mutation_rate:
-                self._mutate_reference(child)
-                self._repair_reference(child)
-            offspring.append(child)
-        offspring_costs = np.array([self.cost_of(ind) for ind in offspring])
-        # Replacement by reverse tournament: offspring replace the losers
-        # of tournaments over the current population.
-        for child, child_cost in zip(offspring, offspring_costs):
-            contenders = self._rng.integers(
-                0, pop, size=config.tournament_k
-            )
-            loser = int(contenders[np.argmax(costs[contenders])])
-            if child_cost < costs[loser]:
-                population[loser] = child
-                costs[loser] = child_cost
-
-    def _tournament_reference(self, costs: np.ndarray) -> int:
-        """Index of the tournament winner (lowest cost)."""
-        contenders = self._rng.integers(
-            0, len(costs), size=self._config.tournament_k
-        )
-        return int(contenders[np.argmin(costs[contenders])])
-
-    def _crossover_reference(
-        self, parent_a: np.ndarray, parent_b: np.ndarray
-    ) -> np.ndarray:
-        """EAX-style: inherit whole traffic components from either parent."""
-        child = parent_a.copy()
-        for component in self._components:
-            if self._rng.random() < 0.5:
-                child[component] = parent_b[component]
-        self._repair_reference(child)
-        return child
-
-    def _mutate_reference(self, individual: np.ndarray) -> None:
-        """Swap a random number of VMs between racks (paper §VI-A)."""
-        n_swaps = int(self._rng.integers(1, self._config.max_mutation_swaps + 1))
-        for _ in range(n_swaps):
-            i, j = self._rng.integers(0, self._n_vms, size=2)
-            individual[i], individual[j] = individual[j], individual[i]
-
-    def _repair_reference(self, assignment: np.ndarray) -> None:
-        """Move VMs off over-capacity hosts to the nearest free host."""
-        counts = np.bincount(assignment, minlength=self._n_hosts)
-        over = np.where(counts > self._slots)[0]
-        if over.size == 0:
-            return
-        for host in over:
-            excess = int(counts[host] - self._slots[host])
-            victims = np.where(assignment == host)[0][:excess]
-            for vm in victims:
-                # Prefer a host in the same rack, then same pod, then any.
-                target = self._pick_repair_host(host, counts)
-                assignment[vm] = target
-                counts[host] -= 1
-                counts[target] += 1
-
-    def _pick_repair_host(self, host: int, counts: np.ndarray) -> int:
-        free = counts < self._slots
-        same_rack = free & (self._rack_of == self._rack_of[host])
-        if np.any(same_rack):
-            return int(np.where(same_rack)[0][0])
-        same_pod = free & (self._pod_of == self._pod_of[host])
-        if np.any(same_pod):
-            return int(np.where(same_pod)[0][0])
-        return int(np.where(free)[0][0])
 
 
 def _greedy_polish_flat(

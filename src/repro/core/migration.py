@@ -14,7 +14,7 @@ When a VM holds the token, its hypervisor:
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,35 +23,6 @@ from repro.core.cost import CostModel
 from repro.core.fastcost import CandidateBatch, FastCostEngine
 from repro.traffic.matrix import TrafficMatrix
 from repro.util.validation import check_non_negative
-
-
-def plan_wave_reference(
-    sources: Sequence[int],
-    targets: Sequence[int],
-    peers: Sequence[Sequence[int]],
-    vms: Sequence[int],
-) -> List[bool]:
-    """Greedy interference-free wave selection, as a readable loop.
-
-    Scans proposed migrations in order and accepts each one whose source
-    host, target host and VM are untouched by every previously accepted
-    move — where "touched" means sharing a source/target host with it or
-    being one of its communication peers.  The vectorized
-    :func:`plan_wave` must select exactly this set (pinned by the wave
-    test suite).
-    """
-    used_hosts: set = set()
-    blocked_vms: set = set()
-    accepted: List[bool] = []
-    for vm, src, tgt, vm_peers in zip(vms, sources, targets, peers):
-        if vm in blocked_vms or src in used_hosts or tgt in used_hosts:
-            accepted.append(False)
-            continue
-        accepted.append(True)
-        used_hosts.add(src)
-        used_hosts.add(tgt)
-        blocked_vms.update(vm_peers)
-    return accepted
 
 
 def plan_wave(
@@ -68,9 +39,9 @@ def plan_wave(
     Inputs are per-proposal arrays in visit order (``mover_vms`` holds
     *dense* VM indices; ``peer_ptr``/``peer_flat`` a CSR view of each
     mover's peers, also dense).  Returns the boolean acceptance mask of
-    :func:`plan_wave_reference`: a maximal in-order subset in which no two
-    accepted moves share a source host, a target host, or a communication
-    peer relation.  The peer relation must be *symmetric* (undirected
+    ``repro.reference.plan_wave_reference``: a maximal in-order subset in
+    which no two accepted moves share a source host, a target host, or a
+    communication peer relation.  The peer relation must be *symmetric* (undirected
     traffic, as in :class:`repro.traffic.matrix.TrafficMatrix`) — the
     round-based implementation checks it from the later mover's side and
     equals the reference only under that symmetry.
@@ -533,105 +504,6 @@ class MigrationEngine:
                 )
             )
         return decisions
-
-    def evaluate_many(
-        self, allocation: Allocation, traffic: TrafficMatrix, vm_ids: Sequence[int]
-    ) -> List[MigrationDecision]:
-        """Batched :meth:`evaluate` over many VMs (no mutation).
-
-        With a bound fast engine, candidate generation, Lemma 3 scoring
-        and the §V-B5/§V-C feasibility probes run as one vectorized pass
-        over all VM × candidate pairs; otherwise falls back to per-VM
-        evaluation.  Decisions come back in input order.
-        """
-        fast = self._fastcost
-        if fast is None or not fast.is_bound_to(allocation, traffic):
-            return [self.evaluate(allocation, traffic, v) for v in vm_ids]
-        batch = fast.candidate_batch(
-            fast.dense_indices(vm_ids), self._max_candidates
-        )
-        return self.decisions_from_batch(allocation, batch, fast)
-
-    def decide_many(
-        self, allocation: Allocation, traffic: TrafficMatrix, vm_ids: Sequence[int]
-    ) -> Tuple[List[MigrationDecision], List[int]]:
-        """Evaluate a batch, apply one interference-free wave, defer the rest.
-
-        Proposed migrations are partitioned by :func:`plan_wave`: accepted
-        moves (pairwise disjoint in source host, target host and peer
-        relation) are applied as one batched allocation + cache update;
-        conflicting proposals are *deferred* — their VM ids come back in
-        the second element, to be re-evaluated against the post-wave state
-        (the wave-batched round loop does exactly that).  The first element
-        holds final decisions for every settled VM, in input order.
-        """
-        decisions = self.evaluate_many(allocation, traffic, vm_ids)
-        fast = self._fastcost
-        use_fast = fast is not None and fast.is_bound_to(allocation, traffic)
-        proposals = [
-            (i, d) for i, d in enumerate(decisions) if d.target_host is not None
-        ]
-        if not proposals:
-            return decisions, []
-        if use_fast:
-            dense = fast.dense_indices([d.vm_id for _, d in proposals])
-            snap = fast.snapshot
-            counts = (snap.ptr[dense + 1] - snap.ptr[dense]).astype(np.int64)
-            peer_ptr = np.zeros(len(dense) + 1, dtype=np.int64)
-            np.cumsum(counts, out=peer_ptr[1:])
-            peer_flat = np.concatenate(
-                [snap.peer[snap.ptr[v] : snap.ptr[v + 1]] for v in dense]
-            ) if len(dense) else np.empty(0, dtype=np.int64)
-            accepted = plan_wave(
-                np.array([d.source_host for _, d in proposals], dtype=np.int64),
-                np.array([d.target_host for _, d in proposals], dtype=np.int64),
-                dense,
-                peer_ptr,
-                peer_flat,
-                n_hosts=allocation.cluster.n_servers,
-                n_vms=snap.n_vms,
-            )
-        else:
-            accepted = plan_wave_reference(
-                [d.source_host for _, d in proposals],
-                [d.target_host for _, d in proposals],
-                [sorted(traffic.peers_of(d.vm_id)) for _, d in proposals],
-                [d.vm_id for _, d in proposals],
-            )
-        moves = [
-            (d.vm_id, d.target_host)
-            for (_, d), ok in zip(proposals, accepted)
-            if ok
-        ]
-        allocation.migrate_many(moves)
-        if use_fast and moves:
-            # Proposal deltas are already the exact per-peer values
-            # (evaluate_many gates Theorem 1 on them), so the wave applies
-            # verbatim.
-            fast.apply_moves(
-                fast.dense_indices([vm for vm, _ in moves]),
-                np.array([t for _, t in moves], dtype=np.int64),
-            )
-        settled: List[MigrationDecision] = []
-        deferred: List[int] = []
-        wave = dict(moves)
-        for decision in decisions:
-            if decision.target_host is None:
-                settled.append(decision)
-            elif decision.vm_id in wave:
-                settled.append(
-                    MigrationDecision(
-                        vm_id=decision.vm_id,
-                        source_host=decision.source_host,
-                        target_host=decision.target_host,
-                        delta=decision.delta,
-                        migrated=True,
-                        reason="migrated",
-                    )
-                )
-            else:
-                deferred.append(decision.vm_id)
-        return settled, deferred
 
     def decide_and_migrate(
         self, allocation: Allocation, traffic: TrafficMatrix, vm_u: int

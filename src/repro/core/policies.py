@@ -6,6 +6,14 @@ policies — Round-Robin and Highest-Level-First (Algorithm 1) — and refers
 to a broader design space in its companion technical report [21]; two
 additional members of that space (:class:`RandomPolicy` and
 :class:`LeastRecentlyVisitedPolicy`) are provided for the ablation benches.
+
+Every policy speaks two dialects of the same order.  The scheduler asks
+for a whole round up front (:meth:`TokenPolicy.round_order`, closed by
+:meth:`TokenPolicy.end_round`): the token visits every VM once per round
+(§V-A), and the policy decides the order.  The testbed emulation and the
+per-hold oracle (``repro.reference.PerHoldScheduler``) pass the token hop
+by hop instead (:meth:`TokenPolicy.on_hold` / :meth:`TokenPolicy.next_vm`),
+as the paper's Xen deployment does.
 """
 
 from __future__ import annotations
@@ -26,6 +34,14 @@ class TokenPolicy(ABC):
 
     #: Short name used in experiment configs and bench output.
     name: str = "abstract"
+
+    def spawn(self) -> "TokenPolicy":
+        """A fresh policy with this one's configuration and no token state.
+
+        Each shard domain circulates its own token under its own copy of
+        the scheduler's policy.  Default: ``type(self)()``.
+        """
+        return type(self)()
 
     def on_hold(
         self,
@@ -54,6 +70,7 @@ class TokenPolicy(ABC):
 
     # -- round-order snapshot API (wave-batched rounds) ------------------------
 
+    @abstractmethod
     def round_order(
         self,
         token: Token,
@@ -61,15 +78,12 @@ class TokenPolicy(ABC):
         allocation: Allocation,
         traffic: TrafficMatrix,
         cost_model: CostModel,
-    ) -> Optional[List[int]]:
+    ) -> List[int]:
         """Snapshot of one full round's visit order starting at ``vm_u``.
 
-        Policies whose order is known (or can be frozen) at round start
-        return the |V|-entry visit list the wave-batched scheduler uses;
-        ``None`` (the default) declares the order unknowable up front, and
-        the scheduler falls back to the per-hold reference loop.
+        The |V|-entry visit list the wave-batched scheduler runs: every VM
+        of the token exactly once, ``vm_u`` first when it is in the token.
         """
-        return None
 
     def end_round(
         self,
@@ -118,7 +132,7 @@ class RoundRobinPolicy(TokenPolicy):
         allocation: Allocation,
         traffic: TrafficMatrix,
         cost_model: CostModel,
-    ) -> Optional[List[int]]:
+    ) -> List[int]:
         """RR's order is exactly the ascending cyclic rotation from u."""
         return token.rotation_from(vm_u)
 
@@ -212,7 +226,7 @@ class HighestLevelFirstPolicy(TokenPolicy):
         allocation: Allocation,
         traffic: TrafficMatrix,
         cost_model: CostModel,
-    ) -> Optional[List[int]]:
+    ) -> List[int]:
         """Priority snapshot of Algorithm 1's order for a batched round.
 
         The live algorithm re-consults the (mutating) level estimates at
@@ -383,12 +397,38 @@ class HighestLevelFirstPolicy(TokenPolicy):
 
 
 class RandomPolicy(TokenPolicy):
-    """Pass the token to a uniformly random other VM (TR design space)."""
+    """Pass the token to a uniformly random other VM (TR design space).
+
+    Hop by hop (:meth:`next_vm`) every other VM is equally likely, drawn
+    with replacement; a scheduler round (:meth:`round_order`) draws a
+    uniform permutation instead, so the token still visits every VM once
+    per round.  Both draw from the policy's own seeded generator, which
+    snapshots pickle with the policy.
+    """
 
     name = "random"
 
     def __init__(self, seed: SeedLike = None) -> None:
+        self._seed = seed
         self._rng = make_rng(seed)
+
+    def spawn(self) -> "RandomPolicy":
+        return type(self)(self._seed)
+
+    def round_order(
+        self,
+        token: Token,
+        vm_u: int,
+        allocation: Allocation,
+        traffic: TrafficMatrix,
+        cost_model: CostModel,
+    ) -> List[int]:
+        """``vm_u``, then a uniform permutation of every other VM."""
+        others = [vm for vm in token.vm_ids if vm != vm_u]
+        shuffled = [
+            others[i] for i in self._rng.permutation(len(others)).tolist()
+        ]
+        return ([vm_u] if vm_u in token else []) + shuffled
 
     def next_vm(
         self,
@@ -412,7 +452,10 @@ class LeastRecentlyVisitedPolicy(TokenPolicy):
 
     Fairness-first alternative: guarantees bounded token starvation even
     when HLF would keep revisiting a hot clique.  Ties break by ascending
-    VM ID, so behaviour is deterministic.
+    VM ID, so behaviour is deterministic.  Every hold sends its holder to
+    the back of the queue, so a round visits the holder and then every
+    other VM by ``(last visit, id)`` — the order :meth:`round_order`
+    freezes.  On a static population that is RR's rotation.
     """
 
     name = "least_recently_visited"
@@ -440,16 +483,46 @@ class LeastRecentlyVisitedPolicy(TokenPolicy):
         traffic: TrafficMatrix,
         cost_model: CostModel,
     ) -> int:
-        best: Optional[int] = None
-        best_key = None
-        for vm_id in token.vm_ids:
-            if vm_id == vm_u and len(token) > 1:
-                continue
-            key = (self._last_visit.get(vm_id, 0), vm_id)
-            if best_key is None or key < best_key:
-                best, best_key = vm_id, key
-        assert best is not None
-        return best
+        return self._least_recent(token, vm_u)
+
+    def round_order(
+        self,
+        token: Token,
+        vm_u: int,
+        allocation: Allocation,
+        traffic: TrafficMatrix,
+        cost_model: CostModel,
+    ) -> List[int]:
+        """``vm_u``, then every other VM by ``(last visit, id)``."""
+        last = self._last_visit.get
+        others = sorted(
+            (vm for vm in token.vm_ids if vm != vm_u),
+            key=lambda vm: (last(vm, 0), vm),
+        )
+        return ([vm_u] if vm_u in token else []) + others
+
+    def end_round(
+        self,
+        token: Token,
+        order: List[int],
+        allocation: Allocation,
+        traffic: TrafficMatrix,
+        cost_model: CostModel,
+    ) -> int:
+        """Stamp the round's visits in order; the next holder is the one
+        :meth:`next_vm` would pass to after the round's last hold."""
+        for vm in order:
+            if vm in token:
+                self._clock += 1
+                self._last_visit[vm] = self._clock
+        return self._least_recent(token, order[-1])
+
+    def _least_recent(self, token: Token, vm_u: int) -> int:
+        """The VM other than ``vm_u`` (unless it is alone) with the oldest
+        ``(last visit, id)``."""
+        last = self._last_visit.get
+        candidates = [vm for vm in token.vm_ids if vm != vm_u]
+        return min(candidates or token.vm_ids, key=lambda vm: (last(vm, 0), vm))
 
 
 def policy_by_name(name: str, seed: SeedLike = None) -> TokenPolicy:

@@ -1,10 +1,10 @@
 """Wave-batched token rounds: one S-CORE iteration, numpy end-to-end.
 
-The reference control loop (`SCOREScheduler.run_reference`) circulates the
+The per-hold oracle (``repro.reference.PerHoldScheduler``) circulates the
 token hold by hold — ~|V| per-VM python/numpy round-trips per iteration.
-When a policy can freeze its visit order at round start
-(:meth:`repro.core.policies.TokenPolicy.round_order`), this module executes
-the whole round in *waves* instead:
+Every policy freezes its visit order at round start
+(:meth:`repro.core.policies.TokenPolicy.round_order`), so this module
+executes the whole round in *waves* instead:
 
 1. **Round snapshot.**  Every hold's candidate targets and Lemma 3 deltas
    are scored in one vectorized pass
@@ -104,8 +104,8 @@ class DecisionColumns:
     def from_decisions(
         cls, decisions: Sequence[MigrationDecision]
     ) -> "DecisionColumns":
-        """Pack settled decision tuples (the per-hold reference loop's
-        output) into columns; the inverse of materializing."""
+        """Pack settled decision tuples (the per-hold oracle's output)
+        into columns; the inverse of materializing."""
         decisions = list(decisions)
         cols = cls(len(decisions))
         for pos, decision in enumerate(decisions):

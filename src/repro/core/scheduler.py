@@ -4,9 +4,11 @@ The scheduler circulates the token: at each *hold*, the holding VM (its
 dom0, in the Xen deployment) makes the unilateral Theorem 1 decision via
 :class:`repro.core.migration.MigrationEngine`, the policy updates token
 state, and the token moves on.  One *iteration* is ``|V|`` consecutive
-holds — the unit in which the paper reports the ratio of migrated VMs
-(Fig. 2).  Wall-clock time advances ``token_interval_s`` per hold, giving
-the time axis of the cost-ratio plots (Fig. 3d–i).
+holds — every VM once, in the order the policy gives for the round, run
+as interference-free waves (:mod:`repro.core.rounds`) — the unit in which
+the paper reports the ratio of migrated VMs (Fig. 2).  Wall-clock time
+advances ``token_interval_s`` per hold, giving the time axis of the
+cost-ratio plots (Fig. 3d–i).
 
 The network-wide cost is tracked incrementally: by Lemma 3 each performed
 migration changes the global cost by exactly the locally computed delta, so
@@ -25,7 +27,7 @@ from repro.cluster.allocation import Allocation, CapacityError
 from repro.cluster.placement import locality_probe_order
 from repro.core.cost import CostModel
 from repro.core.fastcost import FastCostEngine, TrafficSnapshot
-from repro.core.migration import MigrationDecision, MigrationEngine
+from repro.core.migration import MigrationEngine
 from repro.core.policies import TokenPolicy
 from repro.core.rounds import BatchedRoundEngine, DecisionColumns
 from repro.core.token import Token
@@ -42,7 +44,7 @@ class IterationStats:
     visits: int
     migrations: int
     cost_at_end: float
-    #: Waves the batched round took (0 on the per-hold reference loop).
+    #: Waves the batched round took (0 on the per-hold oracle).
     waves: int = 0
 
     @property
@@ -54,29 +56,20 @@ class IterationStats:
 class DecisionLog:
     """Sequence of per-hold decisions, lazily materialized per block.
 
-    The batched round engine records decisions as column arrays
+    Every round records its decisions as one column block
     (:class:`repro.core.rounds.DecisionColumns`); the log keeps those
     blocks as-is and only builds
     :class:`~repro.core.migration.MigrationDecision` tuples when the
     decisions are actually read — report post-processing, never the hot
-    loop.  Supports the list operations the reference loop and consumers
-    use (``append``, ``extend``, iteration, ``len``, indexing).
+    loop.  Reads as a sequence (iteration, ``len``, indexing).
     """
 
     def __init__(self) -> None:
-        self._blocks: List = []
+        self._blocks: List[DecisionColumns] = []
 
-    def append(self, decision) -> None:
-        if not self._blocks or not isinstance(self._blocks[-1], list):
-            self._blocks.append([])
-        self._blocks[-1].append(decision)
-
-    def extend(self, decisions) -> None:
-        if hasattr(decisions, "migrated_count"):
-            self._blocks.append(decisions)
-        else:
-            for decision in decisions:
-                self.append(decision)
+    def extend(self, block: DecisionColumns) -> None:
+        """Append one round's column block."""
+        self._blocks.append(block)
 
     def __len__(self) -> int:
         return sum(len(block) for block in self._blocks)
@@ -100,32 +93,18 @@ class DecisionLog:
         raise IndexError("decision index out of range")
 
     def migrated_count(self) -> int:
-        """Number of migrated holds, without materializing lazy blocks."""
-        total = 0
-        for block in self._blocks:
-            if hasattr(block, "migrated_count"):
-                total += block.migrated_count()
-            else:
-                total += sum(1 for d in block if d.migrated)
-        return total
+        """Number of migrated holds, without materializing."""
+        return sum(block.migrated_count() for block in self._blocks)
 
     def columns(self) -> DecisionColumns:
         """The whole log as one column record, without materializing.
 
-        A batched round logs exactly one column block, which is returned
-        as is; the reference loop's decision lists are packed into
-        columns first.  What the round commit digests and the migration
-        plan is cut from.
+        A one-round log is its block, returned as is.  What the round
+        commit digests and the migration plan is cut from.
         """
-        blocks = [
-            block
-            if isinstance(block, DecisionColumns)
-            else DecisionColumns.from_decisions(block)
-            for block in self._blocks
-        ]
-        if len(blocks) == 1:
-            return blocks[0]
-        return DecisionColumns.concatenate(blocks)
+        if len(self._blocks) == 1:
+            return self._blocks[0]
+        return DecisionColumns.concatenate(self._blocks)
 
 
 @dataclass
@@ -136,7 +115,7 @@ class SchedulerReport:
     final_cost: float
     time_series: List[Tuple[float, float]] = field(default_factory=list)
     iterations: List[IterationStats] = field(default_factory=list)
-    decisions: Sequence[MigrationDecision] = field(default_factory=DecisionLog)
+    decisions: DecisionLog = field(default_factory=DecisionLog)
     #: The holder the *next* round would start from — pass it back as
     #: ``run(first_holder=...)`` to continue a multi-round schedule
     #: across separate ``run`` calls exactly as one call would have.
@@ -152,9 +131,7 @@ class SchedulerReport:
     @property
     def total_migrations(self) -> int:
         """Number of migrations performed over the whole run."""
-        if hasattr(self.decisions, "migrated_count"):
-            return self.decisions.migrated_count()
-        return sum(1 for d in self.decisions if d.migrated)
+        return self.decisions.migrated_count()
 
     @property
     def cost_reduction(self) -> float:
@@ -201,7 +178,6 @@ class SCOREScheduler:
         use_sharding: bool = False,
         n_domains: Optional[int] = None,
         n_workers: int = 1,
-        shard_policy_factory=None,
     ) -> None:
         """
         The first :meth:`run` builds a
@@ -209,12 +185,12 @@ class SCOREScheduler:
         traffic, attaches it to the migration engine, and threads it through
         the token loop — batched candidate scoring, O(peers) incremental
         cost updates, and vectorized highest-level queries for the policy.
-        Each run then picks its loop from the policy: when the policy can
-        freeze its visit order up front (RR exactly; HLF via a priority
-        snapshot) the round executes as interference-free migration
+        Every round takes its visit order from the policy
+        (:meth:`~repro.core.policies.TokenPolicy.round_order`: RR's
+        rotation, HLF's priority snapshot, LRV's queue, a random
+        permutation) and executes it as interference-free migration
         *waves* (:mod:`repro.core.rounds`, against the engine's persistent
-        per-owner score cache); order-free policies (random, LRV) run the
-        per-hold loop (:meth:`run_reference`).  The naive
+        per-owner score cache).  The per-hold loop, the naive
         :class:`~repro.core.cost.CostModel` path and the uncached wave loop
         live on as oracles in :mod:`repro.reference`.
 
@@ -226,9 +202,8 @@ class SCOREScheduler:
         ``n_workers`` > 1 fans domains out over forked worker processes
         (shared-memory slabs, degrading on their own to pickled pipes,
         then to in-process; the report's ``shard_executor`` says which
-        ran).  ``shard_policy_factory`` builds each domain's private
-        policy instance; by default the scheduler's policy type is
-        instantiated with no arguments.
+        ran).  Each domain circulates its own token under
+        ``policy.spawn()``.
 
         A sharded scheduler keeps its domain fleet (and worker
         processes) alive across :meth:`run` calls; the churn / delta /
@@ -260,7 +235,6 @@ class SCOREScheduler:
         self._use_sharding = use_sharding
         self._n_domains = n_domains
         self._n_workers = n_workers
-        self._shard_policy_factory = shard_policy_factory
         self._shard_coordinator = None
         self._shard_solve_hints: dict = {}
         # Built lazily on the first run() — churn and traffic updates before
@@ -357,10 +331,11 @@ class SCOREScheduler:
     ) -> SchedulerReport:
         """Circulate the token for ``n_iterations`` full rounds.
 
-        Dispatches to the wave-batched round engine when the policy
-        provides a round-order snapshot, else to the per-hold loop — the
-        two agree whenever round decisions don't interact, and the wave
-        differential suite pins their relationship when they do.
+        Every round runs the policy's round order through the
+        wave-batched round engine (sharded: through every domain's).  It
+        agrees with the per-hold oracle whenever round decisions don't
+        interact, and the wave differential suite pins their relationship
+        when they do.
 
         Parameters
         ----------
@@ -374,13 +349,13 @@ class SCOREScheduler:
             the cost changes (larger but smoother series).
         event_pump:
             Optional ``pump(now_s) -> bool`` driving a continuous-time
-            event queue (see :mod:`repro.sim.eventqueue`).  On the
-            batched path it is called after every applied wave with the
-            simulated time of the last settled hold, and at every round
-            boundary; the reference loop pumps at iteration boundaries
-            only.  A ``True`` return means events mutated engine state:
-            the in-flight round finishes against the live state and the
-            cost series re-anchors from the engine's exact total.
+            event queue (see :mod:`repro.sim.eventqueue`).  It is called
+            after every applied wave with the simulated time of the last
+            settled hold, and at every round boundary (sharded runs pump
+            at round boundaries only).  A ``True`` return means events
+            mutated engine state: the in-flight round finishes against
+            the live state and the cost series re-anchors from the
+            engine's exact total.
         first_holder:
             Start the first round's order from this VM instead of the
             token's lowest id.  Feeding a previous report's
@@ -395,30 +370,13 @@ class SCOREScheduler:
             return self._run_sharded(
                 cost_model, n_iterations, stop_when_stable, event_pump
             )
-        if self._fast is not None:  # wave rounds need the fast engine
-            order = self._policy.round_order(
-                self._token,
-                (
-                    first_holder
-                    if first_holder is not None
-                    else self._token.lowest_id
-                ),
-                self._allocation,
-                self._traffic,
-                cost_model,
-            )
-            if order is not None:
-                return self._run_batched(
-                    cost_model,
-                    order,
-                    n_iterations,
-                    stop_when_stable,
-                    record_every_hold,
-                    event_pump,
-                )
-        return self._run_reference_loop(
-            cost_model, n_iterations, stop_when_stable, record_every_hold,
-            event_pump, first_holder,
+        return self._run_batched(
+            cost_model,
+            first_holder if first_holder is not None else self._token.lowest_id,
+            n_iterations,
+            stop_when_stable,
+            record_every_hold,
+            event_pump,
         )
 
     def quiesce(
@@ -444,27 +402,6 @@ class SCOREScheduler:
         raise RuntimeError(
             f"scheduler failed to quiesce within {max_rounds} rounds "
             f"(last round still moved {reports[-1].total_migrations} VMs)"
-        )
-
-    def run_reference(
-        self,
-        n_iterations: int = 5,
-        stop_when_stable: bool = False,
-        record_every_hold: bool = False,
-    ) -> SchedulerReport:
-        """The per-hold token loop (pre-batching semantics), kept verbatim.
-
-        One Theorem 1 decision per hold, policy ``on_hold``/``next_vm``
-        after every decision — what :meth:`run` executes for order-free
-        policies, and the oracle the wave-batched path is pinned against.
-        The per-decision math goes through the same cost engine as
-        :meth:`run`; only the round batching is bypassed.
-        """
-        if n_iterations < 1:
-            raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
-        cost_model = self._prepare_engines()
-        return self._run_reference_loop(
-            cost_model, n_iterations, stop_when_stable, record_every_hold
         )
 
     def _prepare_engines(self) -> CostModel:
@@ -494,93 +431,19 @@ class SCOREScheduler:
             self._close_shard_fleet()
         return self._fast
 
-    def _run_reference_loop(
-        self,
-        cost_model: CostModel,
-        n_iterations: int,
-        stop_when_stable: bool,
-        record_every_hold: bool,
-        event_pump=None,
-        first_holder: Optional[int] = None,
-    ) -> SchedulerReport:
-        cost = cost_model.total_cost(self._allocation, self._traffic)
-        report = SchedulerReport(initial_cost=cost, final_cost=cost)
-        report.recovered_from = self._recovered_from
-        report.time_series.append((self._clock, cost))
-
-        # A continuation holder that churned away between runs degrades
-        # to the lowest id — the same fallback the boundary pump applies.
-        holder = self._token.lowest_id
-        if first_holder is not None and first_holder in self._token:
-            holder = first_holder
-        for iteration in range(1, n_iterations + 1):
-            # Re-read each iteration: boundary events may have churned
-            # the population (the per-hold loop has no mid-round seam —
-            # event injection there is boundary-granular by design).
-            n_vms = len(self._token)
-            migrations = 0
-            for _visit in range(n_vms):
-                decision = self._engine.decide_and_migrate(
-                    self._allocation, self._traffic, holder
-                )
-                report.decisions.append(decision)
-                if decision.migrated:
-                    migrations += 1
-                    cost -= decision.delta
-                self._policy.on_hold(
-                    self._token,
-                    holder,
-                    self._allocation,
-                    self._traffic,
-                    cost_model,
-                )
-                self._clock += self._interval
-                if decision.migrated or record_every_hold:
-                    report.time_series.append((self._clock, cost))
-                holder = self._policy.next_vm(
-                    self._token,
-                    holder,
-                    self._allocation,
-                    self._traffic,
-                    cost_model,
-                )
-            report.iterations.append(
-                IterationStats(
-                    index=iteration,
-                    visits=n_vms,
-                    migrations=migrations,
-                    cost_at_end=cost,
-                )
-            )
-            report.time_series.append((self._clock, cost))
-            if event_pump is not None and event_pump(self._clock):
-                # Events changed cost out-of-band of the migration deltas
-                # and may have retired the next holder.
-                cost = float(
-                    cost_model.total_cost(self._allocation, self._traffic)
-                )
-                if holder not in self._token:
-                    holder = self._token.lowest_id
-                report.time_series.append((self._clock, cost))
-            if stop_when_stable and migrations == 0:
-                break
-
-        report.final_cost = cost
-        report.next_holder = holder
-        return report
-
     def _run_batched(
         self,
         cost_model: CostModel,
-        first_order: List[int],
+        first_holder: int,
         n_iterations: int,
         stop_when_stable: bool,
         record_every_hold: bool,
         event_pump=None,
     ) -> SchedulerReport:
-        """Wave-batched rounds over the policy's round-order snapshots.
+        """Wave-batched rounds over the policy's round-order snapshots,
+        the first starting at ``first_holder``.
 
-        The report keeps the reference layout — one decision per hold in
+        The report keeps the per-hold layout — one decision per hold in
         visit order, a time-series point per migrated hold (or per hold
         with ``record_every_hold``) and one per iteration end — with each
         wave's cost change attributed to the holds that moved.
@@ -615,9 +478,12 @@ class SCOREScheduler:
         report.recovered_from = self._recovered_from
         report.time_series.append((self._clock, cost))
 
-        order = first_order
-        holder: Optional[int] = None
+        holder = first_holder
         for iteration in range(1, n_iterations + 1):
+            order = self._policy.round_order(
+                self._token, holder, self._allocation, self._traffic,
+                cost_model,
+            )
             injector = None
             if event_pump is not None:
                 def injector(settled, _start=self._clock):
@@ -670,32 +536,9 @@ class SCOREScheduler:
                 report.time_series.append((self._clock, cost))
             if stop_when_stable and result.migrations == 0:
                 break
-            if iteration < n_iterations:
-                order = self._policy.round_order(
-                    self._token,
-                    holder,
-                    self._allocation,
-                    self._traffic,
-                    cost_model,
-                )
         report.final_cost = cost
         report.next_holder = holder
         return report
-
-    def _default_policy_factory(self):
-        """Clone the scheduler's policy type for a domain (no-arg ctor)."""
-        policy_type = type(self._policy)
-
-        def factory():
-            try:
-                return policy_type()
-            except TypeError as error:
-                raise TypeError(
-                    f"cannot build a per-domain {policy_type.__name__} "
-                    "with no arguments; pass shard_policy_factory"
-                ) from error
-
-        return factory
 
     def _ensure_shard_fleet(self):
         """The live domain fleet, (re)built when absent or stale.
@@ -728,7 +571,7 @@ class SCOREScheduler:
                 self._traffic,
                 self._engine,
                 self._fast,
-                self._shard_policy_factory or self._default_policy_factory(),
+                self._policy,
                 n_domains=n_domains,
                 n_workers=self._n_workers,
                 solve_hints=self._shard_solve_hints,
@@ -755,11 +598,15 @@ class SCOREScheduler:
         self._close_shard_fleet()
 
     def _forward_shard(self, forward) -> None:
-        """Forward one mutation to the live fleet (rebuild if refused)."""
+        """Forward one mutation to the live fleet (rebuild if refused).
+
+        A stale fleet no longer mirrors the global state, so it is torn
+        down rather than fed: the next run rebuilds it anyway.
+        """
         coordinator = self._shard_coordinator
         if coordinator is None:
             return
-        if not forward(coordinator):
+        if coordinator.stale or not forward(coordinator):
             self._close_shard_fleet()
 
     def __getstate__(self):
@@ -782,6 +629,7 @@ class SCOREScheduler:
             "_use_round_cache",
             "_shard_compact",
             "_shard_transport",
+            "_shard_policy_factory",
         ):
             state.pop(obsolete, None)
         self.__dict__.update(state)

@@ -1,16 +1,26 @@
 """Oracles: the slow, readable execution paths production is pinned against.
 
-:class:`~repro.core.scheduler.SCOREScheduler` picks its loop from what it
-can observe — wave rounds on the fast engine's round cache whenever the
-policy freezes a round order, the per-hold loop otherwise.  The paths it
-no longer takes survive here, once each, as subclasses hooked in through
-one private method or class attribute:
+Production has one path per concern.
+:class:`~repro.core.scheduler.SCOREScheduler` runs every policy's round
+order as wave rounds on the fast engine's round cache, and the batched
+kernels (wave planner, GA generation, link routing) are numpy end to end.
+The readable versions they replaced survive here, once each:
 
+* :class:`PerHoldScheduler` — the per-hold token loop: one Theorem 1
+  decision per hold, the policy's ``on_hold`` / ``next_vm`` after every
+  decision, events pumped at round boundaries only.  Hooked in through
+  the scheduler's one round method, ``_run_batched``.
 * :class:`NaiveScheduler` — the per-hold loop on the naive
   :class:`~repro.core.cost.CostModel` (the executable statement of
   Eq. 1–2 and Lemma 3); never builds the fast engine.
 * :class:`UncachedScheduler` — wave rounds through the uncached wave
   loop, the twin the round cache is pinned bit-exact against.
+* :func:`plan_wave_reference` — the greedy interference-free wave
+  selection as a python loop (:func:`repro.core.migration.plan_wave`).
+* :func:`ga_step_reference` — the per-individual GA generation
+  (:meth:`repro.baselines.ga.GeneticOptimizer.step`).
+* :func:`loads_reference` / :func:`vm_contributions_reference` — the
+  per-pair routing loops (:class:`repro.sim.network.LinkLoadCalculator`).
 
 Only tests and benchmarks import this module; no production module may
 (``tests/test_execution_paths.py`` checks the import graph).
@@ -18,27 +28,113 @@ Only tests and benchmarks import this module; no production module may
 
 from __future__ import annotations
 
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
+
 from repro.core.cost import CostModel
-from repro.core.rounds import BatchedRoundEngine, RoundResult
-from repro.core.scheduler import SchedulerReport, SCOREScheduler
+from repro.core.rounds import BatchedRoundEngine, DecisionColumns, RoundResult
+from repro.core.scheduler import IterationStats, SchedulerReport, SCOREScheduler
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
     make_scheduler,
 )
+from repro.sim.network import _pair_flow_key
+from repro.topology.links import LinkId
 
 
-class NaiveScheduler(SCOREScheduler):
-    """S-CORE on the naive :class:`CostModel`: every hold through the
-    per-hold loop, every decision through python per-pair math."""
+class PerHoldScheduler(SCOREScheduler):
+    """S-CORE's per-hold token loop (the pre-batching semantics).
+
+    Each hold decides through the same cost engine as :meth:`run`; only
+    the round batching is bypassed.  The policy passes the token hop by
+    hop, so its ``next_vm`` chain — not its round order — picks the
+    holders.
+    """
 
     def __init__(self, *args, use_sharding: bool = False, **kwargs) -> None:
         if use_sharding:
             raise ValueError(
-                "NaiveScheduler cannot shard: sharded domains run on the "
-                "fast engine"
+                f"{type(self).__name__} cannot shard: sharded domains run "
+                "wave rounds on the fast engine"
             )
         super().__init__(*args, **kwargs)
+
+    def _run_batched(
+        self,
+        cost_model: CostModel,
+        first_holder: int,
+        n_iterations: int,
+        stop_when_stable: bool,
+        record_every_hold: bool,
+        event_pump=None,
+    ) -> SchedulerReport:
+        cost = cost_model.total_cost(self._allocation, self._traffic)
+        report = SchedulerReport(initial_cost=cost, final_cost=cost)
+        report.recovered_from = self._recovered_from
+        report.time_series.append((self._clock, cost))
+
+        # A continuation holder that churned away between runs degrades
+        # to the lowest id — the same fallback the boundary pump applies.
+        holder = first_holder
+        if holder not in self._token:
+            holder = self._token.lowest_id
+        for iteration in range(1, n_iterations + 1):
+            # Re-read each iteration: boundary events may have churned
+            # the population.
+            n_vms = len(self._token)
+            decisions = []
+            for _visit in range(n_vms):
+                decision = self._engine.decide_and_migrate(
+                    self._allocation, self._traffic, holder
+                )
+                decisions.append(decision)
+                if decision.migrated:
+                    cost -= decision.delta
+                self._policy.on_hold(
+                    self._token, holder, self._allocation, self._traffic,
+                    cost_model,
+                )
+                self._clock += self._interval
+                if decision.migrated or record_every_hold:
+                    report.time_series.append((self._clock, cost))
+                holder = self._policy.next_vm(
+                    self._token, holder, self._allocation, self._traffic,
+                    cost_model,
+                )
+            block = DecisionColumns.from_decisions(decisions)
+            report.decisions.extend(block)
+            migrations = block.migrated_count()
+            report.iterations.append(
+                IterationStats(
+                    index=iteration,
+                    visits=n_vms,
+                    migrations=migrations,
+                    cost_at_end=cost,
+                )
+            )
+            report.time_series.append((self._clock, cost))
+            if event_pump is not None and event_pump(self._clock):
+                # Events changed cost out-of-band of the migration deltas
+                # and may have retired the next holder.
+                cost = float(
+                    cost_model.total_cost(self._allocation, self._traffic)
+                )
+                if holder not in self._token:
+                    holder = self._token.lowest_id
+                report.time_series.append((self._clock, cost))
+            if stop_when_stable and migrations == 0:
+                break
+
+        report.final_cost = cost
+        report.next_holder = holder
+        return report
+
+
+class NaiveScheduler(PerHoldScheduler):
+    """The per-hold loop on the naive :class:`CostModel`: every decision
+    through python per-pair math."""
 
     def _prepare_engines(self) -> CostModel:
         return self._engine.cost_model
@@ -73,6 +169,161 @@ def run_oracle(cls, config: ExperimentConfig) -> SchedulerReport:
         use_sharding=wired._use_sharding,
         n_domains=wired._n_domains,
         n_workers=wired._n_workers,
-        shard_policy_factory=wired._shard_policy_factory,
     )
     return scheduler.run(n_iterations=config.n_iterations)
+
+
+def plan_wave_reference(
+    sources: Sequence[int],
+    targets: Sequence[int],
+    peers: Sequence[Sequence[int]],
+    vms: Sequence[int],
+) -> List[bool]:
+    """Greedy interference-free wave selection, as a readable loop.
+
+    Scans proposed migrations in order and accepts each one whose source
+    host, target host and VM are untouched by every previously accepted
+    move — where "touched" means sharing a source/target host with it or
+    being one of its communication peers.  The vectorized
+    :func:`~repro.core.migration.plan_wave` must select exactly this set.
+    """
+    used_hosts: set = set()
+    blocked_vms: set = set()
+    accepted: List[bool] = []
+    for vm, src, tgt, vm_peers in zip(vms, sources, targets, peers):
+        if vm in blocked_vms or src in used_hosts or tgt in used_hosts:
+            accepted.append(False)
+            continue
+        accepted.append(True)
+        used_hosts.add(src)
+        used_hosts.add(tgt)
+        blocked_vms.update(vm_peers)
+    return accepted
+
+
+def ga_step_reference(
+    ga,
+    population: np.ndarray,
+    costs: np.ndarray,
+    n_offspring: Optional[int] = None,
+) -> None:
+    """The pre-batching per-individual generation of
+    :class:`~repro.baselines.ga.GeneticOptimizer` ``ga``, in place.
+
+    Same operators as the batched ``ga.step``, as python loops over
+    individuals and traffic components, drawing from ``ga``'s own
+    generator.  ``n_offspring`` trims the brood (benchmarks time a sample
+    and extrapolate); defaults to the production ``pop // 2``.
+    """
+    config = ga._config
+    pop = population.shape[0]
+    if n_offspring is None:
+        n_offspring = max(1, pop // 2)
+    offspring: List[np.ndarray] = []
+    for _ in range(n_offspring):
+        a = _ga_tournament(ga, costs)
+        if ga._rng.random() < config.crossover_rate:
+            b = _ga_tournament(ga, costs)
+            child = _ga_crossover(ga, population[a], population[b])
+        else:
+            child = population[a].copy()
+        if ga._rng.random() < config.mutation_rate:
+            _ga_mutate(ga, child)
+            _ga_repair(ga, child)
+        offspring.append(child)
+    offspring_costs = np.array([ga.cost_of(ind) for ind in offspring])
+    # Replacement by reverse tournament: offspring replace the losers of
+    # tournaments over the current population.
+    for child, child_cost in zip(offspring, offspring_costs):
+        contenders = ga._rng.integers(0, pop, size=config.tournament_k)
+        loser = int(contenders[np.argmax(costs[contenders])])
+        if child_cost < costs[loser]:
+            population[loser] = child
+            costs[loser] = child_cost
+
+
+def _ga_tournament(ga, costs: np.ndarray) -> int:
+    """Index of the tournament winner (lowest cost)."""
+    contenders = ga._rng.integers(0, len(costs), size=ga._config.tournament_k)
+    return int(contenders[np.argmin(costs[contenders])])
+
+
+def _ga_crossover(ga, parent_a: np.ndarray, parent_b: np.ndarray) -> np.ndarray:
+    """EAX-style: inherit whole traffic components from either parent."""
+    child = parent_a.copy()
+    for component in ga._components:
+        if ga._rng.random() < 0.5:
+            child[component] = parent_b[component]
+    _ga_repair(ga, child)
+    return child
+
+
+def _ga_mutate(ga, individual: np.ndarray) -> None:
+    """Swap a random number of VMs between racks (paper §VI-A)."""
+    n_swaps = int(ga._rng.integers(1, ga._config.max_mutation_swaps + 1))
+    for _ in range(n_swaps):
+        i, j = ga._rng.integers(0, ga._n_vms, size=2)
+        individual[i], individual[j] = individual[j], individual[i]
+
+
+def _ga_repair(ga, assignment: np.ndarray) -> None:
+    """Move VMs off over-capacity hosts to the nearest free host."""
+    slots, rack_of, pod_of = ga._slots, ga._rack_of, ga._pod_of
+    counts = np.bincount(assignment, minlength=ga._n_hosts)
+    for host in np.where(counts > slots)[0]:
+        excess = int(counts[host] - slots[host])
+        for vm in np.where(assignment == host)[0][:excess]:
+            # Prefer a host in the same rack, then same pod, then any.
+            free = counts < slots
+            same_rack = free & (rack_of == rack_of[host])
+            same_pod = free & (pod_of == pod_of[host])
+            target = next(
+                int(np.flatnonzero(pool)[0])
+                for pool in (same_rack, same_pod, free)
+                if pool.any()
+            )
+            assignment[vm] = target
+            counts[host] -= 1
+            counts[target] += 1
+
+
+def loads_reference(calculator, allocation, traffic) -> Dict[LinkId, float]:
+    """:meth:`LinkLoadCalculator.loads
+    <repro.sim.network.LinkLoadCalculator.loads>` as the readable
+    per-pair routing loop: every pair's flowlets through
+    ``Topology.path_links`` one at a time."""
+    loads: Dict[LinkId, float] = {}
+    topo = calculator.topology
+    k = calculator.flowlets
+    for u, v, rate in traffic.pairs():
+        base_key = _pair_flow_key(u, v)
+        share = rate / k
+        for sub in range(k):
+            path = topo.path_links(
+                allocation.server_of(u),
+                allocation.server_of(v),
+                flow_key=base_key + sub * 0x9E3779B9,
+            )
+            for link in path:
+                loads[link] = loads.get(link, 0.0) + share
+    return loads
+
+
+def vm_contributions_reference(
+    calculator, allocation, traffic, link_id: LinkId
+) -> Dict[int, float]:
+    """:meth:`LinkLoadCalculator.vm_contributions
+    <repro.sim.network.LinkLoadCalculator.vm_contributions>` as the
+    readable per-pair routing loop."""
+    topo = calculator.topology
+    contributions: Dict[int, float] = {}
+    for u, v, rate in traffic.pairs():
+        path = topo.path_links(
+            allocation.server_of(u),
+            allocation.server_of(v),
+            flow_key=_pair_flow_key(u, v),
+        )
+        if link_id in path:
+            contributions[u] = contributions.get(u, 0.0) + rate
+            contributions[v] = contributions.get(v, 0.0) + rate
+    return contributions

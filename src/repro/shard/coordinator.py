@@ -79,7 +79,7 @@ class ShardedCoordinator:
         traffic,
         engine,
         fast,
-        policy_factory,
+        policy,
         n_domains: int,
         n_workers: int = 1,
         solve_hints: Optional[Dict[int, float]] = None,
@@ -108,7 +108,7 @@ class ShardedCoordinator:
                 vm_ids=self.partition.vms_of_domain[d],
                 intra_pairs=self.partition.intra_pairs[d],
                 global_allocation=allocation,
-                policy=policy_factory(),
+                policy=policy.spawn(),
                 migration_cost=engine.migration_cost,
                 bandwidth_threshold=engine.bandwidth_threshold,
                 max_candidates=engine.max_candidates,

@@ -290,12 +290,6 @@ class ShardDomain:
         order = self.policy.round_order(
             self.token, first, self.allocation, self.traffic, self.fast
         )
-        if order is None:
-            raise ValueError(
-                f"policy {type(self.policy).__name__} cannot freeze a "
-                "round order; sharded domains require an order-known "
-                "policy (rr/hlf)"
-            )
         result = self.rounds.run_round(order)
         self.holder = self.policy.end_round(
             self.token, order, self.allocation, self.traffic, self.fast

@@ -206,11 +206,6 @@ def make_scheduler(
         use_sharding=config.sharding,
         n_domains=config.shard_domains,
         n_workers=config.shard_workers,
-        shard_policy_factory=(
-            (lambda: policy_by_name(config.policy, seed=config.seed))
-            if config.sharding
-            else None
-        ),
     )
 
 

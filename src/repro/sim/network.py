@@ -8,7 +8,7 @@ are the fraction of link capacity consumed (rates are converted to bits).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,8 +60,8 @@ class LinkLoadCalculator:
         (:meth:`repro.topology.base.Topology.batch_path_link_indices`) and
         accumulated with one ``bincount`` over dense link indices — this is
         what makes Fig. 4a reproducible at the paper's 2560-host scale.
-        Routing is identical to :meth:`loads_reference` (the retained
-        per-pair loop), which the differential suite pins.
+        Routing is identical to ``repro.reference.loads_reference`` (the
+        retained per-pair loop), which the differential suite pins.
         """
         topo = self._topology
         pairs = list(traffic.pairs())
@@ -102,30 +102,6 @@ class LinkLoadCalculator:
         return {
             dense_ids[i]: float(totals[i]) for i in np.nonzero(totals)[0]
         }
-
-    def loads_reference(
-        self, allocation: Allocation, traffic: TrafficMatrix
-    ) -> Dict[LinkId, float]:
-        """The readable per-pair routing loop (differential reference).
-
-        Routes every pair's flowlets through ``Topology.path_links`` one at
-        a time; :meth:`loads` must aggregate to the same totals.
-        """
-        loads: Dict[LinkId, float] = {}
-        topo = self._topology
-        k = self._flowlets
-        for u, v, rate in traffic.pairs():
-            base_key = _pair_flow_key(u, v)
-            share = rate / k
-            for sub in range(k):
-                path = topo.path_links(
-                    allocation.server_of(u),
-                    allocation.server_of(v),
-                    flow_key=base_key + sub * 0x9E3779B9,
-                )
-                for link in path:
-                    loads[link] = loads.get(link, 0.0) + share
-        return loads
 
     def utilizations(
         self, allocation: Allocation, traffic: TrafficMatrix
@@ -215,7 +191,8 @@ class LinkLoadCalculator:
         This is what a centralized controller (Remedy) uses to rank VMs on
         a congested link.  Routed batched over the dense link index like
         :meth:`loads`; the retained per-pair loop survives as
-        :meth:`vm_contributions_reference` (the differential oracle).
+        ``repro.reference.vm_contributions_reference`` (the differential
+        oracle).
         """
         return self.vm_contributions_many(allocation, traffic, [link_id])[
             link_id
@@ -235,7 +212,7 @@ class LinkLoadCalculator:
         Remedy rank the VMs of every congested link per round without
         re-routing the whole matrix per link.  Like the reference, flows
         are attributed at flow level (the pair's single base-key path),
-        matching :meth:`vm_contributions_reference` exactly.
+        matching ``repro.reference.vm_contributions_reference`` exactly.
         """
         result: Dict[LinkId, Dict[int, float]] = {
             link_id: {} for link_id in link_ids
@@ -282,23 +259,3 @@ class LinkLoadCalculator:
             sums = np.bincount(inverse, weights=weights, minlength=len(vm_ids))
             result[link_id] = dict(zip(vm_ids.tolist(), sums.tolist()))
         return result
-
-    def vm_contributions_reference(
-        self,
-        allocation: Allocation,
-        traffic: TrafficMatrix,
-        link_id: LinkId,
-    ) -> Dict[int, float]:
-        """The readable per-pair routing loop (differential reference)."""
-        topo = self._topology
-        contributions: Dict[int, float] = {}
-        for u, v, rate in traffic.pairs():
-            path = topo.path_links(
-                allocation.server_of(u),
-                allocation.server_of(v),
-                flow_key=_pair_flow_key(u, v),
-            )
-            if link_id in path:
-                contributions[u] = contributions.get(u, 0.0) + rate
-                contributions[v] = contributions.get(v, 0.0) + rate
-        return contributions

@@ -276,6 +276,79 @@ class TestLeastRecentlyVisited:
         assert sorted(visited[3:]) == [1, 2, 3]
 
 
+class TestRandomRoundOrder:
+    """A scheduler round is a seeded uniform permutation of the token."""
+
+    @staticmethod
+    def _orders(env, seed, rounds=4):
+        allocation, tm, model = env
+        policy, token = RandomPolicy(seed=seed), Token(range(1, 21))
+        holder, orders = token.lowest_id, []
+        for _ in range(rounds):
+            order = policy.round_order(token, holder, allocation, tm, model)
+            orders.append(order)
+            holder = policy.end_round(token, order, allocation, tm, model)
+        return orders
+
+    def test_every_round_covers_the_token_once(self, env):
+        holder = 1
+        for order in self._orders(env, seed=3):
+            assert order[0] == holder
+            assert sorted(order) == list(range(1, 21))
+            holder = order[-1] % 20 + 1  # the default end_round successor
+
+    def test_same_seed_same_orders(self, env):
+        assert self._orders(env, seed=3) == self._orders(env, seed=3)
+
+    def test_different_seed_different_orders(self, env):
+        assert self._orders(env, seed=3) != self._orders(env, seed=4)
+
+    def test_spawn_keeps_the_seed(self, env):
+        allocation, tm, model = env
+        token = Token(range(1, 21))
+        parent = RandomPolicy(seed=3)
+        parent.round_order(token, 1, allocation, tm, model)
+        assert parent.spawn().round_order(
+            token, 1, allocation, tm, model
+        ) == RandomPolicy(seed=3).round_order(token, 1, allocation, tm, model)
+
+
+class TestLeastRecentlyVisitedRoundOrder:
+    def test_round_orders_replay_the_hold_chain(self, env):
+        """Concatenated round orders are the holders the on_hold/next_vm
+        chain visits, round after round, with arrivals between rounds."""
+        allocation, tm, model = env
+        chain, rounds = LeastRecentlyVisitedPolicy(), LeastRecentlyVisitedPolicy()
+        chain_token, round_token = Token([1, 2, 3, 4, 5]), Token([1, 2, 3, 4, 5])
+        holder = first = 3
+        visited, ordered = [], []
+        for arrivals in ([], [9], [6, 7], []):
+            for vm_id in arrivals:
+                chain_token.add_vm(vm_id)
+                round_token.add_vm(vm_id)
+            for _ in range(len(chain_token)):
+                chain.on_hold(chain_token, holder, allocation, tm, model)
+                visited.append(holder)
+                holder = chain.next_vm(chain_token, holder, allocation, tm, model)
+            order = rounds.round_order(round_token, first, allocation, tm, model)
+            ordered.extend(order)
+            first = rounds.end_round(round_token, order, allocation, tm, model)
+            assert first == holder
+        assert ordered == visited
+
+    def test_static_population_is_the_rr_rotation(self, env):
+        allocation, tm, model = env
+        token = Token([2, 4, 5, 8])
+        lrv, rr = LeastRecentlyVisitedPolicy(), RoundRobinPolicy()
+        lrv_first = rr_first = token.lowest_id
+        for _ in range(3):
+            lrv_order = lrv.round_order(token, lrv_first, allocation, tm, model)
+            rr_order = rr.round_order(token, rr_first, allocation, tm, model)
+            assert lrv_order == rr_order
+            lrv_first = lrv.end_round(token, lrv_order, allocation, tm, model)
+            rr_first = rr.end_round(token, rr_order, allocation, tm, model)
+
+
 class TestFactory:
     @pytest.mark.parametrize(
         "name,cls",

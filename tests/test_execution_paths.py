@@ -2,13 +2,13 @@
 fence around the oracles.
 
 The scheduler has no path switches: it reads the path off what it can
-observe.  A policy that freezes a round order runs wave rounds on the
-engine's round cache; an order-free policy runs the per-hold loop; a
-round order that does not cover the whole population takes the uncached
-wave loop, and so does a cached round that would carry no decisions
-out; ``use_sharding`` runs the shard layer and labels the report with
-the executor it used.  The paths production no longer takes live in
-``repro.reference``, which no production module may import.
+observe.  Every policy supplies a round order, and every round runs as
+waves on the engine's round cache; a round order that does not cover
+the whole population takes the uncached wave loop, and so does a cached
+round that would carry no decisions out; ``use_sharding`` runs the
+shard layer and labels the report with the executor it used.  The paths
+production no longer takes live in ``repro.reference``, which no
+production module may import.
 """
 
 from __future__ import annotations
@@ -35,23 +35,69 @@ SMALL = ExperimentConfig(
     vms_per_host=4, fill_fraction=0.8, seed=5,
 )
 
-#: policy -> whether its rounds run as waves on the round cache.
-PATHS = {"rr": True, "hlf": True, "random": False, "lrv": False}
+POLICIES = ["hlf", "lrv", "random", "rr"]
 
 
-@pytest.mark.parametrize("policy", sorted(PATHS))
+@pytest.mark.parametrize("policy", POLICIES)
 def test_the_policy_picks_the_loop(policy):
-    wave_rounds = PATHS[policy]
+    """Every policy supplies a round order, so every policy runs waves
+    on the round cache."""
     scheduler = make_scheduler(build_environment(SMALL.with_(policy=policy)))
     report = scheduler.run(n_iterations=2)
     cache = scheduler.fastcost.round_cache()
     n_vms = scheduler.allocation.n_vms
-    assert (report.iterations[0].waves > 0) == wave_rounds
-    if not wave_rounds:
-        assert all(it.waves == 0 for it in report.iterations)
+    assert report.iterations[0].waves > 0
     # The cached loop refreshes every owner once per round.
-    assert cache.owners_seen == (2 * n_vms if wave_rounds else 0)
+    assert cache.owners_seen == 2 * n_vms
     assert report.shard_executor is None
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_one_round_runs_chained_by_next_holder_reproduce_one_run(policy):
+    """The durable seam: ``run(1)`` k times, each from the previous
+    report's ``next_holder``, is ``run(k)`` hold for hold."""
+    config = SMALL.with_(policy=policy)
+    whole = make_scheduler(build_environment(config))
+    chained = make_scheduler(build_environment(config))
+    want = whole.run(n_iterations=3)
+    holder, got = None, []
+    for _ in range(3):
+        report = chained.run(n_iterations=1, first_holder=holder)
+        holder = report.next_holder
+        got.extend(report.decisions)
+    assert got == list(want.decisions)
+    assert holder == want.next_holder
+    assert chained.allocation.as_dict() == whole.allocation.as_dict()
+
+
+def _sharded_outcome(policy, n_workers):
+    scheduler = make_scheduler(
+        build_environment(
+            SMALL.with_(
+                policy=policy, sharding=True, shard_domains=2,
+                shard_workers=n_workers,
+            )
+        )
+    )
+    try:
+        report = scheduler.run(n_iterations=2)
+    finally:
+        scheduler.close()
+    return report, scheduler.allocation.as_dict()
+
+
+@pytest.mark.parametrize("policy", ["lrv", "random"])
+def test_sharded_runs_are_bit_exact_across_executors_and_runs(policy):
+    serial, serial_mapping = _sharded_outcome(policy, 1)
+    assert serial.shard_executor == "serial"
+    assert serial.iterations[0].waves > 0
+    for _ in range(2):
+        report, mapping = _sharded_outcome(policy, 2)
+        if report.shard_executor != "shm ×2":
+            pytest.skip(f"shared memory unavailable: {report.shard_executor}")
+        assert mapping == serial_mapping
+        assert report.final_cost == serial.final_cost
+        assert list(report.decisions) == list(serial.decisions)
 
 
 def test_a_partial_order_leaves_the_round_cache_untouched():
@@ -115,6 +161,20 @@ def test_sharding_labels_the_report_with_its_executor():
     assert report.iterations[0].waves > 0
 
 
+def test_a_sharded_scheduler_survives_a_pickle_round_trip():
+    config = SMALL.with_(policy="random", sharding=True, shard_domains=2)
+    scheduler = make_scheduler(build_environment(config))
+    twin = pickle.loads(pickle.dumps(scheduler))
+    try:
+        want = scheduler.run(n_iterations=1)
+        got = twin.run(n_iterations=1)
+    finally:
+        scheduler.close()
+        twin.close()
+    assert got.final_cost == want.final_cost
+    assert list(got.decisions) == list(want.decisions)
+
+
 def test_a_restored_scheduler_drops_the_old_path_switches():
     """Snapshots pickled while the switches existed carry them; a
     restored scheduler sheds them instead of re-pickling dead state."""
@@ -125,6 +185,7 @@ def test_a_restored_scheduler_drops_the_old_path_switches():
         _use_round_cache=False,
         _shard_compact=False,
         _shard_transport="pipe",
+        _shard_policy_factory=None,
     )
     vars(scheduler).update(obsolete)
     restored = pickle.loads(pickle.dumps(scheduler))

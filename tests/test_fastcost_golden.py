@@ -21,13 +21,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.reference import NaiveScheduler, run_oracle
-from repro.sim.experiment import (
-    ExperimentConfig,
-    build_environment,
-    make_scheduler,
-    run_experiment,
-)
+from repro.reference import NaiveScheduler, PerHoldScheduler, run_oracle
+from repro.sim.experiment import ExperimentConfig, run_experiment
 
 GOLDEN = {
     "canonical-default": {
@@ -65,9 +60,7 @@ def test_seed42_reference_trajectory_is_stable(name):
     """The per-hold loop still lands on the pre-batching golden numbers."""
     golden = GOLDEN[name]
     config = ExperimentConfig(**golden["config"])
-    report = make_scheduler(build_environment(config)).run_reference(
-        n_iterations=config.n_iterations
-    )
+    report = run_oracle(PerHoldScheduler, config)
     assert report.initial_cost == pytest.approx(
         golden["initial_cost"], rel=1e-9
     )

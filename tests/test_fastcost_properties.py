@@ -21,7 +21,7 @@ from repro import (
     SCOREScheduler,
 )
 from repro.core.fastcost import FastCostEngine
-from repro.reference import NaiveScheduler
+from repro.reference import NaiveScheduler, PerHoldScheduler
 
 
 @pytest.fixture
@@ -61,12 +61,12 @@ class TestDeltaSumExactness:
         alloc_naive = allocation.copy()
         # Pin the *engine math* on the per-hold loop; the wave-batched
         # trajectory is differentially pinned in test_wave_rounds.
-        fast_report = SCOREScheduler(
+        fast_report = PerHoldScheduler(
             allocation,
             traffic,
             HighestLevelFirstPolicy(),
             MigrationEngine(cost_model),
-        ).run_reference(n_iterations=5)
+        ).run(n_iterations=5)
         naive_report = NaiveScheduler(
             alloc_naive,
             traffic,

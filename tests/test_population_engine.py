@@ -40,6 +40,7 @@ from repro.core.fastcost import (
     population_repair,
     tournament_select,
 )
+from repro.reference import ga_step_reference
 from repro.traffic.generator import PATTERNS
 
 REL = 1e-9
@@ -297,7 +298,7 @@ class TestBatchedGAStep:
     def test_reference_step_keeps_population_feasible(self, optimizer):
         population = optimizer.initial_population()
         costs = optimizer.population_costs(population)
-        optimizer.step_reference(population, costs, n_offspring=10)
+        ga_step_reference(optimizer, population, costs, n_offspring=10)
         assert population_feasible(population, optimizer._slots).all()
         recomputed = optimizer.population_costs(population)
         np.testing.assert_allclose(costs, recomputed, rtol=REL)
@@ -329,7 +330,7 @@ class TestBatchedGAStep:
         reference_pop = seed_population.copy()
         reference_costs = seed_costs.copy()
         for _ in range(15):
-            ga.step_reference(reference_pop, reference_costs)
+            ga_step_reference(ga, reference_pop, reference_costs)
 
         batched_best = batched_costs.min()
         reference_best = reference_costs.min()

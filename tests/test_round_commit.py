@@ -85,12 +85,10 @@ class TestDecisionDigest:
         packed = DecisionColumns.from_decisions(decisions)
         assert list(packed) == decisions
         assert _decisions_digest(packed) == reference
-        # The same holds logged as tuples, a column block, tuples again.
+        # The same holds logged in blocks of any size.
         log = DecisionLog()
-        log.extend(decisions[:5])
-        log.extend(DecisionColumns.from_decisions(decisions[5:20]))
-        log.append(decisions[20])
-        log.extend(decisions[21:])
+        for lo, hi in ((0, 5), (5, 20), (20, 21), (21, len(decisions))):
+            log.extend(DecisionColumns.from_decisions(decisions[lo:hi]))
         assert _decisions_digest(log.columns()) == reference
         # A stale target on a hold that did not migrate is not a fact.
         stale = copy_of(round_columns)

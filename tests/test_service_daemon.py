@@ -209,6 +209,27 @@ class TestServiceLifecycle:
                 report.final_cost, rel=RELTOL
             )
 
+    def test_sharded_service_resumes_by_verified_replay(self, tmp_path):
+        """A sharded service checkpoints at boot, and its resume replays
+        the journaled rounds onto exactly the uninterrupted state."""
+        experiment = _experiment().with_(sharding=True, shard_domains=2)
+        config = ServiceConfig(checkpoint_every=100)
+        with SchedulerService.create(
+            experiment, str(tmp_path / "twin"), _poisson(), config=config
+        ) as twin:
+            twin.serve(max_rounds=2)
+            want_cost, want_mapping = twin.report.final_cost, _mapping(twin)
+        where = str(tmp_path / "victim")
+        with SchedulerService.create(
+            experiment, where, _poisson(), config=config
+        ) as service:
+            service.step()
+            service.step()
+        with SchedulerService.resume(where) as resumed:
+            assert resumed.rounds_done == 2
+            assert resumed.report.final_cost == want_cost
+            assert _mapping(resumed) == want_mapping
+
     def test_drain_then_resume_equals_uninterrupted(self, tmp_path):
         """The graceful-drain guarantee: stopping mid-stream and resuming
         later lands on exactly the trajectory a never-stopped service

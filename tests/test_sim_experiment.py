@@ -5,14 +5,13 @@ import pytest
 from repro.baselines.ga import GAConfig
 from repro.core import MigrationEngine
 from repro.core.policies import HighestLevelFirstPolicy
-from repro.reference import NaiveScheduler, run_oracle
+from repro.reference import NaiveScheduler, PerHoldScheduler, run_oracle
 from repro.sim import (
     ExperimentConfig,
     build_environment,
     run_dynamic,
     run_experiment,
 )
-from repro.sim.experiment import make_scheduler
 
 SMALL = ExperimentConfig(
     n_racks=8, hosts_per_rack=2, tors_per_agg=4, n_cores=2,
@@ -93,10 +92,8 @@ class TestRunExperiment:
     def test_naive_engine_matches_fast_engine(self):
         # Engine-math agreement is pinned on the per-hold loop (batched
         # rounds follow a different trajectory by design and are pinned
-        # against run_reference in test_wave_rounds).
-        fast = make_scheduler(build_environment(SMALL)).run_reference(
-            n_iterations=SMALL.n_iterations
-        )
+        # against the per-hold oracle in test_wave_rounds).
+        fast = run_oracle(PerHoldScheduler, SMALL)
         naive = run_oracle(NaiveScheduler, SMALL)
         assert fast.initial_cost == pytest.approx(naive.initial_cost, rel=1e-9)
         assert fast.final_cost == pytest.approx(naive.final_cost, rel=1e-9)

@@ -13,10 +13,10 @@ from repro import (
     MigrationEngine,
     RoundRobinPolicy,
     SPARSE,
-    SCOREScheduler,
 )
 from repro.cluster import Cluster, PlacementManager, ServerCapacity
 from repro.cluster.placement import place_random
+from repro.reference import PerHoldScheduler
 from repro.testbed import (
     CapacityRequest,
     LocationRequest,
@@ -101,13 +101,13 @@ class TestTokenRound:
         """Message-passing deployment == in-process scheduler, step for step."""
         sim_allocation = deployment.allocation.copy()
         sim_engine = MigrationEngine(deployment.cost_model)
-        scheduler = SCOREScheduler(
+        scheduler = PerHoldScheduler(
             sim_allocation, deployment.traffic, RoundRobinPolicy(), sim_engine
         )
         # The deployment executes hold by hold, so the apples-to-apples
-        # simulator run is the per-hold reference loop (wave-batched
-        # rounds are pinned against it separately in test_wave_rounds).
-        report = scheduler.run_reference(n_iterations=1)
+        # simulator run is the per-hold oracle (wave-batched rounds are
+        # pinned against it separately in test_wave_rounds).
+        report = scheduler.run(n_iterations=1)
 
         deployment.run_round()
         assert deployment.allocation.as_dict() == sim_allocation.as_dict()

@@ -26,6 +26,7 @@ from repro import (
 from repro.core.fastcost import FastCostEngine
 from repro.core.policies import HighestLevelFirstPolicy
 from repro.core.rounds import BatchedRoundEngine
+from repro.reference import PerHoldScheduler
 
 
 def build_env(seed=0):
@@ -83,11 +84,11 @@ class TestWaveRefreshPins:
         cm = 1e18
 
         # Reference: per-hold loop, HLF on_hold per visit.
-        ref_sched = SCOREScheduler(
+        ref_sched = PerHoldScheduler(
             allocation.copy(), traffic, HighestLevelFirstPolicy(),
             MigrationEngine(CostModel(topo), migration_cost=cm),
         )
-        ref_sched.run_reference(n_iterations=1)
+        ref_sched.run(n_iterations=1)
         ref_levels = {e.vm_id: e.level for e in ref_sched.token.entries()}
 
         # Batched: one round with the wave_refresh callback, levels read

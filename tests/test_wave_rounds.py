@@ -11,7 +11,8 @@ Pins the three contracts of :mod:`repro.core.rounds`:
   recomputation, the cost series is monotone under ``cm = 0``, and
   capacity invariants hold throughout.
 * **Differential vs the sequential loop** — when no decisions interact
-  the batched round reproduces ``run_reference`` decision for decision;
+  the batched round reproduces the per-hold oracle
+  (``repro.reference.PerHoldScheduler``) decision for decision;
   on the matched-seed battery below (both topologies × both order-known
   policies, converged with ``stop_when_stable``) the batched final cost
   is never worse than the reference's.  Individual greedy trajectories
@@ -42,9 +43,10 @@ from repro import (
     place_random,
 )
 from repro.core.fastcost import FastCostEngine
-from repro.core.migration import plan_wave, plan_wave_reference
+from repro.core.migration import plan_wave
 from repro.core.policies import HighestLevelFirstPolicy
 from repro.core.rounds import BatchedRoundEngine
+from repro.reference import PerHoldScheduler, plan_wave_reference
 
 
 def build_scenario(seed, fattree=False, scale=1, pattern=SPARSE, fill=0.85):
@@ -216,13 +218,13 @@ class TestInterferenceFreeEquivalence:
         assert result.waves == 1
 
         ref_alloc = allocation.copy()
-        scheduler = SCOREScheduler(
+        scheduler = PerHoldScheduler(
             ref_alloc,
             traffic,
             RoundRobinPolicy(),
             MigrationEngine(model),
         )
-        ref = scheduler.run_reference(n_iterations=1)
+        ref = scheduler.run(n_iterations=1)
         assert batched_alloc.as_dict() == ref_alloc.as_dict()
         ref_decisions = [
             (d.vm_id, d.target_host, d.migrated) for d in ref.decisions
@@ -262,9 +264,9 @@ class TestBatchedVsReferenceDifferential:
         batched = SCOREScheduler(
             allocation, traffic, policies[policy](), MigrationEngine(model)
         ).run(n_iterations=20, stop_when_stable=True)
-        reference = SCOREScheduler(
+        reference = PerHoldScheduler(
             ref_alloc, traffic, policies[policy](), MigrationEngine(model)
-        ).run_reference(n_iterations=20, stop_when_stable=True)
+        ).run(n_iterations=20, stop_when_stable=True)
         assert batched.final_cost <= reference.final_cost * (1 + 1e-9)
 
     @pytest.mark.parametrize("fattree", [False, True])
@@ -306,7 +308,7 @@ class TestBatchedVsReferenceDifferential:
 
 
 class TestEvaluateMany:
-    """The batched evaluator mirrors per-VM evaluate decision-for-decision."""
+    """Batch decisions mirror per-VM evaluate decision-for-decision."""
 
     @pytest.mark.parametrize("fattree", [False, True])
     @pytest.mark.parametrize(
@@ -325,7 +327,10 @@ class TestEvaluateMany:
         fast = FastCostEngine(allocation, traffic, weights=model.weights)
         engine.attach_fastcost(fast)
         vm_ids = sorted(allocation.vm_ids())
-        batch_decisions = engine.evaluate_many(allocation, traffic, vm_ids)
+        batch = fast.candidate_batch(
+            fast.dense_indices(vm_ids), engine.max_candidates
+        )
+        batch_decisions = engine.decisions_from_batch(allocation, batch, fast)
         for vm_id, got in zip(vm_ids, batch_decisions):
             want = engine.evaluate(allocation, traffic, vm_id)
             assert got.vm_id == want.vm_id == vm_id
@@ -335,30 +340,3 @@ class TestEvaluateMany:
             # informational best-rejected delta of a no-gain decision may
             # carry aggregate-formula rounding noise near zero.
             assert got.delta == pytest.approx(want.delta, rel=1e-9, abs=1e-6)
-
-    def test_decide_many_applies_one_wave_and_defers_conflicts(self):
-        topology, allocation, traffic = build_scenario(3)
-        model = CostModel(topology)
-        engine = MigrationEngine(model)
-        fast = FastCostEngine(allocation, traffic, weights=model.weights)
-        engine.attach_fastcost(fast)
-        vm_ids = sorted(allocation.vm_ids())
-        before = allocation.as_dict()
-        settled, deferred = engine.decide_many(allocation, traffic, vm_ids)
-        assert len(settled) + len(deferred) == len(vm_ids)
-        moved = {d.vm_id: d for d in settled if d.migrated}
-        assert moved, "a random cluster should yield at least one move"
-        # Applied moves are reflected in the allocation; deferred are not.
-        after = allocation.as_dict()
-        for vm_id, decision in moved.items():
-            assert after[vm_id] == decision.target_host
-        for vm_id in deferred:
-            assert after[vm_id] == before[vm_id]
-        # The applied wave obeys the interference rule.
-        hosts: set = set()
-        for d in moved.values():
-            assert d.source_host not in hosts and d.target_host not in hosts
-            hosts.update((d.source_host, d.target_host))
-        mover_set = set(moved)
-        for vm_id in moved:
-            assert not (traffic.peers_of(vm_id) & mover_set - {vm_id})
