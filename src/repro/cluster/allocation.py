@@ -345,8 +345,8 @@ class Allocation:
         raises :class:`CapacityError` and leaves the allocation untouched.
         The pre-check treats moves as independent, which is sound when
         target hosts are pairwise distinct — the contract of the wave
-        planner (:func:`repro.core.migration.plan_wave`) that produces
-        these batches.
+        planner that produces these batches
+        (``repro.core.rounds.BatchedRoundEngine._plan_wave``).
         """
         host_of = self._host_of
         vms_on = self._vms_on

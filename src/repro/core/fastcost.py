@@ -727,18 +727,20 @@ class CandidateBatch:
     ) -> "CandidateBatch":
         """Sub-batch restricted to the given owner positions (reindexed).
 
-        Row data is gathered, not recomputed — the round engine uses this
-        to carry non-stale owners' candidates across waves.  Pass
-        ``with_onto=False`` to skip the §V-C landing-rate column (callers
-        running without a bandwidth threshold never read it).
+        ``positions`` must be strictly ascending, so the kept rows are one
+        boolean compress of the row arrays.  Row data is copied, not
+        recomputed — the round engine uses this to carry deferred owners'
+        candidates across waves.  Pass ``with_onto=False`` to skip the
+        §V-C landing-rate column (callers running without a bandwidth
+        threshold never read it).
         """
         positions = np.asarray(positions, dtype=np.int64)
         counts = self.ptr[positions + 1] - self.ptr[positions]
         new_ptr = np.zeros(len(positions) + 1, dtype=np.int64)
         np.cumsum(counts, out=new_ptr[1:])
-        rows = np.repeat(
-            self.ptr[positions] - new_ptr[:-1], counts
-        ) + np.arange(int(counts.sum()))
+        kept = np.zeros(self.n_owners, dtype=bool)
+        kept[positions] = True
+        rows = np.repeat(kept, np.diff(self.ptr))
         return CandidateBatch(
             vms=self.vms[positions],
             source=self.source[positions],
@@ -1609,7 +1611,7 @@ class FastCostEngine:
         """Per-dense-VM highest communication level, one vectorized pass.
 
         Equals :meth:`highest_level` for every VM (0 for peerless VMs);
-        what the batched HLF end-of-round refresh feeds into
+        what the wave-batched HLF round end writes into the token with
         :meth:`repro.core.token.Token.set_levels`.
         """
         snap = self._snap
@@ -1627,45 +1629,6 @@ class FastCostEngine:
         if np.any(nonempty):
             out[nonempty] = np.maximum.reduceat(levels, starts[nonempty])
         return out
-
-    def wave_level_updates(
-        self, dense_vms: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Algorithm 1's token updates for one wave of settled holds.
-
-        Returns ``(own_levels, peer_dense, raise_levels)``: each given
-        VM's measured highest communication level (what the holder writes
-        into its own token entry), plus — deduplicated to the max per
-        peer — the level each of its peers would be raised to
-        (``l_v ← l(u, v)`` only when larger).  One vectorized pass over
-        the settled VMs' incident edges; the HLF policy feeds the result
-        into :meth:`repro.core.token.Token.raise_levels`.
-        """
-        snap = self._snap
-        vms = np.asarray(dense_vms, dtype=np.int64)
-        deg = (snap.ptr[vms + 1] - snap.ptr[vms]).astype(np.int64)
-        own = np.zeros(len(vms), dtype=np.int64)
-        total = int(deg.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return own, empty, empty.copy()
-        cum = np.zeros(len(vms) + 1, dtype=np.int64)
-        np.cumsum(deg, out=cum[1:])
-        owner = np.repeat(np.arange(len(vms), dtype=np.int64), deg)
-        edge = np.repeat(snap.ptr[vms] - cum[:-1], deg) + np.arange(total)
-        peers = snap.peer[edge]
-        levels = pair_levels(
-            self._host_of[vms][owner],
-            self._host_of[peers],
-            self._rack_of,
-            self._pod_of,
-        )
-        nonempty = deg > 0
-        own[nonempty] = np.maximum.reduceat(levels, cum[:-1][nonempty])
-        raise_to = np.zeros(snap.n_vms, dtype=np.int64)
-        np.maximum.at(raise_to, peers, levels)
-        touched = np.unique(peers)
-        return own, touched, raise_to[touched]
 
     def candidate_batch(
         self,
@@ -2103,8 +2066,9 @@ class FastCostEngine:
     ) -> Tuple[np.ndarray, TouchedSet]:
         """Batched cache update for one interference-free wave of moves.
 
-        Requires the wave contract of :func:`repro.core.migration.plan_wave`
-        — pairwise-disjoint source/target hosts and no mover being another
+        Requires the wave contract of the round engine's planner
+        (``repro.core.rounds.BatchedRoundEngine._plan_wave``) —
+        pairwise-disjoint source/target hosts and no mover being another
         mover's communication peer — under which every move's Lemma 3
         terms are independent and the wave equals applying the moves one
         by one in any order.  Returns ``(deltas, touched)``: the per-move

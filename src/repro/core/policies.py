@@ -14,6 +14,14 @@ for a whole round up front (:meth:`TokenPolicy.round_order`, closed by
 per-hold oracle (``repro.reference.PerHoldScheduler``) pass the token hop
 by hop instead (:meth:`TokenPolicy.on_hold` / :meth:`TokenPolicy.next_vm`),
 as the paper's Xen deployment does.
+
+The round dialect works on the token's arrays whole: HLF's round order is
+one ``lexsort`` of (level, position after the holder, id), and its round
+end is one bulk write of the measured levels.  Nothing touches the token
+between those two calls — the order is frozen and ``end_round``
+overwrites every entry — so HLF keeps no mid-round token state.  The hop
+dialect keeps Algorithm 1's per-hold raise-only updates and the policy's
+per-level buckets of unchecked VMs.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.cluster.allocation import Allocation
 from repro.core.cost import CostModel
@@ -102,13 +112,6 @@ class TokenPolicy(ABC):
         """
         return token.successor(order[-1])
 
-    #: Per-wave token refresh hook for wave-batched rounds.  Policies that
-    #: maintain token state mid-round (HLF's Algorithm 1 estimates) override
-    #: this with a method ``(token, vm_ids, allocation, traffic, cost_model)``
-    #: invoked after every applied wave with the holds settled in it; ``None``
-    #: (the default) skips the callback entirely.
-    wave_refresh = None
-
 
 class RoundRobinPolicy(TokenPolicy):
     """§V-A1: circulate the token in ascending VM-ID order, wrapping."""
@@ -135,6 +138,12 @@ class RoundRobinPolicy(TokenPolicy):
     ) -> List[int]:
         """RR's order is exactly the ascending cyclic rotation from u."""
         return token.rotation_from(vm_u)
+
+
+def _first_at_top_level(token: Token) -> int:
+    """Algorithm 1 line 16: the lowest ID among the VMs recorded at the
+    maximum level (``argmax`` returns the first, and ids ascend)."""
+    return int(token.ids[np.argmax(token.levels)])
 
 
 class HighestLevelFirstPolicy(TokenPolicy):
@@ -180,12 +189,16 @@ class HighestLevelFirstPolicy(TokenPolicy):
         token.set_level(vm_u, cost_model.highest_level(allocation, traffic, vm_u))
         host_u = allocation.server_of(vm_u)
         for peer in traffic.peers_of(vm_u):
-            if peer in token:
-                level = cost_model.topology.level_between(
-                    host_u, allocation.server_of(peer)
-                )
+            try:
                 old = token.level_of(peer)
-                if token.raise_level(peer, level) and peer not in self._checked:
+            except KeyError:
+                continue  # a peer outside the token (a churned domain)
+            level = cost_model.topology.level_between(
+                host_u, allocation.server_of(peer)
+            )
+            if level > old:
+                token.raise_level(peer, level)
+                if peer not in self._checked:
                     self._bucket_discard(old, peer)
                     self._bucket_add(level, peer)
         self._synced_version = token.version
@@ -216,8 +229,7 @@ class HighestLevelFirstPolicy(TokenPolicy):
         # ID among the VMs recorded at the maximum level.
         self._checked.clear()
         self._rebuild(token)
-        top = token.max_recorded_level()
-        return min(token.vms_at_level(top))
+        return _first_at_top_level(token)
 
     def round_order(
         self,
@@ -237,70 +249,10 @@ class HighestLevelFirstPolicy(TokenPolicy):
         estimate changed mid-round; estimates are instead refreshed in one
         pass by :meth:`end_round`.
         """
-        ids = [vm for vm in token.vm_ids if vm != vm_u]
-        ids.sort(key=lambda v: (-token.level_of(v), v <= vm_u, v))
-        order = [vm_u] if vm_u in token else []
-        return order + ids
-
-    def wave_refresh(
-        self,
-        token: Token,
-        vm_ids: List[int],
-        allocation: Allocation,
-        traffic: TrafficMatrix,
-        cost_model: CostModel,
-    ) -> None:
-        """Algorithm 1's raise-only estimate updates, batched per wave.
-
-        Applied after each wave of a batched round for the holds settled
-        in it: every settled VM writes its *measured* highest level into
-        its own token entry (Algorithm 1 line 4) and raises each peer's
-        entry to at least ``l(u, v)`` (the raise-only rule) — so the
-        token's estimates track the live per-hold policy wave by wave
-        instead of only at round end.  The round's visit order is already
-        frozen, so this changes mid-round token *state*, not the round's
-        decisions; :meth:`end_round`'s bulk measured refresh still runs
-        (it is at least as fresh as these estimates).
-        """
-        if not vm_ids:
-            return
-        present = [vm for vm in vm_ids if vm in token]
-        if not present:
-            return
-        if hasattr(cost_model, "wave_level_updates"):
-            fast = cost_model
-            own, peer_dense, raise_to = fast.wave_level_updates(
-                fast.dense_indices(present)
-            )
-            peer_ids = fast.snapshot.vm_ids[peer_dense]
-            token.raise_levels(
-                {
-                    int(v): int(l)
-                    for v, l in zip(peer_ids, raise_to)
-                    if int(v) in token
-                }
-            )
-            token.set_levels(
-                {vm: int(l) for vm, l in zip(present, own)}
-            )
-            return
-        raises: Dict[int, int] = {}
-        for vm_u in present:
-            host_u = allocation.server_of(vm_u)
-            for peer in traffic.peers_of(vm_u):
-                if peer in token:
-                    level = cost_model.topology.level_between(
-                        host_u, allocation.server_of(peer)
-                    )
-                    if level > raises.get(peer, -1):
-                        raises[peer] = level
-        token.raise_levels(raises)
-        token.set_levels(
-            {
-                vm: cost_model.highest_level(allocation, traffic, vm)
-                for vm in present
-            }
-        )
+        ids, levels = token.ids, token.levels
+        order = ids[np.lexsort((ids, ids <= vm_u, -levels.astype(np.int64)))]
+        head = [vm_u] if vm_u in token else []
+        return head + order[order != vm_u].tolist()
 
     def end_round(
         self,
@@ -319,23 +271,26 @@ class HighestLevelFirstPolicy(TokenPolicy):
         the checked set, and hands the token to the lowest-ID VM at the
         maximum recorded level (Algorithm 1 line 16).
         """
+        ids = token.ids
         if hasattr(cost_model, "highest_levels"):
-            # Vectorized: one pass over the engine's pair arrays.
-            levels = cost_model.highest_levels()
-            vm_ids = cost_model.snapshot.vm_ids
-            token.set_levels(
-                {int(v): int(l) for v, l in zip(vm_ids, levels) if int(v) in token}
-            )
+            # Vectorized: one pass over the engine's pair arrays, matched
+            # to the token's entries by one binary search.
+            engine_ids = cost_model.snapshot.vm_ids
+            at = np.searchsorted(engine_ids, ids).clip(max=len(engine_ids) - 1)
+            known = engine_ids[at] == ids
+            measured = cost_model.highest_levels()
+            token.set_levels(ids[known], measured[at[known]])
         else:
             token.set_levels(
-                {
-                    vm: cost_model.highest_level(allocation, traffic, vm)
-                    for vm in token.vm_ids
-                }
+                ids,
+                [
+                    cost_model.highest_level(allocation, traffic, vm)
+                    for vm in ids.tolist()
+                ],
             )
         self._checked.clear()
-        self._rebuild(token)
-        return min(token.vms_at_level(token.max_recorded_level()))
+        self._synced_token = None  # the hop-by-hop buckets rebuild lazily
+        return _first_at_top_level(token)
 
     def _next_unchecked_at_level(self, vm_u: int, level: int) -> Optional[int]:
         """First unchecked VM after u (cyclically) recorded at ``level``."""
@@ -365,15 +320,15 @@ class HighestLevelFirstPolicy(TokenPolicy):
             self._rebuild(token)
 
     def _rebuild(self, token: Token) -> None:
-        self._unchecked = {}
-        for level in token.levels_present():
-            bucket = [
-                vm_id
-                for vm_id in token.vms_at_level(level)
-                if vm_id not in self._checked
-            ]
-            if bucket:
-                self._unchecked[level] = bucket
+        ids, levels = token.ids, token.levels
+        if self._checked:
+            checked = np.fromiter(self._checked, dtype=np.int64)
+            unchecked = ~np.isin(ids, checked)
+            ids, levels = ids[unchecked], levels[unchecked]
+        self._unchecked = {
+            int(level): ids[levels == level].tolist()
+            for level in np.unique(levels)
+        }
         self._synced_token = token
         self._synced_version = token.version
 
@@ -424,10 +379,9 @@ class RandomPolicy(TokenPolicy):
         cost_model: CostModel,
     ) -> List[int]:
         """``vm_u``, then a uniform permutation of every other VM."""
-        others = [vm for vm in token.vm_ids if vm != vm_u]
-        shuffled = [
-            others[i] for i in self._rng.permutation(len(others)).tolist()
-        ]
+        ids = token.ids
+        others = ids[ids != vm_u]
+        shuffled = others[self._rng.permutation(len(others))].tolist()
         return ([vm_u] if vm_u in token else []) + shuffled
 
     def next_vm(
@@ -438,11 +392,11 @@ class RandomPolicy(TokenPolicy):
         traffic: TrafficMatrix,
         cost_model: CostModel,
     ) -> int:
-        ids = token.vm_ids
+        ids = token.ids
         if len(ids) == 1:
-            return ids[0]
+            return int(ids[0])
         while True:
-            candidate = ids[int(self._rng.integers(0, len(ids)))]
+            candidate = int(ids[int(self._rng.integers(0, len(ids)))])
             if candidate != vm_u:
                 return candidate
 

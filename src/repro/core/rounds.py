@@ -234,16 +234,9 @@ class BatchedRoundEngine:
         engine: MigrationEngine,
         fast: FastCostEngine,
         record_waves: bool = False,
-        wave_callback=None,
         profile=None,
     ) -> None:
-        """``wave_callback``, when given, is invoked after every wave with
-        the list of VM ids whose holds settled in it (movers and
-        non-movers alike; every VM of the round is reported exactly once
-        across the round's waves).  The scheduler wires it to the
-        policy's mid-round token refresh (``TokenPolicy.wave_refresh``).
-
-        ``profile``, when given, is a
+        """``profile``, when given, is a
         :class:`repro.util.profiling.PhaseTimings` accumulating per-phase
         wall clock (score / re-mask / plan / wave-apply / adjust /
         settle)."""
@@ -256,7 +249,6 @@ class BatchedRoundEngine:
         self._engine = engine
         self._fast = fast
         self._record_waves = record_waves
-        self._wave_callback = wave_callback
         self._profile = profile
 
     # -- profiling hooks -----------------------------------------------------
@@ -275,8 +267,8 @@ class BatchedRoundEngine:
         whole population (the round cache is keyed by the dense VM
         index); partial orders take the uncached wave loop.
 
-        ``injector``, when given, is pumped after every applied wave (and
-        after the wave callback) with the number of holds decided so far:
+        ``injector``, when given, is pumped after every applied wave with
+        the number of holds decided so far:
         ``injector(settled_holds) -> bool``.  Returning ``True`` means
         external events mutated engine state mid-round (churn, traffic
         deltas, capacity changes); the in-flight scored batch is then
@@ -335,7 +327,9 @@ class BatchedRoundEngine:
         ``positions`` maps the batch's owners to their visit positions in
         the round; owners are settled and proposed in visit order, so the
         batch itself may be in any owner order (the round cache's is
-        dense-VM order).  Returns ``True`` when the injector fired
+        dense-VM order, and deferred owners are carried in batch order so
+        the next wave's batch is one mask compress of this one).  Returns
+        ``True`` when the injector fired
         mid-segment: the batch (round-snapshot candidate sets,
         incrementally adjusted deltas) no longer describes the live
         engine state, so the caller must re-score whatever is still
@@ -355,18 +349,16 @@ class BatchedRoundEngine:
             )
             self._lap("re-mask", t0)
             beneficial = (choice >= 0) & (best > 0) & (best > cm)
-            visit = np.argsort(positions, kind="stable")
             t0 = self._tick()
-            settled_ids = self._settle_owners(
-                result, batch, visit[~beneficial[visit]], positions, choice,
+            self._settle_owners(
+                result, batch, np.nonzero(~beneficial)[0], positions, choice,
                 best,
             )
             self._lap("settle", t0)
-            prop = visit[beneficial[visit]]
+            prop = np.nonzero(beneficial)[0]
             if prop.size == 0:
-                if self._wave_callback is not None and settled_ids:
-                    self._wave_callback(settled_ids)
                 break
+            prop = prop[np.argsort(positions[prop], kind="stable")]
             result.waves += 1
             t0 = self._tick()
             accepted, target = self._plan_wave(
@@ -375,17 +367,12 @@ class BatchedRoundEngine:
             self._lap("plan", t0)
             t0 = self._tick()
             moved, old_hosts, new_hosts = self._apply_wave(
-                result, positions, batch, prop[accepted], target[accepted],
-                settled_ids,
+                result, positions, batch, prop[accepted], target[accepted]
             )
             self._lap("wave-apply", t0)
-            if self._wave_callback is not None and settled_ids:
-                # Fired after the wave landed, so refreshes see the
-                # post-wave placement (the freshest state this round).
-                self._wave_callback(settled_ids)
             if injector is not None and injector(self._settled_count(result)):
                 return True
-            deferred = prop[~accepted]
+            deferred = np.sort(prop[~accepted])
             if deferred.size == 0:
                 break
             result.deferrals += int(deferred.size)
@@ -418,9 +405,7 @@ class BatchedRoundEngine:
         A retired VM's remaining holds settle with the ``retired`` reason
         (no decision, zero delta); they still consume their clock ticks,
         keeping the round's hold count — and therefore every twin's event
-        timeline — fixed at the visit-order snapshot's length.  Retired
-        settles are not reported to the wave callback: the VM already
-        left the token, so there is nothing to refresh.
+        timeline — fixed at the visit-order snapshot's length.
         """
         cols = result.decisions
         pos = np.asarray(positions, dtype=np.int64)
@@ -481,9 +466,9 @@ class BatchedRoundEngine:
         """One token round against the persistent round-score cache.
 
         Owners are indexed by *dense VM* (the cache's key space), with
-        ``pos_of`` mapping them back to visit positions; every per-owner
-        sequence handed to the planner or the report is sorted by visit
-        position first, so decisions, waves and applied moves come out in
+        ``pos_of`` mapping them back to visit positions; proposals reach
+        the planner sorted by visit position and decisions land at their
+        positions, so decisions, waves and applied moves come out in
         exactly the uncached loop's order.
 
         Tie rows live in two tiers.  The round-local *active* set holds
@@ -665,21 +650,16 @@ class BatchedRoundEngine:
             to_settle = np.nonzero(pending & ~beneficial)[0]
             t0 = self._tick()
             if to_settle.size:
-                to_settle = to_settle[
-                    np.argsort(pos_of[to_settle], kind="stable")
-                ]
                 pending[to_settle] = False
                 act_rows, act_owner = self._active_retire(
                     act_rows, act_owner, ptr, to_settle, retired
                 )
-            settled_ids = self._settle_owners(
+            self._settle_owners(
                 result, batch, to_settle, pos_of, choice, best
             )
             self._lap("settle", t0)
             prop = np.nonzero(beneficial)[0]
             if prop.size == 0:
-                if self._wave_callback is not None and settled_ids:
-                    self._wave_callback(settled_ids)
                 break
             prop = prop[np.argsort(pos_of[prop], kind="stable")]
             result.waves += 1
@@ -690,12 +670,9 @@ class BatchedRoundEngine:
             self._lap("plan", t0)
             t0 = self._tick()
             moved, old_hosts, new_hosts = self._apply_wave(
-                result, pos_of, batch, prop[accepted], target[accepted],
-                settled_ids,
+                result, pos_of, batch, prop[accepted], target[accepted]
             )
             self._lap("wave-apply", t0)
-            if self._wave_callback is not None and settled_ids:
-                self._wave_callback(settled_ids)
             if injector is not None and injector(self._settled_count(result)):
                 # Injected events mutated engine state mid-round: both the
                 # round-local incremental structures (choice/best, active
@@ -1156,13 +1133,8 @@ class BatchedRoundEngine:
         batch: CandidateBatch,
         wave: np.ndarray,
         targets: np.ndarray,
-        settled_ids: List[int],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply one admitted wave; returns (moved dense, old, new hosts).
-
-        Every hold decided here (movers, exact-gate no-gain settles and
-        capacity-fallback decisions) is appended to ``settled_ids`` for
-        the wave callback.
 
         The batched apply is guarded by ``Allocation.migrate_many``'s
         validate-first contract: if the allocation's own accounting rejects
@@ -1181,7 +1153,6 @@ class BatchedRoundEngine:
         # proposal failing the exact gate settles as no-gain.
         exact = fast.exact_deltas(dense, targets)
         cm = self._engine.migration_cost
-        settled_ids.extend(vm_ids[dense].tolist())
         genuine = (exact > 0) & (exact > cm)
         if not genuine.all():
             cols = result.decisions
@@ -1371,21 +1342,26 @@ class BatchedRoundEngine:
         row_local = np.repeat(c_ptr[inv_c] - i_ptr[:-1], inc_rows) + np.arange(
             total
         )
-        inc = np.repeat(np.arange(len(inv_c), dtype=np.int64), inc_rows)
-        hosts = batch.host[stale_rows[row_local]]
-        new_r = new_c[inc]
-        old_r = old_c[inc]
+        row_hosts = batch.host[stale_rows]
         # The level-weight difference vanishes unless the candidate host
         # shares a pod with the peer's old or new placement (both levels
         # are 3 otherwise) — which prunes the expensive part of the
-        # expansion to a couple of pods' worth of rows.
-        host_pod = pod_of[hosts]
-        near = (host_pod == pod_of[new_r]) | (host_pod == pod_of[old_r])
-        row_near = row_local[near]
-        hosts_n = hosts[near]
-        new_n = new_r[near]
-        old_n = old_r[near]
-        rate_n = rate_c[inc[near]]
+        # expansion to a couple of pods' worth of rows.  Pods (narrowed
+        # to int32: the filter is bandwidth-bound) are gathered once per
+        # stale row and once per incidence, then expanded; only the near
+        # rows gather their incidence's values.
+        pod32 = pod_of.astype(np.int32)
+        host_pod = pod32[row_hosts][row_local]
+        near = (host_pod == np.repeat(pod32[new_c], inc_rows)) | (
+            host_pod == np.repeat(pod32[old_c], inc_rows)
+        )
+        at_near = np.flatnonzero(near)
+        row_near = row_local[at_near]
+        inc_near = np.searchsorted(i_ptr, at_near, side="right") - 1
+        hosts_n = row_hosts[row_near]
+        new_n = new_c[inc_near]
+        old_n = old_c[inc_near]
+        rate_n = rate_c[inc_near]
         cand_term = rate_n * (
             pw[pair_levels(hosts_n, new_n, rack_of, pod_of)]
             - pw[pair_levels(hosts_n, old_n, rack_of, pod_of)]
@@ -1413,16 +1389,14 @@ class BatchedRoundEngine:
         positions: np.ndarray,
         choice: np.ndarray,
         best: np.ndarray,
-    ) -> List[int]:
+    ) -> None:
         """Record final decisions for owners without a beneficial move.
 
-        ``rows`` are owner indices into the batch (callers pass them in
-        visit order); ``positions`` maps owner index → visit position.
-        Returns the settled VM ids (the wave callback reports them
-        together with the wave's movers).
+        ``rows`` are owner indices into the batch; ``positions`` maps
+        owner index → visit position.
         """
         if rows.size == 0:
-            return []
+            return
         vm_ids = self._fast.snapshot.vm_ids
         reason_code = np.where(
             batch.degree[rows] == 0, 0, np.where(choice[rows] < 0, 1, 2)
@@ -1435,4 +1409,3 @@ class BatchedRoundEngine:
         cols.source[pos] = batch.source[rows]
         cols.delta[pos] = deltas
         cols.reason[pos] = reason_code
-        return vms.tolist()

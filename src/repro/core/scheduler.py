@@ -458,19 +458,8 @@ class SCOREScheduler:
         incremental total, so ``final_cost`` is exact.
         """
         assert self._fast is not None
-        wave_callback = None
-        if self._policy.wave_refresh is not None:
-            policy = self._policy
-
-            def wave_callback(vm_ids: List[int]) -> None:
-                policy.wave_refresh(
-                    self._token, vm_ids, self._allocation, self._traffic,
-                    cost_model,
-                )
-
         rounds = self._rounds_class(
             self._allocation, self._traffic, self._engine, self._fast,
-            wave_callback=wave_callback,
             profile=self._profile,
         )
         cost = cost_model.total_cost(self._allocation, self._traffic)
@@ -740,7 +729,7 @@ class SCOREScheduler:
         warm state under ``directory``; returns the file path.
 
         The payload is the scheduler's whole object graph — allocation,
-        traffic matrix, token levels/buckets, policy state, clock, saved
+        traffic matrix, token ids/levels, policy state, clock, saved
         drain capacity, and (by default) the warm
         :class:`~repro.core.fastcost.FastCostEngine` with its CSR
         snapshot, Lemma-3 caches and round-score cache, so

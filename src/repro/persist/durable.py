@@ -85,7 +85,8 @@ from repro.util.validation import check_engine_invariants
 #: (:func:`_decisions_digest`); a v1 directory's digests cannot verify.
 #: v3: the scenario's experiment spec lost its path switches, so a v2
 #: begin record no longer rebuilds; it is refused with its tag.
-JOURNAL_FORMAT = "score-journal/v3"
+#: v4: snapshots pickle the token as two arrays (ids, levels).
+JOURNAL_FORMAT = "score-journal/v4"
 
 #: Dict keys whose recorded/re-executed values are floats compared with
 #: the acceptance tolerance instead of exactly (JSON round-trips doubles

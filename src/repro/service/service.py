@@ -90,9 +90,10 @@ from repro.util.validation import InvariantViolation, check_engine_invariants
 
 #: v2: round commits carry the column-wise decision digest; v3: the
 #: experiment spec lost its path switches (``fastcost``,
-#: ``batched_rounds``, ``shard_compact``, ``shard_transport``).  An older
-#: directory is refused at resume instead of failing replay on it.
-SERVICE_FORMAT = "score-service/v3"
+#: ``batched_rounds``, ``shard_compact``, ``shard_transport``); v4: the
+#: pickled token is two arrays, no longer a dict plus level buckets.  An
+#: older directory is refused at resume instead of failing replay on it.
+SERVICE_FORMAT = "score-service/v4"
 
 # Service lifecycle states (ServiceReport.transitions records each move).
 RUNNING = "running"

@@ -186,12 +186,12 @@ class Retirement(Event):
                 .tolist()
             )
         else:
-            alive = token.vm_ids  # ascending
-            chosen = list(
+            alive = token.ids  # ascending
+            chosen = (
                 alive[: -self.count - 1 : -1]
                 if self.pick == "newest"
                 else alive[: self.count]
-            )
+            ).tolist()
         # The token refuses to lose its last entry; clip, don't crash.
         survivors = len(token) - len({v for v in chosen if v in token})
         while chosen and survivors < 1:

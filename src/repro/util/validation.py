@@ -87,8 +87,8 @@ def check_engine_invariants(
     still agree:
 
     * the allocation's own structural invariants hold,
-    * the token circulates exactly the placed VM ids, with level
-      estimates in range and level buckets consistent,
+    * the token circulates exactly the placed VM ids, in strictly
+      ascending order (its ``uint8`` levels are in range by dtype),
     * the fast engine's snapshot/mirrors (dense index, host map,
       slot/RAM/CPU usage, per-host egress) match the allocation and
       traffic matrix bit-for-bit, capacities are never violated, and the
@@ -111,11 +111,7 @@ def check_engine_invariants(
     to run after every round; any desync the mirrors catch still trips
     safe mode, and the deep tier stays available on demand.
     """
-    from itertools import chain
-
     import numpy as np
-
-    from repro.core.token import MAX_LEVEL_VALUE
 
     def fail(invariant, message, indices=()):
         raise InvariantViolation(
@@ -135,53 +131,21 @@ def check_engine_invariants(
             raise
         fail("allocation-structure", str(exc))
 
-    vm_ids = token.vm_ids
-    token_ids = np.array(vm_ids, dtype=np.int64)
+    token_ids = token.ids
+    unordered = np.nonzero(token_ids[1:] <= token_ids[:-1])[0]
+    if unordered.size:
+        later = token_ids[unordered[0] + 1]
+        fail(
+            "token-order",
+            f"vm {later} follows vm {token_ids[unordered[0]]}",
+            indices=[later],
+        )
     if not np.array_equal(token_ids, placed):
         fail(
             "token-membership",
             f"token circulates {len(token)} ids, "
             f"allocation places {len(placed)}",
             indices=np.setxor1d(token_ids, placed),
-        )
-    levels = token.levels_of(vm_ids)
-    out_of_range = np.nonzero((levels < 0) | (levels > MAX_LEVEL_VALUE))[0]
-    if out_of_range.size:
-        first = out_of_range[0]
-        fail(
-            "token-level-range",
-            f"vm {token_ids[first]} at level {levels[first]}",
-            indices=[token_ids[first]],
-        )
-    present = np.array(token.levels_present(), dtype=np.int64)
-    levels_seen = np.unique(levels)
-    if not np.array_equal(present, levels_seen):
-        fail(
-            "token-level-buckets",
-            "level buckets disagree with entries",
-            indices=np.setxor1d(present, levels_seen),
-        )
-    # Buckets flattened in (level, member) order — the order the
-    # per-member walk visited them in.
-    buckets = [token.vms_at_level(int(level)) for level in present]
-    sizes = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
-    members = list(chain.from_iterable(buckets))
-    bucketed = len(members)
-    bucket_level = np.repeat(present, sizes)
-    recorded = token.levels_of(members)
-    desynced = np.nonzero(recorded != bucket_level)[0]
-    if desynced.size:
-        first = desynced[0]
-        fail(
-            "token-bucket-desync",
-            f"vm {members[first]} bucketed at {bucket_level[first]}, "
-            f"recorded {recorded[first]}",
-            indices=[members[first]],
-        )
-    if bucketed != len(token):
-        fail(
-            "token-bucket-partition",
-            f"buckets hold {bucketed} ids, token {len(token)}",
         )
 
     fast = scheduler.fastcost

@@ -19,10 +19,18 @@ constants in the same commit and say why in its message.
 
 from __future__ import annotations
 
+import collections
+import hashlib
+
 import pytest
 
 from repro.reference import NaiveScheduler, PerHoldScheduler, run_oracle
-from repro.sim.experiment import ExperimentConfig, run_experiment
+from repro.sim.experiment import (
+    ExperimentConfig,
+    build_environment,
+    make_scheduler,
+    run_experiment,
+)
 
 GOLDEN = {
     "canonical-default": {
@@ -76,6 +84,35 @@ def test_batched_rounds_do_not_lose_quality_on_the_golden_runs():
         assert golden["final_cost"] <= golden["reference_final_cost"] * (
             1 + 1e-9
         )
+
+
+#: A small dense/HLF run, one ``run(1)`` per round chained by
+#: ``next_holder``.  Per round: the cost at its end, its migrations, the
+#: holder the next round starts from, and the token after ``end_round`` —
+#: the level histogram plus a digest of the wire encoding, which covers
+#: every (id, level) entry.  Recorded before the token became two arrays.
+DENSE_HLF_CONFIG = {"pattern": "dense", "policy": "hlf"}
+DENSE_HLF_ROUNDS = [
+    (185682122453.08435, 257, 1, "a397c2486aa1ce54", {0: 42, 1: 32, 2: 59, 3: 302}),
+    (144762684127.98163, 93, 1, "3d8ebed020a8405e", {0: 60, 1: 37, 2: 64, 3: 274}),
+    (137988450542.33392, 22, 3, "9d24a12e5486643a", {0: 68, 1: 46, 2: 54, 3: 267}),
+]
+
+
+def test_dense_hlf_rounds_and_token_levels_are_stable():
+    config = ExperimentConfig(**DENSE_HLF_CONFIG)
+    scheduler = make_scheduler(build_environment(config), config)
+    holder = None
+    for cost, migrations, next_holder, digest, histogram in DENSE_HLF_ROUNDS:
+        report = scheduler.run(n_iterations=1, first_holder=holder)
+        holder = report.next_holder
+        token = scheduler.token
+        assert report.final_cost == pytest.approx(cost, rel=1e-9)
+        assert report.total_migrations == migrations
+        assert holder == next_holder
+        levels = collections.Counter(entry.level for entry in token.entries())
+        assert dict(levels) == histogram
+        assert hashlib.sha256(token.encode()).hexdigest()[:16] == digest
 
 
 def test_naive_engine_reproduces_the_golden_trajectory():

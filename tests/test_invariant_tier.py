@@ -5,9 +5,9 @@ python any more; what they report must not have moved.  Every row below
 corrupts exactly one thing on a healthy stack and pins the invariant
 name, the offending indices and (for the allocation's own checks) the
 message — the values the per-element walks reported for the same
-corruption.  One row differs on purpose: an out-of-range token level
-used to die inside ``Token.entries()`` with a ``ValueError`` before the
-check that names it could run; it now reports ``token-level-range``.
+corruption.  The token tier has one row: its levels are ``uint8`` (in
+range by dtype) and no level buckets remain to disagree, so what can
+still break is the ascending id order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ SMALL = dict(n_racks=8, hosts_per_rack=2, vms_per_host=4, fill_fraction=0.6)
 
 
 def healthy():
-    """A settled rr stack: every token level is 0, one bucket."""
+    """A settled rr stack: every token level is 0."""
     config = ExperimentConfig(seed=9, policy="rr", **SMALL)
     scheduler = make_scheduler(build_environment(config))
     scheduler.run(n_iterations=1)
@@ -50,28 +50,11 @@ def _busy_host(scheduler):
 
 # Each corruption mutates the stack and returns (invariant, indices,
 # message fragment).
-def level_out_of_range(s):
-    vm = s.token.vm_ids[3]
-    s.token._levels[vm] = 300
-    return "token-level-range", (vm,), f"vm {vm} at level 300"
-
-
-def level_without_bucket(s):
-    s.token._levels[s.token.vm_ids[3]] = 7
-    return "token-level-buckets", (7,), "level buckets disagree"
-
-
-def bucket_desync(s):
-    a, b = s.token.vm_ids[2], s.token.vm_ids[5]
-    s.token._levels[a] = 1  # a stays bucketed at 0 ...
-    s.token._buckets[0].remove(b)
-    s.token._buckets[1] = [b]  # ... while b, recorded 0, sits in bucket 1
-    return "token-bucket-desync", (a,), f"vm {a} bucketed at 0, recorded 1"
-
-
-def missing_bucket_member(s):
-    s.token._buckets[0].remove(s.token.vm_ids[4])
-    return "token-bucket-partition", (), f"token {len(s.token)}"
+def ids_out_of_order(s):
+    ids = s.token._ids
+    a, b = int(ids[2]), int(ids[3])
+    ids[2], ids[3] = b, a
+    return "token-order", (a,), f"vm {a} follows vm {b}"
 
 
 def token_membership(s):
@@ -141,8 +124,7 @@ def lowest_host_first_check(s):
 
 
 CORRUPTIONS = [
-    level_out_of_range, level_without_bucket, bucket_desync,
-    missing_bucket_member, token_membership, host_map, slot_mirror,
+    ids_out_of_order, token_membership, host_map, slot_mirror,
     ram_mirror, cpu_mirror, allocation_host_set, ram_accounting,
     cpu_accounting, lowest_host_first_check,
 ]

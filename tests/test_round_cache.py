@@ -198,7 +198,7 @@ class TestAdversarialInvalidation:
         )
 
     def test_hlf_level_raise_mid_round(self):
-        """HLF's wave_refresh raises token levels mid-round; order
+        """HLF rewrites token levels at every round end; order
         snapshots and cached decisions must agree run after run."""
         (env_c, sched_c), (env_u, sched_u) = build_twins(
             seed=13, policy="hlf", n_iterations=3, pattern="medium"

@@ -132,9 +132,28 @@ def _with_removed_switches(spec):
 
 
 class TestOlderDirectoriesAreRefused:
-    def test_formats_moved_to_v3(self):
-        assert SERVICE_FORMAT == "score-service/v3"
-        assert JOURNAL_FORMAT == "score-journal/v3"
+    def test_formats_moved_to_v4(self):
+        assert SERVICE_FORMAT == "score-service/v4"
+        assert JOURNAL_FORMAT == "score-journal/v4"
+
+    def test_service_resume_refuses_a_v3_directory(self, tmp_path):
+        """A v3 snapshot pickled the dict-and-buckets token; the tag check
+        refuses the directory before any snapshot is unpickled."""
+        directory = str(tmp_path)
+        with SchedulerService.create(
+            ExperimentConfig(seed=5, **SMALL), directory
+        ) as service:
+            service.step()
+        _rewrite_begin_format(directory, "score-service/v3")
+        with pytest.raises(RecoveryError, match="score-service/v3"):
+            SchedulerService.resume(directory)
+
+    def test_durable_run_resume_refuses_a_v3_directory(self, tmp_path):
+        directory = str(tmp_path)
+        run_durable_scenario("steady", directory, scale="toy", epochs=1)
+        _rewrite_begin_format(directory, "score-journal/v3")
+        with pytest.raises(RecoveryError, match="score-journal/v3"):
+            DurableScenarioRun.resume(directory)
 
     def test_service_resume_refuses_a_v2_spec(self, tmp_path):
         directory = str(tmp_path)
@@ -167,7 +186,7 @@ class TestOlderDirectoriesAreRefused:
             ExperimentConfig(seed=5, **SMALL), directory
         ) as service:
             service.step()
-        SchedulerService.resume(directory).close()  # v3 resumes fine
+        SchedulerService.resume(directory).close()  # v4 resumes fine
         _rewrite_begin_format(directory, "score-service/v1")
         with pytest.raises(RecoveryError, match="score-service/v1"):
             SchedulerService.resume(directory)
