@@ -14,10 +14,10 @@ Commands
 ``scenario``
     Run a named scenario from the catalogue (drifting traffic, tenant
     churn, maintenance drains) epoch by epoch via the delta-path engine;
-    ``--list`` prints the catalogue.  Durable runs
-    (``--checkpoint-dir``/``--recover-from``) drain gracefully on
-    SIGINT/SIGTERM: the in-flight round finishes and a final checkpoint
-    flushes before exit.
+    ``--list`` prints the catalogue.  Runs drain gracefully on
+    SIGINT/SIGTERM: the in-flight round finishes, and a durable run
+    (``--checkpoint-dir``/``--recover-from``) flushes a final checkpoint
+    before exit.
 ``serve``
     The scheduler-as-a-service daemon: warm scheduler state, a pluggable
     event source (Poisson, a scenario's event feed, newline-JSON),
@@ -182,6 +182,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         with GracefulShutdown() as stop:
             result = run_scenario(
                 "baseline",  # ignored: the journal names the scenario
+                profile=args.profile,
                 validate=args.validate,
                 recover_from=args.recover_from,
                 stop_requested=stop,
@@ -209,7 +210,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                 validate=args.validate,
                 checkpoint_dir=args.checkpoint_dir,
                 checkpoint_every=args.checkpoint_every,
-                stop_requested=stop if args.checkpoint_dir else None,
+                stop_requested=stop,
             )
     env = result.environment
     print(f"topology: {env.topology.describe()}  policy: {scenario.config.policy}")
@@ -238,8 +239,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         f"wall clock: transitions {result.total_transition_s:.3f}s, "
         f"scheduling {result.total_schedule_s:.3f}s"
     )
-    if result.interrupted:
-        where = args.checkpoint_dir or args.recover_from
+    where = args.checkpoint_dir or args.recover_from
+    if result.interrupted and where is None:
+        print("interrupted by shutdown request")
+    elif result.interrupted:
         print(
             f"interrupted by shutdown request — final checkpoint flushed; "
             f"resume with: python -m repro scenario --recover-from {where}"

@@ -602,8 +602,11 @@ class SCOREScheduler:
         # Snapshots pickle the whole scheduler graph; the live fleet
         # (worker processes, pipes, shared-memory slabs) never travels.
         # A restored scheduler rebuilds it lazily at its next run.
+        # Profiling belongs to the process that enabled it, not to the
+        # run: a resumed run profiles only when asked again.
         state = self.__dict__.copy()
         state["_shard_coordinator"] = None
+        state["_profile"] = None
         return state
 
     def __setstate__(self, state):

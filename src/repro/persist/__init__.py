@@ -7,20 +7,24 @@ Three layers, bottom up:
   disk touch goes through (bounded retry/backoff, fault injection);
 * :mod:`repro.persist.journal` — an append-only, CRC-framed,
   torn-tail-repairing write-ahead journal;
-* :mod:`repro.persist.durable` — :class:`DurableScenarioRun`, the
-  checkpointed scenario driver whose kill-at-any-point recovery the
-  crash-differential suite (``tests/test_crash_recovery.py``) pins.
+* :mod:`repro.persist.durable` — :class:`DurableCore`, the one
+  durable core both drivers (the scenario run of
+  :mod:`repro.scenarios.runner` and the service of
+  :mod:`repro.service`) share: directory open and format check, the
+  recovery ladder with verified replay, the write-ahead proxy
+  (:class:`JournaledScheduler`) and checkpointing, under the one
+  format tag :data:`JOURNAL_FORMAT`.
 
 :mod:`repro.persist.faults` supplies the simulated-crash harness
 (:class:`FaultPlan` / :class:`FaultyIO`) the recovery tests drive.
 """
 
 from repro.persist.durable import (
-    DurableScenarioRun,
+    JOURNAL_FORMAT,
+    REPLAY_RELTOL,
+    DurableCore,
     JournaledScheduler,
     RecoveryError,
-    resume_durable_scenario,
-    run_durable_scenario,
 )
 from repro.persist.faults import FaultPlan, FaultyIO, SimulatedCrash
 from repro.persist.journal import JOURNAL_NAME, Journal, JournalRecord
@@ -38,11 +42,11 @@ from repro.persist.snapshot import (
 )
 
 __all__ = [
-    "DurableScenarioRun",
+    "DurableCore",
+    "JOURNAL_FORMAT",
+    "REPLAY_RELTOL",
     "JournaledScheduler",
     "RecoveryError",
-    "run_durable_scenario",
-    "resume_durable_scenario",
     "FaultPlan",
     "FaultyIO",
     "SimulatedCrash",

@@ -1,53 +1,40 @@
-"""Durable scenario runs: checkpointed, journaled, crash-recoverable.
+"""The durable core: journal, recovery ladder, verified replay, checkpoints.
 
-:class:`DurableScenarioRun` drives the same trajectory as
-:func:`repro.scenarios.runner.run_scenario` — epoch transitions through
-the delta path, token rounds through the continuous-time event queue —
-but one round at a time, committing to a write-ahead journal and
-writing snapshot generations on a configurable cadence.  A run killed
-at *any* point (between waves, mid-snapshot, mid-journal-append)
-resumes from disk and finishes bit-exact against its uninterrupted
-twin; ``tests/test_crash_recovery.py`` fuzzes exactly that.
-
-Round granularity is free: ``SCOREScheduler.run`` chains successive
-rounds through the holder its policy's ``end_round`` returns, and the
-scheduler's ``first_holder``/``next_holder`` seam reproduces that chain
-across separate one-round calls — so the checkpointed trajectory *is*
-the classic trajectory, not an approximation of it.
+Both long-running drivers — the scenario run
+(:class:`repro.scenarios.runner.DurableScenarioRun`) and the daemon
+(:class:`repro.service.SchedulerService`) — are durable through one
+implementation, :class:`DurableCore`.  A state directory holds a
+write-ahead :class:`~repro.persist.journal.Journal` whose ``begin``
+record carries the one format tag (:data:`JOURNAL_FORMAT`) and the
+driver's spec under the driver's own key (``scenario`` or
+``experiment``), so each driver refuses an older directory and the
+other's.  Every state-mutating scheduler call and every applied event is
+journaled *before* it runs (:class:`JournaledScheduler`), every
+committed step writes a commit record, and snapshot generations of the
+whole runtime land on the driver's cadence.
 
 Recovery model (redo by deterministic re-execution)
 ---------------------------------------------------
-Everything the trajectory depends on lives in the snapshot: the full
-scheduler graph (allocation, traffic, token, policy state, engine
-caches), the placement manager's id counter, the drift/churn process
-state, the pending event heap and the run position (epoch, rounds done,
-next holder).  Mutations between snapshots are therefore a *pure
-function* of the snapshotted state, so recovery is:
+Everything the trajectory depends on lives in the snapshot, so the
+mutations between snapshots are a *pure function* of it.  Recovery
+loads the newest snapshot generation that verifies (corrupt files fall
+back a generation; none at all falls back to a cold rebuild from the
+``begin`` spec — the degradation ladder), then re-executes the
+committed records after its position as *verification*: each step must
+reproduce the recorded cost, migration count, decision digest and next
+holder, or recovery aborts with :class:`RecoveryError`.  Whatever was
+journaled after the last commit (the torn tail of in-flight work) is
+discarded; re-execution regenerates it.
 
-1. load the newest snapshot generation that verifies (corrupt files
-   fall back a generation; none at all falls back to a cold rebuild
-   from the journal's ``begin`` spec — the degradation ladder);
-2. re-execute the schedule forward, consuming the journal's commit
-   records (``transition``/``round``/``epoch``) after the snapshot's
-   position as *verification*: each re-executed step must reproduce
-   the recorded cost, migration count, decision digest and next
-   holder, or recovery aborts with :class:`RecoveryError`;
-3. anything journaled after the last commit (the torn, uncommitted
-   tail of in-flight work) is discarded — re-execution regenerates it;
-4. continue the remaining schedule live, journaling again.
-
-The ``op``/``event`` records written ahead of every mutation make the
-journal a complete audit of *what* ran; replay correctness rides on the
-commit records plus determinism, which the differential suite pins.
+A driver given no directory journals and snapshots nothing: the same
+loop runs with the scheduler unwrapped.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
-from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,67 +52,25 @@ from repro.persist.snapshot import (
     read_header,
     write_snapshot,
 )
-from repro.scenarios.registry import scenario_by_name
-from repro.scenarios.scenario import (
-    ChurnSpec,
-    DriftSpec,
-    EventSpec,
-    Scenario,
-)
 from repro.sim.eventqueue import EventQueueRunner
-from repro.sim.experiment import (
-    ExperimentConfig,
-    build_environment,
-    make_scheduler,
-)
-from repro.sim.dynamics import count_returning_migrations
-from repro.util.validation import check_engine_invariants
 
-#: v2: round commits carry the column-wise decision digest
-#: (:func:`_decisions_digest`); a v1 directory's digests cannot verify.
-#: v3: the scenario's experiment spec lost its path switches, so a v2
-#: begin record no longer rebuilds; it is refused with its tag.
-#: v4: snapshots pickle the token as two arrays (ids, levels).
-JOURNAL_FORMAT = "score-journal/v4"
+#: The one format tag of every state directory, scenario run and
+#: service alike.  v2: round commits carry the column-wise decision
+#: digest; v3: the experiment spec lost its path switches; v4: snapshots
+#: pickle the token as two arrays; v5: the scenario run and the service
+#: share one tag and one core (v4 had ``score-journal/v4`` and
+#: ``score-service/v4``).  Any other tag is refused at resume.
+JOURNAL_FORMAT = "score-journal/v5"
 
-#: Dict keys whose recorded/re-executed values are floats compared with
-#: the acceptance tolerance instead of exactly (JSON round-trips doubles
-#: exactly, so this is belt and braces, not slack).
-_COST_KEYS = ("cost", "cost_after", "clock")
-_RELTOL = 1e-9
+#: Commit-record keys whose recorded and re-executed values are floats,
+#: compared with :data:`REPLAY_RELTOL` instead of exactly (JSON
+#: round-trips doubles exactly, so this is belt and braces, not slack).
+COST_KEYS = ("cost", "cost_after", "clock")
+REPLAY_RELTOL = 1e-9
 
 
 class RecoveryError(Exception):
-    """Replay re-execution diverged from the journal's commit records."""
-
-
-def _scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
-    return asdict(scenario)
-
-
-def _scenario_from_dict(data: Dict[str, Any]) -> Scenario:
-    events = tuple(
-        EventSpec(
-            **{
-                **spec,
-                "vm_ids": tuple(spec.get("vm_ids", ())),
-                "racks": tuple(spec.get("racks", ())),
-                "pods": tuple(spec.get("pods", ())),
-                "hosts": tuple(spec.get("hosts", ())),
-            }
-        )
-        for spec in data["events"]
-    )
-    return Scenario(
-        name=data["name"],
-        description=data["description"],
-        config=ExperimentConfig(**data["config"]),
-        epochs=data["epochs"],
-        iterations_per_epoch=data["iterations_per_epoch"],
-        drift=DriftSpec(**data["drift"]),
-        churn=ChurnSpec(**data["churn"]),
-        events=events,
-    )
+    """A state directory cannot be recovered, or replay diverged from it."""
 
 
 def compact_journal_to_snapshots(directory: str, journal: Journal) -> int:
@@ -282,414 +227,231 @@ class JournaledScheduler:
         self._inner.set_bandwidth_threshold(threshold)
 
 
-class DurableScenarioRun:
-    """One checkpointed, journaled, resumable scenario run.
+class DurableCore:
+    """What every durable driver shares: open, recover, journal, checkpoint.
 
-    Build with :meth:`create` (fresh directory) or :meth:`resume`
-    (recover from an existing one), then :meth:`run` to completion.
-    ``checkpoint_every`` counts *rounds* between snapshot generations;
-    the bootstrap snapshot (generation 1) is written at creation so the
-    degradation ladder always has a floor.
+    A driver names its ``begin`` spec key (:attr:`SPEC_KEY`) and the
+    commit kinds recovery re-executes (:attr:`COMMIT_KINDS`), and
+    supplies ``_boot_fresh()`` (build the runtime through
+    :meth:`_attach`), ``_state_dict()`` / ``_install_state(state)`` (its
+    snapshot payload over :meth:`_runtime_state` /
+    :meth:`_install_runtime`) and ``_redo(record)`` (re-execute one
+    commit record, verifying it).  With no directory and no journal,
+    nothing touches disk.
     """
+
+    #: The ``begin`` record key holding this driver's spec.
+    SPEC_KEY = ""
+    #: Journal record kinds recovery re-executes and verifies, in order.
+    COMMIT_KINDS: Tuple[str, ...] = ()
+    #: Whether the event runner validates engine invariants per event.
+    _validate = False
 
     def __init__(
         self,
-        directory: str,
-        journal: Journal,
-        scenario: Scenario,
-        n_epochs: int,
-        iterations: int,
-        checkpoint_every: int,
-        validate: bool,
+        directory: Optional[str],
+        journal: Optional[Journal],
         io: StorageIO,
         fault: Optional[FaultPlan],
         keep_generations: int,
-        compact_journal: bool = False,
+        compact_journal: bool,
     ) -> None:
-        self._directory = str(directory)
+        self._directory = None if directory is None else str(directory)
         self._journal = journal
-        self._scenario = scenario
-        self._n_epochs = int(n_epochs)
-        self._iterations = int(iterations)
-        self._checkpoint_every = int(checkpoint_every)
-        self._validate = bool(validate)
         self._io = io
         self._fault = fault
         self._keep_generations = int(keep_generations)
         self._compact_journal = bool(compact_journal)
         self._replaying = False
-        self._phase = "transition"
         self._recovered_from: Optional[str] = None
         # Runtime state: _boot_fresh or _install_state fills these in.
         self._environment = None
         self._scheduler = None
-        self._proxy = None
-        self._runner = None
-        self._drift = None
-        self._churn = None
-        self._result: Optional[Any] = None
-        self._former_hosts: Dict[int, Set[int]] = {}
-        self._epoch = 0
-        self._rounds_done = 0
-        self._transition_done = False
+        self._runner: Optional[EventQueueRunner] = None
         self._next_holder: Optional[int] = None
-        self._round_counter = 0
-        self._acc = self._fresh_acc()
 
-    # -- construction --------------------------------------------------
+    # -- opening a directory -------------------------------------------
 
     @classmethod
-    def create(
-        cls,
-        scenario: Union[Scenario, str],
-        directory: str,
-        *,
-        scale: Optional[str] = None,
-        epochs: Optional[int] = None,
-        iterations_per_epoch: Optional[int] = None,
-        seed: Optional[int] = None,
-        checkpoint_every: int = 1,
-        validate: bool = False,
-        io: Optional[StorageIO] = None,
-        fault: Optional[FaultPlan] = None,
-        keep_generations: int = 4,
-        compact_journal: bool = False,
-    ) -> "DurableScenarioRun":
-        """Start a fresh durable run in an empty ``directory``.
-
-        Scenario resolution (name lookup, ``scale``/``epochs``/
-        ``iterations_per_epoch``/``seed`` overrides) matches
-        :func:`~repro.scenarios.runner.run_scenario`; the resolved spec
-        is journaled as the ``begin`` record, making the directory
-        self-contained for cold rebuilds.
-
-        ``compact_journal`` truncates committed journal records older
-        than every surviving snapshot generation after each checkpoint,
-        bounding long-running disk use — at the cost of the ladder's
-        cold-rebuild rung for the dropped span (recovery then floors at
-        the oldest kept generation; the default keeps the full journal).
-        """
-        if isinstance(scenario, str):
-            scenario = scenario_by_name(scenario)
-        scenario = scenario.scaled(scale)
-        if seed is not None:
-            scenario = scenario.with_(config=scenario.config.with_(seed=seed))
-        n_epochs = epochs if epochs is not None else scenario.epochs
-        if n_epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {n_epochs}")
-        iterations = (
-            iterations_per_epoch
-            if iterations_per_epoch is not None
-            else scenario.iterations_per_epoch
-        )
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        io = io or StorageIO()
+    def _open_fresh(cls, directory: str, io: StorageIO) -> Journal:
+        """The journal of an empty ``directory`` (created if absent)."""
         os.makedirs(directory, exist_ok=True)
         journal = Journal(os.path.join(directory, JOURNAL_NAME), io=io)
         if journal.last_seq:
+            journal.close()
             raise ValueError(
                 f"{directory!r} already holds a journaled run; "
-                f"use DurableScenarioRun.resume"
+                f"use {cls.__name__}.resume"
             )
-        run = cls(
-            directory,
-            journal,
-            scenario,
-            n_epochs,
-            iterations,
-            checkpoint_every,
-            validate,
-            io,
-            fault,
-            keep_generations,
-            compact_journal,
-        )
-        journal.append(
-            "begin",
-            {
-                "format": JOURNAL_FORMAT,
-                "scenario": _scenario_to_dict(scenario),
-                "epochs": int(n_epochs),
-                "iterations": int(iterations),
-                "checkpoint_every": int(checkpoint_every),
-                "validate": bool(validate),
-            },
-        )
-        run._boot_fresh()
-        run._write_checkpoint()  # generation 1: the ladder's floor
-        return run
+        return journal
 
     @classmethod
-    def resume(
-        cls,
-        directory: str,
-        *,
-        validate: Optional[bool] = None,
-        io: Optional[StorageIO] = None,
-        fault: Optional[FaultPlan] = None,
-        keep_generations: int = 4,
-        compact_journal: bool = False,
-    ) -> "DurableScenarioRun":
-        """Recover a run from ``directory``'s snapshots + journal.
+    def _open_existing(
+        cls, directory: str, io: StorageIO
+    ) -> Tuple[Journal, JournalRecord]:
+        """The journal and ``begin`` record of this driver's directory.
 
-        Applies the degradation ladder (newest good snapshot → previous
-        generations → cold rebuild from the ``begin`` spec), then
-        re-executes and verifies the journal's committed suffix; the
-        returned run continues from exactly where the committed history
-        ends.  ``validate`` overrides the recorded flag (None keeps it).
+        Refused, typed and with the journal closed: no ``begin`` record,
+        another format tag, or another driver's spec.
         """
-        io = io or StorageIO()
         journal = Journal(os.path.join(directory, JOURNAL_NAME), io=io)
         begin = journal.find_first("begin")
+        problem = None
         if begin is None:
-            raise RecoveryError(
-                f"{directory!r} has no usable journal begin record"
-            )
-        if begin.data.get("format") != JOURNAL_FORMAT:
-            journal.close()
-            raise RecoveryError(
-                f"{directory!r} is not a {JOURNAL_FORMAT} run directory "
+            problem = "has no usable journal begin record"
+        elif begin.data.get("format") != JOURNAL_FORMAT:
+            problem = (
+                f"is not a {JOURNAL_FORMAT} directory "
                 f"(begin format {begin.data.get('format')!r})"
             )
-        scenario = _scenario_from_dict(begin.data["scenario"])
-        run = cls(
-            directory,
-            journal,
-            scenario,
-            begin.data["epochs"],
-            begin.data["iterations"],
-            begin.data["checkpoint_every"],
-            begin.data["validate"] if validate is None else validate,
-            io,
-            fault,
-            keep_generations,
-            compact_journal,
-        )
-        try:
-            loaded = load_latest_good(directory)
-            run._install_state(loaded.state)
-            base_seq = int(loaded.header.get("meta", {})["journal_seq"])
-            label = f"{os.path.basename(loaded.path)}@seq{base_seq}"
-        except NoSnapshotError as exc:
-            if journal.find_first("compact") is not None:
-                raise RecoveryError(
-                    f"{directory!r} has no usable snapshot and its journal "
-                    f"was compacted — the dropped records made the "
-                    f"cold-rebuild rung unreachable ({exc})"
-                ) from exc
-            run._boot_fresh()
-            base_seq = begin.seq
-            label = f"cold-rebuild@seq{base_seq}"
-        run._recovered_from = label
-        run._scheduler._recovered_from = label
-        run._replay(
-            run._journal.records(
-                after_seq=base_seq, kinds=("transition", "round", "epoch")
+        elif cls.SPEC_KEY not in begin.data:
+            problem = (
+                f"is not a {cls.__name__} directory (its begin record "
+                f"has no {cls.SPEC_KEY!r} spec)"
             )
-        )
-        return run
+        if problem is not None:
+            journal.close()
+            raise RecoveryError(f"{directory!r} {problem}")
+        return journal, begin
 
     # -- runtime wiring ------------------------------------------------
 
-    def _attach_runtime(self, environment, scheduler, drift, churn) -> None:
-        from repro.scenarios.runner import ScenarioResult
+    def _attach(self, environment, scheduler) -> None:
+        """Make ``scheduler`` the live one, behind the journal proxy.
 
+        The scheduler it replaces (a safe-mode recovery swaps in the
+        snapshot's) is closed, so its worker fleet and shared-memory
+        slabs do not outlive it.
+        """
+        if self._scheduler is not None and self._scheduler is not scheduler:
+            self._scheduler.close()
         self._environment = environment
         self._scheduler = scheduler
-        self._drift = drift
-        self._churn = churn
-        self._proxy = JournaledScheduler(scheduler, self._record_op)
+        durable = self._journal is not None
         self._runner = EventQueueRunner(
-            self._proxy,
+            JournaledScheduler(scheduler, self._record_op)
+            if durable
+            else scheduler,
             environment=environment,
             validate=self._validate,
-            on_before_event=self._record_event,
+            on_before_event=self._record_event if durable else None,
             fault=self._fault,
         )
-        self._result = ScenarioResult(
-            scenario=self._scenario, environment=environment
-        )
 
-    def _boot_fresh(self) -> None:
-        environment = build_environment(self._scenario.config)
-        scheduler = make_scheduler(environment)
-        drift = self._scenario.drift.build(
-            environment.traffic, seed=self._scenario.config.seed
-        )
-        churn = self._scenario.churn.build()
-        self._attach_runtime(environment, scheduler, drift, churn)
-        for spec in self._scenario.events:
-            self._runner.schedule_at_round(
-                spec.at_round, spec.build(self._runner.round_seconds)
-            )
+    def _runtime_state(self) -> Dict[str, Any]:
+        """The snapshot payload every driver shares."""
+        return {
+            "environment": self._environment,
+            "scheduler": self._scheduler,
+            "heap": self._runner._heap,
+            "heap_seq": self._runner._seq,
+            "round_seconds": self._runner.round_seconds,
+        }
 
-    def _install_state(self, state: Dict[str, Any]) -> None:
-        self._attach_runtime(
-            state["environment"],
-            state["scheduler"],
-            state["drift"],
-            state["churn"],
-        )
+    def _install_runtime(self, state: Dict[str, Any]) -> None:
+        self._attach(state["environment"], state["scheduler"])
         self._runner._heap = state["heap"]
         self._runner._seq = state["heap_seq"]
         self._runner.round_seconds = state["round_seconds"]
-        self._former_hosts = state["former_hosts"]
-        self._result.epoch_stats.extend(state["epoch_stats"])
-        self._result.initial_cost = state["initial_cost"]
-        self._result.final_cost = state["final_cost"]
-        position = state["position"]
-        self._epoch = position["epoch"]
-        self._rounds_done = position["rounds_done"]
-        self._transition_done = position["transition_done"]
-        self._next_holder = position["next_holder"]
-        self._round_counter = state["round_counter"]
-        self._acc = state["acc"]
 
     # -- journal seams -------------------------------------------------
 
     def _append(self, kind: str, data: Dict[str, Any]) -> Optional[int]:
-        if self._replaying:
+        if self._replaying or self._journal is None:
             return None
+        return self._journal_append(kind, data)
+
+    def _journal_append(
+        self, kind: str, data: Dict[str, Any]
+    ) -> Optional[int]:
         return self._journal.append(kind, data)
 
     def _record_op(self, op: str, payload: Dict[str, Any]) -> None:
-        self._append("op", {"op": op, "phase": self._phase, **payload})
+        self._append("op", {"op": op, **payload})
 
     def _record_event(self, time_s: float, event) -> None:
         self._append("event", {"t": float(time_s), "event": event.describe()})
 
+    # -- recovery ------------------------------------------------------
+
+    def _recover(self) -> None:
+        """The degradation ladder, then verified re-execution.
+
+        Newest good snapshot generation → older generations → cold
+        rebuild from the ``begin`` spec (refused, e.g. once the journal
+        was compacted: the dropped records made that rung unreachable).
+        Then every committed record after the rung's position is
+        re-executed through ``_redo`` and verified against the journal.
+        """
+        try:
+            loaded = load_latest_good(self._directory)
+            base_seq = int(loaded.header["meta"]["journal_seq"])
+            label = f"{os.path.basename(loaded.path)}@seq{base_seq}"
+            self._install_state(loaded.state)
+        except NoSnapshotError as exc:
+            refusal = self._cold_rebuild_refusal()
+            if refusal is not None:
+                raise RecoveryError(
+                    f"{self._directory!r} has no usable snapshot and "
+                    f"{refusal} ({exc})"
+                ) from exc
+            self._boot_fresh()
+            base_seq = self._journal.find_first("begin").seq
+            label = f"cold-rebuild@seq{base_seq}"
+        self._recovered_from = label
+        self._scheduler._recovered_from = label
+        self._replaying = True
+        try:
+            for record in self._journal.records(
+                after_seq=base_seq, kinds=self.COMMIT_KINDS
+            ):
+                self._redo(record)
+        finally:
+            self._replaying = False
+
+    def _cold_rebuild_refusal(self) -> Optional[str]:
+        """Why the ladder's last rung is out of reach (None: it is not)."""
+        if self._journal.find_first("compact") is not None:
+            return (
+                "its journal was compacted — the cold-rebuild rung is "
+                "unreachable"
+            )
+        return None
+
     def _verify(
         self, kind: str, expected: Dict[str, Any], actual: Dict[str, Any]
     ) -> None:
+        """Demand a re-executed commit reproduce its journal record."""
         for key, want in expected.items():
             got = actual.get(key)
-            if key in _COST_KEYS:
+            if key in COST_KEYS:
                 scale = max(1.0, abs(float(want)))
-                ok = abs(float(got) - float(want)) <= _RELTOL * scale
+                ok = abs(float(got) - float(want)) <= REPLAY_RELTOL * scale
             else:
                 ok = got == want
             if not ok:
+                where = ", ".join(
+                    f"{k} {expected[k]}"
+                    for k in ("epoch", "round")
+                    if k in expected
+                )
                 raise RecoveryError(
-                    f"replay diverged at {kind} commit "
-                    f"(epoch {expected.get('epoch')}, "
-                    f"round {expected.get('round', '-')}): "
+                    f"replay diverged at {kind} commit ({where}): "
                     f"{key} recorded {want!r}, re-executed {got!r}"
                 )
 
-    # -- checkpointing -------------------------------------------------
-
-    def _write_checkpoint(self) -> Optional[str]:
-        if self._replaying:
-            return None
-        state = {
-            "environment": self._environment,
-            "scheduler": self._scheduler,
-            "drift": self._drift,
-            "churn": self._churn,
-            "heap": self._runner._heap,
-            "heap_seq": self._runner._seq,
-            "round_seconds": self._runner.round_seconds,
-            "former_hosts": self._former_hosts,
-            "epoch_stats": list(self._result.epoch_stats),
-            "initial_cost": self._result.initial_cost,
-            "final_cost": self._result.final_cost,
-            "position": {
-                "epoch": self._epoch,
-                "rounds_done": self._rounds_done,
-                "transition_done": self._transition_done,
-                "next_holder": self._next_holder,
-            },
-            "round_counter": self._round_counter,
-            "acc": dict(self._acc),
-        }
-        meta = {
-            "kind": "durable-run",
-            "journal_seq": self._journal.last_seq,
-            "position": state["position"],
-            "clock": float(self._scheduler.clock),
-        }
-        path = write_snapshot(self._directory, state, meta, io=self._io)
-        self._append(
-            "snapshot",
-            {
-                "file": os.path.basename(path),
-                "journal_seq": meta["journal_seq"],
-            },
-        )
-        prune_snapshots(self._directory, keep=self._keep_generations)
-        if self._compact_journal:
-            self._compact_wal()
-        return path
-
-    def _compact_wal(self) -> int:
-        return compact_journal_to_snapshots(self._directory, self._journal)
-
-    # -- the schedule --------------------------------------------------
-
-    @staticmethod
-    def _fresh_acc() -> Dict[str, Any]:
-        return {
-            "migrations": 0,
-            "returning": 0,
-            "arrivals": 0,
-            "departures": 0,
-            "drained": 0,
-            "events": 0,
-            "cost_before": None,
-            "cost_after": None,
-            "transition_s": 0.0,
-            "schedule_s": 0.0,
-        }
-
-    def _do_transition(self, expected: Optional[Dict[str, Any]] = None):
-        self._phase = "transition"
-        t0 = time.perf_counter()
-        arrivals, departures, drained = self._churn.apply(
-            self._epoch, self._environment, self._proxy
-        )
-        if self._epoch > 0 and self._drift is not None:
-            delta = self._drift.step_delta()
-            if delta:
-                self._proxy.apply_traffic_delta(delta)
-        self._acc["transition_s"] += time.perf_counter() - t0
-        self._acc["arrivals"] = arrivals
-        self._acc["departures"] = departures
-        self._acc["drained"] = drained
-        self._phase = "round"
-        data = {
-            "epoch": self._epoch,
-            "arrivals": int(arrivals),
-            "departures": int(departures),
-            "drained": int(drained),
-            "n_vms": int(self._environment.allocation.n_vms),
-        }
-        if expected is not None:
-            self._verify("transition", expected, data)
-        self._append("transition", data)
-        self._transition_done = True
-
-    def _do_round(self, expected: Optional[Dict[str, Any]] = None):
-        events_before = len(self._runner.log)
-        t0 = time.perf_counter()
-        report = self._runner.run(
-            n_iterations=1, first_holder=self._next_holder
-        )
-        self._acc["schedule_s"] += time.perf_counter() - t0
-        self._acc["events"] += len(self._runner.log) - events_before
-        if self._acc["cost_before"] is None:
-            self._acc["cost_before"] = float(report.initial_cost)
-        self._acc["cost_after"] = float(report.final_cost)
-        self._acc["migrations"] += report.total_migrations
+    def _commit_round(
+        self, report, expected: Optional[Dict[str, Any]], **position
+    ) -> DecisionColumns:
+        """Verify (on replay) and journal one round's commit record; the
+        next round starts from the holder this one handed on.  Without a
+        journal there is nothing to record or verify, so no digest."""
         columns = report.decisions.columns()
-        self._acc["returning"] += count_returning_migrations(
-            columns.moves(), self._former_hosts
-        )
+        self._next_holder = report.next_holder
+        if self._journal is None and expected is None:
+            return columns
         data = {
-            "epoch": self._epoch,
-            "round": self._rounds_done,
+            **position,
             "cost": float(report.final_cost),
             "migrations": int(report.total_migrations),
             "clock": float(self._scheduler.clock),
@@ -699,87 +461,43 @@ class DurableScenarioRun:
         if expected is not None:
             self._verify("round", expected, data)
         self._append("round", data)
-        self._next_holder = report.next_holder
-        self._rounds_done += 1
-        self._round_counter += 1
-        self._result.epoch_reports.append(report)
-        if self._validate:
-            check_engine_invariants(
-                self._scheduler,
-                context=f"epoch {self._epoch} round {self._rounds_done}",
-            )
-        if self._round_counter % self._checkpoint_every == 0:
-            self._write_checkpoint()
+        return columns
 
-    def _finish_epoch(self, expected: Optional[Dict[str, Any]] = None):
-        from repro.scenarios.runner import EpochStats
+    # -- checkpointing -------------------------------------------------
 
-        acc = self._acc
-        cost_after = (
-            acc["cost_after"]
-            if acc["cost_after"] is not None
-            else self._result.final_cost
-        )
-        stats = EpochStats(
-            epoch=self._epoch,
-            n_vms=self._environment.allocation.n_vms,
-            migrations=acc["migrations"],
-            returning=acc["returning"],
-            arrivals=acc["arrivals"],
-            departures=acc["departures"],
-            drained=acc["drained"],
-            cost_before=(
-                acc["cost_before"]
-                if acc["cost_before"] is not None
-                else cost_after
-            ),
-            cost_after=cost_after,
-            transition_s=acc["transition_s"],
-            schedule_s=acc["schedule_s"],
-            events=acc["events"],
-            recovered_from=self._recovered_from,
-        )
-        if self._epoch == 0:
-            self._result.initial_cost = stats.cost_before
-        self._result.final_cost = cost_after
-        self._result.epoch_stats.append(stats)
-        data = {
-            "epoch": self._epoch,
-            "cost_after": float(cost_after),
-            "migrations": int(acc["migrations"]),
-            "n_vms": int(stats.n_vms),
+    def _write_checkpoint(self) -> Optional[str]:
+        """Snapshot generation + ``snapshot`` record + prune (+ compact).
+
+        A no-op while replaying (the generation on disk already covers
+        it) and without a directory.
+        """
+        if self._replaying or self._journal is None:
+            return None
+        meta = {
+            "kind": self.SPEC_KEY,
+            "journal_seq": self._journal.last_seq,
+            "clock": float(self._scheduler.clock),
         }
-        if expected is not None:
-            self._verify("epoch", expected, data)
-        self._append("epoch", data)
-        self._epoch += 1
-        self._rounds_done = 0
-        self._transition_done = False
-        self._next_holder = None
-        self._acc = self._fresh_acc()
-
-    def _replay(self, commits: List[JournalRecord]) -> None:
-        self._replaying = True
-        try:
-            for record in commits:
-                if record.kind == "transition":
-                    self._do_transition(expected=record.data)
-                elif record.kind == "round":
-                    self._do_round(expected=record.data)
-                else:
-                    self._finish_epoch(expected=record.data)
-        finally:
-            self._replaying = False
+        path = write_snapshot(
+            self._directory, self._state_dict(), meta, io=self._io
+        )
+        self._append(
+            "snapshot",
+            {
+                "file": os.path.basename(path),
+                "journal_seq": meta["journal_seq"],
+            },
+        )
+        prune_snapshots(self._directory, keep=self._keep_generations)
+        if self._compact_journal:
+            compact_journal_to_snapshots(self._directory, self._journal)
+        return path
 
     # -- public surface ------------------------------------------------
 
     @property
-    def directory(self) -> str:
+    def directory(self) -> Optional[str]:
         return self._directory
-
-    @property
-    def journal(self) -> Journal:
-        return self._journal
 
     @property
     def environment(self):
@@ -791,78 +509,17 @@ class DurableScenarioRun:
 
     @property
     def recovered_from(self) -> Optional[str]:
-        """Provenance label when this run came through :meth:`resume`."""
+        """Provenance label when this driver came through ``resume``."""
         return self._recovered_from
-
-    @property
-    def position(self) -> Dict[str, Any]:
-        """Where the committed history currently ends."""
-        return {
-            "epoch": self._epoch,
-            "rounds_done": self._rounds_done,
-            "transition_done": self._transition_done,
-            "next_holder": self._next_holder,
-        }
-
-    def run(self, stop_requested=None):
-        """Drive the remaining schedule to completion; returns the
-        :class:`~repro.scenarios.runner.ScenarioResult` (epoch stats of
-        already-committed epochs included, ``recovered_from`` stamped on
-        every epoch a resumed run produced).
-
-        ``stop_requested`` (a zero-argument callable, e.g. a signal
-        flag from :class:`repro.service.GracefulShutdown`) is polled
-        between rounds: when it turns true the in-flight round finishes,
-        a final checkpoint is flushed, and the partial result returns
-        with ``interrupted=True`` — :meth:`resume` continues from there.
-        """
-
-        def stopping() -> bool:
-            return stop_requested is not None and stop_requested()
-
-        interrupted = False
-        while self._epoch < self._n_epochs and not interrupted:
-            if not self._transition_done:
-                self._do_transition()
-            while self._rounds_done < self._iterations:
-                self._do_round()
-                if stopping():
-                    interrupted = True
-                    break
-            if not interrupted:
-                self._finish_epoch()
-                if self._epoch < self._n_epochs and stopping():
-                    interrupted = True
-        self._write_checkpoint()
-        self._result.profile = self._scheduler.profile
-        self._result.interrupted = interrupted
-        return self._result
 
     def close(self) -> None:
         if self._scheduler is not None:
             self._scheduler.close()
-        self._journal.close()
+        if self._journal is not None:
+            self._journal.close()
 
+    def __enter__(self):
+        return self
 
-def run_durable_scenario(
-    scenario: Union[Scenario, str],
-    directory: str,
-    *,
-    stop_requested=None,
-    **kwargs,
-):
-    """Create + run one durable scenario; returns its ScenarioResult."""
-    run = DurableScenarioRun.create(scenario, directory, **kwargs)
-    try:
-        return run.run(stop_requested=stop_requested)
-    finally:
-        run.close()
-
-
-def resume_durable_scenario(directory: str, *, stop_requested=None, **kwargs):
-    """Resume + finish a durable scenario; returns its ScenarioResult."""
-    run = DurableScenarioRun.resume(directory, **kwargs)
-    try:
-        return run.run(stop_requested=stop_requested)
-    finally:
-        run.close()
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -32,7 +32,6 @@ from repro.service.service import (
     RECOVERING,
     RUNNING,
     SAFE_MODE,
-    SERVICE_FORMAT,
     STOPPED,
     DegradedPersistence,
     DegradedWindow,
@@ -77,7 +76,6 @@ __all__ = [
     "RUNNING",
     "Rejected",
     "SAFE_MODE",
-    "SERVICE_FORMAT",
     "STOPPED",
     "SafeModeWindow",
     "SchedulerService",

@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.persist.durable import REPLAY_RELTOL
 from repro.persist.faults import FaultPlan, FaultyIO
 from repro.persist.snapshot import StorageIO
 from repro.scenarios.scenario import SCALES, EventSpec
@@ -50,8 +51,6 @@ from repro.service.sources import (
     ScriptedSource,
 )
 from repro.sim.experiment import ExperimentConfig
-
-_RELTOL = 1e-9
 
 FAULT_CLASSES = ("kill", "snapshot", "journal")
 
@@ -117,12 +116,12 @@ class ChaosSoakResult:
         """Every way the faulted run diverged from its twin (empty = none)."""
         found = []
         scale = max(1.0, abs(self.twin_cost))
-        if abs(self.victim_cost - self.twin_cost) > _RELTOL * scale:
+        if abs(self.victim_cost - self.twin_cost) > REPLAY_RELTOL * scale:
             found.append(
                 f"cost diverged: victim {self.victim_cost!r} "
                 f"vs twin {self.twin_cost!r}"
             )
-        if abs(self.victim_clock - self.twin_clock) > _RELTOL * max(
+        if abs(self.victim_clock - self.twin_clock) > REPLAY_RELTOL * max(
             1.0, abs(self.twin_clock)
         ):
             found.append(

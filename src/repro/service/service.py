@@ -1,7 +1,7 @@
 """The scheduler service: S-CORE as a supervised long-running daemon.
 
 :class:`SchedulerService` wraps one :class:`~repro.core.scheduler.SCOREScheduler`
-behind the write-ahead proxy of :mod:`repro.persist.durable` and drives
+in the durable core of :mod:`repro.persist.durable` and drives
 it one token round at a time: poll the event source, admit through the
 bounded :class:`~repro.service.admission.IngestionQueue`, dispatch into
 the continuous-time runner, run the round, commit it to the journal,
@@ -21,7 +21,7 @@ Robustness model (the state machine ``docs/service.md`` diagrams)::
 * **safe mode** — :class:`~repro.util.validation.InvariantViolation`
   from the per-round engine check freezes plan emission, snapshots the
   offending state to ``<state_dir>/postmortem/`` for post-mortem, then
-  recovers through the PR-7 ladder (newest good generation → older →
+  recovers through the shared ladder (newest good generation → older →
   cold rebuild) and verified re-execution.  The violating round was
   never committed, so replay stops at the last good round and re-runs
   it cleanly.  A bounded recovery budget turns a *persistent* violation
@@ -61,39 +61,18 @@ from typing import (
     Tuple,
 )
 
-from repro.persist.durable import (
-    JournaledScheduler,
-    RecoveryError,
-    _COST_KEYS,
-    _RELTOL,
-    _decisions_digest,
-    compact_journal_to_snapshots,
-)
+from repro.persist.durable import JOURNAL_FORMAT, DurableCore
 from repro.persist.faults import FaultPlan, SimulatedCrash
-from repro.persist.journal import JOURNAL_NAME, Journal
-from repro.persist.snapshot import (
-    NoSnapshotError,
-    StorageIO,
-    load_latest_good,
-    prune_snapshots,
-    write_snapshot,
-)
+from repro.persist.journal import Journal, JournalRecord
+from repro.persist.snapshot import StorageIO, write_snapshot
 from repro.service.admission import Accepted, Deferred, IngestionQueue
 from repro.service.sources import EventSource, source_from_spec
-from repro.sim.eventqueue import EventQueueRunner
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
     make_scheduler,
 )
 from repro.util.validation import InvariantViolation, check_engine_invariants
-
-#: v2: round commits carry the column-wise decision digest; v3: the
-#: experiment spec lost its path switches (``fastcost``,
-#: ``batched_rounds``, ``shard_compact``, ``shard_transport``); v4: the
-#: pickled token is two arrays, no longer a dict plus level buckets.  An
-#: older directory is refused at resume instead of failing replay on it.
-SERVICE_FORMAT = "score-service/v4"
 
 # Service lifecycle states (ServiceReport.transitions records each move).
 RUNNING = "running"
@@ -253,7 +232,7 @@ class ServiceReport:
         return self.events_applied / self.wall_s if self.wall_s > 0 else 0.0
 
 
-class SchedulerService:
+class SchedulerService(DurableCore):
     """One supervised S-CORE daemon over a durable state directory.
 
     Build with :meth:`create` (fresh directory) or :meth:`resume`
@@ -263,7 +242,15 @@ class SchedulerService:
     round length (it is only known once the environment exists).
     ``on_plan`` observes every emitted :class:`MigrationPlan` as it
     happens; ``service.plans`` keeps them all.
+
+    Opening, the recovery ladder, verified replay, the journal seams and
+    checkpointing are :class:`~repro.persist.durable.DurableCore`'s; the
+    service adds its source and admission, plan emission, safe mode,
+    degraded persistence and supervision.
     """
+
+    SPEC_KEY = "experiment"
+    COMMIT_KINDS = ("round",)
 
     def __init__(
         self,
@@ -276,31 +263,28 @@ class SchedulerService:
         fault: Optional[FaultPlan],
         on_plan: Optional[Callable[[MigrationPlan], None]],
     ) -> None:
-        self._directory = str(state_dir)
-        self._journal = journal
+        super().__init__(
+            state_dir,
+            journal,
+            io,
+            fault,
+            config.keep_generations,
+            config.compact_journal,
+        )
         self._experiment = experiment
         self._config = config
         self._source_spec = source_spec
-        self._io = io
-        self._fault = fault
         self._on_plan = on_plan
         self._state = RUNNING
-        self._replaying = False
         self._journal_down = False
         self._safe_mode_recoveries = 0
-        self._recovered_from: Optional[str] = None
         self._report = ServiceReport(state=RUNNING)
         self._admit_wall: Dict[int, float] = {}
         self.plans: List[MigrationPlan] = []
-        # Durable runtime state (_boot_fresh / _install_state fill these).
-        self._environment = None
-        self._scheduler = None
-        self._proxy = None
-        self._runner: Optional[EventQueueRunner] = None
+        # Service runtime state (_boot_fresh / _install_state fill these).
         self._source: Optional[EventSource] = None
         self._queue: Optional[IngestionQueue] = None
         self._rounds_done = 0
-        self._next_holder: Optional[int] = None
         self._last_migrations = -1
 
     # -- construction --------------------------------------------------
@@ -326,38 +310,37 @@ class SchedulerService:
         """
         config = config or ServiceConfig()
         io = io or StorageIO()
-        os.makedirs(state_dir, exist_ok=True)
-        journal = Journal(os.path.join(state_dir, JOURNAL_NAME), io=io)
-        if journal.last_seq:
-            journal.close()
-            raise ValueError(
-                f"{state_dir!r} already holds a journaled service; "
-                f"use SchedulerService.resume"
-            )
+        journal = cls._open_fresh(state_dir, io)
         service = cls(
             state_dir, journal, experiment, config, None, io, fault, on_plan
         )
-        service._boot_fresh()
-        if callable(source) and not isinstance(source, EventSource):
-            source = source(service._runner.round_seconds)
-        service._source = source
-        service._source_spec = source.spec() if source is not None else None
-        # Guarded like every other append: a transiently failing disk at
-        # boot retries inside the deadline budget instead of leaking a
-        # raw OSError out of create().
-        service._guarded(
-            "journal append (begin)",
-            lambda: journal.append(
-                "begin",
-                {
-                    "format": SERVICE_FORMAT,
-                    "experiment": asdict(experiment),
-                    "service": asdict(config),
-                    "source": service._source_spec,
-                },
-            ),
-        )
-        service._checkpoint()  # generation 1: the ladder's floor
+        try:
+            service._boot_fresh()
+            if callable(source) and not isinstance(source, EventSource):
+                source = source(service._runner.round_seconds)
+            service._source = source
+            service._source_spec = (
+                source.spec() if source is not None else None
+            )
+            # Guarded like every other append: a transiently failing disk
+            # at boot retries inside the deadline budget instead of
+            # leaking a raw OSError out of create().
+            service._guarded(
+                "journal append (begin)",
+                lambda: journal.append(
+                    "begin",
+                    {
+                        "format": JOURNAL_FORMAT,
+                        "experiment": asdict(experiment),
+                        "service": asdict(config),
+                        "source": service._source_spec,
+                    },
+                ),
+            )
+            service._checkpoint()  # generation 1: the ladder's floor
+        except BaseException:
+            service.close()
+            raise
         return service
 
     @classmethod
@@ -379,52 +362,31 @@ class SchedulerService:
         journaled service config (None keeps it).
         """
         io = io or StorageIO()
-        journal = Journal(os.path.join(state_dir, JOURNAL_NAME), io=io)
-        begin = journal.find_first("begin")
-        if begin is None:
-            journal.close()
-            raise RecoveryError(
-                f"{state_dir!r} has no usable journal begin record"
-            )
-        if begin.data.get("format") != SERVICE_FORMAT:
-            journal.close()
-            raise RecoveryError(
-                f"{state_dir!r} is not a service directory "
-                f"(begin format {begin.data.get('format')!r})"
-            )
-        experiment = ExperimentConfig(**begin.data["experiment"])
+        journal, begin = cls._open_existing(state_dir, io)
         if config is None:
             config = ServiceConfig(**begin.data["service"])
         service = cls(
             state_dir,
             journal,
-            experiment,
+            ExperimentConfig(**begin.data["experiment"]),
             config,
             begin.data.get("source"),
             io,
             fault,
             on_plan,
         )
-        service._recover()
+        try:
+            service._recover()
+        except BaseException:
+            service.close()
+            raise
         return service
 
-    # -- runtime wiring ------------------------------------------------
-
-    def _attach(self, environment, scheduler) -> None:
-        self._environment = environment
-        self._scheduler = scheduler
-        self._proxy = JournaledScheduler(scheduler, self._record_op)
-        self._runner = EventQueueRunner(
-            self._proxy,
-            environment=environment,
-            on_before_event=self._record_event,
-            fault=self._fault,
-        )
+    # -- runtime state -------------------------------------------------
 
     def _boot_fresh(self) -> None:
         environment = build_environment(self._experiment)
-        scheduler = make_scheduler(environment)
-        self._attach(environment, scheduler)
+        self._attach(environment, make_scheduler(environment))
         self._queue = IngestionQueue(
             capacity=self._config.queue_capacity,
             soft_limit=self._config.queue_soft_limit,
@@ -440,23 +402,16 @@ class SchedulerService:
 
     def _state_dict(self) -> Dict[str, Any]:
         return {
-            "environment": self._environment,
-            "scheduler": self._scheduler,
+            **self._runtime_state(),
             "source": self._source,
             "queue": self._queue,
-            "heap": self._runner._heap,
-            "heap_seq": self._runner._seq,
-            "round_seconds": self._runner.round_seconds,
             "rounds_done": self._rounds_done,
             "next_holder": self._next_holder,
             "last_migrations": self._last_migrations,
         }
 
     def _install_state(self, state: Dict[str, Any]) -> None:
-        self._attach(state["environment"], state["scheduler"])
-        self._runner._heap = state["heap"]
-        self._runner._seq = state["heap_seq"]
-        self._runner.round_seconds = state["round_seconds"]
+        self._install_runtime(state)
         self._source = state["source"]
         self._queue = state["queue"]
         self._rounds_done = state["rounds_done"]
@@ -486,18 +441,6 @@ class SchedulerService:
         return self._report
 
     @property
-    def scheduler(self):
-        return self._scheduler
-
-    @property
-    def environment(self):
-        return self._environment
-
-    @property
-    def directory(self) -> str:
-        return self._directory
-
-    @property
     def rounds_done(self) -> int:
         return self._rounds_done
 
@@ -505,10 +448,6 @@ class SchedulerService:
     def round_seconds(self) -> float:
         """Simulated seconds per token round (initial-population unit)."""
         return self._runner.round_seconds
-
-    @property
-    def recovered_from(self) -> Optional[str]:
-        return self._recovered_from
 
     # -- guarded persistence -------------------------------------------
 
@@ -534,9 +473,9 @@ class SchedulerService:
                 waited += backoff
                 backoff *= 2.0
 
-    def _append(self, kind: str, data: Dict[str, Any]) -> Optional[int]:
-        if self._replaying:
-            return None
+    def _journal_append(
+        self, kind: str, data: Dict[str, Any]
+    ) -> Optional[int]:
         if self._journal_down:
             self._report.skipped_appends += 1
             return None
@@ -549,12 +488,6 @@ class SchedulerService:
             self._report.skipped_appends += 1
             self._enter_degraded(exc)
             return None
-
-    def _record_op(self, op: str, payload: Dict[str, Any]) -> None:
-        self._append("op", {"op": op, **payload})
-
-    def _record_event(self, time_s: float, event) -> None:
-        self._append("event", {"t": float(time_s), "event": event.describe()})
 
     def _enter_degraded(self, exc: DegradedPersistence) -> None:
         if "journal" in exc.operation:
@@ -580,34 +513,12 @@ class SchedulerService:
         if self._replaying:
             return None
         try:
-            path = self._guarded("snapshot write", self._write_snapshot_now)
+            path = self._guarded("snapshot write", self._write_checkpoint)
         except DegradedPersistence as exc:
             self._enter_degraded(exc)
             return None
         if self._state == DEGRADED:
             self._exit_degraded()
-        return path
-
-    def _write_snapshot_now(self) -> str:
-        meta = {
-            "kind": "service",
-            "journal_seq": self._journal.last_seq,
-            "rounds_done": self._rounds_done,
-            "clock": float(self._scheduler.clock),
-        }
-        path = write_snapshot(
-            self._directory, self._state_dict(), meta, io=self._io
-        )
-        self._append(
-            "snapshot",
-            {
-                "file": os.path.basename(path),
-                "journal_seq": meta["journal_seq"],
-            },
-        )
-        prune_snapshots(self._directory, keep=self._config.keep_generations)
-        if self._config.compact_journal:
-            compact_journal_to_snapshots(self._directory, self._journal)
         return path
 
     # -- safe mode & recovery ------------------------------------------
@@ -669,57 +580,20 @@ class SchedulerService:
         self._set_state(RUNNING, f"recovered from {self._recovered_from}")
 
     def _recover(self) -> None:
-        """The PR-7 ladder + verified re-execution, service flavored."""
-        try:
-            loaded = load_latest_good(self._directory)
-            base_seq = int(loaded.header["meta"]["journal_seq"])
-            label = f"{os.path.basename(loaded.path)}@seq{base_seq}"
-            self._install_state(loaded.state)
-        except NoSnapshotError as exc:
-            if self._journal.find_first("compact") is not None:
-                raise RecoveryError(
-                    f"{self._directory!r} has no usable snapshot and its "
-                    f"journal was compacted — the cold-rebuild rung is "
-                    f"unreachable ({exc})"
-                ) from exc
-            if self._source_spec is None and self._source is None:
-                raise RecoveryError(
-                    f"{self._directory!r} has no usable snapshot and its "
-                    f"source is not reconstructible (no rebuild spec)"
-                ) from exc
-            begin = self._journal.find_first("begin")
-            self._boot_fresh()
-            base_seq = begin.seq
-            label = f"cold-rebuild@seq{base_seq}"
-        self._recovered_from = label
-        self._replaying = True
-        try:
-            for record in self._journal.records(
-                after_seq=base_seq, kinds=("round",)
-            ):
-                self.step(expected=record.data)
-        finally:
-            self._replaying = False
+        super()._recover()
         committed = self._journal.records(kinds=("round",))
         if committed:
             self._report.final_cost = float(committed[-1].data["cost"])
 
-    def _verify(
-        self, expected: Dict[str, Any], actual: Dict[str, Any]
-    ) -> None:
-        for key, want in expected.items():
-            got = actual.get(key)
-            if key in _COST_KEYS:
-                scale = max(1.0, abs(float(want)))
-                ok = abs(float(got) - float(want)) <= _RELTOL * scale
-            else:
-                ok = got == want
-            if not ok:
-                raise RecoveryError(
-                    f"service replay diverged at round "
-                    f"{expected.get('round')}: {key} recorded {want!r}, "
-                    f"re-executed {got!r}"
-                )
+    def _cold_rebuild_refusal(self) -> Optional[str]:
+        refusal = super()._cold_rebuild_refusal()
+        unrebuildable = self._source_spec is None and self._source is None
+        if refusal is None and unrebuildable:
+            refusal = "its source is not reconstructible (no rebuild spec)"
+        return refusal
+
+    def _redo(self, record: JournalRecord) -> None:
+        self.step(expected=record.data)
 
     # -- the round loop -------------------------------------------------
 
@@ -784,20 +658,9 @@ class SchedulerService:
                 context=f"service round {self._rounds_done}",
                 deep=deep,
             )
-        decisions = report.decisions.columns()
-        data = {
-            "round": self._rounds_done,
-            "cost": float(report.final_cost),
-            "migrations": int(report.total_migrations),
-            "clock": float(self._scheduler.clock),
-            "next_holder": report.next_holder,
-            "digest": _decisions_digest(decisions),
-            "events": len(applied),
-        }
-        if expected is not None:
-            self._verify(expected, data)
-        self._append("round", data)
-        self._next_holder = report.next_holder
+        decisions = self._commit_round(
+            report, expected, round=self._rounds_done, events=len(applied)
+        )
         self._rounds_done += 1
         self._last_migrations = int(report.total_migrations)
         self._report.final_cost = float(report.final_cost)
@@ -882,17 +745,6 @@ class SchedulerService:
         report = self.report
         report.stop_reason = stop_reason
         return report
-
-    def close(self) -> None:
-        if self._scheduler is not None:
-            self._scheduler.close()
-        self._journal.close()
-
-    def __enter__(self) -> "SchedulerService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class GracefulShutdown:
@@ -983,10 +835,10 @@ def supervise(
             )
         except SimulatedCrash as crash:
             crashes.append(str(crash))
-            if len(crashes) > max_restarts:
-                raise
             if service is not None:
                 with contextlib.suppress(Exception):
                     service.close()
             service = None
+            if len(crashes) > max_restarts:
+                raise
             incarnation += 1

@@ -1,4 +1,4 @@
-"""Simulation harness: link loads, metrics, experiments, dynamics.
+"""Simulation harness: link loads, metrics, experiments, event queue.
 
 :mod:`repro.sim.network`
     Routes every traffic-matrix pair over the topology (deterministic ECMP)
@@ -9,8 +9,6 @@
     Declarative experiment configs and the runner used by every benchmark:
     build topology + cluster + VMs + traffic, run S-CORE (and optionally the
     GA reference), return the series the paper plots.
-:mod:`repro.sim.dynamics`
-    S-CORE under a drifting traffic matrix (stability / oscillation study).
 :mod:`repro.sim.eventqueue`
     Continuous-time event-queue runner: timestamped arrival/retirement/
     drift/failure events injected between waves of in-flight rounds.
@@ -28,7 +26,6 @@ from repro.sim.experiment import (
     build_environment,
     run_experiment,
 )
-from repro.sim.dynamics import DynamicRunResult, run_dynamic
 from repro.sim.eventqueue import (
     AppliedEvent,
     Arrival,
@@ -57,8 +54,6 @@ __all__ = [
     "ExperimentResult",
     "build_environment",
     "run_experiment",
-    "DynamicRunResult",
-    "run_dynamic",
     "EventQueueRunner",
     "AppliedEvent",
     "Event",

@@ -109,6 +109,37 @@ class TestScenarioCommand:
         assert "migrations" in out
         assert "scheduling" in out
 
+    def test_profile_with_checkpoint_dir_prints_the_phase_table(
+        self, tmp_path, capsys
+    ):
+        code = main(
+            ["scenario", "steady", "--scale", "toy", "--epochs", "1",
+             "--iterations-per-epoch", "1", "--profile",
+             "--checkpoint-dir", str(tmp_path / "ckpt")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "scheduling phases" in out
+        assert "transition" in out
+
+    def test_a_resumed_run_profiles_only_when_asked(self, tmp_path, capsys):
+        """Snapshots carry no profiling state, so resuming a profiled run
+        without ``--profile`` prints no phase table."""
+        directory = str(tmp_path / "ckpt")
+        code = main(
+            ["scenario", "steady", "--scale", "toy", "--epochs", "1",
+             "--iterations-per-epoch", "1", "--profile",
+             "--checkpoint-dir", directory]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert main(["scenario", "--recover-from", directory]) == 0
+        assert "scheduling phases" not in capsys.readouterr().out
+        assert main(
+            ["scenario", "--recover-from", directory, "--profile"]
+        ) == 0
+        assert "scheduling phases" in capsys.readouterr().out
+
     def test_unknown_scenario_errors(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             main(["scenario", "not-a-scenario"])

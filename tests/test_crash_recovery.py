@@ -25,24 +25,35 @@ import json
 import os
 import random
 import tempfile
+from dataclasses import asdict
 
 import pytest
 
 from repro.persist import (
     JOURNAL_NAME,
-    DurableScenarioRun,
     FaultPlan,
     FaultyIO,
     Journal,
     RecoveryError,
     SimulatedCrash,
-    resume_durable_scenario,
-    run_durable_scenario,
 )
+from repro.persist.durable import _decisions_digest
 from repro.persist.journal import _canonical, _crc
-from repro.scenarios import run_scenario, scenario_by_name
+from repro.scenarios import DurableScenarioRun, run_scenario, scenario_by_name
 
 RELTOL = 1e-9
+
+
+def run_durable_scenario(scenario, directory, **kwargs):
+    """Create a durable run in ``directory`` and drive it to the end."""
+    with DurableScenarioRun.create(scenario, directory, **kwargs) as run:
+        return run.run()
+
+
+def resume_durable_scenario(directory, **kwargs):
+    """Resume the run in ``directory`` and drive it to the end."""
+    with DurableScenarioRun.resume(directory, **kwargs) as run:
+        return run.run()
 
 #: The differential workload: mid-round arrivals + a traffic surge on
 #: top of flash-crowd churn, so every journaled op kind except the
@@ -151,21 +162,49 @@ class TestKillPoints:
 # ---------------------------------------------------------------------------
 
 
+CATALOGUE = [
+    "steady",
+    "diurnal-drift",
+    "hotspot-flip",
+    "flash-crowd",
+    "rolling-maintenance",
+    "rack-outage",
+    "pod-outage",
+    "flash-crowd-mid-round",
+    "bandwidth-crunch",
+]
+
+
+def epoch_facts(result):
+    """Every EpochStats field but the wall clocks and the provenance."""
+    return [
+        {
+            key: value
+            for key, value in asdict(stats).items()
+            if key not in ("transition_s", "schedule_s", "recovered_from")
+        }
+        for stats in result.epoch_stats
+    ]
+
+
 class TestDurableSemantics:
-    @pytest.mark.parametrize(
-        "name", ["steady", "flash-crowd-mid-round", "rolling-maintenance"]
-    )
-    def test_durable_run_matches_classic_runner(self, name, tmp_path):
-        durable = run_durable_scenario(
-            name, str(tmp_path), scale="toy", epochs=EPOCHS
-        )
-        classic = run_scenario(name, scale="toy", epochs=EPOCHS)
-        assert durable.final_cost == pytest.approx(
-            classic.final_cost, rel=RELTOL
-        )
-        assert durable.total_migrations == classic.total_migrations
-        assert [s.migrations for s in durable.epoch_stats] == [
-            s.migrations for s in classic.epoch_stats
+    @pytest.mark.parametrize("policy", ["rr", "hlf"])
+    @pytest.mark.parametrize("name", CATALOGUE)
+    def test_persistence_on_and_off_are_exactly_equal(
+        self, name, policy, tmp_path
+    ):
+        """One loop: the journal and the snapshots observe the run, they
+        never steer it — bit for bit, round for round."""
+        scenario = scenario_by_name(name).scaled("toy")
+        scenario = scenario.with_(config=scenario.config.with_(policy=policy))
+        durable = run_durable_scenario(scenario, str(tmp_path))
+        plain = run_scenario(scenario)
+        assert epoch_facts(durable) == epoch_facts(plain)
+        assert durable.initial_cost == plain.initial_cost
+        assert durable.final_cost == plain.final_cost
+        assert round_digests(str(tmp_path)) == [
+            _decisions_digest(report.decisions.columns())
+            for report in plain.round_reports
         ]
         assert all(s.recovered_from is None for s in durable.epoch_stats)
 

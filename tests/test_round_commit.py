@@ -1,13 +1,14 @@
-"""The columnar round commit: decision digest, plan moves, format tags.
+"""The columnar round commit: decision digest, plan moves, format tag.
 
 A round commits a digest of its decision *columns* (no per-hold python)
 and cuts the migration plan from the migrated rows.  Pinned here: the
 digest sees every field of every hold and their order, does not depend
 on how the holds were blocked or whether they arrived as columns or as
-decision tuples, and a state directory written under an older format —
-the v1 digest, or a v2 experiment spec that still carries the removed
-path switches — is refused by the format check instead of failing
-replay.
+decision tuples; both drivers write the one format tag and a state
+directory written under an older format — the v1 digest, a v2
+experiment spec that still carries the removed path switches, the v4
+per-driver tags — or by the other driver is refused by the shared open
+path, typed and with its journal closed, instead of failing replay.
 """
 
 from __future__ import annotations
@@ -21,13 +22,17 @@ import pytest
 from repro.core.rounds import DecisionColumns
 from repro.core.scheduler import DecisionLog
 from repro.persist import (
-    DurableScenarioRun,
+    JOURNAL_FORMAT,
+    FaultPlan,
+    FaultyIO,
+    Journal,
     RecoveryError,
-    run_durable_scenario,
+    SimulatedCrash,
 )
-from repro.persist.durable import JOURNAL_FORMAT, _decisions_digest
+from repro.persist.durable import _decisions_digest
 from repro.persist.journal import JOURNAL_NAME, _canonical, _crc
-from repro.service import SERVICE_FORMAT, SchedulerService
+from repro.scenarios import DurableScenarioRun, run_scenario
+from repro.service import SchedulerService
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
@@ -131,36 +136,61 @@ def _with_removed_switches(spec):
     )
 
 
-class TestOlderDirectoriesAreRefused:
-    def test_formats_moved_to_v4(self):
-        assert SERVICE_FORMAT == "score-service/v4"
-        assert JOURNAL_FORMAT == "score-journal/v4"
+def _service_dir(directory):
+    with SchedulerService.create(
+        ExperimentConfig(seed=5, **SMALL), directory
+    ) as service:
+        service.step()
+    return directory
 
-    def test_service_resume_refuses_a_v3_directory(self, tmp_path):
+
+def _scenario_dir(directory):
+    run_scenario("steady", scale="toy", epochs=1, checkpoint_dir=directory)
+    return directory
+
+
+class TestOneFormatTwoDrivers:
+    """One tag for every state directory; the begin record's spec key
+    (``scenario`` or ``experiment``) says which driver owns it."""
+
+    def test_one_format_tag(self, tmp_path):
+        assert JOURNAL_FORMAT == "score-journal/v5"
+        for make, key in (
+            (_scenario_dir, "scenario"),
+            (_service_dir, "experiment"),
+        ):
+            directory = make(str(tmp_path / key))
+            with Journal(os.path.join(directory, JOURNAL_NAME)) as journal:
+                begin = journal.find_first("begin").data
+            assert begin["format"] == JOURNAL_FORMAT
+            assert key in begin
+
+    def test_current_directories_resume(self, tmp_path):
+        SchedulerService.resume(_service_dir(str(tmp_path / "svc"))).close()
+        DurableScenarioRun.resume(_scenario_dir(str(tmp_path / "run"))).close()
+
+    @pytest.mark.parametrize(
+        "old", ["score-service/v4", "score-service/v3", "score-service/v1"]
+    )
+    def test_service_resume_refuses_older_formats(self, tmp_path, old):
         """A v3 snapshot pickled the dict-and-buckets token; the tag check
         refuses the directory before any snapshot is unpickled."""
-        directory = str(tmp_path)
-        with SchedulerService.create(
-            ExperimentConfig(seed=5, **SMALL), directory
-        ) as service:
-            service.step()
-        _rewrite_begin_format(directory, "score-service/v3")
-        with pytest.raises(RecoveryError, match="score-service/v3"):
+        directory = _service_dir(str(tmp_path))
+        _rewrite_begin_format(directory, old)
+        with pytest.raises(RecoveryError, match=old):
             SchedulerService.resume(directory)
 
-    def test_durable_run_resume_refuses_a_v3_directory(self, tmp_path):
-        directory = str(tmp_path)
-        run_durable_scenario("steady", directory, scale="toy", epochs=1)
-        _rewrite_begin_format(directory, "score-journal/v3")
-        with pytest.raises(RecoveryError, match="score-journal/v3"):
+    @pytest.mark.parametrize(
+        "old", ["score-journal/v4", "score-journal/v3", "score-journal/v1"]
+    )
+    def test_scenario_resume_refuses_older_formats(self, tmp_path, old):
+        directory = _scenario_dir(str(tmp_path))
+        _rewrite_begin_format(directory, old)
+        with pytest.raises(RecoveryError, match=old):
             DurableScenarioRun.resume(directory)
 
     def test_service_resume_refuses_a_v2_spec(self, tmp_path):
-        directory = str(tmp_path)
-        with SchedulerService.create(
-            ExperimentConfig(seed=5, **SMALL), directory
-        ) as service:
-            service.step()
+        directory = _service_dir(str(tmp_path))
         _rewrite_begin_format(
             directory,
             "score-service/v2",
@@ -169,9 +199,8 @@ class TestOlderDirectoriesAreRefused:
         with pytest.raises(RecoveryError, match="score-service/v2"):
             SchedulerService.resume(directory)
 
-    def test_durable_run_resume_refuses_a_v2_spec(self, tmp_path):
-        directory = str(tmp_path)
-        run_durable_scenario("steady", directory, scale="toy", epochs=1)
+    def test_scenario_resume_refuses_a_v2_spec(self, tmp_path):
+        directory = _scenario_dir(str(tmp_path))
         _rewrite_begin_format(
             directory,
             "score-journal/v2",
@@ -180,21 +209,90 @@ class TestOlderDirectoriesAreRefused:
         with pytest.raises(RecoveryError, match="score-journal/v2"):
             DurableScenarioRun.resume(directory)
 
-    def test_service_resume(self, tmp_path):
-        directory = str(tmp_path)
-        with SchedulerService.create(
-            ExperimentConfig(seed=5, **SMALL), directory
-        ) as service:
-            service.step()
-        SchedulerService.resume(directory).close()  # v4 resumes fine
-        _rewrite_begin_format(directory, "score-service/v1")
-        with pytest.raises(RecoveryError, match="score-service/v1"):
-            SchedulerService.resume(directory)
+    def test_each_driver_refuses_the_others_directory(self, tmp_path):
+        service_dir = _service_dir(str(tmp_path / "svc"))
+        scenario_dir = _scenario_dir(str(tmp_path / "run"))
+        with pytest.raises(RecoveryError, match="'scenario' spec"):
+            DurableScenarioRun.resume(service_dir)
+        with pytest.raises(RecoveryError, match="'experiment' spec"):
+            SchedulerService.resume(scenario_dir)
 
-    def test_durable_run_resume(self, tmp_path):
-        directory = str(tmp_path)
-        run_durable_scenario("steady", directory, scale="toy", epochs=1)
-        DurableScenarioRun.resume(directory).close()
-        _rewrite_begin_format(directory, "score-journal/v1")
-        with pytest.raises(RecoveryError, match="score-journal/v1"):
-            DurableScenarioRun.resume(directory)
+
+@pytest.fixture
+def journal_handles(monkeypatch):
+    """Every Journal opened during the test, and the ones closed."""
+    opened, closed = [], []
+    real_init, real_close = Journal.__init__, Journal.close
+
+    def spy_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        opened.append(self)
+
+    def spy_close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(Journal, "__init__", spy_init)
+    monkeypatch.setattr(Journal, "close", spy_close)
+    return opened, closed
+
+
+class TestRefusalsCloseTheJournal:
+    """Every refusal of the shared open path, and every failure before a
+    fresh driver is handed back, closes its journal first."""
+
+    @pytest.mark.parametrize(
+        "make, create",
+        [
+            (
+                _scenario_dir,
+                lambda d: DurableScenarioRun.create("steady", d, scale="toy"),
+            ),
+            (
+                _service_dir,
+                lambda d: SchedulerService.create(
+                    ExperimentConfig(seed=5, **SMALL), d
+                ),
+            ),
+        ],
+        ids=["scenario", "service"],
+    )
+    def test_create_in_a_used_directory(
+        self, tmp_path, make, create, journal_handles
+    ):
+        directory = make(str(tmp_path))
+        opened, closed = journal_handles
+        del opened[:]
+        with pytest.raises(ValueError, match="already holds"):
+            create(directory)
+        assert len(opened) == 1 and opened[0] in closed
+
+    @pytest.mark.parametrize("driver", [DurableScenarioRun, SchedulerService])
+    def test_resume_without_a_begin_record(
+        self, tmp_path, driver, journal_handles
+    ):
+        opened, closed = journal_handles
+        with pytest.raises(RecoveryError, match="no usable journal begin"):
+            driver.resume(str(tmp_path))
+        assert len(opened) == 1 and opened[0] in closed
+
+    @pytest.mark.parametrize(
+        "create",
+        [
+            lambda d, io: DurableScenarioRun.create(
+                "steady", d, scale="toy", io=io
+            ),
+            lambda d, io: SchedulerService.create(
+                ExperimentConfig(seed=5, **SMALL), d, io=io
+            ),
+        ],
+        ids=["scenario", "service"],
+    )
+    def test_a_crash_in_the_bootstrap_checkpoint(
+        self, tmp_path, create, journal_handles
+    ):
+        opened, closed = journal_handles
+        plan = FaultPlan(crash_on_snapshot=1)
+        with pytest.raises(SimulatedCrash, match="mid-snapshot #1"):
+            create(str(tmp_path), FaultyIO(plan))
+        assert len(opened) == 1 and opened[0] in closed

@@ -76,12 +76,14 @@ class TestScenarioSmoke:
     @pytest.mark.parametrize("name", CATALOGUE)
     def test_scenario_runs_and_stays_consistent(self, name):
         # validate=True runs the full engine-invariant harness after
-        # every injected event and every epoch — the acceptance bar for
-        # the whole catalogue, event-driven and classic alike.
+        # every injected event and every round — the acceptance bar for
+        # the whole catalogue.
         result = run_scenario(name, scale="toy", validate=True)
         scenario = result.scenario
         assert len(result.epoch_stats) == scenario.epochs
-        assert len(result.epoch_reports) == scenario.epochs
+        assert len(result.round_reports) == (
+            scenario.epochs * scenario.iterations_per_epoch
+        )
         assert result.initial_cost > 0
         # The environment survived every epoch structurally intact.
         result.environment.allocation.validate()
@@ -130,6 +132,22 @@ class TestScenarioSmoke:
         # had largely settled.
         assert result.epoch_stats[2].migrations > 0
 
+    def test_a_run_without_a_directory_touches_no_disk(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        result = run_scenario("flash-crowd-mid-round", scale="toy", epochs=2)
+        assert result.events_applied > 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stop_request_is_honoured_without_a_directory(self):
+        result = run_scenario(
+            "steady", scale="toy", epochs=3, stop_requested=lambda: True
+        )
+        assert result.interrupted
+        assert len(result.round_reports) == 1
+        assert result.epoch_stats == []
+
     def test_seed_reuse_is_deterministic(self):
         a = run_scenario("diurnal-drift", scale="toy", seed=123)
         b = run_scenario("diurnal-drift", scale="toy", seed=123)
@@ -141,7 +159,8 @@ class TestScenarioSmoke:
             "steady", scale="toy", epochs=2, iterations_per_epoch=1
         )
         assert len(result.epoch_stats) == 2
-        assert result.epoch_reports[0].iterations[0].index == 1
+        assert len(result.round_reports) == 2
+        assert result.round_reports[0].iterations[0].index == 1
 
     @pytest.mark.parametrize("name", EVENT_SCENARIOS)
     def test_event_scenarios_apply_their_events(self, name):

@@ -402,6 +402,38 @@ class TestSafeMode:
             service.step()
         service.close()
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
+    )
+    def test_recovery_closes_the_replaced_sharded_scheduler(self, tmp_path):
+        """Safe mode swaps in the snapshot's scheduler; the poisoned one's
+        worker fleet and shared-memory slabs must not outlive it."""
+        before = set(os.listdir("/dev/shm"))
+        service = SchedulerService.create(
+            _experiment().with_(
+                sharding=True, shard_domains=2, shard_workers=2
+            ),
+            str(tmp_path / "svc"),
+            _poisson(),
+            config=ServiceConfig(checkpoint_every=2),
+        )
+        try:
+            service.serve(max_rounds=2)
+            replaced = service.scheduler
+            assert replaced._shard_coordinator is not None
+            self._poison(service)
+            report = service.serve()
+            assert len(report.safe_mode) == 1
+            assert service.scheduler is not replaced
+            assert replaced._shard_coordinator is None
+        finally:
+            service.close()
+        leaked = {
+            n for n in set(os.listdir("/dev/shm")) - before
+            if n.startswith("reproshard_")
+        }
+        assert leaked == set()
+
 
 class TestDegradedPersistence:
     def test_transient_io_storm_degrades_then_recovers(self, tmp_path):

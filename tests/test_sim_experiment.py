@@ -1,15 +1,13 @@
-"""Tests for the experiment runner and dynamics harness."""
+"""Tests for the experiment runner and S-CORE under drifting traffic."""
 
 import pytest
 
 from repro.baselines.ga import GAConfig
-from repro.core import MigrationEngine
-from repro.core.policies import HighestLevelFirstPolicy
 from repro.reference import NaiveScheduler, PerHoldScheduler, run_oracle
+from repro.scenarios import DriftSpec, Scenario, run_scenario
 from repro.sim import (
     ExperimentConfig,
     build_environment,
-    run_dynamic,
     run_experiment,
 )
 
@@ -137,15 +135,20 @@ class TestReductionVsOptimal:
         assert self._result(100.0, 130.0).reduction_vs_optimal == 0.0
 
 
-class TestRunDynamic:
+class TestStabilityUnderDrift:
+    """§VI-B: re-estimating a jittering λ every epoch does not oscillate."""
+
+    JITTER = Scenario(
+        name="jitter-stability",
+        description="rates drift, hotspots stay put",
+        config=SMALL.with_(policy="hlf"),
+        epochs=4,
+        iterations_per_epoch=2,
+        drift=DriftSpec(kind="jitter", noise=0.05, redirect_prob=0.0),
+    )
+
     def test_stability_under_drift(self):
-        env = build_environment(SMALL)
-        engine = MigrationEngine(env.cost_model)
-        result = run_dynamic(
-            env, HighestLevelFirstPolicy(), engine,
-            epochs=4, iterations_per_epoch=2, noise=0.05,
-            redirect_prob=0.0, seed=3,
-        )
+        result = run_scenario(self.JITTER)
         assert len(result.migrations_per_epoch) == 4
         # With drifting rates but fixed hotspots, later epochs need far
         # fewer migrations than the first.
@@ -153,7 +156,5 @@ class TestRunDynamic:
         assert result.oscillation_index <= 0.5
 
     def test_bad_epochs_rejected(self):
-        env = build_environment(SMALL)
-        engine = MigrationEngine(env.cost_model)
         with pytest.raises(ValueError):
-            run_dynamic(env, HighestLevelFirstPolicy(), engine, epochs=0)
+            run_scenario(self.JITTER, epochs=0)
