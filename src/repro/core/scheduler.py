@@ -724,7 +724,6 @@ class SCOREScheduler:
         self,
         directory: str,
         *,
-        include_engine: bool = True,
         meta: Optional[dict] = None,
         io=None,
     ) -> str:
@@ -733,41 +732,27 @@ class SCOREScheduler:
 
         The payload is the scheduler's whole object graph — allocation,
         traffic matrix, token ids/levels, policy state, clock, saved
-        drain capacity, and (by default) the warm
+        drain capacity, and the warm
         :class:`~repro.core.fastcost.FastCostEngine` with its CSR
         snapshot, Lemma-3 caches and round-score cache, so
         :meth:`restore` resumes without re-paying the cold scoring
-        boot.  ``include_engine=False`` strips the engine from the
-        payload (a far smaller file); the restored scheduler then
-        re-derives it lazily on its next :meth:`run`.
+        boot.
 
-        ``meta`` lands verbatim in the snapshot's JSON header (the
-        durable runner records its journal position there); ``io``
+        ``meta`` lands verbatim in the snapshot's JSON header; ``io``
         overrides the :class:`~repro.persist.snapshot.StorageIO` write
         layer (fault injection, retry budget).
         """
         from repro.persist.snapshot import write_snapshot
 
-        detached = None
-        if not include_engine and self._fast is not None:
-            detached = self._fast
-            self._fast = None
-            self._engine.attach_fastcost(None)
-        try:
-            header_meta = {
-                "kind": "scheduler",
-                "include_engine": bool(include_engine),
-                "clock": self._clock,
-                "n_vms": self._allocation.n_vms,
-                **(meta or {}),
-            }
-            return write_snapshot(
-                directory, {"scheduler": self}, header_meta, io=io
-            )
-        finally:
-            if detached is not None:
-                self._fast = detached
-                self._engine.attach_fastcost(detached)
+        header_meta = {
+            "kind": "scheduler",
+            "clock": self._clock,
+            "n_vms": self._allocation.n_vms,
+            **(meta or {}),
+        }
+        return write_snapshot(
+            directory, {"scheduler": self}, header_meta, io=io
+        )
 
     @classmethod
     def restore(cls, source: str, *, generation: Optional[int] = None):

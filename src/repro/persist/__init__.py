@@ -1,4 +1,4 @@
-"""Durable scheduler state: snapshots, write-ahead journal, recovery.
+"""Durable scheduler state: snapshots, commit journal, recovery.
 
 Three layers, bottom up:
 
@@ -6,14 +6,13 @@ Three layers, bottom up:
   written snapshot generations plus the :class:`StorageIO` seam every
   disk touch goes through (bounded retry/backoff, fault injection);
 * :mod:`repro.persist.journal` — an append-only, CRC-framed,
-  torn-tail-repairing write-ahead journal;
+  torn-tail-repairing journal of commit records;
 * :mod:`repro.persist.durable` — :class:`DurableCore`, the one
   durable core both drivers (the scenario run of
   :mod:`repro.scenarios.runner` and the service of
   :mod:`repro.service`) share: directory open and format check, the
-  recovery ladder with verified replay, the write-ahead proxy
-  (:class:`JournaledScheduler`) and checkpointing, under the one
-  format tag :data:`JOURNAL_FORMAT`.
+  recovery ladder with verified replay, commit records and
+  checkpointing, under the one format tag :data:`JOURNAL_FORMAT`.
 
 :mod:`repro.persist.faults` supplies the simulated-crash harness
 (:class:`FaultPlan` / :class:`FaultyIO`) the recovery tests drive.
@@ -23,7 +22,6 @@ from repro.persist.durable import (
     JOURNAL_FORMAT,
     REPLAY_RELTOL,
     DurableCore,
-    JournaledScheduler,
     RecoveryError,
 )
 from repro.persist.faults import FaultPlan, FaultyIO, SimulatedCrash
@@ -45,7 +43,6 @@ __all__ = [
     "DurableCore",
     "JOURNAL_FORMAT",
     "REPLAY_RELTOL",
-    "JournaledScheduler",
     "RecoveryError",
     "FaultPlan",
     "FaultyIO",

@@ -4,14 +4,16 @@ Both long-running drivers — the scenario run
 (:class:`repro.scenarios.runner.DurableScenarioRun`) and the daemon
 (:class:`repro.service.SchedulerService`) — are durable through one
 implementation, :class:`DurableCore`.  A state directory holds a
-write-ahead :class:`~repro.persist.journal.Journal` whose ``begin``
+commit :class:`~repro.persist.journal.Journal` whose ``begin``
 record carries the one format tag (:data:`JOURNAL_FORMAT`) and the
 driver's spec under the driver's own key (``scenario`` or
 ``experiment``), so each driver refuses an older directory and the
-other's.  Every state-mutating scheduler call and every applied event is
-journaled *before* it runs (:class:`JournaledScheduler`), every
-committed step writes a commit record, and snapshot generations of the
-whole runtime land on the driver's cadence.
+other's.  Every committed step — an epoch transition, a token round,
+an epoch — appends one commit record, and snapshot generations of the
+whole runtime land on the cadence set at creation.  Nothing else is
+journaled: the scheduler calls and events between two commits are a
+pure function of the state before them, so recovery regenerates them
+instead of reading them back.
 
 Recovery model (redo by deterministic re-execution)
 ---------------------------------------------------
@@ -22,19 +24,21 @@ back a generation; none at all falls back to a cold rebuild from the
 ``begin`` spec — the degradation ladder), then re-executes the
 committed records after its position as *verification*: each step must
 reproduce the recorded cost, migration count, decision digest and next
-holder, or recovery aborts with :class:`RecoveryError`.  Whatever was
-journaled after the last commit (the torn tail of in-flight work) is
-discarded; re-execution regenerates it.
+holder, or recovery aborts with :class:`RecoveryError`.  The work in
+flight after the last commit left no record; re-execution regenerates
+it.  Only commit kinds are re-executed, so a directory whose journal
+also holds the ``op``/``event``/``snapshot`` records older versions
+wrote between commits resumes unchanged.
 
-A driver given no directory journals and snapshots nothing: the same
-loop runs with the scheduler unwrapped.
+Without a directory nothing is journaled or snapshotted; the loop is
+the same either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -120,111 +124,6 @@ def _decisions_digest(columns: DecisionColumns) -> str:
     ):
         digest.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
     return digest.hexdigest()[:16]
-
-
-class JournaledScheduler:
-    """Write-ahead proxy around a :class:`SCOREScheduler`.
-
-    Every state-mutating call is recorded (operation name + resolved
-    arguments) *before* it executes on the wrapped scheduler; reads and
-    everything else delegate untouched, so the proxy drops in wherever
-    the scheduler goes (the event-queue runner, churn processes).  The
-    full-rebuild path ``update_traffic`` is intentionally outside the
-    durable op set — durable runs route traffic through
-    ``apply_traffic_delta``.
-    """
-
-    def __init__(self, scheduler, record) -> None:
-        self._inner = scheduler
-        self._record = record
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def admit_vm(self, vm, host: int) -> None:
-        self.admit_vms([vm], [host])
-
-    def admit_vms(self, vms: Sequence, hosts: Sequence[int]) -> None:
-        vms = list(vms)
-        hosts = [int(h) for h in hosts]
-        self._record(
-            "admit_vms",
-            {
-                "vms": [
-                    [int(vm.vm_id), int(vm.ram_mb), float(vm.cpu)]
-                    for vm in vms
-                ],
-                "hosts": hosts,
-            },
-        )
-        self._inner.admit_vms(vms, hosts)
-
-    def retire_vm(self, vm_id: int) -> None:
-        self.retire_vms([vm_id])
-
-    def retire_vms(self, vm_ids: Sequence[int]) -> None:
-        ids = [int(v) for v in vm_ids]
-        self._record("retire_vms", {"vm_ids": ids})
-        self._inner.retire_vms(ids)
-
-    def apply_traffic_delta(self, changed_pairs) -> int:
-        array_form = (
-            isinstance(changed_pairs, tuple)
-            and len(changed_pairs) == 3
-            and isinstance(changed_pairs[0], np.ndarray)
-        )
-        triples = (
-            list(zip(*changed_pairs)) if array_form else list(changed_pairs)
-        )
-        self._record(
-            "apply_traffic_delta",
-            {
-                "pairs": [
-                    [int(u), int(v), float(rate)] for u, v, rate in triples
-                ]
-            },
-        )
-        return self._inner.apply_traffic_delta(
-            changed_pairs if array_form else triples
-        )
-
-    def drain_hosts(
-        self, hosts: Sequence[int], offline: bool = False
-    ) -> List[Tuple[int, int]]:
-        hosts = [int(h) for h in hosts]
-        self._record("drain_hosts", {"hosts": hosts, "offline": bool(offline)})
-        return self._inner.drain_hosts(hosts, offline=offline)
-
-    def restore_hosts(self, hosts: Sequence[int]) -> None:
-        hosts = [int(h) for h in hosts]
-        self._record("restore_hosts", {"hosts": hosts})
-        self._inner.restore_hosts(hosts)
-
-    def set_host_capacity(
-        self,
-        host: int,
-        max_vms: Optional[int] = None,
-        nic_bps: Optional[float] = None,
-        ram_mb: Optional[int] = None,
-        cpu: Optional[float] = None,
-    ) -> None:
-        self._record(
-            "set_host_capacity",
-            {
-                "host": int(host),
-                "max_vms": max_vms,
-                "nic_bps": nic_bps,
-                "ram_mb": ram_mb,
-                "cpu": cpu,
-            },
-        )
-        self._inner.set_host_capacity(
-            host, max_vms=max_vms, nic_bps=nic_bps, ram_mb=ram_mb, cpu=cpu
-        )
-
-    def set_bandwidth_threshold(self, threshold: Optional[float]) -> None:
-        self._record("set_bandwidth_threshold", {"threshold": threshold})
-        self._inner.set_bandwidth_threshold(threshold)
 
 
 class DurableCore:
@@ -317,7 +216,7 @@ class DurableCore:
     # -- runtime wiring ------------------------------------------------
 
     def _attach(self, environment, scheduler) -> None:
-        """Make ``scheduler`` the live one, behind the journal proxy.
+        """Make ``scheduler`` the live one, driven by a fresh event runner.
 
         The scheduler it replaces (a safe-mode recovery swaps in the
         snapshot's) is closed, so its worker fleet and shared-memory
@@ -327,14 +226,10 @@ class DurableCore:
             self._scheduler.close()
         self._environment = environment
         self._scheduler = scheduler
-        durable = self._journal is not None
         self._runner = EventQueueRunner(
-            JournaledScheduler(scheduler, self._record_op)
-            if durable
-            else scheduler,
+            scheduler,
             environment=environment,
             validate=self._validate,
-            on_before_event=self._record_event if durable else None,
             fault=self._fault,
         )
 
@@ -365,12 +260,6 @@ class DurableCore:
         self, kind: str, data: Dict[str, Any]
     ) -> Optional[int]:
         return self._journal.append(kind, data)
-
-    def _record_op(self, op: str, payload: Dict[str, Any]) -> None:
-        self._append("op", {"op": op, **payload})
-
-    def _record_event(self, time_s: float, event) -> None:
-        self._append("event", {"t": float(time_s), "event": event.describe()})
 
     # -- recovery ------------------------------------------------------
 
@@ -466,7 +355,7 @@ class DurableCore:
     # -- checkpointing -------------------------------------------------
 
     def _write_checkpoint(self) -> Optional[str]:
-        """Snapshot generation + ``snapshot`` record + prune (+ compact).
+        """Snapshot generation + prune (+ compact).
 
         A no-op while replaying (the generation on disk already covers
         it) and without a directory.
@@ -480,13 +369,6 @@ class DurableCore:
         }
         path = write_snapshot(
             self._directory, self._state_dict(), meta, io=self._io
-        )
-        self._append(
-            "snapshot",
-            {
-                "file": os.path.basename(path),
-                "journal_seq": meta["journal_seq"],
-            },
         )
         prune_snapshots(self._directory, keep=self._keep_generations)
         if self._compact_journal:

@@ -1,15 +1,14 @@
-"""The write-ahead event journal: every mutation on disk before it lands.
+"""The commit journal: every committed step on disk before the next.
 
 One journal is an append-only text file of newline-delimited JSON
 records::
 
-    {"seq": 17, "kind": "op", "data": {...}, "crc": "9f2a11c3"}
+    {"seq": 17, "kind": "round", "data": {...}, "crc": "9f2a11c3"}
 
 ``seq`` increases by exactly 1 per record; ``crc`` is the CRC-32 of the
 record's canonical JSON (sorted keys, no spaces) *without* the ``crc``
-field.  Appends are flushed and fsynced before the caller proceeds —
-write-ahead semantics: when an operation's effects exist in memory, its
-record already exists on disk.
+field.  Appends are flushed and fsynced before the caller proceeds:
+once a step's commit record is appended, that step survives any crash.
 
 Record kinds (the schema recovery interprets — see
 ``docs/persistence.md``):
@@ -18,29 +17,21 @@ Record kinds (the schema recovery interprets — see
     The run's self-contained spec (scenario, epochs, iterations,
     checkpoint cadence).  Always record 1; the cold-rebuild rung of the
     recovery ladder reconstructs the whole environment from it.
-``op``
-    One state-mutating scheduler call (``admit_vms``, ``retire_vms``,
-    ``apply_traffic_delta``, ``drain_hosts``, ``restore_hosts``,
-    ``set_host_capacity``, ``set_bandwidth_threshold``) with resolved
-    arguments, written *before* the call executes.
-``event``
-    One :class:`~repro.sim.eventqueue.EventQueueRunner` event at its due
-    time, written before it is applied (its constituent ``op`` records
-    follow).
 ``transition``, ``round``, ``epoch``
-    Commit markers: an epoch transition, token round or epoch finished
+    Commit records: an epoch transition, token round or epoch finished
     with the recorded outcome (cost, migrations, decision digest, next
     holder).  Replay re-executes deterministically and *verifies*
     against these.
-``snapshot``
-    A snapshot generation was written covering everything up to this
-    point.
 ``compact``
     A compaction rewrite dropped every record between the ``begin``
     record and this marker's ``seq`` (they were older than every
     surviving snapshot generation, so no recovery path could need
     them).  The marker bridges the sequence chain: the scan accepts a
     forward jump exactly here, nowhere else.
+
+Older versions also wrote ``op``, ``event`` and ``snapshot`` records
+between commits.  Nothing reads them; replay selects commit kinds, so
+such a journal still resumes.
 
 Torn tails: a crash mid-append leaves a final record that is truncated
 or fails its CRC.  :meth:`Journal.open` scans the file, keeps the
@@ -106,7 +97,7 @@ def _decode_line(line: bytes) -> Optional[JournalRecord]:
 
 
 class Journal:
-    """Append-only WAL over one file, with torn-tail repair on open.
+    """Append-only journal over one file, with torn-tail repair on open.
 
     ``sync=False`` drops the per-append fsync (tests that hammer the
     journal thousands of times; production recovery guarantees need the

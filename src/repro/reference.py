@@ -15,6 +15,9 @@ The readable versions they replaced survive here, once each:
   Eq. 1–2 and Lemma 3); never builds the fast engine.
 * :class:`UncachedScheduler` — wave rounds through the uncached wave
   loop, the twin the round cache is pinned bit-exact against.
+* :func:`run_at_boundaries` — an event runner whose due events all
+  defer to the next round boundary, the twin of the mid-round pump
+  (:meth:`repro.sim.eventqueue.EventQueueRunner.run`).
 * :func:`plan_wave_reference` — the greedy interference-free wave
   selection as a python loop (:func:`repro.core.migration.plan_wave`).
 * :func:`ga_step_reference` — the per-individual GA generation
@@ -171,6 +174,22 @@ def run_oracle(cls, config: ExperimentConfig) -> SchedulerReport:
         n_workers=wired._n_workers,
     )
     return scheduler.run(n_iterations=config.n_iterations)
+
+
+def run_at_boundaries(
+    runner, n_iterations: int = 5, **kwargs
+) -> List[SchedulerReport]:
+    """Drive ``runner`` with every due event deferred to the nearest
+    round boundary: one scheduler run per iteration, pumping between
+    them.  Same events, same total simulated time as
+    :meth:`EventQueueRunner.run <repro.sim.eventqueue.EventQueueRunner.run>`
+    — only the injection granularity differs."""
+    reports: List[SchedulerReport] = []
+    for _ in range(n_iterations):
+        runner.pump(runner.scheduler.clock)
+        reports.append(runner.scheduler.run(n_iterations=1, **kwargs))
+    runner.pump(runner.scheduler.clock)
+    return reports
 
 
 def plan_wave_reference(

@@ -17,7 +17,7 @@ separate one-round calls.  Given a directory, the loop journals and
 snapshots through :class:`repro.persist.durable.DurableCore`, so a run
 killed at *any* point resumes from disk and finishes bit-exact against
 its uninterrupted twin (``tests/test_crash_recovery.py`` fuzzes that);
-given none, it touches no disk and runs the scheduler unwrapped.
+given none, it touches no disk and runs the same loop.
 :func:`run_scenario` is the entry point.
 """
 
@@ -429,7 +429,7 @@ class DurableScenarioRun(DurableCore):
         }
 
     def _do_transition(self, expected: Optional[Dict[str, Any]] = None):
-        scheduler = self._runner.scheduler
+        scheduler = self._scheduler
         t0 = time.perf_counter()
         arrivals, departures, drained = self._churn.apply(
             self._epoch, self._environment, scheduler
@@ -455,13 +455,13 @@ class DurableScenarioRun(DurableCore):
         self._transition_done = True
 
     def _do_round(self, expected: Optional[Dict[str, Any]] = None):
-        events_before = len(self._runner.log)
         t0 = time.perf_counter()
         report = self._runner.run(
             n_iterations=1, first_holder=self._next_holder
         )
         self._acc["schedule_s"] += time.perf_counter() - t0
-        self._acc["events"] += len(self._runner.log) - events_before
+        self._acc["events"] += len(self._runner.log)
+        self._runner.log.clear()
         if self._acc["cost_before"] is None:
             self._acc["cost_before"] = float(report.initial_cost)
         self._acc["cost_after"] = float(report.final_cost)

@@ -14,9 +14,10 @@ fault plans, one per incarnation, drawn from three classes:
 * **snapshot sabotage** — the k-th snapshot write torn / corrupted /
   vanished, optionally with transient ``OSError`` on earlier writes
   (the retry-path rider);
-* **journal kill** — the k-th append torn mid-record, with an ordinal
-  floor that grows per incarnation so some round always commits before
-  the next death (guaranteed forward progress).
+* **journal kill** — the k-th append torn mid-record.  A resumed
+  incarnation appends nothing but round commits, so the ordinal counts
+  rounds; its floor of 2 lets the incarnation commit a round before it
+  dies (guaranteed forward progress).
 
 After the fault schedule is exhausted the last incarnation runs on
 clean IO to completion.  Both services end the same way — stream
@@ -168,9 +169,10 @@ def _fault_schedule(
 
     Kill times are drawn *sorted ascending* across the schedule, so a
     restart's replay (clock at most the previous kill point) can never
-    re-trip a later kill; journal ordinals grow with the incarnation
-    index for the same reason — forward progress is structural, not
-    probabilistic.
+    re-trip a later kill.  A journal ordinal counts the incarnation's
+    own appends — after recovery, one per round commit — and is at
+    least 2, so a resumed incarnation commits a round before the torn
+    append: forward progress is structural, not probabilistic.
     """
     kill_times = sorted(
         rng.uniform(0.08, 0.92) * horizon_s for _ in range(n_faults)
@@ -198,9 +200,11 @@ def _fault_schedule(
                 )
             )
         else:  # journal
+            # Scaled from a randrange(6) draw: the ordinal's range then
+            # never changes how much of the stream the later plans see.
             plans.append(
                 FaultPlan(
-                    crash_on_journal_append=8 + 6 * i + rng.randrange(6),
+                    crash_on_journal_append=2 + i // 2 + rng.randrange(6) // 3,
                     transient_errors=transients,
                 )
             )

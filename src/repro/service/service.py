@@ -642,11 +642,10 @@ class SchedulerService(DurableCore):
             raise RuntimeError(f"service is {self._state}")
         self._ingest()
         self._dispatch()
-        applied_before = len(self._runner.log)
         report = self._runner.run(
             n_iterations=1, first_holder=self._next_holder
         )
-        applied = self._runner.log[applied_before:]
+        applied, self._runner.log = self._runner.log, []
         n = self._rounds_done + 1
         if self._config.validate_every and n % self._config.validate_every == 0:
             deep = bool(

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.allocation import CapacityError
 from repro.cluster.placement import place_arrivals
@@ -422,20 +422,18 @@ class EventQueueRunner:
     Construction captures the *round length in seconds* — the initial
     population times ``token_interval_s`` — as the unit
     :meth:`schedule_at_round` converts with; the scheduler's persistent
-    clock supplies "now".  :meth:`run` is the production path (events
-    land mid-round through the wave-loop pump); :meth:`run_at_boundaries`
-    is the differential twin that defers every due event to the next
-    round boundary — the fuzz suite runs both against independently
-    built twins and pins each against a rebuilt-from-scratch engine.
+    clock supplies "now".  :meth:`run` is the production path: events
+    land mid-round through the wave-loop pump.  (The round-boundary
+    twin the fuzz suite pins it beside is
+    :func:`repro.reference.run_at_boundaries`.)  Every applied event is
+    appended to :attr:`log`; a caller that runs many rounds reads and
+    clears it per round.
 
     ``validate=True`` runs :func:`check_engine_invariants` after every
-    applied event (failures name the event that triggered them);
-    ``on_event`` (``callable(AppliedEvent)``) observes the log as it
-    grows, and ``on_before_event`` (``callable(time_s, Event)``) fires
-    *before* each event applies — the write-ahead seam the journal of
-    :mod:`repro.persist` records through.  ``fault`` wires a
-    :class:`~repro.persist.faults.FaultPlan`'s between-waves kill point
-    into the pump (its ``check_pump`` runs before any due event).
+    applied event (failures name the event that triggered them).
+    ``fault`` wires a :class:`~repro.persist.faults.FaultPlan`'s
+    between-waves kill point into the pump (its ``check_pump`` runs
+    before any due event).
     """
 
     def __init__(
@@ -443,15 +441,11 @@ class EventQueueRunner:
         scheduler: SCOREScheduler,
         environment=None,
         validate: bool = False,
-        on_event: Optional[Callable[[AppliedEvent], None]] = None,
-        on_before_event: Optional[Callable[[float, Event], None]] = None,
         fault=None,
     ) -> None:
         self.scheduler = scheduler
         self.environment = environment
         self.validate = validate
-        self.on_event = on_event
-        self.on_before_event = on_before_event
         self.fault = fault
         self.round_seconds = len(scheduler.token) * scheduler.token_interval_s
         self.log: List[AppliedEvent] = []
@@ -492,8 +486,6 @@ class EventQueueRunner:
         changed = False
         while self._heap and self._heap[0][0] <= now + 1e-12:
             time_s, _, event = heapq.heappop(self._heap)
-            if self.on_before_event is not None:
-                self.on_before_event(time_s, event)
             did = event.apply(self, now)
             changed = changed or did
             record = AppliedEvent(time_s=time_s, event=event, changed=did)
@@ -503,8 +495,6 @@ class EventQueueRunner:
                     self.scheduler,
                     context=f"{event.describe()} @ t={time_s:.3f}s",
                 )
-            if self.on_event is not None:
-                self.on_event(record)
         return changed
 
     def run(self, n_iterations: int = 5, **kwargs) -> SchedulerReport:
@@ -515,17 +505,3 @@ class EventQueueRunner:
         return self.scheduler.run(
             n_iterations=n_iterations, event_pump=self.pump, **kwargs
         )
-
-    def run_at_boundaries(
-        self, n_iterations: int = 5, **kwargs
-    ) -> List[SchedulerReport]:
-        """The round-boundary twin: every due event defers to the nearest
-        round boundary (one scheduler run per iteration, pumping between
-        them).  Same events, same total simulated time — only the
-        injection granularity differs."""
-        reports: List[SchedulerReport] = []
-        for _ in range(n_iterations):
-            self.pump(self.scheduler.clock)
-            reports.append(self.scheduler.run(n_iterations=1, **kwargs))
-        self.pump(self.scheduler.clock)
-        return reports

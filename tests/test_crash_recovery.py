@@ -43,6 +43,9 @@ from repro.scenarios import DurableScenarioRun, run_scenario, scenario_by_name
 
 RELTOL = 1e-9
 
+#: Every record kind a durable run may leave in its journal.
+COMMIT_LOG_KINDS = {"begin", "transition", "round", "epoch", "compact"}
+
 
 def run_durable_scenario(scenario, directory, **kwargs):
     """Create a durable run in ``directory`` and drive it to the end."""
@@ -56,8 +59,8 @@ def resume_durable_scenario(directory, **kwargs):
         return run.run()
 
 #: The differential workload: mid-round arrivals + a traffic surge on
-#: top of flash-crowd churn, so every journaled op kind except the
-#: outage family is exercised; "rolling-maintenance" covers drains.
+#: top of flash-crowd churn, so every mutation kind except the outage
+#: family is re-executed on replay; "rolling-maintenance" covers drains.
 SCENARIO = "flash-crowd-mid-round"
 EPOCHS = 3
 
@@ -81,6 +84,12 @@ def twin(policy):
     return _twins[policy]
 
 
+def twin_appends(policy):
+    """How many records the twin's run appended to its journal."""
+    with Journal(os.path.join(twin(policy)[0], JOURNAL_NAME)) as journal:
+        return journal.last_seq
+
+
 def final_mapping(result):
     allocation = result.environment.allocation
     return {v: allocation.server_of(v) for v in allocation.vm_ids()}
@@ -89,6 +98,11 @@ def final_mapping(result):
 def round_digests(directory):
     with Journal(os.path.join(directory, JOURNAL_NAME)) as journal:
         return [r.data["digest"] for r in journal.records(kinds=("round",))]
+
+
+def journal_kinds(directory):
+    with Journal(os.path.join(directory, JOURNAL_NAME)) as journal:
+        return {r.kind for r in journal}
 
 
 def crash(policy, plan, *, validate=False):
@@ -208,6 +222,46 @@ class TestDurableSemantics:
         ]
         assert all(s.recovered_from is None for s in durable.epoch_stats)
 
+    def test_journal_holds_only_begin_and_commit_records(self, tmp_path):
+        run_durable_scenario(_scenario("hlf"), str(tmp_path), epochs=EPOCHS)
+        kinds = journal_kinds(str(tmp_path))
+        assert {"begin", "transition", "round", "epoch"} <= kinds
+        assert kinds <= COMMIT_LOG_KINDS
+
+    def test_legacy_records_between_commits_still_resume(self, tmp_path):
+        """Older versions also journaled every scheduler mutation
+        (``op``), applied event (``event``) and checkpoint
+        (``snapshot``) between commits.  Replay selects commit kinds, so
+        such a journal resumes twin-equivalent.  The snapshots are
+        dropped: the cold-rebuild rung replays from ``begin``, so no
+        snapshot position has to line up with the rewritten seqs."""
+        directory = crash("hlf", FaultPlan(crash_at_s=150.0))
+        for snap in glob.glob(os.path.join(directory, "*.snap")):
+            os.remove(snap)
+        path = os.path.join(directory, JOURNAL_NAME)
+        with Journal(path) as journal:
+            records = list(journal)
+        os.remove(path)
+        with Journal(path) as journal:
+            for record in records:
+                if record.kind != "begin":
+                    journal.append(
+                        "event", {"t": 1.5, "event": "arrival x2 @ 500"}
+                    )
+                    journal.append("op", {"op": "retire_vms", "vm_ids": [3]})
+                journal.append(record.kind, record.data)
+                if record.kind == "round":
+                    journal.append(
+                        "snapshot",
+                        {"file": "snapshot-00000001.snap", "journal_seq": 1},
+                    )
+        assert {"op", "event", "snapshot"} <= journal_kinds(directory)
+        recovered = resume_durable_scenario(directory)
+        assert_twin_equivalent("hlf", directory, recovered)
+        assert recovered.epoch_stats[0].recovered_from.startswith(
+            "cold-rebuild"
+        )
+
     def test_resume_of_a_finished_run_changes_nothing(self, tmp_path):
         first = run_durable_scenario(
             "steady", str(tmp_path), scale="toy", epochs=2
@@ -278,7 +332,9 @@ def _crash_seeds():
     return [7, 19, 31]
 
 
-def _fuzz_plan(seed):
+def _fuzz_plan(seed, policy):
+    """A kill point for ``seed``; a journal kill tears one of the
+    appends the twin makes, from the third to its last."""
     rng = random.Random(seed)
     kind = rng.choice(["pump", "snapshot", "journal"])
     if kind == "pump":
@@ -293,7 +349,7 @@ def _fuzz_plan(seed):
             tear_fraction=rng.uniform(0.05, 0.95),
         )
     return FaultPlan(
-        crash_on_journal_append=rng.randint(3, 25),
+        crash_on_journal_append=rng.randint(3, twin_appends(policy)),
         tear_fraction=rng.uniform(0.05, 0.95),
     )
 
@@ -302,7 +358,7 @@ def _fuzz_plan(seed):
 @pytest.mark.parametrize("policy", ["rr", "hlf"])
 @pytest.mark.parametrize("seed", _crash_seeds())
 def test_fuzzed_kill_matrix(seed, policy):
-    plan = _fuzz_plan(seed)
+    plan = _fuzz_plan(seed, policy)
     directory = crash(policy, plan, validate=True)
     recovered = resume_durable_scenario(directory, validate=True)
     assert_twin_equivalent(policy, directory, recovered)

@@ -6,7 +6,7 @@ replayed two ways on independently built twin schedulers:
 
 * **mid-round** — :meth:`EventQueueRunner.run`, events land between
   waves of in-flight rounds through the ``event_pump`` seam;
-* **at boundaries** — :meth:`EventQueueRunner.run_at_boundaries`, the
+* **at boundaries** — :func:`repro.reference.run_at_boundaries`, the
   same events defer to the nearest round boundary.
 
 The two trajectories legitimately diverge (injection granularity changes
@@ -34,7 +34,7 @@ from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.scheduler import SCOREScheduler
-from repro.reference import UncachedScheduler
+from repro.reference import UncachedScheduler, run_at_boundaries
 from repro.scenarios import EventSpec
 from repro.sim import EventQueueRunner
 from repro.sim.experiment import ExperimentConfig, build_environment
@@ -158,7 +158,7 @@ def run_differential(seed, policy, cached, n_iterations=3):
 
     env_bnd, sched_bnd, runner_bnd = build_runner(seed, policy, cached)
     schedule_all(runner_bnd, specs)
-    reports_bnd = runner_bnd.run_at_boundaries(n_iterations=n_iterations)
+    reports_bnd = run_at_boundaries(runner_bnd, n_iterations=n_iterations)
 
     assert_internally_exact(env_mid, sched_mid)
     assert_internally_exact(env_bnd, sched_bnd)
@@ -273,5 +273,5 @@ def test_stress_seed_matrix(seed, policy):
         # Boundary twin of the same seed, also invariant-checked per event.
         env_b, sched_b, runner_b = build_runner(seed, policy, cached, validate=True)
         schedule_all(runner_b, specs)
-        runner_b.run_at_boundaries(n_iterations=4)
+        run_at_boundaries(runner_b, n_iterations=4)
         assert_internally_exact(env_b, sched_b)

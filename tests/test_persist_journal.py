@@ -1,11 +1,11 @@
-"""Write-ahead journal: framing, torn-tail repair, WAL ordering.
+"""Commit journal: framing, torn-tail repair, compaction.
 
 The journal's contract is narrow and absolute: records append with
-``seq`` increasing by exactly one, every record is CRC-framed, a crash
-mid-append leaves a tail that :class:`Journal`'s open-time scan drops
-*in place* (so the file and the in-memory view never disagree), and a
-mutation's record hits disk *before* the mutation executes — which is
-what makes last-snapshot + journal-suffix replay a complete recovery.
+``seq`` increasing by exactly one, every record is CRC-framed, and a
+crash mid-append leaves a tail that :class:`Journal`'s open-time scan
+drops *in place* (so the file and the in-memory view never disagree).
+The journal is kind-agnostic; which kinds recovery reads is the durable
+core's business (``tests/test_crash_recovery.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.persist.journal import (
     JournalRecord,
     _crc,
 )
-from repro.persist.durable import JournaledScheduler
 
 
 def make_journal(tmp_path, name="journal.wal", **kwargs):
@@ -141,34 +140,6 @@ class TestTornTailRepair:
         with Journal(path) as reopened:
             assert [r.data["i"] for r in reopened] == [0, 1]
             assert reopened.repaired_bytes > 0
-
-
-class _ExplodingScheduler:
-    """Stand-in whose mutations always die *after* the journal write."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"unexpected delegate: {name}")
-
-    def retire_vms(self, vm_ids):
-        raise RuntimeError("boom")
-
-    def set_bandwidth_threshold(self, threshold):
-        raise RuntimeError("boom")
-
-
-class TestWriteAheadOrdering:
-    def test_record_hits_the_log_before_the_mutation_runs(self):
-        recorded = []
-        proxy = JournaledScheduler(
-            _ExplodingScheduler(), lambda op, payload: recorded.append(op)
-        )
-        with pytest.raises(RuntimeError):
-            proxy.retire_vms([1, 2])
-        with pytest.raises(RuntimeError):
-            proxy.set_bandwidth_threshold(None)
-        # Both ops were journaled even though neither executed: on disk
-        # first, in memory second — the definition of write-ahead.
-        assert recorded == ["retire_vms", "set_bandwidth_threshold"]
 
 
 class TestCompaction:

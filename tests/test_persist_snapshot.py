@@ -248,25 +248,6 @@ class TestSchedulerRoundTrip:
         assert got.recovered_from == restored.recovered_from
         assert expect.recovered_from is None
 
-    def test_round_trip_without_engine_rederives_lazily(self, tmp_path):
-        environment, scheduler = _warm_scheduler("steady")
-        full = scheduler.save_snapshot(str(tmp_path / "full"))
-        lean = scheduler.save_snapshot(
-            str(tmp_path / "lean"), include_engine=False
-        )
-        assert os.path.getsize(lean) < os.path.getsize(full)
-        # Dropping the engine from the payload must not strip it from
-        # the live scheduler.
-        assert scheduler.fastcost is not None
-
-        restored = SCOREScheduler.restore(str(tmp_path / "lean"))
-        assert restored.fastcost is None
-        expect = scheduler.run(n_iterations=1)
-        got = restored.run(n_iterations=1)  # re-derives the engine here
-        assert decisions_key(got) == decisions_key(expect)
-        assert restored.fastcost is not None and restored.fastcost.in_sync
-        check_engine_invariants(restored, context="restore(lean)")
-
     def test_restore_pins_generation_and_rejects_foreign_payload(
         self, tmp_path
     ):

@@ -25,7 +25,13 @@ import signal
 
 import pytest
 
-from repro.persist import FaultPlan, FaultyIO, SimulatedCrash
+from repro.persist import (
+    JOURNAL_NAME,
+    FaultPlan,
+    FaultyIO,
+    Journal,
+    SimulatedCrash,
+)
 from repro.persist.snapshot import load_latest_good
 from repro.scenarios.scenario import SCALES
 from repro.service import (
@@ -45,6 +51,9 @@ from repro.sim.eventqueue import Arrival, Retirement, TrafficSurge
 from repro.sim.experiment import ExperimentConfig
 
 RELTOL = 1e-9
+
+#: Every record kind a durable run may leave in its journal.
+COMMIT_LOG_KINDS = {"begin", "transition", "round", "epoch", "compact"}
 
 
 def _experiment(policy="hlf", seed=5):
@@ -179,6 +188,25 @@ class TestServiceLifecycle:
             report.events_applied
         )
         assert sum(p.migrations for p in service.plans) == report.migrations
+
+    def test_journal_holds_commits_and_the_event_log_one_round(
+        self, tmp_path
+    ):
+        """The journal is a commit log, and the daemon keeps no event
+        history: the runner's log is read and cleared every round."""
+        where = str(tmp_path / "svc")
+        with SchedulerService.create(
+            _experiment(), where, _poisson(), config=ServiceConfig()
+        ) as service:
+            report = service.serve()
+            assert report.rounds > 1
+            last = service.plans[-1].events_absorbed
+            assert report.events_applied > last
+            assert len(service._runner.log) <= last
+        with Journal(os.path.join(where, JOURNAL_NAME)) as journal:
+            kinds = {record.kind for record in journal}
+        assert "round" in kinds
+        assert kinds <= COMMIT_LOG_KINDS
 
     def test_create_refuses_populated_directory(self, tmp_path):
         where = str(tmp_path / "svc")
