@@ -14,8 +14,8 @@ Implementation notes
   population lives as ONE ``(pop, n_vms)`` int32 matrix so a whole
   generation — tournament selection, EAX-style crossover, capacity repair,
   swap mutation, Eq. 2 scoring and replacement — is numpy end-to-end with
-  no per-individual python loop (``repro.core.fastcost`` population
-  helpers).
+  no per-individual python loop (the :mod:`repro.baselines.population`
+  kernels).
 * The EAX-style crossover assembles children from the parents' *co-location
   structure*: for each connected component of the traffic graph (a "service"
   whose internal edges are what the allocation should keep local), the child
@@ -39,18 +39,20 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.baselines.population import (
+    apply_swap_mutations,
+    owner_host_rate_lookup,
+    owner_host_rate_table,
+    population_cost,
+    population_repair,
+    tournament_select,
+)
 from repro.cluster.allocation import Allocation
 from repro.core.cost import CostModel
 from repro.core.fastcost import (
     TrafficSnapshot,
-    apply_swap_mutations,
     assignment_cost,
-    owner_host_rate_lookup,
-    owner_host_rate_table,
     path_weight_table,
-    population_cost,
-    population_repair,
-    tournament_select,
 )
 from repro.traffic.matrix import TrafficMatrix
 from repro.util.rng import make_rng
@@ -376,10 +378,10 @@ class GeneticOptimizer:
 
         Breeds ``pop // 2`` offspring — tournament parents, component-mask
         crossover, batched capacity repair, swap mutation — scores them in
-        one :func:`repro.core.fastcost.population_cost` pass, and replaces
-        the losers of reverse tournaments.  Entirely numpy; the only python
-        loops are over mutation swap slots (a small constant) and repair
-        rounds (three).
+        one :func:`repro.baselines.population.population_cost` pass, and
+        replaces the losers of reverse tournaments.  Entirely numpy; the
+        only python loops are over mutation swap slots (a small constant)
+        and repair rounds (three).
         """
         config = self._config
         rng = self._rng

@@ -12,27 +12,22 @@
 * :mod:`repro.core.scheduler` — the distributed control loop: token
   circulation, unilateral decisions, iteration accounting.
 * :mod:`repro.core.fastcost` — the array-backed engine computing the same
-  quantities over CSR numpy snapshots with incremental Lemma 3 caches,
-  which is what makes paper-scale (2560-host) runs affordable; also the
-  population-matrix helpers (``population_cost``, ``population_repair``,
-  ``tournament_select``, ``apply_swap_mutations``) the GA baseline batches
-  whole generations through.
+  quantities over CSR numpy snapshots with incremental Lemma 3 caches and
+  the batched candidate scorer every token round decides with, which is
+  what makes paper-scale (2560-host) runs affordable.
+
+The GA baseline's population-matrix kernels live in
+:mod:`repro.baselines.population`; no module here imports
+:mod:`repro.baselines`.
 """
 
 from repro.core.cost import CostModel, LinkWeights
 from repro.core.fastcost import (
     FastCostEngine,
     TrafficSnapshot,
-    apply_swap_mutations,
     assignment_cost,
-    engine_from_cost_model,
     pair_levels,
     path_weight_table,
-    population_cost,
-    population_counts,
-    population_feasible,
-    population_repair,
-    tournament_select,
 )
 from repro.core.token import Token, TokenEntry, MAX_LEVEL_VALUE
 from repro.core.policies import (
@@ -54,16 +49,9 @@ __all__ = [
     "LinkWeights",
     "FastCostEngine",
     "TrafficSnapshot",
-    "apply_swap_mutations",
     "assignment_cost",
-    "engine_from_cost_model",
     "pair_levels",
     "path_weight_table",
-    "population_cost",
-    "population_counts",
-    "population_feasible",
-    "population_repair",
-    "tournament_select",
     "Token",
     "TokenEntry",
     "MAX_LEVEL_VALUE",

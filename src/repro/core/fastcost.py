@@ -13,25 +13,28 @@ the same quantities computed over flat numpy arrays:
   from the topology's cached per-host rack/pod id vectors
   (:meth:`repro.topology.base.Topology.host_rack_ids`).
 * :class:`FastCostEngine` binds a snapshot to one allocation and maintains
-  incremental caches — per-VM cost (Eq. 1), network-wide cost (Eq. 2) and
+  incremental caches — network-wide cost (Eq. 2), per-host §V-C egress and
   per-host capacity usage — updated in O(peers of the moving VM) per
-  migration, exactly as Lemma 3 promises.
+  migration, exactly as Lemma 3 promises.  Its batched candidate scorer
+  (:meth:`~FastCostEngine.candidate_batch`, ``candidate_feasible``,
+  ``best_candidates``) scores the candidates of every Theorem 1 decision
+  a token round makes.
 
-The engine exposes the same query signatures as ``CostModel`` for the
-methods shared with it (``total_cost``, ``vm_cost``, ``highest_level``,
-``migration_delta``), so scheduler policies and tests can use either
-implementation interchangeably; the differential test suite asserts the
-two agree to within 1e-9 on randomized scenarios.
+The engine answers the cost-model queries the scheduler and the token
+policies read (``total_cost``, ``highest_level``, ``topology``) with the
+signatures ``CostModel`` gives them, so either serves as a policy's cost
+model; the differential test suite asserts the two agree to within 1e-9
+on randomized scenarios.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.allocation import Allocation
-from repro.core.cost import CostModel, LinkWeights
+from repro.core.cost import LinkWeights
 from repro.topology.base import Topology
 from repro.traffic.matrix import TrafficMatrix
 
@@ -274,308 +277,6 @@ def assignment_cost(
     return float(np.dot(snapshot.pair_rate, path_weight[levels]))
 
 
-# -- population-matrix helpers (the batched GA engine) -----------------------
-#
-# The GA baseline evaluates, breeds and repairs a whole population of
-# host-assignment vectors per generation.  These helpers operate on the
-# population as one ``(pop, n_vms)`` integer matrix so a full generation is
-# numpy end-to-end: no per-individual python loop anywhere on the hot path.
-
-#: Row-chunk budget (elements of a (rows, n_pairs) temp) for population
-#: scoring/repair; bounds peak memory at paper scale (~128 MB per temp).
-_POPULATION_CHUNK_ELEMS = 16_000_000
-
-
-def _row_chunks(n_rows: int, row_width: int) -> Tuple[range, int]:
-    """(start offsets, chunk size) splitting rows so chunk × width is bounded."""
-    rows = max(1, _POPULATION_CHUNK_ELEMS // max(1, row_width))
-    return range(0, n_rows, rows), rows
-
-
-def population_cost(
-    assignments: np.ndarray,
-    snapshot: TrafficSnapshot,
-    rack_of: np.ndarray,
-    pod_of: np.ndarray,
-    path_weight: np.ndarray,
-) -> np.ndarray:
-    """Eq. (2) cost of every row of a ``(pop, n_vms)`` assignment matrix.
-
-    Row ``i`` equals ``assignment_cost(assignments[i], ...)`` to within
-    float-summation reordering (the differential suite pins 1e-9 relative).
-    Evaluation is chunked over rows so the (rows, n_pairs) level temporaries
-    stay bounded regardless of population size.
-    """
-    assignments = np.asarray(assignments)
-    if assignments.ndim != 2:
-        raise ValueError(
-            f"assignments must be a (pop, n_vms) matrix, got shape "
-            f"{assignments.shape}"
-        )
-    pop = assignments.shape[0]
-    costs = np.empty(pop, dtype=float)
-    if snapshot.n_pairs == 0:
-        costs[:] = 0.0
-        return costs
-    # Narrow mirrors of the host/rack/pod vectors cut the gather bandwidth
-    # of the hot loop.  Levels exploit the containment hierarchy (same host
-    # ⊆ same rack ⊆ same pod): level = 3 − pod_eq − rack_eq − host_eq, so
-    # the weight matrix is one gather from a reversed path-weight table
-    # over cheap int8 sums instead of three boolean masked writes.
-    narrow = (
-        np.int16
-        if len(rack_of) < 2**15 - 1 and int(pod_of.max(initial=0)) < 2**15 - 1
-        else np.int32
-    )
-    rack_n = rack_of.astype(narrow)
-    pod_n = pod_of.astype(narrow)
-    weight_rev = path_weight[3::-1].copy()  # index by (3 - level)
-    starts, rows = _row_chunks(pop, snapshot.n_pairs)
-    for start in starts:
-        block = assignments[start : start + rows]
-        if narrow is np.int16 and block.dtype != np.int16:
-            block = block.astype(np.int16)
-        hu = block[:, snapshot.pair_u]
-        hv = block[:, snapshot.pair_v]
-        eq_sum = (pod_n[hu] == pod_n[hv]).view(np.int8)
-        eq_sum = eq_sum + (rack_n[hu] == rack_n[hv]).view(np.int8)
-        eq_sum += (hu == hv).view(np.int8)
-        costs[start : start + rows] = weight_rev[eq_sum] @ snapshot.pair_rate
-    return costs
-
-
-def population_counts(assignments: np.ndarray, n_hosts: int) -> np.ndarray:
-    """Per-row host occupancy: ``counts[i, h]`` VMs of row ``i`` on ``h``."""
-    assignments = np.asarray(assignments)
-    pop, n_vms = assignments.shape
-    counts = np.empty((pop, n_hosts), dtype=np.int64)
-    starts, rows = _row_chunks(pop, n_vms)
-    for start in starts:
-        block = assignments[start : start + rows].astype(np.int64, copy=False)
-        n = block.shape[0]
-        flat = block + (np.arange(n, dtype=np.int64) * n_hosts)[:, None]
-        counts[start : start + n] = np.bincount(
-            flat.ravel(), minlength=n * n_hosts
-        ).reshape(n, n_hosts)
-    return counts
-
-
-def population_feasible(assignments: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Per-row slot-capacity feasibility of a population matrix."""
-    counts = population_counts(assignments, len(slots))
-    return np.all(counts <= slots[None, :], axis=1)
-
-
-def tournament_select(
-    costs: np.ndarray, contenders: np.ndarray, worst: bool = False
-) -> np.ndarray:
-    """Winner index of each tournament row (lowest cost; ties → first).
-
-    ``contenders`` is a ``(n, k)`` matrix of population indices; ``worst``
-    flips the objective (the reverse tournaments replacement uses to pick
-    losers).  Pure — callers draw the contender matrix from their RNG.
-    """
-    contenders = np.asarray(contenders)
-    entry_costs = costs[contenders]
-    pick = entry_costs.argmax(axis=1) if worst else entry_costs.argmin(axis=1)
-    return contenders[np.arange(len(contenders)), pick]
-
-
-def apply_swap_mutations(
-    assignments: np.ndarray,
-    rows: np.ndarray,
-    swap_pairs: np.ndarray,
-    n_swaps: np.ndarray,
-) -> None:
-    """Apply per-row VM swap mutations (§VI-A) to the matrix in place.
-
-    ``swap_pairs`` is ``(len(rows), max_swaps, 2)`` VM indices and
-    ``n_swaps`` how many leading swap slots each row uses.  Swapping the
-    host assignments of two VMs permutes a row, so per-host occupancy —
-    and therefore capacity feasibility — is invariant: mutated rows never
-    need a repair pass.  The loop is over swap *slots* (a small constant),
-    never over individuals.
-    """
-    rows = np.asarray(rows)
-    for slot in range(swap_pairs.shape[1]):
-        active = n_swaps > slot
-        if not np.any(active):
-            break
-        r = rows[active]
-        i = swap_pairs[active, slot, 0]
-        j = swap_pairs[active, slot, 1]
-        vi = assignments[r, i].copy()
-        assignments[r, i] = assignments[r, j]
-        assignments[r, j] = vi
-
-
-def _run_ranks(keys: np.ndarray) -> np.ndarray:
-    """0-based index of every entry within its run of equal ``keys``.
-
-    ``keys`` must be run-grouped (equal values adjacent, e.g. sorted).
-    Implemented as a forward max-accumulate of run-start positions —
-    sequential passes only, no random gathers, which is what makes victim
-    ranking cheap at millions of entries.
-    """
-    n = len(keys)
-    idx = np.arange(n, dtype=np.int32)
-    run_start = np.zeros(n, dtype=np.int32)
-    if n > 1:
-        np.multiply(keys[1:] != keys[:-1], idx[1:], out=run_start[1:])
-        np.maximum.accumulate(run_start, out=run_start)
-    return idx - run_start
-
-
-def _group_starts(group_of: np.ndarray) -> np.ndarray:
-    """First-host offsets of the contiguous groups in ``group_of``.
-
-    Group ids must be consecutive integers starting at 0, each covering a
-    contiguous host range (true of the rack and pod vectors of both paper
-    topologies) — the repair stages index per-group aggregates by the raw
-    id, so gapped id spaces would silently read the wrong group.
-    """
-    diffs = np.diff(group_of)
-    if (
-        len(group_of) == 0
-        or group_of[0] != 0
-        or np.any((diffs != 0) & (diffs != 1))
-    ):
-        raise ValueError(
-            "population_repair requires contiguous host groups "
-            "(consecutive rack/pod ids from 0 over the host index)"
-        )
-    return np.concatenate([[0], np.where(diffs > 0)[0] + 1])
-
-
-def population_repair(
-    assignments: np.ndarray,
-    slots: np.ndarray,
-    rack_of: np.ndarray,
-    pod_of: np.ndarray,
-) -> int:
-    """Move VMs off over-capacity hosts, preferring rack- then pod-local
-    free slots — the batched form of the GA's capacity-repair pass.
-
-    Victims (the highest-indexed surplus VMs of every overfull host) are
-    extracted once per row block, then placed in three vectorized stages of
-    shrinking locality — same rack as the overfull host, same pod,
-    anywhere — mirroring the per-individual repair's preference order.
-    Within a stage, evictees fill their group's free slots in ascending
-    host order.  Operates on the whole ``(pop, n_vms)`` matrix in place and
-    returns the number of VMs moved.  Total slots must cover ``n_vms``
-    (guaranteed whenever a feasible assignment exists), or the final stage
-    raises.
-    """
-    assignments_full = np.asarray(assignments)
-    n_hosts = len(slots)
-    slots = np.asarray(slots, dtype=np.int64)
-    group_maps = (
-        np.asarray(rack_of, dtype=np.int64),
-        np.asarray(pod_of, dtype=np.int64),
-        np.zeros(n_hosts, dtype=np.int64),
-    )
-    group_starts = [_group_starts(g) for g in group_maps]
-    moved_total = 0
-    starts, chunk = _row_chunks(len(assignments_full), assignments_full.shape[1])
-    for start in starts:
-        moved_total += _repair_block(
-            assignments_full[start : start + chunk],
-            slots,
-            group_maps,
-            group_starts,
-        )
-    return moved_total
-
-
-def _repair_block(
-    block: np.ndarray,
-    slots: np.ndarray,
-    group_maps: Sequence[np.ndarray],
-    group_starts: Sequence[np.ndarray],
-) -> int:
-    """Repair one row block: extract victims once, place in locality stages."""
-    n_rows, _ = block.shape
-    n_hosts = len(slots)
-    counts = population_counts(block, n_hosts)
-    over_host = counts > slots[None, :]
-    if not np.any(over_host):
-        return 0
-    free = slots[None, :] - np.minimum(counts, slots[None, :])
-
-    # Victims: on each overfull host, the highest-indexed VMs beyond the
-    # slot limit.  Every occupant of an overfull host is encoded into one
-    # sortable integer (row, host, vm); a single radix sort then groups
-    # entries by (row, host) in ascending VM order, so in-group rank ranks
-    # by VM index.
-    on_over = over_host[np.arange(n_rows)[:, None], block]
-    flat = np.flatnonzero(on_over)
-    n_vms = block.shape[1]
-    entry_rows = flat // n_vms
-    entry_hosts = block.reshape(-1)[flat].astype(np.int64)
-    key = (entry_rows * n_hosts + entry_hosts) * n_vms + (
-        flat - entry_rows * n_vms
-    )
-    key.sort(kind="stable")
-    group_key = key // n_vms
-    rank = _run_ranks(group_key)
-    # Thresholds per entry without decoding every entry's host: the host is
-    # recoverable from the group key alone.
-    victim = rank >= slots[group_key % n_hosts]
-    victim_group = group_key[victim]
-    vv = key[victim] - victim_group * n_vms
-    vr, vh = np.divmod(victim_group, n_hosts)
-
-    pending = np.ones(len(vr), dtype=bool)
-    moved = 0
-    for stage, (group_of, gstarts) in enumerate(zip(group_maps, group_starts)):
-        is_final = stage == len(group_maps) - 1
-        pr, ph, pv = vr[pending], vh[pending], vv[pending]
-        if pr.size == 0:
-            break
-
-        # Rank pending victims within their (row, preference-group).  The
-        # victim arrays are sorted by (row, host, vm) and group ids are
-        # nondecreasing in the host index, so any pending subset is already
-        # sorted by (row, group).
-        pg = group_of[ph]
-        vrank = _run_ranks(pr * n_hosts + pg)
-
-        # Per-(row, group) free capacity; group ids are consecutive from 0.
-        group_free = np.add.reduceat(free, gstarts, axis=1)
-        satisfied = vrank < group_free[pr, pg]
-        if is_final and not np.all(satisfied):
-            raise ValueError(
-                "repair impossible: total slots do not cover the population"
-            )
-        if not np.any(satisfied):
-            continue
-
-        # Targets: evictee with in-group rank k lands on the first host of
-        # its group whose cumulative free capacity exceeds k.  One global
-        # searchsorted over the per-row cumulative-free array made globally
-        # monotone by per-row offsets.
-        cum_free = np.cumsum(free, axis=1)
-        stride = int(cum_free[:, -1].max()) + 1
-        offsets = np.arange(n_rows, dtype=np.int64) * stride
-        monotone = (cum_free + offsets[:, None]).ravel()
-        sr = pr[satisfied]
-        gstart_host = gstarts[pg[satisfied]]
-        base = np.where(gstart_host > 0, cum_free[sr, gstart_host - 1], 0)
-        targets_flat = np.searchsorted(
-            monotone, offsets[sr] + base + vrank[satisfied] + 1, side="left"
-        )
-        target_hosts = targets_flat - sr * n_hosts
-        block[sr, pv[satisfied]] = target_hosts.astype(block.dtype, copy=False)
-        filled = np.bincount(
-            sr * n_hosts + target_hosts, minlength=n_rows * n_hosts
-        ).reshape(n_rows, n_hosts)
-        free -= filled
-        moved += int(satisfied.sum())
-        pending_idx = np.nonzero(pending)[0]
-        pending[pending_idx[satisfied]] = False
-    return moved
-
-
 #: Element budget for the (candidate x peer) expansion of one batched
 #: delta pass; bounds peak memory of `FastCostEngine.candidate_batch`.
 _CANDIDATE_CHUNK_ELEMS = 8_000_000
@@ -609,43 +310,6 @@ class TouchedSet(NamedTuple):
     def empty(cls, structural: bool = False) -> "TouchedSet":
         empty = np.empty(0, dtype=np.int64)
         return cls(hosts=empty, owners=empty.copy(), structural=structural)
-
-
-def owner_host_rate_table(
-    owners: np.ndarray, hosts: np.ndarray, rates: np.ndarray, n_hosts: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sparse per-(owner, host) rate sums as a sorted-key lookup table.
-
-    The host-level aggregate of the Lemma 3 level-hierarchy decomposition:
-    (owner, peer host) incidences are few (Σ degree), so a sort + binary
-    search beats a dense (owners × hosts) scatter map by orders of
-    magnitude in memory.  Query with :func:`owner_host_rate_lookup`.
-    """
-    key = owners * n_hosts + hosts
-    order = np.argsort(key, kind="stable")
-    key_sorted = key[order]
-    first = np.ones(len(key_sorted), dtype=bool)
-    first[1:] = key_sorted[1:] != key_sorted[:-1]
-    return key_sorted[first], np.add.reduceat(
-        rates[order], np.flatnonzero(first)
-    )
-
-
-def owner_host_rate_lookup(
-    keys: np.ndarray,
-    sums: np.ndarray,
-    owners: np.ndarray,
-    hosts: np.ndarray,
-    n_hosts: int,
-) -> np.ndarray:
-    """Rates of (owner, host) queries against an ``owner_host_rate_table``.
-
-    Missing combinations answer 0.0 (the owner has no peer on that host).
-    """
-    query = owners * n_hosts + hosts
-    slot = np.searchsorted(keys, query)
-    slot[slot >= len(keys)] = 0
-    return np.where(keys[slot] == query, sums[slot], 0.0)
 
 
 class CandidateBatch:
@@ -1006,10 +670,9 @@ class FastCostEngine:
         self._csr_key = snap.row * n + snap.peer
 
     def _recompute_cost_caches(self) -> None:
-        """Per-VM Eq. (1) costs, the Eq. (2) total and §V-C egress, from
-        the current snapshot + placement arrays in one vectorized pass."""
+        """The Eq. (2) total and §V-C egress, from the current snapshot +
+        placement arrays in one vectorized pass."""
         snap = self._snap
-        n = snap.n_vms
         n_hosts = len(self._slot_cap)
         levels = pair_levels(
             self._host_of[snap.row],
@@ -1017,8 +680,6 @@ class FastCostEngine:
             self._rack_of,
             self._pod_of,
         )
-        edge_cost = snap.rate * self._path_weight[levels]
-        self._vm_cost = _weighted_bincount(snap.row, edge_cost, n)
         self._total = assignment_cost(
             self._host_of, snap, self._rack_of, self._pod_of, self._path_weight
         )
@@ -1082,7 +743,7 @@ class FastCostEngine:
         Everything is patched in place in O(changed): rates of pairs
         already snapshotted are overwritten, vanished pairs are spliced
         out of and new pairs spliced into the sorted CSR and pair index
-        at their binary-search positions, and the Eq. 1/2 and egress
+        at their binary-search positions, and the Eq. 2 and egress
         caches move by ``(new − old) · w[level]`` with old = 0 for an
         addition and new = 0 for a removal.  The CSR stays in the
         canonical (row, peer) order a fresh snapshot has; the pair
@@ -1193,7 +854,7 @@ class FastCostEngine:
     def _shift_costs(
         self, lo: np.ndarray, hi: np.ndarray, delta: np.ndarray
     ) -> None:
-        """Move the Eq. 1/2 and egress caches for pairs ``(lo, hi)`` whose
+        """Move the Eq. 2 and egress caches for pairs ``(lo, hi)`` whose
         rates change by ``delta`` — a re-estimate, an addition (from 0)
         or a removal (to 0) alike.
 
@@ -1205,11 +866,6 @@ class FastCostEngine:
         host_hi = self._host_of[hi]
         levels = pair_levels(host_lo, host_hi, self._rack_of, self._pod_of)
         contrib = delta * self._path_weight[levels]
-        self._vm_cost += np.bincount(
-            np.concatenate([lo, hi]),
-            weights=np.concatenate([contrib, contrib]),
-            minlength=len(self._vm_cost),
-        )
         self._total += float(contrib.sum())
         crossing = levels > 0
         if np.any(crossing):
@@ -1281,7 +937,7 @@ class FastCostEngine:
         Call :meth:`Allocation.add_vms` first (the allocation enforces
         capacity); hosts are read back from it.  The dense VM index, CSR
         arrays and capacity mirrors are patched in place — new VMs join
-        with no traffic, so Eq. 1/2 and egress caches are unchanged
+        with no traffic, so the Eq. 2 and egress caches are unchanged
         (route subsequent rate changes through :meth:`apply_traffic_delta`).
         """
         vms = list(vms)
@@ -1319,7 +975,6 @@ class FastCostEngine:
         self._host_of = np.insert(self._host_of, pos, hosts)
         self._vm_ram = np.insert(self._vm_ram, pos, add_ram)
         self._vm_cpu = np.insert(self._vm_cpu, pos, add_cpu)
-        self._vm_cost = np.insert(self._vm_cost, pos, 0.0)
         n_hosts = len(self._slot_cap)
         self._slot_used += np.bincount(hosts, minlength=n_hosts)
         self._ram_used += np.bincount(
@@ -1380,7 +1035,6 @@ class FastCostEngine:
         self._host_of = self._host_of[keep_mask]
         self._vm_ram = self._vm_ram[keep_mask]
         self._vm_cpu = self._vm_cpu[keep_mask]
-        self._vm_cost = self._vm_cost[keep_mask]
         self._uniform_vm = bool(
             snap.n_vms > 0
             and (self._vm_ram == self._vm_ram[0]).all()
@@ -1412,16 +1066,6 @@ class FastCostEngine:
             self._path_weight,
         )
 
-    def vm_cost(
-        self,
-        allocation: Optional[Allocation],
-        traffic: Optional[TrafficMatrix],
-        vm_u: int,
-    ) -> float:
-        """C_A(u), Eq. (1) — read from the incremental per-VM cache."""
-        self._check_bound(allocation, traffic)
-        return float(self._vm_cost[self._dense(vm_u)])
-
     def highest_level(
         self,
         allocation: Optional[Allocation],
@@ -1442,122 +1086,6 @@ class FastCostEngine:
         )
         return int(levels.max())
 
-    def migration_delta(
-        self,
-        allocation: Optional[Allocation],
-        traffic: Optional[TrafficMatrix],
-        vm_u: int,
-        target_host: int,
-    ) -> float:
-        """ΔC_A(u → x), Lemma 3; positive values are reductions."""
-        self._check_bound(allocation, traffic)
-        deltas = self.migration_deltas(
-            vm_u, np.array([target_host], dtype=np.int64)
-        )
-        return float(deltas[0])
-
-    # -- batch / incremental API -------------------------------------------
-
-    def peer_hosts_and_rates(self, vm_u: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(peer VM ids, peer host indices, rates) for one VM."""
-        peers, rates = self._snap.peers_slice(self._dense(vm_u))
-        return self._snap.vm_ids[peers], self._host_of[peers], rates
-
-    def degree(self, vm_u: int) -> int:
-        """Number of communication peers of ``vm_u`` in the snapshot."""
-        dense = self._dense(vm_u)
-        return int(self._snap.ptr[dense + 1] - self._snap.ptr[dense])
-
-    def migration_deltas(self, vm_u: int, hosts: np.ndarray) -> np.ndarray:
-        """Lemma 3 deltas of moving ``vm_u`` to every host in ``hosts``.
-
-        One vectorized pass over a (n_hosts, n_peers) level matrix; the
-        entry for the VM's current host is exactly 0.0.
-        """
-        dense = self._dense(vm_u)
-        hosts = np.asarray(hosts, dtype=np.int64)
-        peers, rates = self._snap.peers_slice(dense)
-        if peers.size == 0:
-            return np.zeros(hosts.shape, dtype=float)
-        source = int(self._host_of[dense])
-        peer_hosts = self._host_of[peers]
-        before = pair_levels(
-            np.full(peers.shape, source, dtype=np.int64),
-            peer_hosts,
-            self._rack_of,
-            self._pod_of,
-        )
-        # after[i, j]: level between candidate i and peer j.
-        cand_rack = self._rack_of[hosts][:, None]
-        cand_pod = self._pod_of[hosts][:, None]
-        after = np.full((len(hosts), len(peers)), 3, dtype=np.int64)
-        after[cand_pod == self._pod_of[peer_hosts][None, :]] = 2
-        after[cand_rack == self._rack_of[peer_hosts][None, :]] = 1
-        after[hosts[:, None] == peer_hosts[None, :]] = 0
-        weighted = rates * (
-            self._path_weight[before][None, :] - self._path_weight[after]
-        )
-        return weighted.sum(axis=1)
-
-    def candidate_hosts(
-        self, vm_u: int, max_candidates: Optional[int] = None
-    ) -> np.ndarray:
-        """Candidate targets in the naive probing order (§V-B5), as an array.
-
-        Matches :meth:`repro.core.migration.MigrationEngine.candidate_hosts`
-        exactly: peers ranked by (level desc, rate desc, VM id asc), each
-        contributing its own server then the rest of its rack.
-        """
-        dense = self._dense(vm_u)
-        peers, rates = self._snap.peers_slice(dense)
-        if peers.size == 0:
-            return np.empty(0, dtype=np.int64)
-        source = int(self._host_of[dense])
-        peer_hosts = self._host_of[peers]
-        levels = pair_levels(
-            np.full(peers.shape, source, dtype=np.int64),
-            peer_hosts,
-            self._rack_of,
-            self._pod_of,
-        )
-        # peers are stored ascending by VM id, so a stable sort on
-        # (-level, -rate) reproduces the naive (level, rate, id) ranking.
-        order = np.lexsort((-rates, -levels))
-        topo = self._topology
-        seen = bytearray(len(self._slot_cap))
-        seen[source] = 1
-        candidates: List[int] = []
-        for peer_host in peer_hosts[order]:
-            peer_host = int(peer_host)
-            if not seen[peer_host]:
-                seen[peer_host] = 1
-                candidates.append(peer_host)
-            for host in topo.hosts_in_rack(int(self._rack_of[peer_host])):
-                if not seen[host]:
-                    seen[host] = 1
-                    candidates.append(host)
-            if max_candidates and len(candidates) >= max_candidates:
-                return np.array(candidates[:max_candidates], dtype=np.int64)
-        return np.array(candidates, dtype=np.int64)
-
-    def can_host_many(self, hosts: np.ndarray, vm) -> np.ndarray:
-        """Vectorized slot/RAM/CPU feasibility of ``vm`` on each host.
-
-        Written as ``cap - used >= need`` — the exact float expression of
-        ``Allocation.free_*``/``can_host`` — so the mirror cannot disagree
-        with the allocation at a capacity boundary.
-        """
-        hosts = np.asarray(hosts, dtype=np.int64)
-        return (
-            (self._slot_cap[hosts] - self._slot_used[hosts] >= 1)
-            & (self._ram_cap[hosts] - self._ram_used[hosts] >= vm.ram_mb)
-            & (self._cpu_cap[hosts] - self._cpu_used[hosts] >= vm.cpu)
-        )
-
-    def host_of(self, vm_u: int) -> int:
-        """Mirror of ``allocation.server_of`` from the engine's arrays."""
-        return int(self._host_of[self._dense(vm_u)])
-
     def host_egress(self, host: int) -> float:
         """Aggregate NIC-crossing rate of ``host`` (bytes/second).
 
@@ -1566,28 +1094,6 @@ class FastCostEngine:
         within float-summation reordering.
         """
         return float(self._egress[host])
-
-    def bandwidth_feasible_many(
-        self, vm_u: int, hosts: np.ndarray, threshold: float
-    ) -> np.ndarray:
-        """Vectorized §V-C check over candidate targets.
-
-        For each candidate, the post-migration NIC load is the host's
-        current egress plus u's flows that would start crossing it, minus
-        u's flows to VMs already there (which drop off the NIC); feasible
-        when that stays within ``threshold`` of the NIC line rate.
-        """
-        hosts = np.asarray(hosts, dtype=np.int64)
-        budget = threshold * self._nic_cap[hosts]
-        peers, rates = self._snap.peers_slice(self._dense(vm_u))
-        if peers.size == 0:
-            return self._egress[hosts] <= budget
-        peer_hosts = self._host_of[peers]
-        onto_target = np.bincount(
-            peer_hosts, weights=rates, minlength=len(self._egress)
-        )[hosts]
-        load_after = self._egress[hosts] + (rates.sum() - onto_target) - onto_target
-        return load_after <= budget
 
     # -- wave-batched round API ---------------------------------------------
 
@@ -1639,9 +1145,10 @@ class FastCostEngine:
 
         For every VM in ``dense_vms`` (dense snapshot indices), enumerates
         the candidate targets in the exact naive probing order of
-        :meth:`candidate_hosts` and scores every (VM, candidate) move in
-        one chunked vectorized pass.  The expansion is
-        ``Σ_u candidates(u) × degree(u)`` rows, chunked to stay bounded.
+        :meth:`repro.core.migration.MigrationEngine.candidate_hosts` and
+        scores every (VM, candidate) move in one chunked vectorized pass.
+        The expansion is ``Σ_u candidates(u) × degree(u)`` rows, chunked
+        to stay bounded.
         """
         snap = self._snap
         vms = np.asarray(dense_vms, dtype=np.int64)
@@ -1862,9 +1369,14 @@ class FastCostEngine:
         """Capacity (§V-B5) + bandwidth (§V-C) mask over a batch's pairs.
 
         Evaluated against the engine's *current* incremental mirrors, so
-        the same batch can be re-masked wave after wave; uses the exact
-        float expressions of ``Allocation.can_host`` and
-        :meth:`bandwidth_feasible_many`.
+        the same batch can be re-masked wave after wave.  Capacity is
+        written as ``cap - used >= need``, the exact float expression of
+        ``Allocation.can_host``; §V-C is the target's egress plus the
+        owner's flows that would start crossing its NIC, minus those to
+        VMs already there (which drop off it), against
+        ``bandwidth_threshold`` of the line rate — :meth:`MigrationEngine.bandwidth_feasible
+        <repro.core.migration.MigrationEngine.bandwidth_feasible>` in one
+        mask.
         """
         hosts = batch.host
         if self._uniform_vm:
@@ -2093,9 +1605,8 @@ class FastCostEngine:
             edge_idx = np.repeat(snap.ptr[movers] - cum[:-1], deg) + np.arange(
                 total_e
             )
-            peers = snap.peer[edge_idx]
             rates = snap.rate[edge_idx]
-            peer_host = self._host_of[peers]
+            peer_host = self._host_of[snap.peer[edge_idx]]
             before = pair_levels(
                 sources[owner], peer_host, self._rack_of, self._pod_of
             )
@@ -2106,22 +1617,6 @@ class FastCostEngine:
                 self._path_weight[before] - self._path_weight[after]
             )
             deltas = np.bincount(owner, weights=contrib, minlength=n_moves)
-            # A non-moving VM may be the peer of several movers, so peer
-            # cost updates accumulate (bincount), never overwrite.  A
-            # small wave touches few peers; scatter into the unique set
-            # instead of materialising an n_vms-length bincount (the two
-            # are bit-identical: per-peer sums accumulate in the same
-            # element order, applied as one subtraction either way).
-            if total_e * 8 < snap.n_vms:
-                uniq_peers, inverse = np.unique(peers, return_inverse=True)
-                self._vm_cost[uniq_peers] -= np.bincount(
-                    inverse, weights=contrib, minlength=len(uniq_peers)
-                )
-            else:
-                self._vm_cost -= np.bincount(
-                    peers, weights=contrib, minlength=snap.n_vms
-                )
-            self._vm_cost[movers] -= deltas
             self._total -= float(deltas.sum())
             # Egress (§V-C): disjoint sources/targets make the per-host
             # adjustments independent, so indexed writes are safe.
@@ -2154,11 +1649,11 @@ class FastCostEngine:
     def apply_migration(self, vm_u: int, target_host: int) -> float:
         """Update every cache for ``vm_u`` moving to ``target_host``.
 
-        O(peers of u): the per-VM cost cache of u and of each of its peers,
-        the network-wide total and the capacity mirrors are all adjusted
-        from the Lemma 3 terms.  Returns the applied delta (positive =
-        reduction).  The bound allocation must be migrated separately
-        (callers do ``allocation.migrate(...)`` first).
+        O(peers of u): the network-wide total, the §V-C egress and the
+        capacity mirrors are all adjusted from the Lemma 3 terms.  Returns
+        the applied delta (positive = reduction).  The bound allocation
+        must be migrated separately (callers do ``allocation.migrate(...)``
+        first).
         """
         dense = self._dense(vm_u)
         source = int(self._host_of[dense])
@@ -2185,8 +1680,6 @@ class FastCostEngine:
                 self._path_weight[before] - self._path_weight[after]
             )
             delta = float(contrib.sum())
-            self._vm_cost[peers] -= contrib
-            self._vm_cost[dense] -= delta
             self._total -= delta
             # Egress (§V-C): u's flows leave the source NIC and land on the
             # target's; peers co-located with either endpoint flip between
@@ -2231,13 +1724,3 @@ class FastCostEngine:
             f"pairs={self._snap.n_pairs}, hosts={len(self._slot_cap)})"
         )
 
-
-def engine_from_cost_model(
-    cost_model: CostModel, allocation: Allocation, traffic: TrafficMatrix
-) -> FastCostEngine:
-    """Build an engine sharing a naive model's topology and weights."""
-    if cost_model.topology is not allocation.topology:
-        raise ValueError(
-            "cost model and allocation disagree on the topology instance"
-        )
-    return FastCostEngine(allocation, traffic, weights=cost_model.weights)

@@ -201,9 +201,9 @@ class MigrationEngine:
         """Attach (or detach, with ``None``) a vectorized cost engine.
 
         When the engine is bound to the (allocation, traffic) pair a call
-        operates on, :meth:`evaluate` scores all feasible candidates in one
-        vectorized pass and :meth:`decide_and_migrate` keeps the engine's
-        incremental caches in sync; other calls fall back to the naive
+        operates on, :meth:`evaluate` scores the VM through the engine's
+        batched candidate scorer and :meth:`decide_and_migrate` keeps the
+        engine's incremental caches in sync; other calls take the naive
         per-pair path.
         """
         if engine is not None and engine.topology is not self._cost_model.topology:
@@ -312,12 +312,22 @@ class MigrationEngine:
 
         Returns a decision with ``migrated=False``; ``target_host`` is the
         chosen target when the Theorem 1 condition is met, else ``None``.
+        With an attached engine bound to this (allocation, traffic) pair,
+        u is scored as a one-owner batch — the scorer every token round
+        runs; otherwise by the naive per-candidate loop.
         """
         fast = self._fastcost
         if fast is not None and fast.is_bound_to(allocation, traffic):
-            decision = self._evaluate_fast(fast, allocation, traffic, vm_u)
-            if decision is not None:
-                return decision
+            batch = fast.candidate_batch(
+                fast.dense_indices([vm_u]), self._max_candidates
+            )
+            return self.decisions_from_batch(allocation, batch, fast)[0]
+        return self._evaluate_naive(allocation, traffic, vm_u)
+
+    def _evaluate_naive(
+        self, allocation: Allocation, traffic: TrafficMatrix, vm_u: int
+    ) -> MigrationDecision:
+        """:meth:`evaluate` over the naive cost model, candidate by candidate."""
         source = allocation.server_of(vm_u)
         if not traffic.peers_of(vm_u):
             return MigrationDecision(
@@ -360,74 +370,6 @@ class MigrationEngine:
             reason=reason,
         )
 
-    def _evaluate_fast(
-        self,
-        fast: "FastCostEngine",
-        allocation: Allocation,
-        traffic: TrafficMatrix,
-        vm_u: int,
-    ) -> Optional[MigrationDecision]:
-        """Vectorized evaluate: one batched Lemma 3 pass over candidates.
-
-        Mirrors the naive loop decision-for-decision (same candidate order,
-        same first-best tie-breaking).  Returns ``None`` to request the
-        naive fallback when the chosen target fails the allocation's own
-        capacity check (a float-accounting edge the mirrors cannot rule
-        out).
-        """
-        source = fast.host_of(vm_u)
-        if fast.degree(vm_u) == 0:
-            return MigrationDecision(
-                vm_id=vm_u,
-                source_host=source,
-                target_host=None,
-                delta=0.0,
-                migrated=False,
-                reason="no_peers",
-            )
-        candidates = fast.candidate_hosts(vm_u, self._max_candidates)
-        vm = allocation.vm(vm_u)
-        mask = fast.can_host_many(candidates, vm)
-        if self._bandwidth_threshold is not None:
-            # §V-C from the engine's incremental per-host egress mirror —
-            # one vectorized pass instead of a naive per-candidate walk.
-            mask &= fast.bandwidth_feasible_many(
-                vm_u, candidates, self._bandwidth_threshold
-            )
-        feasible = candidates[mask]
-        if feasible.size == 0:
-            return MigrationDecision(
-                vm_id=vm_u,
-                source_host=source,
-                target_host=None,
-                delta=0.0,
-                migrated=False,
-                reason="no_feasible_target",
-            )
-        deltas = fast.migration_deltas(vm_u, feasible)
-        best_idx = int(np.argmax(deltas))
-        best_delta = float(deltas[best_idx])
-        if best_delta > 0 and best_delta > self._migration_cost:
-            best_host = int(feasible[best_idx])
-            if not allocation.can_host(best_host, vm):
-                return None  # mirror drift; let the naive path decide
-            return MigrationDecision(
-                vm_id=vm_u,
-                source_host=source,
-                target_host=best_host,
-                delta=best_delta,
-                migrated=False,
-                reason="beneficial",
-            )
-        return MigrationDecision(
-            vm_id=vm_u,
-            source_host=source,
-            target_host=None,
-            delta=max(0.0, best_delta),
-            migrated=False,
-            reason="no_gain",
-        )
-
     # -- batch decisions (wave-batched token rounds) -----------------------------
 
     def decisions_from_batch(
@@ -439,17 +381,16 @@ class MigrationEngine:
         """Turn one scored :class:`CandidateBatch` into per-VM decisions.
 
         Applies the current feasibility mask, the first-max tie-breaking
-        and the Theorem 1 threshold — decision-for-decision the same
-        outcome as :meth:`evaluate` on each VM individually against the
-        same state (the batch differential suite pins this).
+        and the Theorem 1 threshold — decision-for-decision the outcome of
+        the naive per-VM loop on each VM against the same state (the
+        batch differential suite pins this).
         """
         feasible = fast.candidate_feasible(batch, self._bandwidth_threshold)
         choice, best_delta, _ = fast.best_candidates(batch, feasible)
         # Theorem 1's strict inequality is decided on the exact per-peer
         # delta of each tentative winner (the batch scores with the
         # aggregated level-hierarchy formula, which can differ in the last
-        # ulp); the exact value is also what gets reported, mirroring the
-        # scalar fast path's `migration_deltas`.
+        # ulp); the exact value is also what gets reported.
         tentative = (
             (choice >= 0) & (best_delta > 0) & (best_delta > self._migration_cost)
         )
@@ -481,10 +422,13 @@ class MigrationEngine:
                 if delta > 0 and delta > self._migration_cost:
                     target = int(batch.host[row])
                     if not allocation.can_host(target, allocation.vm(vm_id)):
-                        # Mirror drift (same paranoia as the scalar fast
-                        # path): defer to the naive per-VM evaluation.
+                        # Mirror drift (the engine's capacity mirrors
+                        # disagree with the allocation): defer to the
+                        # naive loop, which reads the allocation itself.
                         decisions.append(
-                            self.evaluate(allocation, fast.traffic, vm_id)
+                            self._evaluate_naive(
+                                allocation, fast.traffic, vm_id
+                            )
                         )
                         continue
                     decisions.append(

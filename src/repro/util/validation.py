@@ -214,7 +214,7 @@ def check_engine_invariants(
     if not deep:
         return
 
-    # Lemma-3 caches: the O(1) running total and the per-VM cost vector
+    # Lemma-3 caches: the O(1) running total and the per-host egress
     # against from-scratch recomputation over the same snapshot.
     total = fast.total_cost()
     recomputed = fast.recompute_total_cost()

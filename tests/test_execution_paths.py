@@ -8,7 +8,8 @@ the whole population takes the uncached wave loop, and so does a cached
 round that would carry no decisions out; ``use_sharding`` runs the
 shard layer and labels the report with the executor it used.  The paths
 production no longer takes live in ``repro.reference``, which no
-production module may import.
+production module may import; and ``repro.core`` is the S-CORE engine
+alone, so none of its modules imports ``repro.baselines``.
 """
 
 from __future__ import annotations
@@ -221,6 +222,10 @@ def _imports_by_module():
     return found
 
 
+def _within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
 def test_no_production_module_imports_the_oracles():
     imports = _imports_by_module()
     # The scan sees the package, and sees the oracle module's own imports.
@@ -230,9 +235,19 @@ def test_no_production_module_imports_the_oracles():
         module
         for module, names in imports.items()
         if module != "repro.reference"
-        and any(
-            name == "repro.reference" or name.startswith("repro.reference.")
-            for name in names
-        )
+        and any(_within(name, "repro.reference") for name in names)
+    )
+    assert offenders == []
+
+
+def test_no_core_module_imports_the_baselines():
+    imports = _imports_by_module()
+    # The scan sees the baselines' own imports of the engine.
+    assert "repro.core.fastcost" in imports["repro.baselines.ga"]
+    offenders = sorted(
+        module
+        for module, names in imports.items()
+        if _within(module, "repro.core")
+        and any(_within(name, "repro.baselines") for name in names)
     )
     assert offenders == []

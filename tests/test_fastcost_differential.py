@@ -2,8 +2,9 @@
 
 Seeded randomized scenarios over both topologies x all traffic patterns x
 all placement strategies assert that every quantity the fast engine
-computes — ``total_cost``, ``vm_cost``, ``highest_level`` and
-``migration_delta`` — matches the readable per-pair reference to within
+computes — ``total_cost``, ``highest_level``, the exact per-peer Lemma 3
+deltas (``exact_deltas``) and the batched scorer's candidate rows
+(``candidate_batch``) — matches the readable per-pair reference to within
 1e-9 (relative), both on the initial placement and after a stream of
 migrations applied through the engine's incremental caches.
 """
@@ -72,34 +73,36 @@ def assert_engines_agree(naive, fast, allocation, traffic, rng):
     )
     n_hosts = allocation.cluster.n_servers
     for vm_id in allocation.vm_ids():
-        assert fast.vm_cost(allocation, traffic, vm_id) == pytest.approx(
-            naive.vm_cost(allocation, traffic, vm_id), rel=REL, abs=1e-9
-        )
         assert fast.highest_level(allocation, traffic, vm_id) == (
             naive.highest_level(allocation, traffic, vm_id)
         )
     sample = rng.choice(
         np.fromiter(allocation.vm_ids(), dtype=np.int64), size=20, replace=False
     )
-    for vm_id in sample:
-        vm_id = int(vm_id)
-        targets = rng.integers(0, n_hosts, size=6)
-        for target in targets:
-            assert fast.migration_delta(
-                allocation, traffic, vm_id, int(target)
-            ) == pytest.approx(
-                naive.migration_delta(allocation, traffic, vm_id, int(target)),
-                rel=REL,
-                abs=1e-9,
-            )
-        # The batched call agrees with its per-target scalar form.
-        batched = fast.migration_deltas(vm_id, targets.astype(np.int64))
-        for target, delta in zip(targets, batched):
-            assert delta == pytest.approx(
-                naive.migration_delta(allocation, traffic, vm_id, int(target)),
-                rel=REL,
-                abs=1e-9,
-            )
+    # Exact per-peer deltas of arbitrary moves.
+    vms = np.repeat(sample, 6)
+    targets = rng.integers(0, n_hosts, size=len(vms))
+    exact = fast.exact_deltas(fast.dense_indices(vms), targets)
+    for vm_id, target, delta in zip(vms, targets, exact):
+        assert delta == pytest.approx(
+            naive.migration_delta(allocation, traffic, int(vm_id), int(target)),
+            rel=REL,
+            abs=1e-9,
+        )
+    # The batched scorer's rows: every candidate of every sampled VM.  It
+    # sums over the level hierarchy, so its rounding noise scales with
+    # the owner's traffic, not with the (possibly zero) delta.
+    batch = fast.candidate_batch(fast.dense_indices(sample))
+    w_top = naive.weights.path_weight(naive.topology.max_level)
+    for row in range(batch.n_pairs):
+        owner = batch.owner[row]
+        assert batch.delta[row] == pytest.approx(
+            naive.migration_delta(
+                allocation, traffic, int(sample[owner]), int(batch.host[row])
+            ),
+            rel=REL,
+            abs=REL * w_top * batch.total_rate[owner],
+        )
 
 
 @pytest.mark.parametrize("topo_name,pattern,placement", SCENARIOS)
@@ -197,20 +200,28 @@ def test_engine_egress_matches_naive_host_egress_rate(topo_name, pattern):
     assert applied > 0
     assert_egress_agrees()
 
-    # Vectorized §V-C feasibility == the naive per-candidate check.
-    thresholds = (0.2, 0.5, 0.9)
+    # The batched scorer's §V-C mask == the naive per-candidate check,
+    # over every candidate row of the sampled VMs.
     sample = rng.choice(vm_ids, size=15, replace=False)
-    hosts = np.arange(allocation.cluster.n_servers, dtype=np.int64)
-    for vm_id in sample:
-        for threshold in thresholds:
-            batched = fast.bandwidth_feasible_many(int(vm_id), hosts, threshold)
-            naive_engine = MigrationEngine(
-                CostModel(topology), bandwidth_threshold=threshold
-            )
-            for host in hosts:
-                assert batched[host] == naive_engine.bandwidth_feasible(
-                    allocation, traffic, int(vm_id), int(host)
+    batch = fast.candidate_batch(fast.dense_indices(sample))
+    owners = sample[batch.owner]
+    capacity = fast.candidate_feasible(batch)
+    for owner, host, ok in zip(owners, batch.host, capacity):
+        assert ok == allocation.can_host(int(host), allocation.vm(int(owner)))
+    for threshold in (0.2, 0.5, 0.9):
+        masked = fast.candidate_feasible(batch, threshold)
+        naive_engine = MigrationEngine(
+            CostModel(topology), bandwidth_threshold=threshold
+        )
+        for owner, host, cap_ok, ok in zip(
+            owners, batch.host, capacity, masked
+        ):
+            assert ok == (
+                cap_ok
+                and naive_engine.bandwidth_feasible(
+                    allocation, traffic, int(owner), int(host)
                 )
+            )
 
 
 def test_bandwidth_threshold_decisions_match_naive_path():

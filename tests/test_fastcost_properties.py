@@ -86,14 +86,15 @@ class TestNoOpMigration:
         self, populated, cost_model, fast_engine
     ):
         allocation, traffic, _ = populated
-        for vm_id in allocation.vm_ids():
-            current = allocation.server_of(vm_id)
+        vm_ids = sorted(allocation.vm_ids())
+        current = [allocation.server_of(vm_id) for vm_id in vm_ids]
+        deltas = fast_engine.exact_deltas(
+            fast_engine.dense_indices(vm_ids), np.array(current)
+        )
+        assert (deltas == 0.0).all()
+        for vm_id, host in zip(vm_ids, current):
             assert (
-                fast_engine.migration_delta(allocation, traffic, vm_id, current)
-                == 0.0
-            )
-            assert (
-                cost_model.migration_delta(allocation, traffic, vm_id, current)
+                cost_model.migration_delta(allocation, traffic, vm_id, host)
                 == 0.0
             )
 
@@ -152,4 +153,6 @@ class TestEngineBinding:
 
     def test_unknown_vm_raises(self, fast_engine):
         with pytest.raises(KeyError):
-            fast_engine.migration_deltas(10_000_000, np.array([0]))
+            fast_engine.dense_indices([10_000_000])
+        with pytest.raises(KeyError):
+            fast_engine.apply_migration(10_000_000, 0)

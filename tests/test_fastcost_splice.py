@@ -105,10 +105,9 @@ def assert_spliced_matches_fresh(engine, allocation, traffic):
             assert np.array_equal(got, want)
 
     # Shifted caches vs recomputed ones.
-    for name in ("_vm_cost", "_egress", "_cpu_used"):
+    for name in ("_egress", "_cpu_used"):
         assert getattr(engine, name).dtype == np.float64, name
     assert np.allclose(engine.total_cost(), fresh.total_cost(), rtol=1e-9, atol=1e-6)
-    assert np.allclose(engine._vm_cost, fresh._vm_cost, rtol=1e-9, atol=1e-6)
     assert np.allclose(engine._egress, fresh._egress, rtol=1e-9, atol=1e-6)
     for name in ("_host_of", "_slot_used", "_ram_used", "_vm_ram"):
         assert np.array_equal(getattr(engine, name), getattr(fresh, name)), name
@@ -273,7 +272,7 @@ def test_engine_built_over_an_empty_matrix_takes_its_first_delta():
     # so the caches were integer arrays and the first in-place float
     # shift raised UFuncTypeError.
     allocation, traffic, engine = build(pairs=())
-    assert engine._vm_cost.dtype == engine._egress.dtype == np.float64
+    assert engine._egress.dtype == np.float64
     apply_delta(engine, traffic, [(10, 12, 0.5)])
     assert_spliced_matches_fresh(engine, allocation, traffic)
     # Same pitfall on the CPU mirror of an engine built over no VMs.

@@ -1,14 +1,15 @@
 """Differential + property suite for the batched population GA engine.
 
-The ``(pop, n_vms)`` matrix helpers in ``repro.core.fastcost`` must agree
-with their per-individual references: ``population_cost`` rows with
-``assignment_cost``/``CostModel`` (1e-9 relative), ``tournament_select``
-with the argmin-over-contenders loop, ``apply_swap_mutations`` with the
-sequential swap loop, and ``population_repair`` with the repair
-*contract* (feasible output, untouched feasible rows, locality
-preference).  The batched GA draws its RNG in matrix blocks, so streams —
-not semantics — differ from the pre-batching implementation; the GA-level
-tests therefore assert behavioural invariants, not bit-equal trajectories.
+The ``(pop, n_vms)`` matrix kernels in ``repro.baselines.population``
+must agree with their per-individual references: ``population_cost`` rows
+with ``assignment_cost``/``CostModel`` (1e-9 relative),
+``tournament_select`` with the argmin-over-contenders loop,
+``apply_swap_mutations`` with the sequential swap loop, and
+``population_repair`` with the repair *contract* (feasible output,
+untouched feasible rows, locality preference).  The batched GA draws its
+RNG in matrix blocks, so streams — not semantics — differ from the
+pre-batching implementation; the GA-level tests therefore assert
+behavioural invariants, not bit-equal trajectories.
 """
 
 from __future__ import annotations
@@ -29,16 +30,18 @@ from repro import (
 )
 from repro.baselines.ga import GAConfig, GeneticOptimizer
 from repro.cluster.placement import place_by_name
-from repro.core.fastcost import (
-    TrafficSnapshot,
+from repro.baselines.population import (
     apply_swap_mutations,
-    assignment_cost,
-    path_weight_table,
     population_cost,
     population_counts,
     population_feasible,
     population_repair,
     tournament_select,
+)
+from repro.core.fastcost import (
+    TrafficSnapshot,
+    assignment_cost,
+    path_weight_table,
 )
 from repro.reference import ga_step_reference
 from repro.traffic.generator import PATTERNS

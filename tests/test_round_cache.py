@@ -239,11 +239,12 @@ class TestSetHostCapacity:
         assert allocation.cluster.server(0).capacity.max_vms == 6
         # The engine agrees with a freshly built one (no rebuild needed).
         fresh = FastCostEngine(allocation, traffic)
-        hosts = np.arange(8)
-        vm = allocation.vm(sorted(allocation.vm_ids())[0])
+        ids = sorted(allocation.vm_ids())
+        batch = fast.candidate_batch(fast.dense_indices(ids))
         assert np.array_equal(
-            fast.can_host_many(hosts, vm), fresh.can_host_many(hosts, vm)
+            fast.candidate_feasible(batch), fresh.candidate_feasible(batch)
         )
+        assert np.array_equal(fast.uniform_host_ok(), fresh.uniform_host_ok())
 
     def test_shrink_below_usage_rejected(self):
         allocation, traffic, fast = self.make_engine()
@@ -459,7 +460,7 @@ class TestEngineTouchedSets:
         ids = sorted(allocation.vm_ids())
         vm_id = ids[0]
         dense = fast.dense_indices([vm_id])
-        source = fast.host_of(vm_id)
+        source = allocation.server_of(vm_id)
         target = next(
             h
             for h in range(8)
