@@ -285,9 +285,8 @@ class GeneticOptimizer:
     # -- population construction -------------------------------------------------
 
     def _assignment_from_allocation(self) -> np.ndarray:
-        return np.array(
-            [self._allocation.server_of(vm_id) for vm_id in self._vm_ids],
-            dtype=ASSIGNMENT_DTYPE,
+        return self._allocation.mapping_arrays(self._vm_ids)[0].astype(
+            ASSIGNMENT_DTYPE
         )
 
     def initial_population(self) -> np.ndarray:

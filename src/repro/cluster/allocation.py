@@ -6,16 +6,21 @@ migration, supports cheap copying (the GA baseline evaluates thousands of
 candidate allocations), and exposes the queries the cost model needs:
 ``server_of`` (the paper's ``sigma_A(u)``) and ``level_between``.
 
-State is kept in flat dictionaries/lists rather than in the stateful
-:class:`repro.cluster.server.Server` objects so that ``copy()`` is O(|V|);
-the ``Server`` class models a live machine for the testbed emulation layer.
+State is columnar: the placed VM ids ascending, with their host, RAM and
+CPU in aligned columns; per-host slot/RAM/CPU usage arrays; and a per-host
+membership table (row ``h`` lists the ids on ``h`` in its first
+``used_slots[h]`` cells, ``-1`` after) so ``vms_on`` stays O(slots).
+:class:`VM` objects are built on read.  Every batch mutation is a handful
+of array ops; single-VM mutations are one-element batches.  Per-host CPU
+usage accumulates element by element in operation order (``ufunc.at``),
+so its float bits — and every ``free_cpu`` comparison — do not depend on
+how the operations were batched.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from operator import attrgetter, contains, itemgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,17 +32,30 @@ class CapacityError(Exception):
     """Raised when a placement or migration would exceed server capacity."""
 
 
+def _vm_columns(vms: Sequence[VM]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, ram_mb, cpu) arrays of a list of VM objects, in order."""
+    n = len(vms)
+    return (
+        np.fromiter(map(attrgetter("vm_id"), vms), dtype=np.int64, count=n),
+        np.fromiter(map(attrgetter("ram_mb"), vms), dtype=np.int64, count=n),
+        np.fromiter(map(attrgetter("cpu"), vms), dtype=float, count=n),
+    )
+
+
 class Allocation:
     """A capacity-checked mapping of VMs to servers."""
 
     def __init__(self, cluster: Cluster) -> None:
-        self._cluster = cluster
-        self._vms: Dict[int, VM] = {}
-        self._host_of: Dict[int, int] = {}
         n = cluster.n_servers
-        self._vms_on: List[Set[int]] = [set() for _ in range(n)]
-        self._used_ram: List[int] = [0] * n
-        self._used_cpu: List[float] = [0.0] * n
+        self._cluster = cluster
+        self._ids = np.empty(0, dtype=np.int64)
+        self._host = np.empty(0, dtype=np.int64)
+        self._ram = np.empty(0, dtype=np.int64)
+        self._cpu = np.empty(0)
+        self._used_slots = np.zeros(n, dtype=np.int64)
+        self._used_ram = np.zeros(n, dtype=np.int64)
+        self._used_cpu = np.zeros(n)
+        self._members = np.full((n, 0), -1, dtype=np.int64)
         self._version = 0
 
     @property
@@ -66,66 +84,91 @@ class Allocation:
     @property
     def n_vms(self) -> int:
         """Number of placed VMs."""
-        return len(self._vms)
+        return len(self._ids)
+
+    def _at(self, vm_id: int) -> int:
+        """Column position of one placed VM (KeyError on misses)."""
+        i = int(self._ids.searchsorted(vm_id))
+        if i == len(self._ids) or self._ids[i] != vm_id:
+            raise KeyError(vm_id)
+        return i
+
+    def _index(self, vm_ids) -> np.ndarray:
+        """Column positions of placed VMs, in order (KeyError on the
+        first miss)."""
+        ids = np.asarray(vm_ids, dtype=np.int64).reshape(-1)
+        at = self._ids.searchsorted(ids)
+        if len(self._ids):
+            at = at.clip(max=len(self._ids) - 1)
+            hit = self._ids[at] == ids
+        else:
+            hit = np.zeros(len(ids), dtype=bool)
+        if not hit.all():
+            raise KeyError(int(ids[np.argmin(hit)]))
+        return at
 
     def vm(self, vm_id: int) -> VM:
-        """The VM object with the given ID."""
-        return self._vms[vm_id]
+        """The VM with the given ID (built from the columns)."""
+        i = self._at(vm_id)
+        return VM(int(self._ids[i]), int(self._ram[i]), float(self._cpu[i]))
 
     def vms(self) -> Iterator[VM]:
-        """Iterate over all placed VMs (unspecified order)."""
-        return iter(self._vms.values())
+        """Iterate over all placed VMs (ascending id)."""
+        return map(
+            VM, self._ids.tolist(), self._ram.tolist(), self._cpu.tolist()
+        )
 
     def vms_of(self, vm_ids: Sequence[int]) -> List[VM]:
-        """The VM objects with the given ids, in order (KeyError on misses).
-
-        Bulk sibling of :meth:`vm` — one ``itemgetter`` probe instead of
-        a Python-level lookup per id.
-        """
-        ids = list(vm_ids)
-        if not ids:
-            return []
-        if len(ids) == 1:
-            return [self._vms[ids[0]]]
-        return list(itemgetter(*ids)(self._vms))
+        """The VMs with the given ids, in order (KeyError on misses)."""
+        at = self._index(list(vm_ids))
+        return list(
+            map(VM, self._ids[at].tolist(), self._ram[at].tolist(),
+                self._cpu[at].tolist())
+        )
 
     def vm_ids(self) -> Iterator[int]:
-        """Iterate over all placed VM IDs."""
-        return iter(self._vms.keys())
+        """Iterate over all placed VM IDs (ascending)."""
+        return iter(self._ids.tolist())
 
     def __contains__(self, vm_id: int) -> bool:
-        return vm_id in self._vms
+        try:
+            self._at(vm_id)
+        except (KeyError, TypeError, ValueError):
+            return False
+        return True
 
     def server_of(self, vm_id: int) -> int:
         """Host index currently running ``vm_id`` (the paper's sigma_A)."""
-        return self._host_of[vm_id]
+        return int(self._host[self._at(vm_id)])
 
     def vms_on(self, host: int) -> FrozenSet[int]:
         """IDs of the VMs currently on ``host``."""
-        return frozenset(self._vms_on[host])
+        return frozenset(
+            self._members[host, : self._used_slots[host]].tolist()
+        )
 
     def level_between(self, vm_u: int, vm_v: int) -> int:
         """Communication level l_A(u, v) between two VMs (paper §II)."""
         return self.topology.level_between(
-            self._host_of[vm_u], self._host_of[vm_v]
+            self.server_of(vm_u), self.server_of(vm_v)
         )
 
     # -- capacity --------------------------------------------------------------
 
     def free_slots(self, host: int) -> int:
         """Remaining VM slots on ``host``."""
-        cap = self._cluster.server(host).capacity
-        return cap.max_vms - len(self._vms_on[host])
+        cap = self._cluster.capacity_arrays()[0]
+        return int(cap[host] - self._used_slots[host])
 
     def free_ram_mb(self, host: int) -> int:
         """Remaining guest RAM on ``host``."""
-        cap = self._cluster.server(host).capacity
-        return cap.ram_mb - self._used_ram[host]
+        cap = self._cluster.capacity_arrays()[1]
+        return int(cap[host] - self._used_ram[host])
 
     def free_cpu(self, host: int) -> float:
         """Remaining CPU cores on ``host``."""
-        cap = self._cluster.server(host).capacity
-        return cap.cpu - self._used_cpu[host]
+        cap = self._cluster.capacity_arrays()[2]
+        return float(cap[host] - self._used_cpu[host])
 
     def can_host(self, host: int, vm: VM) -> bool:
         """Whether ``host`` has slot/RAM/CPU headroom for ``vm``."""
@@ -135,26 +178,58 @@ class Allocation:
             and self.free_cpu(host) >= vm.cpu
         )
 
+    def _headroom(self, host: int) -> str:
+        return (
+            f"slots={self.free_slots(host)}, "
+            f"ram={self.free_ram_mb(host)}MiB, cpu={self.free_cpu(host)}"
+        )
+
+    # -- membership table --------------------------------------------------------
+
+    def _join(self, hosts: np.ndarray, ids: np.ndarray) -> None:
+        """Append ids to their hosts' rows (hosts may repeat)."""
+        order = np.argsort(hosts, kind="stable")
+        rows = hosts[order]
+        cols = self._used_slots[rows] + (
+            np.arange(len(rows)) - np.searchsorted(rows, rows)
+        )
+        width = int(cols.max()) + 1
+        if width > self._members.shape[1]:
+            pad = np.full(
+                (len(self._members), width - self._members.shape[1]), -1,
+                dtype=np.int64,
+            )
+            self._members = np.concatenate((self._members, pad), axis=1)
+        self._members[rows, cols] = ids[order]
+        self._used_slots += np.bincount(hosts, minlength=len(self._members))
+
+    def _leave(self, hosts: np.ndarray, ids: np.ndarray) -> None:
+        """Drop ids from their hosts' rows, keeping each row compact."""
+        cols = np.argmax(self._members[hosts] == ids[:, None], axis=1)
+        self._members[hosts, cols] = -1
+        touched = np.unique(hosts)
+        block = self._members[touched]
+        self._members[touched] = np.take_along_axis(
+            block, np.argsort(block < 0, axis=1, kind="stable"), axis=1
+        )
+        self._used_slots -= np.bincount(hosts, minlength=len(self._members))
+
+    def _rebuild_members(self) -> None:
+        """Membership table and slot/RAM usage from the columns."""
+        n = self._cluster.n_servers
+        self._used_slots = np.zeros(n, dtype=np.int64)
+        self._members = np.full((n, 0), -1, dtype=np.int64)
+        if len(self._ids):
+            self._join(self._host, self._ids)
+        self._used_ram = np.bincount(
+            self._host, weights=self._ram, minlength=n
+        ).astype(np.int64)
+
     # -- mutation -----------------------------------------------------------------
 
     def add_vm(self, vm: VM, host: int) -> None:
         """Place a new VM on ``host``; raises :class:`CapacityError` if full."""
-        if vm.vm_id in self._vms:
-            raise ValueError(f"VM {vm.vm_id} is already placed")
-        if not 0 <= host < self._cluster.n_servers:
-            raise ValueError(f"host index {host} out of range")
-        if not self.can_host(host, vm):
-            raise CapacityError(
-                f"host {host} cannot accommodate VM {vm.vm_id}: "
-                f"slots={self.free_slots(host)}, "
-                f"ram={self.free_ram_mb(host)}MiB, cpu={self.free_cpu(host)}"
-            )
-        self._vms[vm.vm_id] = vm
-        self._host_of[vm.vm_id] = host
-        self._vms_on[host].add(vm.vm_id)
-        self._used_ram[host] += vm.ram_mb
-        self._used_cpu[host] += vm.cpu
-        self._version += 1
+        self.add_vms([vm], [host])
 
     def add_vms(self, vms: Sequence[VM], hosts: Sequence[int]) -> None:
         """Place one batch of arriving VMs: validate all, then place.
@@ -165,126 +240,96 @@ class Allocation:
         :class:`CapacityError` and leaves the allocation untouched.  The
         version counter bumps once for the batch.
         """
-        vms = list(vms)
-        hosts = [int(h) for h in hosts]
-        if len(vms) != len(hosts):
+        self._add(*_vm_columns(list(vms)), np.asarray(hosts, dtype=np.int64))
+
+    def _add(
+        self, ids: np.ndarray, ram: np.ndarray, cpu: np.ndarray,
+        hosts: np.ndarray,
+    ) -> None:
+        hosts = hosts.reshape(-1)
+        if len(ids) != len(hosts):
             raise ValueError(
-                f"{len(vms)} VMs but {len(hosts)} hosts in the arrival batch"
+                f"{len(ids)} VMs but {len(hosts)} hosts in the arrival batch"
             )
-        ids = [vm.vm_id for vm in vms]
-        if len(set(ids)) != len(ids):
+        if not len(ids):
+            return
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
             raise ValueError("duplicate VM IDs in the arrival batch")
-        already = [vm_id for vm_id in ids if vm_id in self._vms]
-        if already:
-            raise ValueError(f"VM {already[0]} is already placed")
-        need_slots: Dict[int, int] = {}
-        need_ram: Dict[int, int] = {}
-        need_cpu: Dict[int, float] = {}
-        for vm, host in zip(vms, hosts):
-            if not 0 <= host < self._cluster.n_servers:
-                raise ValueError(f"host index {host} out of range")
-            need_slots[host] = need_slots.get(host, 0) + 1
-            need_ram[host] = need_ram.get(host, 0) + vm.ram_mb
-            need_cpu[host] = need_cpu.get(host, 0.0) + vm.cpu
-        for host, slots in need_slots.items():
-            if (
-                self.free_slots(host) < slots
-                or self.free_ram_mb(host) < need_ram[host]
-                or self.free_cpu(host) < need_cpu[host]
-            ):
-                raise CapacityError(
-                    f"arrival batch rejected: host {host} lacks headroom for "
-                    f"{slots} VM(s): slots={self.free_slots(host)}, "
-                    f"ram={self.free_ram_mb(host)}MiB, cpu={self.free_cpu(host)}"
-                )
-        for vm, host in zip(vms, hosts):
-            self._vms[vm.vm_id] = vm
-            self._host_of[vm.vm_id] = host
-            self._vms_on[host].add(vm.vm_id)
-            self._used_ram[host] += vm.ram_mb
-            self._used_cpu[host] += vm.cpu
-        if vms:
-            self._version += 1
+        pos = self._ids.searchsorted(sorted_ids)
+        already = np.zeros(len(ids), dtype=bool)
+        if len(self._ids):
+            already[order] = self._ids[pos.clip(max=len(self._ids) - 1)] == sorted_ids
+        if already.any():
+            raise ValueError(f"VM {int(ids[np.argmax(already)])} is already placed")
+        n = self._cluster.n_servers
+        outside = (hosts < 0) | (hosts >= n)
+        if outside.any():
+            raise ValueError(
+                f"host index {int(hosts[np.argmax(outside)])} out of range"
+            )
+        need_slots = np.bincount(hosts, minlength=n)
+        need_ram = np.bincount(hosts, weights=ram, minlength=n)
+        need_cpu = np.bincount(hosts, weights=cpu, minlength=n)
+        cap_slots, cap_ram, cap_cpu, _nic = self._cluster.capacity_arrays()
+        short = (need_slots > 0) & (
+            (cap_slots - self._used_slots < need_slots)
+            | (cap_ram - self._used_ram < need_ram)
+            | (cap_cpu - self._used_cpu < need_cpu)
+        )
+        if short.any():
+            # The first host of the batch, in arrival order, that is short.
+            host = int(hosts[np.argmax(short[hosts])])
+            raise CapacityError(
+                f"arrival batch rejected: host {host} lacks headroom for "
+                f"{int(need_slots[host])} VM(s): {self._headroom(host)}"
+            )
+        if pos[0] == len(self._ids):  # freshly minted ids append
+            splice = lambda column, values: np.concatenate((column, values))
+        else:
+            splice = lambda column, values: np.insert(column, pos, values)
+        self._ids = splice(self._ids, sorted_ids)
+        self._host = splice(self._host, hosts[order])
+        self._ram = splice(self._ram, ram[order])
+        self._cpu = splice(self._cpu, cpu[order])
+        self._join(hosts, ids)
+        self._used_ram += need_ram.astype(np.int64)
+        np.add.at(self._used_cpu, hosts, cpu)
+        self._version += 1
+
+    @classmethod
+    def from_columns(
+        cls,
+        cluster: Cluster,
+        vm_ids: Sequence[int],
+        hosts: Sequence[int],
+        ram_mb: Sequence[int],
+        cpu: Sequence[float],
+    ) -> "Allocation":
+        """A fresh allocation holding the given VM columns (one validated
+        batch); shard domains slice theirs out of the global allocation."""
+        allocation = cls(cluster)
+        allocation._add(
+            np.asarray(vm_ids, dtype=np.int64).reshape(-1),
+            np.asarray(ram_mb, dtype=np.int64).reshape(-1),
+            np.asarray(cpu, dtype=float).reshape(-1),
+            np.asarray(hosts, dtype=np.int64),
+        )
+        return allocation
 
     @classmethod
     def from_placement(
         cls, cluster: Cluster, vms: Sequence[VM], hosts: Sequence[int]
     ) -> "Allocation":
-        """Bulk-construct an allocation mirroring a known placement.
-
-        The replica path for sharded domain construction: every
-        ``(vm, host)`` pair is copied from an allocation that already
-        passed admission, so the per-VM bookkeeping of :meth:`add_vms`
-        collapses into C-speed ``dict(zip(...))`` builds and per-host
-        ``bincount`` reductions (summed in the same element order as the
-        sequential loop, so the accounting is bit-identical), followed by
-        one vectorized per-host capacity audit.  A placement that does
-        violate capacity still raises :class:`CapacityError`.
-        """
+        """Bulk-construct an allocation mirroring a known placement."""
         allocation = cls(cluster)
-        vms = list(vms)
-        host_arr = np.asarray(hosts, dtype=np.int64)
-        if len(vms) != len(host_arr):
-            raise ValueError(
-                f"{len(vms)} VMs but {len(host_arr)} hosts in the placement"
-            )
-        if not vms:
-            return allocation
-        n = cluster.n_servers
-        if int(host_arr.min()) < 0 or int(host_arr.max()) >= n:
-            bad = host_arr[(host_arr < 0) | (host_arr >= n)][0]
-            raise ValueError(f"host index {int(bad)} out of range")
-        ids = [vm.vm_id for vm in vms]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate VM IDs in the placement")
-        host_list = host_arr.tolist()
-        allocation._vms = dict(zip(ids, vms))
-        allocation._host_of = dict(zip(ids, host_list))
-        count = len(vms)
-        ram = np.fromiter((vm.ram_mb for vm in vms), dtype=np.int64, count=count)
-        cpu = np.fromiter((vm.cpu for vm in vms), dtype=float, count=count)
-        used_slots = np.bincount(host_arr, minlength=n)
-        used_ram = np.bincount(host_arr, weights=ram, minlength=n).astype(
-            np.int64
-        )
-        used_cpu = np.bincount(host_arr, weights=cpu, minlength=n)
-        cap_slots, cap_ram, cap_cpu, _nic = cluster.capacity_arrays()
-        over = np.flatnonzero(
-            (used_slots > cap_slots)
-            | (used_ram > cap_ram)
-            | (used_cpu > cap_cpu)
-        )
-        if over.size:
-            host = int(over[0])
-            raise CapacityError(
-                f"placement rejected: host {host} over capacity "
-                f"(slots {int(used_slots[host])}/{int(cap_slots[host])}, "
-                f"ram {int(used_ram[host])}/{int(cap_ram[host])}MiB, "
-                f"cpu {float(used_cpu[host])}/{float(cap_cpu[host])})"
-            )
-        order = np.argsort(host_arr, kind="stable")
-        sorted_hosts = host_arr[order]
-        sorted_ids = np.asarray(ids, dtype=np.int64)[order]
-        uniq, starts = np.unique(sorted_hosts, return_index=True)
-        bounds = np.append(starts, sorted_hosts.size).tolist()
-        id_list = sorted_ids.tolist()
-        vms_on = allocation._vms_on
-        for i, host in enumerate(uniq.tolist()):
-            vms_on[host] = set(id_list[bounds[i]:bounds[i + 1]])
-        allocation._used_ram = used_ram.tolist()
-        allocation._used_cpu = used_cpu.tolist()
-        allocation._version = 1
+        allocation.add_vms(vms, hosts)
         return allocation
 
     def remove_vm(self, vm_id: int) -> VM:
         """Remove a VM from the allocation entirely and return it."""
-        vm = self._vms.pop(vm_id)
-        host = self._host_of.pop(vm_id)
-        self._vms_on[host].discard(vm_id)
-        self._used_ram[host] -= vm.ram_mb
-        self._used_cpu[host] -= vm.cpu
-        self._version += 1
-        return vm
+        return self.remove_vms([vm_id])[0]
 
     def remove_vms(self, vm_ids: Sequence[int]) -> List[VM]:
         """Remove one batch of departing VMs; all-or-nothing.
@@ -293,23 +338,30 @@ class Allocation:
         version counter bumps once for the batch.  Returns the removed
         VM objects in input order.
         """
-        ids = [int(v) for v in vm_ids]
-        if len(set(ids)) != len(ids):
+        ids = np.asarray(list(vm_ids), dtype=np.int64)
+        if len(np.unique(ids)) != len(ids):
             raise ValueError("duplicate VM IDs in the departure batch")
-        missing = [vm_id for vm_id in ids if vm_id not in self._vms]
-        if missing:
-            raise KeyError(f"VM {missing[0]} is not placed")
-        removed: List[VM] = []
-        for vm_id in ids:
-            vm = self._vms.pop(vm_id)
-            host = self._host_of.pop(vm_id)
-            self._vms_on[host].discard(vm_id)
-            self._used_ram[host] -= vm.ram_mb
-            self._used_cpu[host] -= vm.cpu
-            removed.append(vm)
-        if ids:
-            self._version += 1
+        removed = self.vms_of(ids)
+        if removed:
+            self._remove(ids)
         return removed
+
+    def _remove(self, ids: np.ndarray) -> None:
+        at = self._index(ids)
+        hosts = self._host[at]
+        self._leave(hosts, ids)
+        n = self._cluster.n_servers
+        self._used_ram -= np.bincount(
+            hosts, weights=self._ram[at], minlength=n
+        ).astype(np.int64)
+        np.subtract.at(self._used_cpu, hosts, self._cpu[at])
+        keep = np.ones(len(self._ids), dtype=bool)
+        keep[at] = False
+        self._ids = self._ids[keep]
+        self._host = self._host[keep]
+        self._ram = self._ram[keep]
+        self._cpu = self._cpu[keep]
+        self._version += 1
 
     def migrate(self, vm_id: int, target_host: int) -> None:
         """Move a VM to ``target_host`` (the paper's ``u -> x``).
@@ -317,229 +369,204 @@ class Allocation:
         Raises :class:`CapacityError` when the target lacks headroom; a
         migration to the current host is a no-op.
         """
-        current = self._host_of[vm_id]
-        if current == target_host:
-            return
-        vm = self._vms[vm_id]
-        if not self.can_host(target_host, vm):
-            raise CapacityError(
-                f"migration of VM {vm_id} to host {target_host} rejected: "
-                f"slots={self.free_slots(target_host)}, "
-                f"ram={self.free_ram_mb(target_host)}MiB, "
-                f"cpu={self.free_cpu(target_host)}"
-            )
-        self._vms_on[current].discard(vm_id)
-        self._used_ram[current] -= vm.ram_mb
-        self._used_cpu[current] -= vm.cpu
-        self._host_of[vm_id] = target_host
-        self._vms_on[target_host].add(vm_id)
-        self._used_ram[target_host] += vm.ram_mb
-        self._used_cpu[target_host] += vm.cpu
-        self._version += 1
+        self.migrate_many([(vm_id, target_host)])
 
     def migrate_many(self, moves: Iterable[tuple]) -> None:
         """Apply one wave of migrations as a batch: validate all, then move.
 
-        ``moves`` is an iterable of ``(vm_id, target_host)``.  Capacity is
-        checked for every move *before* any mutation, so a rejected wave
-        raises :class:`CapacityError` and leaves the allocation untouched.
-        The pre-check treats moves as independent, which is sound when
-        target hosts are pairwise distinct — the contract of the wave
-        planner that produces these batches
-        (``repro.core.rounds.BatchedRoundEngine._plan_wave``).
+        ``moves`` is an iterable of ``(vm_id, target_host)`` (or an
+        ``(m, 2)`` integer array) over distinct VMs.  Capacity is checked
+        for every move *before* any mutation, so a rejected wave raises
+        :class:`CapacityError` (naming the first misfit in wave order) and
+        leaves the allocation untouched.  The pre-check treats moves as
+        independent, which is sound when target hosts are pairwise
+        distinct — the contract of the wave planner that produces these
+        batches (``repro.core.migration.plan_wave``).  Moves to a VM's
+        current host are no-ops.
         """
-        host_of = self._host_of
-        vms_on = self._vms_on
-        used_ram = self._used_ram
-        used_cpu = self._used_cpu
-        moves = [
-            (vm_id, target)
-            for vm_id, target in moves
-            if host_of[vm_id] != target
-        ]
-        if not moves:
+        if not isinstance(moves, np.ndarray):
+            moves = list(moves)
+        moves = np.asarray(moves, dtype=np.int64).reshape(-1, 2)
+        at = self._index(moves[:, 0])
+        target = moves[:, 1]
+        real = self._host[at] != target
+        at, target = at[real], target[real]
+        if not len(at):
             return
-        vm_ids, targets = zip(*moves)
-        movers = self.vms_of(vm_ids)
-        at = np.array(targets, dtype=np.int64)
-        slots, ram_mb, cpu, _ = self._cluster.capacity_arrays()
-        for vm_id, target, vm, max_vms, cap_ram, cap_cpu in zip(
-            vm_ids,
-            targets,
-            movers,
-            slots[at].tolist(),
-            ram_mb[at].tolist(),
-            cpu[at].tolist(),
-        ):
-            if (
-                max_vms - len(vms_on[target]) < 1
-                or cap_ram - used_ram[target] < vm.ram_mb
-                or cap_cpu - used_cpu[target] < vm.cpu
-            ):
-                raise CapacityError(
-                    f"wave rejected: VM {vm_id} does not fit host {target}: "
-                    f"slots={self.free_slots(target)}, "
-                    f"ram={self.free_ram_mb(target)}MiB, "
-                    f"cpu={self.free_cpu(target)}"
-                )
-        for vm_id, target, vm in zip(vm_ids, targets, movers):
-            current = host_of[vm_id]
-            vms_on[current].discard(vm_id)
-            used_ram[current] -= vm.ram_mb
-            used_cpu[current] -= vm.cpu
-            host_of[vm_id] = target
-            vms_on[target].add(vm_id)
-            used_ram[target] += vm.ram_mb
-            used_cpu[target] += vm.cpu
+        if len(np.unique(at)) != len(at):
+            raise ValueError("a wave moves each VM at most once")
+        cap_slots, cap_ram, cap_cpu, _nic = self._cluster.capacity_arrays()
+        misfit = (
+            (cap_slots[target] - self._used_slots[target] < 1)
+            | (cap_ram[target] - self._used_ram[target] < self._ram[at])
+            | (cap_cpu[target] - self._used_cpu[target] < self._cpu[at])
+        )
+        if misfit.any():
+            first = int(np.argmax(misfit))
+            host = int(target[first])
+            raise CapacityError(
+                f"wave rejected: VM {int(self._ids[at[first]])} does not fit "
+                f"host {host}: {self._headroom(host)}"
+            )
+        source = self._host[at]
+        ids = self._ids[at]
+        self._leave(source, ids)
+        self._join(target, ids)
+        self._host[at] = target
+        # Source and target updates interleave per move, in wave order.
+        hosts = np.column_stack((source, target)).reshape(-1)
+        ram = self._ram[at]
+        cpu = self._cpu[at]
+        np.add.at(self._used_ram, hosts, np.column_stack((-ram, ram)).reshape(-1))
+        np.add.at(self._used_cpu, hosts, np.column_stack((-cpu, cpu)).reshape(-1))
         self._version += 1
 
     # -- bulk / copy -----------------------------------------------------------------
 
     def copy(self) -> "Allocation":
         """An independent copy sharing the (immutable) cluster."""
-        clone = Allocation(self._cluster)
-        clone._vms = dict(self._vms)
-        clone._host_of = dict(self._host_of)
-        clone._vms_on = [set(s) for s in self._vms_on]
-        clone._used_ram = list(self._used_ram)
-        clone._used_cpu = list(self._used_cpu)
+        clone = Allocation.__new__(Allocation)
+        clone.__dict__.update(
+            {
+                name: value.copy() if isinstance(value, np.ndarray) else value
+                for name, value in self.__dict__.items()
+            }
+        )
+        clone._version = 0
         return clone
 
     def as_dict(self) -> Dict[int, int]:
-        """Snapshot of the VM → host mapping."""
-        return dict(self._host_of)
+        """Snapshot of the VM → host mapping (ascending id)."""
+        return dict(zip(self._ids.tolist(), self._host.tolist()))
 
     def mapping_arrays(
         self, vm_ids: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(host, ram_mb, cpu) arrays for the given VM ids, in order.
 
-        C-speed bulk extraction (``itemgetter``) of what the fast engine
-        mirrors at rebuild time; raises ``KeyError`` on unknown ids.
+        A gather from the columns (fresh arrays the caller may mutate);
+        raises ``KeyError`` on unknown ids.
         """
-        ids = list(vm_ids)
-        if not ids:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), np.empty(0)
-        if len(ids) == 1:
-            vm = self._vms[ids[0]]
-            return (
-                np.array([self._host_of[ids[0]]], dtype=np.int64),
-                np.array([vm.ram_mb], dtype=np.int64),
-                np.array([vm.cpu]),
-            )
-        hosts = np.array(itemgetter(*ids)(self._host_of), dtype=np.int64)
-        vms = itemgetter(*ids)(self._vms)
-        ram = np.fromiter(
-            map(attrgetter("ram_mb"), vms), dtype=np.int64, count=len(ids)
-        )
-        cpu = np.fromiter(map(attrgetter("cpu"), vms), dtype=float, count=len(ids))
-        return hosts, ram, cpu
+        at = self._index(vm_ids)
+        return self._host[at], self._ram[at], self._cpu[at]
 
     def apply_mapping(self, mapping: Dict[int, int]) -> None:
         """Re-place already-known VMs according to ``mapping``.
 
-        Used by centralized baselines (GA) to install a computed allocation.
-        All VM IDs must already exist in this allocation; capacity is
-        enforced by removing every VM first and re-adding them, so a
-        mapping that violates capacity raises :class:`CapacityError` and
-        leaves the allocation in a *partially rebuilt* state — callers
-        should validate candidate mappings beforehand (see
-        :meth:`mapping_is_feasible`).
+        Used by centralized baselines (GA) to install a computed
+        allocation.  All VM IDs must already exist in this allocation.
+        Every mapped VM leaves, then every one lands, in mapping order, as
+        one validated batch: a mapping that overfills a receiving host
+        raises :class:`CapacityError` and leaves the allocation untouched.
         """
-        unknown = set(mapping) - set(self._vms)
-        if unknown:
-            raise ValueError(f"mapping contains unknown VM IDs: {sorted(unknown)[:5]}")
-        vms = {vm_id: self._vms[vm_id] for vm_id in mapping}
-        for vm_id in mapping:
-            self.remove_vm(vm_id)
-        for vm_id, host in mapping.items():
-            self.add_vm(vms[vm_id], host)
+        if not mapping:
+            return
+        ids = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
+        try:
+            at = self._index(ids)
+        except KeyError:
+            unknown = sorted(set(mapping) - set(self._ids.tolist()))
+            raise ValueError(
+                f"mapping contains unknown VM IDs: {unknown[:5]}"
+            ) from None
+        targets = np.fromiter(mapping.values(), dtype=np.int64, count=len(ids))
+        trial = self.copy()
+        trial._remove(ids)
+        trial._add(ids, self._ram[at], self._cpu[at], targets)
+        trial._version = self._version + 1
+        self.__dict__.update(trial.__dict__)
 
     def mapping_is_feasible(self, mapping: Dict[int, int]) -> bool:
-        """Whether ``mapping`` respects every server's capacity."""
-        slots: Dict[int, int] = {}
-        ram: Dict[int, int] = {}
-        cpu: Dict[int, float] = {}
-        for vm_id, host in mapping.items():
-            vm = self._vms[vm_id]
-            slots[host] = slots.get(host, 0) + 1
-            ram[host] = ram.get(host, 0) + vm.ram_mb
-            cpu[host] = cpu.get(host, 0.0) + vm.cpu
-        for host, used in slots.items():
-            cap = self._cluster.server(host).capacity
-            if used > cap.max_vms or ram[host] > cap.ram_mb or cpu[host] > cap.cpu:
-                return False
-        return True
+        """Whether the mapped VMs alone respect every server's capacity."""
+        at = self._index(list(mapping))
+        hosts = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+        n = self._cluster.n_servers
+        cap_slots, cap_ram, cap_cpu, _nic = self._cluster.capacity_arrays()
+        return not (
+            (np.bincount(hosts, minlength=n) > cap_slots)
+            | (np.bincount(hosts, weights=self._ram[at], minlength=n) > cap_ram)
+            | (np.bincount(hosts, weights=self._cpu[at], minlength=n) > cap_cpu)
+        ).any()
 
     def validate(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Internal-consistency check; raises AssertionError on corruption.
 
-        C-speed passes over the mapping and the per-host sets, then array
-        compares: every VM sits in its mapped host's set, and per host
-        (ascending, first failure reported) slots, RAM accounting, CPU
+        Array compares only: ids strictly ascending, every VM in its
+        host's membership row and no stray ids there, and per host
+        (ascending, first failure reported) slots, slot/RAM/CPU
         accounting and RAM capacity hold.
 
-        Returns the per-VM ``(ids, hosts, ram_mb, cpu)`` arrays the check
-        extracted, ascending by id (:meth:`mapping_arrays` of every
-        placed VM), so a caller that goes on to compare its own mirrors
-        against the allocation need not walk the VM objects again.
+        Returns the ``(ids, hosts, ram_mb, cpu)`` columns, ascending by
+        id, so a caller that goes on to compare its own mirrors against
+        the allocation reads them without another pass (read-only).
         """
+        ids, host, ram, cpu = self._ids, self._host, self._ram, self._cpu
         n_hosts = self._cluster.n_servers
-        in_its_set = np.fromiter(
-            map(
-                contains,
-                map(self._vms_on.__getitem__, self._host_of.values()),
-                self._host_of.keys(),
-            ),
-            dtype=bool,
-            count=len(self._host_of),
-        )
-        if not in_its_set.all():
-            lost = int(np.argmin(in_its_set))
-            vm_id, host = next(islice(self._host_of.items(), lost, None))
-            raise AssertionError(
-                f"VM {vm_id} mapped to host {host} but missing from its set"
-            )
-        ids = np.array(sorted(self._vms), dtype=np.int64)
-        hosts, vm_ram, vm_cpu = self.mapping_arrays(ids.tolist())
-        lens = np.fromiter(map(len, self._vms_on), dtype=np.int64, count=n_hosts)
-        members = np.fromiter(
-            chain.from_iterable(self._vms_on),
-            dtype=np.int64,
-            count=int(lens.sum()),
-        )
-        # Per-host sums run over the sets' members; sorting them first
-        # turns the id lookup into one sequential merge.
-        order = np.argsort(members)
-        members = members[order]
-        member_host = np.repeat(np.arange(n_hosts), lens)[order]
-        at = np.searchsorted(ids, members).clip(max=len(ids) - 1)
+        if (ids[1:] <= ids[:-1]).any():
+            raise AssertionError("VM ids are not strictly ascending")
+        if len(host) and (host.min() < 0 or host.max() >= n_hosts):
+            raise AssertionError("host column out of range")
+        table = self._members
+        row, col = np.nonzero(table >= 0)
+        members = table[row, col]
+        at = ids.searchsorted(members).clip(max=max(len(ids) - 1, 0))
         stray = members[ids[at] != members] if len(ids) else members
         if stray.size:
             raise KeyError(int(stray[0]))
-        ram = np.bincount(
-            member_host, weights=vm_ram[at], minlength=n_hosts
-        ).astype(np.int64)
-        cpu = np.bincount(member_host, weights=vm_cpu[at], minlength=n_hosts)
+        in_its_row = np.zeros(len(ids), dtype=bool)
+        in_its_row[at[host[at] == row]] = True
+        if not in_its_row.all():
+            lost = int(np.argmin(in_its_row))
+            raise AssertionError(
+                f"VM {int(ids[lost])} mapped to host {int(host[lost])} "
+                f"but missing from its set"
+            )
+        count = np.bincount(host, minlength=n_hosts)
+        filled = np.bincount(row, minlength=n_hosts)
         cap_slots, cap_ram, _cap_cpu, _nic = self._cluster.capacity_arrays()
+        ram_sum = np.bincount(host, weights=ram, minlength=n_hosts).astype(np.int64)
+        cpu_sum = np.bincount(host, weights=cpu, minlength=n_hosts)
         checks = (
-            (lens > cap_slots, "over slot capacity"),
-            (ram != np.asarray(self._used_ram), "RAM accounting drift"),
-            (
-                ~(np.abs(cpu - np.asarray(self._used_cpu)) < 1e-9),
-                "CPU accounting drift",
-            ),
-            (ram > cap_ram, "over RAM capacity"),
+            (self._used_slots > cap_slots, "over slot capacity"),
+            ((self._used_slots != count) | (filled != count), "slot accounting drift"),
+            (ram_sum != self._used_ram, "RAM accounting drift"),
+            (~(np.abs(cpu_sum - self._used_cpu) < 1e-9), "CPU accounting drift"),
+            (self._used_ram > cap_ram, "over RAM capacity"),
         )
         bad = np.logical_or.reduce([failed for failed, _ in checks])
         if bad.any():
-            host = int(np.argmax(bad))
-            what = next(text for failed, text in checks if failed[host])
-            raise AssertionError(f"host {host} {what}")
-        return ids, hosts, vm_ram, vm_cpu
+            host_id = int(np.argmax(bad))
+            what = next(text for failed, text in checks if failed[host_id])
+            raise AssertionError(f"host {host_id} {what}")
+        return ids, host, ram, cpu
+
+    # -- pickling ------------------------------------------------------------------
+
+    #: What a pickle holds: the columns and the per-host CPU usage (its
+    #: float bits carry the accumulation history).  The membership table
+    #: and slot/RAM usage are rebuilt exactly from the columns.
+    _OF_RECORD = ("_cluster", "_ids", "_host", "_ram", "_cpu", "_used_cpu", "_version")
+
+    def __getstate__(self):
+        return {name: self.__dict__[name] for name in self._OF_RECORD}
+
+    def __setstate__(self, state) -> None:
+        if "_vms" in state:
+            # The dict-backed layout of snapshots written before the
+            # allocation became columnar.
+            vms = sorted(state["_vms"].values())
+            ids, ram, cpu = _vm_columns(vms)
+            hosts = [state["_host_of"][vm.vm_id] for vm in vms]
+            state = {
+                "_cluster": state["_cluster"], "_ids": ids, "_ram": ram, "_cpu": cpu,
+                "_host": np.array(hosts, dtype=np.int64),
+                "_used_cpu": np.array(state["_used_cpu"], dtype=float),
+                "_version": state["_version"],
+            }
+        self.__dict__.update(state)
+        self._rebuild_members()
 
     def __repr__(self) -> str:
-        return f"Allocation(vms={len(self._vms)}, servers={self._cluster.n_servers})"
+        return f"Allocation(vms={len(self._ids)}, servers={self._cluster.n_servers})"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -13,9 +13,8 @@ from repro.topology.base import Topology
 class Cluster:
     """All servers of a data center, one per topology host.
 
-    The cluster owns the :class:`Server` objects; allocations manipulate
-    them through :class:`repro.cluster.allocation.Allocation`, which keeps
-    the VM → host mapping consistent with server occupancy.
+    The cluster owns the :class:`Server` objects (identity and capacity);
+    what runs where is :class:`repro.cluster.allocation.Allocation`'s.
     """
 
     def __init__(
@@ -30,6 +29,7 @@ class Cluster:
             Server(host, overrides.get(host, capacity))
             for host in topology.hosts
         ]
+        self._total_slots = sum(s.capacity.max_vms for s in self._servers)
 
     @property
     def topology(self) -> Topology:
@@ -44,7 +44,7 @@ class Cluster:
     @property
     def total_vm_slots(self) -> int:
         """Aggregate VM capacity across all servers."""
-        return sum(server.capacity.max_vms for server in self._servers)
+        return self._total_slots
 
     def server(self, host: int) -> Server:
         """The server on topology host ``host``."""
@@ -93,7 +93,9 @@ class Cluster:
         """
         if not 0 <= host < len(self._servers):
             raise ValueError(f"host index {host} out of range")
+        old_slots = self._servers[host].capacity.max_vms
         self._servers[host].set_capacity(capacity)
+        self._total_slots += capacity.max_vms - old_slots
         if hasattr(self, "_capacity_arrays"):
             slots, ram, cpu, nic = self._capacity_arrays
             for array, value in (
@@ -106,20 +108,20 @@ class Cluster:
                 array[host] = value
                 array.setflags(write=False)
 
-    def servers(self) -> Iterator[Server]:
-        """Iterate over all servers in host order."""
-        return iter(self._servers)
+    def __getstate__(self):
+        # The capacity arrays and the slot total are caches of the
+        # servers' capacities.  Rebuilt after a restore, the arrays are
+        # owned ones that set_host_capacity can patch (unpickled read-only
+        # arrays sit on immutable bytes and refuse the write flag).
+        state = self.__dict__.copy()
+        state.pop("_capacity_arrays", None)
+        state.pop("_total_slots", None)
+        return state
 
-    def servers_in_rack(self, rack: int) -> List[Server]:
-        """Servers attached to the given ToR switch."""
-        return [self._servers[h] for h in self._topology.hosts_in_rack(rack)]
-
-    def total_hosted_vms(self) -> int:
-        """Number of VMs currently placed on any server."""
-        return sum(server.n_vms for server in self._servers)
+    def __setstate__(self, state) -> None:
+        state.pop("_capacity_arrays", None)
+        self.__dict__.update(state)
+        self._total_slots = sum(s.capacity.max_vms for s in self._servers)
 
     def __repr__(self) -> str:
-        return (
-            f"Cluster(servers={self.n_servers}, "
-            f"slots={self.total_vm_slots}, hosted={self.total_hosted_vms()})"
-        )
+        return f"Cluster(servers={self.n_servers}, slots={self.total_vm_slots})"

@@ -12,7 +12,7 @@ alone.
 from __future__ import annotations
 
 import ipaddress
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.vm import MAX_VM_ID, VM
@@ -47,7 +47,9 @@ class PlacementManager:
     def __init__(self, cluster: Cluster) -> None:
         self._cluster = cluster
         self._next_id = 1  # ID 0 is reserved (paper's v0 is "lowest ID")
-        self._issued: Dict[int, VM] = {}
+        # What was minted, as (first id, count, ram_mb, cpu) runs: one
+        # per create_vms call, never one object per VM.
+        self._issued: List[Tuple[int, int, int, float]] = []
 
     @property
     def cluster(self) -> Cluster:
@@ -58,22 +60,38 @@ class PlacementManager:
 
     def create_vm(self, ram_mb: int = 1024, cpu: float = 1.0) -> VM:
         """Mint a VM with the next unique ID."""
-        if self._next_id > MAX_VM_ID:
-            raise RuntimeError("VM ID space exhausted")
-        vm = VM(vm_id=self._next_id, ram_mb=ram_mb, cpu=cpu)
-        self._issued[vm.vm_id] = vm
-        self._next_id += 1
-        return vm
+        return self.create_vms(1, ram_mb=ram_mb, cpu=cpu)[0]
 
     def create_vms(self, count: int, ram_mb: int = 1024, cpu: float = 1.0) -> List[VM]:
         """Mint ``count`` VMs with consecutive unique IDs."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        return [self.create_vm(ram_mb=ram_mb, cpu=cpu) for _ in range(count)]
+        first = self._next_id
+        if first + count - 1 > MAX_VM_ID:
+            raise RuntimeError("VM ID space exhausted")
+        vms = [VM(vm_id, ram_mb, cpu) for vm_id in range(first, first + count)]
+        if count:
+            self._issued.append((first, count, ram_mb, cpu))
+        self._next_id += count
+        return vms
 
     def issued_vms(self) -> List[VM]:
         """All VMs ever minted by this manager, in ID order."""
-        return [self._issued[i] for i in sorted(self._issued)]
+        return [
+            VM(vm_id, ram_mb, cpu)
+            for first, count, ram_mb, cpu in self._issued
+            for vm_id in range(first, first + count)
+        ]
+
+    def __setstate__(self, state) -> None:
+        issued = state["_issued"]
+        if isinstance(issued, dict):
+            # Snapshots written before minting was recorded as runs.
+            state["_issued"] = [
+                (vm.vm_id, 1, vm.ram_mb, vm.cpu)
+                for vm in sorted(issued.values())
+            ]
+        self.__dict__.update(state)
 
     # -- addressing --------------------------------------------------------------
 

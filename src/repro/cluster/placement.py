@@ -36,40 +36,70 @@ def _require_capacity(cluster: Cluster, vms: Sequence[VM]) -> None:
         )
 
 
+class _Fill:
+    """Headroom of a fresh allocation while a strategy picks hosts.
+
+    Mirrors :meth:`Allocation.can_host` bit for bit (CPU usage
+    accumulates in placement order, compared as ``cap - used``); the
+    chosen hosts land in one :meth:`Allocation.from_placement` call.
+    """
+
+    def __init__(self, cluster: Cluster) -> None:
+        slots, ram, cpu, _nic = cluster.capacity_arrays()
+        self.free_slots = slots.tolist()
+        self.free_ram = ram.tolist()
+        self.cap_cpu = cpu.tolist()
+        self.used_cpu = [0.0] * len(self.cap_cpu)
+        self.hosts: List[int] = []
+
+    def can_host(self, host: int, vm: VM) -> bool:
+        return (
+            self.free_slots[host] >= 1
+            and self.free_ram[host] >= vm.ram_mb
+            and self.cap_cpu[host] - self.used_cpu[host] >= vm.cpu
+        )
+
+    def add_vm(self, vm: VM, host: int) -> None:
+        self.free_slots[host] -= 1
+        self.free_ram[host] -= vm.ram_mb
+        self.used_cpu[host] += vm.cpu
+        self.hosts.append(host)
+
+
 def place_packed(cluster: Cluster, vms: Iterable[VM]) -> Allocation:
     """Fill servers to capacity in host order."""
     vms = list(vms)
     _require_capacity(cluster, vms)
-    allocation = Allocation(cluster)
+    fill = _Fill(cluster)
     host = 0
     for vm in vms:
-        while host < cluster.n_servers and not allocation.can_host(host, vm):
+        while host < cluster.n_servers and not fill.can_host(host, vm):
             host += 1
         if host >= cluster.n_servers:
             raise CapacityError(f"ran out of servers placing VM {vm.vm_id}")
-        allocation.add_vm(vm, host)
-    return allocation
+        fill.add_vm(vm, host)
+    return Allocation.from_placement(cluster, vms, fill.hosts)
 
 
 def place_round_robin(cluster: Cluster, vms: Iterable[VM]) -> Allocation:
     """Deal VMs one per server cyclically (load-balanced placement)."""
     vms = list(vms)
     _require_capacity(cluster, vms)
-    allocation = Allocation(cluster)
+    fill = _Fill(cluster)
     n = cluster.n_servers
     cursor = 0
     for vm in vms:
         placed = False
         for offset in range(n):
             host = (cursor + offset) % n
-            if allocation.can_host(host, vm):
-                allocation.add_vm(vm, host)
+            if fill.can_host(host, vm):
+                fill.add_vm(vm, host)
                 cursor = (host + 1) % n
                 placed = True
                 break
         if not placed:
             raise CapacityError(f"no server can accommodate VM {vm.vm_id}")
-    return allocation
+    return Allocation.from_placement(cluster, vms, fill.hosts)
 
 
 def place_random(cluster: Cluster, vms: Iterable[VM], seed: SeedLike = None) -> Allocation:
@@ -80,17 +110,18 @@ def place_random(cluster: Cluster, vms: Iterable[VM], seed: SeedLike = None) -> 
     ``can_host`` calls — at the paper's full scale (2560 hosts x ~35k VMs)
     this is the difference between sub-second and a minute of placement.
     The candidate list (and hence the consumed RNG stream) is identical to
-    the per-host scan's, so seeded placements are unchanged.
+    the per-host scan's, so seeded placements are unchanged.  The chosen
+    hosts land in one bulk :meth:`Allocation.from_placement`.
     """
     vms = list(vms)
     _require_capacity(cluster, vms)
     rng = make_rng(seed)
-    allocation = Allocation(cluster)
     n = cluster.n_servers
     cap_slots, cap_ram, cap_cpu, _ = cluster.capacity_arrays()
     free_slots = cap_slots.copy()
     free_ram = cap_ram.copy()
     used_cpu = np.zeros(n, dtype=float)
+    hosts: List[int] = []
     for vm in vms:
         # cap - used mirrors Allocation.free_cpu bit-for-bit, so the
         # feasible set (and the seeded RNG draw) matches can_host exactly.
@@ -102,11 +133,11 @@ def place_random(cluster: Cluster, vms: Iterable[VM], seed: SeedLike = None) -> 
         if feasible.size == 0:
             raise CapacityError(f"no server can accommodate VM {vm.vm_id}")
         host = int(rng.choice(feasible))
-        allocation.add_vm(vm, host)
+        hosts.append(host)
         free_slots[host] -= 1
         free_ram[host] -= vm.ram_mb
         used_cpu[host] += vm.cpu
-    return allocation
+    return Allocation.from_placement(cluster, vms, hosts)
 
 
 def place_striped(cluster: Cluster, vms: Iterable[VM]) -> Allocation:
@@ -117,26 +148,26 @@ def place_striped(cluster: Cluster, vms: Iterable[VM]) -> Allocation:
     """
     vms = list(vms)
     _require_capacity(cluster, vms)
-    allocation = Allocation(cluster)
+    fill = _Fill(cluster)
     topology = cluster.topology
     n_racks = topology.n_racks
     for index, vm in enumerate(vms):
         rack = index % n_racks
         placed = False
         for host in topology.hosts_in_rack(rack):
-            if allocation.can_host(host, vm):
-                allocation.add_vm(vm, host)
+            if fill.can_host(host, vm):
+                fill.add_vm(vm, host)
                 placed = True
                 break
         if not placed:
             for host in range(cluster.n_servers):
-                if allocation.can_host(host, vm):
-                    allocation.add_vm(vm, host)
+                if fill.can_host(host, vm):
+                    fill.add_vm(vm, host)
                     placed = True
                     break
         if not placed:
             raise CapacityError(f"no server can accommodate VM {vm.vm_id}")
-    return allocation
+    return Allocation.from_placement(cluster, vms, fill.hosts)
 
 
 def locality_probe_order(topology, preferred_rack: Optional[int] = None) -> List[int]:

@@ -465,6 +465,26 @@ class FastCostEngine:
         self._round_cache = None
         self.rebuild()
 
+    def __getstate__(self):
+        # A snapshot carries state of record only.  Every valid row of
+        # the round cache equals a fresh candidate_batch, so a restored
+        # engine re-scores on its first round without changing the
+        # trajectory; the capacity arrays are the cluster's live views
+        # and are re-bound on restore.
+        state = self.__dict__.copy()
+        for name in ("_round_cache", "_slot_cap", "_ram_cap", "_cpu_cap", "_nic_cap"):
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        # Snapshots written before the round cache stayed behind carry
+        # one; it is dropped the same way.
+        state["_round_cache"] = None
+        self.__dict__.update(state)
+        self._slot_cap, self._ram_cap, self._cpu_cap, self._nic_cap = (
+            self._allocation.cluster.capacity_arrays()
+        )
+
     # -- binding -----------------------------------------------------------
 
     @property
@@ -612,9 +632,7 @@ class FastCostEngine:
         """Re-extract the VM → host map and capacity usage mirrors."""
         snap = self._snap
         n = snap.n_vms
-        self._host_of, ram, cpu = self._allocation.mapping_arrays(
-            snap.vm_ids.tolist()
-        )
+        self._host_of, ram, cpu = self._allocation.mapping_arrays(snap.vm_ids)
         n_hosts = len(self._slot_cap)
         self._slot_used = np.bincount(self._host_of, minlength=n_hosts)
         self._vm_ram = ram
@@ -949,12 +967,7 @@ class FastCostEngine:
         add_ids = add_ids[order]
         if np.any(add_ids[1:] == add_ids[:-1]):
             raise ValueError("duplicate VM IDs in the arrival batch")
-        hosts = np.array(
-            [self._allocation.server_of(int(v)) for v in add_ids],
-            dtype=np.int64,
-        )
-        add_ram = np.array([vms[i].ram_mb for i in order], dtype=np.int64)
-        add_cpu = np.array([vms[i].cpu for i in order], dtype=float)
+        hosts, add_ram, add_cpu = self._allocation.mapping_arrays(add_ids)
         pos = np.searchsorted(snap.vm_ids, add_ids)
         if len(snap.vm_ids):
             clipped = pos.clip(max=len(snap.vm_ids) - 1)

@@ -1165,7 +1165,7 @@ class BatchedRoundEngine:
             dense = dense[genuine]
             sources = sources[genuine]
             targets = targets[genuine]
-        moves = list(zip(vm_ids[dense].tolist(), targets.tolist()))
+        moves = np.column_stack((vm_ids[dense], targets))
         moved_rows: List[int] = []
         drift_moved: List[Tuple[int, int, int]] = []  # dense, old, new
         wave_log: List[Tuple[int, int, int]] = []
@@ -1173,7 +1173,7 @@ class BatchedRoundEngine:
             allocation.migrate_many(moves)
             moved_rows = list(range(len(moves)))
         except CapacityError:
-            for row, (vm_id, tgt) in enumerate(moves):
+            for row, (vm_id, tgt) in enumerate(moves.tolist()):
                 try:
                     allocation.migrate(vm_id, tgt)
                     moved_rows.append(row)

@@ -154,9 +154,7 @@ class ChaosSoakResult:
 
 def _mapping(service: SchedulerService) -> Dict[int, int]:
     allocation = service.environment.allocation
-    return {
-        int(vm): int(allocation.server_of(vm)) for vm in allocation.vm_ids()
-    }
+    return allocation.as_dict()
 
 
 def _fault_schedule(

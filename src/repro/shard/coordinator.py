@@ -197,12 +197,11 @@ class ShardedCoordinator:
             for wave in outcome.wave_moves:
                 if not wave:
                     continue
-                self._allocation.migrate_many(
-                    [(vm, tgt) for vm, _src, tgt in wave]
-                )
+                vm_src_tgt = np.array(wave, dtype=np.int64)
+                self._allocation.migrate_many(vm_src_tgt[:, [0, 2]])
                 self._fast.apply_moves(
-                    self._fast.dense_indices([vm for vm, _src, _tgt in wave]),
-                    np.array([tgt for _vm, _src, tgt in wave], dtype=np.int64),
+                    self._fast.dense_indices(vm_src_tgt[:, 0]),
+                    vm_src_tgt[:, 2],
                 )
             migrations += outcome.migrations
             waves = max(waves, outcome.waves)

@@ -68,21 +68,13 @@ class LinkLoadCalculator:
         if not pairs:
             return {}
         k = self._flowlets
-        hosts_u = np.fromiter(
-            (allocation.server_of(u) for u, _, _ in pairs),
-            dtype=np.int64,
-            count=len(pairs),
-        )
-        hosts_v = np.fromiter(
-            (allocation.server_of(v) for _, v, _ in pairs),
-            dtype=np.int64,
-            count=len(pairs),
-        )
         rates = np.fromiter(
             (rate for _, _, rate in pairs), dtype=float, count=len(pairs)
         )
         us = np.fromiter((u for u, _, _ in pairs), dtype=np.uint64, count=len(pairs))
         vs = np.fromiter((v for _, v, _ in pairs), dtype=np.uint64, count=len(pairs))
+        hosts_u = allocation.mapping_arrays(us.astype(np.int64))[0]
+        hosts_v = allocation.mapping_arrays(vs.astype(np.int64))[0]
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         base_keys = (lo * np.uint64(2654435761) + hi) & np.uint64(0xFFFFFFFF)
         # Flowlet sub-keys replicate the scalar ``base + sub * 0x9E3779B9``
@@ -132,11 +124,7 @@ class LinkLoadCalculator:
         """
         snap = TrafficSnapshot.build(traffic, list(allocation.vm_ids()))
         topo = self._topology
-        host_of = np.fromiter(
-            (allocation.server_of(int(vm)) for vm in snap.vm_ids),
-            dtype=np.int64,
-            count=snap.n_vms,
-        )
+        host_of = allocation.mapping_arrays(snap.vm_ids)[0]
         levels = pair_levels(
             host_of[snap.pair_u],
             host_of[snap.pair_v],
@@ -221,16 +209,8 @@ class LinkLoadCalculator:
         us, vs, rates = traffic.pair_arrays()
         if len(us) == 0 or not link_ids:
             return result
-        hosts_u = np.fromiter(
-            (allocation.server_of(int(u)) for u in us),
-            dtype=np.int64,
-            count=len(us),
-        )
-        hosts_v = np.fromiter(
-            (allocation.server_of(int(v)) for v in vs),
-            dtype=np.int64,
-            count=len(vs),
-        )
+        hosts_u = allocation.mapping_arrays(us)[0]
+        hosts_v = allocation.mapping_arrays(vs)[0]
         keys = (
             us.astype(np.uint64) * np.uint64(2654435761) + vs.astype(np.uint64)
         ) & np.uint64(0xFFFFFFFF)

@@ -123,8 +123,8 @@ def check_engine_invariants(
     traffic = scheduler.traffic
 
     try:
-        # One walk over the VM objects serves both sides: the
-        # allocation's own accounting and the engine-mirror compares.
+        # The allocation's columns serve both sides: its own accounting
+        # and the engine-mirror compares.
         placed, expected_hosts, ram, cpu = allocation.validate()
     except AssertionError as exc:
         if isinstance(exc, InvariantViolation):

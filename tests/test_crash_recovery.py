@@ -222,6 +222,26 @@ class TestDurableSemantics:
         ]
         assert all(s.recovered_from is None for s in durable.epoch_stats)
 
+    def test_resume_across_a_capacity_restore(self, tmp_path):
+        """rolling-maintenance restores a drained rack's capacity after
+        the stop: the resumed cluster must accept the resize (its
+        capacity arrays used to unpickle onto immutable bytes)."""
+        calls = []
+
+        def stop_after_four():
+            calls.append(None)
+            return len(calls) > 4
+
+        directory = str(tmp_path)
+        stopped = run_scenario(
+            "rolling-maintenance", scale="toy", epochs=3,
+            checkpoint_dir=directory, stop_requested=stop_after_four,
+        )
+        assert stopped.interrupted
+        resumed = DurableScenarioRun.resume(directory).run()
+        plain = run_scenario("rolling-maintenance", scale="toy", epochs=3)
+        assert resumed.final_cost == plain.final_cost
+
     def test_journal_holds_only_begin_and_commit_records(self, tmp_path):
         run_durable_scenario(_scenario("hlf"), str(tmp_path), epochs=EPOCHS)
         kinds = journal_kinds(str(tmp_path))

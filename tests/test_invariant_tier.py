@@ -87,7 +87,8 @@ def cpu_mirror(s):
 def allocation_host_set(s):
     host = _busy_host(s)
     vm = min(s.allocation.vms_on(host))
-    s.allocation._vms_on[host].discard(vm)
+    row = s.allocation._members[host]  # the host's membership row
+    row[row == vm] = -1
     return (
         "allocation-structure",
         (),
