@@ -11,10 +11,11 @@ CPU in aligned columns; per-host slot/RAM/CPU usage arrays; and a per-host
 membership table (row ``h`` lists the ids on ``h`` in its first
 ``used_slots[h]`` cells, ``-1`` after) so ``vms_on`` stays O(slots).
 :class:`VM` objects are built on read.  Every batch mutation is a handful
-of array ops; single-VM mutations are one-element batches.  Per-host CPU
-usage accumulates element by element in operation order (``ufunc.at``),
-so its float bits — and every ``free_cpu`` comparison — do not depend on
-how the operations were batched.
+of array ops; a single migration is a few scalar writes, and a single
+arrival or departure a one-element batch.  Per-host CPU usage accumulates
+element by element in operation order (``ufunc.at``), so its float bits —
+and every ``free_cpu`` comparison — do not depend on how the operations
+were batched.
 """
 
 from __future__ import annotations
@@ -172,10 +173,14 @@ class Allocation:
 
     def can_host(self, host: int, vm: VM) -> bool:
         """Whether ``host`` has slot/RAM/CPU headroom for ``vm``."""
-        return (
-            self.free_slots(host) >= 1
-            and self.free_ram_mb(host) >= vm.ram_mb
-            and self.free_cpu(host) >= vm.cpu
+        return self._fits(host, vm.ram_mb, vm.cpu)
+
+    def _fits(self, host: int, ram_mb: int, cpu: float) -> bool:
+        cap_slots, cap_ram, cap_cpu, _nic = self._cluster.capacity_arrays()
+        return bool(
+            cap_slots[host] - self._used_slots[host] >= 1
+            and cap_ram[host] - self._used_ram[host] >= ram_mb
+            and cap_cpu[host] - self._used_cpu[host] >= cpu
         )
 
     def _headroom(self, host: int) -> str:
@@ -299,26 +304,6 @@ class Allocation:
         self._version += 1
 
     @classmethod
-    def from_columns(
-        cls,
-        cluster: Cluster,
-        vm_ids: Sequence[int],
-        hosts: Sequence[int],
-        ram_mb: Sequence[int],
-        cpu: Sequence[float],
-    ) -> "Allocation":
-        """A fresh allocation holding the given VM columns (one validated
-        batch); shard domains slice theirs out of the global allocation."""
-        allocation = cls(cluster)
-        allocation._add(
-            np.asarray(vm_ids, dtype=np.int64).reshape(-1),
-            np.asarray(ram_mb, dtype=np.int64).reshape(-1),
-            np.asarray(cpu, dtype=float).reshape(-1),
-            np.asarray(hosts, dtype=np.int64),
-        )
-        return allocation
-
-    @classmethod
     def from_placement(
         cls, cluster: Cluster, vms: Sequence[VM], hosts: Sequence[int]
     ) -> "Allocation":
@@ -367,9 +352,40 @@ class Allocation:
         """Move a VM to ``target_host`` (the paper's ``u -> x``).
 
         Raises :class:`CapacityError` when the target lacks headroom; a
-        migration to the current host is a no-op.
+        migration to the current host is a no-op.  Scalar updates, in
+        :meth:`migrate_many`'s order (source, then target), so the usage
+        bits match a one-move wave's.
         """
-        self.migrate_many([(vm_id, target_host)])
+        i = self._at(vm_id)
+        source = int(self._host[i])
+        target = int(target_host)
+        if source == target:
+            return
+        ram = int(self._ram[i])
+        cpu = float(self._cpu[i])
+        if not self._fits(target, ram, cpu):
+            raise CapacityError(
+                f"migration of VM {vm_id} to host {target} rejected: "
+                f"{self._headroom(target)}"
+            )
+        row = self._members[source]
+        n = int(self._used_slots[source])
+        col = row[:n].tolist().index(vm_id)
+        row[col:n - 1] = row[col + 1:n]
+        row[n - 1] = -1
+        m = int(self._used_slots[target])
+        if m == self._members.shape[1]:
+            pad = np.full((len(self._members), 1), -1, dtype=np.int64)
+            self._members = np.concatenate((self._members, pad), axis=1)
+        self._members[target, m] = vm_id
+        self._host[i] = target
+        self._used_slots[source] -= 1
+        self._used_slots[target] += 1
+        self._used_ram[source] -= ram
+        self._used_ram[target] += ram
+        self._used_cpu[source] -= cpu
+        self._used_cpu[target] += cpu
+        self._version += 1
 
     def migrate_many(self, moves: Iterable[tuple]) -> None:
         """Apply one wave of migrations as a batch: validate all, then move.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -13,8 +13,9 @@ from repro.topology.base import Topology
 class Cluster:
     """All servers of a data center, one per topology host.
 
-    The cluster owns the :class:`Server` objects (identity and capacity);
-    what runs where is :class:`repro.cluster.allocation.Allocation`'s.
+    The cluster owns the :class:`Server` objects; what runs where is
+    :class:`repro.cluster.allocation.Allocation`'s, which keeps placement
+    and per-host usage as columns.
     """
 
     def __init__(
@@ -89,7 +90,10 @@ class Cluster:
         ``max_vms=0``) no longer require rebuilding every consumer —
         the cached arrays are shared views, so the fast-cost engine's
         feasibility mirrors see the change without a rebuild.  The server
-        itself validates that current usage still fits.
+        checks only its own occupancy records; whether an allocation's
+        usage still fits is checked by the callers that know it
+        (``FastCostEngine.set_host_capacity``, and the scheduler's slot
+        check when it has no fast engine).
         """
         if not 0 <= host < len(self._servers):
             raise ValueError(f"host index {host} out of range")
@@ -108,6 +112,18 @@ class Cluster:
                 array[host] = value
                 array.setflags(write=False)
 
+    def servers(self) -> Iterator[Server]:
+        """Iterate over all servers in host order."""
+        return iter(self._servers)
+
+    def servers_in_rack(self, rack: int) -> List[Server]:
+        """Servers attached to the given ToR switch."""
+        return [self._servers[h] for h in self._topology.hosts_in_rack(rack)]
+
+    def total_hosted_vms(self) -> int:
+        """Number of VMs currently placed on any server."""
+        return sum(server.n_vms for server in self._servers)
+
     def __getstate__(self):
         # The capacity arrays and the slot total are caches of the
         # servers' capacities.  Rebuilt after a restore, the arrays are
@@ -124,4 +140,7 @@ class Cluster:
         self._total_slots = sum(s.capacity.max_vms for s in self._servers)
 
     def __repr__(self) -> str:
-        return f"Cluster(servers={self.n_servers}, slots={self.total_vm_slots})"
+        return (
+            f"Cluster(servers={self.n_servers}, "
+            f"slots={self.total_vm_slots}, hosted={self.total_hosted_vms()})"
+        )

@@ -19,6 +19,7 @@ Four strategies are provided:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -39,21 +40,29 @@ def _require_capacity(cluster: Cluster, vms: Sequence[VM]) -> None:
 class _Fill:
     """Headroom of a fresh allocation while a strategy picks hosts.
 
-    Mirrors :meth:`Allocation.can_host` bit for bit (CPU usage
-    accumulates in placement order, compared as ``cap - used``); the
-    chosen hosts land in one :meth:`Allocation.from_placement` call.
+    Free slots and RAM per host, and CPU used, compared as ``cap - used``
+    with usage accumulated in placement order — :meth:`Allocation.can_host`
+    bit for bit, so every pick is feasible and the seeded feasible sets
+    match.  The chosen hosts land in one :meth:`Allocation.from_placement`.
     """
 
     def __init__(self, cluster: Cluster) -> None:
-        slots, ram, cpu, _nic = cluster.capacity_arrays()
-        self.free_slots = slots.tolist()
-        self.free_ram = ram.tolist()
-        self.cap_cpu = cpu.tolist()
-        self.used_cpu = [0.0] * len(self.cap_cpu)
+        cap_slots, cap_ram, self.cap_cpu, _nic = cluster.capacity_arrays()
+        self.free_slots = cap_slots.copy()
+        self.free_ram = cap_ram.copy()
+        self.used_cpu = np.zeros(len(cap_slots))
         self.hosts: List[int] = []
 
+    def feasible(self, vm: VM) -> np.ndarray:
+        """Every host with headroom for ``vm``, ascending."""
+        return np.nonzero(
+            (self.free_slots >= 1)
+            & (self.free_ram >= vm.ram_mb)
+            & (self.cap_cpu - self.used_cpu >= vm.cpu)
+        )[0]
+
     def can_host(self, host: int, vm: VM) -> bool:
-        return (
+        return bool(
             self.free_slots[host] >= 1
             and self.free_ram[host] >= vm.ram_mb
             and self.cap_cpu[host] - self.used_cpu[host] >= vm.cpu
@@ -89,23 +98,21 @@ def place_round_robin(cluster: Cluster, vms: Iterable[VM]) -> Allocation:
     n = cluster.n_servers
     cursor = 0
     for vm in vms:
-        placed = False
         for offset in range(n):
             host = (cursor + offset) % n
             if fill.can_host(host, vm):
-                fill.add_vm(vm, host)
-                cursor = (host + 1) % n
-                placed = True
                 break
-        if not placed:
+        else:
             raise CapacityError(f"no server can accommodate VM {vm.vm_id}")
+        fill.add_vm(vm, host)
+        cursor = (host + 1) % n
     return Allocation.from_placement(cluster, vms, fill.hosts)
 
 
 def place_random(cluster: Cluster, vms: Iterable[VM], seed: SeedLike = None) -> Allocation:
     """Place each VM on a uniformly random feasible server.
 
-    Free slot/RAM/CPU headroom is tracked in flat numpy arrays so the
+    Headroom is tracked in flat numpy arrays (:class:`_Fill`) so the
     per-VM feasibility scan is one vectorized mask instead of O(hosts)
     ``can_host`` calls — at the paper's full scale (2560 hosts x ~35k VMs)
     this is the difference between sub-second and a minute of placement.
@@ -116,28 +123,13 @@ def place_random(cluster: Cluster, vms: Iterable[VM], seed: SeedLike = None) -> 
     vms = list(vms)
     _require_capacity(cluster, vms)
     rng = make_rng(seed)
-    n = cluster.n_servers
-    cap_slots, cap_ram, cap_cpu, _ = cluster.capacity_arrays()
-    free_slots = cap_slots.copy()
-    free_ram = cap_ram.copy()
-    used_cpu = np.zeros(n, dtype=float)
-    hosts: List[int] = []
+    fill = _Fill(cluster)
     for vm in vms:
-        # cap - used mirrors Allocation.free_cpu bit-for-bit, so the
-        # feasible set (and the seeded RNG draw) matches can_host exactly.
-        feasible = np.nonzero(
-            (free_slots >= 1)
-            & (free_ram >= vm.ram_mb)
-            & (cap_cpu - used_cpu >= vm.cpu)
-        )[0]
+        feasible = fill.feasible(vm)
         if feasible.size == 0:
             raise CapacityError(f"no server can accommodate VM {vm.vm_id}")
-        host = int(rng.choice(feasible))
-        hosts.append(host)
-        free_slots[host] -= 1
-        free_ram[host] -= vm.ram_mb
-        used_cpu[host] += vm.cpu
-    return Allocation.from_placement(cluster, vms, hosts)
+        fill.add_vm(vm, int(rng.choice(feasible)))
+    return Allocation.from_placement(cluster, vms, fill.hosts)
 
 
 def place_striped(cluster: Cluster, vms: Iterable[VM]) -> Allocation:
@@ -150,23 +142,14 @@ def place_striped(cluster: Cluster, vms: Iterable[VM]) -> Allocation:
     _require_capacity(cluster, vms)
     fill = _Fill(cluster)
     topology = cluster.topology
-    n_racks = topology.n_racks
     for index, vm in enumerate(vms):
-        rack = index % n_racks
-        placed = False
-        for host in topology.hosts_in_rack(rack):
+        in_rack = topology.hosts_in_rack(index % topology.n_racks)
+        for host in chain(in_rack, range(cluster.n_servers)):
             if fill.can_host(host, vm):
-                fill.add_vm(vm, host)
-                placed = True
                 break
-        if not placed:
-            for host in range(cluster.n_servers):
-                if fill.can_host(host, vm):
-                    fill.add_vm(vm, host)
-                    placed = True
-                    break
-        if not placed:
+        else:
             raise CapacityError(f"no server can accommodate VM {vm.vm_id}")
+        fill.add_vm(vm, host)
     return Allocation.from_placement(cluster, vms, fill.hosts)
 
 

@@ -1,4 +1,4 @@
-"""Physical server model: identity and capacity.
+"""Physical server model with capacity accounting.
 
 The paper caps each host at 16 VMs "to model a typical DC server's capacity"
 (§VI) and additionally checks residual RAM and bandwidth on migration
@@ -9,6 +9,9 @@ take and its available RAM; §V-C adds a link-load threshold).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, FrozenSet, Set
+
+from repro.cluster.vm import VM
 
 
 @dataclass(frozen=True)
@@ -46,18 +49,16 @@ class ServerCapacity:
 
 
 class Server:
-    """A physical host: its identity and capacity.
-
-    What runs on the host is the allocation's to say
-    (:class:`repro.cluster.allocation.Allocation` keeps placement and
-    per-host usage as columns); a server carries no copy of it.
-    """
+    """A physical host: identity, capacity and the VMs it currently runs."""
 
     def __init__(self, host: int, capacity: ServerCapacity = ServerCapacity()) -> None:
         if host < 0:
             raise ValueError(f"host index must be >= 0, got {host}")
         self._host = host
         self._capacity = capacity
+        self._vms: Dict[int, VM] = {}
+        self._used_ram = 0
+        self._used_cpu = 0.0
 
     @property
     def host(self) -> int:
@@ -72,10 +73,83 @@ class Server:
     def set_capacity(self, capacity: ServerCapacity) -> None:
         """Resize this server in place (maintenance, hardware upgrade).
 
-        Whether current usage still fits is checked by the writer that
-        knows the usage (``FastCostEngine.set_host_capacity``).
+        The new capacity must cover whatever the server currently runs;
+        shrinking below usage would corrupt the admission accounting.
         """
+        if (
+            len(self._vms) > capacity.max_vms
+            or self._used_ram > capacity.ram_mb
+            or self._used_cpu > capacity.cpu
+        ):
+            raise ValueError(
+                f"host {self._host} usage ({len(self._vms)} VMs, "
+                f"{self._used_ram}MiB, {self._used_cpu} cores) exceeds the "
+                f"requested capacity"
+            )
         self._capacity = capacity
 
+    @property
+    def vm_ids(self) -> FrozenSet[int]:
+        """IDs of the VMs currently hosted here."""
+        return frozenset(self._vms)
+
+    @property
+    def n_vms(self) -> int:
+        """Number of VMs currently hosted."""
+        return len(self._vms)
+
+    @property
+    def free_slots(self) -> int:
+        """Remaining VM slots (the §V-B5 capacity-response field)."""
+        return self._capacity.max_vms - len(self._vms)
+
+    @property
+    def free_ram_mb(self) -> int:
+        """Remaining guest RAM (the other §V-B5 capacity-response field)."""
+        return self._capacity.ram_mb - self._used_ram
+
+    @property
+    def free_cpu(self) -> float:
+        """Remaining CPU cores."""
+        return self._capacity.cpu - self._used_cpu
+
+    def hosts_vm(self, vm_id: int) -> bool:
+        """Whether the VM with ``vm_id`` currently runs on this server."""
+        return vm_id in self._vms
+
+    def can_host(self, vm: VM) -> bool:
+        """Whether this server has slot, RAM and CPU headroom for ``vm``."""
+        return (
+            self.free_slots >= 1
+            and self.free_ram_mb >= vm.ram_mb
+            and self.free_cpu >= vm.cpu
+        )
+
+    def admit(self, vm: VM) -> None:
+        """Place ``vm`` on this server (in-migration); capacity-checked."""
+        if vm.vm_id in self._vms:
+            raise ValueError(f"VM {vm.vm_id} is already on host {self._host}")
+        if not self.can_host(vm):
+            raise ValueError(
+                f"host {self._host} cannot accommodate VM {vm.vm_id}: "
+                f"slots={self.free_slots}, free_ram={self.free_ram_mb}MiB, "
+                f"free_cpu={self.free_cpu}"
+            )
+        self._vms[vm.vm_id] = vm
+        self._used_ram += vm.ram_mb
+        self._used_cpu += vm.cpu
+
+    def evict(self, vm_id: int) -> VM:
+        """Remove a VM from this server (out-migration) and return it."""
+        if vm_id not in self._vms:
+            raise KeyError(f"VM {vm_id} is not on host {self._host}")
+        vm = self._vms.pop(vm_id)
+        self._used_ram -= vm.ram_mb
+        self._used_cpu -= vm.cpu
+        return vm
+
     def __repr__(self) -> str:
-        return f"Server(host={self._host}, max_vms={self._capacity.max_vms})"
+        return (
+            f"Server(host={self._host}, vms={len(self._vms)}/"
+            f"{self._capacity.max_vms})"
+        )

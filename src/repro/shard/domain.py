@@ -134,7 +134,7 @@ class ShardDomain:
         cluster = Cluster(sub_topology, base, per_host_capacity=overrides)
         vm_ids = np.asarray(vm_ids, dtype=np.int64)
         if vm_ids.size:
-            global_hosts_of_vms, ram, cpu = global_allocation.mapping_arrays(
+            global_hosts_of_vms, _, _ = global_allocation.mapping_arrays(
                 vm_ids
             )
             if np.all(np.diff(self.global_hosts) > 0):
@@ -153,8 +153,10 @@ class ShardDomain:
                     dtype=np.int64,
                     count=len(global_hosts_of_vms),
                 )
-            self.allocation = Allocation.from_columns(
-                cluster, vm_ids, local_hosts, ram, cpu
+            self.allocation = Allocation.from_placement(
+                cluster,
+                global_allocation.vms_of(vm_ids.tolist()),
+                local_hosts,
             )
         else:
             self.allocation = Allocation(cluster)
