@@ -21,11 +21,14 @@ were batched.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.server import ServerCapacity
 from repro.cluster.vm import VM
 
 
@@ -63,10 +66,10 @@ class Allocation:
     def version(self) -> int:
         """Counter bumped on every mutation (placement or membership).
 
-        The fast cost engine records the version it mirrored; a mismatch
-        at the next run means some writer bypassed the engine's
-        incremental update path and a full resync is needed.  Batch
-        operations bump it once.
+        The fast cost engine records the version its Eq. 2 and egress
+        caches describe; a mismatch at the next run means some writer
+        bypassed the engine's update path and a full resync is needed.
+        Batch operations bump it once.
         """
         return self._version
 
@@ -148,6 +151,20 @@ class Allocation:
             self._members[host, : self._used_slots[host]].tolist()
         )
 
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The live ``(ids, host, ram_mb, cpu)`` columns, ascending by id.
+
+        The state of record itself, not a copy: callers only read, and
+        fetch again after a mutation (arrivals and departures replace the
+        arrays; a migration writes ``host`` in place).
+        """
+        return self._ids, self._host, self._ram, self._cpu
+
+    def usage(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live per-host ``(slots, ram_mb, cpu)`` usage arrays, read
+        under the same rules as :meth:`columns`."""
+        return self._used_slots, self._used_ram, self._used_cpu
+
     def level_between(self, vm_u: int, vm_v: int) -> int:
         """Communication level l_A(u, v) between two VMs (paper §II)."""
         return self.topology.level_between(
@@ -182,6 +199,43 @@ class Allocation:
             and cap_ram[host] - self._used_ram[host] >= ram_mb
             and cap_cpu[host] - self._used_cpu[host] >= cpu
         )
+
+    def set_host_capacity(
+        self,
+        host: int,
+        max_vms: Optional[int] = None,
+        nic_bps: Optional[float] = None,
+        ram_mb: Optional[int] = None,
+        cpu: Optional[float] = None,
+    ) -> None:
+        """Resize one host in place (server upgrade, maintenance offline).
+
+        Values left ``None`` keep their current setting.  A size below
+        the host's current slot, RAM or CPU usage raises ``ValueError``
+        and changes nothing (drain the host first).  The cluster then
+        patches the server and its shared capacity arrays, which every
+        feasibility probe reads live, so no engine rebuilds.
+        """
+        host = int(host)
+        current = self._cluster.server(host).capacity
+        new = ServerCapacity(
+            max_vms=current.max_vms if max_vms is None else int(max_vms),
+            ram_mb=current.ram_mb if ram_mb is None else int(ram_mb),
+            cpu=current.cpu if cpu is None else float(cpu),
+            nic_bps=current.nic_bps if nic_bps is None else float(nic_bps),
+        )
+        in_use = int(self._used_slots[host])
+        if new.max_vms < in_use:
+            raise ValueError(
+                f"host {host} runs {in_use} VMs; cannot shrink to "
+                f"{new.max_vms} slots (drain it first)"
+            )
+        if new.ram_mb < self._used_ram[host] or new.cpu < self._used_cpu[host]:
+            raise ValueError(
+                f"host {host} usage exceeds the requested RAM/CPU capacity "
+                f"(drain it first)"
+            )
+        self._cluster.set_host_capacity(host, new)
 
     def _headroom(self, host: int) -> str:
         return (
@@ -514,9 +568,9 @@ class Allocation:
         (ascending, first failure reported) slots, slot/RAM/CPU
         accounting and RAM capacity hold.
 
-        Returns the ``(ids, hosts, ram_mb, cpu)`` columns, ascending by
-        id, so a caller that goes on to compare its own mirrors against
-        the allocation reads them without another pass (read-only).
+        Returns :meth:`columns`, so a caller that goes on to compare the
+        token or the engine's index against the placement reads them
+        without another call.
         """
         ids, host, ram, cpu = self._ids, self._host, self._ram, self._cpu
         n_hosts = self._cluster.n_servers

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,11 +89,10 @@ class Cluster:
         resize, heterogeneous upgrades, maintenance offlining via
         ``max_vms=0``) no longer require rebuilding every consumer —
         the cached arrays are shared views, so the fast-cost engine's
-        feasibility mirrors see the change without a rebuild.  The server
-        checks only its own occupancy records; whether an allocation's
-        usage still fits is checked by the callers that know it
-        (``FastCostEngine.set_host_capacity``, and the scheduler's slot
-        check when it has no fast engine).
+        feasibility probes see the change without a rebuild.  Whether an
+        allocation's usage still fits is checked by
+        :meth:`repro.cluster.allocation.Allocation.set_host_capacity`,
+        the one caller that knows it.
         """
         if not 0 <= host < len(self._servers):
             raise ValueError(f"host index {host} out of range")
@@ -111,18 +110,6 @@ class Cluster:
                 array.setflags(write=True)
                 array[host] = value
                 array.setflags(write=False)
-
-    def servers(self) -> Iterator[Server]:
-        """Iterate over all servers in host order."""
-        return iter(self._servers)
-
-    def servers_in_rack(self, rack: int) -> List[Server]:
-        """Servers attached to the given ToR switch."""
-        return [self._servers[h] for h in self._topology.hosts_in_rack(rack)]
-
-    def total_hosted_vms(self) -> int:
-        """Number of VMs currently placed on any server."""
-        return sum(server.n_vms for server in self._servers)
 
     def __getstate__(self):
         # The capacity arrays and the slot total are caches of the
@@ -142,5 +129,5 @@ class Cluster:
     def __repr__(self) -> str:
         return (
             f"Cluster(servers={self.n_servers}, "
-            f"slots={self.total_vm_slots}, hosted={self.total_hosted_vms()})"
+            f"slots={self.total_vm_slots})"
         )

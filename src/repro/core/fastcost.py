@@ -12,10 +12,11 @@ the same quantities computed over flat numpy arrays:
 * :func:`pair_levels` computes communication levels for whole pair arrays
   from the topology's cached per-host rack/pod id vectors
   (:meth:`repro.topology.base.Topology.host_rack_ids`).
-* :class:`FastCostEngine` binds a snapshot to one allocation and maintains
-  incremental caches — network-wide cost (Eq. 2), per-host §V-C egress and
-  per-host capacity usage — updated in O(peers of the moving VM) per
-  migration, exactly as Lemma 3 promises.  Its batched candidate scorer
+* :class:`FastCostEngine` binds a snapshot to one allocation, whose
+  columns it reads for placement and capacity usage, and maintains
+  incremental caches — network-wide cost (Eq. 2) and per-host §V-C
+  egress — updated in O(peers of the moving VM) per migration, exactly
+  as Lemma 3 promises.  Its batched candidate scorer
   (:meth:`~FastCostEngine.candidate_batch`, ``candidate_feasible``,
   ``best_candidates``) scores the candidates of every Theorem 1 decision
   a token round makes.
@@ -109,7 +110,8 @@ class TrafficSnapshot:
     other consumer treats them as frozen.
 
     ``vm_ids`` fixes the index space (ascending VM id order, so a dense
-    index is a binary search away); the CSR triplet (``ptr``, ``peer``,
+    index is a binary search away; an engine's snapshot shares its
+    allocation's id column); the CSR triplet (``ptr``, ``peer``,
     ``rate``) stores each VM's peers — peers appear in ascending VM-id
     order within a slice, matching the sort order the naive candidate
     ranking uses for ties.  ``pair_u/pair_v/pair_rate`` hold every
@@ -328,7 +330,7 @@ class CandidateBatch:
     the owner's peers migrates (deltas and the candidate set itself depend
     on peer placement).  Capacity/bandwidth feasibility is deliberately
     NOT part of the batch — it changes with every applied wave — and is
-    recomputed from the engine's incremental mirrors via
+    recomputed from the allocation's live usage via
     :meth:`FastCostEngine.candidate_feasible`.
     """
 
@@ -422,17 +424,20 @@ class CandidateBatch:
 class FastCostEngine:
     """Incremental, vectorized cost engine bound to one allocation.
 
-    The engine snapshots the traffic matrix and mirrors the allocation's
-    VM → host mapping and per-host capacity usage into flat arrays.  All
-    mutations must flow through the engine's update path —
-    :meth:`apply_migration`/:meth:`apply_moves` for placement changes (the
-    scheduler and :class:`repro.core.migration.MigrationEngine` do this),
-    :meth:`apply_traffic_delta` for λ re-estimates and
-    :meth:`add_vms`/:meth:`remove_vms` for tenant churn — or be followed
-    by :meth:`rebuild`.  The engine tracks the bound objects' version
-    counters (:attr:`in_sync`), so the scheduler only pays a full rebuild
-    when some writer actually bypassed that path; multi-epoch dynamic
-    runs whose transitions go through the delta APIs never cold-rebuild.
+    The engine snapshots the traffic matrix over a dense VM index that
+    *is* the allocation's ascending id column, so dense index ``i`` is
+    column position ``i``: placement and per-host usage are read from the
+    allocation's columns on every use, never copied.  What the engine
+    owns is the CSR snapshot and the Eq. 2 total and §V-C egress caches.
+    Its placement mutators make the allocation write themselves —
+    :meth:`apply_migration`/:meth:`apply_moves` for moves (the scheduler
+    and :class:`repro.core.migration.MigrationEngine` route them here),
+    :meth:`add_vms`/:meth:`remove_vms` for tenant churn — and
+    :meth:`apply_traffic_delta` patches λ.  A writer that bypasses them
+    leaves the caches stale until :meth:`rebuild`; the engine tracks the
+    bound objects' version counters (:attr:`in_sync`), so the scheduler
+    pays a full rebuild only then, and multi-epoch dynamic runs whose
+    transitions go through the delta APIs never cold-rebuild.
     """
 
     def __init__(
@@ -465,22 +470,27 @@ class FastCostEngine:
         self._round_cache = None
         self.rebuild()
 
+    #: What a pickle holds: state of record only — the binding, the
+    #: snapshot and its lookup indexes, the Eq. 2 and egress caches and
+    #: the sync ledger.  Not the round cache: every valid row equals a
+    #: fresh candidate_batch, so a restored engine re-scores on its first
+    #: round without changing the trajectory.  Not the capacity arrays:
+    #: they are the cluster's live views, re-bound on restore.  Anything
+    #: else an older snapshot carries (its round cache, its copies of the
+    #: placement and usage columns) is dropped on restore.
+    _OF_RECORD = (
+        "_weights", "_topology", "_allocation", "_traffic", "_path_weight",
+        "_rack_of", "_pod_of", "_hosts_per_rack", "_snap", "_uniform_vm",
+        "_pair_sorted_order", "_pair_key_sorted", "_csr_key", "_total",
+        "_egress", "_alloc_version", "_traffic_version",
+    )
+
     def __getstate__(self):
-        # A snapshot carries state of record only.  Every valid row of
-        # the round cache equals a fresh candidate_batch, so a restored
-        # engine re-scores on its first round without changing the
-        # trajectory; the capacity arrays are the cluster's live views
-        # and are re-bound on restore.
-        state = self.__dict__.copy()
-        for name in ("_round_cache", "_slot_cap", "_ram_cap", "_cpu_cap", "_nic_cap"):
-            state.pop(name, None)
-        return state
+        return {name: self.__dict__[name] for name in self._OF_RECORD}
 
     def __setstate__(self, state) -> None:
-        # Snapshots written before the round cache stayed behind carry
-        # one; it is dropped the same way.
-        state["_round_cache"] = None
-        self.__dict__.update(state)
+        self.__dict__.update({name: state[name] for name in self._OF_RECORD})
+        self._round_cache = None
         self._slot_cap, self._ram_cap, self._cpu_cap, self._nic_cap = (
             self._allocation.cluster.capacity_arrays()
         )
@@ -551,7 +561,7 @@ class FastCostEngine:
             list(self._allocation.vm_ids()),
             strict=True,
         )
-        self._sync_allocation_mirrors()
+        self._adopt_population()
         self._index_pairs()
         self._recompute_cost_caches()
         self._mark_synced()
@@ -628,25 +638,30 @@ class FastCostEngine:
         hit[candidates] = True
         return np.nonzero(hit)[0]
 
-    def _sync_allocation_mirrors(self) -> None:
-        """Re-extract the VM → host map and capacity usage mirrors."""
-        snap = self._snap
-        n = snap.n_vms
-        self._host_of, ram, cpu = self._allocation.mapping_arrays(snap.vm_ids)
-        n_hosts = len(self._slot_cap)
-        self._slot_used = np.bincount(self._host_of, minlength=n_hosts)
-        self._vm_ram = ram
-        self._vm_cpu = cpu
+    @property
+    def _host_of(self) -> np.ndarray:
+        """Dense VM → host: the allocation's live host column."""
+        return self._allocation.columns()[1]
+
+    def _adopt_population(self) -> None:
+        """Point the dense index at the allocation's id column and
+        re-derive the uniform-VM flag (after a rebuild or a population
+        splice)."""
+        ids, _host, ram, cpu = self._allocation.columns()
+        self._snap.vm_ids = ids
         # With a uniform VM population (every paper scenario), per-pair
         # capacity probes collapse to one per-host mask per wave.
         self._uniform_vm = bool(
-            n > 0
-            and (ram == ram[0]).all()
-            and (cpu == cpu[0]).all()
+            len(ids) and (ram == ram[0]).all() and (cpu == cpu[0]).all()
         )
-        self._ram_used = np.bincount(self._host_of, weights=ram, minlength=n_hosts)
-        self._ram_used = self._ram_used.astype(np.int64)
-        self._cpu_used = _weighted_bincount(self._host_of, cpu, n_hosts)
+
+    def _write(self, mutate, *args):
+        """Run one allocation mutator and credit exactly the version
+        bumps it made, so a foreign write still shows in :attr:`in_sync`."""
+        before = self._allocation.version
+        result = mutate(*args)
+        self._alloc_version += self._allocation.version - before
+        return result
 
     def _index_pairs(self) -> None:
         """(Re)build the sorted-key lookup indexes over the pair arrays.
@@ -691,21 +706,19 @@ class FastCostEngine:
         """The Eq. (2) total and §V-C egress, from the current snapshot +
         placement arrays in one vectorized pass."""
         snap = self._snap
+        host_of = self._host_of
         n_hosts = len(self._slot_cap)
         levels = pair_levels(
-            self._host_of[snap.row],
-            self._host_of[snap.peer],
-            self._rack_of,
-            self._pod_of,
+            host_of[snap.row], host_of[snap.peer], self._rack_of, self._pod_of
         )
         self._total = assignment_cost(
-            self._host_of, snap, self._rack_of, self._pod_of, self._path_weight
+            host_of, snap, self._rack_of, self._pod_of, self._path_weight
         )
         # Per-host NIC egress (§V-C): every directed edge whose endpoints sit
         # on different hosts contributes its rate to the owner's host.
         crossing = levels > 0
         self._egress = _weighted_bincount(
-            self._host_of[snap.row][crossing], snap.rate[crossing], n_hosts
+            host_of[snap.row][crossing], snap.rate[crossing], n_hosts
         )
 
     # -- incremental epoch transitions (state deltas) ------------------------
@@ -715,18 +728,17 @@ class FastCostEngine:
 
         Only :meth:`rebuild` may call this: it re-reads ground truth, so
         whatever mutations happened are now reflected.  Incremental ops
-        instead advance the recorded versions by exactly the one bump
-        their paired mutation causes (:meth:`_advance_sync`) — a foreign
-        out-of-band edit then leaves the counters mismatched and the next
-        run pays the rebuild instead of silently trusting stale caches.
+        instead credit exactly the bumps of the writes they make
+        (:meth:`_write`, :meth:`_advance_sync`) — a foreign out-of-band
+        edit then leaves the counters mismatched and the next run pays
+        the rebuild instead of silently trusting stale caches.
         """
         self._alloc_version = self._allocation.version
         self._traffic_version = self._traffic.version
 
-    def _advance_sync(self, allocation: bool = False, traffic: bool = False) -> None:
-        """Credit one paired version bump to the engine's sync ledger."""
-        if allocation:
-            self._alloc_version += 1
+    def _advance_sync(self, traffic: bool = False) -> None:
+        """Credit the traffic matrix's one paired version bump (the
+        caller applies the same delta to the matrix)."""
         if traffic:
             self._traffic_version += 1
 
@@ -738,7 +750,8 @@ class FastCostEngine:
         incremental update against the bound allocation and traffic
         matrix.  ``False`` means some writer bypassed the engine's update
         path (direct ``allocation.migrate``, out-of-band ``set_rate``);
-        the scheduler then falls back to a full :meth:`rebuild`.
+        the scheduler then falls back to a full :meth:`rebuild`.  Until
+        it does, the Eq. 2 and egress caches are stale.
         """
         return (
             self._alloc_version == self._allocation.version
@@ -819,7 +832,8 @@ class FastCostEngine:
             new = rates
             old = np.zeros(len(new))
             old[found] = snap.pair_rate[self._pair_sorted_order[pos[found]]]
-            self._shift_costs(lo, hi, new - old)
+            host_of = self._host_of
+            self._shift_costs(host_of[lo], host_of[hi], new - old)
             updated = found & (rates > 0)
             removed = found & (rates == 0)
             added = ~found
@@ -870,18 +884,16 @@ class FastCostEngine:
         return us, vs, rates
 
     def _shift_costs(
-        self, lo: np.ndarray, hi: np.ndarray, delta: np.ndarray
+        self, host_lo: np.ndarray, host_hi: np.ndarray, delta: np.ndarray
     ) -> None:
-        """Move the Eq. 2 and egress caches for pairs ``(lo, hi)`` whose
-        rates change by ``delta`` — a re-estimate, an addition (from 0)
-        or a removal (to 0) alike.
+        """Move the Eq. 2 and egress caches for pairs placed on
+        ``(host_lo, host_hi)`` whose rates change by ``delta`` — a
+        re-estimate, an addition (from 0) or a removal (to 0) alike.
 
         The placement is untouched, so every changed pair's level — and
         therefore its path weight — is fixed; the caches shift by
         ``(new − old) · w[level]`` terms only.
         """
-        host_lo = self._host_of[lo]
-        host_hi = self._host_of[hi]
         levels = pair_levels(host_lo, host_hi, self._rack_of, self._pod_of)
         contrib = delta * self._path_weight[levels]
         self._total += float(contrib.sum())
@@ -949,111 +961,77 @@ class FastCostEngine:
         snap.peer = np.insert(snap.peer, at, peer[order])
         snap.rate = np.insert(snap.rate, at, np.concatenate([rates, rates])[order])
 
-    def add_vms(self, vms: Sequence) -> TouchedSet:
-        """Mirror one batch of VM arrivals already applied to the allocation.
+    def add_vms(self, vms: Sequence, hosts: Sequence[int]) -> TouchedSet:
+        """Place one batch of arriving VMs: the allocation, then the index.
 
-        Call :meth:`Allocation.add_vms` first (the allocation enforces
-        capacity); hosts are read back from it.  The dense VM index, CSR
-        arrays and capacity mirrors are patched in place — new VMs join
-        with no traffic, so the Eq. 2 and egress caches are unchanged
-        (route subsequent rate changes through :meth:`apply_traffic_delta`).
+        :meth:`Allocation.add_vms` validates the whole batch (capacity,
+        duplicate and already-placed ids) before any write, so a rejected
+        batch leaves the allocation and the engine untouched.  The dense
+        index and the CSR are then spliced in place — new VMs join with
+        no traffic, so the Eq. 2 and egress caches are unchanged (route
+        subsequent rate changes through :meth:`apply_traffic_delta`).
         """
         vms = list(vms)
+        snap = self._snap
+        old_ids = snap.vm_ids
+        self._write(self._allocation.add_vms, vms, hosts)
         if not vms:
             return TouchedSet.empty()
-        snap = self._snap
-        add_ids = np.array([vm.vm_id for vm in vms], dtype=np.int64)
-        order = np.argsort(add_ids, kind="stable")
-        add_ids = add_ids[order]
-        if np.any(add_ids[1:] == add_ids[:-1]):
-            raise ValueError("duplicate VM IDs in the arrival batch")
-        hosts, add_ram, add_cpu = self._allocation.mapping_arrays(add_ids)
-        pos = np.searchsorted(snap.vm_ids, add_ids)
-        if len(snap.vm_ids):
-            clipped = pos.clip(max=len(snap.vm_ids) - 1)
-            if np.any(snap.vm_ids[clipped] == add_ids):
-                dup = add_ids[snap.vm_ids[clipped] == add_ids][0]
-                raise ValueError(f"VM {dup} is already in the snapshot")
-        old_n = snap.n_vms
+        add_ids = np.sort(np.array([vm.vm_id for vm in vms], dtype=np.int64))
+        pos = np.searchsorted(old_ids, add_ids)
+        old_n = len(old_ids)
         # Every old dense index shifts right by the number of arrivals
         # inserted at or before it; the shift is monotone, so the CSR stays
         # sorted by (row, peer) after remapping — no re-sort needed.
         old_to_new = np.arange(old_n, dtype=np.int64) + np.searchsorted(
             pos, np.arange(old_n), side="right"
         )
-        snap.vm_ids = np.insert(snap.vm_ids, pos, add_ids)
+        self._adopt_population()
         self._remap_dense(old_to_new)
         # Arrivals join with degree 0: an empty slice where each lands.
         snap.ptr = np.insert(snap.ptr, pos, snap.ptr[pos])
-        self._host_of = np.insert(self._host_of, pos, hosts)
-        self._vm_ram = np.insert(self._vm_ram, pos, add_ram)
-        self._vm_cpu = np.insert(self._vm_cpu, pos, add_cpu)
-        n_hosts = len(self._slot_cap)
-        self._slot_used += np.bincount(hosts, minlength=n_hosts)
-        self._ram_used += np.bincount(
-            hosts, weights=add_ram, minlength=n_hosts
-        ).astype(np.int64)
-        self._cpu_used += np.bincount(hosts, weights=add_cpu, minlength=n_hosts)
-        self._uniform_vm = bool(
-            (self._vm_ram == self._vm_ram[0]).all()
-            and (self._vm_cpu == self._vm_cpu[0]).all()
-        )
-        self._advance_sync(allocation=True)
         # Arrivals remap the dense VM index; owner-keyed caches flush.
         self._flush_round_cache()
         return TouchedSet.empty(structural=True)
 
     def remove_vms(self, vm_ids: Sequence[int]) -> TouchedSet:
-        """Mirror one batch of VM departures already applied to the allocation.
+        """Remove one batch of departing VMs: the allocation, then the index.
 
-        Drops the VMs from the dense index and patches the capacity
-        mirrors.  Pairs still touching them are spliced out first with
-        their cache shifts, as a removal delta would (the matrix-side
-        zeroing is the caller's job — ``SCOREScheduler.retire_vms`` does
-        both, flows first, so usually none are left); the survivors'
-        indices then slide down monotonically, which keeps every sorted
-        order — nothing is re-sorted or recomputed.
+        Unknown ids raise ``KeyError`` and duplicates ``ValueError``
+        before any write.  Pairs still touching the VMs are spliced out
+        with their cache shifts, as a removal delta would (the
+        matrix-side zeroing is the caller's job —
+        ``SCOREScheduler.retire_vms`` does both, flows first, so usually
+        none are left); the survivors' indices then slide down
+        monotonically, which keeps every sorted order — nothing is
+        re-sorted or recomputed.
         """
-        ids = np.unique(np.asarray(list(vm_ids), dtype=np.int64))
+        ids = np.asarray(list(vm_ids), dtype=np.int64)
         if ids.size == 0:
             return TouchedSet.empty()
         snap = self._snap
-        dense = self.dense_indices(ids.tolist())  # KeyError on unknowns
+        dense = self.dense_indices(ids)  # KeyError on unknowns
         keep_mask = np.ones(snap.n_vms, dtype=bool)
         keep_mask[dense] = False
-        hosts = self._host_of[dense]
-        n_hosts = len(self._slot_cap)
-        self._slot_used -= np.bincount(hosts, minlength=n_hosts)
-        self._ram_used -= np.bincount(
-            hosts, weights=self._vm_ram[dense], minlength=n_hosts
-        ).astype(np.int64)
-        self._cpu_used -= np.bincount(
-            hosts, weights=self._vm_cpu[dense], minlength=n_hosts
-        )
+        stale = np.empty(0, dtype=np.int64)
         if (snap.ptr[dense + 1] > snap.ptr[dense]).any():
             stale = np.nonzero(
                 ~(keep_mask[snap.pair_u] & keep_mask[snap.pair_v])
             )[0]
-            self._shift_costs(
-                snap.pair_u[stale].astype(np.int64),
-                snap.pair_v[stale].astype(np.int64),
-                -snap.pair_rate[stale].astype(float),
-            )
+        # Where the stale pairs sat, read before the departures leave.
+        host_of = self._host_of
+        stale_hosts = (host_of[snap.pair_u[stale]], host_of[snap.pair_v[stale]])
+        self._write(self._allocation.remove_vms, ids)
+        if stale.size:
+            # Still in the old index space: the dense index is re-pointed
+            # at the allocation's new id column only below.
+            self._shift_costs(*stale_hosts, -snap.pair_rate[stale].astype(float))
             self._drop_pairs(stale)
             snap.ptr = _row_pointers(snap.row, snap.n_vms)
         # The departed rows are empty now; everyone else slides down.
-        snap.vm_ids = snap.vm_ids[keep_mask]
+        self._adopt_population()
         self._remap_dense(np.cumsum(keep_mask) - 1)  # valid at kept indices
         snap.ptr = np.delete(snap.ptr, dense)
-        self._host_of = self._host_of[keep_mask]
-        self._vm_ram = self._vm_ram[keep_mask]
-        self._vm_cpu = self._vm_cpu[keep_mask]
-        self._uniform_vm = bool(
-            snap.n_vms > 0
-            and (self._vm_ram == self._vm_ram[0]).all()
-            and (self._vm_cpu == self._vm_cpu[0]).all()
-        )
-        self._advance_sync(allocation=True)
         # Departures remap the dense VM index; owner-keyed caches flush.
         self._flush_round_cache()
         return TouchedSet.empty(structural=True)
@@ -1168,7 +1146,8 @@ class FastCostEngine:
         n = len(vms)
         n_hosts = len(self._slot_cap)
         deg = (snap.ptr[vms + 1] - snap.ptr[vms]).astype(np.int64)
-        source = self._host_of[vms]
+        host_of = self._host_of
+        source = host_of[vms]
         empty = CandidateBatch(
             vms=vms,
             source=source,
@@ -1189,7 +1168,7 @@ class FastCostEngine:
         np.cumsum(deg, out=cum[1:])
         owner_e = np.repeat(np.arange(n, dtype=np.int64), deg)
         edge_idx = np.repeat(snap.ptr[vms] - cum[:-1], deg) + np.arange(total_e)
-        peer_host = self._host_of[snap.peer[edge_idx]]
+        peer_host = host_of[snap.peer[edge_idx]]
         rate = snap.rate[edge_idx]
         before = pair_levels(
             source[owner_e], peer_host, self._rack_of, self._pod_of
@@ -1381,30 +1360,28 @@ class FastCostEngine:
     ) -> np.ndarray:
         """Capacity (§V-B5) + bandwidth (§V-C) mask over a batch's pairs.
 
-        Evaluated against the engine's *current* incremental mirrors, so
-        the same batch can be re-masked wave after wave.  Capacity is
-        written as ``cap - used >= need``, the exact float expression of
-        ``Allocation.can_host``; §V-C is the target's egress plus the
-        owner's flows that would start crossing its NIC, minus those to
-        VMs already there (which drop off it), against
-        ``bandwidth_threshold`` of the line rate — :meth:`MigrationEngine.bandwidth_feasible
+        Evaluated against the allocation's *current* usage, so the same
+        batch can be re-masked wave after wave.  Capacity is written as
+        ``cap - used >= need``, the exact float expression of
+        ``Allocation.can_host`` and of ``Allocation.migrate_many``'s
+        validation; §V-C is the target's egress plus the owner's flows
+        that would start crossing its NIC, minus those to VMs already
+        there (which drop off it), against ``bandwidth_threshold`` of the
+        line rate — :meth:`MigrationEngine.bandwidth_feasible
         <repro.core.migration.MigrationEngine.bandwidth_feasible>` in one
         mask.
         """
         hosts = batch.host
         if self._uniform_vm:
-            host_ok = (
-                (self._slot_cap - self._slot_used >= 1)
-                & (self._ram_cap - self._ram_used >= self._vm_ram[0])
-                & (self._cpu_cap - self._cpu_used >= self._vm_cpu[0])
-            )
-            ok = host_ok[hosts]
+            ok = self.uniform_host_ok()[hosts]
         else:
+            _ids, _host, ram, cpu = self._allocation.columns()
+            slot_used, ram_used, cpu_used = self._allocation.usage()
             dense = batch.vms[batch.owner]
             ok = (
-                (self._slot_cap[hosts] - self._slot_used[hosts] >= 1)
-                & (self._ram_cap[hosts] - self._ram_used[hosts] >= self._vm_ram[dense])
-                & (self._cpu_cap[hosts] - self._cpu_used[hosts] >= self._vm_cpu[dense])
+                (self._slot_cap[hosts] - slot_used[hosts] >= 1)
+                & (self._ram_cap[hosts] - ram_used[hosts] >= ram[dense])
+                & (self._cpu_cap[hosts] - cpu_used[hosts] >= cpu[dense])
             )
         if bandwidth_threshold is not None:
             budget = bandwidth_threshold * self._nic_cap[hosts]
@@ -1429,73 +1406,18 @@ class FastCostEngine:
         """
         if not self._uniform_vm:
             return None
-        if hosts is None:
-            slot_cap, ram_cap = self._slot_cap, self._ram_cap
-            cpu_cap = self._cpu_cap
-            slot_used, ram_used, cpu_used = (
-                self._slot_used,
-                self._ram_used,
-                self._cpu_used,
-            )
-        else:
+        _ids, _host, ram, cpu = self._allocation.columns()
+        slot_used, ram_used, cpu_used = self._allocation.usage()
+        slot_cap, ram_cap, cpu_cap = self._slot_cap, self._ram_cap, self._cpu_cap
+        if hosts is not None:
             hosts = np.asarray(hosts, dtype=np.int64)
-            slot_cap, ram_cap = self._slot_cap[hosts], self._ram_cap[hosts]
-            cpu_cap = self._cpu_cap[hosts]
-            slot_used, ram_used, cpu_used = (
-                self._slot_used[hosts],
-                self._ram_used[hosts],
-                self._cpu_used[hosts],
-            )
+            slot_cap, ram_cap, cpu_cap = slot_cap[hosts], ram_cap[hosts], cpu_cap[hosts]
+            slot_used, ram_used = slot_used[hosts], ram_used[hosts]
+            cpu_used = cpu_used[hosts]
         return (
             (slot_cap - slot_used >= 1)
-            & (ram_cap - ram_used >= self._vm_ram[0])
-            & (cpu_cap - cpu_used >= self._vm_cpu[0])
-        )
-
-    def set_host_capacity(
-        self,
-        host: int,
-        max_vms: Optional[int] = None,
-        nic_bps: Optional[float] = None,
-        ram_mb: Optional[int] = None,
-        cpu: Optional[float] = None,
-    ) -> None:
-        """Resize one host's capacity in place — no engine rebuild.
-
-        Patches the cluster's servers and shared capacity arrays (the
-        engine's ``_slot_cap``/``_nic_cap`` mirrors alias them, so every
-        feasibility probe sees the new values immediately); parameters
-        left ``None`` keep their current value.  Rejects a resize below
-        the host's *current* usage — drain the host first
-        (:meth:`SCOREScheduler.drain_hosts`).  Scored Lemma 3 rows never
-        reference capacity, so the round cache stays valid; feasibility
-        is re-probed from the patched mirrors at the next round.
-        """
-        host = int(host)
-        current = self._allocation.cluster.server(host).capacity
-        new_slots = current.max_vms if max_vms is None else int(max_vms)
-        new_nic = current.nic_bps if nic_bps is None else float(nic_bps)
-        new_ram = current.ram_mb if ram_mb is None else int(ram_mb)
-        new_cpu = current.cpu if cpu is None else float(cpu)
-        if new_slots < int(self._slot_used[host]):
-            raise ValueError(
-                f"host {host} runs {int(self._slot_used[host])} VMs; "
-                f"cannot shrink to {new_slots} slots (drain it first)"
-            )
-        if new_ram < int(self._ram_used[host]) or new_cpu < float(
-            self._cpu_used[host]
-        ):
-            raise ValueError(
-                f"host {host} usage exceeds the requested RAM/CPU capacity "
-                f"(drain it first)"
-            )
-        from repro.cluster.server import ServerCapacity
-
-        self._allocation.cluster.set_host_capacity(
-            host,
-            ServerCapacity(
-                max_vms=new_slots, ram_mb=new_ram, cpu=new_cpu, nic_bps=new_nic
-            ),
+            & (ram_cap - ram_used >= ram[0])
+            & (cpu_cap - cpu_used >= cpu[0])
         )
 
     def best_candidates(
@@ -1573,8 +1495,9 @@ class FastCostEngine:
         edge_idx = np.repeat(snap.ptr[movers] - cum[:-1], deg) + np.arange(
             total_e
         )
-        peer_host = self._host_of[snap.peer[edge_idx]]
-        sources = self._host_of[movers]
+        host_of = self._host_of
+        peer_host = host_of[snap.peer[edge_idx]]
+        sources = host_of[movers]
         before = pair_levels(
             sources[owner], peer_host, self._rack_of, self._pod_of
         )
@@ -1589,25 +1512,28 @@ class FastCostEngine:
     def apply_moves(
         self, dense_vms: np.ndarray, targets: np.ndarray
     ) -> Tuple[np.ndarray, TouchedSet]:
-        """Batched cache update for one interference-free wave of moves.
+        """Apply one interference-free wave of moves: allocation and caches.
 
         Requires the wave contract of the round engine's planner
         (``repro.core.rounds.BatchedRoundEngine._plan_wave``) —
         pairwise-disjoint source/target hosts and no mover being another
         mover's communication peer — under which every move's Lemma 3
         terms are independent and the wave equals applying the moves one
-        by one in any order.  Returns ``(deltas, touched)``: the per-move
-        applied deltas plus the wave's :class:`TouchedSet` (hosts whose
-        slots/egress changed, owners whose scored rows went stale); the
-        engine's round cache is invalidated with the same set before
-        returning.  The bound allocation must be updated separately
-        (callers use ``Allocation.migrate_many``).
+        by one in any order.  The sources and Lemma 3 terms are taken
+        first; then ``Allocation.migrate_many`` moves the VMs, validating
+        the whole wave before any write, so a :class:`CapacityError`
+        leaves the allocation and the engine untouched.  Returns
+        ``(deltas, touched)``: the per-move applied deltas plus the
+        wave's :class:`TouchedSet` (hosts whose slots/egress changed,
+        owners whose scored rows went stale); the engine's round cache is
+        invalidated with the same set before returning.
         """
         snap = self._snap
         movers = np.asarray(dense_vms, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         n_moves = len(movers)
-        sources = self._host_of[movers].copy()
+        host_of = self._host_of
+        sources = host_of[movers]
         deg = (snap.ptr[movers + 1] - snap.ptr[movers]).astype(np.int64)
         deltas = np.zeros(n_moves)
         total_e = int(deg.sum())
@@ -1619,7 +1545,7 @@ class FastCostEngine:
                 total_e
             )
             rates = snap.rate[edge_idx]
-            peer_host = self._host_of[snap.peer[edge_idx]]
+            peer_host = host_of[snap.peer[edge_idx]]
             before = pair_levels(
                 sources[owner], peer_host, self._rack_of, self._pod_of
             )
@@ -1630,9 +1556,6 @@ class FastCostEngine:
                 self._path_weight[before] - self._path_weight[after]
             )
             deltas = np.bincount(owner, weights=contrib, minlength=n_moves)
-            self._total -= float(deltas.sum())
-            # Egress (§V-C): disjoint sources/targets make the per-host
-            # adjustments independent, so indexed writes are safe.
             colocated_src = np.bincount(
                 owner, weights=rates * (before == 0), minlength=n_moves
             )
@@ -1640,43 +1563,43 @@ class FastCostEngine:
                 owner, weights=rates * (after == 0), minlength=n_moves
             )
             move_rate = np.bincount(owner, weights=rates, minlength=n_moves)
+        self._write(
+            self._allocation.migrate_many,
+            np.column_stack((snap.vm_ids[movers], targets)),
+        )
+        if total_e:
+            self._total -= float(deltas.sum())
+            # Egress (§V-C): disjoint sources/targets make the per-host
+            # adjustments independent, so indexed writes are safe.
             self._egress[sources] += colocated_src - (move_rate - colocated_src)
             self._egress[targets] += (move_rate - colocated_tgt) - colocated_tgt
-        self._host_of[movers] = targets
-        self._slot_used[sources] -= 1
-        self._slot_used[targets] += 1
-        self._ram_used[sources] -= self._vm_ram[movers]
-        self._ram_used[targets] += self._vm_ram[movers]
-        self._cpu_used[sources] -= self._vm_cpu[movers]
-        self._cpu_used[targets] += self._vm_cpu[movers]
         touched = TouchedSet(
             hosts=np.unique(np.concatenate((sources, targets))),
             owners=self._movers_footprint(movers),
         )
         if n_moves:
             self._invalidate_owners(touched.owners)
-            # Paired with the caller's single Allocation.migrate_many bump.
-            self._advance_sync(allocation=True)
         return deltas, touched
 
     def apply_migration(self, vm_u: int, target_host: int) -> float:
-        """Update every cache for ``vm_u`` moving to ``target_host``.
+        """Move ``vm_u`` to ``target_host``: allocation and caches.
 
-        O(peers of u): the network-wide total, the §V-C egress and the
-        capacity mirrors are all adjusted from the Lemma 3 terms.  Returns
-        the applied delta (positive = reduction).  The bound allocation
-        must be migrated separately (callers do ``allocation.migrate(...)``
-        first).
+        O(peers of u): the Lemma 3 terms are taken first, then
+        ``Allocation.migrate`` moves the VM (a :class:`CapacityError`
+        leaves everything untouched), then the network-wide total and the
+        §V-C egress are adjusted.  Returns the applied delta (positive =
+        reduction).
         """
         dense = self._dense(vm_u)
-        source = int(self._host_of[dense])
+        host_of = self._host_of
+        source = int(host_of[dense])
         target = int(target_host)
         if source == target:
             return 0.0
         peers, rates = self._snap.peers_slice(dense)
         delta = 0.0
         if peers.size:
-            peer_hosts = self._host_of[peers]
+            peer_hosts = host_of[peers]
             before = pair_levels(
                 np.full(peers.shape, source, dtype=np.int64),
                 peer_hosts,
@@ -1693,31 +1616,24 @@ class FastCostEngine:
                 self._path_weight[before] - self._path_weight[after]
             )
             delta = float(contrib.sum())
+            colocated_source = rates[before == 0].sum()
+            colocated_target = rates[after == 0].sum()
+            total_rate = rates.sum()
+        self._write(self._allocation.migrate, int(vm_u), target)
+        if peers.size:
             self._total -= delta
             # Egress (§V-C): u's flows leave the source NIC and land on the
             # target's; peers co-located with either endpoint flip between
             # intra-host and NIC-crossing on their own host.
-            colocated_source = rates[before == 0].sum()
-            colocated_target = rates[after == 0].sum()
-            total_rate = rates.sum()
             self._egress[source] += colocated_source - (
                 total_rate - colocated_source
             )
             self._egress[target] += (total_rate - colocated_target) - (
                 colocated_target
             )
-        self._host_of[dense] = target
-        self._slot_used[source] -= 1
-        self._slot_used[target] += 1
-        self._ram_used[source] -= self._vm_ram[dense]
-        self._ram_used[target] += self._vm_ram[dense]
-        self._cpu_used[source] -= self._vm_cpu[dense]
-        self._cpu_used[target] += self._vm_cpu[dense]
         self._invalidate_owners(
             self._movers_footprint(np.array([dense], dtype=np.int64))
         )
-        # Paired with the caller's single Allocation.migrate bump.
-        self._advance_sync(allocation=True)
         return delta
 
     # -- internals ----------------------------------------------------------

@@ -202,9 +202,9 @@ class MigrationEngine:
 
         When the engine is bound to the (allocation, traffic) pair a call
         operates on, :meth:`evaluate` scores the VM through the engine's
-        batched candidate scorer and :meth:`decide_and_migrate` keeps the
-        engine's incremental caches in sync; other calls take the naive
-        per-pair path.
+        batched candidate scorer and :meth:`decide_and_migrate` moves the
+        VM through the engine, which keeps its caches in step; other
+        calls take the naive per-pair path.
         """
         if engine is not None and engine.topology is not self._cost_model.topology:
             raise ValueError(
@@ -321,7 +321,7 @@ class MigrationEngine:
             batch = fast.candidate_batch(
                 fast.dense_indices([vm_u]), self._max_candidates
             )
-            return self.decisions_from_batch(allocation, batch, fast)[0]
+            return self.decisions_from_batch(batch, fast)[0]
         return self._evaluate_naive(allocation, traffic, vm_u)
 
     def _evaluate_naive(
@@ -373,10 +373,7 @@ class MigrationEngine:
     # -- batch decisions (wave-batched token rounds) -----------------------------
 
     def decisions_from_batch(
-        self,
-        allocation: Allocation,
-        batch: CandidateBatch,
-        fast: FastCostEngine,
+        self, batch: CandidateBatch, fast: FastCostEngine
     ) -> List[MigrationDecision]:
         """Turn one scored :class:`CandidateBatch` into per-VM decisions.
 
@@ -420,20 +417,10 @@ class MigrationEngine:
             if tentative[i]:
                 delta = float(exact[i])
                 if delta > 0 and delta > self._migration_cost:
-                    target = int(batch.host[row])
-                    if not allocation.can_host(target, allocation.vm(vm_id)):
-                        # Mirror drift (the engine's capacity mirrors
-                        # disagree with the allocation): defer to the
-                        # naive loop, which reads the allocation itself.
-                        decisions.append(
-                            self._evaluate_naive(
-                                allocation, fast.traffic, vm_id
-                            )
-                        )
-                        continue
                     decisions.append(
                         MigrationDecision(
-                            vm_id, source, target, delta, False, "beneficial"
+                            vm_id, source, int(batch.host[row]), delta, False,
+                            "beneficial",
                         )
                     )
                     continue
@@ -456,10 +443,11 @@ class MigrationEngine:
         decision = self.evaluate(allocation, traffic, vm_u)
         if decision.target_host is None:
             return decision
-        allocation.migrate(vm_u, decision.target_host)
         fast = self._fastcost
         if fast is not None and fast.is_bound_to(allocation, traffic):
             fast.apply_migration(vm_u, decision.target_host)
+        else:
+            allocation.migrate(vm_u, decision.target_host)
         return MigrationDecision(
             vm_id=decision.vm_id,
             source_host=decision.source_host,

@@ -15,7 +15,7 @@ in its *dependency footprint* changes:
 
 Host-side state — free slots, RAM, CPU, egress — is deliberately *not*
 part of the scored footprint: capacity never enters a Lemma 3 delta, and
-feasibility is re-probed from the engine's live mirrors at every use.
+feasibility is re-probed from the allocation's live usage at every use.
 
 :class:`RoundScoreCache` keeps one scored candidate CSR over the whole
 VM population, owned by the :class:`~repro.core.fastcost.FastCostEngine`

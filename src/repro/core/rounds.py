@@ -23,12 +23,12 @@ executes the whole round in *waves* instead:
    of serializing; in an interference-free round no retargeting (and no
    deferral) ever happens, and the outcome is identical to the
    sequential loop's.
-3. **Batched apply.**  Each wave lands as one batched allocation update
-   (``Allocation.migrate_many``) plus one batched cache update
-   (``FastCostEngine.apply_moves``).
+3. **Batched apply.**  Each wave lands as one ``FastCostEngine.apply_moves``
+   call, which moves the VMs with one ``Allocation.migrate_many`` and
+   updates the engine's caches.
 4. **Deferral + re-evaluation.**  Proposals the wave could not admit are
    re-evaluated against the post-wave state: feasibility is re-masked
-   from the engine's live mirrors every wave, and the deltas of every
+   from the allocation's live usage every wave, and the deltas of every
    deferred VM with a *moved peer* are incrementally corrected (only the
    moved peers' terms change), so every applied delta is exact at its
    application time.  VMs without a beneficial move are settled when
@@ -66,7 +66,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.allocation import Allocation, CapacityError
+from repro.cluster.allocation import Allocation
 from repro.core.fastcost import CandidateBatch, FastCostEngine, pair_levels
 from repro.core.migration import MigrationDecision, MigrationEngine
 from repro.core.roundcache import DecisionState, ShadowIndex, segment_rows
@@ -245,7 +245,6 @@ class BatchedRoundEngine:
                 "fast engine is not bound to the scheduler's allocation/traffic"
             )
         self._allocation = allocation
-        self._traffic = traffic
         self._engine = engine
         self._fast = fast
         self._record_waves = record_waves
@@ -1136,14 +1135,13 @@ class BatchedRoundEngine:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply one admitted wave; returns (moved dense, old, new hosts).
 
-        The batched apply is guarded by ``Allocation.migrate_many``'s
-        validate-first contract: if the allocation's own accounting rejects
-        any move (mirror drift — not expected, but checked), the wave
-        falls back to per-move application and the rejected holds settle
-        through the sequential reference path.
+        The planner's capacity mask reads the allocation's own usage with
+        ``Allocation.migrate_many``'s expression and the wave's targets
+        are disjoint, so the batched apply cannot be rejected; a
+        :class:`~repro.cluster.allocation.CapacityError` would be a bug
+        and propagates with the allocation and the engine untouched.
         """
         fast = self._fast
-        allocation = self._allocation
         vm_ids = fast.snapshot.vm_ids
         dense = batch.vms[wave]
         sources = batch.source[wave]
@@ -1165,73 +1163,24 @@ class BatchedRoundEngine:
             dense = dense[genuine]
             sources = sources[genuine]
             targets = targets[genuine]
-        moves = np.column_stack((vm_ids[dense], targets))
-        moved_rows: List[int] = []
-        drift_moved: List[Tuple[int, int, int]] = []  # dense, old, new
-        wave_log: List[Tuple[int, int, int]] = []
-        try:
-            allocation.migrate_many(moves)
-            moved_rows = list(range(len(moves)))
-        except CapacityError:
-            for row, (vm_id, tgt) in enumerate(moves.tolist()):
-                try:
-                    allocation.migrate(vm_id, tgt)
-                    moved_rows.append(row)
-                except CapacityError:
-                    decision = self._engine.decide_and_migrate(
-                        allocation, self._traffic, vm_id
-                    )
-                    pos = int(positions[wave[row]])
-                    result.decisions.set(pos, decision)
-                    if decision.migrated:
-                        result.migrations += 1
-                        result.hold_migrated[pos] = True
-                        result.hold_delta[pos] = decision.delta
-                        drift_moved.append(
-                            (
-                                int(dense[row]),
-                                decision.source_host,
-                                decision.target_host,
-                            )
-                        )
-                        wave_log.append(
-                            (vm_id, decision.source_host, decision.target_host)
-                        )
-        moved_rows = np.array(moved_rows, dtype=np.int64)
-        if moved_rows.size:
-            deltas, _ = fast.apply_moves(dense[moved_rows], targets[moved_rows])
-            pos_arr = positions[wave[moved_rows]]
+        moved_vms = vm_ids[dense]
+        if dense.size:
+            deltas, _ = fast.apply_moves(dense, targets)
+            pos_arr = positions[wave]
             result.hold_migrated[pos_arr] = True
             result.hold_delta[pos_arr] = deltas
             cols = result.decisions
-            moved_vms = vm_ids[dense[moved_rows]]
-            moved_tgts = targets[moved_rows]
             cols.vm[pos_arr] = moved_vms
-            cols.source[pos_arr] = sources[moved_rows]
-            cols.target[pos_arr] = moved_tgts
+            cols.source[pos_arr] = sources
+            cols.target[pos_arr] = targets
             cols.delta[pos_arr] = deltas
             cols.reason[pos_arr] = 3  # migrated
-            if self._record_waves:
-                wave_log.extend(
-                    zip(
-                        moved_vms.tolist(),
-                        sources[moved_rows].tolist(),
-                        moved_tgts.tolist(),
-                    )
-                )
-            result.migrations += int(moved_rows.size)
+            result.migrations += int(dense.size)
         if self._record_waves:
-            result.wave_moves.append(wave_log)
-        moved_dense = np.concatenate(
-            [dense[moved_rows], np.array([m[0] for m in drift_moved], dtype=np.int64)]
-        )
-        old_hosts = np.concatenate(
-            [sources[moved_rows], np.array([m[1] for m in drift_moved], dtype=np.int64)]
-        )
-        new_hosts = np.concatenate(
-            [targets[moved_rows], np.array([m[2] for m in drift_moved], dtype=np.int64)]
-        )
-        return moved_dense, old_hosts, new_hosts
+            result.wave_moves.append(
+                list(zip(moved_vms.tolist(), sources.tolist(), targets.tolist()))
+            )
+        return dense, sources, targets
 
     # -- staleness ----------------------------------------------------------
 

@@ -812,18 +812,19 @@ class SCOREScheduler:
         """Bring one batch of arriving VMs online.
 
         The allocation validates the whole batch before placing anything
-        (atomic on failure); the fast engine's dense index and capacity
-        mirrors are patched in place, so no cold rebuild is paid at the
-        next run.  Arrivals join with no traffic — route their flows
-        through :meth:`apply_traffic_delta` afterwards.
+        (atomic on failure); the fast engine places it and splices its
+        dense index in place, so no cold rebuild is paid at the next run.
+        Arrivals join with no traffic — route their flows through
+        :meth:`apply_traffic_delta` afterwards.
         """
         vms = list(vms)
         hosts = [int(h) for h in hosts]
-        self._allocation.add_vms(vms, hosts)
+        if self._fast is not None:
+            self._fast.add_vms(vms, hosts)
+        else:
+            self._allocation.add_vms(vms, hosts)
         for vm in vms:
             self._token.add_vm(vm.vm_id)
-        if self._fast is not None:
-            self._fast.add_vms(vms)
         self._forward_shard(lambda c: c.forward_admissions(vms, hosts))
 
     def retire_vm(self, vm_id: int) -> None:
@@ -857,11 +858,12 @@ class SCOREScheduler:
         # Flows cease first (one paired traffic delta, while the engine
         # still knows the VMs), then the population shrinks.
         self.apply_traffic_delta(ceased)
-        self._allocation.remove_vms(ids)
-        for vm_id in ids:
-            self._token.remove_vm(vm_id)
         if self._fast is not None:
             self._fast.remove_vms(ids)
+        else:
+            self._allocation.remove_vms(ids)
+        for vm_id in ids:
+            self._token.remove_vm(vm_id)
         self._forward_shard(lambda c: c.forward_retirements(ids))
 
     def apply_traffic_delta(self, changed_pairs) -> int:
@@ -952,9 +954,10 @@ class SCOREScheduler:
                     raise CapacityError(
                         f"drain failed: no feasible host for VM {vm_id}"
                     )
-                self._allocation.migrate(vm_id, target)
                 if self._fast is not None:
                     self._fast.apply_migration(vm_id, target)
+                else:
+                    self._allocation.migrate(vm_id, target)
                 moves.append((vm_id, target))
         if offline:
             for host in sorted(drained):
@@ -968,8 +971,8 @@ class SCOREScheduler:
 
         Restores each host's saved capacity through the in-place patch —
         the freed hosts become candidate targets again at the next round
-        (feasibility is re-probed from the live mirrors; scored rows need
-        no invalidation).  Hosts that were never taken offline are
+        (feasibility is re-probed from the allocation's live usage; scored
+        rows need no invalidation).  Hosts that were never taken offline are
         ignored.
         """
         for host in sorted(int(h) for h in hosts):
@@ -994,41 +997,22 @@ class SCOREScheduler:
     ) -> None:
         """Resize one host in place (server upgrade, maintenance offline).
 
-        Routed through :meth:`FastCostEngine.set_host_capacity` when the
-        engine exists — the capacity/egress mirrors are patched without a
-        rebuild — and straight through the cluster otherwise.  Values
-        left ``None`` keep their current setting; shrinking below current
-        usage raises (drain first).
+        :meth:`Allocation.set_host_capacity
+        <repro.cluster.allocation.Allocation.set_host_capacity>` checks
+        the new size against the host's slot, RAM and CPU usage (shrinking
+        below it raises; drain first) and patches the cluster's shared
+        capacity arrays, which the engine reads live, so nothing
+        rebuilds.  Values left ``None`` keep their current setting.
         """
-        if self._fast is not None:
-            self._fast.set_host_capacity(
-                host, max_vms=max_vms, nic_bps=nic_bps, ram_mb=ram_mb, cpu=cpu
-            )
-            self._forward_shard(
-                lambda c: c.forward_capacity(
-                    host,
-                    dict(max_vms=max_vms, nic_bps=nic_bps, ram_mb=ram_mb,
-                         cpu=cpu),
-                )
-            )
-            return
-        from repro.cluster.server import ServerCapacity
-
-        cluster = self._allocation.cluster
-        current = cluster.server(int(host)).capacity
-        new = ServerCapacity(
-            max_vms=current.max_vms if max_vms is None else int(max_vms),
-            ram_mb=current.ram_mb if ram_mb is None else int(ram_mb),
-            cpu=current.cpu if cpu is None else float(cpu),
-            nic_bps=current.nic_bps if nic_bps is None else float(nic_bps),
+        self._allocation.set_host_capacity(
+            host, max_vms=max_vms, nic_bps=nic_bps, ram_mb=ram_mb, cpu=cpu
         )
-        in_use = len(self._allocation.vms_on(int(host)))
-        if new.max_vms < in_use:
-            raise ValueError(
-                f"host {host} runs {in_use} VMs; cannot shrink to "
-                f"{new.max_vms} slots (drain it first)"
+        self._forward_shard(
+            lambda c: c.forward_capacity(
+                host,
+                dict(max_vms=max_vms, nic_bps=nic_bps, ram_mb=ram_mb, cpu=cpu),
             )
-        cluster.set_host_capacity(int(host), new)
+        )
 
     def set_bandwidth_threshold(self, threshold: Optional[float]) -> None:
         """Change the §V-C migration-bandwidth budget mid-run.

@@ -198,7 +198,6 @@ class ShardedCoordinator:
                 if not wave:
                     continue
                 vm_src_tgt = np.array(wave, dtype=np.int64)
-                self._allocation.migrate_many(vm_src_tgt[:, [0, 2]])
                 self._fast.apply_moves(
                     self._fast.dense_indices(vm_src_tgt[:, 0]),
                     vm_src_tgt[:, 2],

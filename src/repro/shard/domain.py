@@ -231,11 +231,10 @@ class ShardDomain:
         """Place arriving VMs (hosts are global ids of this domain)."""
         vms = list(vms)
         local = [self.local_of_global[int(h)] for h in global_hosts]
-        self.allocation.add_vms(vms, local)
+        self.fast.add_vms(vms, local)
         for vm in vms:
             if vm.vm_id not in self.token:
                 self.token.add_vm(vm.vm_id)
-        self.fast.add_vms(vms)
         if self._stale_token_vm is not None:
             stale = self._stale_token_vm
             self._stale_token_vm = None
@@ -247,7 +246,7 @@ class ShardDomain:
         ids = [int(v) for v in vm_ids if int(v) in self.allocation]
         if not ids:
             return
-        self.allocation.remove_vms(ids)
+        self.fast.remove_vms(ids)
         for vm_id in ids:
             if len(self.token) > 1:
                 self.token.remove_vm(vm_id)
@@ -255,11 +254,10 @@ class ShardDomain:
                 # A token must keep one entry; leave it stale and let
                 # run_round's n_vms == 0 guard skip the empty domain.
                 self._stale_token_vm = vm_id
-        self.fast.remove_vms(ids)
 
     def set_capacity(self, global_host: int, kwargs: dict) -> None:
         """Resize one of this domain's hosts in place."""
-        self.fast.set_host_capacity(
+        self.allocation.set_host_capacity(
             self.local_of_global[int(global_host)], **kwargs
         )
 
@@ -270,9 +268,9 @@ class ShardDomain:
 
     def apply_migration(self, vm_id: int, global_target: int) -> None:
         """Mirror one reconciliation move that stayed inside the domain."""
-        local = self.local_of_global[int(global_target)]
-        self.allocation.migrate(int(vm_id), local)
-        self.fast.apply_migration(int(vm_id), local)
+        self.fast.apply_migration(
+            int(vm_id), self.local_of_global[int(global_target)]
+        )
 
     @property
     def n_vms(self) -> int:

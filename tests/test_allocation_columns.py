@@ -19,6 +19,7 @@ and a paper-scale allocation pickles without a single ``VM``.
 
 from __future__ import annotations
 
+import copy
 import copyreg
 import pickle
 
@@ -34,6 +35,7 @@ from hypothesis.stateful import (
 )
 
 from repro import CanonicalTree, Cluster, ServerCapacity
+from repro.cluster import Server
 from repro.cluster.allocation import Allocation, CapacityError
 from repro.cluster.manager import PlacementManager
 from repro.cluster.vm import VM
@@ -299,17 +301,30 @@ class AllocationMachine(RuleBasedStateMachine):
 
     @rule(data=st.data(), host=st.integers(0, N_HOSTS - 1))
     def set_host_capacity(self, data, host):
-        # Never below current usage: the contract of every resize path.
+        # Sizes straddle the usage: below it on any dimension the resize
+        # is refused and nothing changes.
         used = len(self.model.vms_on[host])
-        self.cluster.set_host_capacity(
-            host,
-            ServerCapacity(
-                max_vms=data.draw(st.integers(used, used + 3)),
-                ram_mb=self.model.used_ram[host]
-                + data.draw(st.sampled_from((256, 1024))),
-                cpu=self.model.used_cpu[host]
-                + data.draw(st.sampled_from((0.5, 1.0, 2.0))),
+        slots = data.draw(st.integers(max(used - 1, 0), used + 3))
+        ram = self.model.used_ram[host] + data.draw(
+            st.sampled_from((-256, 256, 1024))
+        )
+        cpu = self.model.used_cpu[host] + data.draw(
+            st.sampled_from((-0.5, 0.5, 1.0, 2.0))
+        )
+
+        def model_check():
+            if (
+                slots < used
+                or ram < self.model.used_ram[host]
+                or cpu < self.model.used_cpu[host]
+            ):
+                raise ValueError
+
+        self.both(
+            lambda: self.allocation.set_host_capacity(
+                host, max_vms=slots, ram_mb=ram, cpu=cpu
             ),
+            model_check,
         )
         assert self.cluster.total_vm_slots == int(
             self.cluster.capacity_arrays()[0].sum()
@@ -446,6 +461,59 @@ def test_an_engine_pickled_with_its_round_cache_drops_it():
     cluster = restored.allocation.cluster
     assert restored._slot_cap is cluster.capacity_arrays()[0]
     assert restored.total_cost() == fast.total_cost()
+
+
+def test_an_engine_pickled_with_placement_copies_drops_them():
+    """Engine snapshots used to carry their own per-VM host/RAM/CPU and
+    per-host usage arrays; restored, the engine reads the allocation's
+    columns and runs on as the live one does."""
+    scheduler = _scheduler(seed=4)
+    scheduler.run(n_iterations=1)
+    fast = scheduler.fastcost
+    allocation = scheduler.allocation
+    ids, hosts, ram, cpu = allocation.columns()
+    n_hosts = allocation.cluster.n_servers
+    state = dict(
+        fast.__dict__,
+        _host_of=hosts.copy(), _vm_ram=ram.copy(), _vm_cpu=cpu.copy(),
+        _slot_used=np.bincount(hosts, minlength=n_hosts),
+        _ram_used=np.bincount(hosts, weights=ram, minlength=n_hosts).astype(np.int64),
+        _cpu_used=np.bincount(hosts, weights=cpu, minlength=n_hosts),
+        _snap=copy.deepcopy(fast.snapshot),  # its own id vector, as before
+    )
+    restored = _reload(type(fast), state)
+    assert set(restored.__getstate__()) == set(type(fast)._OF_RECORD)
+    assert not {"_vm_ram", "_vm_cpu", "_slot_used"} & set(restored.__dict__)
+    assert restored.total_cost() == fast.total_cost()
+    assert restored.in_sync
+    assert restored.allocation.as_dict() == allocation.as_dict()
+    every = np.arange(len(ids))
+    ours, theirs = fast.candidate_batch(every), restored.candidate_batch(every)
+    assert np.array_equal(ours.host, theirs.host)
+    assert np.array_equal(ours.delta, theirs.delta)
+    vm_id = int(ids[0])
+    target = next(
+        h for h in range(n_hosts)
+        if h != allocation.server_of(vm_id)
+        and allocation.can_host(h, allocation.vm(vm_id))
+    )
+    assert restored.apply_migration(vm_id, target) == fast.apply_migration(
+        vm_id, target
+    )
+    assert restored.allocation.as_dict() == allocation.as_dict()
+    assert restored.total_cost() == fast.total_cost()
+
+
+def test_a_server_pickled_with_its_occupancy_record_drops_it():
+    """Servers used to carry an occupancy record (always empty in use)."""
+    capacity = ServerCapacity(max_vms=3, ram_mb=2048, cpu=2.0)
+    state = {
+        "_host": 5, "_capacity": capacity, "_vms": {}, "_used_ram": 0,
+        "_used_cpu": 0.0,
+    }
+    restored = _reload(Server, state)
+    assert (restored.host, restored.capacity) == (5, capacity)
+    assert set(vars(restored)) == {"_host", "_capacity"}
 
 
 def test_a_restored_scheduler_rescores_without_changing_the_trajectory():

@@ -46,51 +46,6 @@ class TestServerCapacity:
 
 
 class TestServer:
-    def make(self, **kwargs):
-        defaults = dict(max_vms=2, ram_mb=2048, cpu=2.0)
-        defaults.update(kwargs)
-        return Server(0, ServerCapacity(**defaults))
-
-    def test_admit_and_evict(self):
-        server = self.make()
-        vm = VM(1, ram_mb=512, cpu=0.5)
-        server.admit(vm)
-        assert server.hosts_vm(1)
-        assert server.n_vms == 1
-        assert server.free_ram_mb == 2048 - 512
-        evicted = server.evict(1)
-        assert evicted == vm
-        assert server.n_vms == 0
-        assert server.free_ram_mb == 2048
-
-    def test_slot_limit(self):
-        server = self.make()
-        server.admit(VM(1, ram_mb=100, cpu=0.1))
-        server.admit(VM(2, ram_mb=100, cpu=0.1))
-        assert not server.can_host(VM(3, ram_mb=100, cpu=0.1))
-        with pytest.raises(ValueError, match="cannot accommodate"):
-            server.admit(VM(3, ram_mb=100, cpu=0.1))
-
-    def test_ram_limit(self):
-        server = self.make()
-        server.admit(VM(1, ram_mb=1536, cpu=0.1))
-        assert not server.can_host(VM(2, ram_mb=1024, cpu=0.1))
-
-    def test_cpu_limit(self):
-        server = self.make()
-        server.admit(VM(1, ram_mb=128, cpu=1.5))
-        assert not server.can_host(VM(2, ram_mb=128, cpu=1.0))
-
-    def test_double_admit_rejected(self):
-        server = self.make()
-        server.admit(VM(1, ram_mb=128, cpu=0.1))
-        with pytest.raises(ValueError, match="already"):
-            server.admit(VM(1, ram_mb=128, cpu=0.1))
-
-    def test_evict_missing_rejected(self):
-        with pytest.raises(KeyError):
-            self.make().evict(9)
-
     def test_negative_host_rejected(self):
         with pytest.raises(ValueError):
             Server(-1)

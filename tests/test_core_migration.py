@@ -164,10 +164,10 @@ class TestDecisions:
         assert decision.target_host == 4 and not decision.migrated
         assert allocation.server_of(1) == 0
 
-    def test_mirror_drift_defers_to_the_naive_loop(self, monkeypatch):
-        """When the allocation refuses the batch's winner (the engine's
-        capacity mirror disagrees with it), the decision is the naive
-        loop's, which probes the allocation itself."""
+    def test_batch_decisions_read_the_allocations_live_capacity(self):
+        """A resize lands in the allocation and its cluster only; the
+        engine's next decision sees it without a rebuild and matches the
+        naive loop's."""
         topo, cluster, allocation, model = build_env()
         allocation.add_vm(VM(1, ram_mb=128, cpu=0.1), 0)
         allocation.add_vm(VM(2, ram_mb=128, cpu=0.1), 4)
@@ -178,23 +178,10 @@ class TestDecisions:
             FastCostEngine(allocation, tm, weights=model.weights)
         )
         assert engine.evaluate(allocation, tm, 1).target_host == 4
-        can_host = allocation.can_host
-        monkeypatch.setattr(
-            allocation,
-            "can_host",
-            lambda host, vm: host != 4 and can_host(host, vm),
-        )
-        naive_calls = []
-        evaluate_naive = engine._evaluate_naive
-        monkeypatch.setattr(
-            engine,
-            "_evaluate_naive",
-            lambda *args: naive_calls.append(args) or evaluate_naive(*args),
-        )
+        allocation.set_host_capacity(4, max_vms=1)  # VM 2 fills it
         decision = engine.evaluate(allocation, tm, 1)
-        assert len(naive_calls) == 1
         assert decision == MigrationEngine(model).evaluate(allocation, tm, 1)
-        assert decision.target_host == 5  # rack-mate of the refused host
+        assert decision.target_host == 5  # rack-mate of the full host
         assert decision.delta == pytest.approx(100 * (14.0 - 2.0))
 
     def test_invalid_engine_params_rejected(self):

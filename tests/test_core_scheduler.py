@@ -177,3 +177,35 @@ class TestTrafficUpdates:
             SCOREScheduler(
                 allocation, bad, RoundRobinPolicy(), MigrationEngine(cost_model)
             )
+
+
+class TestHostResize:
+    @pytest.mark.parametrize("kwargs", [dict(ram_mb=1), dict(cpu=0.01)])
+    def test_shrink_below_usage_is_refused_with_or_without_an_engine(
+        self, populated, cost_model, kwargs
+    ):
+        """One usage check for every resize path: before its first run a
+        scheduler has no engine, and it refuses a busy host's RAM or CPU
+        shrink, changing nothing, exactly as it does after a run."""
+        allocation = populated[0]
+        scheduler = build_scheduler(populated, cost_model)
+
+        def refusal():
+            host = next(
+                h for h in range(allocation.cluster.n_servers)
+                if allocation.vms_on(h)
+            )
+            capacity = allocation.cluster.server(host).capacity
+            placement = allocation.as_dict()
+            with pytest.raises(ValueError) as caught:
+                scheduler.set_host_capacity(host, **kwargs)
+            assert allocation.cluster.server(host).capacity == capacity
+            assert allocation.as_dict() == placement
+            allocation.validate()
+            return str(caught.value).replace(f"host {host} ", "host * ")
+
+        assert scheduler.fastcost is None
+        without_engine = refusal()
+        scheduler.run(n_iterations=1)
+        assert scheduler.fastcost is not None
+        assert refusal() == without_engine

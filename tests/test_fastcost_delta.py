@@ -59,10 +59,6 @@ def assert_engines_match(fast: FastCostEngine, reference: FastCostEngine):
     assert fast.snapshot.n_pairs == reference.snapshot.n_pairs
     assert np.allclose(fast.total_cost(), reference.total_cost(), rtol=RTOL)
     assert np.allclose(fast._egress, reference._egress, rtol=RTOL, atol=1e-6)
-    assert (fast._host_of == reference._host_of).all()
-    assert (fast._slot_used == reference._slot_used).all()
-    assert (fast._ram_used == reference._ram_used).all()
-    assert np.allclose(fast._cpu_used, reference._cpu_used, rtol=RTOL)
     assert np.allclose(
         fast.total_cost(), fast.recompute_total_cost(), rtol=RTOL
     )
@@ -165,8 +161,7 @@ class TestPopulationDelta:
             for h in range(allocation.cluster.n_servers)
             for _ in range(allocation.free_slots(h))
         ]
-        allocation.add_vms(new, free[:5])
-        fast.add_vms(new)
+        fast.add_vms(new, free[:5])
         assert fast.in_sync
         assert_engines_match(fast, FastCostEngine(allocation, traffic))
         # And their traffic can be wired in incrementally afterwards.
@@ -189,10 +184,9 @@ class TestPopulationDelta:
             if peer not in victims or peer > v
         ]
         # The retire protocol: flows cease first (paired matrix + engine
-        # delta), then the population shrinks on both sides.
+        # delta), then the engine shrinks the population.
         traffic.apply_delta(ceased)
         fast.apply_traffic_delta(ceased)
-        allocation.remove_vms(victims)
         fast.remove_vms(victims)
         assert fast.in_sync
         assert_engines_match(fast, FastCostEngine(allocation, traffic))
@@ -219,8 +213,7 @@ class TestPopulationDelta:
                 for h in range(allocation.cluster.n_servers)
                 if allocation.free_slots(h) >= 1
             ]
-            allocation.add_vms(new, free[:2])
-            fast.add_vms(new)
+            fast.add_vms(new, free[:2])
             for vm_id in list(sorted(allocation.vm_ids()))[:10]:
                 engine.decide_and_migrate(allocation, traffic, vm_id)
             assert fast.in_sync

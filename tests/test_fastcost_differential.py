@@ -133,7 +133,6 @@ def test_fast_engine_matches_naive(topo_name, pattern, placement):
         ):
             continue
         expected = naive.migration_delta(allocation, traffic, vm_id, target)
-        allocation.migrate(vm_id, target)
         delta = fast.apply_migration(vm_id, target)
         assert delta == pytest.approx(expected, rel=REL, abs=1e-9)
         applied += 1
@@ -194,7 +193,6 @@ def test_engine_egress_matches_naive_host_egress_rate(topo_name, pattern):
             target, vm
         ):
             continue
-        allocation.migrate(vm_id, target)
         fast.apply_migration(vm_id, target)
         applied += 1
     assert applied > 0

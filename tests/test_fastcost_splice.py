@@ -3,7 +3,9 @@
 Every structural mutation of ``FastCostEngine`` — pair-set deltas,
 arrivals, departures — splices the sorted CSR, the pair arrays and the
 sorted pair index in place and shifts the Eq. 1/2 and egress caches by
-the changed terms.  ``FastCostEngine(allocation, traffic)`` built fresh
+the changed terms; moves (waves and single migrations) shift the caches
+by their Lemma 3 terms, and a write the allocation rejects changes
+nothing.  ``FastCostEngine(allocation, traffic)`` built fresh
 is the reference after every single op:
 
 * the CSR arrays (``vm_ids, ptr, row, peer, rate``) are **array-equal**
@@ -30,7 +32,7 @@ from hypothesis.stateful import (
 )
 
 from repro import CanonicalTree, Cluster, ServerCapacity
-from repro.cluster.allocation import Allocation
+from repro.cluster.allocation import Allocation, CapacityError
 from repro.cluster.vm import VM
 from repro.core.fastcost import FastCostEngine
 from repro.sim import EventQueueRunner
@@ -104,16 +106,30 @@ def assert_spliced_matches_fresh(engine, allocation, traffic):
         for got, want in zip(snap.heaviest_pairs(k), ref.heaviest_pairs(k)):
             assert np.array_equal(got, want)
 
-    # Shifted caches vs recomputed ones.
-    for name in ("_egress", "_cpu_used"):
-        assert getattr(engine, name).dtype == np.float64, name
+    # Shifted caches vs recomputed ones.  Placement and usage are the
+    # allocation's, read by both engines alike.
+    assert engine._egress.dtype == np.float64
     assert np.allclose(engine.total_cost(), fresh.total_cost(), rtol=1e-9, atol=1e-6)
     assert np.allclose(engine._egress, fresh._egress, rtol=1e-9, atol=1e-6)
-    for name in ("_host_of", "_slot_used", "_ram_used", "_vm_ram"):
-        assert np.array_equal(getattr(engine, name), getattr(fresh, name)), name
-    assert np.allclose(engine._cpu_used, fresh._cpu_used, rtol=1e-9, atol=1e-9)
     assert engine._uniform_vm == fresh._uniform_vm
     assert engine.in_sync
+
+
+def state_of_record(engine):
+    """Copies of what a rejected write must leave alone: the allocation's
+    columns and usage arrays, the engine's CSR and its Eq. 2 / egress
+    caches."""
+    allocation, snap = engine.allocation, engine.snapshot
+    return [
+        array.copy()
+        for array in (
+            *allocation.columns(),
+            *allocation.usage(),
+            *(getattr(snap, name) for name in ("vm_ids", "ptr", "row", "peer", "rate")),
+            np.array([engine.total_cost()]),
+            engine._egress,
+        )
+    ]
 
 
 def apply_delta(engine, traffic, delta):
@@ -126,8 +142,7 @@ def admit(engine, allocation, ids):
     free = [
         h for h in range(N_HOSTS) for _ in range(allocation.free_slots(h))
     ]
-    allocation.add_vms(vms, free[: len(vms)])
-    engine.add_vms(vms)
+    engine.add_vms(vms, free[: len(vms)])
 
 
 def retire_with_pairs(engine, allocation, traffic, ids):
@@ -140,7 +155,6 @@ def retire_with_pairs(engine, allocation, traffic, ids):
     if ceased:
         traffic.apply_delta(ceased)
         engine._advance_sync(traffic=True)
-    allocation.remove_vms(ids)
     engine.remove_vms(ids)
 
 
@@ -197,6 +211,80 @@ class SpliceMachine(RuleBasedStateMachine):
             )
         )
         retire_with_pairs(self.engine, self.allocation, self.traffic, ids)
+
+    @precondition(lambda self: self.allocation.n_vms >= 1)
+    @rule(data=st.data())
+    def wave(self, data):
+        """An engine-routed wave under the planner's contract: sources
+        and targets pairwise distinct, no host both, no mover another
+        mover's peer."""
+        movers = data.draw(
+            st.lists(
+                st.sampled_from(self.live()), min_size=1, max_size=4, unique=True
+            )
+        )
+        wave, hosts = [], set()
+        for vm in movers:
+            source = self.allocation.server_of(vm)
+            if source in hosts or set(self.traffic.peers_of(vm)) & {
+                v for v, _ in wave
+            }:
+                continue
+            fits = [
+                h for h in range(N_HOSTS)
+                if h != source and h not in hosts
+                and self.allocation.can_host(h, self.allocation.vm(vm))
+            ]
+            if fits:
+                wave.append((vm, data.draw(st.sampled_from(fits))))
+                hosts |= {source, wave[-1][1]}
+        if wave:
+            self.engine.apply_moves(
+                self.engine.dense_indices([v for v, _ in wave]),
+                np.array([t for _, t in wave], dtype=np.int64),
+            )
+
+    @precondition(lambda self: self.allocation.n_vms >= 1)
+    @rule(data=st.data())
+    def migration(self, data):
+        vm = data.draw(st.sampled_from(self.live()))
+        fits = [
+            h for h in range(N_HOSTS)
+            if self.allocation.can_host(h, self.allocation.vm(vm))
+        ]
+        if fits:
+            self.engine.apply_migration(vm, data.draw(st.sampled_from(fits)))
+
+    @rule(data=st.data())
+    def over_capacity(self, data):
+        """A wave onto a full host, or an arrival batch one VM larger
+        than a host's room, raises and changes nothing."""
+        allocation, engine = self.allocation, self.engine
+        full = [h for h in range(N_HOSTS) if allocation.free_slots(h) == 0]
+        movers = [v for v in self.live() if allocation.server_of(v) not in full]
+        if full and movers and data.draw(st.booleans()):
+            vm = data.draw(st.sampled_from(movers))
+            target = data.draw(st.sampled_from(full))
+
+            def overfill():
+                engine.apply_moves(
+                    engine.dense_indices([vm]), np.array([target], dtype=np.int64)
+                )
+        else:
+            host = data.draw(st.integers(0, N_HOSTS - 1))
+            # Ids outside the pool: the batch never lands anyway.
+            vms = [VM(100 + i, 512, 0.5) for i in range(allocation.free_slots(host) + 1)]
+
+            def overfill():
+                engine.add_vms(vms, [host] * len(vms))
+
+        before = state_of_record(engine)
+        with pytest.raises(CapacityError):
+            overfill()
+        after = state_of_record(engine)
+        assert len(before) == len(after)
+        for got, want in zip(after, before):
+            assert np.array_equal(got, want)
 
     @invariant()
     def spliced_matches_fresh(self):
@@ -275,7 +363,7 @@ def test_engine_built_over_an_empty_matrix_takes_its_first_delta():
     assert engine._egress.dtype == np.float64
     apply_delta(engine, traffic, [(10, 12, 0.5)])
     assert_spliced_matches_fresh(engine, allocation, traffic)
-    # Same pitfall on the CPU mirror of an engine built over no VMs.
+    # And an engine built over no VMs takes its first arrival.
     allocation, traffic, engine = build(ids=(), pairs=())
     admit(engine, allocation, [7])
     assert_spliced_matches_fresh(engine, allocation, traffic)

@@ -63,25 +63,21 @@ def token_membership(s):
     return "token-membership", (vm,), "allocation places"
 
 
-def host_map(s):
-    fast = s.fastcost
-    fast._host_of[3] = (fast._host_of[3] + 1) % len(fast._slot_cap)
-    return "host-map", (3,), "host map disagrees"
+def host_column(s):
+    allocation = s.allocation
+    vm = int(allocation.columns()[0][3])
+    moved = (allocation.server_of(vm) + 1) % allocation.cluster.n_servers
+    allocation._host[3] = moved
+    return (
+        "allocation-structure",
+        (),
+        f"VM {vm} mapped to host {moved} but missing from its set",
+    )
 
 
-def slot_mirror(s):
-    s.fastcost._slot_used[2] += 1
-    return "slot-mirror", (2,), "slot-usage mirror desync"
-
-
-def ram_mirror(s):
-    s.fastcost._ram_used[5] += 1
-    return "ram-mirror", (5,), "RAM-usage mirror desync"
-
-
-def cpu_mirror(s):
-    s.fastcost._cpu_used[6] += 0.25
-    return "cpu-mirror", (6,), "CPU-usage mirror desync"
+def slot_accounting(s):
+    s.allocation._used_slots[2] += 1
+    return "allocation-structure", (), "host 2 slot accounting drift"
 
 
 def allocation_host_set(s):
@@ -125,9 +121,9 @@ def lowest_host_first_check(s):
 
 
 CORRUPTIONS = [
-    ids_out_of_order, token_membership, host_map, slot_mirror,
-    ram_mirror, cpu_mirror, allocation_host_set, ram_accounting,
-    cpu_accounting, lowest_host_first_check,
+    ids_out_of_order, token_membership, host_column, slot_accounting,
+    allocation_host_set, ram_accounting, cpu_accounting,
+    lowest_host_first_check,
 ]
 
 
@@ -174,7 +170,6 @@ def test_fully_localized_host_keeps_residue_not_a_violation():
     scheduler = _crossing_stack()
     fast = scheduler.fastcost
     for vm, target in [(3, 0), (4, 0), (5, 0)]:
-        scheduler.allocation.migrate(vm, target)
         fast.apply_migration(vm, target)
     # Everything hosts 0 and 1 exchanged is local now: their egress is
     # exactly zero, the incrementally maintained mirror is not.

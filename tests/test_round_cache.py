@@ -9,7 +9,7 @@ against the persistent :class:`repro.core.roundcache.RoundScoreCache`
 after run — across policies, churn, traffic deltas and adversarial
 invalidation patterns (freed better hosts, filled picks, mid-round
 token-level raises).  Plus the capacity-resize satellite:
-``set_host_capacity`` patches mirrors in place and the drain
+``set_host_capacity`` patches capacity in place and the drain
 offline/restore paths ride on it.
 """
 
@@ -231,9 +231,9 @@ class TestSetHostCapacity:
             traffic.set_rate(ids[i], ids[i + 1], 100.0 + i)
         return allocation, traffic, FastCostEngine(allocation, traffic)
 
-    def test_resize_patches_mirrors_in_place(self):
+    def test_resize_is_seen_without_a_rebuild(self):
         allocation, traffic, fast = self.make_engine()
-        fast.set_host_capacity(0, max_vms=6, nic_bps=2e9)
+        allocation.set_host_capacity(0, max_vms=6, nic_bps=2e9)
         slots, _, _, nic = allocation.cluster.capacity_arrays()
         assert slots[0] == 6 and nic[0] == 2e9
         assert allocation.cluster.server(0).capacity.max_vms == 6
@@ -252,7 +252,7 @@ class TestSetHostCapacity:
             range(8), key=lambda h: len(allocation.vms_on(h))
         )
         with pytest.raises(ValueError):
-            fast.set_host_capacity(loaded, max_vms=0)
+            allocation.set_host_capacity(loaded, max_vms=0)
 
     def test_drain_offline_and_restore(self):
         """Offline drains zero a host's slots through the in-place patch;
@@ -466,7 +466,6 @@ class TestEngineTouchedSets:
             for h in range(8)
             if h != source and allocation.can_host(h, allocation.vm(vm_id))
         )
-        allocation.migrate(vm_id, target)
         deltas, touched = fast.apply_moves(
             dense, np.array([target], dtype=np.int64)
         )
@@ -483,8 +482,7 @@ class TestEngineTouchedSets:
         cache.refresh()
         assert cache._valid is not None
         new_vm = VM(100, ram_mb=1024, cpu=1.0)
-        allocation.add_vm(new_vm, 0)
-        touched = fast.add_vms([new_vm])
+        touched = fast.add_vms([new_vm], [0])
         assert touched.structural
         assert cache._valid is None  # flushed
 

@@ -366,8 +366,8 @@ class TestGracefulShutdown:
 class TestSafeMode:
     def _poison(self, service):
         # Out-of-band corruption the per-round invariant screen catches:
-        # the engine's slot occupancy no longer matches the allocation.
-        service.scheduler.fastcost._slot_used[0] += 1
+        # the allocation's slot accounting no longer matches its columns.
+        service.scheduler.allocation._used_slots[0] += 1
 
     def test_violation_freezes_recovers_and_matches_twin(self, tmp_path):
         twin = SchedulerService.create(

@@ -354,3 +354,44 @@ def test_shard_seed_matrix(seed, policy):
     ).run(2)
     assert env_a.allocation.as_dict() == env_b.allocation.as_dict()
     assert r_a.final_cost == r_b.final_cost
+
+
+@pytest.mark.shard
+@pytest.mark.parametrize("seed", _shard_seeds())
+def test_capacity_and_threshold_forwards_keep_a_live_fleet_exact(seed):
+    """A host resize and a §V-C budget change reach a live fleet through
+    the delta channel (``forward_capacity`` → ``ShardDomain.set_capacity``,
+    ``forward_threshold`` → ``set_bandwidth_threshold``): the fleet is
+    not rebuilt and stays on the single-domain trajectory."""
+    config = SMALL.with_(seed=seed)
+    env_single = build_environment(config)
+    env_sharded = build_environment(config)
+    single = single_scheduler(env_single, pod_confined_traffic(env_single, seed))
+    sharded = sharded_scheduler(
+        env_sharded, pod_confined_traffic(env_sharded, seed), n_domains=4
+    )
+    single.run(1)
+    sharded.run(1)
+    fleet = sharded._shard_coordinator
+    assert fleet is not None and not fleet.stale
+    allocation = env_sharded.allocation
+    # The fullest host stops taking arrivals (and gets a faster NIC); the
+    # emptiest loses its spare slots.
+    loads = [len(allocation.vms_on(h)) for h in range(allocation.cluster.n_servers)]
+    full, empty = int(np.argmax(loads)), int(np.argmin(loads))
+    for scheduler in (single, sharded):
+        scheduler.set_host_capacity(full, max_vms=loads[full], nic_bps=2e9)
+        scheduler.set_host_capacity(empty, max_vms=loads[empty])
+        scheduler.set_bandwidth_threshold(0.5)
+    domain = fleet._executor._by_id[int(fleet._domain_of_host[full])]
+    local = domain.local_of_global[full]
+    assert domain.allocation.cluster.server(local).capacity.max_vms == loads[full]
+    assert all(
+        d.engine.bandwidth_threshold == 0.5 for d in fleet._executor._domains
+    )
+    r_single = single.run(2)
+    r_sharded = sharded.run(2)
+    assert sharded._shard_coordinator is fleet
+    assert env_single.allocation.as_dict() == allocation.as_dict()
+    scale = max(1.0, abs(r_single.final_cost))
+    assert abs(r_single.final_cost - r_sharded.final_cost) / scale <= 1e-9

@@ -331,7 +331,7 @@ class TestEvaluateMany:
         batch = fast.candidate_batch(
             fast.dense_indices(vm_ids), engine.max_candidates
         )
-        batch_decisions = engine.decisions_from_batch(allocation, batch, fast)
+        batch_decisions = engine.decisions_from_batch(batch, fast)
         for vm_id, got in zip(vm_ids, batch_decisions):
             want = naive.evaluate(allocation, traffic, vm_id)
             assert got.vm_id == want.vm_id == vm_id
