@@ -6,13 +6,14 @@ At the paper's published scale (2560 hosts, ~35k VMs, ~50k communicating
 pairs) the per-pair python loops dominate the run, so this module provides
 the same quantities computed over flat numpy arrays:
 
-* :class:`TrafficSnapshot` freezes a :class:`~repro.traffic.matrix.TrafficMatrix`
-  into CSR-style arrays — one (peer index, rate) slice per VM plus
-  undirected pair arrays — over a dense VM index.
+* :class:`~repro.traffic.matrix.TrafficSnapshot` is the traffic
+  matrix's own columnar store — one (peer index, rate) CSR slice per VM
+  plus undirected pair arrays over a dense VM index — which the engine
+  binds to rather than copies.
 * :func:`pair_levels` computes communication levels for whole pair arrays
   from the topology's cached per-host rack/pod id vectors
   (:meth:`repro.topology.base.Topology.host_rack_ids`).
-* :class:`FastCostEngine` binds a snapshot to one allocation, whose
+* :class:`FastCostEngine` binds that store to one allocation, whose
   columns it reads for placement and capacity usage, and maintains
   incremental caches — network-wide cost (Eq. 2) and per-host §V-C
   egress — updated in O(peers of the moving VM) per migration, exactly
@@ -37,7 +38,7 @@ import numpy as np
 from repro.cluster.allocation import Allocation
 from repro.core.cost import LinkWeights
 from repro.topology.base import Topology
-from repro.traffic.matrix import TrafficMatrix
+from repro.traffic.matrix import TrafficMatrix, TrafficSnapshot, delta_arrays
 
 
 def pair_levels(
@@ -66,24 +67,6 @@ def path_weight_table(weights: LinkWeights, max_level: int) -> np.ndarray:
     )
 
 
-def _k_smallest(k: int, keys: np.ndarray, *ties: np.ndarray) -> np.ndarray:
-    """Indices of the ``k`` smallest entries under the ordering
-    ``(keys, *ties, index)``, in that order.
-
-    A partition finds the k-th key; only the entries at or below it
-    (equal keys included) are sorted, so the cost is O(n) plus a sort
-    of the tied head instead of a full O(n log n) ranking.
-    """
-    if k < len(keys):
-        cut = np.partition(keys, k - 1)[k - 1]
-        low = np.nonzero(keys <= cut)[0]
-    else:
-        low = np.arange(len(keys))
-    # lexsort is stable and takes its primary key last.
-    order = np.lexsort(tuple(t[low] for t in reversed(ties)) + (keys[low],))
-    return low[order[:k]]
-
-
 def _weighted_bincount(
     index: np.ndarray, weights: np.ndarray, minlength: int
 ) -> np.ndarray:
@@ -93,172 +76,6 @@ def _weighted_bincount(
     return np.bincount(index, weights=weights, minlength=minlength).astype(
         float, copy=False
     )
-
-
-def _row_pointers(row: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointers (``n + 1`` int64 offsets) of an ascending row array."""
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
-    return ptr
-
-
-class TrafficSnapshot:
-    """An array view of a traffic matrix over a dense VM index.
-
-    Snapshots mutate only through the owning engine's delta APIs
-    (`FastCostEngine.apply_traffic_delta`/`add_vms`/`remove_vms`); every
-    other consumer treats them as frozen.
-
-    ``vm_ids`` fixes the index space (ascending VM id order, so a dense
-    index is a binary search away; an engine's snapshot shares its
-    allocation's id column); the CSR triplet (``ptr``, ``peer``,
-    ``rate``) stores each VM's peers — peers appear in ascending VM-id
-    order within a slice, matching the sort order the naive candidate
-    ranking uses for ties.  ``pair_u/pair_v/pair_rate`` hold every
-    unordered pair once (u < v in dense indices), in no particular order:
-    a fresh build lists them as the matrix does, a delta-patched snapshot
-    appends arrivals at the end, and readers rank or look up by value.
-    """
-
-    __slots__ = (
-        "vm_ids",
-        "ptr",
-        "peer",
-        "rate",
-        "row",
-        "pair_u",
-        "pair_v",
-        "pair_rate",
-    )
-
-    def __init__(
-        self,
-        vm_ids: np.ndarray,
-        ptr: np.ndarray,
-        peer: np.ndarray,
-        rate: np.ndarray,
-        row: np.ndarray,
-        pair_u: np.ndarray,
-        pair_v: np.ndarray,
-        pair_rate: np.ndarray,
-    ) -> None:
-        self.vm_ids = vm_ids
-        self.ptr = ptr
-        self.peer = peer
-        self.rate = rate
-        self.row = row
-        self.pair_u = pair_u
-        self.pair_v = pair_v
-        self.pair_rate = pair_rate
-
-    @classmethod
-    def build(
-        cls,
-        traffic: TrafficMatrix,
-        vm_ids: Sequence[int],
-        strict: bool = False,
-    ) -> "TrafficSnapshot":
-        """Snapshot ``traffic`` over the given VM population.
-
-        Pairs touching VMs outside ``vm_ids`` are skipped unless ``strict``
-        is set, in which case they raise (the scheduler guarantees the
-        traffic matrix only references placed VMs, so the engine builds in
-        strict mode to catch drift).
-        """
-        ids = np.array(sorted(vm_ids), dtype=np.int64)
-        us, vs, rates = traffic.pair_arrays()
-        if len(ids) == 0:
-            if strict and len(us):
-                raise ValueError(
-                    f"traffic references VM {us[0]} outside the "
-                    f"snapshot population"
-                )
-            pair_u = pair_v = np.empty(0, dtype=np.int64)
-            pair_rate = np.empty(0)
-        else:
-            # Dense indices by binary search over the (sorted, unique) id
-            # vector; ids preserve order, so u < v carries over to iu < iv.
-            iu = np.searchsorted(ids, us).clip(max=len(ids) - 1)
-            iv = np.searchsorted(ids, vs).clip(max=len(ids) - 1)
-            known = (ids[iu] == us) & (ids[iv] == vs)
-            if strict and not known.all():
-                bad = np.nonzero(~known)[0][0]
-                missing = us[bad] if ids[iu[bad]] != us[bad] else vs[bad]
-                raise ValueError(
-                    f"traffic references VM {missing} outside the "
-                    f"snapshot population"
-                )
-            pair_u = iu[known]
-            pair_v = iv[known]
-            pair_rate = rates[known]
-
-        n = len(ids)
-        # Directed edge list (each pair twice) -> CSR sorted by (owner, peer).
-        # Preallocated at exactly 2·|pairs| capacity and filled in halves —
-        # no concatenate temporaries, so peak memory stays proportional to
-        # the final arrays even at 1M-VM scale.
-        m = len(pair_rate)
-        row = np.empty(2 * m, dtype=np.int64)
-        col = np.empty(2 * m, dtype=np.int64)
-        val = np.empty(2 * m, dtype=np.float64)
-        row[:m], row[m:] = pair_u, pair_v
-        col[:m], col[m:] = pair_v, pair_u
-        val[:m], val[m:] = pair_rate, pair_rate
-        order = np.lexsort((col, row))
-        row, col, val = row[order], col[order], val[order]
-        return cls(
-            vm_ids=ids,
-            ptr=_row_pointers(row, n),
-            peer=col,
-            rate=val,
-            row=row,
-            pair_u=pair_u,
-            pair_v=pair_v,
-            pair_rate=pair_rate,
-        )
-
-    @property
-    def n_vms(self) -> int:
-        """Size of the dense VM index."""
-        return len(self.vm_ids)
-
-    @property
-    def n_pairs(self) -> int:
-        """Number of communicating (unordered) pairs captured."""
-        return len(self.pair_rate)
-
-    def peers_slice(self, dense_vm: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(peer dense indices, rates) of one VM, ascending by peer id."""
-        lo, hi = self.ptr[dense_vm], self.ptr[dense_vm + 1]
-        return self.peer[lo:hi], self.rate[lo:hi]
-
-    def vm_loads(self) -> np.ndarray:
-        """Aggregate rate of every VM (aligned with ``vm_ids``), one pass.
-
-        ``bincount`` accumulates each VM's rates left to right in CSR
-        order — ascending peer id — so the sums are bit-identical for
-        any two snapshots of the same matrix, however each was reached
-        (delta-patched live, unpickled, or freshly built).  Event
-        selection ranks VMs on these values and must pick the same VMs
-        on a recovered service as on the uninterrupted one.
-        """
-        return np.bincount(self.row, weights=self.rate, minlength=self.n_vms)
-
-    def ranked_vms(self, k: int, hottest: bool) -> np.ndarray:
-        """Ids of the ``k`` hottest VMs by ``(-load, id)``, or the ``k``
-        coldest by ``(load, id)``; fewer when fewer VMs exist."""
-        loads = self.vm_loads()
-        return self.vm_ids[_k_smallest(k, -loads if hottest else loads)]
-
-    def heaviest_pairs(self, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``k`` heaviest pairs as ``(us, vs, rates)`` in VM ids,
-        ranked by ``(-rate, u, v)``; fewer when fewer pairs exist."""
-        top = _k_smallest(k, -self.pair_rate, self.pair_u, self.pair_v)
-        return (
-            self.vm_ids[self.pair_u[top]],
-            self.vm_ids[self.pair_v[top]],
-            self.pair_rate[top],
-        )
 
 
 def assignment_cost(
@@ -424,20 +241,22 @@ class CandidateBatch:
 class FastCostEngine:
     """Incremental, vectorized cost engine bound to one allocation.
 
-    The engine snapshots the traffic matrix over a dense VM index that
-    *is* the allocation's ascending id column, so dense index ``i`` is
-    column position ``i``: placement and per-host usage are read from the
-    allocation's columns on every use, never copied.  What the engine
-    owns is the CSR snapshot and the Eq. 2 total and §V-C egress caches.
-    Its placement mutators make the allocation write themselves —
-    :meth:`apply_migration`/:meth:`apply_moves` for moves (the scheduler
-    and :class:`repro.core.migration.MigrationEngine` route them here),
-    :meth:`add_vms`/:meth:`remove_vms` for tenant churn — and
-    :meth:`apply_traffic_delta` patches λ.  A writer that bypasses them
-    leaves the caches stale until :meth:`rebuild`; the engine tracks the
-    bound objects' version counters (:attr:`in_sync`), so the scheduler
-    pays a full rebuild only then, and multi-epoch dynamic runs whose
-    transitions go through the delta APIs never cold-rebuild.
+    The engine binds the traffic matrix's columnar store
+    (:meth:`TrafficMatrix.bind <repro.traffic.matrix.TrafficMatrix.bind>`)
+    over a dense VM index that *is* the allocation's ascending id column,
+    so dense index ``i`` is column position ``i``: placement and per-host
+    usage are read from the allocation's columns and λ from the matrix's
+    store on every use, never copied.  What the engine owns is the Eq. 2
+    total and §V-C egress caches.  Its mutators make the bound objects
+    write themselves — :meth:`apply_migration`/:meth:`apply_moves` for
+    moves (the scheduler and :class:`repro.core.migration.MigrationEngine`
+    route them here), :meth:`add_vms`/:meth:`remove_vms` for tenant churn,
+    :meth:`apply_traffic_delta` for λ — and shift the caches.  A writer
+    that bypasses them leaves the caches stale until :meth:`rebuild`; the
+    engine tracks the bound objects' version counters (:attr:`in_sync`),
+    so the scheduler pays a full rebuild only then, and multi-epoch
+    dynamic runs whose transitions go through the delta APIs never
+    cold-rebuild.
     """
 
     def __init__(
@@ -471,17 +290,17 @@ class FastCostEngine:
         self.rebuild()
 
     #: What a pickle holds: state of record only — the binding, the
-    #: snapshot and its lookup indexes, the Eq. 2 and egress caches and
-    #: the sync ledger.  Not the round cache: every valid row equals a
-    #: fresh candidate_batch, so a restored engine re-scores on its first
-    #: round without changing the trajectory.  Not the capacity arrays:
-    #: they are the cluster's live views, re-bound on restore.  Anything
-    #: else an older snapshot carries (its round cache, its copies of the
-    #: placement and usage columns) is dropped on restore.
+    #: Eq. 2 and egress caches and the sync ledger; λ travels once, in
+    #: the matrix.  Not the round cache: every valid row equals a fresh
+    #: candidate_batch, so a restored engine re-scores on its first round
+    #: without changing the trajectory.  Not the capacity arrays: they
+    #: are the cluster's live views, re-bound on restore.  Anything else
+    #: an older snapshot carries (its round cache, its copies of the
+    #: placement and usage columns, its own CSR snapshot and pair index)
+    #: is dropped on restore.
     _OF_RECORD = (
         "_weights", "_topology", "_allocation", "_traffic", "_path_weight",
-        "_rack_of", "_pod_of", "_hosts_per_rack", "_snap", "_uniform_vm",
-        "_pair_sorted_order", "_pair_key_sorted", "_csr_key", "_total",
+        "_rack_of", "_pod_of", "_hosts_per_rack", "_uniform_vm", "_total",
         "_egress", "_alloc_version", "_traffic_version",
     )
 
@@ -494,6 +313,9 @@ class FastCostEngine:
         self._slot_cap, self._ram_cap, self._cpu_cap, self._nic_cap = (
             self._allocation.cluster.capacity_arrays()
         )
+        # Point the store back at the allocation's column (an older
+        # snapshot's matrix restores indexed over its own VMs).
+        self._traffic.bind(self._allocation)
 
     # -- binding -----------------------------------------------------------
 
@@ -514,13 +336,15 @@ class FastCostEngine:
 
     @property
     def traffic(self) -> TrafficMatrix:
-        """The bound traffic matrix (snapshotted at the last rebuild)."""
+        """The bound traffic matrix."""
         return self._traffic
 
     @property
     def snapshot(self) -> TrafficSnapshot:
-        """The current traffic snapshot (rebuilt on demand, not live)."""
-        return self._snap
+        """The bound matrix's columnar store (live; do not write)."""
+        return self._traffic.store
+
+    _snap = snapshot
 
     def is_bound_to(self, allocation: Allocation, traffic: TrafficMatrix) -> bool:
         """Whether this engine's caches describe the given pair of objects."""
@@ -546,27 +370,21 @@ class FastCostEngine:
         self.rebuild()
 
     def rebuild(self) -> None:
-        """Resnapshot traffic and resync every cache from the allocation.
+        """Rebind the store and re-derive every cache from it.
 
         This is the pinned reference path for epoch transitions: the
         delta APIs (:meth:`apply_traffic_delta`, :meth:`add_vms`,
-        :meth:`remove_vms`) must leave the engine in exactly the state a
-        full rebuild would produce — the CSR arrays array-equal, the pair
-        arrays equal as a set, the caches within float-summation
-        reordering — which the delta and splice differential suites
-        assert.  It is also the only place that sorts a whole snapshot.
+        :meth:`remove_vms`) must leave the caches where a rebuild puts
+        them, within float-summation reordering, which the delta and
+        splice differential suites assert.  The store itself is re-indexed
+        onto the allocation's id column only if some writer moved it off
+        (a gather, no sort).
         """
-        self._snap = TrafficSnapshot.build(
-            self._traffic,
-            list(self._allocation.vm_ids()),
-            strict=True,
-        )
+        self._traffic.bind(self._allocation)
         self._adopt_population()
-        self._index_pairs()
         self._recompute_cost_caches()
         self._mark_synced()
-        if self._round_cache is not None:
-            self._round_cache.flush()
+        self._flush_round_cache()
 
     # -- persistent round-score cache ----------------------------------------
 
@@ -623,13 +441,8 @@ class FastCostEngine:
         """Dense owners whose scored rows a batch of moves makes stale:
         the movers themselves plus every communication peer of a mover."""
         snap = self._snap
-        counts = (snap.ptr[movers + 1] - snap.ptr[movers]).astype(np.int64)
-        ptr = np.zeros(len(movers) + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        flat = np.repeat(snap.ptr[movers] - ptr[:-1], counts) + np.arange(
-            int(ptr[-1])
-        )
-        candidates = np.concatenate((movers, snap.peer[flat]))
+        _cum, _owner, entry = snap.edges(movers)
+        candidates = np.concatenate((movers, snap.peer[entry]))
         # Sorted-unique either way; the dense bitmap only pays off when
         # the footprint is a sizable fraction of the snapshot.
         if len(candidates) * 8 < snap.n_vms:
@@ -644,63 +457,30 @@ class FastCostEngine:
         return self._allocation.columns()[1]
 
     def _adopt_population(self) -> None:
-        """Point the dense index at the allocation's id column and
-        re-derive the uniform-VM flag (after a rebuild or a population
+        """Re-derive the uniform-VM flag (after a rebuild or a population
         splice)."""
-        ids, _host, ram, cpu = self._allocation.columns()
-        self._snap.vm_ids = ids
+        _ids, _host, ram, cpu = self._allocation.columns()
         # With a uniform VM population (every paper scenario), per-pair
         # capacity probes collapse to one per-host mask per wave.
         self._uniform_vm = bool(
-            len(ids) and (ram == ram[0]).all() and (cpu == cpu[0]).all()
+            len(ram) and (ram == ram[0]).all() and (cpu == cpu[0]).all()
         )
 
+    def _aligned(self) -> bool:
+        """Whether the store's dense index is the allocation's column
+        (always, while :attr:`in_sync`)."""
+        return self._snap.vm_ids is self._allocation.columns()[0]
+
     def _write(self, mutate, *args):
-        """Run one allocation mutator and credit exactly the version
-        bumps it made, so a foreign write still shows in :attr:`in_sync`."""
-        before = self._allocation.version
+        """Run one mutator of the bound allocation or store and credit
+        exactly the version bumps it made, so a foreign write still shows
+        in :attr:`in_sync`."""
+        allocation, store = self._allocation, self._snap
+        placed, traffic = allocation.version, store.version
         result = mutate(*args)
-        self._alloc_version += self._allocation.version - before
+        self._alloc_version += allocation.version - placed
+        self._traffic_version += store.version - traffic
         return result
-
-    def _index_pairs(self) -> None:
-        """(Re)build the sorted-key lookup indexes over the pair arrays.
-
-        ``_pair_key_sorted``/``_pair_sorted_order`` answer "where is pair
-        (u, v)?" by binary search, and ``_csr_key`` does the same for the
-        two directed CSR entries of a pair — what lets a traffic delta
-        patch rates, and splice pairs in and out, in place instead of
-        re-snapshotting.  Only :meth:`rebuild` sorts; every delta keeps
-        the order and calls :meth:`_repack_keys` at most.
-        """
-        snap = self._snap
-        key = snap.pair_u * snap.n_vms + snap.pair_v
-        self._pair_sorted_order = np.argsort(key, kind="stable")
-        self._repack_keys()
-
-    def _remap_dense(self, old_to_new: np.ndarray) -> None:
-        """Renumber every stored dense index through a monotone map
-        (arrivals shift indices up, departures slide them down; call
-        with ``vm_ids`` already updated).  Monotone means no order
-        changes: one gather per array, then the keys are repacked."""
-        snap = self._snap
-        for name in ("row", "peer", "pair_u", "pair_v"):
-            setattr(snap, name, old_to_new[getattr(snap, name)])
-        self._repack_keys()
-
-    def _repack_keys(self) -> None:
-        """Recompute the packed keys under the current population size.
-
-        Keys are packed as u·n + v.  A monotone remap of the dense index
-        (arrivals, departures) changes ``n`` but no order, so this is all
-        those ops owe the indexes.
-        """
-        snap = self._snap
-        n = snap.n_vms
-        order = self._pair_sorted_order
-        self._pair_key_sorted = snap.pair_u[order] * n + snap.pair_v[order]
-        # CSR entries are sorted by (row, peer), so this key is ascending.
-        self._csr_key = snap.row * n + snap.peer
 
     def _recompute_cost_caches(self) -> None:
         """The Eq. (2) total and §V-C egress, from the current snapshot +
@@ -729,18 +509,12 @@ class FastCostEngine:
         Only :meth:`rebuild` may call this: it re-reads ground truth, so
         whatever mutations happened are now reflected.  Incremental ops
         instead credit exactly the bumps of the writes they make
-        (:meth:`_write`, :meth:`_advance_sync`) — a foreign out-of-band
-        edit then leaves the counters mismatched and the next run pays
-        the rebuild instead of silently trusting stale caches.
+        (:meth:`_write`) — a foreign out-of-band edit then leaves the
+        counters mismatched and the next run pays the rebuild instead of
+        silently trusting stale caches.
         """
         self._alloc_version = self._allocation.version
         self._traffic_version = self._traffic.version
-
-    def _advance_sync(self, traffic: bool = False) -> None:
-        """Credit the traffic matrix's one paired version bump (the
-        caller applies the same delta to the matrix)."""
-        if traffic:
-            self._traffic_version += 1
 
     @property
     def in_sync(self) -> bool:
@@ -749,7 +523,8 @@ class FastCostEngine:
         Compares the version counters recorded at the last rebuild or
         incremental update against the bound allocation and traffic
         matrix.  ``False`` means some writer bypassed the engine's update
-        path (direct ``allocation.migrate``, out-of-band ``set_rate``);
+        path (direct ``allocation.migrate``, a direct write to the bound
+        matrix);
         the scheduler then falls back to a full :meth:`rebuild`.  Until
         it does, the Eq. 2 and egress caches are stale.
         """
@@ -759,129 +534,33 @@ class FastCostEngine:
         )
 
     def apply_traffic_delta(self, changed_pairs) -> int:
-        """Patch the snapshot and every cost cache for one batch of λ
-        changes — the epoch-transition alternative to :meth:`rebuild`.
+        """Write one batch of λ changes into the bound store and shift
+        every cost cache — the epoch-transition alternative to
+        :meth:`rebuild`.
 
         ``changed_pairs`` is an iterable of ``(vm_u, vm_v, new_rate)``
         triples with *absolute* new rates (0 removes the pair), or a
         ``(us, vs, rates)`` tuple of flat arrays; a pair listed twice
-        takes its last value.  The bound :class:`TrafficMatrix` must
-        receive the same delta (callers go through
-        ``SCOREScheduler.apply_traffic_delta``, which patches both); the
-        engine records the matrix's post-delta version so :attr:`in_sync`
-        holds afterwards.
-
-        Everything is patched in place in O(changed): rates of pairs
-        already snapshotted are overwritten, vanished pairs are spliced
-        out of and new pairs spliced into the sorted CSR and pair index
-        at their binary-search positions, and the Eq. 2 and egress
-        caches move by ``(new − old) · w[level]`` with old = 0 for an
-        addition and new = 0 for a removal.  The CSR stays in the
-        canonical (row, peer) order a fresh snapshot has; the pair
-        arrays' order is free.  VM ids outside the snapshot population
-        raise ``KeyError`` (add the VMs first via :meth:`add_vms`).
-        Returns the number of pair changes applied.
+        takes its last value.  The matrix's store splices the change in
+        O(changed) (:meth:`TrafficSnapshot.write
+        <repro.traffic.matrix.TrafficSnapshot.write>`), and the Eq. 2 and
+        egress caches move by ``(new − old) · w[level]`` with old = 0 for
+        an addition and new = 0 for a removal.  VM ids outside the
+        allocation raise ``KeyError`` before any write (add the VMs first
+        via :meth:`add_vms`).  Returns the number of pair changes applied.
         """
-        us, vs, rates = self._parse_delta(changed_pairs)
-        if us.size == 0:
-            return 0
-        snap = self._snap
-        ids = snap.vm_ids
-        if len(ids) == 0:
-            raise KeyError("the engine's snapshot holds no VMs")
-        iu = np.searchsorted(ids, us).clip(max=len(ids) - 1)
-        iv = np.searchsorted(ids, vs).clip(max=len(ids) - 1)
-        known = (ids[iu] == us) & (ids[iv] == vs)
-        if not known.all():
-            bad = np.nonzero(~known)[0][0]
-            missing = us[bad] if ids[iu[bad]] != us[bad] else vs[bad]
-            raise KeyError(
-                f"VM {missing} is not in the engine's snapshot; "
-                f"call add_vms() (or rebuild()) first"
-            )
-        lo = np.minimum(iu, iv)
-        hi = np.maximum(iu, iv)
-        n = snap.n_vms
-        key = lo * n + hi
-        # Dedup keeping the last occurrence per pair (keys end ascending).
-        order = np.argsort(key, kind="stable")
-        last = np.ones(len(order), dtype=bool)
-        key_sorted = key[order]
-        last[:-1] = key_sorted[1:] != key_sorted[:-1]
-        sel = order[last]
-        lo, hi, rates, key = lo[sel], hi[sel], rates[sel], key_sorted[last]
-        n_applied = len(key)
-        # Only the endpoints' scored rows reference the changed rates (an
-        # owner's Lemma 3 terms involve its own incident edges alone);
-        # other owners' CSR slices keep their content wherever a splice
-        # moves them.
-        touched = np.unique(np.concatenate([lo, hi]))
-
-        table = self._pair_key_sorted
-        if len(table):
-            pos = np.searchsorted(table, key).clip(max=len(table) - 1)
-            found = table[pos] == key
-        else:
-            pos = np.zeros(len(key), dtype=np.int64)
-            found = np.zeros(len(key), dtype=bool)
-        live = found | (rates > 0)  # zeroing an absent pair is a no-op
-        if not live.all():
-            lo, hi, rates, key = lo[live], hi[live], rates[live], key[live]
-            pos, found = pos[live], found[live]
-        if len(key):
-            new = rates
-            old = np.zeros(len(new))
-            old[found] = snap.pair_rate[self._pair_sorted_order[pos[found]]]
+        us, vs, rates = delta_arrays(changed_pairs)
+        aligned = self._aligned()
+        n_applied, lo, hi, shift, touched = self._write(
+            self._snap.write, us, vs, rates
+        )
+        if aligned and len(shift):
             host_of = self._host_of
-            self._shift_costs(host_of[lo], host_of[hi], new - old)
-            updated = found & (rates > 0)
-            removed = found & (rates == 0)
-            added = ~found
-            if updated.any():
-                u, v, rate = lo[updated], hi[updated], new[updated]
-                snap.pair_rate[self._pair_sorted_order[pos[updated]]] = rate
-                # Both directed CSR entries of each pair.
-                snap.rate[np.searchsorted(self._csr_key, u * n + v)] = rate
-                snap.rate[np.searchsorted(self._csr_key, v * n + u)] = rate
-            if removed.any():
-                self._drop_pairs(self._pair_sorted_order[pos[removed]])
-            if added.any():
-                self._insert_pairs(lo[added], hi[added], key[added], new[added])
-            if removed.any() or added.any():
-                snap.ptr = _row_pointers(snap.row, n)
+            self._shift_costs(host_of[lo], host_of[hi], shift)
+        # Only the endpoints' scored rows reference the changed rates (an
+        # owner's Lemma 3 terms involve its own incident edges alone).
         self._invalidate_owners(touched)
-        self._advance_sync(traffic=True)
         return n_applied
-
-    @staticmethod
-    def _parse_delta(changed_pairs):
-        """Normalize a traffic delta to (us, vs, rates) int64/float arrays."""
-        if (
-            isinstance(changed_pairs, tuple)
-            and len(changed_pairs) == 3
-            and isinstance(changed_pairs[0], np.ndarray)
-        ):
-            us = np.asarray(changed_pairs[0], dtype=np.int64)
-            vs = np.asarray(changed_pairs[1], dtype=np.int64)
-            rates = np.asarray(changed_pairs[2], dtype=float)
-            if not (len(us) == len(vs) == len(rates)):
-                raise ValueError("delta arrays must have equal length")
-        else:
-            triples = np.asarray(list(changed_pairs), dtype=float)
-            if triples.size == 0:
-                triples = triples.reshape(0, 3)
-            if triples.ndim != 2 or triples.shape[1] != 3:
-                raise ValueError(
-                    "changed_pairs must be (vm_u, vm_v, rate) triples"
-                )
-            us = triples[:, 0].astype(np.int64)
-            vs = triples[:, 1].astype(np.int64)
-            rates = triples[:, 2]
-        if np.any(us == vs):
-            raise ValueError("self-traffic is not modelled")
-        if np.any(rates < 0) or np.any(np.isnan(rates)):
-            raise ValueError("rates must be >= 0")
-        return us, vs, rates
 
     def _shift_costs(
         self, host_lo: np.ndarray, host_hi: np.ndarray, delta: np.ndarray
@@ -906,90 +585,27 @@ class FastCostEngine:
                 minlength=len(self._egress),
             )
 
-    def _drop_pairs(self, pair_idx: np.ndarray) -> None:
-        """Splice pairs (positions in the pair arrays) out of the CSR,
-        the pair arrays and the sorted pair index.  Caches and ``ptr``
-        are the caller's (:meth:`_shift_costs`, :func:`_row_pointers`)."""
-        snap = self._snap
-        n = snap.n_vms
-        u = snap.pair_u[pair_idx].astype(np.int64)
-        v = snap.pair_v[pair_idx].astype(np.int64)
-        entries = np.searchsorted(
-            self._csr_key, np.concatenate([u * n + v, v * n + u])
-        )
-        self._csr_key = np.delete(self._csr_key, entries)
-        snap.row = np.delete(snap.row, entries)
-        snap.peer = np.delete(snap.peer, entries)
-        snap.rate = np.delete(snap.rate, entries)
-        pos = np.searchsorted(self._pair_key_sorted, u * n + v)
-        self._pair_key_sorted = np.delete(self._pair_key_sorted, pos)
-        order = np.delete(self._pair_sorted_order, pos)
-        # Surviving pairs slide down by the number of dropped pairs
-        # stored before them.
-        dropped = np.zeros(snap.n_pairs, dtype=np.int64)
-        dropped[pair_idx] = 1
-        self._pair_sorted_order = order - np.cumsum(dropped)[order]
-        snap.pair_u = np.delete(snap.pair_u, pair_idx)
-        snap.pair_v = np.delete(snap.pair_v, pair_idx)
-        snap.pair_rate = np.delete(snap.pair_rate, pair_idx)
-
-    def _insert_pairs(
-        self, lo: np.ndarray, hi: np.ndarray, key: np.ndarray, rates: np.ndarray
-    ) -> None:
-        """Splice new pairs (dense ``lo < hi``, packed ``key`` ascending)
-        into the CSR at their sorted positions, append them to the pair
-        arrays and thread them into the sorted pair index.  Caches and
-        ``ptr`` are the caller's, as for :meth:`_drop_pairs`."""
-        snap = self._snap
-        n = snap.n_vms
-        at = np.searchsorted(self._pair_key_sorted, key)
-        self._pair_key_sorted = np.insert(self._pair_key_sorted, at, key)
-        self._pair_sorted_order = np.insert(
-            self._pair_sorted_order, at, snap.n_pairs + np.arange(len(key))
-        )
-        snap.pair_u = np.insert(snap.pair_u, len(snap.pair_u), lo)
-        snap.pair_v = np.insert(snap.pair_v, len(snap.pair_v), hi)
-        snap.pair_rate = np.insert(snap.pair_rate, len(snap.pair_rate), rates)
-        row = np.concatenate([lo, hi])
-        peer = np.concatenate([hi, lo])
-        entry_key = row * n + peer
-        order = np.argsort(entry_key)
-        entry_key = entry_key[order]
-        at = np.searchsorted(self._csr_key, entry_key)
-        self._csr_key = np.insert(self._csr_key, at, entry_key)
-        snap.row = np.insert(snap.row, at, row[order])
-        snap.peer = np.insert(snap.peer, at, peer[order])
-        snap.rate = np.insert(snap.rate, at, np.concatenate([rates, rates])[order])
-
     def add_vms(self, vms: Sequence, hosts: Sequence[int]) -> TouchedSet:
         """Place one batch of arriving VMs: the allocation, then the index.
 
         :meth:`Allocation.add_vms` validates the whole batch (capacity,
         duplicate and already-placed ids) before any write, so a rejected
-        batch leaves the allocation and the engine untouched.  The dense
-        index and the CSR are then spliced in place — new VMs join with
-        no traffic, so the Eq. 2 and egress caches are unchanged (route
+        batch leaves the allocation and the engine untouched.  The store's
+        dense index is then spliced in place — new VMs join with no
+        traffic, so the Eq. 2 and egress caches are unchanged (route
         subsequent rate changes through :meth:`apply_traffic_delta`).
         """
         vms = list(vms)
-        snap = self._snap
-        old_ids = snap.vm_ids
+        aligned = self._aligned()
         self._write(self._allocation.add_vms, vms, hosts)
         if not vms:
             return TouchedSet.empty()
-        add_ids = np.sort(np.array([vm.vm_id for vm in vms], dtype=np.int64))
-        pos = np.searchsorted(old_ids, add_ids)
-        old_n = len(old_ids)
-        # Every old dense index shifts right by the number of arrivals
-        # inserted at or before it; the shift is monotone, so the CSR stays
-        # sorted by (row, peer) after remapping — no re-sort needed.
-        old_to_new = np.arange(old_n, dtype=np.int64) + np.searchsorted(
-            pos, np.arange(old_n), side="right"
+        ids = self._allocation.columns()[0]
+        self._snap.insert_ids(
+            np.sort(np.array([vm.vm_id for vm in vms], dtype=np.int64)),
+            ids if aligned else None,
         )
         self._adopt_population()
-        self._remap_dense(old_to_new)
-        # Arrivals join with degree 0: an empty slice where each lands.
-        snap.ptr = np.insert(snap.ptr, pos, snap.ptr[pos])
         # Arrivals remap the dense VM index; owner-keyed caches flush.
         self._flush_round_cache()
         return TouchedSet.empty(structural=True)
@@ -998,10 +614,9 @@ class FastCostEngine:
         """Remove one batch of departing VMs: the allocation, then the index.
 
         Unknown ids raise ``KeyError`` and duplicates ``ValueError``
-        before any write.  Pairs still touching the VMs are spliced out
-        with their cache shifts, as a removal delta would (the
-        matrix-side zeroing is the caller's job —
-        ``SCOREScheduler.retire_vms`` does both, flows first, so usually
+        before any write.  Pairs still touching the VMs leave the store
+        with their cache shifts, as a removal delta would
+        (``SCOREScheduler.retire_vms`` zeroes the flows first, so usually
         none are left); the survivors' indices then slide down
         monotonically, which keeps every sorted order — nothing is
         re-sorted or recomputed.
@@ -1011,27 +626,20 @@ class FastCostEngine:
             return TouchedSet.empty()
         snap = self._snap
         dense = self.dense_indices(ids)  # KeyError on unknowns
-        keep_mask = np.ones(snap.n_vms, dtype=bool)
-        keep_mask[dense] = False
-        stale = np.empty(0, dtype=np.int64)
-        if (snap.ptr[dense + 1] > snap.ptr[dense]).any():
-            stale = np.nonzero(
-                ~(keep_mask[snap.pair_u] & keep_mask[snap.pair_v])
-            )[0]
+        aligned = self._aligned()
+        stale = snap.pairs_touching(dense) if aligned else np.empty(0, np.int64)
         # Where the stale pairs sat, read before the departures leave.
         host_of = self._host_of
         stale_hosts = (host_of[snap.pair_u[stale]], host_of[snap.pair_v[stale]])
+        stale_rates = snap.pair_rate[stale]
         self._write(self._allocation.remove_vms, ids)
         if stale.size:
-            # Still in the old index space: the dense index is re-pointed
-            # at the allocation's new id column only below.
-            self._shift_costs(*stale_hosts, -snap.pair_rate[stale].astype(float))
-            self._drop_pairs(stale)
-            snap.ptr = _row_pointers(snap.row, snap.n_vms)
-        # The departed rows are empty now; everyone else slides down.
+            self._shift_costs(*stale_hosts, -stale_rates)
+        self._write(
+            snap.remove_ids, dense,
+            self._allocation.columns()[0] if aligned else None,
+        )
         self._adopt_population()
-        self._remap_dense(np.cumsum(keep_mask) - 1)  # valid at kept indices
-        snap.ptr = np.delete(snap.ptr, dense)
         # Departures remap the dense VM index; owner-keyed caches flush.
         self._flush_round_cache()
         return TouchedSet.empty(structural=True)
@@ -1091,14 +699,9 @@ class FastCostEngine:
     def dense_indices(self, vm_ids: Sequence[int]) -> np.ndarray:
         """Dense snapshot indices of the given VM ids (KeyError on misses):
         one binary search over the sorted id vector."""
-        ids = np.asarray(vm_ids, dtype=np.int64)
-        table = self._snap.vm_ids
-        if len(table) == 0:
-            raise KeyError("the engine's snapshot holds no VMs")
-        pos = np.searchsorted(table, ids).clip(max=len(table) - 1)
-        bad = table[pos] != ids
-        if np.any(bad):
-            missing = int(ids[np.nonzero(bad)[0][0]])
+        pos, known = self._snap.dense(vm_ids)
+        if not known.all():
+            missing = int(np.asarray(vm_ids).reshape(-1)[np.argmin(known)])
             raise KeyError(
                 f"VM {missing} is not in the engine's snapshot; call rebuild()"
             )
@@ -1145,7 +748,9 @@ class FastCostEngine:
         vms = np.asarray(dense_vms, dtype=np.int64)
         n = len(vms)
         n_hosts = len(self._slot_cap)
-        deg = (snap.ptr[vms + 1] - snap.ptr[vms]).astype(np.int64)
+        # Directed edges of the requested VMs, grouped by owner position.
+        cum, owner_e, edge_idx = snap.edges(vms)
+        deg = np.diff(cum)
         host_of = self._host_of
         source = host_of[vms]
         empty = CandidateBatch(
@@ -1159,15 +764,9 @@ class FastCostEngine:
             delta=np.empty(0),
             onto_rate=np.empty(0),
         )
-        total_e = int(deg.sum())
+        total_e = len(edge_idx)
         if total_e == 0:
             return empty
-
-        # Directed edges of the requested VMs, grouped by owner position.
-        cum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=cum[1:])
-        owner_e = np.repeat(np.arange(n, dtype=np.int64), deg)
-        edge_idx = np.repeat(snap.ptr[vms] - cum[:-1], deg) + np.arange(total_e)
         peer_host = host_of[snap.peer[edge_idx]]
         rate = snap.rate[edge_idx]
         before = pair_levels(
@@ -1482,32 +1081,27 @@ class FastCostEngine:
         same sum :meth:`apply_moves` applies), so a move whose true delta
         is exactly zero can never slip through on rounding noise.
         """
+        return self._move_terms(
+            np.asarray(dense_vms, dtype=np.int64),
+            np.asarray(targets, dtype=np.int64),
+        )[-1]
+
+    def _move_terms(self, movers: np.ndarray, targets: np.ndarray):
+        """Per-edge terms of moving ``movers`` onto ``targets``:
+        ``(owner, rates, level before, level after, per-move deltas)``."""
         snap = self._snap
-        movers = np.asarray(dense_vms, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        deg = (snap.ptr[movers + 1] - snap.ptr[movers]).astype(np.int64)
-        total_e = int(deg.sum())
-        if total_e == 0:
-            return np.zeros(len(movers))
-        cum = np.zeros(len(movers) + 1, dtype=np.int64)
-        np.cumsum(deg, out=cum[1:])
-        owner = np.repeat(np.arange(len(movers), dtype=np.int64), deg)
-        edge_idx = np.repeat(snap.ptr[movers] - cum[:-1], deg) + np.arange(
-            total_e
-        )
+        _cum, owner, edge = snap.edges(movers)
         host_of = self._host_of
-        peer_host = host_of[snap.peer[edge_idx]]
-        sources = host_of[movers]
+        peer_host = host_of[snap.peer[edge]]
+        rates = snap.rate[edge]
         before = pair_levels(
-            sources[owner], peer_host, self._rack_of, self._pod_of
+            host_of[movers][owner], peer_host, self._rack_of, self._pod_of
         )
-        after = pair_levels(
-            targets[owner], peer_host, self._rack_of, self._pod_of
+        after = pair_levels(targets[owner], peer_host, self._rack_of, self._pod_of)
+        contrib = rates * (self._path_weight[before] - self._path_weight[after])
+        return owner, rates, before, after, _weighted_bincount(
+            owner, contrib, len(movers)
         )
-        contrib = snap.rate[edge_idx] * (
-            self._path_weight[before] - self._path_weight[after]
-        )
-        return np.bincount(owner, weights=contrib, minlength=len(movers))
 
     def apply_moves(
         self, dense_vms: np.ndarray, targets: np.ndarray
@@ -1528,44 +1122,19 @@ class FastCostEngine:
         owners whose scored rows went stale); the engine's round cache is
         invalidated with the same set before returning.
         """
-        snap = self._snap
         movers = np.asarray(dense_vms, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         n_moves = len(movers)
-        host_of = self._host_of
-        sources = host_of[movers]
-        deg = (snap.ptr[movers + 1] - snap.ptr[movers]).astype(np.int64)
-        deltas = np.zeros(n_moves)
-        total_e = int(deg.sum())
+        sources = self._host_of[movers]
+        owner, rates, before, after, deltas = self._move_terms(movers, targets)
+        total_e = len(owner)
         if total_e:
-            cum = np.zeros(n_moves + 1, dtype=np.int64)
-            np.cumsum(deg, out=cum[1:])
-            owner = np.repeat(np.arange(n_moves, dtype=np.int64), deg)
-            edge_idx = np.repeat(snap.ptr[movers] - cum[:-1], deg) + np.arange(
-                total_e
-            )
-            rates = snap.rate[edge_idx]
-            peer_host = host_of[snap.peer[edge_idx]]
-            before = pair_levels(
-                sources[owner], peer_host, self._rack_of, self._pod_of
-            )
-            after = pair_levels(
-                targets[owner], peer_host, self._rack_of, self._pod_of
-            )
-            contrib = rates * (
-                self._path_weight[before] - self._path_weight[after]
-            )
-            deltas = np.bincount(owner, weights=contrib, minlength=n_moves)
-            colocated_src = np.bincount(
-                owner, weights=rates * (before == 0), minlength=n_moves
-            )
-            colocated_tgt = np.bincount(
-                owner, weights=rates * (after == 0), minlength=n_moves
-            )
-            move_rate = np.bincount(owner, weights=rates, minlength=n_moves)
+            colocated_src = _weighted_bincount(owner, rates * (before == 0), n_moves)
+            colocated_tgt = _weighted_bincount(owner, rates * (after == 0), n_moves)
+            move_rate = _weighted_bincount(owner, rates, n_moves)
         self._write(
             self._allocation.migrate_many,
-            np.column_stack((snap.vm_ids[movers], targets)),
+            np.column_stack((self._snap.vm_ids[movers], targets)),
         )
         if total_e:
             self._total -= float(deltas.sum())

@@ -32,7 +32,7 @@ from repro.core.policies import TokenPolicy
 from repro.core.rounds import BatchedRoundEngine, DecisionColumns
 from repro.core.token import Token
 from repro.topology.tree import CanonicalTree
-from repro.traffic.matrix import TrafficMatrix
+from repro.traffic.matrix import TrafficMatrix, delta_arrays
 from repro.util.validation import check_positive
 
 
@@ -162,6 +162,15 @@ class SchedulerReport:
         return [(it.index, it.migrated_ratio) for it in self.iterations]
 
 
+def _check_placed(traffic: TrafficMatrix, allocation: Allocation) -> None:
+    missing = traffic.vms_with_traffic - set(allocation.vm_ids())
+    if missing:
+        raise ValueError(
+            f"traffic references VMs absent from the allocation: "
+            f"{sorted(missing)[:5]}..."
+        )
+
+
 class SCOREScheduler:
     """Runs the token-driven S-CORE algorithm over an allocation."""
 
@@ -213,12 +222,7 @@ class SCOREScheduler:
         deterministically.
         """
         check_positive("token_interval_s", token_interval_s)
-        missing = traffic.vms_with_traffic - set(allocation.vm_ids())
-        if missing:
-            raise ValueError(
-                f"traffic references VMs absent from the allocation: "
-                f"{sorted(missing)[:5]}..."
-            )
+        _check_placed(traffic, allocation)
         topology = allocation.topology
         if use_sharding and not isinstance(topology, CanonicalTree):
             raise ValueError(
@@ -286,18 +290,15 @@ class SCOREScheduler:
         event selection ranks VMs and pairs on
         (:meth:`TrafficSnapshot.ranked_vms`, ``heaviest_pairs``).
 
-        The fast engine's snapshot when it describes the live state (no
-        copy; treat it as frozen), else one built from the matrix's pair
-        arrays.  Both are the same canonical arrays, so a selection does
-        not depend on which one served it.
+        The matrix's own store while it is indexed over the live
+        population (a bound store is; no copy, treat it as frozen), else
+        a view of it re-indexed onto the token's ids.  Both hold the same
+        canonical arrays, so a selection does not depend on which one
+        served it.
         """
-        fast = self._fast
-        if (
-            fast is not None
-            and fast.traffic is self._traffic
-            and fast.in_sync
-        ):
-            return fast.snapshot
+        store = self._traffic.store
+        if store.vm_ids is self._allocation.columns()[0]:
+            return store
         return TrafficSnapshot.build(self._traffic, self._token.vm_ids)
 
     @property
@@ -733,8 +734,8 @@ class SCOREScheduler:
         The payload is the scheduler's whole object graph — allocation,
         traffic matrix, token ids/levels, policy state, clock, saved
         drain capacity, and the warm
-        :class:`~repro.core.fastcost.FastCostEngine` with its CSR
-        snapshot, Lemma-3 caches and round-score cache, so
+        :class:`~repro.core.fastcost.FastCostEngine` with its Lemma-3
+        caches (λ travels once, in the matrix's store), so
         :meth:`restore` resumes without re-paying the cold scoring
         boot.
 
@@ -849,15 +850,13 @@ class SCOREScheduler:
         missing = [v for v in ids if v not in self._allocation]
         if missing:
             raise KeyError(f"VM {missing[0]} is not placed")
-        ceased = [
-            (vm_id, peer, 0.0)
-            for vm_id in ids
-            for peer in self._traffic.peers_of(vm_id)
-            if peer not in gone or peer > vm_id
-        ]
-        # Flows cease first (one paired traffic delta, while the engine
-        # still knows the VMs), then the population shrinks.
-        self.apply_traffic_delta(ceased)
+        store = self._traffic.store
+        dense, known = store.dense(ids)
+        stale = store.pairs_touching(dense[known])
+        ends = store.vm_ids[store.pair_u[stale]], store.vm_ids[store.pair_v[stale]]
+        # Flows cease first (one λ write, while the engine still knows
+        # the VMs), then the population shrinks.
+        self.apply_traffic_delta((*ends, np.zeros(len(stale))))
         if self._fast is not None:
             self._fast.remove_vms(ids)
         else:
@@ -871,47 +870,28 @@ class SCOREScheduler:
 
         ``changed_pairs`` holds ``(vm_u, vm_v, new_rate)`` triples (or a
         ``(us, vs, rates)`` array tuple) with absolute new rates; 0
-        removes a pair.  The bound traffic matrix and the fast engine's
-        snapshot/caches are patched together, so the sliding-window
-        re-estimation of §IV costs O(changed pairs) instead of the full
-        O(pairs) rebuild `update_traffic` pays.  Returns the number of
-        pair changes applied.
+        removes a pair.  One write: through the fast engine, which
+        splices the matrix's store it shares and shifts its caches, or
+        straight into the matrix before the first run — so the
+        sliding-window re-estimation of §IV costs O(changed pairs)
+        instead of the full O(pairs) rebuild `update_traffic` pays.
+        Returns the number of pair changes applied.
         """
-        # The array form requires actual ndarrays (mirroring the engine's
-        # parser) — a plain tuple of exactly three (u, v, rate) triples is
-        # a triple list, not a transposed (us, vs, rates) bundle.
-        if (
-            isinstance(changed_pairs, tuple)
-            and len(changed_pairs) == 3
-            and isinstance(changed_pairs[0], np.ndarray)
-        ):
-            triples = list(zip(*changed_pairs))
-            engine_delta = changed_pairs
-        else:
-            triples = list(changed_pairs)
-            engine_delta = triples
+        delta = delta_arrays(changed_pairs)
         if self._fast is not None:
-            # Engine-side validation runs first (unknown VMs, negative
-            # rates) so a bad delta leaves the matrix untouched too.  The
-            # engine credits itself the matrix's one version bump.
-            applied = self._fast.apply_traffic_delta(engine_delta)
+            applied = self._fast.apply_traffic_delta(delta)
             if applied:
-                self._traffic.apply_delta(triples)
-                self._forward_shard(
-                    lambda c: c.forward_traffic_delta(engine_delta)
-                )
+                self._forward_shard(lambda c: c.forward_traffic_delta(delta))
             return applied
-        placed = set(self._allocation.vm_ids())
-        endpoints = {int(u) for u, _, _ in triples} | {
-            int(v) for _, v, _ in triples
-        }
-        missing = endpoints - placed
-        if missing:
+        missing = np.setdiff1d(
+            np.concatenate(delta[:2]), self._allocation.columns()[0]
+        )
+        if missing.size:
             raise KeyError(
                 f"traffic delta references VMs absent from the allocation: "
-                f"{sorted(missing)[:5]}"
+                f"{missing[:5].tolist()}"
             )
-        return self._traffic.apply_delta(triples)
+        return self._traffic.apply_delta(delta)
 
     def drain_hosts(
         self, hosts: Sequence[int], offline: bool = False
@@ -1035,12 +1015,7 @@ class SCOREScheduler:
         periodic re-estimation of §IV.  This is the full-rebuild path —
         prefer :meth:`apply_traffic_delta` when the change set is known.
         """
-        missing = traffic.vms_with_traffic - set(self._allocation.vm_ids())
-        if missing:
-            raise ValueError(
-                f"traffic references VMs absent from the allocation: "
-                f"{sorted(missing)[:5]}..."
-            )
+        _check_placed(traffic, self._allocation)
         self._traffic = traffic
         # The fleet's domain matrices were sliced from the old estimate.
         self._close_shard_fleet()

@@ -242,11 +242,10 @@ class JsonLinesSource(EventSource):
                         "hosts": tuple(obj.get("hosts", ())),
                     }
                 )
+                event = spec.build(round_seconds)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-            events.append(
-                (spec.at_round * round_seconds, spec.build(round_seconds))
-            )
+            events.append((spec.at_round * round_seconds, event))
         self._inner = ScriptedSource(events)
 
     def poll(self, now_s: float) -> List[Tuple[float, Event]]:

@@ -53,6 +53,7 @@ from repro.shard.domain import ShardDomain
 from repro.shard.executor import make_executor
 from repro.shard.partition import build_partition
 from repro.shard.reconcile import ReconcileOutcome, reconcile_boundary
+from repro.traffic.matrix import delta_arrays
 
 
 @dataclass
@@ -242,29 +243,15 @@ class ShardedCoordinator:
     # stale (rebuild on next run).  All forwards happen between rounds.
 
     def forward_traffic_delta(self, changed_pairs) -> bool:
-        """Route rate deltas to the domains owning both endpoints.
+        """Route rate deltas (triples or a ``(us, vs, rates)`` array
+        tuple) to the domains owning both endpoints.
 
         Cross-domain pairs are skipped on purpose: no domain matrix ever
         held them, and the reconcile pass re-reads the live global
         traffic.  Pairs with an endpoint outside every domain mark the
         fleet stale.
         """
-        if (
-            isinstance(changed_pairs, tuple)
-            and len(changed_pairs) == 3
-            and isinstance(changed_pairs[0], np.ndarray)
-        ):
-            us, vs, rates = changed_pairs
-            us = us.astype(np.int64, copy=False)
-            vs = vs.astype(np.int64, copy=False)
-            rates = np.asarray(rates, dtype=np.float64)
-        else:
-            triples = list(changed_pairs)
-            if not triples:
-                return True
-            us = np.array([int(u) for u, _, _ in triples], dtype=np.int64)
-            vs = np.array([int(v) for _, v, _ in triples], dtype=np.int64)
-            rates = np.array([float(r) for _, _, r in triples])
+        us, vs, rates = delta_arrays(changed_pairs)
         if us.size == 0:
             return True
         if int(us.max()) >= len(self._domain_of_vm) or int(

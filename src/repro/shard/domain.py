@@ -161,7 +161,7 @@ class ShardDomain:
         else:
             self.allocation = Allocation(cluster)
         # Slices of the global pair_arrays are unique and canonical, so
-        # the bulk constructor applies.
+        # the bulk constructor applies; the engine binds its store.
         self.traffic = TrafficMatrix.from_pair_arrays(
             intra_pairs[0], intra_pairs[1], intra_pairs[2]
         )
@@ -213,19 +213,10 @@ class ShardDomain:
 
     def apply_traffic(self, us, vs, rates) -> None:
         """Patch λ for intra-domain pairs (both endpoints live here)."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        rates = np.asarray(rates, dtype=np.float64)
-        if us.size == 0:
-            return
-        # Engine-side validation first, then the matrix — the same
-        # ordering (and version-bump accounting) as the scheduler's
-        # apply_traffic_delta.
-        applied = self.fast.apply_traffic_delta((us, vs, rates))
-        if applied:
-            self.traffic.apply_delta(
-                list(zip(us.tolist(), vs.tolist(), rates.tolist()))
-            )
+        self.fast.apply_traffic_delta(
+            (np.asarray(us, np.int64), np.asarray(vs, np.int64),
+             np.asarray(rates, np.float64))
+        )
 
     def admit(self, vms, global_hosts) -> None:
         """Place arriving VMs (hosts are global ids of this domain)."""

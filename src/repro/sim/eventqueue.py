@@ -44,6 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cluster.allocation import CapacityError
 from repro.cluster.placement import place_arrivals
 from repro.core.scheduler import SchedulerReport, SCOREScheduler
+from repro.traffic.matrix import check_rates
 from repro.util.validation import check_engine_invariants, check_positive
 
 
@@ -104,6 +105,7 @@ class Arrival(Event):
     def __init__(self, count: int, rate: float = 500.0) -> None:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        check_rates(rate, "rate")
         check_positive("rate", rate)
         self.count = count
         self.rate = rate
@@ -225,6 +227,7 @@ class TrafficSurge(Event):
     RATE_ONLY = True
 
     def __init__(self, factor: float, top_pairs: int = 8) -> None:
+        check_rates(factor, "factor")
         check_positive("factor", factor)
         if top_pairs < 1:
             raise ValueError(f"top_pairs must be >= 1, got {top_pairs}")

@@ -64,17 +64,13 @@ class LinkLoadCalculator:
         retained per-pair loop), which the differential suite pins.
         """
         topo = self._topology
-        pairs = list(traffic.pairs())
-        if not pairs:
+        us, vs, rates = traffic.pair_arrays()
+        if not len(us):
             return {}
         k = self._flowlets
-        rates = np.fromiter(
-            (rate for _, _, rate in pairs), dtype=float, count=len(pairs)
-        )
-        us = np.fromiter((u for u, _, _ in pairs), dtype=np.uint64, count=len(pairs))
-        vs = np.fromiter((v for _, v, _ in pairs), dtype=np.uint64, count=len(pairs))
-        hosts_u = allocation.mapping_arrays(us.astype(np.int64))[0]
-        hosts_v = allocation.mapping_arrays(vs.astype(np.int64))[0]
+        hosts_u = allocation.mapping_arrays(us)[0]
+        hosts_v = allocation.mapping_arrays(vs)[0]
+        us, vs = us.astype(np.uint64), vs.astype(np.uint64)
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         base_keys = (lo * np.uint64(2654435761) + hi) & np.uint64(0xFFFFFFFF)
         # Flowlet sub-keys replicate the scalar ``base + sub * 0x9E3779B9``

@@ -157,10 +157,9 @@ def flows_to_matrix(flows: Iterable[Flow], window_s: float) -> TrafficMatrix:
     sum bytes per communicating pair, divide by the measurement window.
     """
     check_positive("window_s", window_s)
-    matrix = TrafficMatrix()
-    for flow in flows:
-        matrix.add_rate(flow.src_vm, flow.dst_vm, flow.size_bytes / window_s)
-    return matrix
+    return TrafficMatrix.from_pairs(
+        [(f.src_vm, f.dst_vm, f.size_bytes / window_s) for f in flows]
+    )
 
 
 def byte_share_of_elephants(flows: Sequence[Flow]) -> float:

@@ -156,7 +156,7 @@ class DCTrafficGenerator:
         """Produce one traffic matrix snapshot."""
         pattern = self._pattern
         rng = self._rng
-        matrix = TrafficMatrix()
+        triples: List[Tuple[int, int, float]] = []
         mu = float(np.log(pattern.base_rate_bytes))
 
         def draw_rate(multiplier: float = 1.0) -> float:
@@ -171,7 +171,7 @@ class DCTrafficGenerator:
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
                     if rng.random() < pattern.intra_group_prob:
-                        matrix.add_rate(group[i], group[j], draw_rate())
+                        triples.append((group[i], group[j], draw_rate()))
 
         # Fan-in to hot services (the hotspot columns of Fig. 3a).
         hot_members = [vm for group in self._hot_groups for vm in group]
@@ -182,8 +182,8 @@ class DCTrafficGenerator:
                     continue
                 if rng.random() < pattern.fan_in_prob:
                     target = int(rng.choice(hot_members))
-                    matrix.add_rate(
-                        vm, target, draw_rate(pattern.hot_rate_multiplier)
+                    triples.append(
+                        (vm, target, draw_rate(pattern.hot_rate_multiplier))
                     )
 
         # Sparse uniform background chatter.
@@ -192,9 +192,10 @@ class DCTrafficGenerator:
             if rng.random() < pattern.background_pair_prob:
                 other = self._vm_ids[int(rng.integers(0, n))]
                 if other != vm:
-                    matrix.add_rate(vm, other, draw_rate(0.2))
+                    triples.append((vm, other, draw_rate(0.2)))
 
-        return matrix
+        # One bulk build; duplicate pairs accumulate.
+        return TrafficMatrix.from_pairs(triples)
 
     def _partition_into_groups(self) -> List[List[int]]:
         """Partition the VM population into geometric-size services."""

@@ -15,6 +15,8 @@ import math
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Tuple
 
+import numpy as np
+
 from repro.traffic.matrix import TrafficMatrix
 from repro.util.rng import SeedLike, make_rng
 from repro.util.validation import check_positive, check_probability
@@ -66,12 +68,9 @@ class SlidingWindowRateEstimator:
 
     def snapshot(self, now: float) -> TrafficMatrix:
         """Materialize the current estimates into a :class:`TrafficMatrix`."""
-        matrix = TrafficMatrix()
-        for (u, v) in list(self._samples):
-            rate = self.rate(u, v, now)
-            if rate > 0:
-                matrix.set_rate(u, v, rate)
-        return matrix
+        return TrafficMatrix.from_pairs(
+            [(u, v, self.rate(u, v, now)) for (u, v) in list(self._samples)]
+        )
 
 
 class EwmaRateEstimator:
@@ -107,11 +106,9 @@ class EwmaRateEstimator:
 
     def snapshot(self) -> TrafficMatrix:
         """Materialize current estimates into a :class:`TrafficMatrix`."""
-        matrix = TrafficMatrix()
-        for (u, v), rate in self._estimates.items():
-            if rate > 0:
-                matrix.set_rate(u, v, rate)
-        return matrix
+        return TrafficMatrix.from_pairs(
+            [(u, v, rate) for (u, v), rate in self._estimates.items()]
+        )
 
 
 class HotspotDriftProcess:
@@ -160,26 +157,46 @@ class HotspotDriftProcess:
         pair appears with rate 0 and its new target with the merged rate.
         """
         rng = self._rng
-        pairs = list(self._current.pairs())
-        if not pairs:
+        us, vs, rates = self._current.pair_arrays()
+        if not len(us):
             return []
-        updated = TrafficMatrix()
-        for u, v, rate in pairs:
-            jitter = 1.0 + self._noise * (2 * rng.random() - 1.0)
-            updated.set_rate(u, v, rate * jitter)
-        changed: Dict[Tuple[int, int], float] = {
-            _pair(u, v): rate for u, v, rate in updated.pairs()
-        }
+        jitter = 1.0 + self._noise * (2 * rng.random(len(us)) - 1.0)
+        updated = TrafficMatrix.from_pairs((us, vs, rates * jitter))
+        nu, nv, nrates = updated.pair_arrays()
+        changed: Dict[Tuple[int, int], float] = dict(
+            zip(zip(nu.tolist(), nv.tolist()), nrates.tolist())
+        )
         if rng.random() < self._redirect_prob:
-            # Move the heaviest pair's traffic to a new random peer.
-            u, v, rate = max(pairs, key=lambda p: p[2])
-            vms = list(updated.vms_with_traffic)
+            # Move the heaviest pair's traffic to a new random peer.  The
+            # candidates, and where a new pair lands, follow a matrix
+            # grown pair by pair (see TrafficMatrix.from_pairs), so a
+            # seed replays the same drift: VMs in first-appearance order
+            # behind a set, a new pair at the end of its lower endpoint's
+            # group.
+            top = int(np.argmax(rates))
+            u, v, rate = int(us[top]), int(vs[top]), float(rates[top])
+            ids, seen = np.unique(np.column_stack((us, vs)), return_index=True)
+            order = ids[np.argsort(seen)].tolist()
+            vms = list(frozenset(dict.fromkeys(order)))
             candidate = vms[int(rng.integers(0, len(vms)))]
             if candidate not in (u, v):
-                updated.set_rate(u, v, 0.0)
-                updated.add_rate(u, candidate, rate)
-                changed[_pair(u, v)] = 0.0
-                changed[_pair(u, candidate)] = updated.rate(u, candidate)
+                keep = (nu != u) | (nv != v)
+                nu, nv, nrates = nu[keep], nv[keep], nrates[keep]
+                lo, hi = _pair(u, candidate)
+                hit = np.nonzero((nu == lo) & (nv == hi))[0]
+                if hit.size:
+                    nrates[hit] += rate
+                else:
+                    rank = seen[np.searchsorted(ids, nu)]
+                    if lo == u and not ((nu == u) | (nv == u)).any():
+                        at = len(nu)  # u lost its last pair: it rejoins last
+                    else:
+                        at = int(np.count_nonzero(rank <= seen[ids == lo][0]))
+                    nu, nv = np.insert(nu, at, lo), np.insert(nv, at, hi)
+                    nrates = np.insert(nrates, at, rate)
+                updated = TrafficMatrix.from_pair_arrays(nu, nv, nrates)
+                changed[(u, v)] = 0.0
+                changed[(lo, hi)] = updated.rate(lo, hi)
         self._current = updated
         return [(u, v, rate) for (u, v), rate in changed.items()]
 
@@ -229,14 +246,12 @@ class DiurnalDriftProcess:
         swing = self._amplitude * math.sin(
             2.0 * math.pi * self._epoch / self._period
         )
-        changed: List[Tuple[int, int, float]] = []
-        for u, v, rate in self._base.pairs():
-            factor = 1.0 + swing if (u + v) % 2 == 0 else 1.0 - swing
-            new_rate = rate * factor
-            if new_rate != self._current.rate(u, v):
-                changed.append((u, v, new_rate))
-        self._current.apply_delta(changed)
-        return changed
+        us, vs, rates = self._base.pair_arrays()
+        new = rates * np.where((us + vs) % 2 == 0, 1.0 + swing, 1.0 - swing)
+        moved = new != self._current.rates_of(us, vs)
+        delta = (us[moved], vs[moved], new[moved])
+        self._current.apply_delta(delta)
+        return list(zip(*(a.tolist() for a in delta)))
 
     def step(self) -> TrafficMatrix:
         """Advance one epoch and return a copy of the new matrix."""

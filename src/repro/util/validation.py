@@ -91,9 +91,10 @@ def check_engine_invariants(
     * the token circulates exactly the placed VM ids, in strictly
       ascending order (its ``uint8`` levels are in range by dtype),
     * the fast engine's dense index is the allocation's id column,
-      capacities are never violated, and the incrementally maintained
+      capacities are never violated, the incrementally maintained
       Lemma-3 caches (Eq. 2 total, per-host egress) agree with a
-      from-scratch recomputation to 1e-9,
+      from-scratch recomputation to 1e-9, and the spliced traffic store
+      equals a canonical rebuild of its own pair list,
     * every *valid* row of the persistent round-score cache is exactly
       what a fresh ``candidate_batch`` would score.
 
@@ -104,8 +105,8 @@ def check_engine_invariants(
     a production-path check.
 
     ``deep=False`` drops the expensive tail — the from-scratch Lemma-3
-    recomputation, the egress-mirror rebuild and the round-cache
-    re-scoring — keeping the O(V + hosts) structural and capacity
+    recomputation, the egress-mirror and store rebuilds and the
+    round-cache re-scoring — keeping the O(V + hosts) structural and capacity
     checks, each one flattening pass plus array compares (no per-VM
     python).  That tier is cheap enough for the service daemon to run
     after every round; any corruption it catches still trips safe mode,
@@ -120,7 +121,6 @@ def check_engine_invariants(
 
     allocation = scheduler.allocation
     token = scheduler.token
-    traffic = scheduler.traffic
 
     try:
         placed = allocation.validate()[0]
@@ -210,12 +210,21 @@ def check_engine_invariants(
                 ~np.isclose(fast._egress, egress, rtol=1e-9, atol=atol)
             )[0],
         )
-    n_traffic_pairs = traffic.n_pairs
-    if snap.n_pairs != n_traffic_pairs:
-        fail(
-            "pair-count",
-            f"snapshot holds {snap.n_pairs} pairs, matrix {n_traffic_pairs}",
-        )
+    # λ lives once: the spliced CSR and pair index must be, array for
+    # array, what a canonical rebuild from the store's own pairs gives.
+    from repro.traffic.matrix import TrafficSnapshot
+
+    rebuilt = TrafficSnapshot.canonical(
+        snap.vm_ids, snap.pair_u, snap.pair_v, snap.pair_rate
+    )
+    for name in ("ptr", "row", "peer", "rate", "_pair_sorted_order",
+                 "_pair_key_sorted", "_pair_csr"):
+        if not np.array_equal(getattr(snap, name), getattr(rebuilt, name)):
+            fail(
+                "store-rebuild",
+                f"live {name} differs from a canonical rebuild of the "
+                f"store's {snap.n_pairs} pairs",
+            )
 
     # Round cache: every still-valid scored row must be exactly what a
     # fresh candidate_batch over its owner would produce right now.

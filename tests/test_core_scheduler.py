@@ -68,7 +68,8 @@ class TestRun:
         ).run(n_iterations=3)
         hlf_alloc = allocation.copy()
         hlf = SCOREScheduler(
-            hlf_alloc, traffic, HighestLevelFirstPolicy(), MigrationEngine(cost_model)
+            hlf_alloc, traffic.copy(), HighestLevelFirstPolicy(),
+            MigrationEngine(cost_model),
         ).run(n_iterations=3)
         # Both must achieve substantial reductions on a sparse TM.
         assert rr.cost_reduction > 0.2

@@ -1,12 +1,13 @@
 """Differential suite: incremental state deltas vs the pinned rebuild path.
 
 ``FastCostEngine.apply_traffic_delta`` / ``add_vms`` / ``remove_vms``
-patch the CSR snapshot, the Lemma 3 caches and the per-host mirrors in
-place; ``rebuild()`` reconstructs everything from the bound objects.  The
-contract is that after any sequence of deltas the engine is
-indistinguishable (within 1e-9 relative, i.e. float-summation
-reordering) from a freshly built engine over the same state — including
-scheduler runs driven off the delta path.
+splice the matrix's store and shift the Lemma 3 caches and the per-host
+mirrors in place.  The contract is that after any sequence of deltas the
+engine is indistinguishable (within 1e-9 relative, i.e. float-summation
+reordering) from an engine built fresh over the same placement and a
+matrix rebuilt from a fresh sort of the pair list (:func:`rebuilt` —
+never a store shared with the engine under test) — including scheduler
+runs driven off the delta path.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro import (
 )
 from repro.core.fastcost import FastCostEngine
 from repro.traffic.generator import MEDIUM
+from repro.traffic.matrix import TrafficMatrix
 from repro.util.rng import make_rng
 
 RTOL = 1e-9
@@ -51,6 +53,14 @@ def build_env(seed=0, fattree=False, pattern=SPARSE, slots=4):
         [vm.vm_id for vm in vms], pattern, seed=seed
     ).generate()
     return topo, cluster, manager, allocation, traffic
+
+
+def rebuilt(allocation, traffic) -> FastCostEngine:
+    """The reference: a fresh engine over a matrix re-sorted from the
+    pair list, so it shares no store with the engine under test."""
+    return FastCostEngine(
+        allocation, TrafficMatrix.from_pair_arrays(*traffic.pair_arrays())
+    )
 
 
 def assert_engines_match(fast: FastCostEngine, reference: FastCostEngine):
@@ -80,11 +90,10 @@ class TestTrafficDelta:
         delta = [
             (u, v, r * float(0.2 + 2 * rng.random())) for u, v, r in picked
         ]
-        traffic.apply_delta(delta)
         applied = fast.apply_traffic_delta(delta)
         assert applied == len(delta)
         assert fast.in_sync
-        assert_engines_match(fast, FastCostEngine(allocation, traffic))
+        assert_engines_match(fast, rebuilt(allocation, traffic))
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_structural_delta_matches_rebuild(self, seed):
@@ -103,19 +112,17 @@ class TestTrafficDelta:
                     delta.append((a, b, float(50 + 100 * rng.random())))
                     added += 1
         delta += [(u, v, r * 1.5) for u, v, r in pairs[5:10]]
-        traffic.apply_delta(delta)
         fast.apply_traffic_delta(delta)
-        assert_engines_match(fast, FastCostEngine(allocation, traffic))
+        assert_engines_match(fast, rebuilt(allocation, traffic))
 
     def test_duplicate_pair_last_wins(self):
         _, _, _, allocation, traffic = build_env(5)
         fast = FastCostEngine(allocation, traffic)
         u, v, _ = next(traffic.pairs())
         delta = [(u, v, 111.0), (v, u, 222.0)]
-        traffic.apply_delta(delta)
         fast.apply_traffic_delta(delta)
         assert traffic.rate(u, v) == 222.0
-        assert_engines_match(fast, FastCostEngine(allocation, traffic))
+        assert_engines_match(fast, rebuilt(allocation, traffic))
 
     def test_unknown_vm_raises_and_leaves_state_clean(self):
         _, _, _, allocation, traffic = build_env(6)
@@ -124,7 +131,7 @@ class TestTrafficDelta:
         with pytest.raises(KeyError):
             fast.apply_traffic_delta([(10**6, 1, 5.0)])
         assert fast.total_cost() == before
-        assert_engines_match(fast, FastCostEngine(allocation, traffic))
+        assert_engines_match(fast, rebuilt(allocation, traffic))
 
     def test_negative_rate_rejected(self):
         _, _, _, allocation, traffic = build_env(6)
@@ -140,9 +147,8 @@ class TestTrafficDelta:
         us = np.array([p[0] for p in pairs])
         vs = np.array([p[1] for p in pairs])
         rates = np.array([p[2] * 2.0 for p in pairs])
-        traffic.apply_delta(zip(us.tolist(), vs.tolist(), rates.tolist()))
         fast.apply_traffic_delta((us, vs, rates))
-        assert_engines_match(fast, FastCostEngine(allocation, traffic))
+        assert_engines_match(fast, rebuilt(allocation, traffic))
 
     def test_empty_delta_is_noop(self):
         _, _, _, allocation, traffic = build_env(8)
@@ -163,13 +169,12 @@ class TestPopulationDelta:
         ]
         fast.add_vms(new, free[:5])
         assert fast.in_sync
-        assert_engines_match(fast, FastCostEngine(allocation, traffic))
+        assert_engines_match(fast, rebuilt(allocation, traffic))
         # And their traffic can be wired in incrementally afterwards.
         anchor = sorted(allocation.vm_ids())[0]
         delta = [(vm.vm_id, anchor, 70.0) for vm in new]
-        traffic.apply_delta(delta)
         fast.apply_traffic_delta(delta)
-        assert_engines_match(fast, FastCostEngine(allocation, traffic))
+        assert_engines_match(fast, rebuilt(allocation, traffic))
 
     def test_remove_vms_matches_rebuild(self):
         _, _, _, allocation, traffic = build_env(11, pattern=MEDIUM)
@@ -183,13 +188,12 @@ class TestPopulationDelta:
             for peer in traffic.peers_of(v)
             if peer not in victims or peer > v
         ]
-        # The retire protocol: flows cease first (paired matrix + engine
-        # delta), then the engine shrinks the population.
-        traffic.apply_delta(ceased)
+        # The retire protocol: flows cease first (one delta into the
+        # shared store), then the engine shrinks the population.
         fast.apply_traffic_delta(ceased)
         fast.remove_vms(victims)
         assert fast.in_sync
-        assert_engines_match(fast, FastCostEngine(allocation, traffic))
+        assert_engines_match(fast, rebuilt(allocation, traffic))
 
     def test_interleaved_churn_and_migrations(self):
         """A realistic life: deltas, churn, migrations — never rebuilt."""
@@ -205,7 +209,6 @@ class TestPopulationDelta:
                 for i in rng.choice(len(pairs), 10, replace=False)
             ]
             delta = [(u, v, r * float(0.5 + rng.random())) for u, v, r in picked]
-            traffic.apply_delta(delta)
             fast.apply_traffic_delta(delta)
             new = manager.create_vms(2, ram_mb=512, cpu=0.5)
             free = [
@@ -217,7 +220,7 @@ class TestPopulationDelta:
             for vm_id in list(sorted(allocation.vm_ids()))[:10]:
                 engine.decide_and_migrate(allocation, traffic, vm_id)
             assert fast.in_sync
-            assert_engines_match(fast, FastCostEngine(allocation, traffic))
+            assert_engines_match(fast, rebuilt(allocation, traffic))
 
 
 class TestSchedulerOnDeltaPath:
@@ -282,7 +285,7 @@ class TestSchedulerOnDeltaPath:
             assert traffic.rate(u, v) == pytest.approx(r * 2.0)
         assert scheduler.fastcost.in_sync
         assert_engines_match(
-            scheduler.fastcost, FastCostEngine(allocation, traffic)
+            scheduler.fastcost, rebuilt(allocation, traffic)
         )
 
     def test_scheduler_churn_apis_keep_engine_consistent(self):
@@ -305,7 +308,7 @@ class TestSchedulerOnDeltaPath:
         )
         scheduler.retire_vms([sorted(allocation.vm_ids())[0]])
         assert fast.in_sync
-        assert_engines_match(fast, FastCostEngine(allocation, traffic))
+        assert_engines_match(fast, rebuilt(allocation, traffic))
         report = scheduler.run(n_iterations=2)
         assert np.allclose(
             report.final_cost, fast.recompute_total_cost(), rtol=RTOL

@@ -1,12 +1,14 @@
 """Differential state machine for the spliced engine structure.
 
 Every structural mutation of ``FastCostEngine`` — pair-set deltas,
-arrivals, departures — splices the sorted CSR, the pair arrays and the
-sorted pair index in place and shifts the Eq. 1/2 and egress caches by
-the changed terms; moves (waves and single migrations) shift the caches
-by their Lemma 3 terms, and a write the allocation rejects changes
-nothing.  ``FastCostEngine(allocation, traffic)`` built fresh
-is the reference after every single op:
+arrivals, departures — splices the traffic matrix's store (the sorted
+CSR, the pair arrays and the sorted pair index) in place and shifts the
+Eq. 1/2 and egress caches by the changed terms; moves (waves and single
+migrations) shift the caches by their Lemma 3 terms, and a write the
+allocation rejects changes nothing.  A fresh engine over the same
+allocation and a matrix rebuilt from a fresh sort of the pair list
+(``TrafficMatrix.from_pair_arrays(*traffic.pair_arrays())``, never the
+store under test) is the reference after every single op:
 
 * the CSR arrays (``vm_ids, ptr, row, peer, rate``) are **array-equal**
   (canonical (row, peer) order — what keeps ``vm_loads()`` and so event
@@ -42,7 +44,7 @@ from repro.sim.experiment import (
     build_environment,
     make_scheduler,
 )
-from repro.traffic.matrix import TrafficMatrix
+from repro.traffic.matrix import TrafficMatrix, TrafficSnapshot
 
 N_HOSTS = 16
 #: VM ids are drawn from this pool; the boot population sits in the
@@ -80,7 +82,10 @@ def pair_set(snapshot):
 
 
 def assert_spliced_matches_fresh(engine, allocation, traffic):
-    fresh = FastCostEngine(allocation, traffic)
+    fresh = FastCostEngine(
+        allocation, TrafficMatrix.from_pair_arrays(*traffic.pair_arrays())
+    )
+    assert engine.snapshot is traffic.store is not fresh.snapshot
     snap, ref = engine.snapshot, fresh.snapshot
     for name in ("vm_ids", "ptr", "row", "peer", "rate"):
         got, want = getattr(snap, name), getattr(ref, name)
@@ -94,11 +99,17 @@ def assert_spliced_matches_fresh(engine, allocation, traffic):
     # Lookup indexes: sorted, and pointing at what they claim to.
     n = snap.n_vms
     key = snap.pair_u * n + snap.pair_v
-    assert sorted(engine._pair_sorted_order.tolist()) == list(range(len(key)))
-    assert np.array_equal(engine._pair_key_sorted, key[engine._pair_sorted_order])
-    assert (np.diff(engine._pair_key_sorted) > 0).all()
-    assert np.array_equal(engine._csr_key, snap.row * n + snap.peer)
-    assert (np.diff(engine._csr_key) > 0).all()
+    assert sorted(snap._pair_sorted_order.tolist()) == list(range(len(key)))
+    assert np.array_equal(snap._pair_key_sorted, key[snap._pair_sorted_order])
+    assert (np.diff(snap._pair_key_sorted) > 0).all()
+    assert (np.diff(snap.row * n + snap.peer) > 0).all()
+    forward, reverse = snap._pair_csr.T
+    assert np.array_equal(snap.row[forward], snap.pair_u)
+    assert np.array_equal(snap.peer[forward], snap.pair_v)
+    assert np.array_equal(snap.row[reverse], snap.pair_v)
+    assert np.array_equal(snap.peer[reverse], snap.pair_u)
+    assert np.array_equal(snap.rate[forward], snap.pair_rate)
+    assert np.array_equal(snap.rate[reverse], snap.pair_rate)
 
     # What event selection reads: bit-identical, not merely close.
     assert np.array_equal(snap.vm_loads(), ref.vm_loads())
@@ -133,8 +144,8 @@ def state_of_record(engine):
 
 
 def apply_delta(engine, traffic, delta):
+    """One write: the engine splices the store it shares with ``traffic``."""
     engine.apply_traffic_delta(delta)
-    traffic.apply_delta(delta)
 
 
 def admit(engine, allocation, ids):
@@ -146,15 +157,8 @@ def admit(engine, allocation, ids):
 
 
 def retire_with_pairs(engine, allocation, traffic, ids):
-    """Engine-side removal of VMs whose pairs are still snapshotted: the
-    matrix-side zeroing and its ledger entry are the caller's job."""
-    gone = set(ids)
-    ceased = [
-        (u, v, 0.0) for u, v, _ in list(traffic.pairs()) if u in gone or v in gone
-    ]
-    if ceased:
-        traffic.apply_delta(ceased)
-        engine._advance_sync(traffic=True)
+    """Engine-side removal of VMs whose pairs are still in the store: the
+    departure splices them out with their cache shifts."""
     engine.remove_vms(ids)
 
 
@@ -391,7 +395,8 @@ def test_churn_stream_never_resorts_or_recomputes(monkeypatch):
     depth = [0]  # > 0 while one of the engine's delta ops is running
 
     def counted(name):
-        original = getattr(FastCostEngine, name)
+        owner = TrafficSnapshot if name == "_index_pairs" else FastCostEngine
+        original = getattr(owner, name)
 
         def wrapper(self, *args, **kwargs):
             calls[name] += 1
@@ -401,7 +406,7 @@ def test_churn_stream_never_resorts_or_recomputes(monkeypatch):
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(FastCostEngine, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     for name in calls:
         counted(name)

@@ -53,8 +53,9 @@ def test_static_round_end_matches_the_per_hold_loop():
         MigrationEngine(CostModel(topo), migration_cost=cm),
     )
     reference.run(n_iterations=1)
+    # Engines over different allocations bind different matrices.
     batched = SCOREScheduler(
-        allocation.copy(), traffic, HighestLevelFirstPolicy(),
+        allocation.copy(), traffic.copy(), HighestLevelFirstPolicy(),
         MigrationEngine(CostModel(topo), migration_cost=cm),
     )
     assert batched.run(n_iterations=1).total_migrations == 0

@@ -188,3 +188,16 @@ def test_a_few_bps_per_gbps_of_real_desync_still_trips():
         check_engine_invariants(scheduler, deep=True)
     assert caught.value.invariant == "egress-mirror"
     assert caught.value.indices == (busiest,)
+
+
+def test_a_store_index_that_no_longer_matches_its_pairs_trips():
+    """λ lives once: the spliced store is checked against a canonical
+    rebuild of its own pair list (what the pair-count tier became)."""
+    scheduler = _crossing_stack()
+    check_engine_invariants(scheduler, deep=True)
+    order = scheduler.traffic.store._pair_sorted_order
+    order[[0, 1]] = order[[1, 0]]
+    with pytest.raises(InvariantViolation) as caught:
+        check_engine_invariants(scheduler, deep=True)
+    assert caught.value.invariant == "store-rebuild"
+    assert "_pair_sorted_order" in str(caught.value)

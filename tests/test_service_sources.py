@@ -159,6 +159,19 @@ class TestJsonLinesSource:
         with pytest.raises(ValueError, match="line 1"):
             JsonLinesSource(stream, ROUND_S)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"at_round": 0, "kind": "arrival", "rate": 1e999}',
+            '{"at_round": 0, "kind": "traffic_surge", "factor": 1e999}',
+        ],
+    )
+    def test_non_finite_rate_names_the_line(self, line):
+        # json reads 1e999 as inf; an accepted inf rate used to reach the
+        # engine and turn its Eq. 2 total into inf.
+        with pytest.raises(ValueError, match="line 1: .* must be finite"):
+            JsonLinesSource(io.StringIO(line + "\n"), ROUND_S)
+
 
 class TestCompositeSource:
     def test_needs_at_least_one_part(self):

@@ -234,15 +234,14 @@ class TestFromPairArrays:
     @pytest.mark.parametrize(
         "first_use", ["read", "set_rate", "apply_delta", "copy", "pickle"]
     )
-    def test_deferred_index_behaves_like_a_built_one(self, first_use):
-        """A bulk build keeps only its arrays until something needs the
-        adjacency index; whatever uses it first sees the same matrix."""
+    def test_bulk_build_behaves_like_a_loop_build(self, first_use):
+        """A bulk build and a triple-by-triple one are the same matrix,
+        whatever is done to them first."""
         us, vs, rates = self._random_canonical(np.random.default_rng(13))
         bulk = TrafficMatrix.from_pair_arrays(us, vs, rates)
         loop = TrafficMatrix.from_pairs(
             zip(us.tolist(), vs.tolist(), rates.tolist())
         )
-        assert bulk._adjacency is None
         assert bulk.n_pairs == loop.n_pairs
         u, v, w = int(us[0]), int(vs[0]), int(vs[1])
         if first_use == "read":
@@ -265,19 +264,20 @@ class TestFromPairArrays:
             zip(*(a.tolist() for a in want))
         )
 
-    def test_pair_arrays_cache_survives_reads_not_writes(self):
+    def test_pair_arrays_are_fresh_copies(self):
         rng = np.random.default_rng(11)
         us, vs, rates = self._random_canonical(rng)
         tm = TrafficMatrix.from_pair_arrays(us, vs, rates)
-        cached_us, cached_vs, cached_rates = tm.pair_arrays()
-        assert not cached_us.flags.writeable
-        assert set(zip(cached_us.tolist(), cached_vs.tolist())) == set(
-            zip(us.tolist(), vs.tolist())
-        )
-        # The caller's input arrays stay writable (the cache is a copy).
-        us[0] = us[0]
-        # A mutation invalidates the cache; the rebuilt arrays see it.
-        u0, v0 = int(cached_us[0]), int(cached_vs[0])
+        got_us, got_vs, got_rates = tm.pair_arrays()
+        assert got_us.tolist() == us.tolist()  # the input order is kept
+        assert got_rates.tolist() == rates.tolist()
+        # Writing the returned arrays (or the caller's input) never
+        # reaches the store.
+        got_rates[0] = -1.0
+        rates[0] = -2.0
+        u0, v0 = int(got_us[0]), int(got_vs[0])
+        assert tm.rate(u0, v0) > 0
+        # A mutation shows in the next call.
         tm.set_rate(u0, v0, 0.0)
         us2, vs2, _ = tm.pair_arrays()
         assert len(us2) == len(us) - 1

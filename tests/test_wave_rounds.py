@@ -220,7 +220,7 @@ class TestInterferenceFreeEquivalence:
         ref_alloc = allocation.copy()
         scheduler = PerHoldScheduler(
             ref_alloc,
-            traffic,
+            traffic.copy(),  # another allocation binds its own matrix
             RoundRobinPolicy(),
             MigrationEngine(model),
         )
@@ -265,7 +265,7 @@ class TestBatchedVsReferenceDifferential:
             allocation, traffic, policies[policy](), MigrationEngine(model)
         ).run(n_iterations=20, stop_when_stable=True)
         reference = PerHoldScheduler(
-            ref_alloc, traffic, policies[policy](), MigrationEngine(model)
+            ref_alloc, traffic.copy(), policies[policy](), MigrationEngine(model)
         ).run(n_iterations=20, stop_when_stable=True)
         assert batched.final_cost <= reference.final_cost * (1 + 1e-9)
 
