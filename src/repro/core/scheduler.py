@@ -28,6 +28,9 @@ from repro.cluster.placement import locality_probe_order
 from repro.core.cost import CostModel
 from repro.core.fastcost import FastCostEngine, TrafficSnapshot
 from repro.core.migration import MigrationEngine
+from repro.core.mutation import (
+    Admit, Capacity, Migrate, Mutation, Retire, Stack, Threshold, TrafficDelta,
+)
 from repro.core.policies import TokenPolicy
 from repro.core.rounds import BatchedRoundEngine, DecisionColumns
 from repro.core.token import Token
@@ -215,11 +218,15 @@ class SCOREScheduler:
         ``policy.spawn()``.
 
         A sharded scheduler keeps its domain fleet (and worker
-        processes) alive across :meth:`run` calls; the churn / delta /
-        capacity APIs forward their mutations to the live domains, and
-        mutations the fleet cannot absorb trigger a transparent rebuild
-        at the next run.  Call :meth:`close` to tear the fleet down
-        deterministically.
+        processes) alive across :meth:`run` calls.  Every mutator
+        (admit, retire, traffic delta, capacity, threshold) validates,
+        then writes one :mod:`repro.core.mutation` value to this
+        scheduler's stack and forwards the same value once to the live
+        fleet (``ShardedCoordinator.forward`` → ``ShardDomain.apply``).
+        A mutation the fleet cannot absorb — and a drain or a whole
+        matrix swap (:meth:`drain_hosts`, :meth:`update_traffic`) —
+        tears it down; the next run rebuilds it.  Call :meth:`close` to
+        tear the fleet down deterministically.
         """
         check_positive("token_interval_s", token_interval_s)
         _check_placed(traffic, allocation)
@@ -543,19 +550,14 @@ class SCOREScheduler:
 
         assert self._fast is not None
         coordinator = self._shard_coordinator
-        if coordinator is not None and (
-            coordinator.stale or coordinator._traffic is not self._traffic
-        ):
+        if coordinator is not None and coordinator.stale:
             self._close_shard_fleet()
             coordinator = None
         if coordinator is None:
-            topology = self._allocation.topology
-            n_pods = int(topology.host_pod_ids().max()) + 1
-            n_domains = (
-                self._n_domains
-                if self._n_domains is not None
-                else min(16, n_pods)
-            )
+            n_pods = int(self._allocation.topology.host_pod_ids().max()) + 1
+            n_domains = self._n_domains
+            if n_domains is None:
+                n_domains = min(16, n_pods)
             coordinator = ShardedCoordinator(
                 self._allocation,
                 self._traffic,
@@ -587,17 +589,20 @@ class SCOREScheduler:
         """
         self._close_shard_fleet()
 
-    def _forward_shard(self, forward) -> None:
-        """Forward one mutation to the live fleet (rebuild if refused).
-
-        A stale fleet no longer mirrors the global state, so it is torn
-        down rather than fed: the next run rebuilds it anyway.
-        """
+    def _apply(self, *mutations: Mutation):
+        """Write mutations to this scheduler's stack, then forward them
+        to the live fleet in one batch — or tear down a fleet that is
+        stale or cannot absorb them.  Returns the last one's result."""
+        stack = Stack(self._allocation, self._traffic, self._fast,
+                      self._engine, self._token)
+        for mutation in mutations:
+            result = mutation.apply(stack)
         coordinator = self._shard_coordinator
-        if coordinator is None:
-            return
-        if coordinator.stale or not forward(coordinator):
+        if coordinator is not None and (
+            coordinator.stale or not coordinator.forward(*mutations)
+        ):
             self._close_shard_fleet()
+        return result
 
     def __getstate__(self):
         # Snapshots pickle the whole scheduler graph; the live fleet
@@ -662,7 +667,6 @@ class SCOREScheduler:
         report = SchedulerReport(initial_cost=cost, final_cost=cost)
         report.recovered_from = self._recovered_from
         report.time_series.append((self._clock, cost))
-        coordinator = None
         for iteration in range(1, n_iterations + 1):
             coordinator = self._ensure_shard_fleet()
             more_coming = (
@@ -670,7 +674,7 @@ class SCOREScheduler:
                 and not stop_when_stable
                 and event_pump is None
             )
-            outcome = coordinator.run_iteration(iteration, more_coming)
+            outcome = coordinator.run_iteration(more_coming)
             for block in outcome.decision_blocks:
                 report.decisions.extend(block)
             self._clock += self._interval * outcome.visits
@@ -810,7 +814,8 @@ class SCOREScheduler:
         self.admit_vms([vm], [host])
 
     def admit_vms(self, vms: Sequence, hosts: Sequence[int]) -> None:
-        """Bring one batch of arriving VMs online.
+        """Bring one batch of arriving VMs online (an empty batch is a
+        no-op).
 
         The allocation validates the whole batch before placing anything
         (atomic on failure); the fast engine places it and splices its
@@ -818,15 +823,7 @@ class SCOREScheduler:
         Arrivals join with no traffic — route their flows through
         :meth:`apply_traffic_delta` afterwards.
         """
-        vms = list(vms)
-        hosts = [int(h) for h in hosts]
-        if self._fast is not None:
-            self._fast.add_vms(vms, hosts)
-        else:
-            self._allocation.add_vms(vms, hosts)
-        for vm in vms:
-            self._token.add_vm(vm.vm_id)
-        self._forward_shard(lambda c: c.forward_admissions(vms, hosts))
+        self._apply(Admit(tuple(vms), np.asarray(hosts, dtype=np.int64)))
 
     def retire_vm(self, vm_id: int) -> None:
         """Take a VM offline: remove it from the allocation, the token and
@@ -839,12 +836,15 @@ class SCOREScheduler:
         Their flows cease (the traffic matrix drops every pair touching
         them), they leave the allocation and the token, and the fast
         engine patches its dense index incrementally.  The token must
-        keep at least one entry; unknown ids raise before any removal.
+        keep at least one entry; duplicate or unknown ids raise before
+        anything — λ included — is written.
         """
         ids = [int(v) for v in vm_ids]
         if not ids:
             return
         gone = set(ids)
+        if len(gone) != len(ids):
+            raise ValueError("duplicate VM IDs in the departure batch")
         if sum(1 for v in gone if v in self._token) >= len(self._token):
             raise ValueError("cannot retire every VM; the token needs a holder")
         missing = [v for v in ids if v not in self._allocation]
@@ -856,14 +856,9 @@ class SCOREScheduler:
         ends = store.vm_ids[store.pair_u[stale]], store.vm_ids[store.pair_v[stale]]
         # Flows cease first (one λ write, while the engine still knows
         # the VMs), then the population shrinks.
-        self.apply_traffic_delta((*ends, np.zeros(len(stale))))
-        if self._fast is not None:
-            self._fast.remove_vms(ids)
-        else:
-            self._allocation.remove_vms(ids)
-        for vm_id in ids:
-            self._token.remove_vm(vm_id)
-        self._forward_shard(lambda c: c.forward_retirements(ids))
+        self._apply(
+            TrafficDelta(*ends, np.zeros(len(stale))), Retire(tuple(ids))
+        )
 
     def apply_traffic_delta(self, changed_pairs) -> int:
         """Patch λ for one batch of pairs — the incremental epoch transition.
@@ -877,21 +872,7 @@ class SCOREScheduler:
         instead of the full O(pairs) rebuild `update_traffic` pays.
         Returns the number of pair changes applied.
         """
-        delta = delta_arrays(changed_pairs)
-        if self._fast is not None:
-            applied = self._fast.apply_traffic_delta(delta)
-            if applied:
-                self._forward_shard(lambda c: c.forward_traffic_delta(delta))
-            return applied
-        missing = np.setdiff1d(
-            np.concatenate(delta[:2]), self._allocation.columns()[0]
-        )
-        if missing.size:
-            raise KeyError(
-                f"traffic delta references VMs absent from the allocation: "
-                f"{missing[:5].tolist()}"
-            )
-        return self._traffic.apply_delta(delta)
+        return self._apply(TrafficDelta(*delta_arrays(changed_pairs)))
 
     def drain_hosts(
         self, hosts: Sequence[int], offline: bool = False
@@ -934,10 +915,7 @@ class SCOREScheduler:
                     raise CapacityError(
                         f"drain failed: no feasible host for VM {vm_id}"
                     )
-                if self._fast is not None:
-                    self._fast.apply_migration(vm_id, target)
-                else:
-                    self._allocation.migrate(vm_id, target)
+                self._apply(Migrate(vm_id, target))
                 moves.append((vm_id, target))
         if offline:
             for host in sorted(drained):
@@ -984,14 +962,9 @@ class SCOREScheduler:
         capacity arrays, which the engine reads live, so nothing
         rebuilds.  Values left ``None`` keep their current setting.
         """
-        self._allocation.set_host_capacity(
-            host, max_vms=max_vms, nic_bps=nic_bps, ram_mb=ram_mb, cpu=cpu
-        )
-        self._forward_shard(
-            lambda c: c.forward_capacity(
-                host,
-                dict(max_vms=max_vms, nic_bps=nic_bps, ram_mb=ram_mb, cpu=cpu),
-            )
+        self._apply(
+            Capacity(int(host), max_vms=max_vms, nic_bps=nic_bps,
+                     ram_mb=ram_mb, cpu=cpu)
         )
 
     def set_bandwidth_threshold(self, threshold: Optional[float]) -> None:
@@ -1003,10 +976,7 @@ class SCOREScheduler:
         carry is dropped (it was derived under the old budget), while the
         cached scored deltas — budget-independent — survive.
         """
-        self._engine.set_bandwidth_threshold(threshold)
-        if self._fast is not None:
-            self._fast.invalidate_round_decisions()
-        self._forward_shard(lambda c: c.forward_threshold(threshold))
+        self._apply(Threshold(threshold))
 
     def update_traffic(self, traffic: TrafficMatrix) -> None:
         """Install a fresh traffic-matrix estimate (next measurement window).

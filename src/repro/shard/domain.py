@@ -34,6 +34,7 @@ from repro.cluster.server import ServerCapacity
 from repro.core.cost import CostModel
 from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationEngine
+from repro.core.mutation import Mutation
 from repro.core.policies import TokenPolicy
 from repro.core.rounds import BatchedRoundEngine, RoundResult
 from repro.core.token import Token
@@ -91,12 +92,6 @@ class ShardDomain:
         self.global_hosts = (
             pods[:, None] * hosts_per_pod + np.arange(hosts_per_pod)
         ).reshape(-1)
-        n_local = len(self.global_hosts)
-        self.local_of_global = {
-            int(g): i for i, g in enumerate(self.global_hosts.tolist())
-        }
-        local_of_global = self.local_of_global
-
         sub_topology = CanonicalTree(
             n_racks=len(pods) * tors_per_agg,
             hosts_per_rack=hosts_per_rack,
@@ -137,22 +132,11 @@ class ShardDomain:
             global_hosts_of_vms, _, _ = global_allocation.mapping_arrays(
                 vm_ids
             )
-            if np.all(np.diff(self.global_hosts) > 0):
-                # The usual case: ascending pods × contiguous per-pod
-                # blocks, so a local host id is just the searchsorted
-                # position — no per-VM dict probe.
-                local_hosts = np.searchsorted(
-                    self.global_hosts, global_hosts_of_vms
-                )
-            else:
-                local_hosts = np.fromiter(
-                    (
-                        local_of_global[int(h)]
-                        for h in global_hosts_of_vms.tolist()
-                    ),
-                    dtype=np.int64,
-                    count=len(global_hosts_of_vms),
-                )
+            # Ascending pods × contiguous per-pod blocks: a local host id
+            # is the searchsorted position.
+            local_hosts = np.searchsorted(
+                self.global_hosts, global_hosts_of_vms
+            )
             self.allocation = Allocation.from_placement(
                 cluster,
                 global_allocation.vms_of(vm_ids.tolist()),
@@ -185,13 +169,9 @@ class ShardDomain:
             record_waves=True,
         )
         self.holder: Optional[int] = None
-        #: When the delta channel retires the domain's whole population,
-        #: the token keeps its last entry (a token cannot be emptied);
-        #: the stale id is remembered here and evicted at the next admit.
-        self._stale_token_vm: Optional[int] = None
         self._n_intra_pairs = int(len(intra_pairs[0]))
         self._n_local_racks = int(sub_topology.n_racks)
-        assert n_local == sub_topology.n_hosts
+        assert len(self.global_hosts) == sub_topology.n_hosts
 
     def work_estimate(self) -> float:
         """Static solve-cost proxy for LPT worker packing.
@@ -204,64 +184,14 @@ class ShardDomain:
         """
         return float(max(1, self._n_intra_pairs) * max(1, self._n_local_racks))
 
-    # -- delta channel ------------------------------------------------------
-    #
-    # Compact per-domain operations the coordinator slices out of the
-    # scheduler's global mutations, so a long-lived fleet (possibly in a
-    # forked worker) tracks epoch transitions without a rebuild.  Call
-    # order mirrors the scheduler's own update paths exactly.
+    def apply(self, mutation: Mutation) -> None:
+        """Apply one routed mutation (global host ids) to this domain's
+        stack — the scheduler's own per-kind code, on local hosts."""
+        mutation.localized(self.local_host).apply(self)
 
-    def apply_traffic(self, us, vs, rates) -> None:
-        """Patch λ for intra-domain pairs (both endpoints live here)."""
-        self.fast.apply_traffic_delta(
-            (np.asarray(us, np.int64), np.asarray(vs, np.int64),
-             np.asarray(rates, np.float64))
-        )
-
-    def admit(self, vms, global_hosts) -> None:
-        """Place arriving VMs (hosts are global ids of this domain)."""
-        vms = list(vms)
-        local = [self.local_of_global[int(h)] for h in global_hosts]
-        self.fast.add_vms(vms, local)
-        for vm in vms:
-            if vm.vm_id not in self.token:
-                self.token.add_vm(vm.vm_id)
-        if self._stale_token_vm is not None:
-            stale = self._stale_token_vm
-            self._stale_token_vm = None
-            if stale not in self.allocation and stale in self.token:
-                self.token.remove_vm(stale)
-
-    def retire(self, vm_ids) -> None:
-        """Remove departing VMs (their flows were already zeroed)."""
-        ids = [int(v) for v in vm_ids if int(v) in self.allocation]
-        if not ids:
-            return
-        self.fast.remove_vms(ids)
-        for vm_id in ids:
-            if len(self.token) > 1:
-                self.token.remove_vm(vm_id)
-            else:
-                # A token must keep one entry; leave it stale and let
-                # run_round's n_vms == 0 guard skip the empty domain.
-                self._stale_token_vm = vm_id
-
-    def set_capacity(self, global_host: int, kwargs: dict) -> None:
-        """Resize one of this domain's hosts in place."""
-        self.allocation.set_host_capacity(
-            self.local_of_global[int(global_host)], **kwargs
-        )
-
-    def set_bandwidth_threshold(self, threshold) -> None:
-        """Mirror a mid-run §V-C budget change onto the domain engine."""
-        self.engine.set_bandwidth_threshold(threshold)
-        self.fast.invalidate_round_decisions()
-
-    def apply_migration(self, vm_id: int, global_target: int) -> None:
-        """Mirror one reconciliation move that stayed inside the domain."""
-        self.fast.apply_migration(
-            int(vm_id), self.local_of_global[int(global_target)]
-        )
+    def local_host(self, global_hosts):
+        """This domain's local id(s) of global host id(s)."""
+        return np.searchsorted(self.global_hosts, global_hosts)
 
     @property
     def n_vms(self) -> int:

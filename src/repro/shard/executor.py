@@ -10,26 +10,20 @@ behind one surface the coordinator streams from:
   round the moment its current frames have all been decoded, so workers
   solve round ``k+1`` while the parent merges round ``k`` (bounded one
   round ahead; see :mod:`repro.shard.shm`).
-* ``apply_delta(ops)`` forwards compact per-domain delta operations
-  (rate deltas, churn, capacity changes) to wherever the live domain
-  state resides — in-process for serial, over the command pipe for
-  workers — so epoch transitions reach a long-lived fleet without a
-  rebuild.
+* ``apply(routed)`` ships ``(domain_id, mutation)`` pairs
+  (:mod:`repro.core.mutation`) to wherever the live domain state
+  resides — in-process for serial, over the command pipe for workers —
+  so epoch transitions reach a long-lived fleet without a rebuild.
 * ``close()`` tears workers and shared-memory slabs down (idempotent;
   a finalizer covers abandoned executors).
 
-The executors:
-
-* :class:`SerialExecutor` runs each domain in-process — deterministic,
-  zero IPC, the pinned reference for every parallel path.
-* :class:`ForkExecutor` forks long-lived workers and ships outcomes
-  *pickled over pipes* — what :func:`make_executor` degrades to on its
-  own when shared memory is unavailable.  Its gather polls with a
-  timeout and raises :class:`ShardWorkerError` instead of blocking
-  forever on a dead or stalled worker.
-* :class:`ShmExecutor` adds the zero-copy slab transport: workers pack
-  moves and decision columns into preallocated shared-memory slabs and
-  the pipes carry only tiny headers.  The default for ``n_workers > 1``.
+:class:`SerialExecutor` runs each domain in-process — deterministic,
+zero IPC, the pinned reference for every parallel path.  Forked
+long-lived workers return outcomes through shared-memory slabs
+(:class:`ShmExecutor`, the default for ``n_workers > 1``) or pickled
+over pipes (:class:`ForkExecutor`, what :func:`make_executor` degrades
+to); their gather raises :class:`ShardWorkerError` instead of blocking
+forever on a dead or stalled worker.
 
 Domains are packed onto workers by **LPT bin packing** over a
 per-domain work estimate (:func:`pack_workers`) — measured solve times
@@ -110,26 +104,6 @@ def pack_workers(
     return owned
 
 
-def apply_domain_op(by_id: Dict[int, ShardDomain], op: tuple) -> None:
-    """Apply one delta operation to its live domain object."""
-    kind = op[0]
-    if kind == "traffic":
-        by_id[op[1]].apply_traffic(op[2], op[3], op[4])
-    elif kind == "admit":
-        by_id[op[1]].admit(op[2], op[3])
-    elif kind == "retire":
-        by_id[op[1]].retire(op[2])
-    elif kind == "capacity":
-        by_id[op[1]].set_capacity(op[2], op[3])
-    elif kind == "threshold":
-        for domain in by_id.values():
-            domain.set_bandwidth_threshold(op[2])
-    elif kind == "migrate":
-        by_id[op[1]].apply_migration(op[2], op[3])
-    else:  # pragma: no cover - guarded by the coordinator
-        raise ValueError(f"unknown domain op {kind!r}")
-
-
 class SerialExecutor:
     """Run every domain's round in-process, in domain-id order."""
 
@@ -156,9 +130,9 @@ class SerialExecutor:
             self.solve_seconds[domain.domain_id] = time.perf_counter() - t0
             yield outcome
 
-    def apply_delta(self, ops: Sequence[tuple]) -> None:
-        for op in ops:
-            apply_domain_op(self._by_id, op)
+    def apply(self, routed: Sequence[tuple]) -> None:
+        for domain_id, mutation in routed:
+            self._by_id[domain_id].apply(mutation)
 
     def close(self) -> None:
         pass
@@ -195,10 +169,10 @@ def _worker_loop(worker_index: int, domains: List[ShardDomain],
                         conn.send((slab.BULK, round_index, outcome, solve_s))
                     else:
                         conn.send(header)
-            elif tag == "delta":
-                for op in message[1]:
-                    apply_domain_op(by_id, op)
-                conn.send(("delta-ok",))
+            elif tag == "apply":
+                for domain_id, mutation in message[1]:
+                    by_id[domain_id].apply(mutation)
+                conn.send(("applied",))
             else:  # "stop" (or anything unknown): exit cleanly
                 break
     except (EOFError, KeyboardInterrupt):
@@ -435,40 +409,29 @@ class _ProcessExecutor:
         self._frames_done.pop(k, None)
         self._arrived.pop(k, None)
 
-    # -- delta channel -----------------------------------------------------
+    # -- mutation channel --------------------------------------------------
 
-    def apply_delta(self, ops: Sequence[tuple]) -> None:
-        """Route delta operations to the workers owning their domains.
-
-        Only legal between rounds (the coordinator guarantees no round
-        is in flight), so the acknowledgement is the next pipe message.
-        """
+    def apply(self, routed: Sequence[tuple]) -> None:
+        """Ship ``(domain_id, mutation)`` pairs to the workers owning
+        their domains, each worker's in order, and await every ack
+        (only between rounds, so the ack is the next pipe message)."""
         per_worker: Dict[int, List[tuple]] = {}
-        for op in ops:
-            if op[0] == "threshold":
-                for w in range(len(self._workers)):
-                    per_worker.setdefault(w, []).append(op)
-            else:
-                w = self._worker_of_domain[op[1]]
-                per_worker.setdefault(w, []).append(op)
-        for w, worker_ops in per_worker.items():
-            self._send(w, ("delta", worker_ops))
+        for pair in routed:
+            per_worker.setdefault(self._worker_of_domain[pair[0]], []).append(pair)
+        for w, pairs in per_worker.items():
+            self._send(w, ("apply", pairs))
         for w in per_worker:
             process, conn = self._workers[w]
             if not conn.poll(self._stall_timeout_s):
-                self._raise_dead(w, "stalled applying a delta")
+                self._raise_dead(w, "stalled applying a mutation")
             try:
-                message = conn.recv()
+                tag, *detail = conn.recv()
             except (EOFError, OSError):
                 self._raise_dead(
-                    w, f"died applying a delta (exit code {process.exitcode})"
+                    w, f"died applying a mutation (exit code {process.exitcode})"
                 )
-            if message[0] == "error":
-                self._raise_dead(w, f"raised applying a delta:\n{message[2]}")
-            if message[0] != "delta-ok":  # pragma: no cover
-                self._raise_dead(
-                    w, f"sent unexpected message {message[0]!r}"
-                )
+            if tag != "applied":
+                self._raise_dead(w, f"raised applying a mutation:\n{detail[-1]}")
 
     def close(self) -> None:
         if self._finalizer.detach() is not None:

@@ -23,6 +23,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import VM
 from repro.core.cost import CostModel
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
@@ -356,13 +357,26 @@ def test_shard_seed_matrix(seed, policy):
     assert r_a.final_cost == r_b.final_cost
 
 
+def _free_hosts_in_pod(allocation, pod, need):
+    """``need`` free slots of ``pod``, lowest host first (a host with
+    several free slots repeats)."""
+    topology = allocation.topology
+    slots = [
+        h for h in range(topology.n_hosts) if topology.pod_of(h) == pod
+        for _ in range(allocation.free_slots(h))
+    ]
+    assert len(slots) >= need, "not enough free slots in the pod"
+    return slots[:need]
+
+
 @pytest.mark.shard
 @pytest.mark.parametrize("seed", _shard_seeds())
-def test_capacity_and_threshold_forwards_keep_a_live_fleet_exact(seed):
-    """A host resize and a §V-C budget change reach a live fleet through
-    the delta channel (``forward_capacity`` → ``ShardDomain.set_capacity``,
-    ``forward_threshold`` → ``set_bandwidth_threshold``): the fleet is
-    not rebuilt and stays on the single-domain trajectory."""
+def test_every_mutation_kind_keeps_a_live_fleet_exact(seed):
+    """Every mutation kind — traffic delta, capacity, threshold, admit
+    with traffic, retire, and a whole pod retired then re-admitted —
+    reaches a live fleet through ``forward`` → ``ShardDomain.apply``:
+    the fleet is never rebuilt and stays on the single-domain
+    trajectory (pod-confined traffic keeps the domains independent)."""
     config = SMALL.with_(seed=seed)
     env_single = build_environment(config)
     env_sharded = build_environment(config)
@@ -370,28 +384,124 @@ def test_capacity_and_threshold_forwards_keep_a_live_fleet_exact(seed):
     sharded = sharded_scheduler(
         env_sharded, pod_confined_traffic(env_sharded, seed), n_domains=4
     )
+    topology = env_sharded.topology
+    both = (single, sharded)
+
+    def run_and_compare(n_iterations):
+        r_single = single.run(n_iterations)
+        r_sharded = sharded.run(n_iterations)
+        assert sharded._shard_coordinator is fleet
+        assert not fleet.stale
+        assert env_single.allocation.as_dict() == env_sharded.allocation.as_dict()
+        scale = max(1.0, abs(r_single.final_cost))
+        assert abs(r_single.final_cost - r_sharded.final_cost) / scale <= 1e-9
+
     single.run(1)
     sharded.run(1)
     fleet = sharded._shard_coordinator
     assert fleet is not None and not fleet.stale
     allocation = env_sharded.allocation
-    # The fullest host stops taking arrivals (and gets a faster NIC); the
-    # emptiest loses its spare slots.
-    loads = [len(allocation.vms_on(h)) for h in range(allocation.cluster.n_servers)]
+
+    # Traffic delta: re-estimate a handful of existing pairs.
+    us, vs, rates = sharded.traffic.pair_arrays()
+    delta = [(int(u), int(v), float(r) * 1.7 + 1e4)
+             for u, v, r in zip(us[:8], vs[:8], rates[:8])]
+    # Capacity: the fullest host stops taking arrivals (and gets a
+    # faster NIC); the emptiest loses its spare slots.  Threshold: a
+    # tighter §V-C budget on every domain.
+    loads = [len(allocation.vms_on(h)) for h in range(topology.n_hosts)]
     full, empty = int(np.argmax(loads)), int(np.argmin(loads))
-    for scheduler in (single, sharded):
+    for scheduler in both:
+        assert scheduler.apply_traffic_delta(delta) == len(delta)
         scheduler.set_host_capacity(full, max_vms=loads[full], nic_bps=2e9)
         scheduler.set_host_capacity(empty, max_vms=loads[empty])
         scheduler.set_bandwidth_threshold(0.5)
     domain = fleet._executor._by_id[int(fleet._domain_of_host[full])]
-    local = domain.local_of_global[full]
+    local = int(domain.local_host(full))
     assert domain.allocation.cluster.server(local).capacity.max_vms == loads[full]
     assert all(
         d.engine.bandwidth_threshold == 0.5 for d in fleet._executor._domains
     )
-    r_single = single.run(2)
-    r_sharded = sharded.run(2)
-    assert sharded._shard_coordinator is fleet
-    assert env_single.allocation.as_dict() == allocation.as_dict()
-    scale = max(1.0, abs(r_single.final_cost))
-    assert abs(r_single.final_cost - r_sharded.final_cost) / scale <= 1e-9
+    run_and_compare(1)
+
+    # Admit with traffic, then retire two of the original population.
+    # Each arrival talks to two residents of its pod at distinct rates:
+    # a lone pair would tie (either end may move to the other), and a
+    # domain breaks ties from its own token holder, not the global one.
+    pod_of_vm = {v: topology.pod_of(h) for v, h in allocation.as_dict().items()}
+    free = np.bincount(
+        topology.host_pod_ids(),
+        weights=[allocation.free_slots(h) for h in range(topology.n_hosts)],
+    )
+    pod = int(np.argmax(free))
+    base = max(allocation.vm_ids()) + 1
+    hosts = _free_hosts_in_pod(allocation, pod, 3)
+    peers = sorted(v for v, p in pod_of_vm.items() if p == pod)
+    leaving = peers[-2:]
+    for scheduler in both:
+        newcomers = [VM(base + i, ram_mb=64, cpu=0.1) for i in range(3)]
+        scheduler.admit_vms(newcomers, hosts)
+        scheduler.apply_traffic_delta(
+            [(vm.vm_id, p, 2e6) for vm, p in zip(newcomers, peers)]
+            + [(vm.vm_id, p, 1.3e6) for vm, p in zip(newcomers, peers[3:])]
+        )
+        scheduler.retire_vms(leaving)
+    run_and_compare(1)
+
+    # Retire a whole pod's population: its domain keeps one stale token
+    # entry, sits a round out, and evicts the entry at the next admit.
+    emptied = (pod + 1) % len(free)
+    gone = sorted(v for v, h in allocation.as_dict().items()
+                  if topology.pod_of(h) == emptied)
+    for scheduler in both:
+        scheduler.retire_vms(gone)
+    domain = fleet._executor._by_id[int(fleet.partition.domain_of_pod[emptied])]
+    assert domain.n_vms == 0 and len(domain.token) == 1
+    run_and_compare(1)
+    hosts = _free_hosts_in_pod(allocation, emptied, 3)
+    arrivals = [base + 10 + i for i in range(3)]
+    for scheduler in both:
+        scheduler.admit_vms([VM(v, ram_mb=64, cpu=0.1) for v in arrivals], hosts)
+        scheduler.apply_traffic_delta(
+            [(arrivals[0], arrivals[1], 3e6), (arrivals[1], arrivals[2], 1e6)]
+        )
+    assert domain.token.vm_ids == tuple(arrivals)
+    run_and_compare(2)
+
+
+@pytest.mark.parametrize("sharding", [False, True])
+def test_empty_admission_batch_is_a_no_op(sharding):
+    env = build_environment(SMALL.with_(seed=29))
+    traffic = pod_confined_traffic(env, 29)
+    scheduler = (
+        sharded_scheduler(env, traffic, n_domains=4)
+        if sharding else single_scheduler(env, traffic)
+    )
+    scheduler.run(1)
+    fleet = scheduler._shard_coordinator
+    assert (fleet is not None and not fleet.stale) == sharding
+    before = env.allocation.as_dict()
+    scheduler.admit_vms([], [])
+    assert env.allocation.as_dict() == before
+    assert scheduler._shard_coordinator is fleet
+    scheduler.close()
+
+
+@pytest.mark.parametrize("sharding", [False, True])
+def test_failed_retirement_leaves_traffic_untouched(sharding):
+    env = build_environment(SMALL.with_(seed=29))
+    traffic = pod_confined_traffic(env, 29)
+    scheduler = (
+        sharded_scheduler(env, traffic, n_domains=4)
+        if sharding else single_scheduler(env, traffic)
+    )
+    scheduler.run(1)
+    before = [a.copy() for a in traffic.pair_arrays()]
+    v = int(before[0][0])
+    with pytest.raises(ValueError, match="duplicate"):
+        scheduler.retire_vms([v, v])
+    after = traffic.pair_arrays()
+    for old, new in zip(before, after):
+        np.testing.assert_array_equal(old, new)
+    assert v in env.allocation and v in scheduler.token
+    scheduler.close()

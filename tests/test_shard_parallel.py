@@ -18,7 +18,7 @@ the comparison is **exact equality**, not a tolerance:
   domains instead of hanging the gather forever.
 * executor recording — the report (and the CLI summary) say which
   executor actually ran, including the silent-fallback reason.
-* the delta channel — a long-lived fleet absorbs traffic deltas,
+* the mutation channel — a long-lived fleet absorbs traffic deltas,
   churn, capacity and threshold changes across ``run()`` calls without
   a rebuild, and stays bit-exact with a serial fleet fed the same
   mutation script.
@@ -63,11 +63,11 @@ def _iteration_series(report):
     return [(i.migrations, i.cost_at_end) for i in report.iterations]
 
 
-def _shard_parallel_seeds():
+def _shard_parallel_seeds(default=(7, 23)):
     raw = os.environ.get("REPRO_SHARD_SEEDS", "")
     if raw.strip():
         return [int(s) for s in raw.split(",") if s.strip()]
-    return [7, 23]
+    return list(default)
 
 
 class TestBitExactTransports:
@@ -134,6 +134,7 @@ class TestBitExactTransports:
         }
         assert leaked == set()
 
+    @pytest.mark.shard
     @pytest.mark.parametrize("policy", ["rr", "hlf"])
     @pytest.mark.parametrize("seed", _shard_parallel_seeds())
     def test_fuzzed_seed_matrix(self, policy, seed):
@@ -343,17 +344,19 @@ def _mutation_script(scheduler):
 class TestDeltaChannel:
     """A long-lived fleet survives epoch transitions without rebuild."""
 
-    def _build(self, n_workers, cross_fraction=0.15):
-        config = SMALL.with_(seed=29)
+    def _build(self, n_workers, cross_fraction=0.15, seed=29):
+        config = SMALL.with_(seed=seed)
         env = build_environment(config)
-        traffic = mixed_traffic(env, 29, cross_fraction=cross_fraction)
+        traffic = mixed_traffic(env, seed, cross_fraction=cross_fraction)
         return sharded_scheduler(
             env, traffic, "hlf", n_domains=4, n_workers=n_workers
         )
 
-    def test_fleet_absorbs_deltas_bit_exact(self):
-        serial = self._build(n_workers=1)
-        shm = self._build(n_workers=3)
+    @pytest.mark.shard
+    @pytest.mark.parametrize("seed", _shard_parallel_seeds(default=(29,)))
+    def test_fleet_absorbs_deltas_bit_exact(self, seed):
+        serial = self._build(n_workers=1, seed=seed)
+        shm = self._build(n_workers=3, seed=seed)
         try:
             serial_points = _mutation_script(serial)
             shm_points = _mutation_script(shm)
