@@ -365,7 +365,14 @@ class FastCostEngine:
             )
 
     def update_traffic(self, traffic: TrafficMatrix) -> None:
-        """Bind a new traffic matrix and rebuild the caches."""
+        """Bind a new traffic matrix and rebuild the caches.
+
+        The matrix binds before anything is assigned, so one that refuses
+        (bound to another allocation, or with traffic on VMs this
+        allocation does not place) raises ``ValueError`` and leaves the
+        engine on its old matrix.
+        """
+        traffic.bind(self._allocation)
         self._traffic = traffic
         self.rebuild()
 

@@ -28,10 +28,8 @@ Routed = Optional[List[Tuple[int, "Mutation"]]]
 class Stack(NamedTuple):
     """What a mutation writes to."""
 
-    allocation: Any
-    traffic: Any
-    #: The fast engine; ``None`` before a scheduler's first run (and on
-    #: the naive oracle), when writes go to the allocation and matrix.
+    #: The fast engine, bound to the allocation and matrix it writes
+    #: through (``fast.allocation``, ``fast.traffic``).
     fast: Any
     engine: Any
     token: Any
@@ -80,21 +78,10 @@ class TrafficDelta(Mutation):
     rates: np.ndarray
 
     def apply(self, stack: Stack) -> int:
-        """One λ write — through the engine, which splices the store it
-        binds and shifts its caches, else into the matrix.  Returns the
-        number of pair changes applied."""
-        delta = (self.us, self.vs, self.rates)
-        if stack.fast is not None:
-            return stack.fast.apply_traffic_delta(delta)
-        # The engine checks membership itself; the bare matrix cannot.
-        ends = np.concatenate([self.us, self.vs])
-        missing = np.setdiff1d(ends, stack.allocation.columns()[0])
-        if missing.size:
-            raise KeyError(
-                f"traffic delta references VMs absent from the allocation: "
-                f"{missing[:5].tolist()}"
-            )
-        return stack.traffic.apply_delta(delta)
+        """One λ write through the engine, which splices the store it
+        binds and shifts its caches (a VM it does not place raises
+        ``KeyError`` first).  Returns the number of pair changes applied."""
+        return stack.fast.apply_traffic_delta((self.us, self.vs, self.rates))
 
     def route(self, domain_of_vm, domain_of_host) -> Routed:
         du, dv = lookup(domain_of_vm, self.us), lookup(domain_of_vm, self.vs)
@@ -118,16 +105,16 @@ class Admit(Mutation):
     def apply(self, stack: Stack) -> None:
         """Place the batch (validated whole before any write), then add
         the token entries."""
-        token = stack.token
+        token, allocation = stack.token, stack.fast.allocation
         # A domain whose whole population retired still holds one token
         # entry (a token cannot be emptied); it leaves once arrivals join.
-        stale = token.vm_ids if self.vms and not stack.allocation.n_vms else ()
-        (stack.fast or stack.allocation).add_vms(self.vms, self.hosts)
+        stale = token.vm_ids if self.vms and not allocation.n_vms else ()
+        stack.fast.add_vms(self.vms, self.hosts)
         for vm in self.vms:
             if vm.vm_id not in token:
                 token.add_vm(vm.vm_id)
         for vm_id in stale:
-            if vm_id not in stack.allocation:
+            if vm_id not in allocation:
                 token.remove_vm(vm_id)
 
     def route(self, domain_of_vm, domain_of_host) -> Routed:
@@ -160,7 +147,7 @@ class Retire(Mutation):
     vm_ids: Tuple[int, ...]
 
     def apply(self, stack: Stack) -> None:
-        (stack.fast or stack.allocation).remove_vms(self.vm_ids)
+        stack.fast.remove_vms(self.vm_ids)
         for vm_id in self.vm_ids:
             # A token keeps its last entry even when the population is
             # gone: a domain round skips an empty allocation, and the next
@@ -193,7 +180,7 @@ class Capacity(Mutation):
     cpu: Optional[float] = None
 
     def apply(self, stack: Stack) -> None:
-        stack.allocation.set_host_capacity(
+        stack.fast.allocation.set_host_capacity(
             self.host, max_vms=self.max_vms, nic_bps=self.nic_bps,
             ram_mb=self.ram_mb, cpu=self.cpu,
         )
@@ -216,8 +203,7 @@ class Threshold(Mutation):
         # Decisions the round cache carries were made under the old
         # budget; its budget-independent scored deltas stay.
         stack.engine.set_bandwidth_threshold(self.threshold)
-        if stack.fast is not None:
-            stack.fast.invalidate_round_decisions()
+        stack.fast.invalidate_round_decisions()
 
     def route(self, domain_of_vm, domain_of_host) -> Routed:
         # Every domain owns at least one pod, so ids run 0..max.
@@ -232,10 +218,7 @@ class Migrate(Mutation):
     target: int
 
     def apply(self, stack: Stack) -> None:
-        if stack.fast is not None:
-            stack.fast.apply_migration(self.vm_id, self.target)
-        else:
-            stack.allocation.migrate(self.vm_id, self.target)
+        stack.fast.apply_migration(self.vm_id, self.target)
 
     def route(self, domain_of_vm, domain_of_host) -> Routed:
         d = int(lookup(domain_of_vm, self.vm_id))

@@ -66,11 +66,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.allocation import Allocation
 from repro.core.fastcost import CandidateBatch, FastCostEngine, pair_levels
 from repro.core.migration import MigrationDecision, MigrationEngine
 from repro.core.roundcache import DecisionState, ShadowIndex, segment_rows
-from repro.traffic.matrix import TrafficMatrix
 
 
 #: Reason strings indexed by the round engine's per-hold reason codes.
@@ -219,18 +217,16 @@ class RoundResult:
 
 
 class BatchedRoundEngine:
-    """Executes wave-batched token rounds over one (allocation, traffic).
+    """Executes wave-batched token rounds over one fast engine's
+    (allocation, traffic) binding.
 
-    Bound to the same :class:`FastCostEngine` the migration engine uses;
-    thresholds (``cm``, §V-C bandwidth, candidate cap) are read from the
+    Thresholds (``cm``, §V-C bandwidth, candidate cap) are read from the
     :class:`MigrationEngine` so batched and per-hold decisions share one
     configuration.
     """
 
     def __init__(
         self,
-        allocation: Allocation,
-        traffic: TrafficMatrix,
         engine: MigrationEngine,
         fast: FastCostEngine,
         record_waves: bool = False,
@@ -240,11 +236,6 @@ class BatchedRoundEngine:
         :class:`repro.util.profiling.PhaseTimings` accumulating per-phase
         wall clock (score / re-mask / plan / wave-apply / adjust /
         settle)."""
-        if not fast.is_bound_to(allocation, traffic):
-            raise ValueError(
-                "fast engine is not bound to the scheduler's allocation/traffic"
-            )
-        self._allocation = allocation
         self._engine = engine
         self._fast = fast
         self._record_waves = record_waves
@@ -338,7 +329,7 @@ class BatchedRoundEngine:
         engine = self._engine
         cm = engine.migration_cost
         threshold = engine.bandwidth_threshold
-        n_hosts = self._allocation.cluster.n_servers
+        n_hosts = self._fast.allocation.cluster.n_servers
 
         while positions.size:
             t0 = self._tick()
@@ -426,8 +417,8 @@ class BatchedRoundEngine:
         engine state, so the cached and uncached loops (which share this
         path after bailing out) produce bit-identical trajectories.
         """
-        allocation = self._allocation
         fast = self._fast
+        allocation = fast.allocation
         while True:
             undecided = np.nonzero(result.decisions.reason < 0)[0]
             if undecided.size == 0:
@@ -494,7 +485,7 @@ class BatchedRoundEngine:
         pos_of[dense_order] = np.arange(n, dtype=np.int64)
         cm = engine.migration_cost
         threshold = engine.bandwidth_threshold
-        n_hosts = self._allocation.cluster.n_servers
+        n_hosts = self._fast.allocation.cluster.n_servers
         ptr = batch.ptr
         pod_of_host = fast._pod_of
 

@@ -165,15 +165,6 @@ class SchedulerReport:
         return [(it.index, it.migrated_ratio) for it in self.iterations]
 
 
-def _check_placed(traffic: TrafficMatrix, allocation: Allocation) -> None:
-    missing = traffic.vms_with_traffic - set(allocation.vm_ids())
-    if missing:
-        raise ValueError(
-            f"traffic references VMs absent from the allocation: "
-            f"{sorted(missing)[:5]}..."
-        )
-
-
 class SCOREScheduler:
     """Runs the token-driven S-CORE algorithm over an allocation."""
 
@@ -192,11 +183,14 @@ class SCOREScheduler:
         n_workers: int = 1,
     ) -> None:
         """
-        The first :meth:`run` builds a
+        Construction builds a
         :class:`repro.core.fastcost.FastCostEngine` over the allocation and
-        traffic, attaches it to the migration engine, and threads it through
-        the token loop — batched candidate scoring, O(peers) incremental
-        cost updates, and vectorized highest-level queries for the policy.
+        traffic (binding the matrix's store; traffic on VMs the allocation
+        does not place raises ``ValueError``) and attaches it to the
+        migration engine.  Every write goes through it, and every round
+        threads it through the token loop — batched candidate scoring,
+        O(peers) incremental cost updates, and vectorized highest-level
+        queries for the policy.
         Every round takes its visit order from the policy
         (:meth:`~repro.core.policies.TokenPolicy.round_order`: RR's
         rotation, HLF's priority snapshot, LRV's queue, a random
@@ -229,7 +223,6 @@ class SCOREScheduler:
         tear the fleet down deterministically.
         """
         check_positive("token_interval_s", token_interval_s)
-        _check_placed(traffic, allocation)
         topology = allocation.topology
         if use_sharding and not isinstance(topology, CanonicalTree):
             raise ValueError(
@@ -248,13 +241,19 @@ class SCOREScheduler:
         self._n_workers = n_workers
         self._shard_coordinator = None
         self._shard_solve_hints: dict = {}
-        # Built lazily on the first run() — churn and traffic updates before
-        # that point then cost nothing, and the run-start sync isn't paid
-        # twice for a freshly constructed scheduler.
-        self._fast: Optional[FastCostEngine] = None
         self._profile = None
         self._saved_capacity: dict = {}
         self._recovered_from: Optional[str] = None
+        self._build_engine()
+
+    def _build_engine(self) -> None:
+        """Bind a fast engine to the allocation and traffic and attach it
+        to the migration engine."""
+        self._fast = FastCostEngine(
+            self._allocation, self._traffic,
+            weights=self._engine.cost_model.weights,
+        )
+        self._engine.attach_fastcost(self._fast)
 
     @property
     def allocation(self) -> Allocation:
@@ -287,9 +286,9 @@ class SCOREScheduler:
         return self._engine.cost_model
 
     @property
-    def fastcost(self) -> Optional[FastCostEngine]:
-        """The vectorized engine threaded through the loop (None before the
-        first run, and always on the naive oracle)."""
+    def fastcost(self) -> FastCostEngine:
+        """The vectorized engine every write and round goes through, bound
+        to :attr:`allocation` and :attr:`traffic` from construction on."""
         return self._fast
 
     def traffic_snapshot(self) -> TrafficSnapshot:
@@ -413,22 +412,13 @@ class SCOREScheduler:
         )
 
     def _prepare_engines(self) -> CostModel:
-        """Build/resync the fast engine; return the active cost model.
+        """Resync the fast engine if needed; return the active cost model.
 
         Policies take it in place of a :class:`CostModel` — the fast
         engine answers ``highest_level`` and ``total_cost`` from its
         arrays with the same signature.
         """
-        if self._fast is None:
-            self._fast = FastCostEngine(
-                self._allocation,
-                self._traffic,
-                weights=self._engine.cost_model.weights,
-            )
-            self._engine.attach_fastcost(self._fast)
-        elif self._fast.traffic is not self._traffic:
-            self._fast.update_traffic(self._traffic)
-        elif not self._fast.in_sync:
+        if not self._fast.in_sync:
             # Some writer bypassed the engine's update path since the
             # last run (direct allocation moves, out-of-band set_rate):
             # pay one full resync.  Mutations routed through the
@@ -465,10 +455,8 @@ class SCOREScheduler:
         every iteration-end cost re-anchors from the engine's exact
         incremental total, so ``final_cost`` is exact.
         """
-        assert self._fast is not None
         rounds = self._rounds_class(
-            self._allocation, self._traffic, self._engine, self._fast,
-            profile=self._profile,
+            self._engine, self._fast, profile=self._profile
         )
         cost = cost_model.total_cost(self._allocation, self._traffic)
         report = SchedulerReport(initial_cost=cost, final_cost=cost)
@@ -548,7 +536,6 @@ class SCOREScheduler:
         """
         from repro.shard import ShardedCoordinator
 
-        assert self._fast is not None
         coordinator = self._shard_coordinator
         if coordinator is not None and coordinator.stale:
             self._close_shard_fleet()
@@ -559,8 +546,6 @@ class SCOREScheduler:
             if n_domains is None:
                 n_domains = min(16, n_pods)
             coordinator = ShardedCoordinator(
-                self._allocation,
-                self._traffic,
                 self._engine,
                 self._fast,
                 self._policy,
@@ -593,8 +578,7 @@ class SCOREScheduler:
         """Write mutations to this scheduler's stack, then forward them
         to the live fleet in one batch — or tear down a fleet that is
         stale or cannot absorb them.  Returns the last one's result."""
-        stack = Stack(self._allocation, self._traffic, self._fast,
-                      self._engine, self._token)
+        stack = Stack(self._fast, self._engine, self._token)
         for mutation in mutations:
             result = mutation.apply(stack)
         coordinator = self._shard_coordinator
@@ -630,7 +614,12 @@ class SCOREScheduler:
             "_shard_policy_factory",
         ):
             state.pop(obsolete, None)
+        # One pickled before it ever ran, while the engine was built on
+        # the first run (an older bootstrap generation), carries none.
+        unbound = state.get("_fast") is None
         self.__dict__.update(state)
+        if unbound:
+            self._build_engine()
 
     def _run_sharded(
         self,
@@ -658,7 +647,6 @@ class SCOREScheduler:
         pump (or ``stop_when_stable``) could change what the next
         iteration is.
         """
-        assert self._fast is not None
         # The global fast engine is authoritative for the whole sharded
         # run (merge and reconcile maintain it move by move), so anchor
         # the report on it too — the naive O(pairs × levels) recompute
@@ -866,9 +854,8 @@ class SCOREScheduler:
         ``changed_pairs`` holds ``(vm_u, vm_v, new_rate)`` triples (or a
         ``(us, vs, rates)`` array tuple) with absolute new rates; 0
         removes a pair.  One write: through the fast engine, which
-        splices the matrix's store it shares and shifts its caches, or
-        straight into the matrix before the first run — so the
-        sliding-window re-estimation of §IV costs O(changed pairs)
+        splices the matrix's store it shares and shifts its caches — so
+        the sliding-window re-estimation of §IV costs O(changed pairs)
         instead of the full O(pairs) rebuild `update_traffic` pays.
         Returns the number of pair changes applied.
         """
@@ -984,10 +971,11 @@ class SCOREScheduler:
         The token and allocation persist; only λ changes, modelling the
         periodic re-estimation of §IV.  This is the full-rebuild path —
         prefer :meth:`apply_traffic_delta` when the change set is known.
+        A matrix the engine refuses (bound to another allocation, or with
+        traffic on VMs not placed here) raises ``ValueError`` and changes
+        nothing.
         """
-        _check_placed(traffic, self._allocation)
+        self._fast.update_traffic(traffic)
         self._traffic = traffic
         # The fleet's domain matrices were sliced from the old estimate.
         self._close_shard_fleet()
-        if self._fast is not None:
-            self._fast.update_traffic(traffic)

@@ -10,9 +10,10 @@ The readable versions they replaced survive here, once each:
   decision per hold, the policy's ``on_hold`` / ``next_vm`` after every
   decision, events pumped at round boundaries only.  Hooked in through
   the scheduler's one round method, ``_run_batched``.
-* :class:`NaiveScheduler` — the per-hold loop on the naive
+* :class:`NaiveScheduler` — the per-hold loop scored on the naive
   :class:`~repro.core.cost.CostModel` (the executable statement of
-  Eq. 1–2 and Lemma 3); never builds the fast engine.
+  Eq. 1–2 and Lemma 3); it scores naively and writes through the
+  engine, like every scheduler.
 * :class:`UncachedScheduler` — wave rounds through the uncached wave
   loop, the twin the round cache is pinned bit-exact against.
 * :func:`run_at_boundaries` — an event runner whose due events all
@@ -36,6 +37,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.cost import CostModel
+from repro.core.migration import MigrationDecision
+from repro.core.mutation import Migrate
 from repro.core.rounds import BatchedRoundEngine, DecisionColumns, RoundResult
 from repro.core.scheduler import IterationStats, SchedulerReport, SCOREScheduler
 from repro.sim.experiment import (
@@ -89,9 +92,7 @@ class PerHoldScheduler(SCOREScheduler):
             n_vms = len(self._token)
             decisions = []
             for _visit in range(n_vms):
-                decision = self._engine.decide_and_migrate(
-                    self._allocation, self._traffic, holder
-                )
+                decision = self._hold(holder)
                 decisions.append(decision)
                 if decision.migrated:
                     cost -= decision.delta
@@ -134,13 +135,30 @@ class PerHoldScheduler(SCOREScheduler):
         report.next_holder = holder
         return report
 
+    def _hold(self, holder: int) -> MigrationDecision:
+        """One Theorem 1 decision, performed when it holds."""
+        return self._engine.decide_and_migrate(
+            self._allocation, self._traffic, holder
+        )
+
 
 class NaiveScheduler(PerHoldScheduler):
-    """The per-hold loop on the naive :class:`CostModel`: every decision
-    through python per-pair math."""
+    """The per-hold loop on the naive :class:`CostModel`: it scores
+    naively, writes through the engine.  Every decision, the cost anchor
+    and the policy's level queries run python per-pair math; each move
+    is a :class:`~repro.core.mutation.Migrate` like any other write."""
 
-    def _prepare_engines(self) -> CostModel:
-        return self._engine.cost_model
+    def _run_batched(self, cost_model: CostModel, *args) -> SchedulerReport:
+        return super()._run_batched(self._engine.cost_model, *args)
+
+    def _hold(self, holder: int) -> MigrationDecision:
+        decision = self._engine._evaluate_naive(
+            self._allocation, self._traffic, holder
+        )
+        if decision.target_host is None:
+            return decision
+        self._apply(Migrate(holder, decision.target_host))
+        return decision._replace(migrated=True, reason="migrated")
 
 
 class _UncachedRounds(BatchedRoundEngine):

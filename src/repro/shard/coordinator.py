@@ -73,8 +73,6 @@ class ShardedCoordinator:
 
     def __init__(
         self,
-        allocation,
-        traffic,
         engine,
         fast,
         policy,
@@ -83,8 +81,6 @@ class ShardedCoordinator:
         solve_hints: Optional[Dict[int, float]] = None,
         profile=None,
     ) -> None:
-        self._allocation = allocation
-        self._traffic = traffic
         self._engine = engine
         self._fast = fast
         self._profile = profile
@@ -92,9 +88,10 @@ class ShardedCoordinator:
         #: scheduler rebuilds a stale coordinator before its next run.
         self.stale = False
 
+        allocation = fast.allocation
         t0 = time.perf_counter()
         self.partition = build_partition(
-            allocation, traffic, allocation.topology, n_domains
+            allocation, fast.traffic, allocation.topology, n_domains
         )
         self._lap("partition", t0)
 
@@ -187,7 +184,7 @@ class ShardedCoordinator:
             self._profile.add("domain-solve", max(0.0, total_s - merge_s))
             self._profile.gauge("shard-imbalance", self._measure_imbalance())
         return ShardedIteration(
-            visits=self._allocation.n_vms,
+            visits=self._fast.allocation.n_vms,
             migrations=migrations,
             waves=waves,
             cost_at_end=float(self._fast.total_cost()),
@@ -229,7 +226,7 @@ class ShardedCoordinator:
 
     def refresh_boundary(self) -> np.ndarray:
         """Boundary VMs recomputed from the live traffic and population."""
-        us, vs, _rates = self._traffic.pair_arrays()
+        us, vs, _rates = self._fast.traffic.pair_arrays()
         du, dv = lookup(self._domain_of_vm, us), lookup(self._domain_of_vm, vs)
         cross = (du != dv) | (du < 0)
         return np.unique(np.concatenate([us[cross], vs[cross]]))
@@ -243,8 +240,6 @@ class ShardedCoordinator:
         """
         t0 = time.perf_counter()
         outcome = reconcile_boundary(
-            self._allocation,
-            self._traffic,
             self._engine,
             self._fast,
             self.refresh_boundary(),

@@ -162,11 +162,7 @@ class ShardDomain:
         )
         self.engine.attach_fastcost(self.fast)
         self.rounds = BatchedRoundEngine(
-            self.allocation,
-            self.traffic,
-            self.engine,
-            self.fast,
-            record_waves=True,
+            self.engine, self.fast, record_waves=True
         )
         self.holder: Optional[int] = None
         self._n_intra_pairs = int(len(intra_pairs[0]))

@@ -47,8 +47,6 @@ class ReconcileOutcome:
 
 
 def reconcile_boundary(
-    allocation,
-    traffic,
     engine,
     fast,
     boundary_vms: np.ndarray,
@@ -59,6 +57,7 @@ def reconcile_boundary(
     """Re-score and re-gate the boundary VMs on the global engine."""
     boundary = np.asarray(boundary_vms, dtype=np.int64)
     # Boundary VMs may have churned away since the partition was built.
+    allocation = fast.allocation
     boundary = np.array(
         [v for v in boundary.tolist() if v in allocation], dtype=np.int64
     )
@@ -67,8 +66,7 @@ def reconcile_boundary(
     if boundary.size == 0 or fast.snapshot.n_vms == 0:
         return outcome
     rounds = BatchedRoundEngine(
-        allocation, traffic, engine, fast, profile=profile,
-        record_waves=record_moves,
+        engine, fast, profile=profile, record_waves=record_moves
     )
     for _ in range(max_passes):
         result = rounds.run_round(boundary.tolist())

@@ -210,7 +210,7 @@ class TrafficSnapshot:
             u, v = self.pair_u[bad], self.pair_v[bad]
             missing = old[u] if not known[u] else old[v]
             raise ValueError(
-                f"traffic references VM {missing} outside the snapshot population"
+                f"traffic references VM {missing}, absent from the population"
             )
         entry = known[self.row] & known[self.peer]
         view = TrafficSnapshot.__new__(TrafficSnapshot)

@@ -168,8 +168,6 @@ def check_engine_invariants(
         )
 
     fast = scheduler.fastcost
-    if fast is None:
-        return
     if not fast.in_sync:
         fail("engine-sync", "fast engine out of sync (bypassed update path)")
     snap = fast.snapshot

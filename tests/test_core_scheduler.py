@@ -12,6 +12,11 @@ from repro import (
     SPARSE,
     TrafficMatrix,
 )
+from repro.sim.experiment import (
+    ExperimentConfig,
+    build_environment,
+    make_scheduler,
+)
 
 
 def build_scheduler(populated, cost_model, policy=None, **engine_kwargs):
@@ -162,6 +167,28 @@ class TestTrafficUpdates:
         report = scheduler.run(n_iterations=1)
         assert report.initial_cost == pytest.approx(expected)
 
+    def test_a_refused_swap_changes_nothing(self):
+        """A matrix bound to another scheduler's allocation is refused
+        before anything is adopted: the matrix, the engine's total and
+        the next round stay exactly what an untouched twin has."""
+        a, twin, b = (
+            make_scheduler(build_environment(ExperimentConfig(seed=seed)))
+            for seed in (1, 1, 2)
+        )
+        for scheduler in (a, twin, b):
+            scheduler.run(n_iterations=1)
+        traffic, total = a.traffic, a.fastcost.total_cost()
+        with pytest.raises(ValueError, match="another allocation"):
+            a.update_traffic(b.traffic)
+        assert a.traffic is traffic and a.fastcost.traffic is traffic
+        assert a.fastcost.total_cost() == total
+        got, want = a.run(n_iterations=1), twin.run(n_iterations=1)
+        assert got.final_cost == want.final_cost
+        assert list(got.decisions) == list(want.decisions)
+        assert got.final_cost == pytest.approx(
+            a.fastcost.recompute_total_cost(), rel=1e-9
+        )
+
     def test_unknown_vm_in_traffic_rejected(self, populated, cost_model):
         allocation, traffic, _ = populated
         scheduler = build_scheduler((allocation, traffic, None), cost_model)
@@ -182,31 +209,28 @@ class TestTrafficUpdates:
 
 class TestHostResize:
     @pytest.mark.parametrize("kwargs", [dict(ram_mb=1), dict(cpu=0.01)])
-    def test_shrink_below_usage_is_refused_with_or_without_an_engine(
+    def test_shrink_below_usage_is_refused_changing_nothing(
         self, populated, cost_model, kwargs
     ):
-        """One usage check for every resize path: before its first run a
-        scheduler has no engine, and it refuses a busy host's RAM or CPU
-        shrink, changing nothing, exactly as it does after a run."""
+        """A busy host's RAM or CPU shrink is refused with the
+        allocation's own usage message, and changes nothing — capacity,
+        placement or the engine's total."""
         allocation = populated[0]
         scheduler = build_scheduler(populated, cost_model)
-
-        def refusal():
-            host = next(
-                h for h in range(allocation.cluster.n_servers)
-                if allocation.vms_on(h)
-            )
-            capacity = allocation.cluster.server(host).capacity
-            placement = allocation.as_dict()
-            with pytest.raises(ValueError) as caught:
-                scheduler.set_host_capacity(host, **kwargs)
-            assert allocation.cluster.server(host).capacity == capacity
-            assert allocation.as_dict() == placement
-            allocation.validate()
-            return str(caught.value).replace(f"host {host} ", "host * ")
-
-        assert scheduler.fastcost is None
-        without_engine = refusal()
-        scheduler.run(n_iterations=1)
-        assert scheduler.fastcost is not None
-        assert refusal() == without_engine
+        host = next(
+            h for h in range(allocation.cluster.n_servers)
+            if allocation.vms_on(h)
+        )
+        with pytest.raises(ValueError) as direct:
+            allocation.copy().set_host_capacity(host, **kwargs)
+        capacity = allocation.cluster.server(host).capacity
+        placement = allocation.as_dict()
+        total = scheduler.fastcost.total_cost()
+        with pytest.raises(ValueError) as caught:
+            scheduler.set_host_capacity(host, **kwargs)
+        assert str(caught.value) == str(direct.value)
+        assert allocation.cluster.server(host).capacity == capacity
+        assert allocation.as_dict() == placement
+        assert scheduler.fastcost.total_cost() == total
+        assert scheduler.fastcost.in_sync
+        allocation.validate()

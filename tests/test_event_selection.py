@@ -1,11 +1,13 @@
 """Array-backed event selection vs. its scalar definitions.
 
 ``Arrival``, ``Retirement`` and ``TrafficSurge`` pick VMs and pairs from
-``SCOREScheduler.traffic_snapshot()`` — the fast engine's arrays when it
-is in sync, arrays built from the matrix otherwise.  The scalar
-definitions (``TrafficMatrix.vm_load`` / ``pairs()`` under python
-``sorted``) are the oracle here: same picks, same tie-breaks, on both
-sources, and the same picks from either source after churn and drift.
+``SCOREScheduler.traffic_snapshot()`` — the store the fast engine binds
+while it is indexed over the live population, a view re-indexed onto the
+token's ids after a foreign write re-created the allocation's id column.
+The scalar definitions (``TrafficMatrix.vm_load`` / ``pairs()`` under
+python ``sorted``) are the oracle here: same picks, same tie-breaks, on
+every source, and the same picks from either source after churn and
+drift.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from repro.traffic.matrix import TrafficMatrix
 #: 8 racks x 2 hosts x 4 slots at 60 % fill: 38 VMs, arrivals never clip.
 SMALL = dict(n_racks=8, hosts_per_rack=2, vms_per_host=4, fill_fraction=0.6)
 
-#: How the snapshot is served: by the in-sync engine, by the matrix
-#: because no engine exists yet, or by the matrix because an out-of-band
-#: edit left the engine behind.
-SOURCES = ("engine", "no-engine", "out-of-sync")
+#: How the snapshot is served: by the in-sync engine's store, by a view
+#: re-indexed onto the token's ids after a foreign write re-created the
+#: allocation's id column, or by the store after an out-of-band rate edit
+#: left the engine behind.
+SOURCES = ("engine", "re-indexed", "out-of-sync")
 
 
 @st.composite
@@ -63,14 +66,28 @@ def build(drawn, source):
     matrix.apply_delta([(u, v, 0.0) for u, v, _ in list(matrix.pairs())])
     matrix.apply_delta([(ids[u], ids[v], rate) for u, v, rate in pairs])
     scheduler = make_scheduler(env)
-    if source != "no-engine":
+    if source == "re-indexed":
+        reindex_behind_the_engine(scheduler)
+    else:
         scheduler.run(n_iterations=1)
     if source == "out-of-sync":
         matrix.set_rate(ids[0], ids[1], 8.0)
         assert not scheduler.fastcost.in_sync
-    else:
-        assert (scheduler.fastcost is not None) == (source == "engine")
+    elif source == "engine":
+        assert scheduler.traffic_snapshot() is matrix.store
     return env, scheduler, EventQueueRunner(scheduler, environment=env)
+
+
+def reindex_behind_the_engine(scheduler):
+    """Take a VM out of the allocation and put it back, bypassing the
+    engine: same population, a new id column, so the snapshot is served
+    as a view re-indexed onto the token's ids."""
+    allocation = scheduler.allocation
+    vm_id = min(allocation.vm_ids())
+    vm, host = allocation.vm(vm_id), allocation.server_of(vm_id)
+    allocation.remove_vms([vm_id])
+    allocation.add_vms([vm], [host])
+    assert scheduler.traffic_snapshot() is not scheduler.traffic.store
 
 
 def scalar_retirement(scheduler, count, pick):
@@ -156,21 +173,23 @@ def test_ranking_primitives_break_ties_like_sorted():
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_engine_and_matrix_sources_agree_through_churn_and_drift(seed):
-    """Twin systems, one served by a delta-patched engine and one by the
-    matrix alone, fed one script of surges (non-dyadic rates, so load
-    sums depend on summation order), drift, arrivals and load-ranked
-    retirements: the same VMs and pairs are picked at every step."""
+def test_bound_and_reindexed_sources_agree_through_churn_and_drift(seed):
+    """Twin systems, one served by the delta-patched engine's store and
+    one by the view re-indexed after a foreign write, fed one script of
+    surges (non-dyadic rates, so load sums depend on summation order),
+    drift, arrivals and load-ranked retirements: the same VMs and pairs
+    are picked at every step."""
 
-    def twin(fastcost):
+    def twin(bound):
         env = build_environment(ExperimentConfig(seed=seed, **SMALL))
         scheduler = make_scheduler(env)
-        if fastcost:  # a never-run scheduler has no engine yet
+        if bound:
             scheduler.run(n_iterations=1)
+        else:
+            reindex_behind_the_engine(scheduler)
         return env, scheduler, EventQueueRunner(scheduler, environment=env)
 
     live, bare = twin(True), twin(False)
-    assert live[1].fastcost is not None and bare[1].fastcost is None
     script = [
         lambda: TrafficSurge(1.37, top_pairs=6),
         lambda: Arrival(3, rate=333.3),
@@ -189,6 +208,8 @@ def test_engine_and_matrix_sources_agree_through_churn_and_drift(seed):
                 ])
             assert make_event().apply(runner, 0.0)
         assert live[1].fastcost.in_sync
+        assert live[1].traffic_snapshot() is live[0].traffic.store
+        assert bare[1].traffic_snapshot() is not bare[0].traffic.store
         assert sorted(live[0].traffic.pairs()) == sorted(bare[0].traffic.pairs())
         assert set(live[0].allocation.vm_ids()) == set(bare[0].allocation.vm_ids())
 

@@ -25,11 +25,13 @@ from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.rounds import BatchedRoundEngine
 from repro.core.scheduler import SCOREScheduler
+from repro.reference import NaiveScheduler, PerHoldScheduler, UncachedScheduler
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
     make_scheduler,
 )
+from repro.util.validation import check_engine_invariants
 
 SMALL = ExperimentConfig(
     n_racks=8, hosts_per_rack=2, tors_per_agg=4, n_cores=2,
@@ -112,7 +114,7 @@ def test_a_partial_order_leaves_the_round_cache_untouched():
     cache = fast.round_cache()
     seen, rescored = cache.owners_seen, cache.owners_rescored
     order = sorted(env.allocation.vm_ids())[::2]
-    rounds = BatchedRoundEngine(env.allocation, env.traffic, engine, fast)
+    rounds = BatchedRoundEngine(engine, fast)
     result = rounds.run_round(order)
     assert len(result.decisions) == len(order)
     assert (cache.owners_seen, cache.owners_rescored) == (seen, rescored)
@@ -178,8 +180,12 @@ def test_a_sharded_scheduler_survives_a_pickle_round_trip():
 
 def test_a_restored_scheduler_drops_the_old_path_switches():
     """Snapshots pickled while the switches existed carry them; a
-    restored scheduler sheds them instead of re-pickling dead state."""
-    scheduler = make_scheduler(build_environment(SMALL))
+    restored scheduler sheds them instead of re-pickling dead state.  A
+    scheduler pickled before it ever ran, while the engine was still
+    built on the first run, carries ``_fast=None`` (every state
+    directory's bootstrap generation did): it restores with a bound
+    engine and runs exactly as a twin that was never pickled."""
+    want = make_scheduler(build_environment(SMALL)).run(n_iterations=1)
     obsolete = dict(
         _use_fastcost=True,
         _use_batched_rounds=True,
@@ -188,10 +194,58 @@ def test_a_restored_scheduler_drops_the_old_path_switches():
         _shard_transport="pipe",
         _shard_policy_factory=None,
     )
-    vars(scheduler).update(obsolete)
-    restored = pickle.loads(pickle.dumps(scheduler))
-    assert not set(obsolete) & set(vars(restored))
-    assert restored.run(n_iterations=1).iterations[0].waves > 0
+    for old_state in (obsolete, dict(_fast=None)):
+        scheduler = make_scheduler(build_environment(SMALL))
+        vars(scheduler).update(old_state)
+        if "_fast" in old_state:
+            scheduler._engine.attach_fastcost(None)
+        restored = pickle.loads(pickle.dumps(scheduler))
+        assert not set(obsolete) & set(vars(restored))
+        _assert_bound(restored)
+        got = restored.run(n_iterations=1)
+        assert got.iterations[0].waves > 0
+        assert got.final_cost == want.final_cost
+        assert list(got.decisions) == list(want.decisions)
+
+
+def _assert_bound(scheduler):
+    """The scheduler's engine binds its own allocation and matrix, is the
+    one its migration engine scores through, and agrees with them."""
+    fast = scheduler.fastcost
+    assert fast.allocation is scheduler.allocation
+    assert fast.traffic is scheduler.traffic
+    assert scheduler._engine.fastcost is fast
+    check_engine_invariants(scheduler, deep=True)
+
+
+ORACLES = {
+    "per-hold": PerHoldScheduler,
+    "naive": NaiveScheduler,
+    "uncached": UncachedScheduler,
+}
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded", *ORACLES])
+def test_a_never_run_scheduler_is_bound_from_construction(kind):
+    """The fast engine exists from construction, on production (single
+    domain and sharded) and on every oracle; the naive oracle writes
+    through it, so it still agrees with its allocation after running."""
+    config = SMALL.with_(sharding=True, shard_domains=2) if (
+        kind == "sharded"
+    ) else SMALL
+    scheduler = make_scheduler(build_environment(config))
+    if kind in ORACLES:
+        scheduler = ORACLES[kind](
+            scheduler.allocation, scheduler.traffic, scheduler._policy,
+            MigrationEngine(scheduler.cost_model),
+        )
+    try:
+        _assert_bound(scheduler)
+        if kind == "naive":
+            scheduler.run(n_iterations=2)
+            _assert_bound(scheduler)
+    finally:
+        scheduler.close()
 
 
 def _imported_modules(node: ast.AST, package: str):

@@ -69,7 +69,7 @@ class TestDeltaSumExactness:
         ).run(n_iterations=5)
         naive_report = NaiveScheduler(
             alloc_naive,
-            traffic,
+            traffic.copy(),  # another allocation binds its own matrix
             HighestLevelFirstPolicy(),
             MigrationEngine(cost_model),
         ).run(n_iterations=5)

@@ -158,12 +158,10 @@ def _crossing_stack():
         (1, 5, GBPS / 11), (2, 3, GBPS / 13), (2, 5, GBPS * 0.7),
         (6, 7, GBPS * 1.3),
     ])
-    scheduler = SCOREScheduler(
+    return SCOREScheduler(
         allocation, traffic, policy_by_name("rr"),
         MigrationEngine(CostModel(tree)),
     )
-    scheduler._prepare_engines()
-    return scheduler
 
 
 def test_fully_localized_host_keeps_residue_not_a_violation():

@@ -75,9 +75,7 @@ def run_batched_round(allocation, traffic, model, **engine_kw):
     engine = MigrationEngine(model, **engine_kw)
     fast = FastCostEngine(allocation, traffic, weights=model.weights)
     engine.attach_fastcost(fast)
-    rounds = BatchedRoundEngine(
-        allocation, traffic, engine, fast, record_waves=True
-    )
+    rounds = BatchedRoundEngine(engine, fast, record_waves=True)
     return rounds.run_round(sorted(allocation.vm_ids()))
 
 
