@@ -9,13 +9,10 @@
     OpenFlow-style link monitoring, migrates VMs off congested links to
     *balance* utilization, with a page-dirty-rate migration-cost model
     (§VI-B / Fig. 4 comparison).
-:mod:`repro.baselines.static`
-    Non-adaptive references: no-migration and random-shuffle.
 """
 
 from repro.baselines.ga import GAConfig, GAResult, GeneticOptimizer
 from repro.baselines.remedy import RemedyConfig, RemedyController, RemedyReport
-from repro.baselines.static import no_migration_cost, random_shuffle_cost
 
 __all__ = [
     "GAConfig",
@@ -24,6 +21,4 @@ __all__ = [
     "RemedyConfig",
     "RemedyController",
     "RemedyReport",
-    "no_migration_cost",
-    "random_shuffle_cost",
 ]

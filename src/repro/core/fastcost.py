@@ -249,7 +249,8 @@ class FastCostEngine:
     store on every use, never copied.  What the engine owns is the Eq. 2
     total and §V-C egress caches.  Its mutators make the bound objects
     write themselves — :meth:`apply_migration`/:meth:`apply_moves` for
-    moves (the scheduler and :class:`repro.core.migration.MigrationEngine`
+    moves (the scheduler and
+    :meth:`repro.core.migration.MigrationEngine.decide_and_migrate`
     route them here), :meth:`add_vms`/:meth:`remove_vms` for tenant churn,
     :meth:`apply_traffic_delta` for λ — and shift the caches.  A writer
     that bypasses them leaves the caches stale until :meth:`rebuild`; the
@@ -346,10 +347,6 @@ class FastCostEngine:
 
     _snap = snapshot
 
-    def is_bound_to(self, allocation: Allocation, traffic: TrafficMatrix) -> bool:
-        """Whether this engine's caches describe the given pair of objects."""
-        return allocation is self._allocation and traffic is self._traffic
-
     def _check_bound(
         self, allocation: Optional[Allocation], traffic: Optional[TrafficMatrix]
     ) -> None:
@@ -361,20 +358,8 @@ class FastCostEngine:
         if traffic is not None and traffic is not self._traffic:
             raise ValueError(
                 "FastCostEngine is bound to a different traffic matrix; "
-                "call update_traffic() first"
+                "write new rates through apply_traffic_delta()"
             )
-
-    def update_traffic(self, traffic: TrafficMatrix) -> None:
-        """Bind a new traffic matrix and rebuild the caches.
-
-        The matrix binds before anything is assigned, so one that refuses
-        (bound to another allocation, or with traffic on VMs this
-        allocation does not place) raises ``ValueError`` and leaves the
-        engine on its old matrix.
-        """
-        traffic.bind(self._allocation)
-        self._traffic = traffic
-        self.rebuild()
 
     def rebuild(self) -> None:
         """Rebind the store and re-derive every cache from it.
@@ -696,7 +681,7 @@ class FastCostEngine:
         """Aggregate NIC-crossing rate of ``host`` (bytes/second).
 
         Maintained incrementally across migrations; agrees with the naive
-        :meth:`repro.core.migration.MigrationEngine.host_egress_rate` to
+        per-VM egress walk of :mod:`repro.reference` to
         within float-summation reordering.
         """
         return float(self._egress[host])
@@ -746,7 +731,7 @@ class FastCostEngine:
 
         For every VM in ``dense_vms`` (dense snapshot indices), enumerates
         the candidate targets in the exact naive probing order of
-        :meth:`repro.core.migration.MigrationEngine.candidate_hosts` and
+        :func:`repro.reference.evaluate_naive` and
         scores every (VM, candidate) move in one chunked vectorized pass.
         The expansion is ``Σ_u candidates(u) × degree(u)`` rows, chunked
         to stay bounded.
@@ -973,9 +958,8 @@ class FastCostEngine:
         validation; §V-C is the target's egress plus the owner's flows
         that would start crossing its NIC, minus those to VMs already
         there (which drop off it), against ``bandwidth_threshold`` of the
-        line rate — :meth:`MigrationEngine.bandwidth_feasible
-        <repro.core.migration.MigrationEngine.bandwidth_feasible>` in one
-        mask.
+        line rate — the per-candidate §V-C probe of
+        :func:`repro.reference.evaluate_naive` in one mask.
         """
         hosts = batch.host
         if self._uniform_vm:

@@ -18,10 +18,8 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.cluster.allocation import Allocation
 from repro.core.cost import CostModel
 from repro.core.fastcost import CandidateBatch, FastCostEngine
-from repro.traffic.matrix import TrafficMatrix
 from repro.util.validation import check_non_negative
 
 
@@ -118,7 +116,13 @@ class MigrationDecision(NamedTuple):
 
 
 class MigrationEngine:
-    """Evaluates and (optionally) executes S-CORE migrations."""
+    """Theorem 1's settings (``cm``, the §V-C budget, the candidate cap)
+    and the gate that turns scored candidates into decisions.
+
+    Every decision takes the :class:`~repro.core.fastcost.FastCostEngine`
+    it scores on as an argument.  The readable per-candidate statement of
+    the same decision is :func:`repro.reference.evaluate_naive`.
+    """
 
     def __init__(
         self,
@@ -155,7 +159,12 @@ class MigrationEngine:
         self._migration_cost = migration_cost
         self._bandwidth_threshold = bandwidth_threshold
         self._max_candidates = max_candidates
-        self._fastcost: Optional[FastCostEngine] = None
+
+    def __setstate__(self, state) -> None:
+        # Snapshots of older layouts pickled the attached fast engine
+        # here; decisions take it as an argument, so it is dropped.
+        state.pop("_fastcost", None)
+        self.__dict__.update(state)
 
     @property
     def cost_model(self) -> CostModel:
@@ -192,185 +201,7 @@ class MigrationEngine:
         """Cap on probed candidate servers per decision (None = unlimited)."""
         return self._max_candidates
 
-    @property
-    def fastcost(self) -> Optional[FastCostEngine]:
-        """The attached vectorized engine, if any."""
-        return self._fastcost
-
-    def attach_fastcost(self, engine: Optional[FastCostEngine]) -> None:
-        """Attach (or detach, with ``None``) a vectorized cost engine.
-
-        When the engine is bound to the (allocation, traffic) pair a call
-        operates on, :meth:`evaluate` scores the VM through the engine's
-        batched candidate scorer and :meth:`decide_and_migrate` moves the
-        VM through the engine, which keeps its caches in step; other
-        calls take the naive per-pair path.
-        """
-        if engine is not None and engine.topology is not self._cost_model.topology:
-            raise ValueError(
-                "fast engine and cost model disagree on the topology instance"
-            )
-        self._fastcost = engine
-
-    # -- candidate generation ----------------------------------------------------
-
-    def candidate_hosts(
-        self, allocation: Allocation, traffic: TrafficMatrix, vm_u: int
-    ) -> List[int]:
-        """Candidate target servers for VM u, in probing order.
-
-        Peers are ranked highest communication level first (heaviest traffic
-        first within a level, §V-B5); each contributes its own server first,
-        then the remaining servers of its rack (same level-1 benefit when
-        the peer's server itself is full).
-        """
-        source = allocation.server_of(vm_u)
-        topo = self._cost_model.topology
-        peer_rates = traffic.peer_rates(vm_u)
-        ranked = sorted(
-            peer_rates.items(),
-            key=lambda item: (
-                -topo.level_between(source, allocation.server_of(item[0])),
-                -item[1],
-                item[0],
-            ),
-        )
-        seen = {source}
-        candidates: List[int] = []
-        for peer, _rate in ranked:
-            peer_host = allocation.server_of(peer)
-            if peer_host not in seen:
-                seen.add(peer_host)
-                candidates.append(peer_host)
-            for host in topo.hosts_in_rack(topo.rack_of(peer_host)):
-                if host not in seen:
-                    seen.add(host)
-                    candidates.append(host)
-            if self._max_candidates and len(candidates) >= self._max_candidates:
-                return candidates[: self._max_candidates]
-        return candidates
-
-    # -- feasibility ----------------------------------------------------------------
-
-    def host_egress_rate(
-        self, allocation: Allocation, traffic: TrafficMatrix, host: int
-    ) -> float:
-        """Aggregate rate crossing ``host``'s NIC (bytes/second).
-
-        Sums λ between each VM on the host and each of its peers placed
-        elsewhere; intra-host traffic never touches the NIC.
-        """
-        total = 0.0
-        for vm_id in allocation.vms_on(host):
-            for peer, rate in traffic.peer_rates(vm_id).items():
-                if allocation.server_of(peer) != host:
-                    total += rate
-        return total
-
-    def bandwidth_feasible(
-        self,
-        allocation: Allocation,
-        traffic: TrafficMatrix,
-        vm_u: int,
-        target_host: int,
-    ) -> bool:
-        """§V-C check: target NIC load after the move stays under threshold."""
-        if self._bandwidth_threshold is None:
-            return True
-        capacity = allocation.cluster.server(target_host).capacity.nic_bps
-        budget = self._bandwidth_threshold * capacity
-        load = self.host_egress_rate(allocation, traffic, target_host)
-        # After the move, u's flows to VMs already on the target become
-        # intra-host (drop off the NIC); the rest are added to it.
-        incoming = 0.0
-        for peer, rate in traffic.peer_rates(vm_u).items():
-            if allocation.server_of(peer) == target_host:
-                load -= rate
-            else:
-                incoming += rate
-        return load + incoming <= budget
-
-    def feasible(
-        self,
-        allocation: Allocation,
-        traffic: TrafficMatrix,
-        vm_u: int,
-        target_host: int,
-    ) -> bool:
-        """Capacity (§V-B5) plus bandwidth (§V-C) feasibility of a move."""
-        vm = allocation.vm(vm_u)
-        if not allocation.can_host(target_host, vm):
-            return False
-        return self.bandwidth_feasible(allocation, traffic, vm_u, target_host)
-
-    # -- decision -----------------------------------------------------------------------
-
-    def evaluate(
-        self, allocation: Allocation, traffic: TrafficMatrix, vm_u: int
-    ) -> MigrationDecision:
-        """Pick the best feasible target for VM u (no mutation).
-
-        Returns a decision with ``migrated=False``; ``target_host`` is the
-        chosen target when the Theorem 1 condition is met, else ``None``.
-        With an attached engine bound to this (allocation, traffic) pair,
-        u is scored as a one-owner batch — the scorer every token round
-        runs; otherwise by the naive per-candidate loop.
-        """
-        fast = self._fastcost
-        if fast is not None and fast.is_bound_to(allocation, traffic):
-            batch = fast.candidate_batch(
-                fast.dense_indices([vm_u]), self._max_candidates
-            )
-            return self.decisions_from_batch(batch, fast)[0]
-        return self._evaluate_naive(allocation, traffic, vm_u)
-
-    def _evaluate_naive(
-        self, allocation: Allocation, traffic: TrafficMatrix, vm_u: int
-    ) -> MigrationDecision:
-        """:meth:`evaluate` over the naive cost model, candidate by candidate."""
-        source = allocation.server_of(vm_u)
-        if not traffic.peers_of(vm_u):
-            return MigrationDecision(
-                vm_id=vm_u,
-                source_host=source,
-                target_host=None,
-                delta=0.0,
-                migrated=False,
-                reason="no_peers",
-            )
-        best_host: Optional[int] = None
-        best_delta = 0.0
-        saw_candidate = False
-        for host in self.candidate_hosts(allocation, traffic, vm_u):
-            if not self.feasible(allocation, traffic, vm_u, host):
-                continue
-            saw_candidate = True
-            delta = self._cost_model.migration_delta(
-                allocation, traffic, vm_u, host
-            )
-            if delta > best_delta:
-                best_delta = delta
-                best_host = host
-        if best_host is not None and best_delta > self._migration_cost:
-            return MigrationDecision(
-                vm_id=vm_u,
-                source_host=source,
-                target_host=best_host,
-                delta=best_delta,
-                migrated=False,
-                reason="beneficial",
-            )
-        reason = "no_gain" if saw_candidate else "no_feasible_target"
-        return MigrationDecision(
-            vm_id=vm_u,
-            source_host=source,
-            target_host=None,
-            delta=best_delta,
-            migrated=False,
-            reason=reason,
-        )
-
-    # -- batch decisions (wave-batched token rounds) -----------------------------
+    # -- decisions ----------------------------------------------------------------
 
     def decisions_from_batch(
         self, batch: CandidateBatch, fast: FastCostEngine
@@ -379,8 +210,8 @@ class MigrationEngine:
 
         Applies the current feasibility mask, the first-max tie-breaking
         and the Theorem 1 threshold — decision-for-decision the outcome of
-        the naive per-VM loop on each VM against the same state (the
-        batch differential suite pins this).
+        :func:`repro.reference.evaluate_naive` on each VM against the same
+        state (the batch differential suite pins this).
         """
         feasible = fast.candidate_feasible(batch, self._bandwidth_threshold)
         choice, best_delta, _ = fast.best_candidates(batch, feasible)
@@ -436,23 +267,26 @@ class MigrationEngine:
             )
         return decisions
 
+    def evaluate(self, fast: FastCostEngine, vm_u: int) -> MigrationDecision:
+        """Pick the best feasible target for VM u (no mutation).
+
+        Returns a decision with ``migrated=False``; ``target_host`` is the
+        chosen target when the Theorem 1 condition is met, else ``None``.
+        u is scored on ``fast`` as a one-owner batch — the scorer every
+        token round runs.
+        """
+        batch = fast.candidate_batch(
+            fast.dense_indices([vm_u]), self._max_candidates
+        )
+        return self.decisions_from_batch(batch, fast)[0]
+
     def decide_and_migrate(
-        self, allocation: Allocation, traffic: TrafficMatrix, vm_u: int
+        self, fast: FastCostEngine, vm_u: int
     ) -> MigrationDecision:
-        """Evaluate VM u and perform the migration when Theorem 1 holds."""
-        decision = self.evaluate(allocation, traffic, vm_u)
+        """Evaluate VM u on ``fast`` and move it through the engine when
+        Theorem 1 holds."""
+        decision = self.evaluate(fast, vm_u)
         if decision.target_host is None:
             return decision
-        fast = self._fastcost
-        if fast is not None and fast.is_bound_to(allocation, traffic):
-            fast.apply_migration(vm_u, decision.target_host)
-        else:
-            allocation.migrate(vm_u, decision.target_host)
-        return MigrationDecision(
-            vm_id=decision.vm_id,
-            source_host=decision.source_host,
-            target_host=decision.target_host,
-            delta=decision.delta,
-            migrated=True,
-            reason="migrated",
-        )
+        fast.apply_migration(vm_u, decision.target_host)
+        return decision._replace(migrated=True, reason="migrated")

@@ -186,11 +186,11 @@ class SCOREScheduler:
         Construction builds a
         :class:`repro.core.fastcost.FastCostEngine` over the allocation and
         traffic (binding the matrix's store; traffic on VMs the allocation
-        does not place raises ``ValueError``) and attaches it to the
-        migration engine.  Every write goes through it, and every round
-        threads it through the token loop — batched candidate scoring,
-        O(peers) incremental cost updates, and vectorized highest-level
-        queries for the policy.
+        does not place raises ``ValueError``); the migration engine is
+        handed it with every decision.  Every write goes through it, and
+        every round threads it through the token loop — batched candidate
+        scoring, O(peers) incremental cost updates, and vectorized
+        highest-level queries for the policy.
         Every round takes its visit order from the policy
         (:meth:`~repro.core.policies.TokenPolicy.round_order`: RR's
         rotation, HLF's priority snapshot, LRV's queue, a random
@@ -217,10 +217,9 @@ class SCOREScheduler:
         then writes one :mod:`repro.core.mutation` value to this
         scheduler's stack and forwards the same value once to the live
         fleet (``ShardedCoordinator.forward`` → ``ShardDomain.apply``).
-        A mutation the fleet cannot absorb — and a drain or a whole
-        matrix swap (:meth:`drain_hosts`, :meth:`update_traffic`) —
-        tears it down; the next run rebuilds it.  Call :meth:`close` to
-        tear the fleet down deterministically.
+        A mutation the fleet cannot absorb — and a drain
+        (:meth:`drain_hosts`) — tears it down; the next run rebuilds it.
+        Call :meth:`close` to tear the fleet down deterministically.
         """
         check_positive("token_interval_s", token_interval_s)
         topology = allocation.topology
@@ -247,13 +246,11 @@ class SCOREScheduler:
         self._build_engine()
 
     def _build_engine(self) -> None:
-        """Bind a fast engine to the allocation and traffic and attach it
-        to the migration engine."""
+        """Bind a fast engine to the allocation and traffic."""
         self._fast = FastCostEngine(
             self._allocation, self._traffic,
             weights=self._engine.cost_model.weights,
         )
-        self._engine.attach_fastcost(self._fast)
 
     @property
     def allocation(self) -> Allocation:
@@ -792,15 +789,6 @@ class SCOREScheduler:
         )
         return scheduler
 
-    def admit_vm(self, vm, host: int) -> None:
-        """Bring a newly created VM online (joins the token circulation).
-
-        Models tenant churn: the placement manager creates the VM, the
-        scheduler places it and adds its (zero-level) token entry, and the
-        next iterations optimize it like any other VM.
-        """
-        self.admit_vms([vm], [host])
-
     def admit_vms(self, vms: Sequence, hosts: Sequence[int]) -> None:
         """Bring one batch of arriving VMs online (an empty batch is a
         no-op).
@@ -812,11 +800,6 @@ class SCOREScheduler:
         :meth:`apply_traffic_delta` afterwards.
         """
         self._apply(Admit(tuple(vms), np.asarray(hosts, dtype=np.int64)))
-
-    def retire_vm(self, vm_id: int) -> None:
-        """Take a VM offline: remove it from the allocation, the token and
-        the traffic matrix (its flows cease)."""
-        self.retire_vms([vm_id])
 
     def retire_vms(self, vm_ids: Sequence[int]) -> None:
         """Take one batch of VMs offline (tenant departures).
@@ -855,8 +838,9 @@ class SCOREScheduler:
         ``(us, vs, rates)`` array tuple) with absolute new rates; 0
         removes a pair.  One write: through the fast engine, which
         splices the matrix's store it shares and shifts its caches — so
-        the sliding-window re-estimation of §IV costs O(changed pairs)
-        instead of the full O(pairs) rebuild `update_traffic` pays.
+        the sliding-window re-estimation of §IV costs O(changed pairs).
+        A whole new estimate is one such call: its pairs at their new
+        rates, and every current pair it lacks at rate 0.
         Returns the number of pair changes applied.
         """
         return self._apply(TrafficDelta(*delta_arrays(changed_pairs)))
@@ -964,18 +948,3 @@ class SCOREScheduler:
         cached scored deltas — budget-independent — survive.
         """
         self._apply(Threshold(threshold))
-
-    def update_traffic(self, traffic: TrafficMatrix) -> None:
-        """Install a fresh traffic-matrix estimate (next measurement window).
-
-        The token and allocation persist; only λ changes, modelling the
-        periodic re-estimation of §IV.  This is the full-rebuild path —
-        prefer :meth:`apply_traffic_delta` when the change set is known.
-        A matrix the engine refuses (bound to another allocation, or with
-        traffic on VMs not placed here) raises ``ValueError`` and changes
-        nothing.
-        """
-        self._fast.update_traffic(traffic)
-        self._traffic = traffic
-        # The fleet's domain matrices were sliced from the old estimate.
-        self._close_shard_fleet()

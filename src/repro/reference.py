@@ -14,6 +14,14 @@ The readable versions they replaced survive here, once each:
   :class:`~repro.core.cost.CostModel` (the executable statement of
   Eq. 1–2 and Lemma 3); it scores naively and writes through the
   engine, like every scheduler.
+* :func:`evaluate_naive` — the per-VM Theorem 1 decision of §V-B5,
+  candidate by candidate: :func:`candidate_hosts` ranks the peers'
+  hosts, :func:`feasible` probes capacity and the §V-C budget
+  (:func:`bandwidth_feasible` over :func:`host_egress_rate`), and the
+  Lemma 3 delta must exceed ``cm``.  The twin of
+  :meth:`MigrationEngine.evaluate
+  <repro.core.migration.MigrationEngine.evaluate>`, which scores on the
+  fast engine's candidate batch.
 * :class:`UncachedScheduler` — wave rounds through the uncached wave
   loop, the twin the round cache is pinned bit-exact against.
 * :func:`run_at_boundaries` — an event runner whose due events all
@@ -36,8 +44,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.allocation import Allocation
 from repro.core.cost import CostModel
-from repro.core.migration import MigrationDecision
+from repro.core.migration import MigrationDecision, MigrationEngine
 from repro.core.mutation import Migrate
 from repro.core.rounds import BatchedRoundEngine, DecisionColumns, RoundResult
 from repro.core.scheduler import IterationStats, SchedulerReport, SCOREScheduler
@@ -48,6 +57,7 @@ from repro.sim.experiment import (
 )
 from repro.sim.network import _pair_flow_key
 from repro.topology.links import LinkId
+from repro.traffic.matrix import TrafficMatrix
 
 
 class PerHoldScheduler(SCOREScheduler):
@@ -137,9 +147,7 @@ class PerHoldScheduler(SCOREScheduler):
 
     def _hold(self, holder: int) -> MigrationDecision:
         """One Theorem 1 decision, performed when it holds."""
-        return self._engine.decide_and_migrate(
-            self._allocation, self._traffic, holder
-        )
+        return self._engine.decide_and_migrate(self._fast, holder)
 
 
 class NaiveScheduler(PerHoldScheduler):
@@ -152,13 +160,145 @@ class NaiveScheduler(PerHoldScheduler):
         return super()._run_batched(self._engine.cost_model, *args)
 
     def _hold(self, holder: int) -> MigrationDecision:
-        decision = self._engine._evaluate_naive(
-            self._allocation, self._traffic, holder
+        decision = evaluate_naive(
+            self._engine, self._allocation, self._traffic, holder
         )
         if decision.target_host is None:
             return decision
         self._apply(Migrate(holder, decision.target_host))
         return decision._replace(migrated=True, reason="migrated")
+
+
+def candidate_hosts(
+    engine: MigrationEngine,
+    allocation: Allocation,
+    traffic: TrafficMatrix,
+    vm_u: int,
+) -> List[int]:
+    """Candidate target servers for VM u, in probing order.
+
+    Peers are ranked highest communication level first (heaviest traffic
+    first within a level, §V-B5); each contributes its own server first,
+    then the remaining servers of its rack (same level-1 benefit when
+    the peer's server itself is full).  ``engine.max_candidates`` caps
+    the list.
+    """
+    source = allocation.server_of(vm_u)
+    topo = engine.cost_model.topology
+    cap = engine.max_candidates
+    ranked = sorted(
+        traffic.peer_rates(vm_u).items(),
+        key=lambda item: (
+            -topo.level_between(source, allocation.server_of(item[0])),
+            -item[1],
+            item[0],
+        ),
+    )
+    seen = {source}
+    candidates: List[int] = []
+    for peer, _rate in ranked:
+        peer_host = allocation.server_of(peer)
+        if peer_host not in seen:
+            seen.add(peer_host)
+            candidates.append(peer_host)
+        for host in topo.hosts_in_rack(topo.rack_of(peer_host)):
+            if host not in seen:
+                seen.add(host)
+                candidates.append(host)
+        if cap and len(candidates) >= cap:
+            return candidates[:cap]
+    return candidates
+
+
+def host_egress_rate(
+    allocation: Allocation, traffic: TrafficMatrix, host: int
+) -> float:
+    """Aggregate rate crossing ``host``'s NIC (bytes/second).
+
+    Sums λ between each VM on the host and each of its peers placed
+    elsewhere; intra-host traffic never touches the NIC.
+    """
+    total = 0.0
+    for vm_id in allocation.vms_on(host):
+        for peer, rate in traffic.peer_rates(vm_id).items():
+            if allocation.server_of(peer) != host:
+                total += rate
+    return total
+
+
+def bandwidth_feasible(
+    engine: MigrationEngine,
+    allocation: Allocation,
+    traffic: TrafficMatrix,
+    vm_u: int,
+    target_host: int,
+) -> bool:
+    """§V-C check: target NIC load after the move stays under
+    ``engine.bandwidth_threshold`` of its line rate."""
+    threshold = engine.bandwidth_threshold
+    if threshold is None:
+        return True
+    capacity = allocation.cluster.server(target_host).capacity.nic_bps
+    load = host_egress_rate(allocation, traffic, target_host)
+    # After the move, u's flows to VMs already on the target become
+    # intra-host (drop off the NIC); the rest are added to it.
+    incoming = 0.0
+    for peer, rate in traffic.peer_rates(vm_u).items():
+        if allocation.server_of(peer) == target_host:
+            load -= rate
+        else:
+            incoming += rate
+    return load + incoming <= threshold * capacity
+
+
+def feasible(
+    engine: MigrationEngine,
+    allocation: Allocation,
+    traffic: TrafficMatrix,
+    vm_u: int,
+    target_host: int,
+) -> bool:
+    """Capacity (§V-B5) plus bandwidth (§V-C) feasibility of a move."""
+    if not allocation.can_host(target_host, allocation.vm(vm_u)):
+        return False
+    return bandwidth_feasible(engine, allocation, traffic, vm_u, target_host)
+
+
+def evaluate_naive(
+    engine: MigrationEngine,
+    allocation: Allocation,
+    traffic: TrafficMatrix,
+    vm_u: int,
+) -> MigrationDecision:
+    """S-CORE's per-VM decision (§V-B5, Theorem 1) over the naive cost
+    model, candidate by candidate (no mutation).
+
+    Returns a decision with ``migrated=False``; ``target_host`` is the
+    best feasible candidate when its Lemma 3 delta exceeds
+    ``engine.migration_cost``, else ``None``.
+    """
+    source = allocation.server_of(vm_u)
+    if not traffic.peers_of(vm_u):
+        return MigrationDecision(vm_u, source, None, 0.0, False, "no_peers")
+    best_host: Optional[int] = None
+    best_delta = 0.0
+    saw_candidate = False
+    for host in candidate_hosts(engine, allocation, traffic, vm_u):
+        if not feasible(engine, allocation, traffic, vm_u, host):
+            continue
+        saw_candidate = True
+        delta = engine.cost_model.migration_delta(
+            allocation, traffic, vm_u, host
+        )
+        if delta > best_delta:
+            best_delta = delta
+            best_host = host
+    if best_host is not None and best_delta > engine.migration_cost:
+        return MigrationDecision(
+            vm_u, source, best_host, best_delta, False, "beneficial"
+        )
+    reason = "no_gain" if saw_candidate else "no_feasible_target"
+    return MigrationDecision(vm_u, source, None, best_delta, False, reason)
 
 
 class _UncachedRounds(BatchedRoundEngine):
@@ -349,8 +489,8 @@ def loads_reference(calculator, allocation, traffic) -> Dict[LinkId, float]:
 def vm_contributions_reference(
     calculator, allocation, traffic, link_id: LinkId
 ) -> Dict[int, float]:
-    """:meth:`LinkLoadCalculator.vm_contributions
-    <repro.sim.network.LinkLoadCalculator.vm_contributions>` as the
+    """One link's slice of :meth:`LinkLoadCalculator.vm_contributions_many
+    <repro.sim.network.LinkLoadCalculator.vm_contributions_many>` as the
     readable per-pair routing loop."""
     topo = calculator.topology
     contributions: Dict[int, float] = {}

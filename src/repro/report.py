@@ -1,11 +1,10 @@
 """Plain-text rendering of evaluation artifacts (no plotting dependencies).
 
-The paper's figures are line plots, CDFs and heatmaps; this module renders
+The paper's figures are line plots, histograms and heatmaps; this module renders
 terminal equivalents so examples and benches can *show* results, not just
 print scalars:
 
 * :func:`render_series` — a sparkline-style line chart of (t, value) series;
-* :func:`render_cdf` — a CDF curve as rows of percent-filled bars;
 * :func:`render_heatmap` — a ToR traffic matrix as a shade-character grid
   (the Fig. 3a-c view);
 * :func:`render_histogram` — a bucketed bar chart (the Fig. 5b view).
@@ -16,8 +15,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from repro.util.stats import Cdf
 
 _SHADES = " .:-=+*#%@"
 
@@ -59,19 +56,6 @@ def render_series(
         lines.append(f"{edge:10.3g} |" + "".join(row))
     lines.append(" " * 11 + "+" + "-" * width)
     lines.append(" " * 12 + f"{t_min:<10.3g}" + " " * (width - 20) + f"{t_max:>10.3g}")
-    return "\n".join(lines)
-
-
-def render_cdf(cdf: Cdf, points: int = 10, width: int = 40, label: str = "") -> str:
-    """Render a CDF as rows of 'value | filled-bar percent'."""
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    lines = [label] if label else []
-    quantiles = np.linspace(0.0, 1.0, points)
-    for p in quantiles:
-        x = cdf.quantile(float(p)) if p > 0 else cdf.xs[0]
-        filled = int(round(p * width))
-        lines.append(f"{x:12.4g} |{'#' * filled}{' ' * (width - filled)}| {p:4.0%}")
     return "\n".join(lines)
 
 

@@ -160,7 +160,6 @@ class ShardDomain:
         self.fast = FastCostEngine(
             self.allocation, self.traffic, weights=weights
         )
-        self.engine.attach_fastcost(self.fast)
         self.rounds = BatchedRoundEngine(
             self.engine, self.fast, record_waves=True
         )

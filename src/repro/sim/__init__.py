@@ -4,7 +4,7 @@
     Routes every traffic-matrix pair over the topology (deterministic ECMP)
     and accounts per-link loads/utilizations — the data behind Fig. 4a.
 :mod:`repro.sim.metrics`
-    Utilization CDFs per layer, convergence detection, series resampling.
+    Convergence detection and series resampling.
 :mod:`repro.sim.experiment`
     Declarative experiment configs and the runner used by every benchmark:
     build topology + cluster + VMs + traffic, run S-CORE (and optionally the
@@ -18,7 +18,6 @@ from repro.sim.network import LinkLoadCalculator
 from repro.sim.metrics import (
     convergence_iteration,
     resample_series,
-    utilization_cdf_by_level,
 )
 from repro.sim.experiment import (
     ExperimentConfig,
@@ -47,7 +46,6 @@ from repro.sim.energy import EnergyModel, energy_link_weights
 
 __all__ = [
     "LinkLoadCalculator",
-    "utilization_cdf_by_level",
     "convergence_iteration",
     "resample_series",
     "ExperimentConfig",

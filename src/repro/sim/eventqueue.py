@@ -157,8 +157,9 @@ class Retirement(Event):
     deterministically from the live population: ``hottest``/``coldest``
     by aggregate traffic load, ``newest``/``oldest`` by VM id.  The
     token always keeps at least one entry (the departure set is clipped),
-    and ids that already left are skipped — a Retirement scheduled
-    against a VM another event removed degrades to a no-op, not a crash.
+    and ids that already left or repeat an earlier id are skipped — a
+    Retirement scheduled against a VM another event removed degrades to
+    a no-op, not a crash.
     """
 
     PICKS = ("hottest", "coldest", "newest", "oldest")
@@ -180,7 +181,9 @@ class Retirement(Event):
     def _select(self, scheduler: SCOREScheduler) -> List[int]:
         token = scheduler.token
         if self.vm_ids:
-            chosen = [v for v in self.vm_ids if v in scheduler.allocation]
+            chosen = [
+                v for v in dict.fromkeys(self.vm_ids) if v in scheduler.allocation
+            ]
         elif self.pick in ("hottest", "coldest"):
             chosen = (
                 scheduler.traffic_snapshot()

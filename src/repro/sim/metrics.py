@@ -2,21 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.scheduler import SchedulerReport
-from repro.util.stats import Cdf, empirical_cdf
-
-
-def utilization_cdf_by_level(
-    utils_by_level: Dict[int, List[float]]
-) -> Dict[int, Cdf]:
-    """Empirical CDF of link utilization per layer (the Fig. 4a curves)."""
-    return {
-        level: empirical_cdf(values)
-        for level, values in utils_by_level.items()
-        if values
-    }
 
 
 def convergence_iteration(report: SchedulerReport, tolerance: float = 0.0) -> int:
@@ -57,9 +45,3 @@ def resample_series(
         out.append((float(t), current))
     return out
 
-
-def series_final_value(series: Sequence[Tuple[float, float]]) -> float:
-    """Last value of a (time, value) series."""
-    if not series:
-        raise ValueError("empty series has no final value")
-    return series[-1][1]

@@ -8,12 +8,11 @@ are the fraction of link capacity consumed (rates are converted to bits).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.cluster.allocation import Allocation
-from repro.core.fastcost import TrafficSnapshot, pair_levels
 from repro.topology.base import Topology
 from repro.topology.links import LinkId
 from repro.traffic.matrix import TrafficMatrix
@@ -105,35 +104,6 @@ class LinkLoadCalculator:
             for link_id, link in self._topology.links.items()
         }
 
-    def level_loads(
-        self, allocation: Allocation, traffic: TrafficMatrix
-    ) -> Dict[int, float]:
-        """Aggregate carried load per link level, in bytes/second.
-
-        A flow at communication level ``l`` traverses exactly two links at
-        every level ``i <= l`` (up and down), regardless of which ECMP path
-        the hash picks, so the per-level totals are computed in one
-        vectorized pass over the fast-engine pair arrays — no path
-        enumeration.  Equals summing :meth:`loads` over the links of each
-        level (the flowlet-spread variants included); the differential
-        suite asserts exactly that.
-        """
-        snap = TrafficSnapshot.build(traffic, list(allocation.vm_ids()))
-        topo = self._topology
-        host_of = allocation.mapping_arrays(snap.vm_ids)[0]
-        levels = pair_levels(
-            host_of[snap.pair_u],
-            host_of[snap.pair_v],
-            topo.host_rack_ids(),
-            topo.host_pod_ids(),
-        )
-        totals: Dict[int, float] = {}
-        for level in range(1, topo.max_level + 1):
-            totals[level] = float(
-                2.0 * snap.pair_rate[levels >= level].sum()
-            )
-        return totals
-
     def utilizations_by_level(
         self, allocation: Allocation, traffic: TrafficMatrix
     ) -> Dict[int, List[float]]:
@@ -151,36 +121,6 @@ class LinkLoadCalculator:
         """Highest utilization across all links (the congestion hotspot)."""
         utils = self.utilizations(allocation, traffic)
         return max(utils.values()) if utils else 0.0
-
-    def most_utilized_link(
-        self, allocation: Allocation, traffic: TrafficMatrix
-    ) -> Optional[Tuple[LinkId, float]]:
-        """The link carrying the highest utilization, or None when idle."""
-        utils = self.utilizations(allocation, traffic)
-        if not utils:
-            return None
-        link_id = max(utils, key=lambda k: utils[k])
-        if utils[link_id] == 0.0:
-            return None
-        return link_id, utils[link_id]
-
-    def vm_contributions(
-        self,
-        allocation: Allocation,
-        traffic: TrafficMatrix,
-        link_id: LinkId,
-    ) -> Dict[int, float]:
-        """Per-VM rate crossing ``link_id`` (both endpoints contribute).
-
-        This is what a centralized controller (Remedy) uses to rank VMs on
-        a congested link.  Routed batched over the dense link index like
-        :meth:`loads`; the retained per-pair loop survives as
-        ``repro.reference.vm_contributions_reference`` (the differential
-        oracle).
-        """
-        return self.vm_contributions_many(allocation, traffic, [link_id])[
-            link_id
-        ]
 
     def vm_contributions_many(
         self,

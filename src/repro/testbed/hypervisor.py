@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.manager import PlacementManager, vm_ip
-from repro.core.cost import CostModel
+from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationDecision, MigrationEngine
 from repro.core.policies import TokenPolicy
 from repro.core.token import Token
@@ -87,9 +87,7 @@ class HypervisorNode:
                 f"dom0 {self._dom0_ip} received token for VM {vm_id} it does "
                 f"not host"
             )
-        decision = deployment.engine.decide_and_migrate(
-            deployment.allocation, deployment.traffic, vm_id
-        )
+        decision = deployment.engine.decide_and_migrate(deployment.fast, vm_id)
         deployment.decisions.append(decision)
         deployment.policy.on_hold(
             token, vm_id, deployment.allocation, deployment.traffic,
@@ -103,7 +101,14 @@ class HypervisorNode:
 
 
 class TestbedDeployment:
-    """A cluster-wide S-CORE deployment driven purely by token messages."""
+    """A cluster-wide S-CORE deployment driven purely by token messages.
+
+    Construction binds a :class:`~repro.core.fastcost.FastCostEngine` to
+    the allocation and traffic (the matrix's store binds to this
+    allocation alone; hand a simulator twin a ``traffic.copy()``).  Each
+    dom0 decides on it and moves VMs through it — the per-hold
+    scheduler's decision and write, message-passed.
+    """
 
     # Not a pytest test class despite the name.
     __test__ = False
@@ -123,6 +128,9 @@ class TestbedDeployment:
         self.policy = policy
         self.engine = engine
         self.cost_model = engine.cost_model
+        self.fast = FastCostEngine(
+            allocation, traffic, weights=engine.cost_model.weights
+        )
         self.decisions: List[MigrationDecision] = []
         self.network = network if network is not None else TokenNetwork()
         self.token_regenerations = 0

@@ -12,12 +12,11 @@ VMs; this package provides:
     characteristics: sparse ToR matrices with few hotspots, and long-tailed
     flow sizes where mice dominate counts and elephants dominate bytes
     (Kandula et al. IMC'09, Benson et al. IMC'10).
-:mod:`repro.traffic.flows`
-    Individual flow model + the elephant/mice size mixture.
 :mod:`repro.traffic.temporal`
-    Sliding-window and EWMA rate estimators (§IV requires averaging over a
-    window "on the order of minutes to hours") and a slowly-drifting
-    hotspot process for stability experiments.
+    Slowly-drifting processes (hotspot drift and redirects, diurnal
+    swings, a one-time hotspot flip) that emit each new window estimate
+    as a λ delta — §IV averages rates over a window "on the order of
+    minutes to hours" — for the stability and dynamic experiments.
 """
 
 from repro.traffic.matrix import TrafficMatrix
@@ -28,13 +27,10 @@ from repro.traffic.generator import (
     MEDIUM,
     SPARSE,
 )
-from repro.traffic.flows import Flow, FlowSizeDistribution, flows_to_matrix
 from repro.traffic.temporal import (
     DiurnalDriftProcess,
-    EwmaRateEstimator,
     HotspotDriftProcess,
     HotspotFlipDrift,
-    SlidingWindowRateEstimator,
 )
 
 __all__ = [
@@ -44,11 +40,6 @@ __all__ = [
     "SPARSE",
     "MEDIUM",
     "DENSE",
-    "Flow",
-    "FlowSizeDistribution",
-    "flows_to_matrix",
-    "EwmaRateEstimator",
-    "SlidingWindowRateEstimator",
     "DiurnalDriftProcess",
     "HotspotDriftProcess",
     "HotspotFlipDrift",

@@ -1,10 +1,11 @@
-"""Temporal rate estimation and slowly-drifting workloads.
+"""Slowly-drifting workloads.
 
 Paper §IV: "Traffic load λ(u, v) can be captured dynamically by monitoring
 incoming and outgoing traffic between VMs u and v, averaged over a given
 time interval … the size of the time window can be set on the order of
-minutes to hours."  The estimators here implement that averaging; the
-:class:`HotspotDriftProcess` models the cited measurement finding that "DC
+minutes to hours."  The processes here produce the successive window
+estimates as deltas (``step_delta``), which a scheduler applies in one
+``apply_traffic_delta``; :class:`HotspotDriftProcess` models the cited measurement finding that "DC
 traffic exhibits fixed-set hotspots that change slowly over time", which is
 what makes S-CORE stable (§VI-B, VM-oscillation discussion).
 """
@@ -12,8 +13,7 @@ what makes S-CORE stable (§VI-B, VM-oscillation discussion).
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -26,89 +26,6 @@ def _pair(vm_u: int, vm_v: int) -> Tuple[int, int]:
     if vm_u == vm_v:
         raise ValueError(f"self-traffic is not modelled (VM {vm_u})")
     return (vm_u, vm_v) if vm_u < vm_v else (vm_v, vm_u)
-
-
-class SlidingWindowRateEstimator:
-    """Average pairwise rate over a fixed trailing window.
-
-    ``record`` logs byte counts with timestamps; ``rate(u, v, now)``
-    divides the bytes observed inside ``[now - window, now]`` by the window
-    length.  Old samples are evicted lazily.
-    """
-
-    def __init__(self, window_s: float) -> None:
-        check_positive("window_s", window_s)
-        self._window = window_s
-        self._samples: Dict[Tuple[int, int], Deque[Tuple[float, float]]] = {}
-
-    @property
-    def window_s(self) -> float:
-        """Averaging-window length in seconds."""
-        return self._window
-
-    def record(self, vm_u: int, vm_v: int, n_bytes: float, timestamp: float) -> None:
-        """Log ``n_bytes`` exchanged between u and v at ``timestamp``."""
-        if n_bytes < 0:
-            raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
-        self._samples.setdefault(_pair(vm_u, vm_v), deque()).append(
-            (timestamp, n_bytes)
-        )
-
-    def rate(self, vm_u: int, vm_v: int, now: float) -> float:
-        """Average rate (bytes/s) over the trailing window ending at ``now``."""
-        key = _pair(vm_u, vm_v)
-        queue = self._samples.get(key)
-        if not queue:
-            return 0.0
-        horizon = now - self._window
-        while queue and queue[0][0] < horizon:
-            queue.popleft()
-        total = sum(n for ts, n in queue if ts <= now)
-        return total / self._window
-
-    def snapshot(self, now: float) -> TrafficMatrix:
-        """Materialize the current estimates into a :class:`TrafficMatrix`."""
-        return TrafficMatrix.from_pairs(
-            [(u, v, self.rate(u, v, now)) for (u, v) in list(self._samples)]
-        )
-
-
-class EwmaRateEstimator:
-    """Exponentially-weighted moving average of pairwise rates.
-
-    A cheaper alternative to the sliding window: ``update`` folds each new
-    interval's observed rate into the estimate with weight ``alpha``.
-    """
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        check_probability("alpha", alpha)
-        if alpha == 0.0:
-            raise ValueError("alpha must be > 0 or the estimate never updates")
-        self._alpha = alpha
-        self._estimates: Dict[Tuple[int, int], float] = {}
-
-    def update(self, vm_u: int, vm_v: int, interval_rate: float) -> float:
-        """Fold one interval's observed rate in; returns the new estimate."""
-        if interval_rate < 0:
-            raise ValueError(f"interval_rate must be >= 0, got {interval_rate}")
-        key = _pair(vm_u, vm_v)
-        previous = self._estimates.get(key)
-        if previous is None:
-            estimate = interval_rate
-        else:
-            estimate = self._alpha * interval_rate + (1 - self._alpha) * previous
-        self._estimates[key] = estimate
-        return estimate
-
-    def rate(self, vm_u: int, vm_v: int) -> float:
-        """Current smoothed estimate for the pair."""
-        return self._estimates.get(_pair(vm_u, vm_v), 0.0)
-
-    def snapshot(self) -> TrafficMatrix:
-        """Materialize current estimates into a :class:`TrafficMatrix`."""
-        return TrafficMatrix.from_pairs(
-            [(u, v, rate) for (u, v), rate in self._estimates.items()]
-        )
 
 
 class HotspotDriftProcess:

@@ -7,19 +7,12 @@ The submodules are intentionally tiny and dependency-free:
     library (traffic generation, placement, GA, migration models) accepts an
     explicit seed and derives independent streams through :func:`spawn_rng`.
 ``stats``
-    Small statistics toolkit (CDFs, summaries, distribution fitting helpers)
-    used by the metrics and benchmark layers.
+    Sample statistics (the Gini coefficient of traffic sparsity).
 ``validation``
     Argument-checking helpers that raise consistent, descriptive errors.
 """
 
 from repro.util.rng import make_rng, spawn_rng
-from repro.util.stats import (
-    Cdf,
-    Summary,
-    empirical_cdf,
-    summarize,
-)
 from repro.util.validation import (
     check_non_negative,
     check_positive,
@@ -30,10 +23,6 @@ from repro.util.validation import (
 __all__ = [
     "make_rng",
     "spawn_rng",
-    "Cdf",
-    "Summary",
-    "empirical_cdf",
-    "summarize",
     "check_non_negative",
     "check_positive",
     "check_probability",

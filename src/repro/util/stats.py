@@ -1,111 +1,11 @@
-"""Small statistics toolkit used by metrics and benchmarks.
-
-Provides empirical CDFs (for the link-utilization plots of Fig. 4a), and
-scalar summaries (mean/std/percentiles) used throughout the evaluation
-harness.  Kept dependency-light: numpy only.
-"""
+"""Sample statistics: the Gini coefficient that characterizes
+traffic-matrix sparsity (Fig. 3).  Numpy only."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Scalar summary of a sample: count, mean, std, min/percentiles/max."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    p25: float
-    median: float
-    p75: float
-    p95: float
-    p99: float
-    maximum: float
-
-    def as_row(self) -> Tuple[float, ...]:
-        """Return the summary as a flat tuple (useful for table printing)."""
-        return (
-            self.count,
-            self.mean,
-            self.std,
-            self.minimum,
-            self.p25,
-            self.median,
-            self.p75,
-            self.p95,
-            self.p99,
-            self.maximum,
-        )
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Compute a :class:`Summary` of ``values``.
-
-    Raises ``ValueError`` on an empty sample — an empty summary is almost
-    always a bug in the caller's experiment wiring.
-    """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    q = np.percentile(arr, [25, 50, 75, 95, 99])
-    return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=0)),
-        minimum=float(arr.min()),
-        p25=float(q[0]),
-        median=float(q[1]),
-        p75=float(q[2]),
-        p95=float(q[3]),
-        p99=float(q[4]),
-        maximum=float(arr.max()),
-    )
-
-
-@dataclass(frozen=True)
-class Cdf:
-    """An empirical cumulative distribution function.
-
-    ``xs`` are the sorted sample points and ``ps`` the cumulative
-    probabilities, i.e. ``ps[i]`` is the fraction of samples ``<= xs[i]``.
-    """
-
-    xs: Tuple[float, ...]
-    ps: Tuple[float, ...]
-
-    def quantile(self, p: float) -> float:
-        """Return the smallest x with CDF(x) >= p."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p}")
-        idx = int(np.searchsorted(np.asarray(self.ps), p, side="left"))
-        idx = min(idx, len(self.xs) - 1)
-        return self.xs[idx]
-
-    def at(self, x: float) -> float:
-        """Return CDF(x): the fraction of samples <= x."""
-        idx = int(np.searchsorted(np.asarray(self.xs), x, side="right"))
-        if idx == 0:
-            return 0.0
-        return self.ps[idx - 1]
-
-    def sampled(self, points: Sequence[float]) -> List[Tuple[float, float]]:
-        """Evaluate the CDF at each point; handy for printing fixed grids."""
-        return [(float(x), self.at(float(x))) for x in points]
-
-
-def empirical_cdf(values: Iterable[float]) -> Cdf:
-    """Build an empirical CDF from a sample."""
-    arr = np.sort(np.asarray(list(values), dtype=float))
-    if arr.size == 0:
-        raise ValueError("cannot build a CDF from an empty sample")
-    ps = np.arange(1, arr.size + 1, dtype=float) / arr.size
-    return Cdf(xs=tuple(arr.tolist()), ps=tuple(ps.tolist()))
 
 
 def gini(values: Iterable[float]) -> float:

@@ -1,9 +1,8 @@
-"""Tests for the Remedy and static baselines."""
+"""Tests for the Remedy baseline."""
 
 import pytest
 
 from repro.baselines.remedy import RemedyConfig, RemedyController
-from repro.baselines.static import no_migration_cost, random_shuffle_cost
 from repro.sim.network import LinkLoadCalculator
 
 
@@ -80,26 +79,3 @@ class TestRemedyController:
             RemedyConfig(utilization_threshold=0.4, max_rounds=20),
         ).run()
         allocation.validate()
-
-
-class TestStaticBaselines:
-    def test_no_migration_cost(self, populated, cost_model):
-        allocation, traffic, _ = populated
-        assert no_migration_cost(allocation, traffic, cost_model) == pytest.approx(
-            cost_model.total_cost(allocation, traffic)
-        )
-
-    def test_random_shuffle_reproducible(self, populated, cost_model):
-        allocation, traffic, _ = populated
-        a = random_shuffle_cost(allocation, traffic, cost_model, samples=3, seed=5)
-        b = random_shuffle_cost(allocation, traffic, cost_model, samples=3, seed=5)
-        assert a == b
-
-    def test_random_shuffle_positive(self, populated, cost_model):
-        allocation, traffic, _ = populated
-        assert random_shuffle_cost(allocation, traffic, cost_model, samples=2, seed=1) > 0
-
-    def test_bad_samples_rejected(self, populated, cost_model):
-        allocation, traffic, _ = populated
-        with pytest.raises(ValueError):
-            random_shuffle_cost(allocation, traffic, cost_model, samples=0)

@@ -1,10 +1,23 @@
-"""Tests for the migration engine (Theorem 1 + §V-B5/§V-C feasibility)."""
+"""Tests for the migration decision (Theorem 1 + §V-B5/§V-C feasibility).
+
+Every decision case runs twice: on the fast engine
+(``MigrationEngine.decide_and_migrate``) and on the readable oracle
+(``repro.reference.evaluate_naive``); the probing helpers are the
+oracle's.
+"""
 
 import pytest
 
 from repro.cluster import Cluster, ServerCapacity, VM
 from repro.cluster.allocation import Allocation
 from repro.core import CostModel, FastCostEngine, LinkWeights, MigrationEngine
+from repro.reference import (
+    bandwidth_feasible,
+    candidate_hosts,
+    evaluate_naive,
+    feasible,
+    host_egress_rate,
+)
 from repro.topology import CanonicalTree
 from repro.traffic import TrafficMatrix
 
@@ -19,6 +32,24 @@ def build_env(max_vms=4, nic_bps=1e9):
     return topo, cluster, allocation, model
 
 
+def bind(engine, allocation, tm):
+    return FastCostEngine(allocation, tm, weights=engine.cost_model.weights)
+
+
+def decide(engine, allocation, tm, vm_id, path):
+    """One Theorem 1 decision, performed when it holds, on ``path``."""
+    if path == "engine":
+        return engine.decide_and_migrate(bind(engine, allocation, tm), vm_id)
+    decision = evaluate_naive(engine, allocation, tm, vm_id)
+    if decision.target_host is None:
+        return decision
+    allocation.migrate(vm_id, decision.target_host)
+    return decision._replace(migrated=True, reason="migrated")
+
+
+both_paths = pytest.mark.parametrize("path", ["engine", "naive"])
+
+
 class TestCandidateHosts:
     def test_peers_ranked_by_level_then_rate(self):
         topo, cluster, allocation, model = build_env()
@@ -29,7 +60,7 @@ class TestCandidateHosts:
         tm.set_rate(1, 3, 10)   # level 3 peer, light
         tm.set_rate(1, 4, 20)   # level 3 peer, heavier
         engine = MigrationEngine(model)
-        candidates = engine.candidate_hosts(allocation, tm, 1)
+        candidates = candidate_hosts(engine, allocation, tm, 1)
         # Level-3 peers come first, heavier first: host 6 (VM 4), then its
         # rack-mate 7, then host 4 (VM 3) and rack-mate 5, then the level-1
         # peer's host 1.
@@ -46,7 +77,7 @@ class TestCandidateHosts:
         for peer in (2, 3, 4):
             tm.set_rate(1, peer, 10)
         engine = MigrationEngine(model, max_candidates=2)
-        assert len(engine.candidate_hosts(allocation, tm, 1)) == 2
+        assert len(candidate_hosts(engine, allocation, tm, 1)) == 2
 
 
 class TestFeasibility:
@@ -57,7 +88,7 @@ class TestFeasibility:
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 100)
         engine = MigrationEngine(model)
-        assert not engine.feasible(allocation, tm, 1, 4)  # host 4 is full
+        assert not feasible(engine, allocation, tm, 1, 4)  # host 4 is full
 
     def test_bandwidth_threshold(self):
         topo, cluster, allocation, model = build_env(nic_bps=1000)
@@ -69,10 +100,10 @@ class TestFeasibility:
         tm.set_rate(2, 3, 700)  # stays on host 4's NIC
         engine_loose = MigrationEngine(model, bandwidth_threshold=1.0)
         # After the move host 4 carries only the 700 B/s to VM 3: feasible.
-        assert engine_loose.bandwidth_feasible(allocation, tm, 1, 4)
+        assert bandwidth_feasible(engine_loose, allocation, tm, 1, 4)
         engine_tight = MigrationEngine(model, bandwidth_threshold=0.5)
         # Budget 500 < 700: rejected.
-        assert not engine_tight.bandwidth_feasible(allocation, tm, 1, 4)
+        assert not bandwidth_feasible(engine_tight, allocation, tm, 1, 4)
 
     def test_no_threshold_always_feasible(self):
         topo, cluster, allocation, model = build_env(nic_bps=1)
@@ -81,7 +112,7 @@ class TestFeasibility:
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 1e9)
         engine = MigrationEngine(model)
-        assert engine.bandwidth_feasible(allocation, tm, 1, 4)
+        assert bandwidth_feasible(engine, allocation, tm, 1, 4)
 
     def test_host_egress_rate(self):
         topo, cluster, allocation, model = build_env()
@@ -92,63 +123,67 @@ class TestFeasibility:
         tm.set_rate(1, 2, 100)  # intra-host: not on the NIC
         tm.set_rate(1, 3, 40)
         tm.set_rate(2, 3, 60)
-        engine = MigrationEngine(model)
-        assert engine.host_egress_rate(allocation, tm, 0) == 100.0
-        assert engine.host_egress_rate(allocation, tm, 4) == 100.0
+        assert host_egress_rate(allocation, tm, 0) == 100.0
+        assert host_egress_rate(allocation, tm, 4) == 100.0
 
 
 class TestDecisions:
-    def test_migrates_towards_heavy_peer(self):
+    @both_paths
+    def test_migrates_towards_heavy_peer(self, path):
         topo, cluster, allocation, model = build_env()
         allocation.add_vm(VM(1, ram_mb=128, cpu=0.1), 0)
         allocation.add_vm(VM(2, ram_mb=128, cpu=0.1), 4)
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 100)
         engine = MigrationEngine(model)
-        decision = engine.decide_and_migrate(allocation, tm, 1)
+        decision = decide(engine, allocation, tm, 1, path)
         assert decision.migrated
         assert decision.target_host == 4  # colocate: level 3 -> 0
         assert decision.delta == pytest.approx(100 * 14.0)
         assert allocation.server_of(1) == 4
 
-    def test_no_peers_no_move(self):
+    @both_paths
+    def test_no_peers_no_move(self, path):
         topo, cluster, allocation, model = build_env()
         allocation.add_vm(VM(1, ram_mb=128, cpu=0.1), 0)
         engine = MigrationEngine(model)
-        decision = engine.decide_and_migrate(allocation, TrafficMatrix(), 1)
+        decision = decide(engine, allocation, TrafficMatrix(), 1, path)
         assert not decision.migrated
         assert decision.reason == "no_peers"
 
-    def test_already_optimal_no_move(self):
+    @both_paths
+    def test_already_optimal_no_move(self, path):
         topo, cluster, allocation, model = build_env()
         allocation.add_vm(VM(1, ram_mb=128, cpu=0.1), 0)
         allocation.add_vm(VM(2, ram_mb=128, cpu=0.1), 0)
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 100)
         engine = MigrationEngine(model)
-        decision = engine.decide_and_migrate(allocation, tm, 1)
+        decision = decide(engine, allocation, tm, 1, path)
         assert not decision.migrated
         assert decision.reason == "no_gain"
 
-    def test_migration_cost_blocks_marginal_moves(self):
+    @both_paths
+    def test_migration_cost_blocks_marginal_moves(self, path):
         topo, cluster, allocation, model = build_env()
         allocation.add_vm(VM(1, ram_mb=128, cpu=0.1), 0)
         allocation.add_vm(VM(2, ram_mb=128, cpu=0.1), 4)
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 1)  # max possible gain = 14
         engine = MigrationEngine(model, migration_cost=20.0)
-        decision = engine.decide_and_migrate(allocation, tm, 1)
+        decision = decide(engine, allocation, tm, 1, path)
         assert not decision.migrated
         assert allocation.server_of(1) == 0
 
-    def test_full_target_falls_back_to_rack_mate(self):
+    @both_paths
+    def test_full_target_falls_back_to_rack_mate(self, path):
         topo, cluster, allocation, model = build_env(max_vms=1)
         allocation.add_vm(VM(1, ram_mb=128, cpu=0.1), 0)
         allocation.add_vm(VM(2, ram_mb=128, cpu=0.1), 4)
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 100)
         engine = MigrationEngine(model)
-        decision = engine.decide_and_migrate(allocation, tm, 1)
+        decision = decide(engine, allocation, tm, 1, path)
         assert decision.migrated
         assert decision.target_host == 5  # rack-mate of host 4: level 3 -> 1
         assert decision.delta == pytest.approx(100 * (14.0 - 2.0))
@@ -160,9 +195,13 @@ class TestDecisions:
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 100)
         engine = MigrationEngine(model)
-        decision = engine.evaluate(allocation, tm, 1)
-        assert decision.target_host == 4 and not decision.migrated
+        fast = bind(engine, allocation, tm)
+        for decision in (
+            engine.evaluate(fast, 1), evaluate_naive(engine, allocation, tm, 1)
+        ):
+            assert decision.target_host == 4 and not decision.migrated
         assert allocation.server_of(1) == 0
+        assert fast.in_sync
 
     def test_batch_decisions_read_the_allocations_live_capacity(self):
         """A resize lands in the allocation and its cluster only; the
@@ -174,13 +213,11 @@ class TestDecisions:
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 100)
         engine = MigrationEngine(model)
-        engine.attach_fastcost(
-            FastCostEngine(allocation, tm, weights=model.weights)
-        )
-        assert engine.evaluate(allocation, tm, 1).target_host == 4
+        fast = bind(engine, allocation, tm)
+        assert engine.evaluate(fast, 1).target_host == 4
         allocation.set_host_capacity(4, max_vms=1)  # VM 2 fills it
-        decision = engine.evaluate(allocation, tm, 1)
-        assert decision == MigrationEngine(model).evaluate(allocation, tm, 1)
+        decision = engine.evaluate(fast, 1)
+        assert decision == evaluate_naive(engine, allocation, tm, 1)
         assert decision.target_host == 5  # rack-mate of the full host
         assert decision.delta == pytest.approx(100 * (14.0 - 2.0))
 

@@ -12,11 +12,6 @@ from repro import (
     SPARSE,
     TrafficMatrix,
 )
-from repro.sim.experiment import (
-    ExperimentConfig,
-    build_environment,
-    make_scheduler,
-)
 
 
 def build_scheduler(populated, cost_model, policy=None, **engine_kwargs):
@@ -155,47 +150,34 @@ class TestReport:
 
 
 class TestTrafficUpdates:
-    def test_update_traffic_swaps_matrix(self, populated, cost_model):
+    def test_a_new_estimate_is_one_delta(self, populated, cost_model):
+        """A whole new estimate is written as one delta: its pairs at
+        their new rates, every current pair it lacks at rate 0."""
         allocation, traffic, _ = populated
         scheduler = build_scheduler((allocation, traffic, None), cost_model)
         scheduler.run(n_iterations=2)
-        fresh = traffic.scale(2.0)
-        scheduler.update_traffic(fresh)
-        # The next run must open at the fresh matrix's cost over the
+        (u0, v0, _), *kept = list(traffic.pairs())
+        fresh = TrafficMatrix.from_pairs([(u, v, 2.0 * r) for u, v, r in kept])
+        scheduler.apply_traffic_delta(list(fresh.pairs()) + [(u0, v0, 0.0)])
+        assert traffic.rate(u0, v0) == 0.0
+        assert {(u, v): r for u, v, r in traffic.pairs()} == {
+            (u, v): r for u, v, r in fresh.pairs()
+        }
+        # The next run opens at the fresh estimate's cost over the
         # placement as it stands *before* that run migrates anything.
         expected = cost_model.total_cost(allocation, fresh)
         report = scheduler.run(n_iterations=1)
         assert report.initial_cost == pytest.approx(expected)
+        assert scheduler.fastcost.in_sync
 
-    def test_a_refused_swap_changes_nothing(self):
-        """A matrix bound to another scheduler's allocation is refused
-        before anything is adopted: the matrix, the engine's total and
-        the next round stay exactly what an untouched twin has."""
-        a, twin, b = (
-            make_scheduler(build_environment(ExperimentConfig(seed=seed)))
-            for seed in (1, 1, 2)
-        )
-        for scheduler in (a, twin, b):
-            scheduler.run(n_iterations=1)
-        traffic, total = a.traffic, a.fastcost.total_cost()
-        with pytest.raises(ValueError, match="another allocation"):
-            a.update_traffic(b.traffic)
-        assert a.traffic is traffic and a.fastcost.traffic is traffic
-        assert a.fastcost.total_cost() == total
-        got, want = a.run(n_iterations=1), twin.run(n_iterations=1)
-        assert got.final_cost == want.final_cost
-        assert list(got.decisions) == list(want.decisions)
-        assert got.final_cost == pytest.approx(
-            a.fastcost.recompute_total_cost(), rel=1e-9
-        )
-
-    def test_unknown_vm_in_traffic_rejected(self, populated, cost_model):
+    def test_unknown_vm_in_delta_rejected(self, populated, cost_model):
         allocation, traffic, _ = populated
         scheduler = build_scheduler((allocation, traffic, None), cost_model)
-        bad = TrafficMatrix()
-        bad.set_rate(99999, 99998, 1.0)
-        with pytest.raises(ValueError, match="absent"):
-            scheduler.update_traffic(bad)
+        total = scheduler.fastcost.total_cost()
+        with pytest.raises(KeyError, match="not in the engine"):
+            scheduler.apply_traffic_delta([(99999, 99998, 1.0)])
+        assert scheduler.fastcost.total_cost() == total
+        assert scheduler.fastcost.in_sync
 
     def test_constructor_rejects_unknown_vms(self, populated, cost_model):
         allocation, _, _ = populated

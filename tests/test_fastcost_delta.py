@@ -200,7 +200,6 @@ class TestPopulationDelta:
         topo, _, manager, allocation, traffic = build_env(12)
         fast = FastCostEngine(allocation, traffic)
         engine = MigrationEngine(CostModel(topo))
-        engine.attach_fastcost(fast)
         rng = make_rng(12)
         for step in range(4):
             pairs = list(traffic.pairs())
@@ -218,7 +217,7 @@ class TestPopulationDelta:
             ]
             fast.add_vms(new, free[:2])
             for vm_id in list(sorted(allocation.vm_ids()))[:10]:
-                engine.decide_and_migrate(allocation, traffic, vm_id)
+                engine.decide_and_migrate(fast, vm_id)
             assert fast.in_sync
             assert_engines_match(fast, rebuilt(allocation, traffic))
 
@@ -226,7 +225,7 @@ class TestPopulationDelta:
 class TestSchedulerOnDeltaPath:
     @pytest.mark.parametrize("policy", ["rr", "hlf"])
     def test_multi_epoch_run_matches_full_rebuild_path(self, policy):
-        """Twin schedulers: delta-path epochs == update_traffic epochs."""
+        """Twin schedulers: delta-path epochs == full-rebuild epochs."""
         _, _, _, alloc_a, traffic_a = build_env(20)
         _, _, _, alloc_b, traffic_b = build_env(20)
         sched_a = SCOREScheduler(
@@ -238,7 +237,6 @@ class TestSchedulerOnDeltaPath:
             MigrationEngine(CostModel(alloc_b.topology)),
         )
         rng = make_rng(99)
-        current_b = traffic_b
         for epoch in range(3):
             if epoch:
                 pairs = list(traffic_a.pairs())
@@ -250,12 +248,12 @@ class TestSchedulerOnDeltaPath:
                     (u, v, r * float(0.3 + rng.random()))
                     for u, v, r in picked
                 ]
-                # A: incremental delta path.  B: full rebuild via a fresh
-                # matrix with identical rates.
+                # A: incremental delta path.  B: the same rates written
+                # behind its engine, which the next run answers with a
+                # full rebuild.
                 sched_a.apply_traffic_delta(delta)
-                current_b = current_b.copy()
-                current_b.apply_delta(delta)
-                sched_b.update_traffic(current_b)
+                traffic_b.apply_delta(delta)
+                assert not sched_b.fastcost.in_sync
             report_a = sched_a.run(n_iterations=2)
             report_b = sched_b.run(n_iterations=2)
             assert report_a.total_migrations == report_b.total_migrations

@@ -28,7 +28,7 @@ from repro import (
 from repro.cluster.placement import place_by_name
 from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationEngine
-from repro.sim.network import LinkLoadCalculator
+from repro.reference import bandwidth_feasible, evaluate_naive, host_egress_rate
 from repro.traffic.generator import PATTERNS
 
 REL = 1e-9
@@ -142,16 +142,15 @@ def test_fast_engine_matches_naive(topo_name, pattern, placement):
 
 @pytest.mark.parametrize("topo_name", sorted(TOPOLOGY_BUILDERS))
 def test_batched_evaluate_matches_naive_evaluate(topo_name):
-    """MigrationEngine with/without the fast engine decides identically."""
+    """MigrationEngine.evaluate on the fast engine == the naive oracle."""
     topology, allocation, traffic = build_scenario(
         topo_name, "sparse", "random", seed=7
     )
-    naive_engine = MigrationEngine(CostModel(topology), max_candidates=12)
-    fast_engine = MigrationEngine(CostModel(topology), max_candidates=12)
-    fast_engine.attach_fastcost(FastCostEngine(allocation, traffic))
+    engine = MigrationEngine(CostModel(topology), max_candidates=12)
+    fast = FastCostEngine(allocation, traffic)
     for vm_id in allocation.vm_ids():
-        naive_d = naive_engine.evaluate(allocation, traffic, vm_id)
-        fast_d = fast_engine.evaluate(allocation, traffic, vm_id)
+        naive_d = evaluate_naive(engine, allocation, traffic, vm_id)
+        fast_d = engine.evaluate(fast, vm_id)
         assert naive_d.target_host == fast_d.target_host
         assert naive_d.reason == fast_d.reason
         assert fast_d.delta == pytest.approx(naive_d.delta, rel=REL, abs=1e-9)
@@ -169,13 +168,12 @@ def test_engine_egress_matches_naive_host_egress_rate(topo_name, pattern):
         topo_name, pattern, "random", seed=seed
     )
     fast = FastCostEngine(allocation, traffic)
-    engine = MigrationEngine(CostModel(topology), bandwidth_threshold=0.9)
     rng = np.random.default_rng(seed)
 
     def assert_egress_agrees():
         for host in range(allocation.cluster.n_servers):
             assert fast.host_egress(host) == pytest.approx(
-                engine.host_egress_rate(allocation, traffic, host),
+                host_egress_rate(allocation, traffic, host),
                 rel=REL,
                 abs=1e-6,
             )
@@ -216,50 +214,24 @@ def test_engine_egress_matches_naive_host_egress_rate(topo_name, pattern):
         ):
             assert ok == (
                 cap_ok
-                and naive_engine.bandwidth_feasible(
-                    allocation, traffic, int(owner), int(host)
+                and bandwidth_feasible(
+                    naive_engine, allocation, traffic, int(owner), int(host)
                 )
             )
 
 
 def test_bandwidth_threshold_decisions_match_naive_path():
-    """Full evaluate() with a threshold: engine-backed == naive fallback."""
+    """Full evaluate() with a threshold: engine-backed == naive oracle."""
     topology, allocation, traffic = build_scenario(
         "canonical", "medium", "packed", seed=21
     )
-    naive_engine = MigrationEngine(
+    engine = MigrationEngine(
         CostModel(topology), bandwidth_threshold=0.6, max_candidates=12
     )
-    fast_engine = MigrationEngine(
-        CostModel(topology), bandwidth_threshold=0.6, max_candidates=12
-    )
-    fast_engine.attach_fastcost(FastCostEngine(allocation, traffic))
+    fast = FastCostEngine(allocation, traffic)
     for vm_id in allocation.vm_ids():
-        naive_d = naive_engine.evaluate(allocation, traffic, vm_id)
-        fast_d = fast_engine.evaluate(allocation, traffic, vm_id)
+        naive_d = evaluate_naive(engine, allocation, traffic, vm_id)
+        fast_d = engine.evaluate(fast, vm_id)
         assert naive_d.target_host == fast_d.target_host
         assert naive_d.reason == fast_d.reason
         assert fast_d.delta == pytest.approx(naive_d.delta, rel=REL, abs=1e-9)
-
-
-@pytest.mark.parametrize("topo_name,pattern", [
-    ("canonical", "sparse"),
-    ("canonical", "dense"),
-    ("fattree", "medium"),
-])
-def test_level_loads_match_per_link_routing(topo_name, pattern):
-    """Vectorized per-level totals equal summing routed per-link loads."""
-    topology, allocation, traffic = build_scenario(
-        topo_name, pattern, "random", seed=3
-    )
-    for flowlets in (1, 4):
-        calculator = LinkLoadCalculator(topology, flowlets=flowlets)
-        by_level = calculator.level_loads(allocation, traffic)
-        loads = calculator.loads(allocation, traffic)
-        for level in range(1, topology.max_level + 1):
-            routed = sum(
-                load
-                for link_id, load in loads.items()
-                if topology.link_level(link_id) == level
-            )
-            assert by_level[level] == pytest.approx(routed, rel=REL, abs=1e-9)

@@ -10,7 +10,6 @@ import pytest
 
 from repro.baselines.ga import GAConfig, GeneticOptimizer
 from repro.baselines.remedy import RemedyConfig, RemedyController
-from repro.baselines.static import no_migration_cost
 from repro.sim import (
     ExperimentConfig,
     MaxMinFairAllocator,
@@ -41,7 +40,7 @@ def pipeline():
     calc = LinkLoadCalculator(env.topology)
     fair = MaxMinFairAllocator(env.topology)
 
-    initial_cost = no_migration_cost(env.allocation, env.traffic, env.cost_model)
+    initial_cost = env.cost_model.total_cost(env.allocation, env.traffic)
     utilization_before = calc.utilizations_by_level(env.allocation, env.traffic)
     tor_before = env.traffic.tor_matrix(env.allocation)
 

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.report import (
-    render_cdf,
     render_heatmap,
     render_histogram,
     render_series,
 )
-from repro.util.stats import empirical_cdf
 
 
 class TestRenderSeries:
@@ -35,21 +33,6 @@ class TestRenderSeries:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             render_series([(0, 1.0)], width=4)
-
-
-class TestRenderCdf:
-    def test_rows_and_percent_column(self):
-        cdf = empirical_cdf(range(100))
-        out = render_cdf(cdf, points=5)
-        lines = out.splitlines()
-        assert len(lines) == 5
-        assert lines[-1].endswith("100%")
-        assert "#" in lines[-1]
-
-    def test_min_points_enforced(self):
-        cdf = empirical_cdf([1, 2])
-        with pytest.raises(ValueError):
-            render_cdf(cdf, points=1)
 
 
 class TestRenderHeatmap:

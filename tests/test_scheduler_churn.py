@@ -13,6 +13,7 @@ from repro import (
 )
 from repro.cluster import CapacityError, Cluster, ServerCapacity
 from repro.cluster.allocation import Allocation
+from repro.sim.eventqueue import EventQueueRunner, Retirement
 from repro.topology import CanonicalTree
 from repro.traffic import TrafficMatrix
 
@@ -35,7 +36,7 @@ def scheduler_env():
 class TestAdmission:
     def test_admitted_vm_joins_token(self, scheduler_env):
         scheduler, allocation, traffic = scheduler_env
-        scheduler.admit_vm(VM(4, ram_mb=256, cpu=0.25), 1)
+        scheduler.admit_vms([VM(4, ram_mb=256, cpu=0.25)], [1])
         assert 4 in scheduler.token
         assert allocation.server_of(4) == 1
         report = scheduler.run(n_iterations=1)
@@ -43,7 +44,7 @@ class TestAdmission:
 
     def test_admitted_vm_gets_optimized(self, scheduler_env):
         scheduler, allocation, traffic = scheduler_env
-        scheduler.admit_vm(VM(4, ram_mb=256, cpu=0.25), 7)
+        scheduler.admit_vms([VM(4, ram_mb=256, cpu=0.25)], [7])
         traffic.set_rate(4, 1, 500)  # heavy traffic to VM 1 on host 0
         scheduler.run(n_iterations=2)
         assert allocation.level_between(4, 1) == 0
@@ -51,18 +52,18 @@ class TestAdmission:
     def test_admission_respects_capacity(self, scheduler_env):
         scheduler, allocation, traffic = scheduler_env
         for vm_id in (10, 11, 12):
-            scheduler.admit_vm(VM(vm_id, ram_mb=256, cpu=0.25), 0)
+            scheduler.admit_vms([VM(vm_id, ram_mb=256, cpu=0.25)], [0])
         from repro.cluster.allocation import CapacityError
 
         with pytest.raises(CapacityError):
-            scheduler.admit_vm(VM(13, ram_mb=256, cpu=0.25), 0)
+            scheduler.admit_vms([VM(13, ram_mb=256, cpu=0.25)], [0])
         assert 13 not in scheduler.token
 
 
 class TestRetirement:
     def test_retired_vm_leaves_everything(self, scheduler_env):
         scheduler, allocation, traffic = scheduler_env
-        scheduler.retire_vm(2)
+        scheduler.retire_vms([2])
         assert 2 not in scheduler.token
         assert 2 not in allocation
         assert traffic.peers_of(2) == frozenset()
@@ -70,7 +71,7 @@ class TestRetirement:
 
     def test_run_after_retirement(self, scheduler_env):
         scheduler, allocation, traffic = scheduler_env
-        scheduler.retire_vm(2)
+        scheduler.retire_vms([2])
         report = scheduler.run(n_iterations=1)
         assert report.iterations[0].visits == 2
         allocation.validate()
@@ -79,8 +80,8 @@ class TestRetirement:
         scheduler, allocation, traffic = scheduler_env
         model = scheduler.cost_model
         scheduler.run(n_iterations=1)
-        scheduler.retire_vm(3)
-        scheduler.admit_vm(VM(5, ram_mb=256, cpu=0.25), 6)
+        scheduler.retire_vms([3])
+        scheduler.admit_vms([VM(5, ram_mb=256, cpu=0.25)], [6])
         traffic.set_rate(5, 1, 50)
         report = scheduler.run(n_iterations=2)
         assert report.final_cost == pytest.approx(
@@ -99,7 +100,7 @@ class TestChurnEdges:
         scheduler, allocation, traffic = scheduler_env
         holder = scheduler.token.lowest_id
         assert holder == 1
-        scheduler.retire_vm(1)
+        scheduler.retire_vms([1])
         assert 1 not in scheduler.token
         report = scheduler.run(n_iterations=1)
         assert report.iterations[0].visits == 2
@@ -114,15 +115,26 @@ class TestChurnEdges:
         # VM 1 (host 0) <-> VM 2 (host 4) is the heavy pair; a run would
         # migrate one toward the other.  Confirm the pending gain, then
         # retire the mover before the round happens.
-        decision = scheduler._engine.evaluate(allocation, traffic, 2)
+        decision = scheduler._engine.evaluate(scheduler.fastcost, 2)
         assert decision.target_host is not None
-        scheduler.retire_vm(2)
+        scheduler.retire_vms([2])
         report = scheduler.run(n_iterations=2)
         assert all(d.vm_id != 2 for d in report.decisions)
         assert report.final_cost == pytest.approx(
             scheduler.cost_model.total_cost(allocation, traffic), rel=1e-9
         )
         allocation.validate()
+
+    def test_retirement_event_skips_a_repeated_id(self, scheduler_env):
+        """An explicit id listed twice retires once instead of crashing
+        the batch as a duplicate."""
+        scheduler, allocation, traffic = scheduler_env
+        runner = EventQueueRunner(scheduler)
+        runner.schedule(0.0, Retirement(vm_ids=(2, 2)))
+        assert runner.pump(0.0) is True
+        assert 2 not in allocation and 2 not in scheduler.token
+        assert sorted(scheduler.token.vm_ids) == [1, 3]
+        assert scheduler.fastcost.in_sync
 
     def test_retire_all_vms_rejected(self, scheduler_env):
         scheduler, allocation, traffic = scheduler_env
@@ -187,9 +199,9 @@ class TestChurnEdges:
             allocation, traffic, HighestLevelFirstPolicy(), engine
         )
         scheduler.run(n_iterations=1)
-        scheduler.admit_vm(VM(7, ram_mb=256, cpu=0.25), 5)
+        scheduler.admit_vms([VM(7, ram_mb=256, cpu=0.25)], [5])
         traffic.set_rate(7, 3, 250)
-        scheduler.retire_vm(1)
+        scheduler.retire_vms([1])
         report = scheduler.run(n_iterations=2)
         assert report.final_cost == pytest.approx(
             scheduler.cost_model.total_cost(allocation, traffic), rel=1e-9

@@ -6,8 +6,6 @@ from repro.core.scheduler import IterationStats, SchedulerReport
 from repro.sim.metrics import (
     convergence_iteration,
     resample_series,
-    series_final_value,
-    utilization_cdf_by_level,
 )
 
 
@@ -56,14 +54,3 @@ class TestResampleSeries:
         with pytest.raises(ValueError):
             resample_series([], [0.0])
 
-
-class TestHelpers:
-    def test_series_final_value(self):
-        assert series_final_value([(0, 1.0), (1, 0.5)]) == 0.5
-        with pytest.raises(ValueError):
-            series_final_value([])
-
-    def test_utilization_cdf_by_level(self):
-        cdfs = utilization_cdf_by_level({1: [0.1, 0.2], 2: [0.5], 3: []})
-        assert set(cdfs) == {1, 2}
-        assert cdfs[1].at(0.15) == pytest.approx(0.5)

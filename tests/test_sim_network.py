@@ -87,20 +87,12 @@ class TestUtilizations:
         assert set(by_level) == {1, 2, 3}
         assert len(by_level[1]) == topo.n_hosts
 
-    def test_max_and_most_utilized(self, env):
+    def test_max_utilization(self, env):
         topo, allocation = env
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 12.5e6)
         calc = LinkLoadCalculator(topo)
         assert calc.max_utilization(allocation, tm) == pytest.approx(0.1)
-        link, value = calc.most_utilized_link(allocation, tm)
-        assert value == pytest.approx(0.1)
-        assert topo.link_level(link) == 1
-
-    def test_most_utilized_none_when_idle(self, env):
-        topo, allocation = env
-        calc = LinkLoadCalculator(topo)
-        assert calc.most_utilized_link(allocation, TrafficMatrix()) is None
 
 
 class TestVectorizedLoadsMatchReference:
@@ -168,7 +160,9 @@ class TestContributions:
         tm.set_rate(1, 3, 40)
         calc = LinkLoadCalculator(topo)
         host0_link = canonical_link_id(host_node(0), tor_node(0))
-        contributions = calc.vm_contributions(allocation, tm, host0_link)
+        contributions = calc.vm_contributions_many(
+            allocation, tm, [host0_link]
+        )[host0_link]
         assert contributions[1] == 140  # VM 1 sends both pairs over its access link
         assert contributions[2] == 100
         assert contributions[3] == 40
@@ -179,7 +173,7 @@ class TestContributions:
 
 
 class TestContributionsDifferential:
-    """Batched vm_contributions == the retained per-pair reference."""
+    """Batched vm_contributions_many == the retained per-pair reference."""
 
     def _random_setup(self, seed, fattree=False):
         import numpy as np
@@ -214,25 +208,13 @@ class TestContributionsDifferential:
     def test_matches_reference_on_every_link(self, seed, fattree):
         topo, allocation, tm = self._random_setup(seed, fattree)
         calc = LinkLoadCalculator(topo)
+        batched = calc.vm_contributions_many(allocation, tm, list(topo.links))
         for link_id in topo.links:
             want = vm_contributions_reference(calc, allocation, tm, link_id)
-            got = calc.vm_contributions(allocation, tm, link_id)
+            got = batched[link_id]
             assert set(got) == set(want)
             for vm_id, rate in want.items():
                 assert got[vm_id] == pytest.approx(rate, rel=1e-12)
-
-    def test_many_equals_single(self, env):
-        topo, allocation = env
-        tm = TrafficMatrix()
-        tm.set_rate(1, 2, 100)
-        tm.set_rate(1, 3, 40)
-        calc = LinkLoadCalculator(topo)
-        links = list(topo.links)[:5]
-        batched = calc.vm_contributions_many(allocation, tm, links)
-        for link_id in links:
-            assert batched[link_id] == calc.vm_contributions(
-                allocation, tm, link_id
-            )
 
     def test_unknown_link_yields_empty(self, env):
         topo, allocation = env

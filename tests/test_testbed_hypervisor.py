@@ -101,8 +101,10 @@ class TestTokenRound:
         """Message-passing deployment == in-process scheduler, step for step."""
         sim_allocation = deployment.allocation.copy()
         sim_engine = MigrationEngine(deployment.cost_model)
+        # A store binds to one allocation: the twin gets its own copy.
         scheduler = PerHoldScheduler(
-            sim_allocation, deployment.traffic, RoundRobinPolicy(), sim_engine
+            sim_allocation, deployment.traffic.copy(), RoundRobinPolicy(),
+            sim_engine,
         )
         # The deployment executes hold by hold, so the apples-to-apples
         # simulator run is the per-hold oracle (wave-batched rounds are
@@ -116,6 +118,16 @@ class TestTokenRound:
         assert [(d.vm_id, d.target_host) for d in performed] == [
             (d.vm_id, d.target_host) for d in simulated
         ]
+
+    def test_rounds_write_through_the_engine(self, deployment):
+        deployment.run_round()
+        deployment.run_round()
+        assert deployment.migrations_performed > 0
+        fast = deployment.fast
+        assert fast.in_sync
+        assert fast.total_cost() == pytest.approx(
+            fast.recompute_total_cost(), rel=1e-9
+        )
 
     def test_partial_round(self, deployment):
         hops = deployment.run_round(n_holds=5)

@@ -1,7 +1,6 @@
 """Seeded traffic producers, pinned to the values they have always made.
 
-The generator, the flow aggregation, the rate estimators and the drift
-processes write λ in one bulk call each (``TrafficMatrix.from_pairs``,
+The generator and the drift processes write λ in one bulk call each (``TrafficMatrix.from_pairs``,
 ``from_pair_arrays``, ``apply_delta``).  The pins below were recorded
 from the pair-by-pair writers those calls replaced: the same seed must
 give the same pair set, the same pair order (Eq. 2 sums and the
@@ -14,17 +13,13 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pytest
 
-from repro.traffic.flows import Flow, flows_to_matrix
 from repro.traffic.generator import PATTERNS, DCTrafficGenerator
 from repro.traffic.temporal import (
     DiurnalDriftProcess,
-    EwmaRateEstimator,
     HotspotDriftProcess,
     HotspotFlipDrift,
-    SlidingWindowRateEstimator,
 )
 
 #: pattern -> (pair count, digest of the sorted pair set, digest of the
@@ -72,22 +67,3 @@ def test_scaled_matrix_is_pinned():
 def test_drift_deltas_are_pinned(make, steps, pinned):
     process = make(generated("sparse"))
     assert digest(process.step_delta() for _ in range(steps)) == pinned
-
-
-def test_flow_aggregates_and_estimates_are_pinned():
-    rng = np.random.default_rng(3)
-    flows = [
-        Flow(src_vm=int(a), dst_vm=int(b), size_bytes=float(s),
-             start_time=0.1 * i, duration_s=0.1)
-        for i, (a, b, s) in enumerate(
-            zip(rng.integers(0, 30, 200), rng.integers(30, 60, 200),
-                rng.uniform(1, 1e6, 200))
-        )
-    ]
-    assert digest(flows_to_matrix(flows, 10.0).pairs()) == "20a6f772018ec720"
-    window, ewma = SlidingWindowRateEstimator(10.0), EwmaRateEstimator(0.3)
-    for f in flows:
-        window.record(f.src_vm, f.dst_vm, f.size_bytes, f.start_time)
-        ewma.update(f.src_vm, f.dst_vm, f.size_bytes)
-    assert digest(window.snapshot(15.0).pairs()) == "6457c797e6b8e938"
-    assert digest(ewma.snapshot().pairs()) == "e045ab2c5cfac9b6"

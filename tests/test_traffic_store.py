@@ -255,6 +255,7 @@ def test_a_scheduler_pickled_in_the_dict_backed_layout_restores(seed):
             getattr(fast.snapshot, name), getattr(live.traffic.store, name)
         )
     assert fast.total_cost() == live.fastcost.total_cost()
+    assert "_fastcost" not in vars(restored._engine)
     ours, theirs = live.run(n_iterations=1), restored.run(n_iterations=1)
     assert decisions(theirs) == decisions(ours)
     assert theirs.final_cost == pytest.approx(ours.final_cost, rel=1e-12)

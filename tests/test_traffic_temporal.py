@@ -1,76 +1,13 @@
-"""Tests for temporal rate estimation and hotspot drift."""
+"""Tests for the slowly-drifting traffic processes."""
 
 import pytest
 
 from repro.traffic import (
     DiurnalDriftProcess,
-    EwmaRateEstimator,
     HotspotDriftProcess,
     HotspotFlipDrift,
-    SlidingWindowRateEstimator,
     TrafficMatrix,
 )
-
-
-class TestSlidingWindow:
-    def test_average_over_window(self):
-        est = SlidingWindowRateEstimator(window_s=10)
-        est.record(1, 2, 500, timestamp=1)
-        est.record(2, 1, 500, timestamp=5)
-        assert est.rate(1, 2, now=10) == 100.0
-
-    def test_old_samples_evicted(self):
-        est = SlidingWindowRateEstimator(window_s=10)
-        est.record(1, 2, 1000, timestamp=0)
-        assert est.rate(1, 2, now=5) == 100.0
-        assert est.rate(1, 2, now=20) == 0.0
-
-    def test_unknown_pair_zero(self):
-        est = SlidingWindowRateEstimator(window_s=5)
-        assert est.rate(7, 8, now=0) == 0.0
-
-    def test_snapshot_builds_matrix(self):
-        est = SlidingWindowRateEstimator(window_s=10)
-        est.record(1, 2, 100, timestamp=1)
-        est.record(3, 4, 200, timestamp=2)
-        tm = est.snapshot(now=5)
-        assert tm.rate(1, 2) == 10.0
-        assert tm.rate(3, 4) == 20.0
-
-    def test_negative_bytes_rejected(self):
-        est = SlidingWindowRateEstimator(window_s=10)
-        with pytest.raises(ValueError):
-            est.record(1, 2, -5, timestamp=0)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            SlidingWindowRateEstimator(window_s=0)
-
-
-class TestEwma:
-    def test_first_sample_taken_as_is(self):
-        est = EwmaRateEstimator(alpha=0.5)
-        assert est.update(1, 2, 100) == 100.0
-
-    def test_smoothing(self):
-        est = EwmaRateEstimator(alpha=0.5)
-        est.update(1, 2, 100)
-        assert est.update(1, 2, 0) == 50.0
-        assert est.rate(1, 2) == 50.0
-
-    def test_symmetric_keys(self):
-        est = EwmaRateEstimator(alpha=0.5)
-        est.update(2, 1, 100)
-        assert est.rate(1, 2) == 100.0
-
-    def test_snapshot(self):
-        est = EwmaRateEstimator()
-        est.update(1, 2, 30)
-        assert est.snapshot().rate(1, 2) == 30.0
-
-    def test_zero_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            EwmaRateEstimator(alpha=0.0)
 
 
 class TestHotspotDrift:

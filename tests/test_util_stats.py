@@ -1,80 +1,8 @@
-"""Tests for the statistics toolkit."""
+"""Tests for the sample statistics."""
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.util.stats import Cdf, empirical_cdf, gini, summarize
-
-
-class TestSummarize:
-    def test_known_values(self):
-        s = summarize([1, 2, 3, 4, 5])
-        assert s.count == 5
-        assert s.mean == pytest.approx(3.0)
-        assert s.minimum == 1
-        assert s.maximum == 5
-        assert s.median == pytest.approx(3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_as_row_is_flat(self):
-        row = summarize([1.0, 2.0]).as_row()
-        assert len(row) == 10
-        assert all(isinstance(x, (int, float)) for x in row)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    def test_bounds_hold(self, values):
-        s = summarize(values)
-        assert s.minimum <= s.median <= s.maximum
-        # The mean can drift past the extremes by a few ulps when all
-        # values are (nearly) identical; allow that rounding slack.
-        slack = 1e-9 * max(1.0, abs(s.maximum), abs(s.minimum))
-        assert s.minimum - slack <= s.mean <= s.maximum + slack
-
-
-class TestEmpiricalCdf:
-    def test_monotone(self):
-        cdf = empirical_cdf([3, 1, 2, 2, 5])
-        assert list(cdf.ps) == sorted(cdf.ps)
-        assert list(cdf.xs) == sorted(cdf.xs)
-
-    def test_at_endpoints(self):
-        cdf = empirical_cdf([1, 2, 3])
-        assert cdf.at(0.5) == 0.0
-        assert cdf.at(3) == pytest.approx(1.0)
-
-    def test_at_midpoint(self):
-        cdf = empirical_cdf([1, 2, 3, 4])
-        assert cdf.at(2) == pytest.approx(0.5)
-
-    def test_quantile(self):
-        cdf = empirical_cdf(range(1, 101))
-        assert cdf.quantile(0.5) == 50
-        assert cdf.quantile(1.0) == 100
-
-    def test_quantile_bounds_checked(self):
-        cdf = empirical_cdf([1])
-        with pytest.raises(ValueError):
-            cdf.quantile(1.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
-    def test_sampled_grid(self):
-        cdf = empirical_cdf([1, 2, 3, 4])
-        points = cdf.sampled([0, 2, 5])
-        assert points == [(0.0, 0.0), (2.0, 0.5), (5.0, 1.0)]
-
-    @given(st.lists(st.floats(0, 1e9), min_size=1, max_size=100))
-    def test_at_is_monotone_property(self, values):
-        cdf = empirical_cdf(values)
-        grid = sorted(values)
-        evaluated = [cdf.at(x) for x in grid]
-        assert evaluated == sorted(evaluated)
+from repro.util.stats import gini
 
 
 class TestGini:

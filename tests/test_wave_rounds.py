@@ -46,7 +46,11 @@ from repro.core.fastcost import FastCostEngine
 from repro.core.migration import plan_wave
 from repro.core.policies import HighestLevelFirstPolicy
 from repro.core.rounds import BatchedRoundEngine
-from repro.reference import PerHoldScheduler, plan_wave_reference
+from repro.reference import (
+    PerHoldScheduler,
+    evaluate_naive,
+    plan_wave_reference,
+)
 
 
 def build_scenario(seed, fattree=False, scale=1, pattern=SPARSE, fill=0.85):
@@ -74,7 +78,6 @@ def run_batched_round(allocation, traffic, model, **engine_kw):
     """One recorded wave-batched round (RR order) over a fresh engine stack."""
     engine = MigrationEngine(model, **engine_kw)
     fast = FastCostEngine(allocation, traffic, weights=model.weights)
-    engine.attach_fastcost(fast)
     rounds = BatchedRoundEngine(engine, fast, record_waves=True)
     return rounds.run_round(sorted(allocation.vm_ids()))
 
@@ -323,15 +326,13 @@ class TestEvaluateMany:
         model = CostModel(topology)
         engine = MigrationEngine(model, **engine_kw)
         fast = FastCostEngine(allocation, traffic, weights=model.weights)
-        engine.attach_fastcost(fast)
-        naive = MigrationEngine(model, **engine_kw)  # no engine attached
         vm_ids = sorted(allocation.vm_ids())
         batch = fast.candidate_batch(
             fast.dense_indices(vm_ids), engine.max_candidates
         )
         batch_decisions = engine.decisions_from_batch(batch, fast)
         for vm_id, got in zip(vm_ids, batch_decisions):
-            want = naive.evaluate(allocation, traffic, vm_id)
+            want = evaluate_naive(engine, allocation, traffic, vm_id)
             assert got.vm_id == want.vm_id == vm_id
             assert got.target_host == want.target_host
             assert got.reason == want.reason
