@@ -221,11 +221,71 @@ class TestDecisions:
         assert decision.target_host == 5  # rack-mate of the full host
         assert decision.delta == pytest.approx(100 * (14.0 - 2.0))
 
-    def test_invalid_engine_params_rejected(self):
+    @pytest.mark.parametrize("kwargs", [
+        dict(migration_cost=-1),
+        dict(bandwidth_threshold=0.0),
+        dict(bandwidth_threshold=-0.5),
+        dict(bandwidth_threshold=1.5),
+        dict(max_candidates=0),
+        dict(max_candidates=-2),
+    ])
+    def test_invalid_engine_params_rejected(self, kwargs):
         topo, cluster, allocation, model = build_env()
         with pytest.raises(ValueError):
-            MigrationEngine(model, migration_cost=-1)
+            MigrationEngine(model, **kwargs)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5])
+    def test_out_of_range_budget_refused_keeping_the_old_one(self, threshold):
+        topo, cluster, allocation, model = build_env()
+        engine = MigrationEngine(model, bandwidth_threshold=0.5)
         with pytest.raises(ValueError):
-            MigrationEngine(model, bandwidth_threshold=0.0)
-        with pytest.raises(ValueError):
-            MigrationEngine(model, max_candidates=0)
+            engine.set_bandwidth_threshold(threshold)
+        assert engine.bandwidth_threshold == 0.5
+
+    @both_paths
+    def test_budget_change_applies_to_the_next_decision(self, path):
+        """Host 4 holds the heavy peer but carries 700 B/s of its own: a
+        500 B/s budget sends VM 1 to the peer's rack-mate instead, and
+        lifting the budget sends it to the peer again."""
+        topo, cluster, allocation, model = build_env(nic_bps=1000)
+        for vm_id, host in [(1, 0), (2, 4), (3, 4), (4, 2)]:
+            allocation.add_vm(VM(vm_id, ram_mb=128, cpu=0.1), host)
+        tm = TrafficMatrix()
+        tm.set_rate(1, 2, 100)
+        tm.set_rate(3, 4, 700)
+        engine = MigrationEngine(model)
+        fast = bind(engine, allocation, tm)
+
+        def evaluate():
+            if path == "engine":
+                return engine.evaluate(fast, 1)
+            return evaluate_naive(engine, allocation, tm, 1)
+
+        assert evaluate().target_host == 4
+        engine.set_bandwidth_threshold(0.5)
+        squeezed = evaluate()
+        assert squeezed.target_host == 5
+        assert squeezed.delta == pytest.approx(100 * (14.0 - 2.0))
+        engine.set_bandwidth_threshold(None)
+        assert evaluate().target_host == 4
+        assert allocation.server_of(1) == 0
+
+    @both_paths
+    @pytest.mark.parametrize("cap,target", [(1, None), (3, 1), (None, 1)])
+    def test_candidate_cap_bounds_the_search(self, path, cap, target):
+        """Level-3 peer VM 3 ranks first, but the gain is in joining the
+        heavy rack-local peer VM 2 on host 1: a cap that stops before
+        host 1 leaves VM 1 where it is."""
+        topo, cluster, allocation, model = build_env()
+        for vm_id, host in [(1, 0), (2, 1), (3, 4)]:
+            allocation.add_vm(VM(vm_id, ram_mb=128, cpu=0.1), host)
+        tm = TrafficMatrix()
+        tm.set_rate(1, 2, 1000)
+        tm.set_rate(1, 3, 10)
+        engine = MigrationEngine(model, max_candidates=cap)
+        decision = decide(engine, allocation, tm, 1, path)
+        assert decision.target_host == target
+        assert decision.migrated == (target is not None)
+        assert allocation.server_of(1) == (0 if target is None else target)
+        if target is not None:
+            assert decision.delta == pytest.approx(1000 * 2.0)

@@ -170,6 +170,23 @@ class TestTrafficUpdates:
         assert report.initial_cost == pytest.approx(expected)
         assert scheduler.fastcost.in_sync
 
+    def test_a_new_estimate_may_open_pairs(self, populated, cost_model):
+        """A pair the old estimate lacked is written by the same delta
+        and priced by the next run like any other."""
+        allocation, traffic, _ = populated
+        scheduler = build_scheduler((allocation, traffic, None), cost_model)
+        vms = sorted(allocation.vm_ids())
+        u, v = next(
+            (a, b) for a in vms for b in vms if a < b and not traffic.rate(a, b)
+        )
+        scheduler.apply_traffic_delta([(u, v, 5.0)])
+        assert traffic.rate(u, v) == 5.0
+        assert scheduler.fastcost.in_sync
+        expected = cost_model.total_cost(allocation, traffic)
+        assert scheduler.run(n_iterations=1).initial_cost == pytest.approx(
+            expected
+        )
+
     def test_unknown_vm_in_delta_rejected(self, populated, cost_model):
         allocation, traffic, _ = populated
         scheduler = build_scheduler((allocation, traffic, None), cost_model)

@@ -235,3 +235,57 @@ def test_bandwidth_threshold_decisions_match_naive_path():
         assert naive_d.target_host == fast_d.target_host
         assert naive_d.reason == fast_d.reason
         assert fast_d.delta == pytest.approx(naive_d.delta, rel=REL, abs=1e-9)
+
+
+SETTINGS = {
+    "cm0": dict(),
+    "cm": dict(migration_cost=1.0),
+    "budget": dict(bandwidth_threshold=0.6),
+    "cap": dict(max_candidates=3),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+@pytest.mark.parametrize("pattern", PATTERN_NAMES)
+@pytest.mark.parametrize("topo_name", sorted(TOPOLOGY_BUILDERS))
+def test_decision_sweeps_match_the_oracle(topo_name, pattern, setting):
+    """Two per-hold sweeps of ``decide_and_migrate`` on the engine, and
+    the oracle's decisions applied to a twin placement, take the same
+    decision at every hold: each move changes what the next VM sees, so
+    the two paths stay in step only if every write lands the same way."""
+    seed = zlib.crc32(f"sweep|{topo_name}|{pattern}".encode()) % 10_000
+    topology, allocation, traffic = build_scenario(
+        topo_name, pattern, "random", seed=seed
+    )
+    _, twin, twin_traffic = build_scenario(
+        topo_name, pattern, "random", seed=seed
+    )
+    engine = MigrationEngine(CostModel(topology), **SETTINGS[setting])
+    fast = FastCostEngine(allocation, traffic)
+    w_top = engine.cost_model.weights.path_weight(topology.max_level)
+    moved = 0
+    for vm_id in sorted(allocation.vm_ids()) * 2:
+        want = evaluate_naive(engine, twin, twin_traffic, vm_id)
+        got = engine.decide_and_migrate(fast, vm_id)
+        assert got.target_host == want.target_host
+        if want.target_host is None:
+            # A refusal reports the batch scorer's best delta, whose
+            # rounding noise scales with the VM's traffic.
+            assert got.reason == want.reason
+            assert got.delta == pytest.approx(
+                want.delta, rel=REL,
+                abs=REL * w_top * sum(twin_traffic.peer_rates(vm_id).values()),
+            )
+            continue
+        assert got.migrated and got.reason == "migrated"
+        assert got.delta == pytest.approx(want.delta, rel=REL, abs=1e-9)
+        twin.migrate(vm_id, want.target_host)
+        moved += 1
+    assert moved > 0
+    assert fast.in_sync
+    assert {v: allocation.server_of(v) for v in allocation.vm_ids()} == {
+        v: twin.server_of(v) for v in twin.vm_ids()
+    }
+    assert fast.total_cost() == pytest.approx(
+        CostModel(topology).total_cost(twin, twin_traffic), rel=REL
+    )

@@ -136,6 +136,24 @@ class TestChurnEdges:
         assert sorted(scheduler.token.vm_ids) == [1, 3]
         assert scheduler.fastcost.in_sync
 
+    @pytest.mark.parametrize("vm_ids,left", [
+        ((3, 2, 3, 2), [1]),
+        ((2, 9, 2), [1, 3]),
+        ((1, 1, 1, 2), [3]),
+    ])
+    def test_retirement_event_retires_each_listed_id_once(
+        self, scheduler_env, vm_ids, left
+    ):
+        """Repeats and ids that never lived are skipped; every other
+        listed id leaves exactly once."""
+        scheduler, allocation, traffic = scheduler_env
+        runner = EventQueueRunner(scheduler)
+        runner.schedule(0.0, Retirement(vm_ids=vm_ids))
+        assert runner.pump(0.0) is True
+        assert sorted(scheduler.token.vm_ids) == left
+        assert sorted(allocation.vm_ids()) == left
+        assert scheduler.fastcost.in_sync
+
     def test_retire_all_vms_rejected(self, scheduler_env):
         scheduler, allocation, traffic = scheduler_env
         with pytest.raises(ValueError, match="token needs a holder"):
