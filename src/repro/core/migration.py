@@ -18,8 +18,10 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
+from repro.cluster.allocation import Allocation
 from repro.core.cost import CostModel
 from repro.core.fastcost import CandidateBatch, FastCostEngine
+from repro.traffic.matrix import TrafficMatrix
 from repro.util.validation import check_non_negative
 
 
@@ -200,6 +202,24 @@ class MigrationEngine:
     def max_candidates(self) -> Optional[int]:
         """Cap on probed candidate servers per decision (None = unlimited)."""
         return self._max_candidates
+
+    def bind(
+        self, allocation: Allocation, traffic: TrafficMatrix
+    ) -> FastCostEngine:
+        """A fast engine over ``allocation`` and ``traffic`` with this
+        engine's link weights — what every decision is then scored on.
+
+        Raises ``ValueError`` when the allocation lives on another
+        topology instance than the cost model: decisions would be scored
+        on one topology while policies and oracles read the other.
+        """
+        if allocation.topology is not self._cost_model.topology:
+            raise ValueError(
+                "allocation and cost model disagree on the topology instance"
+            )
+        return FastCostEngine(
+            allocation, traffic, weights=self._cost_model.weights
+        )
 
     # -- decisions ----------------------------------------------------------------
 

@@ -186,7 +186,8 @@ class SCOREScheduler:
         Construction builds a
         :class:`repro.core.fastcost.FastCostEngine` over the allocation and
         traffic (binding the matrix's store; traffic on VMs the allocation
-        does not place raises ``ValueError``); the migration engine is
+        does not place, or a cost model on another topology instance than
+        the allocation's, raises ``ValueError``); the migration engine is
         handed it with every decision.  Every write goes through it, and
         every round threads it through the token loop — batched candidate
         scoring, O(peers) incremental cost updates, and vectorized
@@ -247,10 +248,7 @@ class SCOREScheduler:
 
     def _build_engine(self) -> None:
         """Bind a fast engine to the allocation and traffic."""
-        self._fast = FastCostEngine(
-            self._allocation, self._traffic,
-            weights=self._engine.cost_model.weights,
-        )
+        self._fast = self._engine.bind(self._allocation, self._traffic)
 
     @property
     def allocation(self) -> Allocation:

@@ -32,7 +32,6 @@ from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
 from repro.cluster.server import ServerCapacity
 from repro.core.cost import CostModel
-from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationEngine
 from repro.core.mutation import Mutation
 from repro.core.policies import TokenPolicy
@@ -157,9 +156,7 @@ class ShardDomain:
             bandwidth_threshold=bandwidth_threshold,
             max_candidates=max_candidates,
         )
-        self.fast = FastCostEngine(
-            self.allocation, self.traffic, weights=weights
-        )
+        self.fast = self.engine.bind(self.allocation, self.traffic)
         self.rounds = BatchedRoundEngine(
             self.engine, self.fast, record_waves=True
         )

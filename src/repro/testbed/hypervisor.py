@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.manager import PlacementManager, vm_ip
-from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationDecision, MigrationEngine
 from repro.core.policies import TokenPolicy
 from repro.core.token import Token
@@ -128,9 +127,7 @@ class TestbedDeployment:
         self.policy = policy
         self.engine = engine
         self.cost_model = engine.cost_model
-        self.fast = FastCostEngine(
-            allocation, traffic, weights=engine.cost_model.weights
-        )
+        self.fast = engine.bind(allocation, traffic)
         self.decisions: List[MigrationDecision] = []
         self.network = network if network is not None else TokenNetwork()
         self.token_regenerations = 0

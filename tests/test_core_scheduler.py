@@ -12,6 +12,7 @@ from repro import (
     SPARSE,
     TrafficMatrix,
 )
+from repro.topology import CanonicalTree
 
 
 def build_scheduler(populated, cost_model, policy=None, **engine_kwargs):
@@ -203,6 +204,25 @@ class TestTrafficUpdates:
         with pytest.raises(ValueError, match="absent"):
             SCOREScheduler(
                 allocation, bad, RoundRobinPolicy(), MigrationEngine(cost_model)
+            )
+
+    def test_constructor_rejects_a_cost_model_on_another_topology(
+        self, populated, small_tree
+    ):
+        """An equal but distinct topology instance is refused: decisions
+        would be scored on the allocation's topology while policies and
+        oracles read the cost model's."""
+        allocation, traffic, _ = populated
+        twin = CanonicalTree(
+            n_racks=small_tree.n_racks,
+            hosts_per_rack=small_tree.hosts_per_rack,
+            tors_per_agg=small_tree.n_racks // small_tree.n_aggs,
+            n_cores=small_tree.n_cores,
+        )
+        with pytest.raises(ValueError, match="topology instance"):
+            SCOREScheduler(
+                allocation, traffic, RoundRobinPolicy(),
+                MigrationEngine(CostModel(twin)),
             )
 
 

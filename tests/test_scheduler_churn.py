@@ -125,18 +125,8 @@ class TestChurnEdges:
         )
         allocation.validate()
 
-    def test_retirement_event_skips_a_repeated_id(self, scheduler_env):
-        """An explicit id listed twice retires once instead of crashing
-        the batch as a duplicate."""
-        scheduler, allocation, traffic = scheduler_env
-        runner = EventQueueRunner(scheduler)
-        runner.schedule(0.0, Retirement(vm_ids=(2, 2)))
-        assert runner.pump(0.0) is True
-        assert 2 not in allocation and 2 not in scheduler.token
-        assert sorted(scheduler.token.vm_ids) == [1, 3]
-        assert scheduler.fastcost.in_sync
-
     @pytest.mark.parametrize("vm_ids,left", [
+        ((2, 2), [1, 3]),
         ((3, 2, 3, 2), [1]),
         ((2, 9, 2), [1, 3]),
         ((1, 1, 1, 2), [3]),

@@ -129,6 +129,15 @@ class TestTokenRound:
             fast.recompute_total_cost(), rel=1e-9
         )
 
+    def test_a_cost_model_on_another_topology_is_refused(self, deployment):
+        twin = CanonicalTree(n_racks=4, hosts_per_rack=2, tors_per_agg=2, n_cores=1)
+        with pytest.raises(ValueError, match="topology instance"):
+            TestbedDeployment(
+                deployment.allocation, deployment.traffic.copy(),
+                deployment.manager, RoundRobinPolicy(),
+                MigrationEngine(CostModel(twin)),
+            )
+
     def test_partial_round(self, deployment):
         hops = deployment.run_round(n_holds=5)
         assert hops == 5

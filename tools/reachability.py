@@ -6,20 +6,20 @@ function bodies that were never entered against
 CLI subcommands (single-domain, sharded, ``--workers 2`` and fat-tree
 plus GA runs), the scenario catalogue at toy scale plus a profiled and
 validated run, one durable run and its resume, ``serve`` (fresh,
-``--resume``, ``--source scenario:flash-crowd`` and ``--source jsonl:-
---print-plans``), every
+``--resume``, ``--source scenario:flash-crowd``, ``--source jsonl:-
+--print-plans`` and a surge burst past ``--queue-soft-limit 1``), every
 ``examples/*.py``, every ``BENCHMARK.json`` workload at smoke scale
 (untraced and traced) and ``pytest benchmarks -m 'not slow'``.
 
 Usage (from the repository root)::
 
-    python tools/reachability.py            # run everything, then diff
-    python tools/reachability.py --traces DIR --no-run   # re-diff saved traces
+    python tools/reachability.py
 
-Exits 1 when an unreached function body is covered by no allow-list
-line, or when an allow-list line gives no reason.  Each allow-list line
-is a dotted prefix (a module, or a module plus qualified name) and a
-reason that starts with one of :data:`REASONS`.
+Each allow-list line names one function body (module plus qualified
+name) and gives a reason that starts with one of :data:`REASONS`.
+Exits 1 when an unreached function body has no line, when a line names
+a body that was reached or does not exist, or when a line gives no
+reason.
 
 How the trace is taken: a ``sitecustomize.py`` written to a temporary
 directory on ``PYTHONPATH`` installs ``sys.setprofile`` (and
@@ -38,7 +38,6 @@ has to get right:
 
 from __future__ import annotations
 
-import argparse
 import glob
 import inspect
 import json
@@ -54,8 +53,9 @@ ALLOWLIST = os.path.join(REPO, "tools", "reachability_allowlist.txt")
 
 #: The reasons an unreached function body may stay in ``src/``.
 #: ``interface`` is an abstract declaration, a dunder or a read-only
-#: accessor of a public type; ``library`` is public API of a feature
-#: that no CLI command, example or benchmark exercises.
+#: accessor of a public type.  ``deferred`` is not a reason but a
+#: debt: public API that no CLI command, example or benchmark
+#: exercises and that is still to be given an entry point or deleted.
 REASONS = (
     "oracle",
     "fault injection",
@@ -65,7 +65,7 @@ REASONS = (
     "per-hold protocol",
     "item 11",
     "interface",
-    "library",
+    "deferred",
 )
 
 HOOK = '''\
@@ -165,12 +165,22 @@ def entry_points(scratch: str) -> List[Tuple[List[str], str]]:
     ]
     stream = "\n".join((
         '{"at_round": 0, "kind": "arrival", "count": 2, "rate": 400}',
+        '{"at_round": 0, "kind": "retirement", "vm_ids": [3, 3]}',
         '{"at_round": 1, "kind": "traffic_surge", "factor": 1.5}',
+        '{"at_round": 1, "kind": "capacity_change", "hosts": [0], "max_vms": 8}',
         '{"at_round": 2, "kind": "retirement", "count": 1}',
     )) + "\n"
     jsonl = ["-m", "repro", "serve", "--scale", "toy", "--state-dir",
              os.path.join(scratch, "jsonl"), "--source", "jsonl:-",
              "--rounds", "3", "--print-plans"]
+    # Past the soft limit a rate-only event merges into a pending one.
+    burst_stream = "\n".join((
+        '{"at_round": 0, "kind": "traffic_surge", "factor": 1.5}',
+        '{"at_round": 0, "kind": "traffic_surge", "factor": 1.2}',
+    )) + "\n"
+    burst = ["-m", "repro", "serve", "--scale", "toy", "--state-dir",
+             os.path.join(scratch, "burst"), "--source", "jsonl:-",
+             "--rounds", "2", "--queue-soft-limit", "1"]
     examples = [[path] for path in sorted(glob.glob(
         os.path.join(REPO, "examples", "*.py")))]
     with open(os.path.join(REPO, "BENCHMARK.json")) as handle:
@@ -186,6 +196,7 @@ def entry_points(scratch: str) -> List[Tuple[List[str], str]]:
     runs = [(argv, "") for argv in
             cli + scenarios + durable + serve + examples + bench + suite]
     runs.append((jsonl, stream))
+    runs.append((burst, burst_stream))
     return runs
 
 
@@ -220,64 +231,42 @@ def reached(out: str) -> Set[Key]:
 
 
 def read_allowlist() -> Tuple[List[str], List[str]]:
-    """(prefixes, malformed lines) of the allow-list."""
-    prefixes, malformed = [], []
+    """(named bodies, malformed lines) of the allow-list."""
+    names, malformed = [], []
     with open(ALLOWLIST) as handle:
         for raw in handle:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            prefix, _, reason = line.partition(" ")
+            name, _, reason = line.partition(" ")
             reason = reason.strip()
             if not any(reason.startswith(tag + ":") for tag in REASONS):
                 malformed.append(line)
-            prefixes.append(prefix)
-    return prefixes, malformed
+            names.append(name)
+    return names, malformed
 
 
-def covered(name: str, prefix: str) -> bool:
-    return name == prefix or name.startswith(prefix + ".")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--traces", metavar="DIR",
-                        help="keep the per-process traces in DIR")
-    parser.add_argument("--no-run", action="store_true",
-                        help="diff the traces already in --traces DIR")
-    args = parser.parse_args(argv)
-    if args.no_run and not args.traces:
-        parser.error("--no-run needs --traces DIR")
+def main() -> int:
     sys.path.insert(0, SRC)
-
-    with tempfile.TemporaryDirectory() as temp:
-        out = args.traces or temp
-        os.makedirs(out, exist_ok=True)
-        if not args.no_run:
-            run_entry_points(out)
+    with tempfile.TemporaryDirectory() as out:
+        run_entry_points(out)
         seen = reached(out)
 
     bodies = function_bodies()
-    unreached = sorted(name for key, name in bodies.items() if key not in seen)
-    prefixes, malformed = read_allowlist()
-    uncovered = [
-        name for name in unreached
-        if not any(covered(name, prefix) for prefix in prefixes)
-    ]
-    unused = [
-        prefix for prefix in prefixes
-        if not any(covered(name, prefix) for name in unreached)
-    ]
+    unreached = {name for key, name in bodies.items() if key not in seen}
+    listed, malformed = read_allowlist()
+    uncovered = sorted(unreached.difference(listed))
+    stale = [name for name in listed if name not in unreached]
     print(f"{len(bodies)} function bodies, {len(bodies) - len(unreached)} "
           f"reached, {len(unreached)} unreached "
           f"({len(unreached) - len(uncovered)} allow-listed)")
-    for prefix in unused:
-        print(f"note: allow-list line {prefix!r} covers nothing unreached")
     for line in malformed:
         print(f"error: allow-list line without a reason: {line!r}")
+    for name in stale:
+        print(f"error: allow-listed but reached or gone: {name}")
     for name in uncovered:
         print(f"error: unreached and not allow-listed: {name}")
-    return 1 if uncovered or malformed else 0
+    return 1 if uncovered or stale or malformed else 0
 
 
 if __name__ == "__main__":
