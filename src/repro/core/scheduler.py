@@ -213,14 +213,13 @@ class SCOREScheduler:
         ``policy.spawn()``.
 
         A sharded scheduler keeps its domain fleet (and worker
-        processes) alive across :meth:`run` calls.  Every mutator
-        (admit, retire, traffic delta, capacity, threshold) validates,
-        then writes one :mod:`repro.core.mutation` value to this
-        scheduler's stack and forwards the same value once to the live
-        fleet (``ShardedCoordinator.forward`` → ``ShardDomain.apply``).
-        A mutation the fleet cannot absorb — and a drain
-        (:meth:`drain_hosts`) — tears it down; the next run rebuilds it.
-        Call :meth:`close` to tear the fleet down deterministically.
+        processes) alive across :meth:`run` calls while nothing changes
+        under it.  Every mutator (admit, retire, traffic delta,
+        capacity, threshold, drain) validates, then writes
+        :mod:`repro.core.mutation` values to this scheduler's stack and
+        tears the fleet down; the next run rebuilds it from the global
+        state.  Call :meth:`close` to tear the fleet down
+        deterministically.
         """
         check_positive("token_interval_s", token_interval_s)
         topology = allocation.topology
@@ -524,10 +523,11 @@ class SCOREScheduler:
         """The live domain fleet, (re)built when absent or stale.
 
         The fleet — domains, worker processes, shared-memory slabs —
-        persists across :meth:`run` calls; the delta-forwarding APIs
-        keep it synchronized, and anything they could not absorb marked
-        it stale.  A rebuild seeds the LPT worker packing with the
-        measured per-domain solve times of the previous fleet.
+        persists across :meth:`run` calls until a mutation closes it or
+        a reconcile move marks it stale; a stale fleet is torn down
+        here, not inside the reconcile that outdated it.  A rebuild
+        seeds the LPT worker packing with the measured per-domain solve
+        times of the previous fleet.
         """
         from repro.shard import ShardedCoordinator
 
@@ -570,17 +570,13 @@ class SCOREScheduler:
         self._close_shard_fleet()
 
     def _apply(self, *mutations: Mutation):
-        """Write mutations to this scheduler's stack, then forward them
-        to the live fleet in one batch — or tear down a fleet that is
-        stale or cannot absorb them.  Returns the last one's result."""
+        """Write mutations to this scheduler's stack, then tear down a
+        live fleet (it no longer mirrors the global state).  Returns the
+        last one's result."""
         stack = Stack(self._fast, self._engine, self._token)
         for mutation in mutations:
             result = mutation.apply(stack)
-        coordinator = self._shard_coordinator
-        if coordinator is not None and (
-            coordinator.stale or not coordinator.forward(*mutations)
-        ):
-            self._close_shard_fleet()
+        self._close_shard_fleet()
         return result
 
     def __getstate__(self):
@@ -636,11 +632,11 @@ class SCOREScheduler:
 
         An ``event_pump`` is driven at *iteration boundaries* (domain
         rounds have no mid-round seam by construction): events route
-        through the scheduler's mutation APIs, which forward them to
-        the live fleet, and each boundary re-anchors the cost from the
-        engine's exact total.  Pipelined look-ahead is disabled while a
-        pump (or ``stop_when_stable``) could change what the next
-        iteration is.
+        through the scheduler's mutation APIs, which retire the fleet,
+        so the next iteration (or the reconcile) rebuilds it, and each
+        boundary re-anchors the cost from the engine's exact total.
+        Pipelined look-ahead is disabled while a pump (or
+        ``stop_when_stable``) could change what the next iteration is.
         """
         # The global fast engine is authoritative for the whole sharded
         # run (merge and reconcile maintain it move by move), so anchor
@@ -673,9 +669,9 @@ class SCOREScheduler:
             )
             report.time_series.append((self._clock, cost))
             if event_pump is not None and event_pump(self._clock):
-                # Boundary events mutated engine state out-of-band (the
-                # mutation APIs kept the fleet in step, or retired it);
-                # re-anchor from the engine's exact incremental total.
+                # Boundary events mutated engine state out-of-band (and
+                # retired the fleet); re-anchor from the engine's exact
+                # incremental total.
                 cost = float(self._fast.total_cost())
                 report.time_series.append((self._clock, cost))
             if stop_when_stable and outcome.migrations == 0:
@@ -863,9 +859,6 @@ class SCOREScheduler:
         :meth:`restore_hosts` brings the saved capacity back.
         """
         drained = set(int(h) for h in hosts)
-        # Drain moves bypass the domain round engines (and may cross
-        # domain boundaries): retire the live fleet rather than chase it.
-        self._close_shard_fleet()
         topology = self._allocation.topology
         moves: List[Tuple[int, int]] = []
         for host in sorted(drained):

@@ -22,20 +22,14 @@ scheduler's *global* state:
    workers start round ``k+1`` the moment their round-``k`` frames are
    decoded.
 4. After the last iteration, **reconcile** the cross-domain edge set
-   with exact Theorem-1 passes over the boundary VMs
-   (:mod:`repro.shard.reconcile`), recomputed from the *live* traffic
-   and population, and mirror the moves that stayed inside one domain
-   back onto its long-lived stack.
+   with exact Theorem-1 passes over the partition's boundary VMs
+   (:mod:`repro.shard.reconcile`).
 
-The coordinator also owns the **mutation channel**: :meth:`forward`
-routes the scheduler's :mod:`repro.core.mutation` values (rate deltas,
-churn, capacity and threshold changes, in-domain reconcile moves) over
-the partition maps and ships the per-domain slices to the live fleet,
-so multi-epoch scenarios and the service daemon reuse one fleet instead
-of rebuilding it every run.  A mutation the fleet cannot absorb (a VM
-landing outside every domain, a cross-domain reconcile move) marks the
-coordinator ``stale``; the scheduler rebuilds it at the next run,
-seeding the packing with the measured per-domain solve times.
+A fleet serves run after run only while nothing changes under it: the
+scheduler closes it on any mutation, and a reconcile that moved a VM
+marks it ``stale``.  Either way the next run rebuilds it from the
+global state, seeding the worker packing with the measured per-domain
+solve times.
 
 The global cost is tracked by the global fast engine throughout, so the
 coordinator's reported costs are exact (not a per-domain approximation).
@@ -49,7 +43,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.mutation import Migrate, Mutation, lookup
 from repro.shard.domain import ShardDomain
 from repro.shard.executor import make_executor
 from repro.shard.partition import build_partition
@@ -116,15 +109,6 @@ class ShardedCoordinator:
             self.domains, n_workers, hints=solve_hints
         )
 
-        # The partition maps mutations route over: the domain of each
-        # host and of each VM id (-1 = none).
-        self._domain_of_host = self.partition.domain_of_pod[
-            allocation.topology.host_pod_ids()
-        ]
-        ids, hosts = allocation.columns()[:2]
-        self._domain_of_vm = np.full(int(ids[-1]) + 1, -1, dtype=np.int64)
-        self._domain_of_vm[ids] = self._domain_of_host[hosts]
-
     # -- executor surface --------------------------------------------------
 
     @property
@@ -175,8 +159,7 @@ class ShardedCoordinator:
                 )
             migrations += outcome.migrations
             waves = max(waves, outcome.waves)
-            if outcome.decisions is not None:
-                decision_blocks.append(outcome.decisions)
+            decision_blocks.append(outcome.decisions)
             merge_s += time.perf_counter() - t0
         total_s = time.perf_counter() - t_start
         if self._profile is not None:
@@ -201,54 +184,25 @@ class ShardedCoordinator:
         mean = sum(loads) / len(loads) if loads else 0.0
         return max(loads) / mean if mean > 0 else 1.0
 
-    # -- mutation channel --------------------------------------------------
-
-    def forward(self, *mutations: Mutation) -> bool:
-        """Route mutations to the domains they touch and ship them in one
-        batch (between rounds only).  ``False``, with nothing shipped and
-        the fleet stale, when one has a VM or host outside every domain
-        or moves a VM across domains (the partition is then outdated)."""
-        routed = []
-        for mutation in mutations:
-            parts = mutation.route(self._domain_of_vm, self._domain_of_host)
-            if parts is None:
-                self.stale = True
-                return False
-            routed.extend(parts)
-            self._domain_of_vm = mutation.relabel(
-                self._domain_of_vm, self._domain_of_host
-            )
-        if routed:
-            self._executor.apply(routed)
-        return True
-
     # -- reconcile ---------------------------------------------------------
 
-    def refresh_boundary(self) -> np.ndarray:
-        """Boundary VMs recomputed from the live traffic and population."""
-        us, vs, _rates = self._fast.traffic.pair_arrays()
-        du, dv = lookup(self._domain_of_vm, us), lookup(self._domain_of_vm, vs)
-        cross = (du != dv) | (du < 0)
-        return np.unique(np.concatenate([us[cross], vs[cross]]))
-
     def reconcile(self, max_passes: int = 4) -> ReconcileOutcome:
-        """Exact global correction over the live cross-domain boundary.
+        """Exact global correction over the partition's boundary VMs.
 
-        Moves that stay inside one domain are mirrored back onto its
-        long-lived stack; a move that crosses domains leaves the fleet
-        stale (the partition itself is then out of date).
+        The fleet is rebuilt after any mutation and its rounds move VMs
+        only inside their domains, so the boundary the partition saw
+        is still the live one.  A move leaves the fleet stale: the
+        domains no longer mirror the global placement.
         """
         t0 = time.perf_counter()
         outcome = reconcile_boundary(
             self._engine,
             self._fast,
-            self.refresh_boundary(),
+            self.partition.boundary_vms,
             max_passes=max_passes,
-            record_moves=True,
         )
-        self.forward(
-            *(Migrate(int(vm), int(tgt)) for vm, _src, tgt in outcome.moves)
-        )
+        if outcome.migrations:
+            self.stale = True
         self._lap("reconcile", t0)
         return outcome
 

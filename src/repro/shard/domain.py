@@ -33,7 +33,6 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.server import ServerCapacity
 from repro.core.cost import CostModel
 from repro.core.migration import MigrationEngine
-from repro.core.mutation import Mutation
 from repro.core.policies import TokenPolicy
 from repro.core.rounds import BatchedRoundEngine, RoundResult
 from repro.core.token import Token
@@ -56,9 +55,8 @@ class DomainRoundOutcome:
     migrations: int
     waves: int
     deferrals: int
-    #: Final per-hold decision columns (global hosts); ``None`` when the
-    #: domain had no VMs to visit.
-    decisions: Optional[object] = None
+    #: Final per-hold decision columns (global hosts).
+    decisions: object
 
 
 class ShardDomain:
@@ -126,23 +124,15 @@ class ShardDomain:
             for i in deviants
         }
         cluster = Cluster(sub_topology, base, per_host_capacity=overrides)
+        # A partition never builds an empty domain.
         vm_ids = np.asarray(vm_ids, dtype=np.int64)
-        if vm_ids.size:
-            global_hosts_of_vms, _, _ = global_allocation.mapping_arrays(
-                vm_ids
-            )
-            # Ascending pods × contiguous per-pod blocks: a local host id
-            # is the searchsorted position.
-            local_hosts = np.searchsorted(
-                self.global_hosts, global_hosts_of_vms
-            )
-            self.allocation = Allocation.from_placement(
-                cluster,
-                global_allocation.vms_of(vm_ids.tolist()),
-                local_hosts,
-            )
-        else:
-            self.allocation = Allocation(cluster)
+        global_hosts_of_vms, _, _ = global_allocation.mapping_arrays(vm_ids)
+        # Ascending pods × contiguous per-pod blocks: a local host id is
+        # the searchsorted position.
+        local_hosts = np.searchsorted(self.global_hosts, global_hosts_of_vms)
+        self.allocation = Allocation.from_placement(
+            cluster, global_allocation.vms_of(vm_ids.tolist()), local_hosts
+        )
         # Slices of the global pair_arrays are unique and canonical, so
         # the bulk constructor applies; the engine binds its store.
         self.traffic = TrafficMatrix.from_pair_arrays(
@@ -176,28 +166,13 @@ class ShardDomain:
         """
         return float(max(1, self._n_intra_pairs) * max(1, self._n_local_racks))
 
-    def apply(self, mutation: Mutation) -> None:
-        """Apply one routed mutation (global host ids) to this domain's
-        stack — the scheduler's own per-kind code, on local hosts."""
-        mutation.localized(self.local_host).apply(self)
-
-    def local_host(self, global_hosts):
-        """This domain's local id(s) of global host id(s)."""
-        return np.searchsorted(self.global_hosts, global_hosts)
-
     @property
     def n_vms(self) -> int:
         return self.allocation.n_vms
 
     def run_round(self) -> DomainRoundOutcome:
         """One wave-batched token round over this domain's population."""
-        if self.allocation.n_vms == 0:
-            return DomainRoundOutcome(self.domain_id, [], 0, 0, 0)
-        first = (
-            self.holder
-            if self.holder is not None and self.holder in self.token
-            else self.token.lowest_id
-        )
+        first = self.holder if self.holder is not None else self.token.lowest_id
         order = self.policy.round_order(
             self.token, first, self.allocation, self.traffic, self.fast
         )

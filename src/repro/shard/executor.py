@@ -10,10 +10,6 @@ behind one surface the coordinator streams from:
   round the moment its current frames have all been decoded, so workers
   solve round ``k+1`` while the parent merges round ``k`` (bounded one
   round ahead; see :mod:`repro.shard.shm`).
-* ``apply(routed)`` ships ``(domain_id, mutation)`` pairs
-  (:mod:`repro.core.mutation`) to wherever the live domain state
-  resides — in-process for serial, over the command pipe for workers —
-  so epoch transitions reach a long-lived fleet without a rebuild.
 * ``close()`` tears workers and shared-memory slabs down (idempotent;
   a finalizer covers abandoned executors).
 
@@ -113,7 +109,6 @@ class SerialExecutor:
 
     def __init__(self, domains: List[ShardDomain]) -> None:
         self._domains = sorted(domains, key=lambda d: d.domain_id)
-        self._by_id = {d.domain_id: d for d in self._domains}
         #: Measured seconds of each domain's most recent round.
         self.solve_seconds: Dict[int, float] = {}
 
@@ -130,10 +125,6 @@ class SerialExecutor:
             self.solve_seconds[domain.domain_id] = time.perf_counter() - t0
             yield outcome
 
-    def apply(self, routed: Sequence[tuple]) -> None:
-        for domain_id, mutation in routed:
-            self._by_id[domain_id].apply(mutation)
-
     def close(self) -> None:
         pass
 
@@ -146,7 +137,6 @@ def _worker_loop(worker_index: int, domains: List[ShardDomain],
     provided (falling back to a pickled ``bulk`` message per domain on
     overflow), else always through the pipe.
     """
-    by_id = {d.domain_id: d for d in domains}
     writer = slab.SlabWriter(slab_shm) if slab_shm is not None else None
     try:
         while True:
@@ -169,10 +159,6 @@ def _worker_loop(worker_index: int, domains: List[ShardDomain],
                         conn.send((slab.BULK, round_index, outcome, solve_s))
                     else:
                         conn.send(header)
-            elif tag == "apply":
-                for domain_id, mutation in message[1]:
-                    by_id[domain_id].apply(mutation)
-                conn.send(("applied",))
             else:  # "stop" (or anything unknown): exit cleanly
                 break
     except (EOFError, KeyboardInterrupt):
@@ -232,7 +218,6 @@ class _ProcessExecutor:
         owned = pack_workers(domains, n_workers, hints)
         self._stall_timeout_s = float(stall_timeout_s)
         self._domain_ids = sorted(d.domain_id for d in domains)
-        self._worker_of_domain: Dict[int, int] = {}
         self._owned_ids: List[List[int]] = []
         self._round = 0
         #: Round index each worker was last commanded to run.
@@ -261,10 +246,7 @@ class _ProcessExecutor:
     def _start_workers(self, owned: List[List[ShardDomain]]) -> None:
         context = multiprocessing.get_context("fork")
         for w, worker_domains in enumerate(owned):
-            ids = [d.domain_id for d in worker_domains]
-            self._owned_ids.append(ids)
-            for domain_id in ids:
-                self._worker_of_domain[domain_id] = w
+            self._owned_ids.append([d.domain_id for d in worker_domains])
             segment = None
             if self._use_slabs:
                 from multiprocessing import shared_memory
@@ -408,30 +390,6 @@ class _ProcessExecutor:
                 )
         self._frames_done.pop(k, None)
         self._arrived.pop(k, None)
-
-    # -- mutation channel --------------------------------------------------
-
-    def apply(self, routed: Sequence[tuple]) -> None:
-        """Ship ``(domain_id, mutation)`` pairs to the workers owning
-        their domains, each worker's in order, and await every ack
-        (only between rounds, so the ack is the next pipe message)."""
-        per_worker: Dict[int, List[tuple]] = {}
-        for pair in routed:
-            per_worker.setdefault(self._worker_of_domain[pair[0]], []).append(pair)
-        for w, pairs in per_worker.items():
-            self._send(w, ("apply", pairs))
-        for w in per_worker:
-            process, conn = self._workers[w]
-            if not conn.poll(self._stall_timeout_s):
-                self._raise_dead(w, "stalled applying a mutation")
-            try:
-                tag, *detail = conn.recv()
-            except (EOFError, OSError):
-                self._raise_dead(
-                    w, f"died applying a mutation (exit code {process.exitcode})"
-                )
-            if tag != "applied":
-                self._raise_dead(w, f"raised applying a mutation:\n{detail[-1]}")
 
     def close(self) -> None:
         if self._finalizer.detach() is not None:

@@ -22,7 +22,7 @@ Invariants (pinned by the differential suite):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -40,10 +40,6 @@ class ReconcileOutcome:
     decision_blocks: List[object] = field(default_factory=list)
     #: Whether the last pass moved nothing (certified quiescent).
     settled: bool = True
-    #: Applied moves ``(vm, source, target)`` in application order —
-    #: populated only with ``record_moves=True`` (the coordinator uses
-    #: them to mirror in-domain corrections onto a long-lived fleet).
-    moves: List[Tuple[int, int, int]] = field(default_factory=list)
 
 
 def reconcile_boundary(
@@ -51,31 +47,19 @@ def reconcile_boundary(
     fast,
     boundary_vms: np.ndarray,
     max_passes: int = 4,
-    profile=None,
-    record_moves: bool = False,
 ) -> ReconcileOutcome:
     """Re-score and re-gate the boundary VMs on the global engine."""
-    boundary = np.asarray(boundary_vms, dtype=np.int64)
-    # Boundary VMs may have churned away since the partition was built.
-    allocation = fast.allocation
-    boundary = np.array(
-        [v for v in boundary.tolist() if v in allocation], dtype=np.int64
-    )
-    outcome = ReconcileOutcome(boundary_vms=int(boundary.size), passes=0,
+    boundary = np.asarray(boundary_vms, dtype=np.int64).tolist()
+    outcome = ReconcileOutcome(boundary_vms=len(boundary), passes=0,
                                migrations=0)
-    if boundary.size == 0 or fast.snapshot.n_vms == 0:
+    if not boundary:
         return outcome
-    rounds = BatchedRoundEngine(
-        engine, fast, profile=profile, record_waves=record_moves
-    )
+    rounds = BatchedRoundEngine(engine, fast)
     for _ in range(max_passes):
-        result = rounds.run_round(boundary.tolist())
+        result = rounds.run_round(boundary)
         outcome.passes += 1
         outcome.migrations += result.migrations
         outcome.decision_blocks.append(result.decisions)
-        if record_moves:
-            for wave in result.wave_moves:
-                outcome.moves.extend(wave)
         if result.migrations == 0:
             outcome.settled = True
             return outcome

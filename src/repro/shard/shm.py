@@ -124,7 +124,7 @@ def pack_outcome(
         else np.empty((0, 3), dtype=np.int64)
     )
     decisions = outcome.decisions
-    n_dec = len(decisions) if decisions is not None else 0
+    n_dec = len(decisions)
     if offset + frame_bytes(len(wave_lens), len(move_arr), n_dec) > capacity_end:
         return None
     if move_arr.size and int(move_arr.max()) > _I32_MAX:
@@ -133,15 +133,14 @@ def pack_outcome(
     start = offset
     offset = _put(buf, offset, wave_lens)
     offset = _put(buf, offset, move_arr.astype(np.int32))
-    if decisions is not None:
-        ids = np.stack([decisions.vm, decisions.source, decisions.target])
-        if ids.size and int(ids.max()) > _I32_MAX:
-            return None
-        offset = _put(buf, offset, decisions.vm.astype(np.int32))
-        offset = _put(buf, offset, decisions.source.astype(np.int32))
-        offset = _put(buf, offset, decisions.target.astype(np.int32))
-        offset = _put(buf, offset, np.ascontiguousarray(decisions.delta))
-        offset = _put(buf, offset, np.ascontiguousarray(decisions.reason))
+    ids = np.stack([decisions.vm, decisions.source, decisions.target])
+    if ids.size and int(ids.max()) > _I32_MAX:
+        return None
+    offset = _put(buf, offset, decisions.vm.astype(np.int32))
+    offset = _put(buf, offset, decisions.source.astype(np.int32))
+    offset = _put(buf, offset, decisions.target.astype(np.int32))
+    offset = _put(buf, offset, np.ascontiguousarray(decisions.delta))
+    offset = _put(buf, offset, np.ascontiguousarray(decisions.reason))
     header = (
         FRAME,
         round_index,
@@ -153,7 +152,7 @@ def pack_outcome(
         start,
         len(wave_lens),
         len(move_arr),
-        n_dec if decisions is not None else -1,
+        n_dec,
     )
     return header, offset
 
@@ -182,19 +181,17 @@ def unpack_outcome(buf: memoryview, header: tuple) -> DomainRoundOutcome:
         chunk = moves[cursor : cursor + length]
         wave_moves.append(list(map(tuple, chunk.tolist())))
         cursor += length
-    decisions = None
-    if n_dec >= 0:
-        decisions = DecisionColumns(n_dec)
-        vm, offset = _take(buf, offset, n_dec, np.int32)
-        source, offset = _take(buf, offset, n_dec, np.int32)
-        target, offset = _take(buf, offset, n_dec, np.int32)
-        delta, offset = _take(buf, offset, n_dec, np.float64)
-        reason, offset = _take(buf, offset, n_dec, np.int8)
-        decisions.vm = vm.astype(np.int64)
-        decisions.source = source.astype(np.int64)
-        decisions.target = target.astype(np.int64)
-        decisions.delta = delta
-        decisions.reason = reason
+    decisions = DecisionColumns(n_dec)
+    vm, offset = _take(buf, offset, n_dec, np.int32)
+    source, offset = _take(buf, offset, n_dec, np.int32)
+    target, offset = _take(buf, offset, n_dec, np.int32)
+    delta, offset = _take(buf, offset, n_dec, np.float64)
+    reason, offset = _take(buf, offset, n_dec, np.int8)
+    decisions.vm = vm.astype(np.int64)
+    decisions.source = source.astype(np.int64)
+    decisions.target = target.astype(np.int64)
+    decisions.delta = delta
+    decisions.reason = reason
     return DomainRoundOutcome(
         domain_id=domain_id,
         wave_moves=wave_moves,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import (
@@ -54,3 +56,11 @@ def populated(small_cluster):
 def cost_model(small_tree) -> CostModel:
     """Paper-weight cost model over the small tree."""
     return CostModel(small_tree)
+
+
+@pytest.fixture
+def own_shm_slabs():
+    """Lists this process's shard slabs (``reproshard_<pid>_<n>``) in
+    ``/dev/shm``: a leak check must not see another process's run."""
+    prefix = f"reproshard_{os.getpid()}_"
+    return lambda: {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}

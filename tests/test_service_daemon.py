@@ -433,10 +433,12 @@ class TestSafeMode:
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
     )
-    def test_recovery_closes_the_replaced_sharded_scheduler(self, tmp_path):
+    def test_recovery_closes_the_replaced_sharded_scheduler(
+        self, tmp_path, own_shm_slabs
+    ):
         """Safe mode swaps in the snapshot's scheduler; the poisoned one's
         worker fleet and shared-memory slabs must not outlive it."""
-        before = set(os.listdir("/dev/shm"))
+        before = own_shm_slabs()
         service = SchedulerService.create(
             _experiment().with_(
                 sharding=True, shard_domains=2, shard_workers=2
@@ -456,11 +458,7 @@ class TestSafeMode:
             assert replaced._shard_coordinator is None
         finally:
             service.close()
-        leaked = {
-            n for n in set(os.listdir("/dev/shm")) - before
-            if n.startswith("reproshard_")
-        }
-        assert leaked == set()
+        assert own_shm_slabs() - before == set()
 
 
 class TestDegradedPersistence:

@@ -219,18 +219,11 @@ class TestCrossDomainReconciliation:
         exact = env.cost_model.total_cost(env.allocation, traffic)
         assert report.final_cost == pytest.approx(exact, rel=1e-9)
         assert report.final_cost <= report.initial_cost
-
-    def test_fork_executor_matches_serial(self):
-        config = SMALL.with_(seed=11)
-        env_a = build_environment(config)
-        env_b = build_environment(config)
-        t_a = mixed_traffic(env_a, 11)
-        t_b = mixed_traffic(env_b, 11)
-        r_a = sharded_scheduler(env_a, t_a, n_domains=4, n_workers=1).run(2)
-        r_b = sharded_scheduler(env_b, t_b, n_domains=4, n_workers=2).run(2)
-        assert env_a.allocation.as_dict() == env_b.allocation.as_dict()
-        assert r_a.final_cost == r_b.final_cost
-        assert r_a.total_migrations == r_b.total_migrations
+        # Reconcile moves leave the fleet stale: its domains no longer
+        # mirror the global placement.
+        assert len(report.iterations) == 4  # the reconcile entry
+        assert report.iterations[-1].migrations > 0
+        assert scheduler._shard_coordinator.stale
 
     def test_sharded_run_beats_or_matches_no_op(self):
         env = build_environment(SMALL.with_(seed=13))
@@ -243,28 +236,34 @@ class TestCrossDomainReconciliation:
     def test_event_pump_boundary_granular(self):
         """Sharded runs drive an event pump at iteration boundaries.
 
-        The pump mutates through the scheduler's delta APIs (which keep
-        the live fleet in step), and the final cost stays exactly equal
-        to a from-scratch recompute of the mutated state.
+        The pump mutates through the scheduler's delta APIs, which
+        retire the fleet; the next iteration rebuilds it, and the final
+        cost stays exactly equal to a from-scratch recompute of the
+        mutated state.
         """
         env = build_environment(SMALL.with_(seed=21))
         traffic = mixed_traffic(env, 21)
         scheduler = sharded_scheduler(env, traffic, n_domains=4)
         boundaries = []
+        fleets = []
 
         def pump(now_s):
             boundaries.append(now_s)
+            fleets.append(scheduler._shard_coordinator)
             us, vs, _ = scheduler.traffic.pair_arrays()
             if len(boundaries) == 1 and us.size:
                 scheduler.apply_traffic_delta(
                     [(int(us[0]), int(vs[0]), 5e6)]
                 )
+                assert scheduler._shard_coordinator is None
                 return True
             return False
 
         report = scheduler.run(3, event_pump=pump)
         scheduler.close()
         assert len(boundaries) >= 3
+        # Only the mutated boundary rebuilt the fleet.
+        assert fleets[1] is not fleets[0] and fleets[2] is fleets[1]
         exact = env.cost_model.total_cost(env.allocation, scheduler.traffic)
         assert report.final_cost == pytest.approx(exact, rel=1e-9)
 
@@ -371,12 +370,12 @@ def _free_hosts_in_pod(allocation, pod, need):
 
 @pytest.mark.shard
 @pytest.mark.parametrize("seed", _shard_seeds())
-def test_every_mutation_kind_keeps_a_live_fleet_exact(seed):
+def test_every_mutation_kind_retires_the_fleet_and_stays_exact(seed):
     """Every mutation kind — traffic delta, capacity, threshold, admit
     with traffic, retire, and a whole pod retired then re-admitted —
-    reaches a live fleet through ``forward`` → ``ShardDomain.apply``:
-    the fleet is never rebuilt and stays on the single-domain
-    trajectory (pod-confined traffic keeps the domains independent)."""
+    retires the live fleet, and the next run rebuilds it from the global
+    state onto the single-domain trajectory (pod-confined traffic keeps
+    the domains independent)."""
     config = SMALL.with_(seed=seed)
     env_single = build_environment(config)
     env_sharded = build_environment(config)
@@ -385,50 +384,53 @@ def test_every_mutation_kind_keeps_a_live_fleet_exact(seed):
         env_sharded, pod_confined_traffic(env_sharded, seed), n_domains=4
     )
     topology = env_sharded.topology
-    both = (single, sharded)
+    allocation = env_sharded.allocation
 
-    def run_and_compare(n_iterations):
-        r_single = single.run(n_iterations)
-        r_sharded = sharded.run(n_iterations)
-        assert sharded._shard_coordinator is fleet
-        assert not fleet.stale
-        assert env_single.allocation.as_dict() == env_sharded.allocation.as_dict()
+    def mutate_and_compare(mutate):
+        assert sharded._shard_coordinator is not None
+        for scheduler in (single, sharded):
+            mutate(scheduler)
+        assert sharded._shard_coordinator is None
+        r_single = single.run(1)
+        r_sharded = sharded.run(1)
+        assert not sharded._shard_coordinator.stale
+        assert env_single.allocation.as_dict() == allocation.as_dict()
         scale = max(1.0, abs(r_single.final_cost))
         assert abs(r_single.final_cost - r_sharded.final_cost) / scale <= 1e-9
+        return sharded._shard_coordinator
 
     single.run(1)
     sharded.run(1)
-    fleet = sharded._shard_coordinator
-    assert fleet is not None and not fleet.stale
-    allocation = env_sharded.allocation
 
     # Traffic delta: re-estimate a handful of existing pairs.
     us, vs, rates = sharded.traffic.pair_arrays()
     delta = [(int(u), int(v), float(r) * 1.7 + 1e4)
              for u, v, r in zip(us[:8], vs[:8], rates[:8])]
+    mutate_and_compare(lambda s: s.apply_traffic_delta(delta))
+
     # Capacity: the fullest host stops taking arrivals (and gets a
-    # faster NIC); the emptiest loses its spare slots.  Threshold: a
-    # tighter §V-C budget on every domain.
+    # faster NIC); the rebuilt domains mirror the new capacity.
     loads = [len(allocation.vms_on(h)) for h in range(topology.n_hosts)]
-    full, empty = int(np.argmax(loads)), int(np.argmin(loads))
-    for scheduler in both:
-        assert scheduler.apply_traffic_delta(delta) == len(delta)
-        scheduler.set_host_capacity(full, max_vms=loads[full], nic_bps=2e9)
-        scheduler.set_host_capacity(empty, max_vms=loads[empty])
-        scheduler.set_bandwidth_threshold(0.5)
-    domain = fleet._executor._by_id[int(fleet._domain_of_host[full])]
-    local = int(domain.local_host(full))
-    assert domain.allocation.cluster.server(local).capacity.max_vms == loads[full]
-    assert all(
-        d.engine.bandwidth_threshold == 0.5 for d in fleet._executor._domains
+    full = int(np.argmax(loads))
+    fleet = mutate_and_compare(
+        lambda s: s.set_host_capacity(full, max_vms=loads[full], nic_bps=2e9)
     )
-    run_and_compare(1)
+    domain = next(d for d in fleet.domains if full in d.global_hosts)
+    local = int(np.searchsorted(domain.global_hosts, full))
+    assert domain.allocation.cluster.server(local).capacity.max_vms == loads[full]
+
+    # Threshold: a tighter §V-C budget reaches every rebuilt domain.
+    fleet = mutate_and_compare(lambda s: s.set_bandwidth_threshold(0.5))
+    assert all(d.engine.bandwidth_threshold == 0.5 for d in fleet.domains)
 
     # Admit with traffic, then retire two of the original population.
     # Each arrival talks to two residents of its pod at distinct rates:
     # a lone pair would tie (either end may move to the other), and a
     # domain breaks ties from its own token holder, not the global one.
-    pod_of_vm = {v: topology.pod_of(h) for v, h in allocation.as_dict().items()}
+    def residents(pod):
+        placed = allocation.as_dict().items()
+        return sorted(v for v, h in placed if topology.pod_of(h) == pod)
+
     free = np.bincount(
         topology.host_pod_ids(),
         weights=[allocation.free_slots(h) for h in range(topology.n_hosts)],
@@ -436,37 +438,33 @@ def test_every_mutation_kind_keeps_a_live_fleet_exact(seed):
     pod = int(np.argmax(free))
     base = max(allocation.vm_ids()) + 1
     hosts = _free_hosts_in_pod(allocation, pod, 3)
-    peers = sorted(v for v, p in pod_of_vm.items() if p == pod)
-    leaving = peers[-2:]
-    for scheduler in both:
+    peers = residents(pod)
+
+    def admit(scheduler):
         newcomers = [VM(base + i, ram_mb=64, cpu=0.1) for i in range(3)]
         scheduler.admit_vms(newcomers, hosts)
         scheduler.apply_traffic_delta(
             [(vm.vm_id, p, 2e6) for vm, p in zip(newcomers, peers)]
             + [(vm.vm_id, p, 1.3e6) for vm, p in zip(newcomers, peers[3:])]
         )
-        scheduler.retire_vms(leaving)
-    run_and_compare(1)
 
-    # Retire a whole pod's population: its domain keeps one stale token
-    # entry, sits a round out, and evicts the entry at the next admit.
+    mutate_and_compare(admit)
+    mutate_and_compare(lambda s: s.retire_vms(peers[-2:]))
+
+    # Retire a whole pod's population, then admit arrivals into it.
     emptied = (pod + 1) % len(free)
-    gone = sorted(v for v, h in allocation.as_dict().items()
-                  if topology.pod_of(h) == emptied)
-    for scheduler in both:
-        scheduler.retire_vms(gone)
-    domain = fleet._executor._by_id[int(fleet.partition.domain_of_pod[emptied])]
-    assert domain.n_vms == 0 and len(domain.token) == 1
-    run_and_compare(1)
+    gone = residents(emptied)
+    mutate_and_compare(lambda s: s.retire_vms(gone))
     hosts = _free_hosts_in_pod(allocation, emptied, 3)
     arrivals = [base + 10 + i for i in range(3)]
-    for scheduler in both:
+
+    def readmit(scheduler):
         scheduler.admit_vms([VM(v, ram_mb=64, cpu=0.1) for v in arrivals], hosts)
         scheduler.apply_traffic_delta(
             [(arrivals[0], arrivals[1], 3e6), (arrivals[1], arrivals[2], 1e6)]
         )
-    assert domain.token.vm_ids == tuple(arrivals)
-    run_and_compare(2)
+
+    mutate_and_compare(readmit)
 
 
 @pytest.mark.parametrize("sharding", [False, True])
@@ -483,7 +481,8 @@ def test_empty_admission_batch_is_a_no_op(sharding):
     before = env.allocation.as_dict()
     scheduler.admit_vms([], [])
     assert env.allocation.as_dict() == before
-    assert scheduler._shard_coordinator is fleet
+    # A mutation, even an empty one, retires a live fleet.
+    assert scheduler._shard_coordinator is None
     scheduler.close()
 
 

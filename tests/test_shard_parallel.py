@@ -18,10 +18,9 @@ the comparison is **exact equality**, not a tolerance:
   domains instead of hanging the gather forever.
 * executor recording — the report (and the CLI summary) say which
   executor actually ran, including the silent-fallback reason.
-* the mutation channel — a long-lived fleet absorbs traffic deltas,
-  churn, capacity and threshold changes across ``run()`` calls without
-  a rebuild, and stays bit-exact with a serial fleet fed the same
-  mutation script.
+* mutated fleets — a fleet serves mutation-free runs, any mutation
+  retires it, and a worker-pool scheduler fed a mutation script stays
+  bit-exact with a serial one through every rebuild.
 """
 
 from __future__ import annotations
@@ -89,7 +88,9 @@ class TestBitExactTransports:
 
     @pytest.mark.shard
     @pytest.mark.parametrize("policy", ["rr", "hlf"])
-    def test_degraded_pipe_matches_serial_exactly(self, policy, monkeypatch):
+    def test_degraded_pipe_matches_serial_exactly(
+        self, policy, monkeypatch, own_shm_slabs
+    ):
         """Shared memory fails part-way through the pool build: the
         executor degrades to pickled pipes on its own, the label says so,
         the run stays bit-exact with serial, and the segment created
@@ -106,7 +107,7 @@ class TestBitExactTransports:
             return created[-1]
 
         monkeypatch.setattr(shared_memory, "SharedMemory", second_fails)
-        before = set(os.listdir("/dev/shm"))
+        before = own_shm_slabs()
         config = SMALL.with_(seed=31)
         env_s, sched_s, r_s = _run_sharded(config, 31, policy, n_workers=1)
         env_p, sched_p, r_p = _run_sharded(config, 31, policy, n_workers=3)
@@ -128,11 +129,7 @@ class TestBitExactTransports:
         finally:
             sched_s.close()
             sched_p.close()
-        leaked = {
-            n for n in set(os.listdir("/dev/shm")) - before
-            if n.startswith("reproshard_")
-        }
-        assert leaked == set()
+        assert own_shm_slabs() - before == set()
 
     @pytest.mark.shard
     @pytest.mark.parametrize("policy", ["rr", "hlf"])
@@ -176,17 +173,13 @@ class TestTeardown:
         # Idempotent.
         scheduler.close()
 
-    def test_run_experiment_leaves_no_slabs(self):
-        before = set(os.listdir("/dev/shm"))
+    def test_run_experiment_leaves_no_slabs(self, own_shm_slabs):
+        before = own_shm_slabs()
         run_experiment(
             SMALL.with_(seed=11, sharding=True, shard_domains=4,
                         shard_workers=2, n_iterations=2)
         )
-        leaked = {
-            n for n in set(os.listdir("/dev/shm")) - before
-            if n.startswith("reproshard_")
-        }
-        assert leaked == set()
+        assert own_shm_slabs() - before == set()
 
 
 class TestLiveness:
@@ -312,7 +305,7 @@ def _mutation_script(scheduler):
 
     checkpoint(scheduler.run(2))
 
-    # Phase 2: rate deltas on existing pairs (absorbable in place).
+    # Phase 2: rate deltas on existing pairs.
     us, vs, rates = scheduler.traffic.pair_arrays()
     order = np.argsort(us * 1_000_003 + vs, kind="stable")
     picked = order[: min(8, order.size)]
@@ -342,7 +335,8 @@ def _mutation_script(scheduler):
 
 
 class TestDeltaChannel:
-    """A long-lived fleet survives epoch transitions without rebuild."""
+    """A fleet serves runs until a mutation retires it; the rebuilt
+    fleets of a worker pool stay bit-exact with serial ones."""
 
     def _build(self, n_workers, cross_fraction=0.15, seed=29):
         config = SMALL.with_(seed=seed)
@@ -361,36 +355,36 @@ class TestDeltaChannel:
             serial_points = _mutation_script(serial)
             shm_points = _mutation_script(shm)
             assert serial_points == shm_points
-            # The whole script was absorbable: the fleet is still alive.
-            assert shm._shard_coordinator is not None
         finally:
             serial.close()
             shm.close()
 
-    def test_fleet_persists_across_absorbable_runs(self):
+    def test_fleet_persists_across_mutation_free_runs(self):
         # Pod-confined traffic: no reconcile moves, nothing marks the
         # fleet stale, so the *same* coordinator serves every run.
         scheduler = self._build(n_workers=2, cross_fraction=0.0)
         try:
             scheduler.run(1)
             fleet = scheduler._shard_coordinator
-            assert fleet is not None
-            us, vs, rates = scheduler.traffic.pair_arrays()
-            scheduler.apply_traffic_delta(
-                [(int(us[0]), int(vs[0]), float(rates[0]) * 2.0)]
-            )
             scheduler.run(1)
-            assert scheduler._shard_coordinator is fleet
+            assert scheduler._shard_coordinator is fleet and not fleet.stale
         finally:
             scheduler.close()
 
-    def test_drain_retires_the_fleet(self):
+    @pytest.mark.parametrize("mutation", ["traffic delta", "drain"])
+    def test_a_mutation_retires_the_fleet(self, mutation):
         scheduler = self._build(n_workers=2)
         try:
             scheduler.run(1)
             assert scheduler._shard_coordinator is not None
-            drained_host = _free_hosts(scheduler.allocation, 1)[0]
-            scheduler.drain_hosts([drained_host])
+            if mutation == "drain":
+                vm_id = min(scheduler.allocation.vm_ids())
+                scheduler.drain_hosts([scheduler.allocation.server_of(vm_id)])
+            else:
+                us, vs, rates = scheduler.traffic.pair_arrays()
+                scheduler.apply_traffic_delta(
+                    [(int(us[0]), int(vs[0]), float(rates[0]) * 2.0)]
+                )
             assert scheduler._shard_coordinator is None
             report = scheduler.run(1)  # rebuilds and keeps running
             exact = scheduler._fast.total_cost()
