@@ -217,9 +217,9 @@ class SCOREScheduler:
         under it.  Every mutator (admit, retire, traffic delta,
         capacity, threshold, drain) validates, then writes
         :mod:`repro.core.mutation` values to this scheduler's stack and
-        tears the fleet down; the next run rebuilds it from the global
-        state.  Call :meth:`close` to tear the fleet down
-        deterministically.
+        marks the fleet stale; the next run tears it down and rebuilds
+        it from the global state.  Call :meth:`close` to tear the fleet
+        down deterministically.
         """
         check_positive("token_interval_s", token_interval_s)
         topology = allocation.topology
@@ -420,7 +420,7 @@ class SCOREScheduler:
             # multi-epoch dynamic runs skip this entirely.  Whatever
             # desynced the engine also bypassed the shard fleet.
             self._fast.rebuild()
-            self._close_shard_fleet()
+            self._retire_shard_fleet()
         return self._fast
 
     def _run_batched(
@@ -523,11 +523,12 @@ class SCOREScheduler:
         """The live domain fleet, (re)built when absent or stale.
 
         The fleet — domains, worker processes, shared-memory slabs —
-        persists across :meth:`run` calls until a mutation closes it or
-        a reconcile move marks it stale; a stale fleet is torn down
-        here, not inside the reconcile that outdated it.  A rebuild
-        seeds the LPT worker packing with the measured per-domain solve
-        times of the previous fleet.
+        persists across :meth:`run` calls until it goes stale: a
+        mutation or a reconcile move marks it so, because its domains
+        no longer mirror the global state.  A stale fleet is torn down
+        only here or in :meth:`close`, never where it went stale.  A
+        rebuild seeds the LPT worker packing with the measured
+        per-domain solve times of the previous fleet.
         """
         from repro.shard import ShardedCoordinator
 
@@ -552,6 +553,11 @@ class SCOREScheduler:
             self._shard_coordinator = coordinator
         return coordinator
 
+    def _retire_shard_fleet(self) -> None:
+        """Mark a live fleet stale (see :meth:`_ensure_shard_fleet`)."""
+        if self._shard_coordinator is not None:
+            self._shard_coordinator.stale = True
+
     def _close_shard_fleet(self) -> None:
         """Tear the live fleet down, keeping its solve times as hints."""
         coordinator = self._shard_coordinator
@@ -570,13 +576,13 @@ class SCOREScheduler:
         self._close_shard_fleet()
 
     def _apply(self, *mutations: Mutation):
-        """Write mutations to this scheduler's stack, then tear down a
-        live fleet (it no longer mirrors the global state).  Returns the
-        last one's result."""
+        """Write mutations to this scheduler's stack, then retire a live
+        fleet (it no longer mirrors the global state).  Returns the last
+        one's result."""
         stack = Stack(self._fast, self._engine, self._token)
         for mutation in mutations:
             result = mutation.apply(stack)
-        self._close_shard_fleet()
+        self._retire_shard_fleet()
         return result
 
     def __getstate__(self):
@@ -633,8 +639,9 @@ class SCOREScheduler:
         An ``event_pump`` is driven at *iteration boundaries* (domain
         rounds have no mid-round seam by construction): events route
         through the scheduler's mutation APIs, which retire the fleet,
-        so the next iteration (or the reconcile) rebuilds it, and each
-        boundary re-anchors the cost from the engine's exact total.
+        so the next iteration rebuilds it (the reconcile after the last
+        one only re-partitions for the boundary), and each boundary
+        re-anchors the cost from the engine's exact total.
         Pipelined look-ahead is disabled while a pump (or
         ``stop_when_stable``) could change what the next iteration is.
         """
@@ -676,7 +683,6 @@ class SCOREScheduler:
                 report.time_series.append((self._clock, cost))
             if stop_when_stable and outcome.migrations == 0:
                 break
-        coordinator = self._ensure_shard_fleet()
         reconcile = coordinator.reconcile()
         if reconcile.passes:
             for block in reconcile.decision_blocks:

@@ -25,11 +25,11 @@ scheduler's *global* state:
    with exact Theorem-1 passes over the partition's boundary VMs
    (:mod:`repro.shard.reconcile`).
 
-A fleet serves run after run only while nothing changes under it: the
-scheduler closes it on any mutation, and a reconcile that moved a VM
-marks it ``stale``.  Either way the next run rebuilds it from the
-global state, seeding the worker packing with the measured per-domain
-solve times.
+A fleet serves run after run only while nothing changes under it: any
+mutation through the scheduler, and a reconcile that moved a VM, mark
+it ``stale``.  The scheduler tears a stale fleet down at its next run
+(or ``close()``) and rebuilds it from the global state, seeding the
+worker packing with the measured per-domain solve times.
 
 The global cost is tracked by the global fast engine throughout, so the
 coordinator's reported costs are exact (not a per-domain approximation).
@@ -77,16 +77,13 @@ class ShardedCoordinator:
         self._engine = engine
         self._fast = fast
         self._profile = profile
+        self._n_domains = n_domains
         #: Set when the fleet no longer mirrors the global state; the
         #: scheduler rebuilds a stale coordinator before its next run.
         self.stale = False
 
         allocation = fast.allocation
-        t0 = time.perf_counter()
-        self.partition = build_partition(
-            allocation, fast.traffic, allocation.topology, n_domains
-        )
-        self._lap("partition", t0)
+        self.partition = self._partition()
 
         t0 = time.perf_counter()
         self.domains: List[ShardDomain] = [
@@ -127,6 +124,17 @@ class ShardedCoordinator:
     def solve_hints(self) -> Dict[int, float]:
         """Measured per-domain solve seconds (packing hints on rebuild)."""
         return dict(self._executor.solve_seconds)
+
+    def _partition(self):
+        """Partition the live global state into pod-aligned domains."""
+        allocation = self._fast.allocation
+        t0 = time.perf_counter()
+        partition = build_partition(
+            allocation, self._fast.traffic, allocation.topology,
+            self._n_domains,
+        )
+        self._lap("partition", t0)
+        return partition
 
     def _lap(self, phase: str, t0: float) -> None:
         if self._profile is not None:
@@ -187,18 +195,21 @@ class ShardedCoordinator:
     # -- reconcile ---------------------------------------------------------
 
     def reconcile(self, max_passes: int = 4) -> ReconcileOutcome:
-        """Exact global correction over the partition's boundary VMs.
+        """Exact global correction over the live boundary VMs.
 
-        The fleet is rebuilt after any mutation and its rounds move VMs
-        only inside their domains, so the boundary the partition saw
-        is still the live one.  A move leaves the fleet stale: the
+        The fleet's rounds move VMs only inside their domains, so its
+        partition still sees the live boundary — unless a mutation came
+        after the last round and left the fleet stale.  Then a fresh
+        partition of the global state supplies the boundary; the fleet
+        is not rebuilt for it.  A move leaves the fleet stale: the
         domains no longer mirror the global placement.
         """
+        partition = self._partition() if self.stale else self.partition
         t0 = time.perf_counter()
         outcome = reconcile_boundary(
             self._engine,
             self._fast,
-            self.partition.boundary_vms,
+            partition.boundary_vms,
             max_passes=max_passes,
         )
         if outcome.migrations:

@@ -29,7 +29,8 @@ from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.scheduler import SCOREScheduler
 from repro.reference import NaiveScheduler
-from repro.shard import build_partition
+from repro.shard import ShardedCoordinator, build_partition
+from repro.shard import coordinator as coordinator_module
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
@@ -225,6 +226,18 @@ class TestCrossDomainReconciliation:
         assert report.iterations[-1].migrations > 0
         assert scheduler._shard_coordinator.stale
 
+    def test_fork_executor_matches_serial(self):
+        config = SMALL.with_(seed=11)
+        env_a = build_environment(config)
+        env_b = build_environment(config)
+        t_a = mixed_traffic(env_a, 11)
+        t_b = mixed_traffic(env_b, 11)
+        r_a = sharded_scheduler(env_a, t_a, n_domains=4, n_workers=1).run(2)
+        r_b = sharded_scheduler(env_b, t_b, n_domains=4, n_workers=2).run(2)
+        assert env_a.allocation.as_dict() == env_b.allocation.as_dict()
+        assert r_a.final_cost == r_b.final_cost
+        assert r_a.total_migrations == r_b.total_migrations
+
     def test_sharded_run_beats_or_matches_no_op(self):
         env = build_environment(SMALL.with_(seed=13))
         traffic = mixed_traffic(env, 13, cross_fraction=0.4)
@@ -233,37 +246,72 @@ class TestCrossDomainReconciliation:
         assert report.final_cost <= report.initial_cost
         assert report.total_migrations > 0
 
-    def test_event_pump_boundary_granular(self):
+    def test_event_pump_boundary_granular(self, monkeypatch):
         """Sharded runs drive an event pump at iteration boundaries.
 
         The pump mutates through the scheduler's delta APIs, which
-        retire the fleet; the next iteration rebuilds it, and the final
-        cost stays exactly equal to a from-scratch recompute of the
-        mutated state.
+        retire the fleet.  A mutation at an inner boundary makes the
+        next iteration rebuild it; one at the last boundary builds no
+        fleet, and the reconcile reads a fresh partition's boundary.
+        The final cost stays exactly equal to a from-scratch recompute
+        of the mutated state.
         """
+        builds = []
+        build = ShardedCoordinator.__init__
+
+        def counted_build(fleet, *args, **kwargs):
+            builds.append(fleet)
+            build(fleet, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedCoordinator, "__init__", counted_build)
+        boundaries_seen = []
+        reconcile = coordinator_module.reconcile_boundary
+
+        def spied_reconcile(engine, fast, boundary_vms, **kwargs):
+            boundaries_seen.append(np.asarray(boundary_vms))
+            return reconcile(engine, fast, boundary_vms, **kwargs)
+
+        monkeypatch.setattr(
+            coordinator_module, "reconcile_boundary", spied_reconcile
+        )
         env = build_environment(SMALL.with_(seed=21))
         traffic = mixed_traffic(env, 21)
         scheduler = sharded_scheduler(env, traffic, n_domains=4)
+        allocation, topology = env.allocation, env.topology
         boundaries = []
         fleets = []
+        expected = []
 
         def pump(now_s):
             boundaries.append(now_s)
             fleets.append(scheduler._shard_coordinator)
-            us, vs, _ = scheduler.traffic.pair_arrays()
-            if len(boundaries) == 1 and us.size:
-                scheduler.apply_traffic_delta(
-                    [(int(us[0]), int(vs[0]), 5e6)]
-                )
-                assert scheduler._shard_coordinator is None
-                return True
-            return False
+            if len(boundaries) == 2:
+                return False
+            # A new pair from a VM off the boundary to one in another
+            # pod puts it on the boundary.
+            on_boundary = set(fleets[-1].partition.boundary_vms.tolist())
+            placed = sorted(allocation.as_dict().items())
+            u, u_pod = next((vm, topology.pod_of(h)) for vm, h in placed
+                            if vm not in on_boundary)
+            v = next(vm for vm, h in placed if topology.pod_of(h) != u_pod)
+            scheduler.apply_traffic_delta([(u, v, 5e6)])
+            assert fleets[-1].stale
+            expected.append(
+                build_partition(allocation, scheduler.traffic, topology, 4)
+            )
+            return True
 
         report = scheduler.run(3, event_pump=pump)
         scheduler.close()
-        assert len(boundaries) >= 3
-        # Only the mutated boundary rebuilt the fleet.
-        assert fleets[1] is not fleets[0] and fleets[2] is fleets[1]
+        assert len(boundaries) == 3
+        # Only the inner mutated boundary rebuilt the fleet.
+        assert builds == [fleets[0], fleets[1]] and fleets[2] is fleets[1]
+        stale_boundary = fleets[2].partition.boundary_vms
+        assert not np.array_equal(expected[-1].boundary_vms, stale_boundary)
+        assert len(boundaries_seen) == 1
+        np.testing.assert_array_equal(
+            boundaries_seen[0], expected[-1].boundary_vms
+        )
         exact = env.cost_model.total_cost(env.allocation, scheduler.traffic)
         assert report.final_cost == pytest.approx(exact, rel=1e-9)
 
@@ -386,13 +434,15 @@ def test_every_mutation_kind_retires_the_fleet_and_stays_exact(seed):
     topology = env_sharded.topology
     allocation = env_sharded.allocation
 
-    def mutate_and_compare(mutate):
-        assert sharded._shard_coordinator is not None
+    def mutate_and_compare(mutate, n_iterations=1):
+        fleet = sharded._shard_coordinator
+        assert not fleet.stale
         for scheduler in (single, sharded):
             mutate(scheduler)
-        assert sharded._shard_coordinator is None
-        r_single = single.run(1)
-        r_sharded = sharded.run(1)
+        assert fleet.stale
+        r_single = single.run(n_iterations)
+        r_sharded = sharded.run(n_iterations)
+        assert sharded._shard_coordinator is not fleet
         assert not sharded._shard_coordinator.stale
         assert env_single.allocation.as_dict() == allocation.as_dict()
         scale = max(1.0, abs(r_single.final_cost))
@@ -406,18 +456,35 @@ def test_every_mutation_kind_retires_the_fleet_and_stays_exact(seed):
     us, vs, rates = sharded.traffic.pair_arrays()
     delta = [(int(u), int(v), float(r) * 1.7 + 1e4)
              for u, v, r in zip(us[:8], vs[:8], rates[:8])]
-    mutate_and_compare(lambda s: s.apply_traffic_delta(delta))
+
+    def reestimate(scheduler):
+        assert scheduler.apply_traffic_delta(delta) == len(delta)
+
+    mutate_and_compare(reestimate)
 
     # Capacity: the fullest host stops taking arrivals (and gets a
-    # faster NIC); the rebuilt domains mirror the new capacity.
-    loads = [len(allocation.vms_on(h)) for h in range(topology.n_hosts)]
-    full = int(np.argmax(loads))
+    # faster NIC); the emptiest loses its spare slots.  The rebuilt
+    # domains mirror the new capacity.
+    def loads():
+        return [len(allocation.vms_on(h)) for h in range(topology.n_hosts)]
+
+    def local_capacity(fleet, host):
+        domain = next(d for d in fleet.domains if host in d.global_hosts)
+        local = int(np.searchsorted(domain.global_hosts, host))
+        return domain.allocation.cluster.server(local).capacity.max_vms
+
+    full_load = max(loads())
+    full = loads().index(full_load)
     fleet = mutate_and_compare(
-        lambda s: s.set_host_capacity(full, max_vms=loads[full], nic_bps=2e9)
+        lambda s: s.set_host_capacity(full, max_vms=full_load, nic_bps=2e9)
     )
-    domain = next(d for d in fleet.domains if full in d.global_hosts)
-    local = int(np.searchsorted(domain.global_hosts, full))
-    assert domain.allocation.cluster.server(local).capacity.max_vms == loads[full]
+    assert local_capacity(fleet, full) == full_load
+    empty_load = min(loads())
+    empty = loads().index(empty_load)
+    fleet = mutate_and_compare(
+        lambda s: s.set_host_capacity(empty, max_vms=empty_load)
+    )
+    assert local_capacity(fleet, empty) == empty_load
 
     # Threshold: a tighter §V-C budget reaches every rebuilt domain.
     fleet = mutate_and_compare(lambda s: s.set_bandwidth_threshold(0.5))
@@ -464,7 +531,7 @@ def test_every_mutation_kind_retires_the_fleet_and_stays_exact(seed):
             [(arrivals[0], arrivals[1], 3e6), (arrivals[1], arrivals[2], 1e6)]
         )
 
-    mutate_and_compare(readmit)
+    mutate_and_compare(readmit, n_iterations=2)
 
 
 @pytest.mark.parametrize("sharding", [False, True])
@@ -482,7 +549,8 @@ def test_empty_admission_batch_is_a_no_op(sharding):
     scheduler.admit_vms([], [])
     assert env.allocation.as_dict() == before
     # A mutation, even an empty one, retires a live fleet.
-    assert scheduler._shard_coordinator is None
+    assert scheduler._shard_coordinator is fleet
+    assert fleet is None or fleet.stale
     scheduler.close()
 
 

@@ -373,10 +373,11 @@ class TestDeltaChannel:
 
     @pytest.mark.parametrize("mutation", ["traffic delta", "drain"])
     def test_a_mutation_retires_the_fleet(self, mutation):
-        scheduler = self._build(n_workers=2)
+        scheduler = self._build(n_workers=2, cross_fraction=0.0)
         try:
             scheduler.run(1)
-            assert scheduler._shard_coordinator is not None
+            fleet = scheduler._shard_coordinator
+            assert not fleet.stale
             if mutation == "drain":
                 vm_id = min(scheduler.allocation.vm_ids())
                 scheduler.drain_hosts([scheduler.allocation.server_of(vm_id)])
@@ -385,8 +386,9 @@ class TestDeltaChannel:
                 scheduler.apply_traffic_delta(
                     [(int(us[0]), int(vs[0]), float(rates[0]) * 2.0)]
                 )
-            assert scheduler._shard_coordinator is None
+            assert fleet.stale
             report = scheduler.run(1)  # rebuilds and keeps running
+            assert scheduler._shard_coordinator is not fleet
             exact = scheduler._fast.total_cost()
             assert report.final_cost == pytest.approx(exact, rel=1e-12)
         finally:
