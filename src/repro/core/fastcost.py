@@ -981,33 +981,24 @@ class FastCostEngine:
             ok &= load_after <= budget
         return ok
 
-    def uniform_host_ok(
-        self, hosts: Optional[np.ndarray] = None
-    ) -> Optional[np.ndarray]:
+    def uniform_host_ok(self) -> Optional[np.ndarray]:
         """Per-host capacity feasibility when every VM is identical.
 
         With a uniform VM population, slot/RAM/CPU feasibility of *any*
-        move collapses to one boolean per host; the cached round loop
-        maintains this vector incrementally (only a wave's source/target
-        hosts can flip) instead of re-masking every candidate row per
-        wave.  Returns ``None`` when the population is not uniform (or
-        empty) — callers must then fall back to per-row probing.  Pass
-        ``hosts`` to evaluate a subset only.
+        move collapses to one boolean per host — the vector a cached
+        round's carried decisions are evaluated against, diffed at every
+        round start for the hosts that flipped.  Returns ``None`` when
+        the population is not uniform (or empty) — callers must then
+        fall back to per-row probing.
         """
         if not self._uniform_vm:
             return None
         _ids, _host, ram, cpu = self._allocation.columns()
         slot_used, ram_used, cpu_used = self._allocation.usage()
-        slot_cap, ram_cap, cpu_cap = self._slot_cap, self._ram_cap, self._cpu_cap
-        if hosts is not None:
-            hosts = np.asarray(hosts, dtype=np.int64)
-            slot_cap, ram_cap, cpu_cap = slot_cap[hosts], ram_cap[hosts], cpu_cap[hosts]
-            slot_used, ram_used = slot_used[hosts], ram_used[hosts]
-            cpu_used = cpu_used[hosts]
         return (
-            (slot_cap - slot_used >= 1)
-            & (ram_cap - ram_used >= ram[0])
-            & (cpu_cap - cpu_used >= cpu[0])
+            (self._slot_cap - slot_used >= 1)
+            & (self._ram_cap - ram_used >= ram[0])
+            & (self._cpu_cap - cpu_used >= cpu[0])
         )
 
     def best_candidates(
@@ -1051,11 +1042,11 @@ class FastCostEngine:
         # feasible candidate at all.
         hit = feasible & (masked == np.repeat(seg_max, seg_len))
         ties = np.nonzero(hit)[0]
-        tie_owner = batch.owner[ties]
+        tied_owner = batch.owner[ties]
         first = np.ones(len(ties), dtype=bool)
-        first[1:] = tie_owner[1:] != tie_owner[:-1]
-        choice[tie_owner[first]] = ties[first]
-        any_feasible[tie_owner[first]] = True
+        first[1:] = tied_owner[1:] != tied_owner[:-1]
+        choice[tied_owner[first]] = ties[first]
+        any_feasible[tied_owner[first]] = True
         best[nonempty] = seg_max
         if return_ties:
             return choice, best, any_feasible, ties

@@ -67,32 +67,29 @@ class ShadowIndex:
 
     An append-only ``(row, host)`` buffer plus a per-row membership
     bitmap.  :meth:`add` appends only non-members, so a row has at most
-    one live entry and lookups never return duplicates; :meth:`discard`
-    clears the bit and *tombstones* the entry by re-homing it on the
-    sentinel host ``n_hosts``, which no host flag ever selects.  Entry
-    order is free: every consumer re-checks ``delta >= best[owner]`` and
-    sorts what it keeps, so "which blocked rows sit on these hosts" is
-    one flag gather over the buffer instead of a host-sorted bisect.
+    one entry and lookups never return duplicates.  Entry order is free:
+    every consumer re-checks ``delta >= best[owner]``, so "which blocked
+    rows sit on these hosts" is one flag gather over the buffer instead
+    of a host-sorted bisect.
     """
 
-    __slots__ = ("member", "_rows", "_hosts", "_size", "_n_hosts")
+    __slots__ = ("member", "_rows", "_hosts", "_size")
 
-    def __init__(self, n_rows: int, n_hosts: int) -> None:
-        #: ``member[row]`` — whether ``row`` has a live entry.
+    def __init__(self, n_rows: int) -> None:
+        #: ``member[row]`` — whether ``row`` has an entry.
         self.member = np.zeros(n_rows, dtype=bool)
         self._rows = np.empty(0, dtype=np.int64)
         self._hosts = np.empty(0, dtype=np.int64)
         self._size = 0
-        self._n_hosts = n_hosts
 
     @property
     def rows(self) -> np.ndarray:
-        """Row of every entry, tombstones included (a view)."""
+        """Row of every entry (a view)."""
         return self._rows[: self._size]
 
     @property
     def hosts(self) -> np.ndarray:
-        """Host of every entry; ``n_hosts`` marks a tombstone (a view)."""
+        """Host of every entry (a view)."""
         return self._hosts[: self._size]
 
     def add(self, rows: np.ndarray, hosts: np.ndarray) -> None:
@@ -113,28 +110,15 @@ class ShadowIndex:
         self._hosts[self._size : end] = hosts[new]
         self._size = end
 
-    def on_hosts(self, host_flag: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(entry positions, rows) of the live entries on flagged hosts.
+    def on_hosts(self, host_flag: np.ndarray) -> np.ndarray:
+        """Rows of the entries on the hosts ``host_flag`` selects."""
+        return self.rows[host_flag[self.hosts]]
 
-        ``host_flag`` has ``n_hosts + 1`` entries, the last (the
-        tombstone sentinel) False.
-        """
-        pos = np.flatnonzero(host_flag[self.hosts])
-        return pos, self._rows[pos]
-
-    def discard(self, pos: np.ndarray) -> None:
-        """Drop the live entries at the given positions."""
-        self.member[self._rows[pos]] = False
-        self._hosts[pos] = self._n_hosts
-
-    def compact(self, keep: Optional[np.ndarray] = None) -> None:
-        """Squeeze the tombstones out; with ``keep`` (a mask over the
-        entries) also drop every entry it does not select."""
-        live = self.hosts != self._n_hosts
-        if keep is not None:
-            self.member[self.rows[live & ~keep]] = False
-            live &= keep
-        self._store(self.rows[live], self.hosts[live])
+    def compact(self, keep: np.ndarray) -> None:
+        """Drop every entry the mask ``keep`` (over the entries) does not
+        select."""
+        self.member[self.rows[~keep]] = False
+        self._store(self.rows[keep], self.hosts[keep])
 
     def remap(
         self,
@@ -146,9 +130,9 @@ class ShadowIndex:
         """Re-key after a splice: clean owners' rows move by their
         segment's displacement, dirty owners' entries are dropped."""
         owner = row_owner[self.rows]
-        live = (self.hosts != self._n_hosts) & ~dirty_mask[owner]
-        rows = self.rows[live] + shift[owner[live]]
-        self._store(rows, self.hosts[live])
+        keep = ~dirty_mask[owner]
+        rows = self.rows[keep] + shift[owner[keep]]
+        self._store(rows, self.hosts[keep])
         self.member = np.zeros(n_rows, dtype=bool)
         self.member[rows] = True
 
@@ -159,19 +143,19 @@ class ShadowIndex:
 
 
 class DecisionState:
-    """Per-owner decisions carried *across* rounds and epochs.
+    """Per-owner round-start decisions carried *across* rounds and epochs.
 
-    The cached wave loop maintains, for every owner: its chosen row and
-    best gain, the live exact-tie pool, the shadow index of blocked rows
-    that could matter if their host frees, and the per-host feasibility
-    vector.  ``stale_decision`` is the owner-granular invalidation mark:
-    it is set exactly when something that could change the owner's
-    carried decision happened while the owner was not being maintained —
-    its rows were re-scored, a tie row's host filled after the owner
-    settled, or a host holding a qualifying shadow row freed.  The next
-    round start re-evaluates the marked owners and keeps everything
-    else, which turns a mostly-converged round into a sparse re-score
-    instead of a full O(rows) evaluation.
+    For every owner: its chosen row and best gain as of the last round
+    start, its exact-tie rows (the pool), the shadow index of blocked
+    rows that could matter if their host frees, and the per-host
+    feasibility vector they were all evaluated against.
+    ``stale_decision`` is the owner-granular invalidation mark, set when
+    the carried decision may no longer be a fresh evaluation's: the
+    owner's rows were re-scored, or it proposed a move last round.  The
+    next round start also marks the owners a capacity flip since
+    ``host_ok`` can affect, re-evaluates the marked owners and keeps
+    everything else, which turns a mostly-converged round into a sparse
+    re-score instead of a full O(rows) evaluation.
     """
 
     __slots__ = (
@@ -184,7 +168,6 @@ class DecisionState:
         "host_ok",
         "stale_decision",
         "row_owner",
-        "owner_pods",
     )
 
     def __init__(
@@ -193,25 +176,24 @@ class DecisionState:
         best: np.ndarray,
         host_ok: np.ndarray,
         row_owner: np.ndarray,
-        owner_pods: np.ndarray,
+        pool_rows: np.ndarray,
+        pool_hosts: np.ndarray,
         shadow: ShadowIndex,
     ) -> None:
         self.choice = choice
         self.best = best
         #: The exact-tie pool, row-sorted, with each row's owner and host
         #: ("which ties sit on a filled host" is a flag gather over
-        #: ``pool_hosts``).  Filled in when the building round ends.
-        self.pool_rows = np.empty(0, dtype=np.int64)
-        self.pool_owner = np.empty(0, dtype=np.int64)
-        self.pool_hosts = np.empty(0, dtype=np.int64)
+        #: ``pool_hosts``).
+        self.pool_rows = pool_rows
+        self.pool_owner = row_owner[pool_rows]
+        self.pool_hosts = pool_hosts
         self.shadow = shadow
         self.host_ok = host_ok
         self.stale_decision = np.zeros(len(choice), dtype=bool)
         #: Row → owner map of the CSR the rows above index; None between
         #: a splice and the next round start (which rebuilds it).
         self.row_owner: Optional[np.ndarray] = row_owner
-        #: (owner × pod) candidate incidence (see ``_adjust_stale``).
-        self.owner_pods = owner_pods
 
     def remap_rows(
         self, old_ptr: np.ndarray, new_ptr: np.ndarray, dirty_mask: np.ndarray
@@ -265,7 +247,7 @@ class RoundScoreCache:
         self._source: Optional[np.ndarray] = None
         self._degree: Optional[np.ndarray] = None
         self._total_rate: Optional[np.ndarray] = None
-        #: Cross-round decision carry (None until the cached loop builds
+        #: Cross-round decision carry (None until a cached round builds
         #: it, and whenever a full re-score drops it).
         self.decision_state: Optional[DecisionState] = None
         # Hit-rate accounting (read by --profile and the bench suite).
@@ -320,11 +302,9 @@ class RoundScoreCache:
         ``dirty`` the owners that were re-scored.  A carried
         :class:`DecisionState` has those owners marked ``stale_decision``
         (the next round re-evaluates them), is row-remapped across a
-        splice and dropped on a full re-score.  The round
-        engine may correct rows of owners whose peers move mid-round in
-        place: those owners are invalidated by the very ``apply_moves``
-        that moved the peers, so a mutated row is always re-scored
-        before its next round.
+        splice and dropped on a full re-score.  The round engine never
+        writes the returned rows: its wave loop corrects deltas on
+        sub-batch copies.
         """
         engine = self._engine
         n = engine.snapshot.n_vms
@@ -401,16 +381,6 @@ class RoundScoreCache:
                     # Whenever the next round runs, it re-evaluates the
                     # re-scored owners (also after a refresh of its own).
                     state.stale_decision[dirty] = True
-                    if fresh.n_pairs:
-                        n_pods = state.owner_pods.shape[1]
-                        hits = np.bincount(
-                            fresh.owner * n_pods
-                            + engine._pod_of[fresh.host],
-                            minlength=len(dirty) * n_pods,
-                        ).reshape(len(dirty), n_pods)
-                        state.owner_pods[dirty] = hits > 0
-                    else:
-                        state.owner_pods[dirty] = False
             self._valid[dirty] = True
             self.owners_rescored += int(dirty.size)
         return self._as_batch(), dirty

@@ -41,21 +41,25 @@ round still only applies exact positive deltas (``tests/test_wave_rounds``
 pins both properties, plus the interference rule itself on live waves).
 
 **Incremental round cache.**  A round whose order covers the engine's
-whole population runs the same protocol against the
+whole population scores against the
 :class:`~repro.core.roundcache.RoundScoreCache` instead of a per-round
-throwaway batch: scored candidate rows persist across waves, rounds and
-epochs, and each wave re-evaluates only the owners inside its dependency
-footprint — owners with a moved peer (their Lemma 3 terms changed) and
-owners holding a candidate in a rack whose capacity state *flipped* (a
-filled pick, a freed strictly-better host).  Everything else keeps its
-cached decision untouched, which is exactly what a full re-evaluation
-would recompute, so the cached trajectory is bit-for-bit the uncached
-one.  Partial orders (the shard reconcile boundary) and the mid-round
-live finish take the uncached loop, and so does a cached round with
-nothing to carry out (a mostly-dirty cache, per-row feasibility) — over
-the cache's rows; ``repro.reference.UncachedScheduler`` forces it for
-every round, the twin ``tests/test_round_cache.py`` pins the cached loop
-against.
+throwaway batch: scored candidate rows persist across rounds, runs and
+epochs, and only owners whose dependency footprint changed are
+re-scored.  With a uniform population and no §V-C budget, each owner's
+round-start decision is carried across rounds as well
+(:class:`~repro.core.roundcache.DecisionState`): a round start
+re-evaluates only the owners marked stale — re-scored, proposers of the
+last round, or reached by a capacity flip since — and everything else
+keeps what a fresh evaluation would recompute.  The owners without a
+beneficial move settle there; the proposers run the one wave loop
+(``_wave_segment``) as a sub-batch, so past its round start a cached
+round *is* the uncached one, bit for bit.  Partial orders (the shard
+reconcile boundary), the mid-round live finish and a cached round with
+nothing to carry (a mostly-dirty cache, per-row feasibility) run that
+loop over a round-local batch or the cache's rows;
+``repro.reference.UncachedScheduler`` takes a round-local batch for
+every round, the twin ``tests/test_round_cache.py`` pins the cached
+round against.
 """
 
 from __future__ import annotations
@@ -253,9 +257,9 @@ class BatchedRoundEngine:
     def run_round(self, order: Sequence[int], injector=None) -> RoundResult:
         """Run one full token round over ``order`` (a visit-order snapshot).
 
-        Takes the cached loop exactly when ``order`` covers the engine's
-        whole population (the round cache is keyed by the dense VM
-        index); partial orders take the uncached wave loop.
+        Takes the cached round exactly when ``order`` covers the
+        engine's whole population (the round cache is keyed by the dense
+        VM index); partial orders score a round-local batch.
 
         ``injector``, when given, is pumped after every applied wave with
         the number of holds decided so far:
@@ -264,9 +268,9 @@ class BatchedRoundEngine:
         deltas, capacity changes); the in-flight scored batch is then
         stale, so the round abandons it and finishes through
         :meth:`_finish_round_live` — fresh re-scores of the still
-        undecided holds against the live state.  Both loops pump at the
-        exact same protocol points, so a cached/uncached twin pair under
-        an identical injector sees identical pump times and produces the
+        undecided holds against the live state.  Every round pumps from
+        the one wave loop, so a cached/uncached twin pair under an
+        identical injector sees identical pump times and produces the
         identical trajectory.
         """
         n = self._fast.snapshot.n_vms
@@ -279,9 +283,8 @@ class BatchedRoundEngine:
     def _run_round_uncached(
         self, order: Sequence[int], injector=None
     ) -> RoundResult:
-        """The uncached wave loop: full re-mask of every pending owner
-        per wave, round-local candidate batch.  Pinned against the cached
-        loop by ``tests/test_round_cache.py``."""
+        """The wave loop over a round-local candidate batch.  Pinned
+        against the cached round by ``tests/test_round_cache.py``."""
         fast = self._fast
         t0 = self._tick()
         batch = fast.candidate_batch(
@@ -298,7 +301,7 @@ class BatchedRoundEngine:
         positions: np.ndarray,
         injector=None,
     ) -> RoundResult:
-        """The uncached wave loop over a batch scoring the whole round."""
+        """The wave loop over a batch scoring the whole round."""
         result = RoundResult.for_round(len(order))
         if self._wave_segment(result, batch, positions, injector):
             self._finish_round_live(result, list(order), injector)
@@ -312,7 +315,7 @@ class BatchedRoundEngine:
         positions: np.ndarray,
         injector=None,
     ) -> bool:
-        """Run the uncached wave loop over one scored batch to completion.
+        """Run the wave loop over one scored batch to completion.
 
         ``positions`` maps the batch's owners to their visit positions in
         the round; owners are settled and proposed in visit order, so the
@@ -370,13 +373,7 @@ class BatchedRoundEngine:
             keep_positions = positions[deferred]
             if moved.size:
                 t0 = self._tick()
-                self._adjust_stale(
-                    keep,
-                    np.arange(keep.n_owners, dtype=np.int64),
-                    moved,
-                    old_hosts,
-                    new_hosts,
-                )
+                self._adjust_stale(keep, moved, old_hosts, new_hosts)
                 self._lap("adjust", t0)
             batch = keep
             positions = keep_positions
@@ -414,7 +411,7 @@ class BatchedRoundEngine:
         undecided (and still placed) VMs against the live engine state,
         and run a wave segment over it — which may itself be interrupted
         by further injections.  The continuation depends only on live
-        engine state, so the cached and uncached loops (which share this
+        engine state, so cached and uncached rounds (which share this
         path after bailing out) produce bit-identical trajectories.
         """
         fast = self._fast
@@ -456,20 +453,16 @@ class BatchedRoundEngine:
         """One token round against the persistent round-score cache.
 
         Owners are indexed by *dense VM* (the cache's key space), with
-        ``pos_of`` mapping them back to visit positions; proposals reach
-        the planner sorted by visit position and decisions land at their
-        positions, so decisions, waves and applied moves come out in
-        exactly the uncached loop's order.
-
-        Tie rows live in two tiers.  The round-local *active* set holds
-        the ties of currently-beneficial owners — the only rows the wave
-        planner can use — and is small (proposals shrink wave over
-        wave), so per-wave maintenance is O(touched).  Everything else
-        sits in the cache's persistent pool plus the shadow index, which
-        are only *read* mid-round (host-flag gathers marking settled
-        owners stale) and batch-updated once per round, so a
-        mostly-converged round costs a sparse re-score, not a full
-        O(rows) evaluation.
+        ``pos_of`` mapping them back to visit positions.  The round-start
+        evaluation — each owner's (choice, best) — is the carried
+        :class:`DecisionState` with only its ``stale_decision`` owners
+        re-evaluated, or one full pass when nothing usable is carried.
+        Owners without a beneficial move settle at once; the beneficial
+        ones run the wave loop (:meth:`_wave_segment`) as one sub-batch
+        and are marked ``stale_decision``, so the next round re-evaluates
+        them.  The carried values equal a fresh evaluation and the wave
+        loop is indifferent to its batch's owner order, so the round is
+        the uncached one, decision for decision.
         """
         fast = self._fast
         engine = self._engine
@@ -483,470 +476,133 @@ class BatchedRoundEngine:
             self._profile.bump("owners_rescored", int(dirty.size))
         pos_of = np.empty(n, dtype=np.int64)
         pos_of[dense_order] = np.arange(n, dtype=np.int64)
-        cm = engine.migration_cost
-        threshold = engine.bandwidth_threshold
-        n_hosts = self._fast.allocation.cluster.n_servers
-        ptr = batch.ptr
-        pod_of_host = fast._pod_of
 
-        # Incremental feasibility (and therefore decision persistence)
-        # needs per-host state: a uniform population and no §V-C budget.
+        # Carried decisions need per-host feasibility: a uniform
+        # population and no §V-C budget.
         t0 = self._tick()
-        host_ok = fast.uniform_host_ok() if threshold is None else None
+        host_ok = (
+            fast.uniform_host_ok()
+            if engine.bandwidth_threshold is None
+            else None
+        )
         state = cache.decision_state if host_ok is not None else None
-        if state is not None:
-            # Mostly-dirty rounds (early convergence, big drift bursts):
+        if state is not None and int(state.stale_decision.sum()) * 4 > n:
+            # Mostly-stale carry (early convergence, big drift bursts):
             # one vectorized full evaluation beats piecewise catch-up.
-            # (``refresh`` marked the re-scored owners stale.)
-            if int(state.stale_decision.sum()) * 4 > n:
-                state = None
-                cache.decision_state = None
+            state = None
         if state is None and (host_ok is None or int(dirty.size) * 4 > n):
             # No decisions will carry out of this round (per-row
-            # feasibility, or a mostly-dirty cache): the incremental
-            # structures would be built only to be dropped, so run the
-            # uncached wave loop over the cache's rows.
+            # feasibility, or a mostly-dirty cache): run the wave loop
+            # straight over the cache's rows.
             cache.decision_state = None
             self._lap("re-mask", t0)
             return self._run_batch(order, batch, pos_of, injector)
-        result = RoundResult.for_round(n)
-        empty64 = np.empty(0, dtype=np.int64)
-        retired: List[np.ndarray] = []
-        if state is not None:
-            # Carried decisions: re-evaluate only the re-scored owners
-            # plus those whose ``stale_decision`` mark was set while they
-            # were unmaintained (a tie host filled, a qualifying blocked
-            # host freed) — including, below, flips that happened
-            # *between* runs; everything else keeps its (choice, best,
-            # ties, shadow) verbatim — a fresh evaluation would
-            # reproduce it.
-            choice, best = state.choice, state.best
-            if state.row_owner is None:
-                state.row_owner = np.repeat(
-                    np.arange(n, dtype=np.int64), np.diff(ptr)
-                )
-            row_owner_arr = state.row_owner
-            owner_pods = state.owner_pods
-            pool_rows = state.pool_rows
-            pool_owner = state.pool_owner
-            pool_hosts = state.pool_hosts
-            shadow = state.shadow
-            need = state.stale_decision
-            flips = np.nonzero(host_ok != state.host_ok)[0]
-            if flips.size:
-                # Out-of-round capacity changes (drains, resizes, runs
-                # through other engine paths).  Filled hosts unseat the
-                # pooled ties sitting on them; freed hosts route through
-                # the shadow index, exactly like a mid-round wave.
-                filled = flips[~host_ok[flips]]
-                if filled.size:
-                    on_filled = self._host_flags(n_hosts, filled)[pool_hosts]
-                    need[pool_owner[on_filled]] = True
-                freed = flips[host_ok[flips]]
-                if freed.size:
-                    _, cand = shadow.on_hosts(self._host_flags(n_hosts, freed))
-                    c_owner = row_owner_arr[cand]
-                    need[c_owner[batch.delta[cand] >= best[c_owner]]] = True
-            state.host_ok = host_ok
-            sub = np.nonzero(need)[0]
-            new_rows = new_owner = empty64
-            if sub.size:
-                # Re-evaluated owners rebuild their blocked rows against
-                # their fresh best; drop the stale entries so the shadow
-                # never accumulates garbage across rounds.
-                shadow.compact(~need[row_owner_arr[shadow.rows]])
-                new_rows, new_owner, new_blocked = self._rescore_owners(
-                    batch, sub, host_ok, choice, best
-                )
-                shadow.add(new_blocked, batch.host[new_blocked])
-            else:
-                shadow.compact()
-            # Activate the beneficial owners' ties: fresh ones routed by
-            # their owner's verdict, carried ones extracted from the
-            # persistent pool (and re-inserted when the round retires
-            # them again).  The re-evaluated owners' old ties leave the
-            # pool in the same pass.
-            beneficial0 = (choice >= 0) & (best > 0) & (best > cm)
-            act_mask = beneficial0[new_owner]
-            act_rows = new_rows[act_mask]
-            act_owner = new_owner[act_mask]
-            retired.append(new_rows[~act_mask])
-            pos, rows = self._owner_pool_rows(
-                pool_rows, ptr, np.nonzero(need | beneficial0)[0]
-            )
-            if pos.size:
-                owner = pool_owner[pos]
-                carried = ~need[owner]
-                act_rows, act_owner = self._active_merge(
-                    act_rows, act_owner, rows[carried], owner[carried]
-                )
-                pool_rows, pool_owner, pool_hosts = self._without(
-                    pos, pool_rows, pool_owner, pool_hosts
-                )
-            need[:] = False
+        if state is None:
+            state = self._evaluate_all(batch, host_ok)
         else:
-            # Round-start evaluation of every owner — the one full pass on
-            # a mostly-clean cache; the values (and the exact-tie row
-            # pool) are then maintained incrementally wave over wave and
-            # carried into the next round.
-            feasible = fast.candidate_feasible(batch, threshold)
-            choice, best, _, tie_rows = fast.best_candidates(
-                batch, feasible, return_ties=True
-            )
-            # Row → owner map (one pass; the freed-host scan and tie-pool
-            # bookkeeping gather from it instead of bisecting).
-            row_owner_arr = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(ptr)
-            )
-            tie_owner = row_owner_arr[tie_rows]
-            # Split: beneficial owners' ties go live; the rest wait in
-            # the persistent pool.
-            beneficial0 = (choice >= 0) & (best > 0) & (best > cm)
-            act_mask = beneficial0[tie_owner]
-            act_rows = tie_rows[act_mask]
-            act_owner = tie_owner[act_mask]
-            pool_rows = tie_rows[~act_mask]
-            pool_owner = tie_owner[~act_mask]
-            pool_hosts = batch.host[pool_rows].astype(np.int64)
-            # (owner × pod) candidate incidence, pruning stale-delta
-            # corrections to incidences that can touch a candidate.
-            n_pods = int(pod_of_host.max()) + 1
-            owner_pods = (
-                np.bincount(
-                    row_owner_arr * n_pods + pod_of_host[batch.host],
-                    minlength=n * n_pods,
-                ).reshape(n, n_pods)
-                > 0
-            )
-            # Shadow index: infeasible rows whose delta already reaches
-            # their owner's best.  Only these can change a decision when
-            # their host frees up, so the freed-host scan touches them
-            # alone; later qualifiers are appended, gated by the index's
-            # membership bitmap.
-            blocked = np.nonzero(
-                ~feasible & (batch.delta >= best[row_owner_arr])
-            )[0]
-            shadow = ShadowIndex(batch.n_pairs, n_hosts)
-            shadow.add(blocked, batch.host[blocked])
-            state = DecisionState(
-                choice, best, host_ok, row_owner_arr, owner_pods, shadow
-            )
-            del feasible
+            self._catch_up(state, batch, host_ok)
+        choice, best = state.choice, state.best
         self._lap("re-mask", t0)
-        pending = np.ones(n, dtype=bool)
 
-        while True:
-            beneficial = pending & (choice >= 0) & (best > 0) & (best > cm)
-            to_settle = np.nonzero(pending & ~beneficial)[0]
-            t0 = self._tick()
-            if to_settle.size:
-                pending[to_settle] = False
-                act_rows, act_owner = self._active_retire(
-                    act_rows, act_owner, ptr, to_settle, retired
-                )
-            self._settle_owners(
-                result, batch, to_settle, pos_of, choice, best
-            )
-            self._lap("settle", t0)
-            prop = np.nonzero(beneficial)[0]
-            if prop.size == 0:
-                break
-            prop = prop[np.argsort(pos_of[prop], kind="stable")]
-            result.waves += 1
-            t0 = self._tick()
-            accepted, target = self._plan_wave(
-                batch, best, prop, act_rows, n_hosts, tie_owner=act_owner
-            )
-            self._lap("plan", t0)
-            t0 = self._tick()
-            moved, old_hosts, new_hosts = self._apply_wave(
-                result, pos_of, batch, prop[accepted], target[accepted]
-            )
-            self._lap("wave-apply", t0)
-            if injector is not None and injector(self._settled_count(result)):
-                # Injected events mutated engine state mid-round: both the
-                # round-local incremental structures (choice/best, active
-                # ties, shadow) and any carried cross-round decision state
-                # are stale.  Drop the decision carry — the persistent
-                # scored rows themselves stay valid because every event
-                # routes through the engine's footprint invalidation —
-                # and finish the round on the live path, exactly like the
-                # uncached loop.
-                cache.invalidate_decisions()
-                self._finish_round_live(result, list(order), injector)
-                assert result.decisions.complete
-                return result
-            wave_owners = prop[accepted]
-            pending[wave_owners] = False
-            if wave_owners.size:
-                act_rows, act_owner = self._active_retire(
-                    act_rows, act_owner, ptr, np.sort(wave_owners), retired
-                )
-            deferred = prop[~accepted]
-            if deferred.size == 0:
-                break
-            result.deferrals += int(deferred.size)
-            if moved.size:
-                t0 = self._tick()
-                stale = self._adjust_stale(
-                    batch, deferred, moved, old_hosts, new_hosts,
-                    owner_pods=owner_pods,
-                )
-                self._lap("adjust", t0)
-                t0 = self._tick()
-                # Surgical invalidation: exactly the owners inside this
-                # wave's dependency footprint.
-                host_hit = np.zeros(n_hosts, dtype=bool)
-                host_hit[old_hosts] = True
-                host_hit[new_hosts] = True
-                touched = np.nonzero(host_hit)[0]
-                now_ok = fast.uniform_host_ok(touched)
-                flipped = now_ok != host_ok[touched]
-                freed = touched[flipped & now_ok]
-                filled = touched[flipped & ~now_ok]
-                host_ok[touched] = now_ok
-                dropped_owner = empty64
-                affected = []
-                if filled.size:
-                    # Filled picks.  Active ties drop out (a pending
-                    # owner losing its whole tie set re-probes; the
-                    # dropped row enters the shadow — it may return if
-                    # the host frees again).  Pooled ties of unmaintained
-                    # owners only *mark* them for lazy round-start
-                    # catch-up; the pool itself is not touched mid-round.
-                    filled_flag = self._host_flags(n_hosts, filled)
-                    hit = filled_flag[batch.host[act_rows]]
-                    if bool(hit.any()):
-                        dropped_owner = act_owner[hit]
-                        dropped = act_rows[hit]
-                        shadow.add(dropped, batch.host[dropped])
-                        affected.append(dropped_owner)
-                        act_rows = act_rows[~hit]
-                        act_owner = act_owner[~hit]
-                    on_filled = filled_flag[pool_hosts]
-                    state.stale_decision[pool_owner[on_filled]] = True
-                rescore = np.zeros(n, dtype=bool)
-                rescore[stale] = True
-                if dropped_owner.size:
-                    _, has_rows = self._first_pool_rows(
-                        act_rows, ptr, dropped_owner
-                    )
-                    rescore[dropped_owner[~has_rows]] = True
-                rescore &= pending
-                sub = np.nonzero(rescore)[0]
-                added = []
-                if sub.size:
-                    pos, _ = self._owner_pool_rows(act_rows, ptr, sub)
-                    if pos.size:
-                        act_rows, act_owner = self._without(
-                            pos, act_rows, act_owner
-                        )
-                    new_rows, new_owner, new_blocked = self._rescore_owners(
-                        batch, sub, host_ok, choice, best
-                    )
-                    added.append((new_rows, new_owner))
-                    shadow.add(new_blocked, batch.host[new_blocked])
-                if freed.size:
-                    # Freed strictly-better (or tying) hosts, via the
-                    # shadow index.  Settled owners with a qualifying
-                    # blocked row are marked for lazy round-start
-                    # catch-up; pending ones update right here.
-                    cand_pos, cand = shadow.on_hosts(
-                        self._host_flags(n_hosts, freed)
-                    )
-                    c_owner = row_owner_arr[cand]
-                    settled_hit = ~pending[c_owner] & (
-                        batch.delta[cand] >= best[c_owner]
-                    )
-                    state.stale_decision[c_owner[settled_hit]] = True
-                    eligible = pending & ~rescore
-                    fr_rows, fr_owner, improved = self._freed_rows_update(
-                        batch, cand, c_owner, eligible, best
-                    )
-                    if improved.size:
-                        pos, _ = self._owner_pool_rows(
-                            act_rows, ptr, improved
-                        )
-                        if pos.size:
-                            act_rows, act_owner = self._without(
-                                pos, act_rows, act_owner
-                            )
-                    if fr_rows.size:
-                        added.append((fr_rows, fr_owner))
-                        affected.append(fr_owner)
-                        # Promoted rows leave the shadow: a live tie must
-                        # never double as a blocked entry, or a later
-                        # freed host would re-add it.
-                        at = np.searchsorted(fr_rows, cand).clip(
-                            max=len(fr_rows) - 1
-                        )
-                        shadow.discard(cand_pos[fr_rows[at] == cand])
-                if added:
-                    new_rows = np.concatenate([a[0] for a in added])
-                    new_owner = np.concatenate([a[1] for a in added])
-                    if len(added) > 1:
-                        merge = np.argsort(new_rows, kind="stable")
-                        new_rows = new_rows[merge]
-                        new_owner = new_owner[merge]
-                    act_rows, act_owner = self._active_merge(
-                        act_rows, act_owner, new_rows, new_owner
-                    )
-                if affected:
-                    # Choice = first (probing-order) live tie; recompute
-                    # for owners whose tie set changed — identical to a
-                    # recompute for everyone else.  Owners left without
-                    # ties were either rescued above (pending) or marked
-                    # stale (settled); their choice is not read before
-                    # it is rebuilt.
-                    aff_hit = np.zeros(n, dtype=bool)
-                    aff_hit[np.concatenate(affected)] = True
-                    aff = np.nonzero(aff_hit)[0]
-                    first, has_rows = self._first_pool_rows(
-                        act_rows, ptr, aff
-                    )
-                    choice[aff[has_rows]] = act_rows[first[has_rows]]
-                self._lap("re-mask", t0)
-
-        # Retire the round's settled ties back into the persistent
-        # pool; fills that happened after an owner settled are caught
-        # here (the owner re-evaluates next round).
-        assert act_rows.size == 0
-        ret_rows = np.sort(np.concatenate(retired)) if retired else empty64
-        if ret_rows.size:
-            ret_owner = row_owner_arr[ret_rows]
-            ret_hosts = batch.host[ret_rows].astype(np.int64)
-            state.stale_decision[ret_owner[~host_ok[ret_hosts]]] = True
-            at = np.searchsorted(pool_rows, ret_rows)
-            pool_rows = np.insert(pool_rows, at, ret_rows)
-            pool_owner = np.insert(pool_owner, at, ret_owner)
-            pool_hosts = np.insert(pool_hosts, at, ret_hosts)
-        state.pool_rows = pool_rows
-        state.pool_owner = pool_owner
-        state.pool_hosts = pool_hosts
-        cache.decision_state = state
+        result = RoundResult.for_round(n)
+        beneficial = (choice >= 0) & (best > 0) & (best > engine.migration_cost)
+        t0 = self._tick()
+        self._settle_owners(
+            result, batch, np.nonzero(~beneficial)[0], pos_of, choice, best
+        )
+        self._lap("settle", t0)
+        proposers = np.nonzero(beneficial)[0]
+        if self._wave_segment(
+            result,
+            batch.select(proposers, with_onto=False),
+            pos_of[proposers],
+            injector,
+        ):
+            # Injected events mutated engine state mid-round: the carried
+            # decisions no longer describe it.  The scored rows stay valid
+            # (every event routes through the engine's footprint
+            # invalidation), so only the carry drops.
+            cache.invalidate_decisions()
+            self._finish_round_live(result, list(order), injector)
+        else:
+            state.stale_decision[proposers] = True
+            cache.decision_state = state
         assert result.decisions.complete
         return result
 
-    @staticmethod
-    def _host_flags(n_hosts: int, hosts: np.ndarray) -> np.ndarray:
-        """Per-host flag vector with the given hosts set.  The extra last
-        entry stays False: it is the shadow index's tombstone host."""
-        flag = np.zeros(n_hosts + 1, dtype=bool)
-        flag[hosts] = True
-        return flag
-
-    @staticmethod
-    def _without(pos: np.ndarray, *arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """The parallel arrays with the entries at ``pos`` removed."""
-        keep = np.ones(len(arrays[0]), dtype=bool)
-        keep[pos] = False
-        return tuple(array[keep] for array in arrays)
-
-    # -- active-tie bookkeeping ----------------------------------------------
-
-    def _active_merge(
-        self,
-        act_rows: np.ndarray,
-        act_owner: np.ndarray,
-        add_rows: np.ndarray,
-        add_owner: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Insert row-sorted additions into the active tie set."""
-        if add_rows.size == 0:
-            return act_rows, act_owner
-        at = np.searchsorted(act_rows, add_rows)
-        return (
-            np.insert(act_rows, at, add_rows),
-            np.insert(act_owner, at, add_owner),
+    def _evaluate_all(
+        self, batch: CandidateBatch, host_ok: np.ndarray
+    ) -> DecisionState:
+        """Every owner's decision, exact-tie rows and blocked rows: the
+        one full pass a carry starts from."""
+        feasible = host_ok[batch.host]
+        choice, best, _, ties = self._fast.best_candidates(
+            batch, feasible, return_ties=True
+        )
+        row_owner = np.repeat(
+            np.arange(batch.n_owners, dtype=np.int64), np.diff(batch.ptr)
+        )
+        # Shadow index: infeasible rows whose delta already reaches their
+        # owner's best — the only rows a freed host can make matter.
+        blocked = np.nonzero(~feasible & (batch.delta >= best[row_owner]))[0]
+        shadow = ShadowIndex(batch.n_pairs)
+        shadow.add(blocked, batch.host[blocked])
+        return DecisionState(
+            choice, best, host_ok, row_owner, ties,
+            batch.host[ties].astype(np.int64), shadow,
         )
 
-    def _active_retire(
-        self,
-        act_rows: np.ndarray,
-        act_owner: np.ndarray,
-        ptr: np.ndarray,
-        owners: np.ndarray,
-        retired: List[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Move settling owners' live ties onto the round's retire list."""
-        if act_rows.size == 0 or owners.size == 0:
-            return act_rows, act_owner
-        pos, rows = self._owner_pool_rows(act_rows, ptr, owners)
-        if pos.size == 0:
-            return act_rows, act_owner
-        retired.append(rows)
-        return self._without(pos, act_rows, act_owner)
+    def _catch_up(
+        self, state: DecisionState, batch: CandidateBatch, host_ok: np.ndarray
+    ) -> None:
+        """Bring a carried state to this round's start, in place.
 
-    # -- pool / shadow bookkeeping -------------------------------------------
-
-    def _owner_pool_rows(
-        self, tie_rows: np.ndarray, ptr: np.ndarray, owners: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(positions, row ids) of the given owners' entries in the
-        row-sorted pool (each owner's rows live in ``ptr[o]:ptr[o+1]``)."""
-        lo = np.searchsorted(tie_rows, ptr[owners])
-        hi = np.searchsorted(tie_rows, ptr[owners + 1])
-        counts = hi - lo
-        seg = np.zeros(len(lo) + 1, dtype=np.int64)
-        np.cumsum(counts, out=seg[1:])
-        pos = np.repeat(lo - seg[:-1], counts) + np.arange(int(seg[-1]))
-        return pos, tie_rows[pos]
-
-    def _first_pool_rows(
-        self, tie_rows: np.ndarray, ptr: np.ndarray, owners: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(first pool position, any-rows mask) per owner."""
-        lo = np.searchsorted(tie_rows, ptr[owners])
-        has = lo < len(tie_rows)
-        has[has] &= tie_rows[lo[has]] < ptr[owners[has] + 1]
-        return lo, has
-
-    def _freed_rows_update(
-        self,
-        batch: CandidateBatch,
-        rows: np.ndarray,
-        row_owner: np.ndarray,
-        eligible: np.ndarray,
-        best: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fold freshly-freed candidate rows into the owners' decisions.
-
-        A host regaining capacity can only matter to an owner holding a
-        candidate row on it, and only when that row's delta reaches the
-        owner's cached best: strictly better replaces the best (the
-        "freed strictly-better host" invalidation), exactly equal joins
-        the tie set.  Everything below the bar is untouched — which is
-        precisely what a full re-mask would conclude.  ``rows`` (with
-        their owners) come from the caller's shadow index: distinct, in
-        no particular order, possibly stale — stale ones are filtered
-        here and the survivors sorted.
-
-        Returns ``(tie_rows, tie_owners, improved_owners)``: the rows to
-        add to the live tie pool and the owners whose previous ties are
-        now obsolete.  ``best`` is updated in place.
+        Capacity flips since the carried evaluation (the last round's own
+        waves, drains, resizes) mark the owners they can affect: a filled
+        host those whose pooled ties sit on it, a freed host those with a
+        shadow row on it reaching their best.  Then every marked owner —
+        these, the re-scored ones and the last round's proposers — is
+        re-evaluated, its pooled ties and shadow entries replaced.
+        Everything else keeps its (choice, best, ties, shadow) verbatim:
+        a fresh evaluation would reproduce it.
         """
-        empty = np.empty(0, dtype=np.int64)
-        ok = eligible[row_owner]
-        rows, row_owner = rows[ok], row_owner[ok]
-        if rows.size == 0:
-            return empty, empty.copy(), empty.copy()
-        deltas = batch.delta[rows]
-        reach = deltas >= best[row_owner]
-        rows, row_owner, deltas = rows[reach], row_owner[reach], deltas[reach]
-        if rows.size == 0:
-            return empty, empty.copy(), empty.copy()
-        order = np.argsort(rows, kind="stable")
-        rows, row_owner, deltas = rows[order], row_owner[order], deltas[order]
-        seg_first = np.ones(len(rows), dtype=bool)
-        seg_first[1:] = row_owner[1:] != row_owner[:-1]
-        starts = np.flatnonzero(seg_first)
-        owners_u = row_owner[starts]
-        seg_max = np.maximum.reduceat(deltas, starts)
-        gain = seg_max > best[owners_u]
-        improved = owners_u[gain]
-        best[improved] = seg_max[gain]
-        win = deltas == best[row_owner]
-        return rows[win], row_owner[win], improved
+        if state.row_owner is None:
+            state.row_owner = np.repeat(
+                np.arange(batch.n_owners, dtype=np.int64), np.diff(batch.ptr)
+            )
+        row_owner = state.row_owner
+        need = state.stale_decision
+        flips = np.nonzero(host_ok != state.host_ok)[0]
+        if flips.size:
+            flag = np.zeros(len(host_ok), dtype=bool)
+            flag[flips[~host_ok[flips]]] = True
+            need[state.pool_owner[flag[state.pool_hosts]]] = True
+            flag[:] = False
+            flag[flips[host_ok[flips]]] = True
+            rows = state.shadow.on_hosts(flag)
+            owner = row_owner[rows]
+            need[owner[batch.delta[rows] >= state.best[owner]]] = True
+        state.host_ok = host_ok
+        sub = np.nonzero(need)[0]
+        if sub.size == 0:
+            return
+        shadow = state.shadow
+        shadow.compact(~need[row_owner[shadow.rows]])
+        keep = ~need[state.pool_owner]
+        pool_rows = state.pool_rows[keep]
+        pool_owner = state.pool_owner[keep]
+        pool_hosts = state.pool_hosts[keep]
+        ties, owners, blocked = self._rescore_owners(
+            batch, sub, host_ok, state.choice, state.best
+        )
+        shadow.add(blocked, batch.host[blocked])
+        at = np.searchsorted(pool_rows, ties)
+        state.pool_rows = np.insert(pool_rows, at, ties)
+        state.pool_owner = np.insert(pool_owner, at, owners)
+        state.pool_hosts = np.insert(
+            pool_hosts, at, batch.host[ties].astype(np.int64)
+        )
+        need[:] = False
 
     def _rescore_owners(
         self,
@@ -1009,7 +665,6 @@ class BatchedRoundEngine:
         prop: np.ndarray,
         ties: np.ndarray,
         n_hosts: int,
-        tie_owner: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Greedy interference-free admission with exact-tie retargeting.
 
@@ -1021,9 +676,6 @@ class BatchedRoundEngine:
         :meth:`FastCostEngine.best_candidates`) — the first such host in
         probing order not yet claimed this wave — so an already-claimed
         host only defers a VM when no equally-good alternative exists.
-        ``tie_owner``, when given, supplies each tied row's owner
-        position directly (the cached loop maintains it alongside its tie
-        pool); rows must be grouped by owner, probing order within.
         """
         fast = self._fast
         snap = fast.snapshot
@@ -1035,10 +687,7 @@ class BatchedRoundEngine:
         # Tied rows of the proposal owners only, mapped to proposal index.
         prop_index = np.full(batch.n_owners, -1, dtype=np.int64)
         prop_index[prop] = np.arange(n_prop)
-        owner_of_ties = (
-            batch.owner[ties] if tie_owner is None else tie_owner
-        )
-        t_owner = prop_index[owner_of_ties]
+        t_owner = prop_index[batch.owner[ties]]
         in_prop = t_owner >= 0
         t_owner = t_owner[in_prop]
         t_host = batch.host[ties[in_prop]]
@@ -1178,13 +827,11 @@ class BatchedRoundEngine:
     def _adjust_stale(
         self,
         batch: CandidateBatch,
-        owners: np.ndarray,
         moved: np.ndarray,
         old_hosts: np.ndarray,
         new_hosts: np.ndarray,
-        owner_pods: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Correct the given owners' deltas for this wave's peer movements.
+    ) -> None:
+        """Correct the batch's deltas for this wave's peer movements.
 
         For owner u with candidate x and moved peer p (rate λ):
 
@@ -1196,16 +843,6 @@ class BatchedRoundEngine:
         ``Σ_u |candidates(u)| × |moved peers(u)|`` rows — a tiny slice of
         a full re-score — and keeps every retained delta exact against
         the post-wave placement (candidate sets stay the round snapshot).
-
-        ``owners`` selects which of the batch's owners to correct (the
-        uncached loop passes all of its compacted batch, the cached loop
-        the deferred subset of the full-population batch).  Returns the
-        owner indices that actually had a moved peer — the cached loop's
-        stale set.  ``owner_pods``, when given, is an (owners × pods)
-        candidate-incidence map: an incidence whose peer moved between
-        pods the owner holds no candidate in contributes exactly zero to
-        the candidate-side term, so its row expansion is skipped outright
-        (the source-side aggregate still counts every incidence).
         """
         fast = self._fast
         snap = fast.snapshot
@@ -1218,68 +855,52 @@ class BatchedRoundEngine:
         old_of[moved] = old_hosts
         new_of[moved] = new_hosts
 
-        # (owner, moved peer) incidences of the given owners.
-        owners = np.asarray(owners, dtype=np.int64)
-        deg = batch.degree[owners]
-        cum = np.zeros(len(owners) + 1, dtype=np.int64)
+        # (owner, moved peer) incidences.
+        deg = batch.degree
+        cum = np.zeros(batch.n_owners + 1, dtype=np.int64)
         np.cumsum(deg, out=cum[1:])
-        owner_e = np.repeat(
-            np.arange(len(owners), dtype=np.int64), deg
+        owner_e = np.repeat(np.arange(batch.n_owners, dtype=np.int64), deg)
+        edge = np.repeat(snap.ptr[batch.vms] - cum[:-1], deg) + np.arange(
+            int(cum[-1])
         )
-        edge = np.repeat(
-            snap.ptr[batch.vms[owners]] - cum[:-1], deg
-        ) + np.arange(int(cum[-1]))
         peer = snap.peer[edge]
         hit = moved_flag[peer]
         if not np.any(hit):
-            return np.empty(0, dtype=np.int64)
+            return
         m_owner = owner_e[hit]
         m_peer = peer[hit]
         m_rate = snap.rate[edge[hit]]
         m_old = old_of[m_peer]
         m_new = new_of[m_peer]
 
-        src = batch.source[owners[m_owner]]
+        src = batch.source[m_owner]
         src_term = m_rate * (
             pw[pair_levels(src, m_new, rack_of, pod_of)]
             - pw[pair_levels(src, m_old, rack_of, pod_of)]
         )
         # Work in the compact row space of the stale owners only (their
         # candidate segments), then scatter once into the batch arrays.
-        u_own, inv = np.unique(m_owner, return_inverse=True)
-        g_own = owners[u_own]
-        seg_len = (batch.ptr[g_own + 1] - batch.ptr[g_own]).astype(np.int64)
-        c_ptr = np.zeros(len(u_own) + 1, dtype=np.int64)
+        stale, inv = np.unique(m_owner, return_inverse=True)
+        seg_len = (batch.ptr[stale + 1] - batch.ptr[stale]).astype(np.int64)
+        c_ptr = np.zeros(len(stale) + 1, dtype=np.int64)
         np.cumsum(seg_len, out=c_ptr[1:])
         n_stale_rows = int(c_ptr[-1])
         if n_stale_rows == 0:
-            return g_own
+            return
         stale_rows = np.repeat(
-            batch.ptr[g_own] - c_ptr[:-1], seg_len
+            batch.ptr[stale] - c_ptr[:-1], seg_len
         ) + np.arange(n_stale_rows)
         # Source-side term: one per-owner aggregate over its whole segment.
-        src_adjust = np.zeros(len(u_own))
+        src_adjust = np.zeros(len(stale))
         np.add.at(src_adjust, inv, src_term)
         adjust = np.repeat(src_adjust, seg_len)
 
         # Candidate-side term: expand each incidence over the owner's rows.
-        if owner_pods is not None:
-            ow = owners[m_owner]
-            hit = (
-                owner_pods[ow, pod_of[m_new]]
-                | owner_pods[ow, pod_of[m_old]]
-            )
-            inv_c = inv[hit]
-            rate_c = m_rate[hit]
-            old_c = m_old[hit]
-            new_c = m_new[hit]
-        else:
-            inv_c, rate_c, old_c, new_c = inv, m_rate, m_old, m_new
-        inc_rows = seg_len[inv_c]
-        i_ptr = np.zeros(len(inv_c) + 1, dtype=np.int64)
+        inc_rows = seg_len[inv]
+        i_ptr = np.zeros(len(inv) + 1, dtype=np.int64)
         np.cumsum(inc_rows, out=i_ptr[1:])
         total = int(i_ptr[-1])
-        row_local = np.repeat(c_ptr[inv_c] - i_ptr[:-1], inc_rows) + np.arange(
+        row_local = np.repeat(c_ptr[inv] - i_ptr[:-1], inc_rows) + np.arange(
             total
         )
         row_hosts = batch.host[stale_rows]
@@ -1292,16 +913,16 @@ class BatchedRoundEngine:
         # rows gather their incidence's values.
         pod32 = pod_of.astype(np.int32)
         host_pod = pod32[row_hosts][row_local]
-        near = (host_pod == np.repeat(pod32[new_c], inc_rows)) | (
-            host_pod == np.repeat(pod32[old_c], inc_rows)
+        near = (host_pod == np.repeat(pod32[m_new], inc_rows)) | (
+            host_pod == np.repeat(pod32[m_old], inc_rows)
         )
         at_near = np.flatnonzero(near)
         row_near = row_local[at_near]
         inc_near = np.searchsorted(i_ptr, at_near, side="right") - 1
         hosts_n = row_hosts[row_near]
-        new_n = new_c[inc_near]
-        old_n = old_c[inc_near]
-        rate_n = rate_c[inc_near]
+        new_n = m_new[inc_near]
+        old_n = m_old[inc_near]
+        rate_n = m_rate[inc_near]
         cand_term = rate_n * (
             pw[pair_levels(hosts_n, new_n, rack_of, pod_of)]
             - pw[pair_levels(hosts_n, old_n, rack_of, pod_of)]
@@ -1317,7 +938,6 @@ class BatchedRoundEngine:
             batch.onto_rate[stale_rows] += np.bincount(
                 row_near, weights=onto_term, minlength=n_stale_rows
             )
-        return g_own
 
     # -- settlement ---------------------------------------------------------
 

@@ -198,7 +198,7 @@ class SCOREScheduler:
         permutation) and executes it as interference-free migration
         *waves* (:mod:`repro.core.rounds`, against the engine's persistent
         per-owner score cache).  The per-hold loop, the naive
-        :class:`~repro.core.cost.CostModel` path and the uncached wave loop
+        :class:`~repro.core.cost.CostModel` path and the uncached rounds
         live on as oracles in :mod:`repro.reference`.
 
         ``use_sharding`` (default off) runs each schedule as

@@ -307,8 +307,8 @@ class _UncachedRounds(BatchedRoundEngine):
 
 
 class UncachedScheduler(SCOREScheduler):
-    """S-CORE whose wave rounds always take the uncached wave loop: a
-    round-local candidate batch, every pending owner re-masked per wave."""
+    """S-CORE whose wave rounds always score a round-local candidate
+    batch: no round cache, no decision carry, the same wave loop."""
 
     _rounds_class = _UncachedRounds
 

@@ -4,9 +4,9 @@ Domain rounds optimize each domain's *intra-domain* cost; the pairs the
 partition could not confine are invisible to them.  Reconciliation runs
 bounded passes of the **global** wave-batched round engine restricted to
 the boundary VMs (the endpoints of cross-domain pairs): a partial visit
-order drives the engine's uncached wave loop, which scores candidates over
-the full cluster with the complete traffic snapshot and applies the
-exact Theorem-1 gate — so every reconciliation move is a certified
+order drives the engine's wave loop on a round-local batch, which scores
+candidates over the full cluster with the complete traffic snapshot and
+applies the exact Theorem-1 gate — so every reconciliation move is a certified
 global-cost reduction, and a pass that moves nothing certifies that no
 boundary VM has a strictly-improving move left.
 

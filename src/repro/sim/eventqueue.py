@@ -28,7 +28,7 @@ incremental churn/delta APIs (``admit_vms``/``retire_vms``/
 ``apply_traffic_delta``/``drain_hosts``/``set_host_capacity``/
 ``set_bandwidth_threshold``), which route through the fast engine's
 footprint invalidation — so the persistent round-score cache stays
-bit-exact and the cached and uncached wave loops remain twins under any
+bit-exact and cached and uncached rounds remain twins under any
 injection schedule (``tests/test_event_interleaving.py`` pins this).
 ``validate=True`` additionally runs
 :func:`repro.util.validation.check_engine_invariants` after every

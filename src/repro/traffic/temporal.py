@@ -13,7 +13,7 @@ what makes S-CORE stable (§VI-B, VM-oscillation discussion).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -58,20 +58,14 @@ class HotspotDriftProcess:
         """The current matrix (do not mutate; copy if needed)."""
         return self._current
 
-    def step(self) -> TrafficMatrix:
-        """Advance one interval and return the new matrix."""
-        self.step_delta()
-        return self._current.copy()
-
     def step_delta(self) -> List[Tuple[int, int, float]]:
         """Advance one interval and return the λ changes as a delta.
 
-        The epoch-transition form of :meth:`step`: the same RNG stream,
-        the same resulting matrix (:attr:`current` advances in place),
-        but the return value is the ``(u, v, new_rate)`` change list a
-        delta-path consumer (``SCOREScheduler.apply_traffic_delta``)
-        feeds to the engine without rebuilding anything.  A redirected
-        pair appears with rate 0 and its new target with the merged rate.
+        :attr:`current` advances to the new matrix; the return value is
+        the ``(u, v, new_rate)`` change list a delta-path consumer
+        (``SCOREScheduler.apply_traffic_delta``) feeds to the engine
+        without rebuilding anything.  A redirected pair appears with
+        rate 0 and its new target with the merged rate.
         """
         rng = self._rng
         us, vs, rates = self._current.pair_arrays()
@@ -116,13 +110,6 @@ class HotspotDriftProcess:
                 changed[(lo, hi)] = updated.rate(lo, hi)
         self._current = updated
         return [(u, v, rate) for (u, v), rate in changed.items()]
-
-    def run(self, steps: int) -> Iterator[TrafficMatrix]:
-        """Yield ``steps`` successive matrices."""
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        for _ in range(steps):
-            yield self.step()
 
 
 class DiurnalDriftProcess:
@@ -169,11 +156,6 @@ class DiurnalDriftProcess:
         delta = (us[moved], vs[moved], new[moved])
         self._current.apply_delta(delta)
         return list(zip(*(a.tolist() for a in delta)))
-
-    def step(self) -> TrafficMatrix:
-        """Advance one epoch and return a copy of the new matrix."""
-        self.step_delta()
-        return self._current.copy()
 
 
 class HotspotFlipDrift:
@@ -233,8 +215,3 @@ class HotspotFlipDrift:
         delta = [(u, v, rate) for (u, v), rate in changed.items()]
         self._current.apply_delta(delta)
         return delta
-
-    def step(self) -> TrafficMatrix:
-        """Advance one epoch and return a copy of the new matrix."""
-        self.step_delta()
-        return self._current.copy()

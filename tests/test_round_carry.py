@@ -11,15 +11,24 @@ happens to be harmless today cannot rot silently:
   against its own ``host_ok`` would produce;
 * a carried epoch never sorts, bisects or dedups anything as large as the
   carried tie pool or shadow index — the machine-independent reason a
-  mostly-clean round costs what changed.
+  mostly-clean round costs what changed;
+* a carried round hands exactly its round-start proposers to the one
+  wave loop, and marks them for re-evaluation.
+
+``pytest -m carry`` runs the audit over a wider seed matrix
+(``REPRO_CARRY_SEEDS`` — comma-separated ints; CI runs it as its own
+job).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.core.fastcost import FastCostEngine
+from repro.core.rounds import BatchedRoundEngine
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
@@ -100,6 +109,26 @@ def test_spliced_cache_equals_a_fresh_score(seed):
 # -- (b) decision-carry audit -------------------------------------------------
 
 
+def _carry_seeds():
+    raw = os.environ.get("REPRO_CARRY_SEEDS", "")
+    if raw.strip():
+        return [int(s) for s in raw.split(",") if s.strip()]
+    return [5, 21]
+
+
+def fresh_evaluation(cache, host_ok):
+    """Every owner's (feasible mask, best, exact-tie rows, row owner)
+    over the cache's rows under ``host_ok``, computed from scratch."""
+    ptr, host, delta = cache._ptr, cache._host, cache._delta
+    n = len(ptr) - 1
+    row_owner = np.repeat(np.arange(n), np.diff(ptr))
+    feasible = host_ok[host]
+    best = np.full(n, -np.inf)
+    np.maximum.at(best, row_owner[feasible], delta[feasible])
+    tie_rows = np.flatnonzero(feasible & (delta == best[row_owner]))
+    return feasible, best, tie_rows, row_owner
+
+
 def audit_decision_carry(fast):
     """Check the carried decisions against a full evaluation.
 
@@ -113,14 +142,11 @@ def audit_decision_carry(fast):
     state = cache.decision_state
     if state is None:
         return 0
-    ptr, host, delta = cache._ptr, cache._host, cache._delta
-    n = len(ptr) - 1
-    n_hosts = len(state.host_ok)
-    row_owner = np.repeat(np.arange(n), np.diff(ptr))
-    feasible = state.host_ok[host]
-    best = np.full(n, -np.inf)
-    np.maximum.at(best, row_owner[feasible], delta[feasible])
-    tie_rows = np.flatnonzero(feasible & (delta == best[row_owner]))
+    host, delta = cache._host, cache._delta
+    feasible, best, tie_rows, row_owner = fresh_evaluation(
+        cache, state.host_ok
+    )
+    n = len(best)
     choice = np.full(n, -1, dtype=np.int64)
     choice[row_owner[tie_rows[::-1]]] = tie_rows[::-1]  # first tie wins
     audited = cache._valid & ~state.stale_decision
@@ -143,13 +169,13 @@ def audit_decision_carry(fast):
     shadow = state.shadow
     blocked = ~feasible & (delta >= best[row_owner]) & audited[row_owner]
     assert shadow.member[blocked].all()
-    live = shadow.rows[shadow.hosts != n_hosts]
-    assert len(np.unique(live)) == len(live)
-    assert np.array_equal(np.sort(live), np.flatnonzero(shadow.member))
+    assert len(np.unique(shadow.rows)) == len(shadow.rows)
+    assert np.array_equal(np.sort(shadow.rows), np.flatnonzero(shadow.member))
     return int(audited.sum())
 
 
-@pytest.mark.parametrize("seed", [5, 21])
+@pytest.mark.carry
+@pytest.mark.parametrize("seed", _carry_seeds())
 def test_carried_decisions_equal_a_full_evaluation(seed):
     env = build_environment(small_config(seed, n_racks=12, fill_fraction=0.9))
     sched = make_scheduler(env)
@@ -245,3 +271,46 @@ def test_carried_epochs_never_reorganise_the_whole_carry(monkeypatch):
         assert max(largest.values()) <= n, largest
         spliced_epochs += cache.owners_spliced > spliced
     assert spliced_epochs >= 4
+
+
+# -- (d) one wave loop --------------------------------------------------------
+
+
+def test_a_carried_round_hands_its_proposers_to_the_wave_loop(monkeypatch):
+    """A carried round settles the owners without a beneficial move and
+    runs the uncached wave loop over exactly the round-start proposers
+    — a fresh evaluation's beneficial owners, fewer than the population
+    — which end marked for re-evaluation, the rest of the carry intact."""
+    env = build_environment(small_config(5, n_racks=12, fill_fraction=0.9))
+    sched = make_scheduler(env)
+    sched.run(n_iterations=4)
+    sched.quiesce()
+    fast = sched.fastcost
+    cache = fast.round_cache()
+    cm = sched._engine.migration_cost
+    segments = []
+    wave_segment = BatchedRoundEngine._wave_segment
+
+    def spy(self, result, batch, positions, injector=None):
+        _, best, _, _ = fresh_evaluation(cache, fast.uniform_host_ok())
+        beneficial = np.flatnonzero((best > 0) & (best > cm))
+        segments.append((batch.vms.copy(), beneficial))
+        return wave_segment(self, result, batch, positions, injector)
+
+    monkeypatch.setattr(BatchedRoundEngine, "_wave_segment", spy)
+    rng = make_rng(5)
+    proposed = 0
+    for _ in range(4):
+        sched.apply_traffic_delta(drift_delta(env.traffic, rng, n_rate=8))
+        state = cache.decision_state
+        assert state is not None
+        del segments[:]
+        sched.run(n_iterations=1)
+        assert cache.decision_state is state  # carried, not rebuilt
+        [(owners, beneficial)] = segments
+        assert np.array_equal(owners, beneficial)
+        assert len(owners) < env.allocation.n_vms
+        assert state.stale_decision[owners].all()
+        assert audit_decision_carry(fast) > 0
+        proposed += len(owners)
+    assert proposed > 0

@@ -1,9 +1,9 @@
 """``ShadowIndex`` against a dict model.
 
-The cached round loop's shadow index is an unordered ``(row, host)``
-buffer gated by a membership bitmap, with tombstones instead of sorted
-deletes.  The model is a plain ``row -> host`` dict; after every rule the
-index must describe exactly the model's keys, each by one live entry.
+The decision carry's shadow index is an unordered ``(row, host)``
+buffer gated by a membership bitmap.  The model is a plain
+``row -> host`` dict; after every rule the index must describe exactly
+the model's keys, each by one entry.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ N_OWNERS = 6
 
 
 def host_flags(hosts):
-    flag = np.zeros(N_HOSTS + 1, dtype=bool)
+    flag = np.zeros(N_HOSTS, dtype=bool)
     flag[sorted(hosts)] = True
     return flag
 
@@ -35,16 +35,12 @@ class ShadowMachine(RuleBasedStateMachine):
     )
     def boot(self, counts):
         self.ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.index = ShadowIndex(int(self.ptr[-1]), N_HOSTS)
+        self.index = ShadowIndex(int(self.ptr[-1]))
         self.model = {}
 
     @property
     def n_rows(self):
         return int(self.ptr[-1])
-
-    def live(self):
-        keep = self.index.hosts != N_HOSTS
-        return self.index.rows[keep], self.index.hosts[keep]
 
     @rule(data=st.data())
     def add(self, data):
@@ -62,48 +58,31 @@ class ShadowMachine(RuleBasedStateMachine):
 
     @rule(hosts=st.sets(st.integers(0, N_HOSTS - 1)))
     def lookup(self, hosts):
-        pos, rows = self.index.on_hosts(host_flags(hosts))
+        rows = self.index.on_hosts(host_flags(hosts))
         want = sorted(r for r, h in self.model.items() if h in hosts)
-        assert sorted(rows.tolist()) == want  # each once, no discarded row
-        assert np.array_equal(self.index.rows[pos], rows)
-
-    @rule(hosts=st.sets(st.integers(0, N_HOSTS - 1)), data=st.data())
-    def discard(self, hosts, data):
-        pos, rows = self.index.on_hosts(host_flags(hosts))
-        drop = np.array(
-            [data.draw(st.booleans()) for _ in range(len(pos))], dtype=bool
-        )
-        self.index.discard(pos[drop])
-        for row in rows[drop].tolist():
-            del self.model[row]
+        assert sorted(rows.tolist()) == want  # each once
 
     @rule(data=st.data())
-    def discard_then_add_again(self, data):
+    def compact(self, data):
+        keep = np.array(
+            [data.draw(st.booleans()) for _ in range(len(self.index.rows))],
+            dtype=bool,
+        )
+        for row in self.index.rows[~keep].tolist():
+            del self.model[row]
+        self.index.compact(keep)
+        assert len(self.index.rows) == len(self.model)
+
+    @rule(data=st.data())
+    def compact_then_add_again(self, data):
         if not self.model:
             return
         row = data.draw(st.sampled_from(sorted(self.model)))
         host = self.model[row]
-        pos, rows = self.index.on_hosts(host_flags({host}))
-        self.index.discard(pos[rows == row])
+        self.index.compact(self.index.rows != row)
         assert not self.index.member[row]
         self.index.add(np.array([row]), np.array([host]))
-        live_rows, _ = self.live()
-        assert int((live_rows == row).sum()) == 1
-
-    @rule(data=st.data())
-    def compact(self, data):
-        keep = None
-        if data.draw(st.booleans()):
-            keep = np.array(
-                [data.draw(st.booleans()) for _ in range(len(self.index.rows))],
-                dtype=bool,
-            )
-            live = self.index.hosts != N_HOSTS
-            for row in self.index.rows[live & ~keep].tolist():
-                del self.model[row]
-        self.index.compact(keep)
-        assert (self.index.hosts != N_HOSTS).all()  # no tombstone survives
-        assert len(self.index.rows) == len(self.model)
+        assert int((self.index.rows == row).sum()) == 1
 
     @rule(data=st.data())
     def remap(self, data):
@@ -130,8 +109,8 @@ class ShadowMachine(RuleBasedStateMachine):
     @invariant()
     def index_describes_the_model(self):
         assert np.flatnonzero(self.index.member).tolist() == sorted(self.model)
-        rows, hosts = self.live()
-        assert len(set(rows.tolist())) == len(rows)  # one live entry per row
+        rows, hosts = self.index.rows, self.index.hosts
+        assert len(set(rows.tolist())) == len(rows)  # one entry per row
         assert dict(zip(rows.tolist(), hosts.tolist())) == self.model
 
 
@@ -144,7 +123,7 @@ TestShadowMachine.settings = settings(
 def test_growth_keeps_contents():
     """Many small appends (the buffer regrows several times) and one
     large one: every entry survives, in insertion order."""
-    index = ShadowIndex(5000, N_HOSTS)
+    index = ShadowIndex(5000)
     rows = np.random.default_rng(0).permutation(5000)
     hosts = rows % N_HOSTS
     for lo in range(0, 1000, 7):

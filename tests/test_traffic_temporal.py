@@ -21,21 +21,26 @@ class TestHotspotDrift:
     def test_total_rate_roughly_preserved(self):
         process = HotspotDriftProcess(self.make_base(), noise=0.1, redirect_prob=0, seed=1)
         base_total = self.make_base().total_rate()
-        for tm in process.run(20):
-            assert tm.total_rate() == pytest.approx(base_total, rel=0.5)
+        for _ in range(20):
+            process.step_delta()
+            assert process.current.total_rate() == pytest.approx(
+                base_total, rel=0.5
+            )
 
     def test_redirect_moves_heaviest_pair(self):
         process = HotspotDriftProcess(
             self.make_base(), noise=0.0, redirect_prob=1.0, seed=2
         )
-        drifted = process.step()
+        process.step_delta()
+        drifted = process.current
         # Either the heavy pair moved to a new peer or the candidate
         # collided with an endpoint (no-op); run a few steps to observe one.
         moved = drifted.rate(1, 2) == 0.0
         for _ in range(10):
             if moved:
                 break
-            drifted = process.step()
+            process.step_delta()
+            drifted = process.current
             moved = drifted.rate(1, 2) == 0.0 or drifted.n_pairs != 3
         assert moved or drifted.n_pairs == 3
 
@@ -43,11 +48,14 @@ class TestHotspotDrift:
         a = HotspotDriftProcess(self.make_base(), seed=5)
         b = HotspotDriftProcess(self.make_base(), seed=5)
         for _ in range(5):
-            assert sorted(a.step().pairs()) == sorted(b.step().pairs())
+            a.step_delta()
+            b.step_delta()
+            assert sorted(a.current.pairs()) == sorted(b.current.pairs())
 
     def test_empty_base_is_stable(self):
         process = HotspotDriftProcess(TrafficMatrix(), seed=0)
-        assert process.step().n_pairs == 0
+        assert process.step_delta() == []
+        assert process.current.n_pairs == 0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -55,20 +63,16 @@ class TestHotspotDrift:
         with pytest.raises(ValueError):
             HotspotDriftProcess(TrafficMatrix(), redirect_prob=-0.1)
 
-    def test_step_delta_equals_step(self):
-        """Same seed: the delta stream replays the full-matrix stream."""
-        by_step = HotspotDriftProcess(
-            self.make_base(), noise=0.2, redirect_prob=0.5, seed=9
-        )
-        by_delta = HotspotDriftProcess(
+    def test_step_delta_replays_current(self):
+        """The delta stream, applied to the base, replays the process's
+        own matrix epoch by epoch (redirects included)."""
+        process = HotspotDriftProcess(
             self.make_base(), noise=0.2, redirect_prob=0.5, seed=9
         )
         replay = self.make_base()
         for _ in range(12):
-            stepped = by_step.step()
-            replay.apply_delta(by_delta.step_delta())
-            assert sorted(replay.pairs()) == sorted(stepped.pairs())
-            assert sorted(by_delta.current.pairs()) == sorted(stepped.pairs())
+            replay.apply_delta(process.step_delta())
+            assert sorted(replay.pairs()) == sorted(process.current.pairs())
 
     def test_seed_reuse_is_deterministic_for_deltas(self):
         a = HotspotDriftProcess(self.make_base(), redirect_prob=0.5, seed=5)
@@ -106,7 +110,9 @@ class TestDiurnalDrift:
         a = DiurnalDriftProcess(self.make_base(), amplitude=0.3)
         b = DiurnalDriftProcess(self.make_base(), amplitude=0.3)
         for _ in range(5):
-            assert sorted(a.step().pairs()) == sorted(b.step().pairs())
+            a.step_delta()
+            b.step_delta()
+            assert sorted(a.current.pairs()) == sorted(b.current.pairs())
 
     def test_rates_stay_positive(self):
         process = DiurnalDriftProcess(self.make_base(), amplitude=0.9)
