@@ -29,7 +29,7 @@ from repro.core.fastcost import (
     pair_levels,
     path_weight_table,
 )
-from repro.core.token import Token, TokenEntry, MAX_LEVEL_VALUE
+from repro.core.token import Token, MAX_LEVEL_VALUE
 from repro.core.policies import (
     HighestLevelFirstPolicy,
     LeastRecentlyVisitedPolicy,
@@ -53,7 +53,6 @@ __all__ = [
     "pair_levels",
     "path_weight_table",
     "Token",
-    "TokenEntry",
     "MAX_LEVEL_VALUE",
     "TokenPolicy",
     "RoundRobinPolicy",

@@ -22,11 +22,12 @@ the same quantities computed over flat numpy arrays:
   ``best_candidates``) scores the candidates of every Theorem 1 decision
   a token round makes.
 
-The engine answers the cost-model queries the scheduler and the token
-policies read (``total_cost``, ``highest_level``, ``topology``) with the
-signatures ``CostModel`` gives them, so either serves as a policy's cost
-model; the differential test suite asserts the two agree to within 1e-9
-on randomized scenarios.
+The engine answers the cost-model queries the scheduler reads
+(``total_cost``, ``topology``) with the signatures ``CostModel`` gives
+them, and HLF's round end reads every VM's highest communication level
+from it at once (:meth:`FastCostEngine.highest_levels`); the
+differential test suite asserts the two agree to within 1e-9 on
+randomized scenarios.
 """
 
 from __future__ import annotations
@@ -657,26 +658,6 @@ class FastCostEngine:
             self._path_weight,
         )
 
-    def highest_level(
-        self,
-        allocation: Optional[Allocation],
-        traffic: Optional[TrafficMatrix],
-        vm_u: int,
-    ) -> int:
-        """l_A(u): max communication level to any peer; 0 without peers."""
-        self._check_bound(allocation, traffic)
-        peers, _ = self._snap.peers_slice(self._dense(vm_u))
-        if peers.size == 0:
-            return 0
-        host_u = self._host_of[self._dense(vm_u)]
-        levels = pair_levels(
-            np.full(peers.shape, host_u, dtype=np.int64),
-            self._host_of[peers],
-            self._rack_of,
-            self._pod_of,
-        )
-        return int(levels.max())
-
     def host_egress(self, host: int) -> float:
         """Aggregate NIC-crossing rate of ``host`` (bytes/second).
 
@@ -702,9 +683,9 @@ class FastCostEngine:
     def highest_levels(self) -> np.ndarray:
         """Per-dense-VM highest communication level, one vectorized pass.
 
-        Equals :meth:`highest_level` for every VM (0 for peerless VMs);
-        what the wave-batched HLF round end writes into the token with
-        :meth:`repro.core.token.Token.set_levels`.
+        Equals :meth:`repro.core.cost.CostModel.highest_level` for every
+        VM (0 for peerless VMs); what HLF's round end writes into the
+        token with :meth:`repro.core.token.Token.set_levels`.
         """
         snap = self._snap
         out = np.zeros(snap.n_vms, dtype=np.int64)

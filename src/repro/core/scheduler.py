@@ -2,13 +2,13 @@
 
 The scheduler circulates the token: at each *hold*, the holding VM (its
 dom0, in the Xen deployment) makes the unilateral Theorem 1 decision via
-:class:`repro.core.migration.MigrationEngine`, the policy updates token
-state, and the token moves on.  One *iteration* is ``|V|`` consecutive
-holds — every VM once, in the order the policy gives for the round, run
-as interference-free waves (:mod:`repro.core.rounds`) — the unit in which
-the paper reports the ratio of migrated VMs (Fig. 2).  Wall-clock time
-advances ``token_interval_s`` per hold, giving the time axis of the
-cost-ratio plots (Fig. 3d–i).
+:class:`repro.core.migration.MigrationEngine`, and the token moves on.
+One *iteration* is ``|V|`` consecutive holds — every VM once, in the
+order the policy gives for the round, run as interference-free waves
+(:mod:`repro.core.rounds`), token state updated at the round's end — the
+unit in which the paper reports the ratio of migrated VMs (Fig. 2).
+Wall-clock time advances ``token_interval_s`` per hold, giving the time
+axis of the cost-ratio plots (Fig. 3d–i).
 
 The network-wide cost is tracked incrementally: by Lemma 3 each performed
 migration changes the global cost by exactly the locally computed delta, so
@@ -408,9 +408,9 @@ class SCOREScheduler:
     def _prepare_engines(self) -> CostModel:
         """Resync the fast engine if needed; return the active cost model.
 
-        Policies take it in place of a :class:`CostModel` — the fast
-        engine answers ``highest_level`` and ``total_cost`` from its
-        arrays with the same signature.
+        The round loop reads ``total_cost`` from it; the fast engine
+        answers it from its incremental cache with the signature
+        :class:`CostModel` gives it.
         """
         if not self._fast.in_sync:
             # Some writer bypassed the engine's update path since the
@@ -459,10 +459,7 @@ class SCOREScheduler:
 
         holder = first_holder
         for iteration in range(1, n_iterations + 1):
-            order = self._policy.round_order(
-                self._token, holder, self._allocation, self._traffic,
-                cost_model,
-            )
+            order = self._policy.round_order(self._token, holder)
             injector = None
             if event_pump is not None:
                 def injector(settled, _start=self._clock):
@@ -503,9 +500,7 @@ class SCOREScheduler:
                 )
             )
             report.time_series.append((self._clock, cost))
-            holder = self._policy.end_round(
-                self._token, order, self._allocation, self._traffic, cost_model
-            )
+            holder = self._policy.end_round(self._token, order, self._fast)
             if event_pump is not None and event_pump(self._clock):
                 # Boundary events (arrivals join here; departures leave
                 # before the next order snapshot).

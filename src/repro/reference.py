@@ -6,10 +6,11 @@ order as wave rounds on the fast engine's round cache, and the batched
 kernels (wave planner, GA generation, link routing) are numpy end to end.
 The readable versions they replaced survive here, once each:
 
-* :class:`PerHoldScheduler` — the per-hold token loop: one Theorem 1
-  decision per hold, the policy's ``on_hold`` / ``next_vm`` after every
-  decision, events pumped at round boundaries only.  Hooked in through
-  the scheduler's one round method, ``_run_batched``.
+* :class:`PerHoldScheduler` — the per-hold token loop: it walks the
+  policy's round order one Theorem 1 decision per hold and closes the
+  round with the policy's ``end_round``; events are pumped at round
+  boundaries only.  Hooked in through the scheduler's one round method,
+  ``_run_batched``.
 * :class:`NaiveScheduler` — the per-hold loop scored on the naive
   :class:`~repro.core.cost.CostModel` (the executable statement of
   Eq. 1–2 and Lemma 3); it scores naively and writes through the
@@ -61,12 +62,12 @@ from repro.traffic.matrix import TrafficMatrix
 
 
 class PerHoldScheduler(SCOREScheduler):
-    """S-CORE's per-hold token loop (the pre-batching semantics).
+    """S-CORE's per-hold token loop: the round order without waves.
 
     Each hold decides through the same cost engine as :meth:`run`; only
-    the round batching is bypassed.  The policy passes the token hop by
-    hop, so its ``next_vm`` chain — not its round order — picks the
-    holders.
+    the round batching is bypassed.  The holders are the policy's round
+    order, the same as production's, each deciding on the placement
+    the holds before it left.
     """
 
     def __init__(self, *args, use_sharding: bool = False, **kwargs) -> None:
@@ -91,52 +92,36 @@ class PerHoldScheduler(SCOREScheduler):
         report.recovered_from = self._recovered_from
         report.time_series.append((self._clock, cost))
 
-        # A continuation holder that churned away between runs degrades
-        # to the lowest id — the same fallback the boundary pump applies.
         holder = first_holder
-        if holder not in self._token:
-            holder = self._token.lowest_id
         for iteration in range(1, n_iterations + 1):
-            # Re-read each iteration: boundary events may have churned
-            # the population.
-            n_vms = len(self._token)
+            order = self._policy.round_order(self._token, holder)
             decisions = []
-            for _visit in range(n_vms):
-                decision = self._hold(holder)
+            for vm in order:
+                decision = self._hold(vm)
                 decisions.append(decision)
                 if decision.migrated:
                     cost -= decision.delta
-                self._policy.on_hold(
-                    self._token, holder, self._allocation, self._traffic,
-                    cost_model,
-                )
                 self._clock += self._interval
                 if decision.migrated or record_every_hold:
                     report.time_series.append((self._clock, cost))
-                holder = self._policy.next_vm(
-                    self._token, holder, self._allocation, self._traffic,
-                    cost_model,
-                )
+            holder = self._policy.end_round(self._token, order, self._fast)
             block = DecisionColumns.from_decisions(decisions)
             report.decisions.extend(block)
             migrations = block.migrated_count()
             report.iterations.append(
                 IterationStats(
                     index=iteration,
-                    visits=n_vms,
+                    visits=len(order),
                     migrations=migrations,
                     cost_at_end=cost,
                 )
             )
             report.time_series.append((self._clock, cost))
             if event_pump is not None and event_pump(self._clock):
-                # Events changed cost out-of-band of the migration deltas
-                # and may have retired the next holder.
+                # Events changed cost out-of-band of the migration deltas.
                 cost = float(
                     cost_model.total_cost(self._allocation, self._traffic)
                 )
-                if holder not in self._token:
-                    holder = self._token.lowest_id
                 report.time_series.append((self._clock, cost))
             if stop_when_stable and migrations == 0:
                 break
@@ -152,9 +137,9 @@ class PerHoldScheduler(SCOREScheduler):
 
 class NaiveScheduler(PerHoldScheduler):
     """The per-hold loop on the naive :class:`CostModel`: it scores
-    naively, writes through the engine.  Every decision, the cost anchor
-    and the policy's level queries run python per-pair math; each move
-    is a :class:`~repro.core.mutation.Migrate` like any other write."""
+    naively, writes through the engine.  Every decision and the cost
+    anchor run python per-pair math; each move is a
+    :class:`~repro.core.mutation.Migrate` like any other write."""
 
     def _run_batched(self, cost_model: CostModel, *args) -> SchedulerReport:
         return super()._run_batched(self._engine.cost_model, *args)

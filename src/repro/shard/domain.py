@@ -173,13 +173,9 @@ class ShardDomain:
     def run_round(self) -> DomainRoundOutcome:
         """One wave-batched token round over this domain's population."""
         first = self.holder if self.holder is not None else self.token.lowest_id
-        order = self.policy.round_order(
-            self.token, first, self.allocation, self.traffic, self.fast
-        )
+        order = self.policy.round_order(self.token, first)
         result = self.rounds.run_round(order)
-        self.holder = self.policy.end_round(
-            self.token, order, self.allocation, self.traffic, self.fast
-        )
+        self.holder = self.policy.end_round(self.token, order, self.fast)
         return DomainRoundOutcome(
             domain_id=self.domain_id,
             wave_moves=[

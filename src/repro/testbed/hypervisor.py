@@ -6,7 +6,9 @@ behalf of locally hosted VMs.  :class:`TestbedDeployment` wires one node
 per host to a :class:`repro.testbed.tokenserver.TokenNetwork` and drives a
 whole distributed S-CORE round purely through message passing — the same
 algorithm the simulator runs, but exercised through the §V-B implementation
-path (wire-encoded tokens, dom0 addressing, capacity probes).
+path (wire-encoded tokens, dom0 addressing, capacity probes).  The token
+visits the VMs in the policy's round order, fixed at round start; a
+regenerated token therefore does not change a round's order.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class HypervisorNode:
         """Run the S-CORE decision for a hosted VM, then name the next hop.
 
         Returns the dom0 IP hosting the next token holder, or ``None`` when
-        the round's hop budget is exhausted (deployment-controlled).
+        the hop budget is exhausted (deployment-controlled).
         """
         deployment = self._deployment
         if vm_id not in deployment.allocation.vms_on(self._host):
@@ -88,15 +90,7 @@ class HypervisorNode:
             )
         decision = deployment.engine.decide_and_migrate(deployment.fast, vm_id)
         deployment.decisions.append(decision)
-        deployment.policy.on_hold(
-            token, vm_id, deployment.allocation, deployment.traffic,
-            deployment.cost_model,
-        )
-        next_vm = deployment.policy.next_vm(
-            token, vm_id, deployment.allocation, deployment.traffic,
-            deployment.cost_model,
-        )
-        return deployment.note_next_holder(next_vm)
+        return deployment.pass_token(token)
 
 
 class TestbedDeployment:
@@ -106,7 +100,9 @@ class TestbedDeployment:
     the allocation and traffic (the matrix's store binds to this
     allocation alone; hand a simulator twin a ``traffic.copy()``).  Each
     dom0 decides on it and moves VMs through it — the per-hold
-    scheduler's decision and write, message-passed.
+    scheduler's decision and write, message-passed.  The deployment
+    walks the policy's round order and closes each completed round with
+    the policy's ``end_round``, as the per-hold scheduler does.
     """
 
     # Not a pytest test class despite the name.
@@ -134,6 +130,8 @@ class TestbedDeployment:
         self.nodes: Dict[int, HypervisorNode] = {}
         self._hops_remaining = 0
         self._pending_vm: Optional[int] = None
+        self._order: List[int] = []
+        self._cursor = 0
         for host in allocation.cluster.topology.hosts:
             node = HypervisorNode(host, self)
             self.nodes[host] = node
@@ -150,14 +148,29 @@ class TestbedDeployment:
 
         return on_token
 
-    def note_next_holder(self, vm_id: int) -> Optional[str]:
-        """Record who holds next; returns their dom0 IP unless out of hops."""
+    def _begin_round(self, token: Token, holder: int) -> None:
+        self._order = self.policy.round_order(token, holder)
+        self._cursor = 0
+        self._pending_vm = self._order[0]
+
+    def pass_token(self, token: Token) -> Optional[str]:
+        """Step the round's walk past the current holder.
+
+        A completed round is closed with the policy's ``end_round``,
+        which names the next round's first holder.  Returns the next
+        holder's dom0 IP, or ``None`` when out of hops.
+        """
         self._hops_remaining -= 1
+        self._cursor += 1
+        if self._cursor == len(self._order):
+            holder = self.policy.end_round(token, self._order, self.fast)
+            if self._hops_remaining > 0:
+                self._begin_round(token, holder)
         if self._hops_remaining <= 0:
             self._pending_vm = None
             return None
-        self._pending_vm = vm_id
-        return self.manager.dom0_ip(self.allocation.server_of(vm_id))
+        self._pending_vm = self._order[self._cursor]
+        return self.manager.dom0_ip(self.allocation.server_of(self._pending_vm))
 
     def populate_flow_tables(self, window_s: float = 10.0) -> None:
         """Install the traffic matrix into each dom0 flow table.
@@ -182,10 +195,11 @@ class TestbedDeployment:
         if not vm_ids:
             raise ValueError("deployment has no VMs to circulate a token over")
         token = Token(vm_ids)
-        first_vm = token.lowest_id
         self._hops_remaining = n_holds if n_holds is not None else len(vm_ids)
-        self._pending_vm = first_vm
-        start_ip = self.manager.dom0_ip(self.allocation.server_of(first_vm))
+        self._begin_round(token, token.lowest_id)
+        start_ip = self.manager.dom0_ip(
+            self.allocation.server_of(self._pending_vm)
+        )
         return self.network.circulate(
             token, start_ip, max_hops=self._hops_remaining
         )
@@ -198,11 +212,12 @@ class TestbedDeployment:
         """Like :meth:`run_round`, but survives in-flight token loss.
 
         When the network drops the token, the (centralized) placement
-        manager regenerates a fresh one — all HLF level estimates reset to
-        zero, which is safe (they are re-learned) but loses prioritization
-        warm-up — and delivery resumes at the VM the lost token was
-        addressed to.  Gives up after ``max_regenerations`` losses.
-        Returns the number of successful hops.
+        manager regenerates a fresh one, all level estimates zero, and
+        delivery resumes at the VM the lost token was addressed to.  The
+        round's order was fixed at its start, so the regenerated token
+        does not change it, and HLF's round end rewrites every level from
+        the measured placement.  Gives up after ``max_regenerations``
+        losses.  Returns the number of successful hops.
         """
         if max_regenerations < 0:
             raise ValueError(
@@ -214,7 +229,7 @@ class TestbedDeployment:
         token = Token(vm_ids)
         budget = n_holds if n_holds is not None else len(vm_ids)
         self._hops_remaining = budget
-        self._pending_vm = token.lowest_id
+        self._begin_round(token, token.lowest_id)
         regenerations = 0
         while self._pending_vm is not None and self._hops_remaining > 0:
             dest = self.manager.dom0_ip(
@@ -231,7 +246,7 @@ class TestbedDeployment:
                 # The manager mints a fresh token over the current VM set;
                 # the destined holder keeps its turn.
                 token = Token(sorted(self.allocation.vm_ids()))
-        # Holds performed = budget consumed by note_next_holder.
+        # Holds performed = budget consumed by pass_token.
         return budget - max(self._hops_remaining, 0)
 
     @property

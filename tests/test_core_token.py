@@ -10,21 +10,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.token import MAX_LEVEL_VALUE, Token, TokenEntry
-
-
-class TestTokenEntry:
-    def test_valid(self):
-        entry = TokenEntry(vm_id=5, level=3)
-        assert entry.vm_id == 5 and entry.level == 3
-
-    def test_id_range(self):
-        with pytest.raises(ValueError):
-            TokenEntry(vm_id=2**32)
-
-    def test_level_range(self):
-        with pytest.raises(ValueError):
-            TokenEntry(vm_id=1, level=256)
+from repro.core.token import MAX_LEVEL_VALUE, Token
 
 
 class TestTokenBasics:
@@ -40,23 +26,22 @@ class TestTokenBasics:
 
     def test_levels_initialized_zero(self):
         token = Token([1, 2])
-        assert token.level_of(1) == 0 and token.level_of(2) == 0
+        assert token.levels.tolist() == [0, 0]
 
-    def test_set_and_raise_level(self):
+    def test_set_levels(self):
         token = Token([1, 2])
-        token.set_level(1, 3)
-        assert token.level_of(1) == 3
-        assert not token.raise_level(1, 2)  # lower: ignored (Algorithm 1 rule)
-        assert token.level_of(1) == 3
-        assert token.raise_level(1, 5)
-        assert token.level_of(1) == 5
+        token.set_levels([1], [3])
+        assert token.levels.tolist() == [3, 0]
+        token.set_levels([2, 1], [5, 2])  # any order, lower levels too
+        assert token.levels.tolist() == [2, 5]
 
-    def test_set_level_bounds(self):
+    def test_set_levels_bounds(self):
         token = Token([1])
         with pytest.raises(ValueError):
-            token.set_level(1, 300)
+            token.set_levels([1], [300])
         with pytest.raises(KeyError):
-            token.set_level(9, 1)
+            token.set_levels([9], [1])
+        assert token.levels.tolist() == [0]
 
     def test_membership_management(self):
         token = Token([1, 3])
@@ -87,19 +72,6 @@ class TestCirculation:
         assert token.successor(3) == 5
         assert token.successor(10) == 1
 
-    def test_vms_at_level(self):
-        token = Token([1, 2, 3])
-        token.set_level(2, 3)
-        assert token.vms_at_level(3) == [2]
-        assert token.vms_at_level(0) == [1, 3]
-
-    def test_max_recorded_level(self):
-        token = Token([1, 2])
-        assert token.max_recorded_level() == 0
-        token.set_level(2, 2)
-        assert token.max_recorded_level() == 2
-
-
 class TestWireFormat:
     def test_entry_size_is_five_bytes(self):
         token = Token([1, 2, 3])
@@ -108,11 +80,10 @@ class TestWireFormat:
 
     def test_roundtrip(self):
         token = Token([7, 100, 2**31])
-        token.set_level(100, 3)
+        token.set_levels([100], [3])
         decoded = Token.decode(token.encode())
         assert decoded.vm_ids == token.vm_ids
-        for vm_id in token.vm_ids:
-            assert decoded.level_of(vm_id) == token.level_of(vm_id)
+        assert decoded.levels.tolist() == token.levels.tolist() == [0, 3, 0]
 
     def test_reject_bad_size(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -133,10 +104,10 @@ class TestWireFormat:
     )
     def test_roundtrip_property(self, ids, level):
         token = Token(ids)
-        token.set_level(token.lowest_id, level)
+        token.set_levels([token.lowest_id], [level])
         decoded = Token.decode(token.encode())
         assert decoded.vm_ids == token.vm_ids
-        assert decoded.level_of(token.lowest_id) == level
+        assert decoded.levels.tolist() == [level] + [0] * (len(ids) - 1)
 
 
 # -- the array token against a dict model -------------------------------------
@@ -148,29 +119,23 @@ LEVELS = st.integers(0, 300)  # beyond 255 must raise
 class TokenMachine(RuleBasedStateMachine):
     """Every public operation of :class:`Token` against ``id -> level``.
 
-    The version must bump exactly once per state-changing call, and a
-    rejected call must leave the token (and its version) untouched.
+    A rejected call must leave the token untouched (the invariant
+    compares the whole token with the model after every step).
     """
 
     @initialize(ids=st.sets(IDS, min_size=1, max_size=12))
     def boot(self, ids):
         self.token = Token(ids)
         self.model = {vm_id: 0 for vm_id in ids}
-        self.version = self.token.version
-
-    def changed(self, did_change=True):
-        self.version += 1 if did_change else 0
-        assert self.token.version == self.version
 
     @rule(vm_id=IDS, level=LEVELS)
     def add_vm(self, vm_id, level):
         if vm_id in self.model or level > MAX_LEVEL_VALUE:
             with pytest.raises(ValueError):
                 self.token.add_vm(vm_id, level)
-            return self.changed(False)
+            return
         self.token.add_vm(vm_id, level)
         self.model[vm_id] = level
-        self.changed()
 
     @rule(vm_id=IDS)
     def remove_vm(self, vm_id):
@@ -183,38 +148,6 @@ class TokenMachine(RuleBasedStateMachine):
         else:
             self.token.remove_vm(vm_id)
             del self.model[vm_id]
-            return self.changed()
-        self.changed(False)
-
-    @rule(vm_id=IDS, level=LEVELS)
-    def set_level(self, vm_id, level):
-        if vm_id not in self.model:
-            with pytest.raises(KeyError):
-                self.token.set_level(vm_id, level)
-        elif level > MAX_LEVEL_VALUE:
-            with pytest.raises(ValueError):
-                self.token.set_level(vm_id, level)
-        else:
-            self.token.set_level(vm_id, level)
-            old, self.model[vm_id] = self.model[vm_id], level
-            return self.changed(old != level)
-        self.changed(False)
-
-    @rule(vm_id=IDS, level=LEVELS)
-    def raise_level(self, vm_id, level):
-        if vm_id not in self.model:
-            with pytest.raises(KeyError):
-                self.token.raise_level(vm_id, level)
-        elif self.model[vm_id] >= level:
-            assert self.token.raise_level(vm_id, level) is False
-        elif level > MAX_LEVEL_VALUE:
-            with pytest.raises(ValueError):
-                self.token.raise_level(vm_id, level)
-        else:
-            assert self.token.raise_level(vm_id, level) is True
-            self.model[vm_id] = level
-            return self.changed()
-        self.changed(False)
 
     @rule(data=st.data())
     def set_levels(self, data):
@@ -235,11 +168,7 @@ class TokenMachine(RuleBasedStateMachine):
                 self.token.set_levels(np.array(ids), np.array(levels))
         else:
             self.token.set_levels(np.array(ids), np.array(levels))
-            new = {**self.model, **dict(zip(ids, levels))}
-            did_change = new != self.model
-            self.model = new
-            return self.changed(did_change)
-        self.changed(False)
+            self.model.update(zip(ids, levels))
 
     @rule(value=st.integers(-1, 42))
     def successor(self, value):
@@ -253,20 +182,10 @@ class TokenMachine(RuleBasedStateMachine):
         head = [v for v in ids if v >= value]
         assert self.token.rotation_from(value) == head + ids[: len(ids) - len(head)]
 
-    @rule(level=LEVELS)
-    def vms_at_level(self, level):
-        want = sorted(v for v, l in self.model.items() if l == level)
-        assert self.token.vms_at_level(level) == want
-
-    @rule()
-    def levels_present(self):
-        assert self.token.levels_present() == sorted(set(self.model.values()))
-        assert self.token.max_recorded_level() == max(self.model.values())
-
     @rule()
     def wire_round_trip(self):
         decoded = Token.decode(self.token.encode())
-        assert [(e.vm_id, e.level) for e in decoded.entries()] == sorted(
+        assert list(zip(decoded.vm_ids, decoded.levels.tolist())) == sorted(
             self.model.items()
         )
 

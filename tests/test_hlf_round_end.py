@@ -2,9 +2,9 @@
 
 A batched HLF round freezes Algorithm 1's priority at round start
 (``round_order``) and writes every entry's measured highest level at
-round end (``end_round``); nothing touches the token in between.  On a
-round that moves nothing, the round-end levels must be exactly what the
-per-hold loop's Algorithm 1 updates leave behind.
+round end (``end_round``); nothing touches the token in between.  The
+per-hold loop walks the same order and closes it the same way, so on a
+round that moves nothing both leave the measured levels behind.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ def build_env(seed=0):
 
 def test_static_round_end_matches_the_per_hold_loop():
     """With migrations suppressed (huge cm) the placement never changes,
-    so the batched round's end-of-round write and the per-hold loop's
-    on_hold sequence reduce to Algorithm 1 over the same state."""
+    so the batched and the per-hold round end write the same levels."""
     topo, allocation, traffic = build_env(3)
     cm = 1e18
     reference = PerHoldScheduler(
@@ -59,8 +58,10 @@ def test_static_round_end_matches_the_per_hold_loop():
         MigrationEngine(CostModel(topo), migration_cost=cm),
     )
     assert batched.run(n_iterations=1).total_migrations == 0
-    levels = {e.vm_id: e.level for e in batched.token.entries()}
-    assert levels == {e.vm_id: e.level for e in reference.token.entries()}
+    levels = dict(zip(batched.token.vm_ids, batched.token.levels.tolist()))
+    assert levels == dict(
+        zip(reference.token.vm_ids, reference.token.levels.tolist())
+    )
     # ... and both equal the measured highest levels.
     fast = batched.fastcost
     measured = dict(
@@ -72,8 +73,9 @@ def test_static_round_end_matches_the_per_hold_loop():
 def _keyed_order(token, vm_u):
     """HLF's round order as a python key sort: level descending, then
     cyclic id order after the holder."""
+    level_of = dict(zip(token.vm_ids, token.levels.tolist()))
     ids = [vm for vm in token.vm_ids if vm != vm_u]
-    ids.sort(key=lambda v: (-token.level_of(v), v <= vm_u, v))
+    ids.sort(key=lambda v: (-level_of[v], v <= vm_u, v))
     return ([vm_u] if vm_u in token else []) + ids
 
 
@@ -84,7 +86,7 @@ def test_round_order_is_the_keyed_priority_sort(seed):
     token.set_levels(token.ids, rng.integers(0, 4, size=len(token)))
     policy = HighestLevelFirstPolicy()
     for vm_u in [*rng.choice(token.ids, size=3).tolist(), -1, 500, 2000]:
-        order = policy.round_order(token, vm_u, None, None, None)
+        order = policy.round_order(token, vm_u)
         assert order == _keyed_order(token, vm_u)
 
 
@@ -95,17 +97,19 @@ def test_end_round_writes_known_entries_and_restarts_at_the_top():
     fast = FastCostEngine(allocation, traffic)
     stranger = max(allocation.vm_ids()) + 10
     token = Token([*allocation.vm_ids(), stranger])
-    token.set_level(stranger, 7)
+    token.set_levels([stranger], [7])
     policy = HighestLevelFirstPolicy()
-    order = policy.round_order(token, token.lowest_id, allocation, traffic, fast)
-    holder = policy.end_round(token, order, allocation, traffic, fast)
+    order = policy.round_order(token, token.lowest_id)
+    holder = policy.end_round(token, order, fast)
     measured = dict(
         zip(fast.snapshot.vm_ids.tolist(), fast.highest_levels().tolist())
     )
-    assert {v: token.level_of(v) for v in measured} == measured
-    assert token.level_of(stranger) == 7
+    levels = dict(zip(token.vm_ids, token.levels.tolist()))
+    assert {v: levels[v] for v in measured} == measured
+    assert levels[stranger] == 7
     assert holder == stranger
-    token.set_level(stranger, 0)
-    assert policy.end_round(token, order, allocation, traffic, fast) == min(
-        token.vms_at_level(token.max_recorded_level())
+    token.set_levels([stranger], [0])
+    top = max(measured.values())
+    assert policy.end_round(token, order, fast) == min(
+        v for v, level in measured.items() if level == top
     )

@@ -24,8 +24,9 @@ def test_token_decode_never_crashes(payload):
     ids = token.vm_ids
     assert list(ids) == sorted(set(ids))
     assert len(token) == len(ids) >= 1
-    for vm_id in ids:
-        assert 0 <= token.level_of(vm_id) <= 255
+    assert token.ids.tolist() == list(ids)
+    assert len(token.levels) == len(ids)
+    assert all(0 <= level <= 255 for level in token.levels.tolist())
     # And re-encode to the identical payload (canonical form).
     assert token.encode() == payload
 
@@ -49,9 +50,8 @@ def test_control_messages_never_crash(cls, payload):
 )
 def test_token_roundtrip_with_random_levels(ids, data):
     token = Token(ids)
-    for vm_id in token.vm_ids:
-        token.set_level(vm_id, data.draw(st.integers(0, 255)))
+    levels = [data.draw(st.integers(0, 255)) for _ in token.vm_ids]
+    token.set_levels(token.ids, levels)
     decoded = Token.decode(token.encode())
     assert decoded.vm_ids == token.vm_ids
-    for vm_id in token.vm_ids:
-        assert decoded.level_of(vm_id) == token.level_of(vm_id)
+    assert decoded.levels.tolist() == token.levels.tolist() == levels

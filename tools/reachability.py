@@ -53,9 +53,13 @@ ALLOWLIST = os.path.join(REPO, "tools", "reachability_allowlist.txt")
 
 #: The reasons an unreached function body may stay in ``src/``.
 #: ``interface`` is an abstract declaration, a dunder or a read-only
-#: accessor of a public type.  ``deferred`` is not a reason but a
-#: debt: public API that no CLI command, example or benchmark
-#: exercises and that is still to be given an entry point or deleted.
+#: accessor of a public type.  ``per-hold protocol`` is the emulated
+#: §V-B testbed (dom0s, flow tables, token messages, the lossy network)
+#: and the placement manager's dom0 / VM addressing it runs on; the
+#: token and the policies speak round orders only and carry no such
+#: line.  ``deferred`` is not a reason but a debt: public API that no
+#: CLI command, example or benchmark exercises and that is still to be
+#: given an entry point or deleted.
 REASONS = (
     "oracle",
     "fault injection",
