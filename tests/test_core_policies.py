@@ -1,5 +1,6 @@
 """Tests for token-passing policies (§V-A, Algorithm 1)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ServerCapacity, VM
@@ -17,6 +18,7 @@ from repro.sim.experiment import (
     build_environment,
     make_scheduler,
 )
+from repro.reference import PerHoldScheduler
 from repro.topology import CanonicalTree
 from repro.traffic import TrafficMatrix
 
@@ -87,6 +89,72 @@ class TestHighestLevelFirst:
         assert policy.end_round(token, order, fast) == 1
         assert token.levels.tolist() == [3, 1, 3, 3, 0]
 
+    def test_end_round_keeps_levels_the_engine_does_not_know(self, env):
+        allocation, tm, model = env
+        fast = FastCostEngine(allocation, tm, weights=model.weights)
+        token = Token([1, 2, 3, 4, 5, 9])  # VM 9 is not placed
+        token.set_levels([9], [2])
+        policy = HighestLevelFirstPolicy()
+        assert policy.end_round(token, policy.round_order(token, 1), fast) == 1
+        assert token.levels.tolist() == [3, 1, 3, 3, 0, 2]
+
+    def test_holder_leads_even_below_the_top_level(self):
+        token = Token([1, 2, 3])
+        token.set_levels([2, 3], [5, 5])
+        policy = HighestLevelFirstPolicy()
+        assert policy.round_order(token, 1) == [1, 2, 3]
+        assert policy.round_order(token, 3) == [3, 2, 1]
+
+
+def _naive_hlf_order(token, holder):
+    """Algorithm 1's priority read one level at a time: the holder, then
+    for each level from the top down, a cyclic ``successor`` scan after
+    the holder collecting the VMs recorded at that level."""
+    levels = dict(zip(token.vm_ids, token.levels.tolist()))
+    order = [holder] if holder in token else []
+    for level in range(max(levels.values()), -1, -1):
+        vm = token.successor(holder)
+        for _ in range(len(token)):
+            if vm != holder and levels[vm] == level:
+                order.append(vm)
+            vm = token.successor(vm)
+    return order
+
+
+class TestHLFRoundOrderMatchesNaiveScan:
+    """Differential: the one-``lexsort`` round order == a per-level scan."""
+
+    @staticmethod
+    def _random_token(rng):
+        ids = rng.choice(200, size=int(rng.integers(1, 40)), replace=False)
+        token = Token(ids.tolist())
+        token.set_levels(token.ids, rng.integers(0, 4, size=len(token)))
+        return token
+
+    @pytest.mark.parametrize("seed", [1, 7, 23, 99])
+    def test_orders_are_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        policy = HighestLevelFirstPolicy()
+        for _ in range(20):
+            token = self._random_token(rng)
+            holder = int(rng.choice(token.ids))
+            assert policy.round_order(token, holder) == _naive_hlf_order(
+                token, holder
+            )
+
+    @pytest.mark.parametrize("seed", [5, 13])
+    def test_orders_are_identical_for_a_retired_holder(self, seed):
+        rng = np.random.default_rng(seed)
+        policy = HighestLevelFirstPolicy()
+        for _ in range(20):
+            token = self._random_token(rng)
+            holder = int(rng.integers(0, 201))
+            if holder in token:
+                continue
+            order = policy.round_order(token, holder)
+            assert order == _naive_hlf_order(token, holder)
+            assert sorted(order) == list(token.vm_ids)
+
 
 class TestRandomRoundOrder:
     """A scheduler round is a seeded uniform permutation of the token."""
@@ -122,8 +190,56 @@ class TestRandomRoundOrder:
             seed=3
         ).round_order(token, 1)
 
+    def test_holder_leads_and_appears_once(self):
+        token, policy = Token([1, 2, 3]), RandomPolicy(seed=1)
+        for _ in range(50):
+            order = policy.round_order(token, 2)
+            assert order[0] == 2 and order.count(2) == 1
+            assert sorted(order) == [1, 2, 3]
+
+    def test_single_vm_token(self):
+        token, policy = Token([1]), RandomPolicy(seed=1)
+        order = policy.round_order(token, 1)
+        assert order == [1]
+        assert policy.end_round(token, order, None) == 1
+
+    def test_retired_holder_is_not_visited(self):
+        token, policy = Token([1, 3, 5]), RandomPolicy(seed=1)
+        for _ in range(10):
+            assert sorted(policy.round_order(token, 2)) == [1, 3, 5]
+
 
 class TestLeastRecentlyVisitedRoundOrder:
+    def test_prefers_unvisited_lowest_id(self):
+        token, policy = Token([1, 2, 3]), LeastRecentlyVisitedPolicy()
+        order = policy.round_order(token, 1)
+        assert order == [1, 2, 3]
+        assert policy.end_round(token, order, None) == 1
+        token.add_vm(9)
+        token.add_vm(4)
+        # Never-visited arrivals wait longest: they follow the holder.
+        assert policy.round_order(token, 1) == [1, 4, 9, 2, 3]
+
+    def test_cycles_fairly(self):
+        token, policy = Token([1, 2, 3, 4, 5]), LeastRecentlyVisitedPolicy()
+        holder = 3
+        for arrivals in ([], [9], [6, 7], []):
+            for vm_id in arrivals:
+                token.add_vm(vm_id)
+            order = policy.round_order(token, holder)
+            assert order[0] == holder
+            assert sorted(order) == list(token.vm_ids)
+            holder = policy.end_round(token, order, None)
+            assert holder != order[-1]
+
+    def test_end_round_stamps_only_token_members(self):
+        token, policy = Token([1, 2, 3]), LeastRecentlyVisitedPolicy()
+        order = policy.round_order(token, 1)
+        token.remove_vm(2)
+        assert policy.end_round(token, order, None) == 1
+        assert sorted(policy._last_visit) == [1, 3]
+        assert policy.round_order(token, 2) == [1, 3]
+
     def test_static_population_is_the_rr_rotation(self):
         token = Token([2, 4, 5, 8])
         lrv, rr = LeastRecentlyVisitedPolicy(), RoundRobinPolicy()
@@ -158,6 +274,47 @@ class TestLeastRecentlyVisitedRoundOrder:
         assert holder == full.next_holder
         assert decisions == list(full.decisions)
         assert report.final_cost == pytest.approx(full.final_cost, rel=1e-9)
+
+
+class TestPerHoldWalk:
+    """The per-hold oracle visits exactly the policy's round orders."""
+
+    @pytest.mark.parametrize("name", ["rr", "hlf", "lrv", "random"])
+    def test_holds_follow_the_round_orders(self, name):
+        config = ExperimentConfig(
+            n_racks=8, hosts_per_rack=2, vms_per_host=4, fill_fraction=0.8,
+            policy=name, seed=3,
+        )
+        wired = make_scheduler(build_environment(config), config)
+        policy = wired._policy
+        orders, holders = [], []
+        round_order, end_round = policy.round_order, policy.end_round
+
+        def recording_round_order(token, holder):
+            holders.append(holder)
+            orders.append(round_order(token, holder))
+            return list(orders[-1])
+
+        def recording_end_round(token, order, fast):
+            holders.append(end_round(token, order, fast))
+            return holders[-1]
+
+        policy.round_order = recording_round_order
+        policy.end_round = recording_end_round
+        scheduler = PerHoldScheduler(
+            wired.allocation, wired.traffic, policy, wired._engine
+        )
+        report = scheduler.run(n_iterations=3)
+        assert len(orders) == 3
+        assert [d.vm_id for d in report.decisions] == [
+            vm for order in orders for vm in order
+        ]
+        for order, holder in zip(orders, holders[::2]):
+            assert order[0] == holder
+            assert sorted(order) == list(scheduler.token.vm_ids)
+        # Each round starts where the previous round's end_round pointed.
+        assert holders[1::2][:-1] == holders[2::2]
+        assert report.next_holder == holders[-1]
 
 
 class TestFactory:

@@ -43,6 +43,46 @@ class TestTokenBasics:
             token.set_levels([9], [1])
         assert token.levels.tolist() == [0]
 
+    def test_set_levels_is_all_or_nothing(self):
+        token = Token([1, 2])
+        with pytest.raises(KeyError):
+            token.set_levels([1, 9], [2, 2])
+        with pytest.raises(ValueError):
+            token.set_levels([1, 2], [2, 300])
+        with pytest.raises(ValueError, match="aligned"):
+            token.set_levels([1, 2], [2])
+        assert token.levels.tolist() == [0, 0]
+
+    def test_ids_and_levels_are_read_only(self):
+        token = Token([1, 2])
+        with pytest.raises(ValueError):
+            token.ids[0] = 7
+        with pytest.raises(ValueError):
+            token.levels[0] = 7
+        assert token.vm_ids == (1, 2) and token.levels.tolist() == [0, 0]
+
+    def test_id_range(self):
+        with pytest.raises(ValueError):
+            Token([2**32])
+        with pytest.raises(ValueError):
+            Token([-1, 3])
+        with pytest.raises(ValueError):
+            Token([1]).add_vm(2**32)
+
+    def test_level_range(self):
+        token = Token([1])
+        with pytest.raises(ValueError):
+            token.add_vm(2, level=256)
+        assert token.vm_ids == (1,)
+
+    def test_levels_follow_membership_changes(self):
+        token = Token([1, 5])
+        token.set_levels([5], [2])
+        token.add_vm(3, level=1)
+        assert token.levels.tolist() == [0, 1, 2]
+        token.remove_vm(1)
+        assert token.vm_ids == (3, 5) and token.levels.tolist() == [1, 2]
+
     def test_membership_management(self):
         token = Token([1, 3])
         token.add_vm(2, level=1)
