@@ -242,8 +242,8 @@ def test_cached_rounds_at_paper_scale(emit):
     Runs the paper's 5-iteration RR convergence sequence twice per
     variant on the 2560-host canonical tree: the cold run (every owner
     dirty in the early rounds) and two warm follow-on runs on the
-    converged system, where the cache's cross-round decision carry
-    turns rounds into sparse re-scores.  Asserts the tentpole
+    converged system, where the cache re-scores only the few owners
+    whose footprint changed.  Asserts the tentpole
     exact-equivalence guarantee — identical migrations and final cost,
     cold and warm — plus the converged-run speedup on the same runner
     (machine-independent) and a same-runner overhead cap on the cold

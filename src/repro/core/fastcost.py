@@ -418,18 +418,6 @@ class FastCostEngine:
         if self._round_cache is not None:
             self._round_cache.flush()
 
-    def invalidate_round_decisions(self) -> None:
-        """Drop the round cache's cross-round decision carry, if any.
-
-        Call after out-of-band configuration changes that alter decision
-        semantics without touching scored deltas (e.g. a §V-C bandwidth
-        threshold flip): the cached scored rows stay valid, but any
-        carried per-owner decision was made under the old rules and must
-        be re-derived.
-        """
-        if self._round_cache is not None:
-            self._round_cache.invalidate_decisions()
-
     def _movers_footprint(self, movers: np.ndarray) -> np.ndarray:
         """Dense owners whose scored rows a batch of moves makes stale:
         the movers themselves plus every communication peer of a mover."""
@@ -966,11 +954,10 @@ class FastCostEngine:
         """Per-host capacity feasibility when every VM is identical.
 
         With a uniform VM population, slot/RAM/CPU feasibility of *any*
-        move collapses to one boolean per host — the vector a cached
-        round's carried decisions are evaluated against, diffed at every
-        round start for the hosts that flipped.  Returns ``None`` when
-        the population is not uniform (or empty) — callers must then
-        fall back to per-row probing.
+        move collapses to one boolean per host, which
+        :meth:`candidate_feasible` gathers per row.  Returns ``None``
+        when the population is not uniform (or empty) — callers must
+        then fall back to per-row probing.
         """
         if not self._uniform_vm:
             return None

@@ -187,10 +187,10 @@ class MigrationEngine:
         """Change the §V-C link-load budget mid-run (None disables it).
 
         Models migration-bandwidth contention events: a squeezed budget
-        takes effect for every decision made after the call.  Callers
-        holding a round-score cache must also drop its carried decisions
-        (:meth:`repro.core.fastcost.FastCostEngine
-        .invalidate_round_decisions`) — the scheduler-level setter does.
+        takes effect for every decision made after the call.  A
+        round-score cache needs no notice: its scored deltas do not
+        depend on the budget, and every round re-masks §V-C feasibility
+        under the budget in force.
         """
         if threshold is not None and not 0 < threshold <= 1:
             raise ValueError(

@@ -102,10 +102,7 @@ class Threshold(Mutation):
     threshold: Optional[float]
 
     def apply(self, stack: Stack) -> None:
-        # Decisions the round cache carries were made under the old
-        # budget; its budget-independent scored deltas stay.
         stack.engine.set_bandwidth_threshold(self.threshold)
-        stack.fast.invalidate_round_decisions()
 
 
 @dataclass(frozen=True)

@@ -62,175 +62,12 @@ def segment_rows(ptr: np.ndarray, owners: np.ndarray) -> Tuple[np.ndarray, np.nd
     return rows, seg_ptr
 
 
-class ShadowIndex:
-    """Blocked candidate rows that matter if their host frees: unordered.
-
-    An append-only ``(row, host)`` buffer plus a per-row membership
-    bitmap.  :meth:`add` appends only non-members, so a row has at most
-    one entry and lookups never return duplicates.  Entry order is free:
-    every consumer re-checks ``delta >= best[owner]``, so "which blocked
-    rows sit on these hosts" is one flag gather over the buffer instead
-    of a host-sorted bisect.
-    """
-
-    __slots__ = ("member", "_rows", "_hosts", "_size")
-
-    def __init__(self, n_rows: int) -> None:
-        #: ``member[row]`` — whether ``row`` has an entry.
-        self.member = np.zeros(n_rows, dtype=bool)
-        self._rows = np.empty(0, dtype=np.int64)
-        self._hosts = np.empty(0, dtype=np.int64)
-        self._size = 0
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Row of every entry (a view)."""
-        return self._rows[: self._size]
-
-    @property
-    def hosts(self) -> np.ndarray:
-        """Host of every entry (a view)."""
-        return self._hosts[: self._size]
-
-    def add(self, rows: np.ndarray, hosts: np.ndarray) -> None:
-        """Append the non-member rows (``rows`` unique within the call)."""
-        new = ~self.member[rows]
-        rows = rows[new]
-        if rows.size == 0:
-            return
-        self.member[rows] = True
-        end = self._size + len(rows)
-        if end > len(self._rows):
-            capacity = end + (end >> 2)
-            for name in ("_rows", "_hosts"):
-                grown = np.empty(capacity, dtype=np.int64)
-                grown[: self._size] = getattr(self, name)[: self._size]
-                setattr(self, name, grown)
-        self._rows[self._size : end] = rows
-        self._hosts[self._size : end] = hosts[new]
-        self._size = end
-
-    def on_hosts(self, host_flag: np.ndarray) -> np.ndarray:
-        """Rows of the entries on the hosts ``host_flag`` selects."""
-        return self.rows[host_flag[self.hosts]]
-
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop every entry the mask ``keep`` (over the entries) does not
-        select."""
-        self.member[self.rows[~keep]] = False
-        self._store(self.rows[keep], self.hosts[keep])
-
-    def remap(
-        self,
-        row_owner: np.ndarray,
-        shift: np.ndarray,
-        dirty_mask: np.ndarray,
-        n_rows: int,
-    ) -> None:
-        """Re-key after a splice: clean owners' rows move by their
-        segment's displacement, dirty owners' entries are dropped."""
-        owner = row_owner[self.rows]
-        keep = ~dirty_mask[owner]
-        rows = self.rows[keep] + shift[owner[keep]]
-        self._store(rows, self.hosts[keep])
-        self.member = np.zeros(n_rows, dtype=bool)
-        self.member[rows] = True
-
-    def _store(self, rows: np.ndarray, hosts: np.ndarray) -> None:
-        self._size = len(rows)
-        self._rows[: self._size] = rows
-        self._hosts[: self._size] = hosts
-
-
-class DecisionState:
-    """Per-owner round-start decisions carried *across* rounds and epochs.
-
-    For every owner: its chosen row and best gain as of the last round
-    start, its exact-tie rows (the pool), the shadow index of blocked
-    rows that could matter if their host frees, and the per-host
-    feasibility vector they were all evaluated against.
-    ``stale_decision`` is the owner-granular invalidation mark, set when
-    the carried decision may no longer be a fresh evaluation's: the
-    owner's rows were re-scored, or it proposed a move last round.  The
-    next round start also marks the owners a capacity flip since
-    ``host_ok`` can affect, re-evaluates the marked owners and keeps
-    everything else, which turns a mostly-converged round into a sparse
-    re-score instead of a full O(rows) evaluation.
-    """
-
-    __slots__ = (
-        "choice",
-        "best",
-        "pool_rows",
-        "pool_owner",
-        "pool_hosts",
-        "shadow",
-        "host_ok",
-        "stale_decision",
-        "row_owner",
-    )
-
-    def __init__(
-        self,
-        choice: np.ndarray,
-        best: np.ndarray,
-        host_ok: np.ndarray,
-        row_owner: np.ndarray,
-        pool_rows: np.ndarray,
-        pool_hosts: np.ndarray,
-        shadow: ShadowIndex,
-    ) -> None:
-        self.choice = choice
-        self.best = best
-        #: The exact-tie pool, row-sorted, with each row's owner and host
-        #: ("which ties sit on a filled host" is a flag gather over
-        #: ``pool_hosts``).
-        self.pool_rows = pool_rows
-        self.pool_owner = row_owner[pool_rows]
-        self.pool_hosts = pool_hosts
-        self.shadow = shadow
-        self.host_ok = host_ok
-        self.stale_decision = np.zeros(len(choice), dtype=bool)
-        #: Row → owner map of the CSR the rows above index; None between
-        #: a splice and the next round start (which rebuilds it).
-        self.row_owner: Optional[np.ndarray] = row_owner
-
-    def remap_rows(
-        self, old_ptr: np.ndarray, new_ptr: np.ndarray, dirty_mask: np.ndarray
-    ) -> None:
-        """Re-key the carried row ids after a refresh splice.
-
-        A splice renumbers monotonically — clean owners keep their
-        within-segment offsets and their relative order — so their rows
-        shift by the per-owner segment displacement and sorted arrays
-        stay sorted; dirty owners' rows are dropped (they are
-        re-evaluated from the fresh scores).  Owners come from the
-        carried ``row_owner``, never from bisecting rows into ``old_ptr``.
-        """
-        shift = new_ptr[:-1] - old_ptr[:-1]
-        keep = ~dirty_mask[self.pool_owner]
-        self.pool_owner = self.pool_owner[keep]
-        self.pool_rows = self.pool_rows[keep] + shift[self.pool_owner]
-        self.pool_hosts = self.pool_hosts[keep]
-        chosen = ~dirty_mask & (self.choice >= 0)
-        self.choice[chosen] += shift[chosen]
-        row_owner = self.row_owner
-        if row_owner is None:  # a second splice before any round ran
-            row_owner = np.repeat(
-                np.arange(len(shift), dtype=np.int64), np.diff(old_ptr)
-            )
-        self.shadow.remap(row_owner, shift, dirty_mask, int(new_ptr[-1]))
-        self.row_owner = None
-
-
 class RoundScoreCache:
     """One scored candidate CSR over the full population, owner-invalidated.
 
     Owned by a :class:`FastCostEngine` (``engine.round_cache()``); the
     engine's mutating ops call :meth:`invalidate_owners`/:meth:`flush`,
-    and the cached round loop calls :meth:`refresh` once per round.
-    ``decision_state`` additionally carries the loop's per-owner
-    decisions across rounds (see :class:`DecisionState`).
+    and every full-population round calls :meth:`refresh` once.
     """
 
     def __init__(
@@ -247,9 +84,6 @@ class RoundScoreCache:
         self._source: Optional[np.ndarray] = None
         self._degree: Optional[np.ndarray] = None
         self._total_rate: Optional[np.ndarray] = None
-        #: Cross-round decision carry (None until a cached round builds
-        #: it, and whenever a full re-score drops it).
-        self.decision_state: Optional[DecisionState] = None
         # Hit-rate accounting (read by --profile and the bench suite).
         self.refreshes = 0
         self.owners_seen = 0
@@ -264,26 +98,11 @@ class RoundScoreCache:
     def flush(self) -> None:
         """Drop everything (dense-index remap, rebuild, rebinding)."""
         self._valid = None
-        self.decision_state = None
 
     def invalidate_owners(self, dense_owners: np.ndarray) -> None:
         """Mark the given owners' scored rows stale."""
         if self._valid is not None:
             self._valid[dense_owners] = False
-
-    def invalidate_decisions(self) -> None:
-        """Drop only the cross-round decision carry, keeping scored rows.
-
-        Mid-round structural churn (an injected arrival, retirement,
-        capacity change or traffic delta) invalidates the round engine's
-        in-flight incremental decision structures, but the persistent
-        scored rows stay correct as long as the mutation itself routed
-        through the engine's footprint invalidation (``apply_moves``,
-        ``apply_traffic_delta``, splices).  This is the hook for exactly
-        that case: the next round re-evaluates every owner's decision
-        from its (mostly cached) scored rows instead of rebuilding them.
-        """
-        self.decision_state = None
 
     @property
     def hit_ratio(self) -> float:
@@ -299,10 +118,7 @@ class RoundScoreCache:
 
         Returns ``(batch, dirty)``: the batch's arrays are the cache's
         own (zero copy), with ``vms[i] == i`` over the dense index, and
-        ``dirty`` the owners that were re-scored.  A carried
-        :class:`DecisionState` has those owners marked ``stale_decision``
-        (the next round re-evaluates them), is row-remapped across a
-        splice and dropped on a full re-score.  The round engine never
+        ``dirty`` the owners that were re-scored.  The round engine never
         writes the returned rows: its wave loop corrects deltas on
         sub-batch copies.
         """
@@ -316,7 +132,6 @@ class RoundScoreCache:
                     np.arange(n, dtype=np.int64), self.max_candidates
                 )
             )
-            self.decision_state = None
             self.owners_rescored += n
             return self._as_batch(), np.arange(n, dtype=np.int64)
         dirty = np.nonzero(~self._valid)[0]
@@ -324,17 +139,14 @@ class RoundScoreCache:
             fresh = engine.candidate_batch(dirty, self.max_candidates)
             if dirty.size == n:
                 self._adopt(fresh)
-                self.decision_state = None
             else:
                 new_counts = fresh.ptr[1:] - fresh.ptr[:-1]
                 old_counts = self._ptr[dirty + 1] - self._ptr[dirty]
-                state = self.decision_state
                 same = new_counts == old_counts
                 if same.all():
                     # Candidate-set sizes unchanged (rate-only deltas,
                     # rack-local moves): scatter the fresh scores into
-                    # the existing segments — no row renumbering, so
-                    # carried row ids stay valid as-is.
+                    # the existing segments — no row renumbering.
                     rows, _ = segment_rows(self._ptr, dirty)
                     self._host[rows] = fresh.host
                     self._delta[rows] = fresh.delta
@@ -369,18 +181,9 @@ class RoundScoreCache:
                     else:
                         changed = dirty
                         sub = fresh
-                    old_ptr = self._ptr
                     self._splice(changed, sub)
-                    if state is not None:
-                        dirty_mask = np.zeros(n, dtype=bool)
-                        dirty_mask[changed] = True
-                        state.remap_rows(old_ptr, self._ptr, dirty_mask)
                     self.owners_scattered += int(same.sum())
                     self.owners_spliced += int(changed.size)
-                if state is not None:
-                    # Whenever the next round runs, it re-evaluates the
-                    # re-scored owners (also after a refresh of its own).
-                    state.stale_decision[dirty] = True
             self._valid[dirty] = True
             self.owners_rescored += int(dirty.size)
         return self._as_batch(), dirty

@@ -45,18 +45,9 @@ whole population scores against the
 :class:`~repro.core.roundcache.RoundScoreCache` instead of a per-round
 throwaway batch: scored candidate rows persist across rounds, runs and
 epochs, and only owners whose dependency footprint changed are
-re-scored.  With a uniform population and no §V-C budget, each owner's
-round-start decision is carried across rounds as well
-(:class:`~repro.core.roundcache.DecisionState`): a round start
-re-evaluates only the owners marked stale — re-scored, proposers of the
-last round, or reached by a capacity flip since — and everything else
-keeps what a fresh evaluation would recompute.  The owners without a
-beneficial move settle there; the proposers run the one wave loop
-(``_wave_segment``) as a sub-batch, so past its round start a cached
-round *is* the uncached one, bit for bit.  Partial orders (the shard
-reconcile boundary), the mid-round live finish and a cached round with
-nothing to carry (a mostly-dirty cache, per-row feasibility) run that
-loop over a round-local batch or the cache's rows;
+re-scored.  Every other order (the shard reconcile boundary) scores a
+round-local batch.  Either batch then runs the one wave loop
+(``_run_batch``), so a cached round *is* the uncached one, bit for bit;
 ``repro.reference.UncachedScheduler`` takes a round-local batch for
 every round, the twin ``tests/test_round_cache.py`` pins the cached
 round against.
@@ -72,7 +63,6 @@ import numpy as np
 
 from repro.core.fastcost import CandidateBatch, FastCostEngine, pair_levels
 from repro.core.migration import MigrationDecision, MigrationEngine
-from repro.core.roundcache import DecisionState, ShadowIndex, segment_rows
 
 
 #: Reason strings indexed by the round engine's per-hold reason codes.
@@ -257,9 +247,11 @@ class BatchedRoundEngine:
     def run_round(self, order: Sequence[int], injector=None) -> RoundResult:
         """Run one full token round over ``order`` (a visit-order snapshot).
 
-        Takes the cached round exactly when ``order`` covers the
-        engine's whole population (the round cache is keyed by the dense
-        VM index); partial orders score a round-local batch.
+        When ``order`` covers the engine's whole population, the round
+        runs over the round cache's refreshed rows (keyed by dense VM,
+        each mapped to its visit position); any other order scores a
+        round-local batch in visit order.  Both run the one wave loop,
+        :meth:`_run_batch`.
 
         ``injector``, when given, is pumped after every applied wave with
         the number of holds decided so far:
@@ -273,25 +265,26 @@ class BatchedRoundEngine:
         identical injector sees identical pump times and produces the
         identical trajectory.
         """
-        n = self._fast.snapshot.n_vms
-        if len(order) == n:
-            dense_order = self._fast.dense_indices(order)
-            if bool(np.bincount(dense_order, minlength=n).all()):
-                return self._run_round_cached(order, dense_order, injector)
-        return self._run_round_uncached(order, injector)
-
-    def _run_round_uncached(
-        self, order: Sequence[int], injector=None
-    ) -> RoundResult:
-        """The wave loop over a round-local candidate batch.  Pinned
-        against the cached round by ``tests/test_round_cache.py``."""
         fast = self._fast
+        n = fast.snapshot.n_vms
+        dense_order = fast.dense_indices(order)
         t0 = self._tick()
-        batch = fast.candidate_batch(
-            fast.dense_indices(order), self._engine.max_candidates
-        )
+        if len(order) == n and bool(
+            np.bincount(dense_order, minlength=n).all()
+        ):
+            cache = fast.round_cache(self._engine.max_candidates)
+            batch, dirty = cache.refresh()
+            if self._profile is not None:
+                self._profile.bump("owners", n)
+                self._profile.bump("owners_rescored", int(dirty.size))
+            positions = np.empty(n, dtype=np.int64)
+            positions[dense_order] = np.arange(n, dtype=np.int64)
+        else:
+            batch = fast.candidate_batch(
+                dense_order, self._engine.max_candidates
+            )
+            positions = np.arange(len(order), dtype=np.int64)
         self._lap("score", t0)
-        positions = np.arange(len(order), dtype=np.int64)
         return self._run_batch(order, batch, positions, injector)
 
     def _run_batch(
@@ -301,7 +294,8 @@ class BatchedRoundEngine:
         positions: np.ndarray,
         injector=None,
     ) -> RoundResult:
-        """The wave loop over a batch scoring the whole round."""
+        """The wave loop over a batch scoring the whole round;
+        ``positions`` maps each batch owner to its visit position."""
         result = RoundResult.for_round(len(order))
         if self._wave_segment(result, batch, positions, injector):
             self._finish_round_live(result, list(order), injector)
@@ -444,217 +438,6 @@ class BatchedRoundEngine:
             positions = np.asarray(alive_pos, dtype=np.int64)
             if not self._wave_segment(result, batch, positions, injector):
                 return
-
-    # -- cached round loop ---------------------------------------------------
-
-    def _run_round_cached(
-        self, order: Sequence[int], dense_order: np.ndarray, injector=None
-    ) -> RoundResult:
-        """One token round against the persistent round-score cache.
-
-        Owners are indexed by *dense VM* (the cache's key space), with
-        ``pos_of`` mapping them back to visit positions.  The round-start
-        evaluation — each owner's (choice, best) — is the carried
-        :class:`DecisionState` with only its ``stale_decision`` owners
-        re-evaluated, or one full pass when nothing usable is carried.
-        Owners without a beneficial move settle at once; the beneficial
-        ones run the wave loop (:meth:`_wave_segment`) as one sub-batch
-        and are marked ``stale_decision``, so the next round re-evaluates
-        them.  The carried values equal a fresh evaluation and the wave
-        loop is indifferent to its batch's owner order, so the round is
-        the uncached one, decision for decision.
-        """
-        fast = self._fast
-        engine = self._engine
-        n = len(order)
-        t0 = self._tick()
-        cache = fast.round_cache(engine.max_candidates)
-        batch, dirty = cache.refresh()
-        self._lap("score", t0)
-        if self._profile is not None:
-            self._profile.bump("owners", n)
-            self._profile.bump("owners_rescored", int(dirty.size))
-        pos_of = np.empty(n, dtype=np.int64)
-        pos_of[dense_order] = np.arange(n, dtype=np.int64)
-
-        # Carried decisions need per-host feasibility: a uniform
-        # population and no §V-C budget.
-        t0 = self._tick()
-        host_ok = (
-            fast.uniform_host_ok()
-            if engine.bandwidth_threshold is None
-            else None
-        )
-        state = cache.decision_state if host_ok is not None else None
-        if state is not None and int(state.stale_decision.sum()) * 4 > n:
-            # Mostly-stale carry (early convergence, big drift bursts):
-            # one vectorized full evaluation beats piecewise catch-up.
-            state = None
-        if state is None and (host_ok is None or int(dirty.size) * 4 > n):
-            # No decisions will carry out of this round (per-row
-            # feasibility, or a mostly-dirty cache): run the wave loop
-            # straight over the cache's rows.
-            cache.decision_state = None
-            self._lap("re-mask", t0)
-            return self._run_batch(order, batch, pos_of, injector)
-        if state is None:
-            state = self._evaluate_all(batch, host_ok)
-        else:
-            self._catch_up(state, batch, host_ok)
-        choice, best = state.choice, state.best
-        self._lap("re-mask", t0)
-
-        result = RoundResult.for_round(n)
-        beneficial = (choice >= 0) & (best > 0) & (best > engine.migration_cost)
-        t0 = self._tick()
-        self._settle_owners(
-            result, batch, np.nonzero(~beneficial)[0], pos_of, choice, best
-        )
-        self._lap("settle", t0)
-        proposers = np.nonzero(beneficial)[0]
-        if self._wave_segment(
-            result,
-            batch.select(proposers, with_onto=False),
-            pos_of[proposers],
-            injector,
-        ):
-            # Injected events mutated engine state mid-round: the carried
-            # decisions no longer describe it.  The scored rows stay valid
-            # (every event routes through the engine's footprint
-            # invalidation), so only the carry drops.
-            cache.invalidate_decisions()
-            self._finish_round_live(result, list(order), injector)
-        else:
-            state.stale_decision[proposers] = True
-            cache.decision_state = state
-        assert result.decisions.complete
-        return result
-
-    def _evaluate_all(
-        self, batch: CandidateBatch, host_ok: np.ndarray
-    ) -> DecisionState:
-        """Every owner's decision, exact-tie rows and blocked rows: the
-        one full pass a carry starts from."""
-        feasible = host_ok[batch.host]
-        choice, best, _, ties = self._fast.best_candidates(
-            batch, feasible, return_ties=True
-        )
-        row_owner = np.repeat(
-            np.arange(batch.n_owners, dtype=np.int64), np.diff(batch.ptr)
-        )
-        # Shadow index: infeasible rows whose delta already reaches their
-        # owner's best — the only rows a freed host can make matter.
-        blocked = np.nonzero(~feasible & (batch.delta >= best[row_owner]))[0]
-        shadow = ShadowIndex(batch.n_pairs)
-        shadow.add(blocked, batch.host[blocked])
-        return DecisionState(
-            choice, best, host_ok, row_owner, ties,
-            batch.host[ties].astype(np.int64), shadow,
-        )
-
-    def _catch_up(
-        self, state: DecisionState, batch: CandidateBatch, host_ok: np.ndarray
-    ) -> None:
-        """Bring a carried state to this round's start, in place.
-
-        Capacity flips since the carried evaluation (the last round's own
-        waves, drains, resizes) mark the owners they can affect: a filled
-        host those whose pooled ties sit on it, a freed host those with a
-        shadow row on it reaching their best.  Then every marked owner —
-        these, the re-scored ones and the last round's proposers — is
-        re-evaluated, its pooled ties and shadow entries replaced.
-        Everything else keeps its (choice, best, ties, shadow) verbatim:
-        a fresh evaluation would reproduce it.
-        """
-        if state.row_owner is None:
-            state.row_owner = np.repeat(
-                np.arange(batch.n_owners, dtype=np.int64), np.diff(batch.ptr)
-            )
-        row_owner = state.row_owner
-        need = state.stale_decision
-        flips = np.nonzero(host_ok != state.host_ok)[0]
-        if flips.size:
-            flag = np.zeros(len(host_ok), dtype=bool)
-            flag[flips[~host_ok[flips]]] = True
-            need[state.pool_owner[flag[state.pool_hosts]]] = True
-            flag[:] = False
-            flag[flips[host_ok[flips]]] = True
-            rows = state.shadow.on_hosts(flag)
-            owner = row_owner[rows]
-            need[owner[batch.delta[rows] >= state.best[owner]]] = True
-        state.host_ok = host_ok
-        sub = np.nonzero(need)[0]
-        if sub.size == 0:
-            return
-        shadow = state.shadow
-        shadow.compact(~need[row_owner[shadow.rows]])
-        keep = ~need[state.pool_owner]
-        pool_rows = state.pool_rows[keep]
-        pool_owner = state.pool_owner[keep]
-        pool_hosts = state.pool_hosts[keep]
-        ties, owners, blocked = self._rescore_owners(
-            batch, sub, host_ok, state.choice, state.best
-        )
-        shadow.add(blocked, batch.host[blocked])
-        at = np.searchsorted(pool_rows, ties)
-        state.pool_rows = np.insert(pool_rows, at, ties)
-        state.pool_owner = np.insert(pool_owner, at, owners)
-        state.pool_hosts = np.insert(
-            pool_hosts, at, batch.host[ties].astype(np.int64)
-        )
-        need[:] = False
-
-    def _rescore_owners(
-        self,
-        batch: CandidateBatch,
-        owners: np.ndarray,
-        host_ok: np.ndarray,
-        choice: np.ndarray,
-        best: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Recompute (choice, best) plus exact-tie rows for a dirty subset.
-
-        The subset restriction of :meth:`FastCostEngine.best_candidates`
-        under per-host feasibility ``host_ok``: same masking, same
-        segment maxima, same first-in-probing-order tie-breaking,
-        evaluated only over the given owners' candidate rows.  Updates
-        ``choice``/``best`` in place and returns the owners' fresh tie
-        rows (row-ascending, therefore owner-grouped), their owners, and
-        the owners' *infeasible* rows whose delta reaches the fresh best
-        — the rows the caller's shadow index must track in case their
-        host frees.
-        """
-        rows, seg_ptr = segment_rows(batch.ptr, owners)
-        choice[owners] = -1
-        best[owners] = -np.inf
-        empty = np.empty(0, dtype=np.int64)
-        if rows.size == 0:
-            return empty, empty.copy(), empty.copy()
-        feas = host_ok[batch.host[rows]]
-        deltas = batch.delta[rows]
-        masked = np.where(feas, deltas, -np.inf)
-        starts = seg_ptr[:-1]
-        nonempty = seg_ptr[1:] > starts
-        seg_max = np.full(len(owners), -np.inf)
-        if np.any(nonempty):
-            seg_max[nonempty] = np.maximum.reduceat(masked, starts[nonempty])
-        best[owners] = seg_max
-        seg_len = (seg_ptr[1:] - starts).astype(np.int64)
-        max_rep = np.repeat(seg_max, seg_len)
-        hit = feas & (masked == max_rep)
-        hit_idx = np.nonzero(hit)[0]
-        if hit_idx.size:
-            owner_local = np.searchsorted(seg_ptr, hit_idx, side="right") - 1
-            new_owner = owners[owner_local]
-            new_rows = rows[hit_idx]
-            first = np.ones(len(new_owner), dtype=bool)
-            first[1:] = new_owner[1:] != new_owner[:-1]
-            choice[new_owner[first]] = new_rows[first]
-        else:
-            new_rows = empty
-            new_owner = empty.copy()
-        blocked = rows[~feas & (deltas >= max_rep)]
-        return new_rows, new_owner, blocked
 
     # -- wave planning ------------------------------------------------------
 

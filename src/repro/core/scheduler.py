@@ -935,8 +935,7 @@ class SCOREScheduler:
 
         Models link contention events (a squeezed budget) and their
         lifting (``None`` or a looser fraction).  The new budget governs
-        every decision made after the call; any round-cache decision
-        carry is dropped (it was derived under the old budget), while the
-        cached scored deltas — budget-independent — survive.
+        every decision made after the call; the round cache's scored
+        deltas are budget-independent and survive.
         """
         self._apply(Threshold(threshold))

@@ -288,12 +288,19 @@ def evaluate_naive(
 
 class _UncachedRounds(BatchedRoundEngine):
     def run_round(self, order, injector=None) -> RoundResult:
-        return self._run_round_uncached(order, injector)
+        """Every order, full or partial, scores a round-local batch in
+        visit order: the round cache is never consulted."""
+        fast = self._fast
+        batch = fast.candidate_batch(
+            fast.dense_indices(order), self._engine.max_candidates
+        )
+        positions = np.arange(len(order), dtype=np.int64)
+        return self._run_batch(order, batch, positions, injector)
 
 
 class UncachedScheduler(SCOREScheduler):
     """S-CORE whose wave rounds always score a round-local candidate
-    batch: no round cache, no decision carry, the same wave loop."""
+    batch: no round cache, the same wave loop."""
 
     _rounds_class = _UncachedRounds
 

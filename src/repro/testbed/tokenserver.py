@@ -145,6 +145,9 @@ class TokenServer:
         self._on_token = on_token
         self.tokens_received = 0
         self.bytes_received = 0
+        #: The token this dom0 last received, with whatever its handler
+        #: wrote into it: the token it forwards.
+        self.token: Optional[Token] = None
 
     @property
     def dom0_ip(self) -> str:
@@ -153,7 +156,7 @@ class TokenServer:
 
     def receive(self, payload: bytes) -> Optional[str]:
         """Decode an incoming token message and invoke the handler."""
-        token = Token.decode(payload)
+        self.token = token = Token.decode(payload)
         self.tokens_received += 1
         self.bytes_received += len(payload)
         return self._on_token(token)
@@ -206,14 +209,18 @@ class TokenNetwork:
     def circulate(self, token: Token, start_dom0_ip: str, max_hops: int) -> int:
         """Keep forwarding the token until a handler holds it or hops run out.
 
-        Returns the number of hops performed.
+        Each hop sends the token its previous holder received, as that
+        holder's handler left it, so what a holder writes (HLF's round-end
+        levels) travels on.  Returns the number of hops performed.
         """
         if max_hops < 1:
             raise ValueError(f"max_hops must be >= 1, got {max_hops}")
         dest: Optional[str] = start_dom0_ip
         hops = 0
         while dest is not None and hops < max_hops:
-            dest = self.send_token(token, dest)
+            holder = dest
+            dest = self.send_token(token, holder)
+            token = self._servers[holder].token
             hops += 1
         return hops
 

@@ -3,10 +3,9 @@ fence around the oracles.
 
 The scheduler has no path switches: it reads the path off what it can
 observe.  Every policy supplies a round order, and every round runs as
-waves on the engine's round cache; a round order that does not cover
-the whole population takes the uncached wave loop, and so does a cached
-round that would carry no decisions out; ``use_sharding`` runs the
-shard layer and labels the report with the executor it used.  The paths
+waves: a round order that covers the whole population runs the one
+wave loop over the engine's round cache, any other order over a
+round-local batch; ``use_sharding`` runs the shard layer and labels the report with the executor it used.  The paths
 production no longer takes live in ``repro.reference``, which no
 production module may import; and ``repro.core`` is the S-CORE engine
 alone, so none of its modules imports ``repro.baselines``.
@@ -18,6 +17,7 @@ import ast
 import pathlib
 import pickle
 
+import numpy as np
 import pytest
 
 import repro
@@ -120,36 +120,53 @@ def test_a_partial_order_leaves_the_round_cache_untouched():
     assert (cache.owners_seen, cache.owners_rescored) == (seen, rescored)
 
 
+CACHE_ARRAYS = (
+    "_ptr", "_host", "_delta", "_onto", "_source", "_degree", "_total_rate"
+)
+BATCH_ARRAYS = (
+    "ptr", "host", "delta", "onto_rate", "source", "degree", "total_rate"
+)
+
+
 @pytest.mark.parametrize("threshold", [None, 0.9], ids=["uniform", "budget"])
-def test_only_a_mostly_clean_cached_round_carries_decisions(
+def test_every_full_round_runs_the_wave_loop_over_the_cache_rows(
     threshold, monkeypatch
 ):
-    """A cold round (every owner re-scored) or a §V-C budget carries
-    nothing out, so it runs the uncached wave loop over the cache's rows;
-    a converged round on a uniform population carries its decisions."""
+    """A cold round (every owner re-scored) and a converged one, with or
+    without a §V-C budget, all hand the one wave loop the round cache's
+    own arrays (zero copy) and leave them bit-identical."""
     env = build_environment(SMALL.with_(policy="rr"))
     scheduler = SCOREScheduler(
         env.allocation, env.traffic, policy_by_name("rr"),
         MigrationEngine(env.cost_model, bandwidth_threshold=threshold),
     )
-    uncached_rounds = []
+    cache = scheduler.fastcost.round_cache()
+    rounds = []
     run_batch = BatchedRoundEngine._run_batch
 
-    def spy(self, order, *args):
-        uncached_rounds.append(len(order))
-        return run_batch(self, order, *args)
+    def spy(self, order, batch, positions, injector=None):
+        arrays = [getattr(batch, name) for name in BATCH_ARRAYS]
+        for name, array in zip(CACHE_ARRAYS, arrays):
+            assert array is getattr(cache, name), name
+        before = [array.copy() for array in arrays]
+        result = run_batch(self, order, batch, positions, injector)
+        for name, array, copy in zip(BATCH_ARRAYS, arrays, before):
+            assert array.dtype == copy.dtype, name
+            assert np.array_equal(array, copy), name
+        rounds.append((len(order), int(result.migrations)))
+        return result
 
     monkeypatch.setattr(BatchedRoundEngine, "_run_batch", spy)
+    n_vms = env.allocation.n_vms
     scheduler.run(n_iterations=1)
-    cache = scheduler.fastcost.round_cache()
-    assert uncached_rounds == [env.allocation.n_vms]
-    assert cache.decision_state is None
+    assert cache.owners_rescored == n_vms  # cold: every owner scored
+    assert rounds[0][0] == n_vms and rounds[0][1] > 0
     scheduler.quiesce()
-    del uncached_rounds[:]
+    del rounds[:]
+    rescored = cache.owners_rescored
     scheduler.run(n_iterations=1)
-    carried = threshold is None
-    assert uncached_rounds == ([] if carried else [env.allocation.n_vms])
-    assert (cache.decision_state is not None) == carried
+    assert rounds == [(n_vms, 0)]  # converged: the round moves nobody
+    assert cache.owners_rescored - rescored < n_vms
 
 
 def test_sharding_labels_the_report_with_its_executor():

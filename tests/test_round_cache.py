@@ -10,11 +10,13 @@ after run — across policies, churn, traffic deltas and adversarial
 invalidation patterns (freed better hosts, filled picks, mid-round
 token-level raises).  Plus the capacity-resize satellite:
 ``set_host_capacity`` patches capacity in place and the drain
-offline/restore paths ride on it.
+offline/restore paths ride on it.  And the splice differential: after
+every step of a move / drift script, the cache's spliced arrays equal a
+from-scratch re-score, array for array.
 
-``pytest -m carry`` runs the multi-run battery over a wider seed matrix
-(``REPRO_CARRY_SEEDS`` — comma-separated ints; CI runs it as its own
-job).
+``pytest -m roundcache`` runs the multi-run battery and the splice
+differential over a wider seed matrix (``REPRO_CACHE_SEEDS`` —
+comma-separated ints; CI runs it as its own job).
 """
 
 from __future__ import annotations
@@ -79,19 +81,19 @@ def assert_reports_equal(cached, uncached):
     ]
 
 
-def _carry_seeds():
-    raw = os.environ.get("REPRO_CARRY_SEEDS", "")
+def _cache_seeds(default):
+    raw = os.environ.get("REPRO_CACHE_SEEDS", "")
     if raw.strip():
         return [int(s) for s in raw.split(",") if s.strip()]
-    return [1, 2, 5, 9]
+    return default
 
 
 class TestMatchedSeedBattery:
-    @pytest.mark.carry
+    @pytest.mark.roundcache
     @pytest.mark.parametrize("policy", ["rr", "hlf"])
-    @pytest.mark.parametrize("seed", _carry_seeds())
+    @pytest.mark.parametrize("seed", _cache_seeds([1, 2, 5, 9]))
     def test_cached_equals_uncached_across_runs(self, policy, seed):
-        """Three consecutive runs: the cache carries decisions across
+        """Three consecutive runs: the cache keeps scored rows across
         rounds, runs and convergence — the trajectory must not drift."""
         (env_c, sched_c), (env_u, sched_u) = build_twins(
             seed=seed, policy=policy, n_iterations=4
@@ -596,3 +598,73 @@ class TestHybridSplice:
             )
         cache = sched_c.fastcost.round_cache()
         assert cache.owners_scattered > 0
+
+
+# -- splice differential -------------------------------------------------------
+
+CACHE_ARRAYS = (
+    "_ptr", "_host", "_delta", "_onto", "_source", "_degree", "_total_rate"
+)
+BATCH_ARRAYS = (
+    "ptr", "host", "delta", "onto_rate", "source", "degree", "total_rate"
+)
+
+
+def small_config(seed, **overrides):
+    settings = dict(
+        n_racks=8, hosts_per_rack=4, tors_per_agg=2, n_cores=2,
+        vms_per_host=4, policy="rr", seed=seed,
+    )
+    settings.update(overrides)
+    return ExperimentConfig(**settings)
+
+
+def drift_delta(traffic, rng, n_rate, n_removed=0):
+    """Rate changes on random pairs; ``n_removed`` of them cease (which
+    shrinks their endpoints' candidate sets and forces a real splice)."""
+    us, vs, rates = traffic.pair_arrays()
+    picked = rng.choice(len(us), n_rate + n_removed, replace=False)
+    return [
+        (
+            int(us[i]),
+            int(vs[i]),
+            0.0 if j >= n_rate else float(rates[i]) * (0.5 + rng.random()),
+        )
+        for j, i in enumerate(picked)
+    ]
+
+
+def assert_cache_equals_fresh_scores(fast, cache):
+    cache.refresh()
+    fresh = fast.candidate_batch(
+        np.arange(fast.snapshot.n_vms, dtype=np.int64), cache.max_candidates
+    )
+    for mine, theirs in zip(CACHE_ARRAYS, BATCH_ARRAYS):
+        got, want = getattr(cache, mine), getattr(fresh, theirs)
+        assert got.dtype == want.dtype, mine
+        assert np.array_equal(got, want), mine
+
+
+@pytest.mark.roundcache
+@pytest.mark.parametrize("seed", _cache_seeds([3, 8]))
+def test_spliced_cache_equals_a_fresh_score(seed):
+    env = build_environment(small_config(seed))
+    allocation, traffic = env.allocation, env.traffic
+    fast = FastCostEngine(allocation, traffic)
+    cache = fast.round_cache()
+    rng = make_rng(seed)
+    vm_ids = sorted(allocation.vm_ids())
+    n_hosts = allocation.cluster.n_servers
+    assert_cache_equals_fresh_scores(fast, cache)
+    for step in range(12):
+        for _ in range(int(rng.integers(0, 4))):
+            vm_id = vm_ids[int(rng.integers(len(vm_ids)))]
+            target = int(rng.integers(n_hosts))
+            if allocation.can_host(target, allocation.vm(vm_id)):
+                fast.apply_migration(vm_id, target)
+        if step % 3 != 2:
+            delta = drift_delta(traffic, rng, n_rate=4, n_removed=step % 2)
+            traffic.apply_delta(delta)
+            fast.apply_traffic_delta(delta)
+        assert_cache_equals_fresh_scores(fast, cache)
+    assert cache.owners_spliced > 0 and cache.owners_scattered > 0

@@ -5,17 +5,20 @@ through wire-encoded tokens and dom0 addressing — these tests pin the two
 paths to each other.
 """
 
+import numpy as np
 import pytest
 
 from repro import (
     CostModel,
     DCTrafficGenerator,
+    HighestLevelFirstPolicy,
     MigrationEngine,
     RoundRobinPolicy,
     SPARSE,
 )
 from repro.cluster import Cluster, PlacementManager, ServerCapacity
 from repro.cluster.placement import place_random
+from repro.core.token import Token
 from repro.reference import PerHoldScheduler
 from repro.testbed import (
     CapacityRequest,
@@ -118,6 +121,39 @@ class TestTokenRound:
         assert [(d.vm_id, d.target_host) for d in performed] == [
             (d.vm_id, d.target_host) for d in simulated
         ]
+
+    def test_each_hop_carries_what_its_holder_wrote(
+        self, deployment, monkeypatch
+    ):
+        """The wire token is the one its holder received: after HLF's
+        first round end, every payload carries the levels ``end_round``
+        wrote, which the second round's order was built from."""
+        policy = HighestLevelFirstPolicy()
+        deployment.policy = policy
+        written = []
+        end_round = policy.end_round
+
+        def spy_end_round(token, order, fast):
+            holder = end_round(token, order, fast)
+            written.append(token.levels.copy())
+            return holder
+
+        payloads = []
+        send_token = deployment.network.send_token
+
+        def spy_send_token(token, dest_dom0_ip):
+            payloads.append(token.encode())
+            return send_token(token, dest_dom0_ip)
+
+        monkeypatch.setattr(policy, "end_round", spy_end_round)
+        monkeypatch.setattr(deployment.network, "send_token", spy_send_token)
+        n = deployment.allocation.n_vms
+        assert deployment.run_round(n_holds=2 * n) == 2 * n
+        assert len(written) == 2 and written[0].any()
+        levels = [Token.decode(payload).levels for payload in payloads]
+        assert not any(level.any() for level in levels[:n])
+        for level in levels[n:]:
+            assert np.array_equal(level, written[0])
 
     def test_rounds_write_through_the_engine(self, deployment):
         deployment.run_round()
