@@ -129,8 +129,9 @@ BATCH_ARRAYS = (
 
 
 @pytest.mark.parametrize("threshold", [None, 0.9], ids=["uniform", "budget"])
+@pytest.mark.parametrize("phase", ["cold", "converged"])
 def test_every_full_round_runs_the_wave_loop_over_the_cache_rows(
-    threshold, monkeypatch
+    phase, threshold, monkeypatch
 ):
     """A cold round (every owner re-scored) and a converged one, with or
     without a §V-C budget, all hand the one wave loop the round cache's
@@ -141,6 +142,10 @@ def test_every_full_round_runs_the_wave_loop_over_the_cache_rows(
         MigrationEngine(env.cost_model, bandwidth_threshold=threshold),
     )
     cache = scheduler.fastcost.round_cache()
+    n_vms = env.allocation.n_vms
+    if phase == "converged":
+        scheduler.run(n_iterations=1)
+        scheduler.quiesce()
     rounds = []
     run_batch = BatchedRoundEngine._run_batch
 
@@ -157,16 +162,14 @@ def test_every_full_round_runs_the_wave_loop_over_the_cache_rows(
         return result
 
     monkeypatch.setattr(BatchedRoundEngine, "_run_batch", spy)
-    n_vms = env.allocation.n_vms
-    scheduler.run(n_iterations=1)
-    assert cache.owners_rescored == n_vms  # cold: every owner scored
-    assert rounds[0][0] == n_vms and rounds[0][1] > 0
-    scheduler.quiesce()
-    del rounds[:]
     rescored = cache.owners_rescored
     scheduler.run(n_iterations=1)
-    assert rounds == [(n_vms, 0)]  # converged: the round moves nobody
-    assert cache.owners_rescored - rescored < n_vms
+    if phase == "cold":
+        assert cache.owners_rescored == n_vms  # every owner scored
+        assert rounds[0][0] == n_vms and rounds[0][1] > 0
+    else:
+        assert rounds == [(n_vms, 0)]  # the round moves nobody
+        assert cache.owners_rescored - rescored < n_vms
 
 
 def test_sharding_labels_the_report_with_its_executor():

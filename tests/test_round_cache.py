@@ -12,10 +12,12 @@ token-level raises).  Plus the capacity-resize satellite:
 ``set_host_capacity`` patches capacity in place and the drain
 offline/restore paths ride on it.  And the splice differential: after
 every step of a move / drift script, the cache's spliced arrays equal a
-from-scratch re-score, array for array.
+from-scratch re-score, array for array — also after every round of a
+scheduler-driven drift / drain / fill / free script; and a converged
+epoch never sorts anything the size of the cache.
 
 ``pytest -m roundcache`` runs the multi-run battery and the splice
-differential over a wider seed matrix (``REPRO_CACHE_SEEDS`` —
+differentials over a wider seed matrix (``REPRO_CACHE_SEEDS`` —
 comma-separated ints; CI runs it as its own job).
 """
 
@@ -36,7 +38,11 @@ from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.scheduler import SCOREScheduler
 from repro.reference import UncachedScheduler
-from repro.sim.experiment import ExperimentConfig, build_environment
+from repro.sim.experiment import (
+    ExperimentConfig,
+    build_environment,
+    make_scheduler,
+)
 from repro.topology.tree import CanonicalTree
 from repro.traffic.matrix import TrafficMatrix
 from repro.util.rng import make_rng
@@ -668,3 +674,110 @@ def test_spliced_cache_equals_a_fresh_score(seed):
             fast.apply_traffic_delta(delta)
         assert_cache_equals_fresh_scores(fast, cache)
     assert cache.owners_spliced > 0 and cache.owners_scattered > 0
+
+
+@pytest.mark.roundcache
+@pytest.mark.parametrize("seed", _cache_seeds([5, 21]))
+def test_scheduled_epochs_keep_the_cache_equal_to_a_fresh_score(seed):
+    """A drift / drain / fill / free script driven through the scheduler:
+    after every epoch's round the cached trajectory equals the uncached
+    twin's, and the round cache equals a from-scratch re-score — capacity
+    flips change feasibility, never a scored row."""
+    twins = build_twins(
+        seed=seed, policy="rr", n_racks=12, hosts_per_rack=4,
+        tors_per_agg=2, n_cores=2, vms_per_host=4, fill_fraction=0.9,
+    )
+    (env, sched), (_, twin) = twins
+    schedulers = (sched, twin)
+    assert_reports_equal(sched.run(n_iterations=4), twin.run(n_iterations=4))
+    fast = sched.fastcost
+    cache = fast.round_cache()
+    allocation = env.allocation
+    rng = make_rng(seed)
+    rack = env.topology.hosts_in_rack(1)
+    squeezed = {}
+    spliced = cache.owners_spliced
+    for epoch in range(14):
+        delta = drift_delta(env.traffic, rng, n_rate=5, n_removed=epoch % 2)
+        for s in schedulers:
+            s.apply_traffic_delta(delta)
+        if epoch % 4 == 1:
+            # Two splices with no round between them.
+            cache.refresh()
+            delta = drift_delta(env.traffic, rng, n_rate=2, n_removed=1)
+            for s in schedulers:
+                s.apply_traffic_delta(delta)
+        if epoch == 3:
+            assert sched.drain_hosts(rack, offline=True) == twin.drain_hosts(
+                rack, offline=True
+            )
+        if epoch == 7:
+            for s in schedulers:
+                s.restore_hosts(rack)
+        if epoch in (5, 9):
+            # Fill: shrink a few hosts that still have headroom to their
+            # current usage.
+            for h in rng.choice(allocation.cluster.n_servers, 6, replace=False):
+                h = int(h)
+                used = len(allocation.vms_on(h))
+                slots = allocation.cluster.server(h).capacity.max_vms
+                if h not in rack and h not in squeezed and 0 < used < slots:
+                    squeezed[h] = slots
+                    for s in schedulers:
+                        s.set_host_capacity(h, max_vms=used)
+        if epoch in (6, 11):
+            # Free: the squeezed hosts get their slots back.
+            for h, slots in squeezed.items():
+                for s in schedulers:
+                    s.set_host_capacity(h, max_vms=slots)
+            squeezed.clear()
+        assert_reports_equal(
+            sched.run(n_iterations=1), twin.run(n_iterations=1)
+        )
+        assert_cache_equals_fresh_scores(fast, cache)
+    assert cache.owners_spliced > spliced
+
+
+def test_converged_epochs_never_sort_the_whole_cache(monkeypatch):
+    """The paper's rack shape (20 hosts x 16 slots) at an eighth of its
+    racks: the cache holds many times more scored rows than owners.  A
+    converged drift epoch — delta, refresh, one full round — may sort /
+    bisect / dedup per-owner inputs, never one the size of the cache or
+    the population, including right after a renumbering splice."""
+    env = build_environment(
+        small_config(9, n_racks=16, hosts_per_rack=20, tors_per_agg=8,
+                     n_cores=4, vms_per_host=16)
+    )
+    sched = make_scheduler(env)
+    sched.run(n_iterations=5)
+    sched.quiesce()
+    cache = sched.fastcost.round_cache()
+    n = env.allocation.n_vms
+    rng = make_rng(9)
+    largest = {}
+
+    def watch(name, size_of):
+        real = getattr(np, name)
+
+        def watched(*args, **kwargs):
+            largest[name] = max(largest.get(name, 0), size_of(*args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, watched)
+
+    for name in ("sort", "argsort", "lexsort", "unique"):
+        watch(name, lambda a, *_: np.size(a))
+    watch("searchsorted", lambda a, needles, *_: np.size(needles))
+
+    spliced_epochs = 0
+    for _ in range(8):
+        sched.apply_traffic_delta(
+            drift_delta(env.traffic, rng, n_rate=6, n_removed=1)
+        )
+        assert len(cache._host) > 4 * n  # the premise: rows dwarf owners
+        spliced = cache.owners_spliced
+        largest.clear()
+        sched.run(n_iterations=1)
+        assert max(largest.values()) <= n, largest
+        spliced_epochs += cache.owners_spliced > spliced
+    assert spliced_epochs >= 4
