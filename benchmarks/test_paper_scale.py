@@ -634,14 +634,15 @@ def test_snapshot_restore_at_paper_scale(emit, tmp_path):
 
     Warms a scheduler with one full iteration at the published 2560-host /
     ~35k-VM scale, writes one atomic checksummed snapshot generation of the
-    complete warm state (engine caches included), restores it into a fresh
-    process-equivalent scheduler, and compares the restore wall clock with
-    what reaching the same warm state from nothing costs.  Records
-    ``paper_canonical_snapshot`` (write/restore/cold-boot seconds, file
-    size, speedup); the restored engine must verify in sync with its
+    complete warm state (engine caches included) and loads it back, both
+    through the calls the durable drivers' checkpoint and recovery make
+    (``write_snapshot`` / ``load_latest_good``), and compares the restore
+    wall clock with what reaching the same warm state from nothing costs.
+    Records ``paper_canonical_snapshot`` (write/restore/cold-boot seconds,
+    file size, speedup); the restored engine must verify in sync with its
     incremental cost exact to 1e-9.
     """
-    from repro.core.scheduler import SCOREScheduler
+    from repro.persist.snapshot import load_latest_good, write_snapshot
 
     config = ExperimentConfig.paper_canonical(policy="rr", n_iterations=1)
     t0 = time.perf_counter()
@@ -653,12 +654,14 @@ def test_snapshot_restore_at_paper_scale(emit, tmp_path):
     assert fast is not None and fast.in_sync
 
     t1 = time.perf_counter()
-    path = scheduler.save_snapshot(str(tmp_path))
+    path = write_snapshot(
+        str(tmp_path), {"environment": env, "scheduler": scheduler}
+    )
     snapshot_write_s = time.perf_counter() - t1
     snapshot_mb = os.path.getsize(path) / 1e6
 
     t2 = time.perf_counter()
-    restored = SCOREScheduler.restore(str(tmp_path))
+    restored = load_latest_good(str(tmp_path)).state["scheduler"]
     restore_s = time.perf_counter() - t2
     rfast = restored.fastcost
     assert rfast is not None and rfast.in_sync

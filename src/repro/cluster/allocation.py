@@ -623,18 +623,6 @@ class Allocation:
         return {name: self.__dict__[name] for name in self._OF_RECORD}
 
     def __setstate__(self, state) -> None:
-        if "_vms" in state:
-            # The dict-backed layout of snapshots written before the
-            # allocation became columnar.
-            vms = sorted(state["_vms"].values())
-            ids, ram, cpu = _vm_columns(vms)
-            hosts = [state["_host_of"][vm.vm_id] for vm in vms]
-            state = {
-                "_cluster": state["_cluster"], "_ids": ids, "_ram": ram, "_cpu": cpu,
-                "_host": np.array(hosts, dtype=np.int64),
-                "_used_cpu": np.array(state["_used_cpu"], dtype=float),
-                "_version": state["_version"],
-            }
         self.__dict__.update(state)
         self._rebuild_members()
 

@@ -122,7 +122,6 @@ class Cluster:
         return state
 
     def __setstate__(self, state) -> None:
-        state.pop("_capacity_arrays", None)
         self.__dict__.update(state)
         self._total_slots = sum(s.capacity.max_vms for s in self._servers)
 

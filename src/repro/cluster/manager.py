@@ -83,16 +83,6 @@ class PlacementManager:
             for vm_id in range(first, first + count)
         ]
 
-    def __setstate__(self, state) -> None:
-        issued = state["_issued"]
-        if isinstance(issued, dict):
-            # Snapshots written before minting was recorded as runs.
-            state["_issued"] = [
-                (vm.vm_id, 1, vm.ram_mb, vm.cpu)
-                for vm in sorted(issued.values())
-            ]
-        self.__dict__.update(state)
-
     # -- addressing --------------------------------------------------------------
 
     def dom0_ip(self, host: int) -> str:

@@ -58,13 +58,6 @@ class Server:
         self._host = host
         self._capacity = capacity
 
-    def __setstate__(self, state) -> None:
-        # Snapshots written while servers carried an (always empty)
-        # occupancy record hold it too; it is dropped.
-        for name in ("_vms", "_used_ram", "_used_cpu"):
-            state.pop(name, None)
-        self.__dict__.update(state)
-
     @property
     def host(self) -> int:
         """Host (topology) index of this server."""

@@ -296,10 +296,7 @@ class FastCostEngine:
     #: the matrix.  Not the round cache: every valid row equals a fresh
     #: candidate_batch, so a restored engine re-scores on its first round
     #: without changing the trajectory.  Not the capacity arrays: they
-    #: are the cluster's live views, re-bound on restore.  Anything else
-    #: an older snapshot carries (its round cache, its copies of the
-    #: placement and usage columns, its own CSR snapshot and pair index)
-    #: is dropped on restore.
+    #: are the cluster's live views, re-bound on restore.
     _OF_RECORD = (
         "_weights", "_topology", "_allocation", "_traffic", "_path_weight",
         "_rack_of", "_pod_of", "_hosts_per_rack", "_uniform_vm", "_total",
@@ -310,14 +307,11 @@ class FastCostEngine:
         return {name: self.__dict__[name] for name in self._OF_RECORD}
 
     def __setstate__(self, state) -> None:
-        self.__dict__.update({name: state[name] for name in self._OF_RECORD})
+        self.__dict__.update(state)
         self._round_cache = None
         self._slot_cap, self._ram_cap, self._cpu_cap, self._nic_cap = (
             self._allocation.cluster.capacity_arrays()
         )
-        # Point the store back at the allocation's column (an older
-        # snapshot's matrix restores indexed over its own VMs).
-        self._traffic.bind(self._allocation)
 
     # -- binding -----------------------------------------------------------
 

@@ -162,12 +162,6 @@ class MigrationEngine:
         self._bandwidth_threshold = bandwidth_threshold
         self._max_candidates = max_candidates
 
-    def __setstate__(self, state) -> None:
-        # Snapshots of older layouts pickled the attached fast engine
-        # here; decisions take it as an argument, so it is dropped.
-        state.pop("_fastcost", None)
-        self.__dict__.update(state)
-
     @property
     def cost_model(self) -> CostModel:
         """The cost model used for deltas."""

@@ -243,10 +243,6 @@ class SCOREScheduler:
         self._profile = None
         self._saved_capacity: dict = {}
         self._recovered_from: Optional[str] = None
-        self._build_engine()
-
-    def _build_engine(self) -> None:
-        """Bind a fast engine to the allocation and traffic."""
         self._fast = self._engine.bind(self._allocation, self._traffic)
 
     @property
@@ -309,7 +305,8 @@ class SCOREScheduler:
     @property
     def recovered_from(self) -> Optional[str]:
         """Recovery provenance (``"snapshot-00000003.snap@seq42"``) when
-        this scheduler came through :meth:`restore`; None otherwise."""
+        a durable driver (the scenario run or the service) resumed this
+        scheduler from its state directory; None otherwise."""
         return self._recovered_from
 
     def enable_profiling(self):
@@ -591,28 +588,6 @@ class SCOREScheduler:
         state["_profile"] = None
         return state
 
-    def __setstate__(self, state):
-        # Snapshots written before the persistent fleet existed restore
-        # with the fleet fields defaulted; the path switches older
-        # snapshots still carry are dropped (the code picks the path).
-        state.setdefault("_shard_coordinator", None)
-        state.setdefault("_shard_solve_hints", {})
-        for obsolete in (
-            "_use_fastcost",
-            "_use_batched_rounds",
-            "_use_round_cache",
-            "_shard_compact",
-            "_shard_transport",
-            "_shard_policy_factory",
-        ):
-            state.pop(obsolete, None)
-        # One pickled before it ever ran, while the engine was built on
-        # the first run (an older bootstrap generation), carries none.
-        unbound = state.get("_fast") is None
-        self.__dict__.update(state)
-        if unbound:
-            self._build_engine()
-
     def _run_sharded(
         self,
         cost_model: CostModel,
@@ -704,85 +679,6 @@ class SCOREScheduler:
         report.final_cost = cost
         report.next_holder = self._token.lowest_id
         return report
-
-    def save_snapshot(
-        self,
-        directory: str,
-        *,
-        meta: Optional[dict] = None,
-        io=None,
-    ) -> str:
-        """Write one atomic, checksummed snapshot generation of the full
-        warm state under ``directory``; returns the file path.
-
-        The payload is the scheduler's whole object graph — allocation,
-        traffic matrix, token ids/levels, policy state, clock, saved
-        drain capacity, and the warm
-        :class:`~repro.core.fastcost.FastCostEngine` with its Lemma-3
-        caches (λ travels once, in the matrix's store), so
-        :meth:`restore` resumes without re-paying the cold scoring
-        boot.
-
-        ``meta`` lands verbatim in the snapshot's JSON header; ``io``
-        overrides the :class:`~repro.persist.snapshot.StorageIO` write
-        layer (fault injection, retry budget).
-        """
-        from repro.persist.snapshot import write_snapshot
-
-        header_meta = {
-            "kind": "scheduler",
-            "clock": self._clock,
-            "n_vms": self._allocation.n_vms,
-            **(meta or {}),
-        }
-        return write_snapshot(
-            directory, {"scheduler": self}, header_meta, io=io
-        )
-
-    @classmethod
-    def restore(cls, source: str, *, generation: Optional[int] = None):
-        """Load a scheduler from a snapshot; the warm twin of ``__init__``.
-
-        ``source`` is a snapshot *directory* (the newest generation that
-        verifies is loaded — corrupt files are skipped, the degradation
-        ladder of :func:`repro.persist.snapshot.load_latest_good`) or
-        one snapshot *file*; ``generation`` pins a specific generation
-        inside a directory.  The restored scheduler carries a
-        ``recovered_from`` provenance label on itself and every
-        subsequent :class:`SchedulerReport`.
-
-        Raises :class:`~repro.persist.snapshot.SnapshotCorruptError` for
-        an unusable explicit file/generation and
-        :class:`~repro.persist.snapshot.NoSnapshotError` when a
-        directory holds no usable generation at all.
-        """
-        import os
-
-        from repro.persist.snapshot import (
-            load_latest_good,
-            read_snapshot,
-            snapshot_path,
-        )
-
-        if generation is not None:
-            source = snapshot_path(source, generation)
-        if os.path.isdir(source):
-            loaded = load_latest_good(source)
-            header, state, path = loaded.header, loaded.state, loaded.path
-        else:
-            header, state = read_snapshot(source)
-            path = source
-        scheduler = state["scheduler"]
-        if not isinstance(scheduler, cls):
-            raise TypeError(
-                f"snapshot {path} holds {type(scheduler).__name__}, "
-                f"not {cls.__name__}"
-            )
-        scheduler._recovered_from = (
-            f"{os.path.basename(path)}"
-            f"@seq{header.get('meta', {}).get('journal_seq', 0)}"
-        )
-        return scheduler
 
     def admit_vms(self, vms: Sequence, hosts: Sequence[int]) -> None:
         """Bring one batch of arriving VMs online (an empty batch is a

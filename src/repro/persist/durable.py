@@ -26,9 +26,8 @@ committed records after its position as *verification*: each step must
 reproduce the recorded cost, migration count, decision digest and next
 holder, or recovery aborts with :class:`RecoveryError`.  The work in
 flight after the last commit left no record; re-execution regenerates
-it.  Only commit kinds are re-executed, so a directory whose journal
-also holds the ``op``/``event``/``snapshot`` records older versions
-wrote between commits resumes unchanged.
+it.  Only commit kinds are re-executed; any other record between two
+commits is skipped.
 
 Without a directory nothing is journaled or snapshotted; the loop is
 the same either way.
@@ -63,8 +62,10 @@ from repro.sim.eventqueue import EventQueueRunner
 #: digest; v3: the experiment spec lost its path switches; v4: snapshots
 #: pickle the token as two arrays; v5: the scenario run and the service
 #: share one tag and one core (v4 had ``score-journal/v4`` and
-#: ``score-service/v4``).  Any other tag is refused at resume.
-JOURNAL_FORMAT = "score-journal/v5"
+#: ``score-service/v4``); v6: snapshots load only the current pickle
+#: layout (no restore hook converts an older one).  Any other tag is
+#: refused at resume, before a snapshot is unpickled.
+JOURNAL_FORMAT = "score-journal/v6"
 
 #: Commit-record keys whose recorded and re-executed values are floats,
 #: compared with :data:`REPLAY_RELTOL` instead of exactly (JSON

@@ -150,6 +150,8 @@ class IngestionQueue:
 
     def take(self, max_n: Optional[int] = None) -> List[Tuple[float, Event]]:
         """Pop up to ``max_n`` events, FIFO (all of them when None)."""
+        if max_n is not None and max_n < 0:
+            raise ValueError(f"max_n must be >= 0, got {max_n}")
         n = len(self._pending) if max_n is None else min(max_n, len(self._pending))
         taken = [(slot[0], slot[1]) for slot in self._pending[:n]]
         del self._pending[:n]

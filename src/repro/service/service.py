@@ -139,6 +139,14 @@ class ServiceConfig:
             )
         if self.validate_every < 0 or self.deep_validate_every < 0:
             raise ValueError("validate cadences must be >= 0")
+        if (
+            self.max_dispatch_per_round is not None
+            and self.max_dispatch_per_round < 1
+        ):
+            raise ValueError(
+                "max_dispatch_per_round must be >= 1, "
+                f"got {self.max_dispatch_per_round}"
+            )
         if self.persist_deadline_s <= 0:
             raise ValueError(
                 f"persist_deadline_s must be > 0, got {self.persist_deadline_s}"

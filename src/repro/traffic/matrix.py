@@ -524,26 +524,6 @@ class TrafficMatrix:
         #: The allocation whose engines share the store (see :meth:`bind`).
         self._bound = None
 
-    def __setstate__(self, state) -> None:
-        if "_store" not in state:
-            # An older dict-backed pickle: a {u: {v: rate}} adjacency (or,
-            # before its first read, a (us, vs, rates, version) tuple of
-            # canonical pair arrays) beside the version counter.  Told
-            # apart by type; the pair order is kept.
-            held = {type(v): v for v in state.values() if v is not None}
-            if dict in held:
-                us, vs, rates = np.array(
-                    [(u, v, r) for u, nbrs in held[dict].items()
-                     for v, r in nbrs.items() if u < v],
-                    dtype=float,
-                ).reshape(-1, 3).T
-            else:
-                us, vs, rates, _ = held[tuple]
-            fresh = TrafficMatrix.from_pair_arrays(us, vs, rates)
-            fresh._store.version = held[int]
-            state = fresh.__dict__
-        self.__dict__.update(state)
-
     @property
     def version(self) -> int:
         """Counter bumped once by every λ write.

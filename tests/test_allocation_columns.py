@@ -12,15 +12,13 @@ that accumulated in another order than one-by-one placement would show.
 Every rejected batch must raise the model's error type and leave the
 state untouched.
 
-The rest pins what restore owes older snapshots: allocations, engines,
-clusters and managers pickled in their pre-columnar layout still load,
-and a paper-scale allocation pickles without a single ``VM``.
+The rest pins what a pickle round trip owes the current layout: a
+restored scheduler re-scores without changing its trajectory, and a
+paper-scale allocation pickles without a single ``VM``.
 """
 
 from __future__ import annotations
 
-import copy
-import copyreg
 import pickle
 
 import numpy as np
@@ -35,9 +33,7 @@ from hypothesis.stateful import (
 )
 
 from repro import CanonicalTree, Cluster, ServerCapacity
-from repro.cluster import Server
 from repro.cluster.allocation import Allocation, CapacityError
-from repro.cluster.manager import PlacementManager
 from repro.cluster.vm import VM
 from repro.sim.experiment import (
     ExperimentConfig,
@@ -368,78 +364,7 @@ TestAllocationMachine.settings = settings(
 )
 
 
-# -- snapshots written before the columns -------------------------------------
-
-
-class _Pickled:
-    """Pickles as ``cls`` with ``state``: what default pickling of an
-    instance whose ``__dict__`` is ``state`` writes."""
-
-    def __init__(self, cls, state) -> None:
-        self.cls, self.state = cls, state
-
-    @property
-    def __class__(self):
-        return self.cls
-
-    def __reduce_ex__(self, protocol):
-        return copyreg.__newobj__, (self.cls,), self.state
-
-
-def _reload(cls, state):
-    return pickle.loads(
-        pickle.dumps(_Pickled(cls, state), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-
-
-def _dict_backed_state(allocation: Allocation) -> dict:
-    """The pre-columnar ``Allocation.__dict__`` for the same placement."""
-    n = allocation.cluster.n_servers
-    return {
-        "_cluster": allocation.cluster,
-        "_vms": {vm.vm_id: vm for vm in allocation.vms()},
-        "_host_of": allocation.as_dict(),
-        "_vms_on": [set(allocation.vms_on(h)) for h in range(n)],
-        "_used_ram": allocation._used_ram.tolist(),
-        "_used_cpu": allocation._used_cpu.tolist(),
-        "_version": allocation.version,
-    }
-
-
-def test_a_dict_backed_allocation_restores_as_columns():
-    allocation = Allocation(small_cluster())
-    allocation.add_vms(
-        [VM(v, 512, cpu) for v, cpu in zip((9, 3, 5, 7), CPUS)], [1, 1, 4, 6]
-    )
-    allocation.migrate_many([(3, 2), (5, 1)])
-    restored = _reload(Allocation, _dict_backed_state(allocation))
-    assert allocation_state(restored) == allocation_state(allocation)
-    assert restored._used_cpu.tolist() == allocation._used_cpu.tolist()
-    restored.validate()
-    restored.add_vm(VM(11, 256, 0.3), 1)
-    assert restored.vms_on(1) == {9, 5, 11}
-
-
-def test_a_dict_backed_manager_restores_as_runs():
-    manager = PlacementManager(small_cluster())
-    vms = manager.create_vms(3, ram_mb=256, cpu=0.5)
-    state = dict(manager.__dict__, _issued={vm.vm_id: vm for vm in vms})
-    restored = _reload(PlacementManager, state)
-    assert restored.issued_vms() == vms
-    assert [vm.ram_mb for vm in restored.issued_vms()] == [256] * 3
-    assert restored.create_vm().vm_id == 4
-
-
-def test_a_cluster_with_pickled_capacity_arrays_resizes_after_restore():
-    cluster = small_cluster()
-    cluster.capacity_arrays()  # cached read-only arrays, as older pickles held
-    state = {
-        k: v for k, v in cluster.__dict__.items() if k != "_total_slots"
-    }
-    restored = _reload(Cluster, state)
-    restored.set_host_capacity(3, ServerCapacity(max_vms=0))
-    assert restored.capacity_arrays()[0].tolist() == [4, 4, 4, 0, 4, 4, 4, 4]
-    assert restored.total_vm_slots == 28
+# -- pickling -----------------------------------------------------------------
 
 
 def _scheduler(seed=3):
@@ -450,72 +375,6 @@ def _scheduler(seed=3):
     return make_scheduler(build_environment(config))
 
 
-def test_an_engine_pickled_with_its_round_cache_drops_it():
-    scheduler = _scheduler()
-    scheduler.run(n_iterations=1)
-    fast = scheduler.fastcost
-    cache = fast.round_cache()
-    assert cache._valid is not None
-    restored = _reload(type(fast), dict(fast.__dict__))
-    assert restored._round_cache is None
-    cluster = restored.allocation.cluster
-    assert restored._slot_cap is cluster.capacity_arrays()[0]
-    assert restored.total_cost() == fast.total_cost()
-
-
-def test_an_engine_pickled_with_placement_copies_drops_them():
-    """Engine snapshots used to carry their own per-VM host/RAM/CPU and
-    per-host usage arrays; restored, the engine reads the allocation's
-    columns and runs on as the live one does."""
-    scheduler = _scheduler(seed=4)
-    scheduler.run(n_iterations=1)
-    fast = scheduler.fastcost
-    allocation = scheduler.allocation
-    ids, hosts, ram, cpu = allocation.columns()
-    n_hosts = allocation.cluster.n_servers
-    state = dict(
-        fast.__dict__,
-        _host_of=hosts.copy(), _vm_ram=ram.copy(), _vm_cpu=cpu.copy(),
-        _slot_used=np.bincount(hosts, minlength=n_hosts),
-        _ram_used=np.bincount(hosts, weights=ram, minlength=n_hosts).astype(np.int64),
-        _cpu_used=np.bincount(hosts, weights=cpu, minlength=n_hosts),
-        _snap=copy.deepcopy(fast.snapshot),  # its own id vector, as before
-    )
-    restored = _reload(type(fast), state)
-    assert set(restored.__getstate__()) == set(type(fast)._OF_RECORD)
-    assert not {"_vm_ram", "_vm_cpu", "_slot_used"} & set(restored.__dict__)
-    assert restored.total_cost() == fast.total_cost()
-    assert restored.in_sync
-    assert restored.allocation.as_dict() == allocation.as_dict()
-    every = np.arange(len(ids))
-    ours, theirs = fast.candidate_batch(every), restored.candidate_batch(every)
-    assert np.array_equal(ours.host, theirs.host)
-    assert np.array_equal(ours.delta, theirs.delta)
-    vm_id = int(ids[0])
-    target = next(
-        h for h in range(n_hosts)
-        if h != allocation.server_of(vm_id)
-        and allocation.can_host(h, allocation.vm(vm_id))
-    )
-    assert restored.apply_migration(vm_id, target) == fast.apply_migration(
-        vm_id, target
-    )
-    assert restored.allocation.as_dict() == allocation.as_dict()
-    assert restored.total_cost() == fast.total_cost()
-
-
-def test_a_server_pickled_with_its_occupancy_record_drops_it():
-    """Servers used to carry an occupancy record (always empty in use)."""
-    capacity = ServerCapacity(max_vms=3, ram_mb=2048, cpu=2.0)
-    state = {
-        "_host": 5, "_capacity": capacity, "_vms": {}, "_used_ram": 0,
-        "_used_cpu": 0.0,
-    }
-    restored = _reload(Server, state)
-    assert (restored.host, restored.capacity) == (5, capacity)
-    assert set(vars(restored)) == {"_host", "_capacity"}
-
-
 def test_a_restored_scheduler_rescores_without_changing_the_trajectory():
     scheduler = _scheduler(seed=5)
     scheduler.run(n_iterations=1)
@@ -524,6 +383,8 @@ def test_a_restored_scheduler_rescores_without_changing_the_trajectory():
         pickle.dumps(scheduler, protocol=pickle.HIGHEST_PROTOCOL)
     )
     assert restored.fastcost._round_cache is None
+    cluster = restored.allocation.cluster
+    assert restored.fastcost._slot_cap is cluster.capacity_arrays()[0]
     ours = scheduler.run(n_iterations=3)
     theirs = restored.run(n_iterations=3)
     assert theirs.final_cost == ours.final_cost

@@ -198,44 +198,6 @@ def test_a_sharded_scheduler_survives_a_pickle_round_trip():
     assert list(got.decisions) == list(want.decisions)
 
 
-def test_a_restored_scheduler_drops_the_old_path_switches():
-    """Snapshots pickled while the switches existed carry them; a
-    restored scheduler sheds them instead of re-pickling dead state.  A
-    scheduler pickled before it ever ran, while the engine was still
-    built on the first run, carries ``_fast=None`` (every state
-    directory's bootstrap generation did), and a migration engine
-    pickled while the fast engine was attached to it carries that
-    engine as ``_fastcost``: each restores with a bound engine, sheds
-    the dead fields and runs exactly as a twin that was never
-    pickled."""
-    want = make_scheduler(build_environment(SMALL)).run(n_iterations=1)
-    obsolete = dict(
-        _use_fastcost=True,
-        _use_batched_rounds=True,
-        _use_round_cache=False,
-        _shard_compact=False,
-        _shard_transport="pipe",
-        _shard_policy_factory=None,
-    )
-    for shape in ("switches", "unbuilt", "attached"):
-        scheduler = make_scheduler(build_environment(SMALL))
-        old_state, old_engine_state = {
-            "switches": (obsolete, {}),
-            "unbuilt": (dict(_fast=None), dict(_fastcost=None)),
-            "attached": ({}, dict(_fastcost=scheduler.fastcost)),
-        }[shape]
-        vars(scheduler).update(old_state)
-        vars(scheduler._engine).update(old_engine_state)
-        restored = pickle.loads(pickle.dumps(scheduler))
-        assert not set(obsolete) & set(vars(restored))
-        assert "_fastcost" not in vars(restored._engine)
-        _assert_bound(restored)
-        got = restored.run(n_iterations=1)
-        assert got.iterations[0].waves > 0
-        assert got.final_cost == want.final_cost
-        assert list(got.decisions) == list(want.decisions)
-
-
 def _assert_bound(scheduler):
     """The scheduler's engine binds its own allocation and matrix and
     agrees with them."""

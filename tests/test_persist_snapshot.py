@@ -1,5 +1,5 @@
 """Snapshot layer: atomic writes, checksums, the degradation ladder,
-and warm scheduler save/restore round-trips over the whole catalogue.
+and warm scheduler round-trips over the whole catalogue.
 
 The round-trip contract (ISSUE acceptance): for every catalogue
 scenario, a restored scheduler's engine reports ``in_sync``, its
@@ -33,7 +33,6 @@ from repro.persist.snapshot import (
     snapshot_path,
     write_snapshot,
 )
-from repro.core.scheduler import SCOREScheduler
 from repro.scenarios import scenario_by_name, scenario_names
 from repro.sim.experiment import build_environment, make_scheduler
 from repro.util.validation import check_engine_invariants
@@ -218,11 +217,14 @@ def _warm_scheduler(name):
 class TestSchedulerRoundTrip:
     @pytest.mark.parametrize("name", scenario_names())
     def test_catalogue_round_trip(self, name, tmp_path):
+        """Written and read as the durable drivers' checkpoint and
+        recovery do: one payload of the environment and the scheduler."""
         environment, scheduler = _warm_scheduler(name)
-        scheduler.save_snapshot(str(tmp_path))
-        restored = SCOREScheduler.restore(str(tmp_path))
+        write_snapshot(
+            str(tmp_path), {"environment": environment, "scheduler": scheduler}
+        )
+        restored = load_latest_good(str(tmp_path)).state["scheduler"]
 
-        assert restored.recovered_from is not None
         assert restored.clock == scheduler.clock
         # Identical allocation and token state, bit for bit.
         assert {
@@ -233,9 +235,13 @@ class TestSchedulerRoundTrip:
             for v in scheduler.allocation.vm_ids()
         }
         assert list(restored.token.vm_ids) == list(scheduler.token.vm_ids)
-        # The restored engine is warm, in sync, and exact to 1e-9.
+        # The restored engine is warm, in sync, and exact to 1e-9; its
+        # snapshot is the restored matrix's store, indexed over the
+        # restored allocation's id column (one pickle keeps identity).
         fast = restored.fastcost
         assert fast is not None and fast.in_sync
+        assert fast.snapshot is restored.traffic.store
+        assert fast.snapshot.vm_ids is restored.allocation.columns()[0]
         assert fast.total_cost() == pytest.approx(
             fast.recompute_total_cost(), rel=RELTOL
         )
@@ -245,25 +251,6 @@ class TestSchedulerRoundTrip:
         got = restored.run(n_iterations=1)
         assert decisions_key(got) == decisions_key(expect)
         assert got.final_cost == pytest.approx(expect.final_cost, rel=RELTOL)
-        assert got.recovered_from == restored.recovered_from
-        assert expect.recovered_from is None
-
-    def test_restore_pins_generation_and_rejects_foreign_payload(
-        self, tmp_path
-    ):
-        environment, scheduler = _warm_scheduler("steady")
-        scheduler.save_snapshot(str(tmp_path))
-        scheduler.run(n_iterations=1)
-        scheduler.save_snapshot(str(tmp_path))
-        pinned = SCOREScheduler.restore(str(tmp_path), generation=1)
-        latest = SCOREScheduler.restore(str(tmp_path))
-        assert pinned.clock < latest.clock
-        assert "snapshot-00000001" in pinned.recovered_from
-        assert "snapshot-00000002" in latest.recovered_from
-
-        write_snapshot(str(tmp_path / "other"), {"scheduler": "not one"})
-        with pytest.raises(TypeError):
-            SCOREScheduler.restore(str(tmp_path / "other"))
 
 
 # ---------------------------------------------------------------------------

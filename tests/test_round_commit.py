@@ -29,6 +29,7 @@ from repro.persist import (
     RecoveryError,
     SimulatedCrash,
 )
+from repro.persist import durable
 from repro.persist.durable import _decisions_digest
 from repro.persist.journal import JOURNAL_NAME, _canonical, _crc
 from repro.scenarios import DurableScenarioRun, run_scenario
@@ -149,12 +150,23 @@ def _scenario_dir(directory):
     return directory
 
 
+@pytest.fixture
+def no_snapshot_loads(monkeypatch):
+    """Fail the test if recovery reaches a snapshot (writing a
+    directory loads none, so only the resume under test can)."""
+
+    def refuse(directory):
+        raise AssertionError(f"a snapshot of {directory!r} was loaded")
+
+    monkeypatch.setattr(durable, "load_latest_good", refuse)
+
+
 class TestOneFormatTwoDrivers:
     """One tag for every state directory; the begin record's spec key
     (``scenario`` or ``experiment``) says which driver owns it."""
 
     def test_one_format_tag(self, tmp_path):
-        assert JOURNAL_FORMAT == "score-journal/v5"
+        assert JOURNAL_FORMAT == "score-journal/v6"
         for make, key in (
             (_scenario_dir, "scenario"),
             (_service_dir, "experiment"),
@@ -170,20 +182,38 @@ class TestOneFormatTwoDrivers:
         DurableScenarioRun.resume(_scenario_dir(str(tmp_path / "run"))).close()
 
     @pytest.mark.parametrize(
-        "old", ["score-service/v4", "score-service/v3", "score-service/v1"]
+        "old",
+        [
+            "score-journal/v5",
+            "score-service/v4",
+            "score-service/v3",
+            "score-service/v1",
+        ],
     )
-    def test_service_resume_refuses_older_formats(self, tmp_path, old):
-        """A v3 snapshot pickled the dict-and-buckets token; the tag check
-        refuses the directory before any snapshot is unpickled."""
+    def test_service_resume_refuses_older_formats(
+        self, tmp_path, old, no_snapshot_loads
+    ):
+        """Older snapshots pickled layouts no restore path reads (a v3
+        one the dict-and-buckets token, a v5 one possibly a dict-backed
+        allocation or matrix); the tag check refuses the directory
+        before any snapshot is unpickled."""
         directory = _service_dir(str(tmp_path))
         _rewrite_begin_format(directory, old)
         with pytest.raises(RecoveryError, match=old):
             SchedulerService.resume(directory)
 
     @pytest.mark.parametrize(
-        "old", ["score-journal/v4", "score-journal/v3", "score-journal/v1"]
+        "old",
+        [
+            "score-journal/v5",
+            "score-journal/v4",
+            "score-journal/v3",
+            "score-journal/v1",
+        ],
     )
-    def test_scenario_resume_refuses_older_formats(self, tmp_path, old):
+    def test_scenario_resume_refuses_older_formats(
+        self, tmp_path, old, no_snapshot_loads
+    ):
         directory = _scenario_dir(str(tmp_path))
         _rewrite_begin_format(directory, old)
         with pytest.raises(RecoveryError, match=old):

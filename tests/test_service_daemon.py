@@ -140,6 +140,16 @@ class TestIngestionQueue:
         assert len(queue) == 0
         assert queue.stats["dispatched"] == 3
 
+    def test_take_refuses_a_negative_bound(self):
+        queue = IngestionQueue(capacity=8, soft_limit=8)
+        for i in range(3):
+            queue.offer(float(i), Arrival(1))
+        with pytest.raises(ValueError, match="max_n"):
+            queue.take(-1)
+        assert len(queue) == 3
+        assert queue.stats["dispatched"] == 0
+        assert queue.take(0) == []
+
     def test_pickles_with_stats_and_backlog(self):
         queue = IngestionQueue(capacity=8, soft_limit=2)
         queue.offer(1.0, Arrival(1))
@@ -161,6 +171,8 @@ class TestServiceConfig:
             {"deep_validate_every": -1},
             {"persist_deadline_s": 0.0},
             {"max_safe_mode_recoveries": -1},
+            {"max_dispatch_per_round": 0},
+            {"max_dispatch_per_round": -1},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):

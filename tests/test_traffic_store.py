@@ -10,24 +10,17 @@ in.  Pinned here:
 * a direct write to a bound matrix shows as ``in_sync == False`` and the
   next run lands where the engine path lands;
 * every λ write rejects negative, NaN and ±inf rates, as do the events
-  that carry rates;
-* snapshots pickled in the dict-backed layout (a matrix with
-  ``_adjacency``/``_pair_cache``/``_version``, an engine with its own
-  ``_snap`` and pair index) restore in sync and run on decision for
-  decision.
+  that carry rates.
 """
 
 from __future__ import annotations
 
-import copyreg
 import math
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.fastcost import FastCostEngine
-from repro.core.migration import MigrationEngine
 from repro.core.scheduler import SCOREScheduler
 from repro.sim.eventqueue import Arrival, TrafficSurge
 from repro.sim.experiment import (
@@ -35,7 +28,7 @@ from repro.sim.experiment import (
     build_environment,
     make_scheduler,
 )
-from repro.traffic.matrix import TrafficMatrix, TrafficSnapshot
+from repro.traffic.matrix import TrafficMatrix
 
 CONFIG = dict(
     n_racks=4, hosts_per_rack=4, tors_per_agg=2, n_cores=1, vms_per_host=4
@@ -165,111 +158,3 @@ def test_rate_carrying_events_reject_non_finite_values(bad):
         Arrival(2, rate=bad)
     with pytest.raises(ValueError, match="factor must be finite"):
         TrafficSurge(bad)
-
-
-# -- snapshots written before the one store ----------------------------------
-
-
-class _Pickled:
-    """Pickles as ``cls`` with ``state``: what default pickling of an
-    instance whose ``__dict__`` (or slots) is ``state`` writes."""
-
-    def __init__(self, cls, state) -> None:
-        self.cls, self.state = cls, state
-
-    @property
-    def __class__(self):
-        return self.cls
-
-    def __reduce_ex__(self, protocol):
-        return copyreg.__newobj__, (self.cls,), self.state
-
-
-def _dict_backed_matrix(traffic: TrafficMatrix) -> _Pickled:
-    adjacency = {}
-    for u, v, rate in traffic.pairs():
-        adjacency.setdefault(u, {})[v] = rate
-        adjacency.setdefault(v, {})[u] = rate
-    return _Pickled(
-        TrafficMatrix,
-        {"_adjacency": adjacency, "_version": traffic.version, "_pair_cache": None},
-    )
-
-
-def _old_layout(scheduler: SCOREScheduler) -> _Pickled:
-    """The scheduler as the previous layout pickled it: the matrix a
-    dict of dicts, the engine with its own CSR snapshot (own id vector)
-    and pair index beside the sync ledger."""
-    fast, store = scheduler.fastcost, scheduler.traffic.store
-    matrix = _dict_backed_matrix(scheduler.traffic)
-    snapshot = _Pickled(
-        TrafficSnapshot,
-        (None, {
-            name: getattr(store, name).copy()
-            for name in ("vm_ids", "ptr", "peer", "rate", "row", "pair_u",
-                         "pair_v", "pair_rate")
-        }),
-    )
-    engine = _Pickled(
-        FastCostEngine,
-        dict(
-            fast.__getstate__(),
-            _traffic=matrix,
-            _snap=snapshot,
-            _pair_sorted_order=store._pair_sorted_order.copy(),
-            _pair_key_sorted=store._pair_key_sorted.copy(),
-            _csr_key=store.row * store.n_vms + store.peer,
-        ),
-    )
-    migration = _Pickled(
-        MigrationEngine, dict(scheduler._engine.__dict__, _fastcost=engine)
-    )
-    return _Pickled(
-        SCOREScheduler,
-        dict(
-            scheduler.__getstate__(),
-            _traffic=matrix, _fast=engine, _engine=migration,
-        ),
-    )
-
-
-@pytest.mark.parametrize("seed", [5, 6])
-def test_a_scheduler_pickled_in_the_dict_backed_layout_restores(seed):
-    live = scheduler_for(seed)
-    live.run(n_iterations=1)
-    live.apply_traffic_delta(some_delta(live.traffic, seed))
-    assert live.fastcost.in_sync
-    restored = pickle.loads(
-        pickle.dumps(_old_layout(live), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    fast = restored.fastcost
-    assert isinstance(restored.traffic, TrafficMatrix)
-    assert fast.snapshot is restored.traffic.store
-    assert fast.snapshot.vm_ids is restored.allocation.columns()[0]
-    assert fast.in_sync
-    assert "_snap" not in vars(fast) and "_csr_key" not in vars(fast)
-    assert restored.traffic.version == live.traffic.version
-    assert sorted(restored.traffic.pairs()) == sorted(live.traffic.pairs())
-    for name in ("vm_ids", "ptr", "row", "peer", "rate"):
-        assert np.array_equal(
-            getattr(fast.snapshot, name), getattr(live.traffic.store, name)
-        )
-    assert fast.total_cost() == live.fastcost.total_cost()
-    assert "_fastcost" not in vars(restored._engine)
-    ours, theirs = live.run(n_iterations=1), restored.run(n_iterations=1)
-    assert decisions(theirs) == decisions(ours)
-    assert theirs.final_cost == pytest.approx(ours.final_cost, rel=1e-12)
-    assert restored.allocation.as_dict() == live.allocation.as_dict()
-
-
-def test_a_matrix_pickled_before_its_first_index_use_restores():
-    """A bulk-built matrix of the old layout held only its pair arrays."""
-    us, vs, rates = np.array([1, 1, 4]), np.array([2, 9, 7]), np.array([3.0, 0.5, 2.0])
-    old = _Pickled(
-        TrafficMatrix,
-        {"_adjacency": None, "_version": 1, "_pair_cache": (us, vs, rates, 1)},
-    )
-    restored = pickle.loads(pickle.dumps(old))
-    assert list(restored.pairs()) == [(1, 2, 3.0), (1, 9, 0.5), (4, 7, 2.0)]
-    assert restored.version == 1
-    assert restored.peers_of(1) == {2, 9}
