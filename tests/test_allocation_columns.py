@@ -12,9 +12,11 @@ that accumulated in another order than one-by-one placement would show.
 Every rejected batch must raise the model's error type and leave the
 state untouched.
 
-The rest pins what a pickle round trip owes the current layout: a
-restored scheduler re-scores without changing its trajectory, and a
-paper-scale allocation pickles without a single ``VM``.
+The rest pins what a pickle round trip owes the current layout:
+allocations, managers, clusters, servers and engines restore what
+their pickles drop and run on, a restored scheduler re-scores without
+changing its trajectory, and a paper-scale allocation pickles without
+a single ``VM``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from hypothesis.stateful import (
 )
 
 from repro import CanonicalTree, Cluster, ServerCapacity
+from repro.cluster import Server
 from repro.cluster.allocation import Allocation, CapacityError
+from repro.cluster.manager import PlacementManager
 from repro.cluster.vm import VM
 from repro.sim.experiment import (
     ExperimentConfig,
@@ -365,6 +369,83 @@ TestAllocationMachine.settings = settings(
 
 
 # -- pickling -----------------------------------------------------------------
+
+
+def _reload(obj):
+    return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def test_a_restored_allocation_rebuilds_its_members_from_the_columns():
+    allocation = Allocation(small_cluster())
+    allocation.add_vms(
+        [VM(v, 512, cpu) for v, cpu in zip((9, 3, 5, 7), CPUS)], [1, 1, 4, 6]
+    )
+    allocation.migrate_many([(3, 2), (5, 1)])
+    assert set(allocation.__getstate__()) == set(Allocation._OF_RECORD)
+    restored = _reload(allocation)
+    assert allocation_state(restored) == allocation_state(allocation)
+    assert restored._used_cpu.tolist() == allocation._used_cpu.tolist()
+    restored.validate()
+    restored.add_vm(VM(11, 256, 0.3), 1)
+    assert restored.vms_on(1) == {9, 5, 11}
+
+
+def test_a_restored_manager_issues_on_from_its_runs():
+    manager = PlacementManager(small_cluster())
+    vms = manager.create_vms(3, ram_mb=256, cpu=0.5)
+    restored = _reload(manager)
+    assert restored.issued_vms() == vms
+    assert [vm.ram_mb for vm in restored.issued_vms()] == [256] * 3
+    assert restored.create_vm().vm_id == 4
+
+
+def test_a_restored_cluster_resizes_its_rebuilt_capacity_arrays():
+    cluster = small_cluster()
+    cluster.capacity_arrays()  # the cached read-only views stay behind
+    restored = _reload(cluster)
+    assert "_capacity_arrays" not in vars(restored)
+    restored.set_host_capacity(3, ServerCapacity(max_vms=0))
+    assert restored.capacity_arrays()[0].tolist() == [4, 4, 4, 0, 4, 4, 4, 4]
+    assert restored.total_vm_slots == 28
+
+
+def test_a_restored_server_holds_its_host_and_capacity_only():
+    capacity = ServerCapacity(max_vms=3, ram_mb=2048, cpu=2.0)
+    restored = _reload(Server(5, capacity))
+    assert (restored.host, restored.capacity) == (5, capacity)
+    assert set(vars(restored)) == {"_host", "_capacity"}
+
+
+def test_a_restored_engine_reads_the_allocation_columns_and_runs_on():
+    """An engine pickles its state of record only; restored, it binds the
+    cluster's capacity views and scores and migrates as the live one."""
+    scheduler = _scheduler(seed=4)
+    scheduler.run(n_iterations=1)
+    fast = scheduler.fastcost
+    allocation = scheduler.allocation
+    restored = _reload(fast)
+    assert set(restored.__getstate__()) == set(type(fast)._OF_RECORD)
+    assert restored._round_cache is None
+    assert restored._slot_cap is restored.allocation.cluster.capacity_arrays()[0]
+    assert restored.snapshot is restored.traffic.store
+    assert restored.in_sync
+    assert restored.total_cost() == fast.total_cost()
+    ids = allocation.columns()[0]
+    every = np.arange(len(ids))
+    ours, theirs = fast.candidate_batch(every), restored.candidate_batch(every)
+    assert np.array_equal(ours.host, theirs.host)
+    assert np.array_equal(ours.delta, theirs.delta)
+    vm_id = int(ids[0])
+    target = next(
+        h for h in range(allocation.cluster.n_servers)
+        if h != allocation.server_of(vm_id)
+        and allocation.can_host(h, allocation.vm(vm_id))
+    )
+    assert restored.apply_migration(vm_id, target) == fast.apply_migration(
+        vm_id, target
+    )
+    assert restored.allocation.as_dict() == allocation.as_dict()
+    assert restored.total_cost() == fast.total_cost()
 
 
 def _scheduler(seed=3):

@@ -198,6 +198,21 @@ def test_a_sharded_scheduler_survives_a_pickle_round_trip():
     assert list(got.decisions) == list(want.decisions)
 
 
+def test_a_scheduler_pickled_before_it_ran_restores_bound():
+    """Every state directory's bootstrap generation pickles a scheduler
+    that never ran; it restores with its engine bound and runs exactly
+    as a twin that was never pickled."""
+    want = make_scheduler(build_environment(SMALL)).run(n_iterations=1)
+    restored = pickle.loads(
+        pickle.dumps(make_scheduler(build_environment(SMALL)))
+    )
+    _assert_bound(restored)
+    got = restored.run(n_iterations=1)
+    assert got.iterations[0].waves > 0
+    assert got.final_cost == want.final_cost
+    assert list(got.decisions) == list(want.decisions)
+
+
 def _assert_bound(scheduler):
     """The scheduler's engine binds its own allocation and matrix and
     agrees with them."""

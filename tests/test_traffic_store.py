@@ -10,12 +10,15 @@ in.  Pinned here:
 * a direct write to a bound matrix shows as ``in_sync == False`` and the
   next run lands where the engine path lands;
 * every λ write rejects negative, NaN and ±inf rates, as do the events
-  that carry rates.
+  that carry rates;
+* a pickled scheduler restores with one store shared by matrix and
+  engine, in sync, and runs on decision for decision.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -158,3 +161,36 @@ def test_rate_carrying_events_reject_non_finite_values(bad):
         Arrival(2, rate=bad)
     with pytest.raises(ValueError, match="factor must be finite"):
         TrafficSurge(bad)
+
+
+# -- pickling -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_a_pickled_scheduler_restores_with_one_store(seed):
+    live = scheduler_for(seed)
+    live.run(n_iterations=1)
+    live.apply_traffic_delta(some_delta(live.traffic, seed))
+    assert live.fastcost.in_sync
+    restored = pickle.loads(
+        pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    fast = restored.fastcost
+    assert fast.snapshot is restored.traffic.store
+    assert fast.snapshot.vm_ids is restored.allocation.columns()[0]
+    assert fast.in_sync
+    assert restored.traffic.version == live.traffic.version
+    assert sorted(restored.traffic.pairs()) == sorted(live.traffic.pairs())
+    assert fast.total_cost() == live.fastcost.total_cost()
+    ours, theirs = live.run(n_iterations=1), restored.run(n_iterations=1)
+    assert decisions(theirs) == decisions(ours)
+    assert theirs.final_cost == pytest.approx(ours.final_cost, rel=1e-12)
+    assert restored.allocation.as_dict() == live.allocation.as_dict()
+
+
+def test_a_matrix_pickled_before_its_first_index_use_restores():
+    matrix = TrafficMatrix.from_pairs([(1, 2, 3.0), (1, 9, 0.5), (4, 7, 2.0)])
+    restored = pickle.loads(pickle.dumps(matrix))
+    assert list(restored.pairs()) == [(1, 2, 3.0), (1, 9, 0.5), (4, 7, 2.0)]
+    assert restored.version == matrix.version
+    assert restored.peers_of(1) == {2, 9}
