@@ -202,7 +202,7 @@ class RemedyController:
             target = self._best_balancing_target(vm_id, before_max)
             if target is not None:
                 source = allocation.server_of(vm_id)
-                allocation.migrate(vm_id, target)
+                allocation.migrate_many([(vm_id, target)])
                 return (vm_id, source, target)
         return None
 
@@ -236,7 +236,7 @@ class RemedyController:
         best_peak = before_max
         for host in candidates:
             trial = allocation.copy()
-            trial.migrate(vm_id, host)
+            trial.migrate_many([(vm_id, host)])
             peak = self._calculator.max_utilization(trial, traffic)
             if peak < best_peak - 1e-12:
                 best_peak = peak

@@ -35,6 +35,7 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.baselines.ga import GAConfig, GeneticOptimizer
+from repro.persist.durable import RecoveryError
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
@@ -518,10 +519,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A state directory that ``serve --resume`` or ``scenario
+    --recover-from`` cannot recover (an older format tag, the other
+    driver's directory, no ``begin`` record, a diverged replay) is one
+    ``error:`` line on stderr and exit code 1, not a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecoveryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ State is columnar: the placed VM ids ascending, with their host, RAM and
 CPU in aligned columns; per-host slot/RAM/CPU usage arrays; and a per-host
 membership table (row ``h`` lists the ids on ``h`` in its first
 ``used_slots[h]`` cells, ``-1`` after) so ``vms_on`` stays O(slots).
-:class:`VM` objects are built on read.  Every batch mutation is a handful
-of array ops; a single migration is a few scalar writes, and a single
-arrival or departure a one-element batch.  Per-host CPU usage accumulates
+:class:`VM` objects are built on read.  Every mutation is a batch of a
+handful of array ops: a single migration is a one-move
+:meth:`~Allocation.migrate_many` wave, and a single arrival or departure
+a one-element batch.  Per-host CPU usage accumulates
 element by element in operation order (``ufunc.at``), so its float bits —
 and every ``free_cpu`` comparison — do not depend on how the operations
 were batched.
@@ -190,14 +191,16 @@ class Allocation:
 
     def can_host(self, host: int, vm: VM) -> bool:
         """Whether ``host`` has slot/RAM/CPU headroom for ``vm``."""
-        return self._fits(host, vm.ram_mb, vm.cpu)
+        return bool(self.fits(vm, host))
 
-    def _fits(self, host: int, ram_mb: int, cpu: float) -> bool:
+    def fits(self, vm: VM, hosts=slice(None)) -> np.ndarray:
+        """Whether each host of ``hosts`` (an index into the host axis;
+        every host by default) has slot/RAM/CPU headroom for ``vm``."""
         cap_slots, cap_ram, cap_cpu, _nic = self._cluster.capacity_arrays()
-        return bool(
-            cap_slots[host] - self._used_slots[host] >= 1
-            and cap_ram[host] - self._used_ram[host] >= ram_mb
-            and cap_cpu[host] - self._used_cpu[host] >= cpu
+        return (
+            (cap_slots[hosts] - self._used_slots[hosts] >= 1)
+            & (cap_ram[hosts] - self._used_ram[hosts] >= vm.ram_mb)
+            & (cap_cpu[hosts] - self._used_cpu[hosts] >= vm.cpu)
         )
 
     def set_host_capacity(
@@ -402,45 +405,6 @@ class Allocation:
         self._cpu = self._cpu[keep]
         self._version += 1
 
-    def migrate(self, vm_id: int, target_host: int) -> None:
-        """Move a VM to ``target_host`` (the paper's ``u -> x``).
-
-        Raises :class:`CapacityError` when the target lacks headroom; a
-        migration to the current host is a no-op.  Scalar updates, in
-        :meth:`migrate_many`'s order (source, then target), so the usage
-        bits match a one-move wave's.
-        """
-        i = self._at(vm_id)
-        source = int(self._host[i])
-        target = int(target_host)
-        if source == target:
-            return
-        ram = int(self._ram[i])
-        cpu = float(self._cpu[i])
-        if not self._fits(target, ram, cpu):
-            raise CapacityError(
-                f"migration of VM {vm_id} to host {target} rejected: "
-                f"{self._headroom(target)}"
-            )
-        row = self._members[source]
-        n = int(self._used_slots[source])
-        col = row[:n].tolist().index(vm_id)
-        row[col:n - 1] = row[col + 1:n]
-        row[n - 1] = -1
-        m = int(self._used_slots[target])
-        if m == self._members.shape[1]:
-            pad = np.full((len(self._members), 1), -1, dtype=np.int64)
-            self._members = np.concatenate((self._members, pad), axis=1)
-        self._members[target, m] = vm_id
-        self._host[i] = target
-        self._used_slots[source] -= 1
-        self._used_slots[target] += 1
-        self._used_ram[source] -= ram
-        self._used_ram[target] += ram
-        self._used_cpu[source] -= cpu
-        self._used_cpu[target] += cpu
-        self._version += 1
-
     def migrate_many(self, moves: Iterable[tuple]) -> None:
         """Apply one wave of migrations as a batch: validate all, then move.
 
@@ -451,8 +415,9 @@ class Allocation:
         leaves the allocation untouched.  The pre-check treats moves as
         independent, which is sound when target hosts are pairwise
         distinct — the contract of the wave planner that produces these
-        batches (``repro.core.migration.plan_wave``).  Moves to a VM's
-        current host are no-ops.
+        batches (``repro.core.migration.plan_wave``), and of a wave of
+        one, which is how a single VM moves.  Moves to a VM's current
+        host are no-ops.
         """
         if not isinstance(moves, np.ndarray):
             moves = list(moves)

@@ -249,10 +249,11 @@ class FastCostEngine:
     usage are read from the allocation's columns and λ from the matrix's
     store on every use, never copied.  What the engine owns is the Eq. 2
     total and §V-C egress caches.  Its mutators make the bound objects
-    write themselves — :meth:`apply_migration`/:meth:`apply_moves` for
-    moves (the scheduler and
+    write themselves — :meth:`apply_moves` for moves (the round engine's
+    waves; a drain move or a
     :meth:`repro.core.migration.MigrationEngine.decide_and_migrate`
-    route them here), :meth:`add_vms`/:meth:`remove_vms` for tenant churn,
+    decision is a wave of one), :meth:`add_vms`/:meth:`remove_vms` for
+    tenant churn,
     :meth:`apply_traffic_delta` for λ — and shift the caches.  A writer
     that bypasses them leaves the caches stale until :meth:`rebuild`; the
     engine tracks the bound objects' version counters (:attr:`in_sync`),
@@ -412,12 +413,14 @@ class FastCostEngine:
         if self._round_cache is not None:
             self._round_cache.flush()
 
-    def _movers_footprint(self, movers: np.ndarray) -> np.ndarray:
+    def _movers_footprint(
+        self, movers: np.ndarray, peers: np.ndarray
+    ) -> np.ndarray:
         """Dense owners whose scored rows a batch of moves makes stale:
-        the movers themselves plus every communication peer of a mover."""
+        the movers themselves plus ``peers``, every communication peer of
+        a mover."""
         snap = self._snap
-        _cum, _owner, entry = snap.edges(movers)
-        candidates = np.concatenate((movers, snap.peer[entry]))
+        candidates = np.concatenate((movers, peers))
         # Sorted-unique either way; the dense bitmap only pays off when
         # the footprint is a sizable fraction of the snapshot.
         if len(candidates) * 8 < snap.n_vms:
@@ -498,7 +501,7 @@ class FastCostEngine:
         Compares the version counters recorded at the last rebuild or
         incremental update against the bound allocation and traffic
         matrix.  ``False`` means some writer bypassed the engine's update
-        path (direct ``allocation.migrate``, a direct write to the bound
+        path (direct ``allocation.migrate_many``, a direct write to the bound
         matrix);
         the scheduler then falls back to a full :meth:`rebuild`.  Until
         it does, the Eq. 2 and egress caches are stale.
@@ -1032,18 +1035,20 @@ class FastCostEngine:
 
     def _move_terms(self, movers: np.ndarray, targets: np.ndarray):
         """Per-edge terms of moving ``movers`` onto ``targets``:
-        ``(owner, rates, level before, level after, per-move deltas)``."""
+        ``(owner, peer, rates, level before, level after, per-move
+        deltas)``."""
         snap = self._snap
         _cum, owner, edge = snap.edges(movers)
         host_of = self._host_of
-        peer_host = host_of[snap.peer[edge]]
+        peers = snap.peer[edge]
+        peer_host = host_of[peers]
         rates = snap.rate[edge]
         before = pair_levels(
             host_of[movers][owner], peer_host, self._rack_of, self._pod_of
         )
         after = pair_levels(targets[owner], peer_host, self._rack_of, self._pod_of)
         contrib = rates * (self._path_weight[before] - self._path_weight[after])
-        return owner, rates, before, after, _weighted_bincount(
+        return owner, peers, rates, before, after, _weighted_bincount(
             owner, contrib, len(movers)
         )
 
@@ -1057,7 +1062,10 @@ class FastCostEngine:
         pairwise-disjoint source/target hosts and no mover being another
         mover's communication peer — under which every move's Lemma 3
         terms are independent and the wave equals applying the moves one
-        by one in any order.  The sources and Lemma 3 terms are taken
+        by one in any order; a single move (a drain move, a per-hold
+        decision) is a wave of one.  A move onto the mover's current host
+        is dropped, as ``Allocation.migrate_many`` drops it: no write, no
+        invalidation, delta 0.  The sources and Lemma 3 terms are taken
         first; then ``Allocation.migrate_many`` moves the VMs, validating
         the whole wave before any write, so a :class:`CapacityError`
         leaves the allocation and the engine untouched.  Returns
@@ -1068,9 +1076,17 @@ class FastCostEngine:
         """
         movers = np.asarray(dense_vms, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
-        n_moves = len(movers)
         sources = self._host_of[movers]
-        owner, rates, before, after, deltas = self._move_terms(movers, targets)
+        stays = sources == targets
+        if stays.any():
+            deltas = np.zeros(len(movers))
+            moves = ~stays
+            deltas[moves], touched = self.apply_moves(movers[moves], targets[moves])
+            return deltas, touched
+        n_moves = len(movers)
+        owner, peers, rates, before, after, deltas = self._move_terms(
+            movers, targets
+        )
         total_e = len(owner)
         if total_e:
             colocated_src = _weighted_bincount(owner, rates * (before == 0), n_moves)
@@ -1088,77 +1104,11 @@ class FastCostEngine:
             self._egress[targets] += (move_rate - colocated_tgt) - colocated_tgt
         touched = TouchedSet(
             hosts=np.unique(np.concatenate((sources, targets))),
-            owners=self._movers_footprint(movers),
+            owners=self._movers_footprint(movers, peers),
         )
         if n_moves:
             self._invalidate_owners(touched.owners)
         return deltas, touched
-
-    def apply_migration(self, vm_u: int, target_host: int) -> float:
-        """Move ``vm_u`` to ``target_host``: allocation and caches.
-
-        O(peers of u): the Lemma 3 terms are taken first, then
-        ``Allocation.migrate`` moves the VM (a :class:`CapacityError`
-        leaves everything untouched), then the network-wide total and the
-        §V-C egress are adjusted.  Returns the applied delta (positive =
-        reduction).
-        """
-        dense = self._dense(vm_u)
-        host_of = self._host_of
-        source = int(host_of[dense])
-        target = int(target_host)
-        if source == target:
-            return 0.0
-        peers, rates = self._snap.peers_slice(dense)
-        delta = 0.0
-        if peers.size:
-            peer_hosts = host_of[peers]
-            before = pair_levels(
-                np.full(peers.shape, source, dtype=np.int64),
-                peer_hosts,
-                self._rack_of,
-                self._pod_of,
-            )
-            after = pair_levels(
-                np.full(peers.shape, target, dtype=np.int64),
-                peer_hosts,
-                self._rack_of,
-                self._pod_of,
-            )
-            contrib = rates * (
-                self._path_weight[before] - self._path_weight[after]
-            )
-            delta = float(contrib.sum())
-            colocated_source = rates[before == 0].sum()
-            colocated_target = rates[after == 0].sum()
-            total_rate = rates.sum()
-        self._write(self._allocation.migrate, int(vm_u), target)
-        if peers.size:
-            self._total -= delta
-            # Egress (§V-C): u's flows leave the source NIC and land on the
-            # target's; peers co-located with either endpoint flip between
-            # intra-host and NIC-crossing on their own host.
-            self._egress[source] += colocated_source - (
-                total_rate - colocated_source
-            )
-            self._egress[target] += (total_rate - colocated_target) - (
-                colocated_target
-            )
-        self._invalidate_owners(
-            self._movers_footprint(np.array([dense], dtype=np.int64))
-        )
-        return delta
-
-    # -- internals ----------------------------------------------------------
-
-    def _dense(self, vm_u: int) -> int:
-        table = self._snap.vm_ids
-        pos = int(np.searchsorted(table, vm_u))
-        if pos == len(table) or table[pos] != vm_u:
-            raise KeyError(
-                f"VM {vm_u} is not in the engine's snapshot; call rebuild()"
-            )
-        return pos
 
     def __repr__(self) -> str:
         return (

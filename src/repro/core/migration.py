@@ -297,10 +297,10 @@ class MigrationEngine:
     def decide_and_migrate(
         self, fast: FastCostEngine, vm_u: int
     ) -> MigrationDecision:
-        """Evaluate VM u on ``fast`` and move it through the engine when
-        Theorem 1 holds."""
+        """Evaluate VM u on ``fast`` and move it through the engine, as a
+        wave of one, when Theorem 1 holds."""
         decision = self.evaluate(fast, vm_u)
         if decision.target_host is None:
             return decision
-        fast.apply_migration(vm_u, decision.target_host)
+        fast.apply_moves(fast.dense_indices([vm_u]), [decision.target_host])
         return decision._replace(migrated=True, reason="migrated")

@@ -20,7 +20,7 @@ feasibility is re-probed from the allocation's live usage at every use.
 :class:`RoundScoreCache` keeps one scored candidate CSR over the whole
 VM population, owned by the :class:`~repro.core.fastcost.FastCostEngine`
 and invalidated through the engine's mutation paths
-(``apply_moves``/``apply_migration`` via each move's
+(``apply_moves`` via each move's
 :class:`~repro.core.fastcost.TouchedSet`, ``apply_traffic_delta`` for λ
 changes, ``add_vms``/``remove_vms`` flush on dense-index remaps).  At
 every round start :meth:`refresh` re-scores *only the dirty owners* —

@@ -29,7 +29,7 @@ from repro.core.cost import CostModel
 from repro.core.fastcost import FastCostEngine, TrafficSnapshot
 from repro.core.migration import MigrationEngine
 from repro.core.mutation import (
-    Admit, Capacity, Migrate, Mutation, Retire, Stack, Threshold, TrafficDelta,
+    Admit, Capacity, Migrate, Retire, Threshold, TrafficDelta,
 )
 from repro.core.policies import TokenPolicy
 from repro.core.rounds import BatchedRoundEngine, DecisionColumns
@@ -567,13 +567,45 @@ class SCOREScheduler:
         """
         self._close_shard_fleet()
 
-    def _apply(self, *mutations: Mutation):
-        """Write mutations to this scheduler's stack, then retire a live
-        fleet (it no longer mirrors the global state).  Returns the last
-        one's result."""
-        stack = Stack(self._fast, self._engine, self._token)
+    def _apply(self, *mutations):
+        """Write :mod:`repro.core.mutation` records to the live state, one
+        arm per kind, then retire a live fleet (it no longer mirrors the
+        global state).  A refused change raises before any write of its
+        own.  Returns the last one's result."""
+        fast, token = self._fast, self._token
         for mutation in mutations:
-            result = mutation.apply(stack)
+            result = None
+            if isinstance(mutation, TrafficDelta):
+                # One λ write through the engine, which splices the store
+                # it binds and shifts its caches (a VM it does not place
+                # raises KeyError first); counts the pair changes.
+                result = fast.apply_traffic_delta(
+                    (mutation.us, mutation.vs, mutation.rates)
+                )
+            elif isinstance(mutation, Admit):
+                # The allocation validates the whole batch before placing.
+                fast.add_vms(mutation.vms, mutation.hosts)
+                for vm in mutation.vms:
+                    token.add_vm(vm.vm_id)
+            elif isinstance(mutation, Retire):
+                fast.remove_vms(mutation.vm_ids)
+                for vm_id in mutation.vm_ids:
+                    token.remove_vm(vm_id)
+            elif isinstance(mutation, Capacity):
+                self._allocation.set_host_capacity(
+                    mutation.host, max_vms=mutation.max_vms,
+                    nic_bps=mutation.nic_bps, ram_mb=mutation.ram_mb,
+                    cpu=mutation.cpu,
+                )
+            elif isinstance(mutation, Threshold):
+                self._engine.set_bandwidth_threshold(mutation.threshold)
+            elif isinstance(mutation, Migrate):
+                # A single move is a wave of one.
+                fast.apply_moves(
+                    fast.dense_indices([mutation.vm_id]), [mutation.target]
+                )
+            else:
+                raise TypeError(f"not a mutation record: {mutation!r}")
         self._retire_shard_fleet()
         return result
 
@@ -757,23 +789,28 @@ class SCOREScheduler:
         """
         drained = set(int(h) for h in hosts)
         topology = self._allocation.topology
+        # The probe order depends on the drained host's rack only.
+        probe_orders = {}
         moves: List[Tuple[int, int]] = []
         for host in sorted(drained):
-            candidates = [
-                h
-                for h in locality_probe_order(topology, topology.rack_of(host))
-                if h not in drained
-            ]
-            for vm_id in sorted(self._allocation.vms_on(host)):
-                vm = self._allocation.vm(vm_id)
-                target = next(
-                    (h for h in candidates if self._allocation.can_host(h, vm)),
-                    None,
+            rack = topology.rack_of(host)
+            candidates = probe_orders.get(rack)
+            if candidates is None:
+                order = np.asarray(
+                    locality_probe_order(topology, rack), dtype=np.int64
                 )
-                if target is None:
+                candidates = probe_orders[rack] = order[
+                    ~np.isin(order, list(drained))
+                ]
+            for vm_id in sorted(self._allocation.vms_on(host)):
+                fit = self._allocation.fits(self._allocation.vm(vm_id))[
+                    candidates
+                ]
+                if not fit.any():
                     raise CapacityError(
                         f"drain failed: no feasible host for VM {vm_id}"
                     )
+                target = int(candidates[np.argmax(fit)])
                 self._apply(Migrate(vm_id, target))
                 moves.append((vm_id, target))
         if offline:

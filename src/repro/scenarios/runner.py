@@ -432,7 +432,7 @@ class DurableScenarioRun(DurableCore):
         scheduler = self._scheduler
         t0 = time.perf_counter()
         arrivals, departures, drained = self._churn.apply(
-            self._epoch, self._environment, scheduler
+            self._epoch, self._runner
         )
         if self._epoch > 0 and self._drift is not None:
             delta = self._drift.step_delta()

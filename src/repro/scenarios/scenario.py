@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from repro.cluster.allocation import CapacityError
-from repro.cluster.placement import place_arrivals
-from repro.sim.experiment import Environment, ExperimentConfig
+from repro.sim.eventqueue import Arrival
+from repro.sim.experiment import ExperimentConfig
 from repro.traffic.temporal import (
     DiurnalDriftProcess,
     HotspotDriftProcess,
@@ -162,8 +161,10 @@ class ChurnProcess:
     """Base churn process: applies population changes through the
     scheduler's incremental churn APIs.  The base class is inert."""
 
-    def apply(self, epoch: int, environment: Environment, scheduler) -> Tuple[int, int, int]:
-        """Apply this epoch's churn; returns (arrivals, departures, drained)."""
+    def apply(self, epoch: int, runner) -> Tuple[int, int, int]:
+        """Apply this epoch's churn through ``runner`` (the run's
+        :class:`~repro.sim.eventqueue.EventQueueRunner`); returns
+        (arrivals, departures, drained)."""
         return (0, 0, 0)
 
 
@@ -174,44 +175,19 @@ class FlashCrowdChurn(ChurnProcess):
         self._spec = spec
         self._crowd: List[int] = []
 
-    def apply(self, epoch: int, environment: Environment, scheduler) -> Tuple[int, int, int]:
+    def apply(self, epoch: int, runner) -> Tuple[int, int, int]:
         spec = self._spec
         if epoch == spec.start_epoch:
-            allocation = environment.allocation
-            matrix = environment.traffic
-            # The crowd targets the hottest existing VM (deterministic:
-            # heaviest aggregate load, lowest id on ties).
-            seed_vm = max(
-                allocation.vm_ids(),
-                key=lambda v: (matrix.vm_load(v), -v),
-            )
-            rack = allocation.topology.rack_of(allocation.server_of(seed_vm))
-            free = (
-                environment.cluster.total_vm_slots - allocation.n_vms
-            )
-            size = min(spec.crowd_size, max(0, free))
-            if size == 0:
+            # The crowd is one arrival: placed near the hottest existing
+            # VM's rack and wired to it.
+            arrival = Arrival(spec.crowd_size, rate=spec.crowd_rate)
+            if not arrival.apply(runner, runner.scheduler.clock):
                 return (0, 0, 0)
-            config = environment.config
-            vms = environment.manager.create_vms(
-                size, ram_mb=config.vm_ram_mb, cpu=config.vm_cpu
-            )
-            try:
-                hosts = place_arrivals(allocation, vms, preferred_rack=rack)
-            except CapacityError:
-                return (0, 0, 0)
-            scheduler.admit_vms(vms, hosts)
-            delta = [(vm.vm_id, seed_vm, spec.crowd_rate) for vm in vms]
-            delta += [
-                (vms[i].vm_id, vms[i + 1].vm_id, spec.crowd_rate / 4.0)
-                for i in range(len(vms) - 1)
-            ]
-            scheduler.apply_traffic_delta(delta)
-            self._crowd = [vm.vm_id for vm in vms]
-            return (size, 0, 0)
+            self._crowd = list(arrival.admitted)
+            return (len(self._crowd), 0, 0)
         if self._crowd and epoch == spec.start_epoch + spec.duration:
             departed = len(self._crowd)
-            scheduler.retire_vms(self._crowd)
+            runner.scheduler.retire_vms(self._crowd)
             self._crowd = []
             return (0, departed, 0)
         return (0, 0, 0)
@@ -230,10 +206,11 @@ class RollingDrainChurn(ChurnProcess):
         self._spec = spec
         self._offline_rack: Optional[int] = None
 
-    def apply(self, epoch: int, environment: Environment, scheduler) -> Tuple[int, int, int]:
+    def apply(self, epoch: int, runner) -> Tuple[int, int, int]:
         if epoch < self._spec.start_epoch:
             return (0, 0, 0)
-        topology = environment.topology
+        scheduler = runner.scheduler
+        topology = runner.environment.topology
         if self._offline_rack is not None:
             scheduler.restore_hosts(
                 topology.hosts_in_rack(self._offline_rack)

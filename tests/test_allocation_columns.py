@@ -249,17 +249,9 @@ class AllocationMachine(RuleBasedStateMachine):
         assert self.allocation.remove_vm(vm_id) == VM(vm_id, ram, cpu)
 
     @precondition(lambda self: self.model.vms)
-    @rule(data=st.data(), host=st.integers(0, N_HOSTS - 1))
-    def migrate(self, data, host):
-        vm_id = self.placed(data, 1)[0]
-        self.both(
-            lambda: self.allocation.migrate(vm_id, host),
-            lambda: self.model.migrate_many([(vm_id, host)], self.cluster),
-        )
-
-    @precondition(lambda self: self.model.vms)
     @rule(data=st.data())
     def migrate_many(self, data):
+        # A single move is a wave of one (``placed`` draws at least one).
         ids = list(dict.fromkeys(self.placed(data, 5)))
         # Pairwise distinct targets: the wave planner's contract, under
         # which checking each move on its own is exact.
@@ -294,7 +286,7 @@ class AllocationMachine(RuleBasedStateMachine):
             vm_id = min(self.model.vms)
             free = [h for h in range(N_HOSTS) if clone.can_host(h, clone.vm(vm_id))]
             if free:
-                clone.migrate(vm_id, free[-1])
+                clone.migrate_many([(vm_id, free[-1])])
         assert allocation_state(self.allocation) == original
         self.allocation = self.allocation.copy()
         self.model.version = 0
@@ -441,9 +433,9 @@ def test_a_restored_engine_reads_the_allocation_columns_and_runs_on():
         if h != allocation.server_of(vm_id)
         and allocation.can_host(h, allocation.vm(vm_id))
     )
-    assert restored.apply_migration(vm_id, target) == fast.apply_migration(
-        vm_id, target
-    )
+    ours, _ = fast.apply_moves(fast.dense_indices([vm_id]), [target])
+    theirs, _ = restored.apply_moves(restored.dense_indices([vm_id]), [target])
+    assert np.array_equal(theirs, ours)
     assert restored.allocation.as_dict() == allocation.as_dict()
     assert restored.total_cost() == fast.total_cost()
 

@@ -1,8 +1,37 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.persist.journal import JOURNAL_NAME, _canonical, _crc
+
+
+def _restamp_begin(directory, tag):
+    """Re-stamp the journal's begin record (valid CRC) with format ``tag``."""
+    path = os.path.join(directory, JOURNAL_NAME)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        body = json.loads(line)
+        if body["kind"] == "begin":
+            body.pop("crc")
+            body["data"]["format"] = tag
+            lines[i] = _canonical({**body, "crc": _crc(body)})
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines) + b"\n")
+
+
+def _refused(capsys, argv):
+    """Run a refused resume; returns its one ``error:`` line."""
+    assert main(argv) != 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    return errors[0]
 
 
 class TestParser:
@@ -174,6 +203,38 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "recovered from: snapshot-" in out
         assert "(0 live)" in out
+
+    def test_resume_of_an_older_format_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        where = str(tmp_path / "svc")
+        assert main(
+            ["serve", "--state-dir", where, "--scale", "toy", "--rounds", "1"]
+        ) == 0
+        capsys.readouterr()
+        _restamp_begin(where, "score-journal/v5")
+        line = _refused(capsys, ["serve", "--state-dir", where, "--resume"])
+        assert "score-journal/v5" in line
+
+    def test_resume_of_a_scenario_directory_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        where = str(tmp_path / "run")
+        assert main(
+            ["scenario", "steady", "--scale", "toy", "--epochs", "1",
+             "--iterations-per-epoch", "1", "--checkpoint-dir", where]
+        ) == 0
+        capsys.readouterr()
+        line = _refused(capsys, ["serve", "--state-dir", where, "--resume"])
+        assert "SchedulerService" in line
+        # And the other way round: a service directory is no scenario run.
+        served = str(tmp_path / "svc")
+        assert main(
+            ["serve", "--state-dir", served, "--scale", "toy", "--rounds", "1"]
+        ) == 0
+        capsys.readouterr()
+        line = _refused(capsys, ["scenario", "--recover-from", served])
+        assert "DurableScenarioRun" in line
 
     def test_serve_from_jsonl_file(self, tmp_path, capsys):
         feed = tmp_path / "events.jsonl"

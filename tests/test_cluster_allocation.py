@@ -60,14 +60,14 @@ class TestPlacement:
 class TestMigration:
     def test_migrate_moves_vm(self, allocation):
         allocation.add_vm(vm(1), 0)
-        allocation.migrate(1, 5)
+        allocation.migrate_many([(1, 5)])
         assert allocation.server_of(1) == 5
         assert allocation.vms_on(0) == frozenset()
         assert allocation.vms_on(5) == frozenset({1})
 
     def test_migrate_to_self_is_noop(self, allocation):
         allocation.add_vm(vm(1), 0)
-        allocation.migrate(1, 0)
+        allocation.migrate_many([(1, 0)])
         assert allocation.server_of(1) == 0
 
     def test_migrate_respects_capacity(self, allocation):
@@ -75,7 +75,7 @@ class TestMigration:
         allocation.add_vm(vm(2), 1)
         allocation.add_vm(vm(3), 1)
         with pytest.raises(CapacityError):
-            allocation.migrate(1, 1)
+            allocation.migrate_many([(1, 1)])
         # Failed migration must not corrupt state.
         assert allocation.server_of(1) == 0
         allocation.validate()
@@ -83,7 +83,7 @@ class TestMigration:
     def test_accounting_after_migrations(self, allocation):
         allocation.add_vm(vm(1, ram=512), 0)
         allocation.add_vm(vm(2, ram=512), 0)
-        allocation.migrate(1, 2)
+        allocation.migrate_many([(1, 2)])
         assert allocation.free_ram_mb(0) == 2048 - 512
         assert allocation.free_ram_mb(2) == 2048 - 512
         allocation.validate()
@@ -148,7 +148,7 @@ class TestCopyAndMappings:
     def test_copy_is_independent(self, allocation):
         allocation.add_vm(vm(1), 0)
         clone = allocation.copy()
-        clone.migrate(1, 4)
+        clone.migrate_many([(1, 4)])
         assert allocation.server_of(1) == 0
         assert clone.server_of(1) == 4
         allocation.validate()
@@ -225,9 +225,9 @@ class TestVersionCounter:
         v0 = allocation.version
         allocation.add_vms([vm(1), vm(2)], [0, 1])
         assert allocation.version == v0 + 1
-        allocation.migrate(1, 4)
+        allocation.migrate_many([(1, 4)])
         assert allocation.version == v0 + 2
-        allocation.migrate(1, 4)  # no-op migration: no bump
+        allocation.migrate_many([(1, 4)])  # no-op migration: no bump
         assert allocation.version == v0 + 2
         allocation.migrate_many([(1, 5), (2, 6)])
         assert allocation.version == v0 + 3

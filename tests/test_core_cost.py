@@ -127,7 +127,7 @@ class TestMigrationDelta:
         for target in range(allocation.cluster.n_servers):
             delta = model.migration_delta(allocation, tm, 1, target)
             trial = allocation.copy()
-            trial.migrate(1, target)
+            trial.migrate_many([(1, target)])
             after = model.total_cost(trial, tm)
             assert before - after == pytest.approx(delta), f"target={target}"
 

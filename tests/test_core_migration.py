@@ -43,7 +43,7 @@ def decide(engine, allocation, tm, vm_id, path):
     decision = evaluate_naive(engine, allocation, tm, vm_id)
     if decision.target_host is None:
         return decision
-    allocation.migrate(vm_id, decision.target_host)
+    allocation.migrate_many([(vm_id, decision.target_host)])
     return decision._replace(migrated=True, reason="migrated")
 
 

@@ -79,7 +79,7 @@ def test_lemma3_local_delta_equals_global_difference(data):
     trial = allocation.copy()
     if not trial.can_host(target, trial.vm(vm_u)) and trial.server_of(vm_u) != target:
         return  # infeasible move; nothing to check
-    trial.migrate(vm_u, target)
+    trial.migrate_many([(vm_u, target)])
     after = model.total_cost(trial, traffic)
     assert before - after == pytest.approx(delta, rel=1e-9, abs=1e-9)
 

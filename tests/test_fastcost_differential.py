@@ -137,8 +137,8 @@ def test_fast_engine_matches_naive(topo_name, pattern, placement):
         ):
             continue
         expected = naive.migration_delta(allocation, traffic, vm_id, target)
-        delta = fast.apply_migration(vm_id, target)
-        assert delta == pytest.approx(expected, rel=REL, abs=1e-9)
+        deltas, _ = fast.apply_moves(fast.dense_indices([vm_id]), [target])
+        assert deltas[0] == pytest.approx(expected, rel=REL, abs=1e-9)
         applied += 1
     assert applied > 0
     assert_engines_agree(naive, fast, allocation, traffic, rng)
@@ -195,7 +195,7 @@ def test_engine_egress_matches_naive_host_egress_rate(topo_name, pattern):
             target, vm
         ):
             continue
-        fast.apply_migration(vm_id, target)
+        fast.apply_moves(fast.dense_indices([vm_id]), [target])
         applied += 1
     assert applied > 0
     assert_egress_agrees()
@@ -283,7 +283,7 @@ def test_decision_sweeps_match_the_oracle(topo_name, pattern, setting):
             continue
         assert got.migrated and got.reason == "migrated"
         assert got.delta == pytest.approx(want.delta, rel=REL, abs=1e-9)
-        twin.migrate(vm_id, want.target_host)
+        twin.migrate_many([(vm_id, want.target_host)])
         moved += 1
     assert moved > 0
     assert fast.in_sync

@@ -2,7 +2,8 @@
 
 * Lemma 3 exactness over a run: the sum of applied migration deltas equals
   the fully recomputed cost change of the whole scheduler run.
-* ΔC_A(u → current host) is exactly zero.
+* ΔC_A(u → current host) is exactly zero, and such a move writes nothing.
+* The per-hold cost series ends exactly on the engine's total.
 * The topology's cached level vectors agree with the scalar
   ``level_between`` on every host pair of the small topologies.
 """
@@ -21,7 +22,9 @@ from repro import (
     SCOREScheduler,
 )
 from repro.core.fastcost import FastCostEngine
+from repro.core.policies import policy_by_name
 from repro.reference import NaiveScheduler, PerHoldScheduler
+from repro.sim.experiment import ExperimentConfig, build_environment
 
 
 @pytest.fixture
@@ -53,6 +56,28 @@ class TestDeltaSumExactness:
         assert fast.total_cost() == pytest.approx(
             fast.recompute_total_cost(), rel=1e-9
         )
+
+    @pytest.mark.parametrize("policy", ["rr", "hlf"])
+    def test_per_hold_cost_series_ends_on_the_engine_total(self, policy):
+        """Every per-hold move is a wave of one, so the report's running
+        cost (initial minus each gated delta) ends exactly on the
+        engine's incremental total."""
+        config = ExperimentConfig(policy=policy, seed=42)
+        env = build_environment(config)
+        scheduler = PerHoldScheduler(
+            env.allocation,
+            env.traffic,
+            policy_by_name(policy, seed=config.seed),
+            MigrationEngine(
+                env.cost_model,
+                migration_cost=config.migration_cost,
+                bandwidth_threshold=config.bandwidth_threshold,
+            ),
+            token_interval_s=config.token_interval_s,
+        )
+        report = scheduler.run(3)
+        assert report.total_migrations > 0
+        assert report.final_cost == scheduler.fastcost.total_cost()
 
     def test_fast_and_naive_schedulers_agree_end_to_end(
         self, populated, cost_model
@@ -98,14 +123,30 @@ class TestNoOpMigration:
                 == 0.0
             )
 
-    def test_apply_migration_to_current_host_is_noop(
+    def test_a_move_onto_the_current_host_writes_nothing(
         self, populated, fast_engine
     ):
+        """A wave of one onto the mover's own host is dropped: the
+        allocation version, egress, Eq. 2 total and the round cache's
+        validity stay bit-identical."""
         allocation, traffic, _ = populated
+        cache = fast_engine.round_cache()
+        cache.refresh()
         vm_id = next(iter(allocation.vm_ids()))
-        before = fast_engine.total_cost()
-        assert fast_engine.apply_migration(vm_id, allocation.server_of(vm_id)) == 0.0
-        assert fast_engine.total_cost() == before
+        version = allocation.version
+        egress = fast_engine._egress.copy()
+        total = fast_engine._total
+        valid = cache._valid.copy()
+        deltas, touched = fast_engine.apply_moves(
+            fast_engine.dense_indices([vm_id]), [allocation.server_of(vm_id)]
+        )
+        assert deltas.tolist() == [0.0]
+        assert len(touched.hosts) == 0 and len(touched.owners) == 0
+        assert allocation.version == version
+        assert np.array_equal(fast_engine._egress, egress)
+        assert fast_engine._total == total
+        assert np.array_equal(cache._valid, valid) and valid.all()
+        assert fast_engine.in_sync
 
 
 class TestLevelVectors:
@@ -156,4 +197,6 @@ class TestEngineBinding:
         with pytest.raises(KeyError):
             fast_engine.dense_indices([10_000_000])
         with pytest.raises(KeyError):
-            fast_engine.apply_migration(10_000_000, 0)
+            MigrationEngine(
+                CostModel(fast_engine.topology)
+            ).decide_and_migrate(fast_engine, 10_000_000)

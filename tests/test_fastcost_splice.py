@@ -257,7 +257,9 @@ class SpliceMachine(RuleBasedStateMachine):
             if self.allocation.can_host(h, self.allocation.vm(vm))
         ]
         if fits:
-            self.engine.apply_migration(vm, data.draw(st.sampled_from(fits)))
+            self.engine.apply_moves(
+                self.engine.dense_indices([vm]), [data.draw(st.sampled_from(fits))]
+            )
 
     @rule(data=st.data())
     def over_capacity(self, data):

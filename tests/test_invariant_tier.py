@@ -168,7 +168,7 @@ def test_fully_localized_host_keeps_residue_not_a_violation():
     scheduler = _crossing_stack()
     fast = scheduler.fastcost
     for vm, target in [(3, 0), (4, 0), (5, 0)]:
-        fast.apply_migration(vm, target)
+        fast.apply_moves(fast.dense_indices([vm]), [target])
     # Everything hosts 0 and 1 exchanged is local now: their egress is
     # exactly zero, the incrementally maintained mirror is not.
     residue = max(fast.host_egress(0), fast.host_egress(1))

@@ -667,7 +667,7 @@ def test_spliced_cache_equals_a_fresh_score(seed):
             vm_id = vm_ids[int(rng.integers(len(vm_ids)))]
             target = int(rng.integers(n_hosts))
             if allocation.can_host(target, allocation.vm(vm_id)):
-                fast.apply_migration(vm_id, target)
+                fast.apply_moves(fast.dense_indices([vm_id]), [target])
         if step % 3 != 2:
             delta = drift_delta(traffic, rng, n_rate=4, n_removed=step % 2)
             traffic.apply_delta(delta)

@@ -215,3 +215,29 @@ class TestChurnEdges:
             scheduler.cost_model.total_cost(allocation, traffic), rel=1e-9
         )
         allocation.validate()
+
+
+class TestDrain:
+    def test_each_vm_takes_the_first_fit_in_locality_order(
+        self, scheduler_env
+    ):
+        scheduler, allocation, _ = scheduler_env
+        scheduler.admit_vms(
+            [VM(v, ram_mb=256, cpu=0.25) for v in (10, 11, 12, 13)],
+            [5, 5, 5, 5],
+        )
+        # Host 5, the rack mate, is full: VM 2 spills to its pod's other
+        # rack (host 6), not to the lower-numbered hosts of the other pod.
+        assert scheduler.drain_hosts([4]) == [(2, 6)]
+        assert allocation.server_of(2) == 6
+        fast = scheduler.fastcost
+        assert fast.in_sync
+        assert fast.total_cost() == pytest.approx(
+            fast.recompute_total_cost(), rel=1e-12
+        )
+
+    def test_a_drain_with_nowhere_to_go_raises(self, scheduler_env):
+        scheduler, allocation, _ = scheduler_env
+        with pytest.raises(CapacityError, match="drain failed"):
+            scheduler.drain_hosts(range(8))
+        assert allocation.server_of(1) == 0

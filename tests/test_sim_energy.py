@@ -59,7 +59,7 @@ class TestNetworkPower:
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 1e6)  # host 0 <-> host 4: crosses the core
         spread = model.network_power_w(topo, allocation, tm)
-        allocation.migrate(2, 1)  # now same rack as VM 1
+        allocation.migrate_many([(2, 1)])  # now same rack as VM 1
         local = model.network_power_w(topo, allocation, tm)
         assert local < spread
 

@@ -123,8 +123,8 @@ class TestInvariants:
         tm.set_rate(3, 4, 200e6)  # also crosses it
         allocator = MaxMinFairAllocator(topo)
         before = allocator.allocate(allocation, tm)
-        allocation.migrate(2, 1)  # colocate rack-wise with VM 1
-        allocation.migrate(4, 0)
+        allocation.migrate_many([(2, 1)])  # colocate rack-wise with VM 1
+        allocation.migrate_many([(4, 0)])
         after = allocator.allocate(allocation, tm)
         assert after.total_achieved >= before.total_achieved - 1e-6
         assert after.mean_satisfaction >= before.mean_satisfaction

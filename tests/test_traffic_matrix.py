@@ -122,7 +122,7 @@ class TestTorAggregation:
         cluster = Cluster(topo, ServerCapacity(max_vms=2))
         vms = [VM(1, ram_mb=128, cpu=0.1), VM(2, ram_mb=128, cpu=0.1)]
         allocation = place_packed(cluster, vms)
-        allocation.migrate(2, 1)
+        allocation.migrate_many([(2, 1)])
         tm = TrafficMatrix()
         tm.set_rate(1, 2, 7)
         matrix = tm.tor_matrix(allocation)

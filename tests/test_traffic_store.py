@@ -120,7 +120,7 @@ def test_a_direct_write_to_a_bound_matrix_desyncs_until_the_next_run():
         if h != direct.allocation.server_of(vm)
         and direct.allocation.can_host(h, direct.allocation.vm(vm))
     )
-    direct.allocation.migrate(vm, target)
+    direct.allocation.migrate_many([(vm, target)])
     assert not fast.in_sync
 
 
