@@ -28,7 +28,6 @@ from repro.cluster import (
     CapacityError,
     Cluster,
     PlacementManager,
-    Server,
     ServerCapacity,
     place_arrivals,
     place_packed,
@@ -76,7 +75,6 @@ __all__ = [
     "CanonicalTree",
     "FatTree",
     "VM",
-    "Server",
     "ServerCapacity",
     "Cluster",
     "Allocation",

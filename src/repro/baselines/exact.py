@@ -69,10 +69,7 @@ class ExactOptimizer:
         self._vm_ids: List[int] = sorted(
             allocation.vm_ids(), key=lambda v: -traffic.vm_load(v)
         )
-        self._slots = [
-            allocation.cluster.server(h).capacity.max_vms
-            for h in range(n_hosts)
-        ]
+        self._slots = allocation.cluster.capacity_arrays()[0].tolist()
         # Adjacency among *earlier-placed* VMs only.
         index = {vm: i for i, vm in enumerate(self._vm_ids)}
         self._earlier_peers: List[List[Tuple[int, float]]] = [

@@ -1,4 +1,4 @@
-"""Compute-side substrate: servers, VMs, allocations and placement.
+"""Compute-side substrate: server capacity, VMs, allocations and placement.
 
 The paper (§II) models a set of VMs ``V`` hosted by servers ``S`` under an
 allocation ``A`` (``server_of`` is the paper's ``sigma_A``).  Each server can
@@ -12,7 +12,7 @@ per-rack IP subnets used for location identification (§V-B4).
 """
 
 from repro.cluster.vm import VM
-from repro.cluster.server import Server, ServerCapacity
+from repro.cluster.server import ServerCapacity
 from repro.cluster.cluster import Cluster
 from repro.cluster.allocation import Allocation, CapacityError
 from repro.cluster.placement import (
@@ -26,7 +26,6 @@ from repro.cluster.manager import PlacementManager
 
 __all__ = [
     "VM",
-    "Server",
     "ServerCapacity",
     "Cluster",
     "Allocation",

@@ -6,14 +6,15 @@ migration, supports cheap copying (the GA baseline evaluates thousands of
 candidate allocations), and exposes the queries the cost model needs:
 ``server_of`` (the paper's ``sigma_A(u)``) and ``level_between``.
 
-State is columnar: the placed VM ids ascending, with their host, RAM and
-CPU in aligned columns; per-host slot/RAM/CPU usage arrays; and a per-host
-membership table (row ``h`` lists the ids on ``h`` in its first
-``used_slots[h]`` cells, ``-1`` after) so ``vms_on`` stays O(slots).
-:class:`VM` objects are built on read.  Every mutation is a batch of a
-handful of array ops: a single migration is a one-move
+State is columnar, and placement lives once: the placed VM ids
+ascending, with their host, RAM and CPU in aligned columns, plus per-host
+slot/RAM/CPU usage arrays kept in step with them (``vms_on`` scans the
+host column).  :class:`VM` objects are built on read.  Every mutation is
+a batch of a handful of array ops whose cost scales with the batch, not
+the cluster: a single migration is a one-move
 :meth:`~Allocation.migrate_many` wave, and a single arrival or departure
-a one-element batch.  Per-host CPU usage accumulates
+a one-element batch.  A pickle holds every attribute as it is; capacity
+is the cluster's.  Per-host CPU usage accumulates
 element by element in operation order (``ufunc.at``), so its float bits —
 and every ``free_cpu`` comparison — do not depend on how the operations
 were batched.
@@ -60,7 +61,6 @@ class Allocation:
         self._used_slots = np.zeros(n, dtype=np.int64)
         self._used_ram = np.zeros(n, dtype=np.int64)
         self._used_cpu = np.zeros(n)
-        self._members = np.full((n, 0), -1, dtype=np.int64)
         self._version = 0
 
     @property
@@ -147,10 +147,9 @@ class Allocation:
         return int(self._host[self._at(vm_id)])
 
     def vms_on(self, host: int) -> FrozenSet[int]:
-        """IDs of the VMs currently on ``host``."""
-        return frozenset(
-            self._members[host, : self._used_slots[host]].tolist()
-        )
+        """IDs of the VMs currently on ``host`` (a scan of the host
+        column)."""
+        return frozenset(self._ids[self._host == host].tolist())
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The live ``(ids, host, ram_mb, cpu)`` columns, ascending by id.
@@ -216,11 +215,11 @@ class Allocation:
         Values left ``None`` keep their current setting.  A size below
         the host's current slot, RAM or CPU usage raises ``ValueError``
         and changes nothing (drain the host first).  The cluster then
-        patches the server and its shared capacity arrays, which every
-        feasibility probe reads live, so no engine rebuilds.
+        replaces its capacity columns, which every feasibility probe
+        reads at each use, so no engine rebuilds.  An out-of-range host
+        raises ``ValueError`` before any write.
         """
-        host = int(host)
-        current = self._cluster.server(host).capacity
+        current = self._cluster.capacity(host)
         new = ServerCapacity(
             max_vms=current.max_vms if max_vms is None else int(max_vms),
             ram_mb=current.ram_mb if ram_mb is None else int(ram_mb),
@@ -245,47 +244,6 @@ class Allocation:
             f"slots={self.free_slots(host)}, "
             f"ram={self.free_ram_mb(host)}MiB, cpu={self.free_cpu(host)}"
         )
-
-    # -- membership table --------------------------------------------------------
-
-    def _join(self, hosts: np.ndarray, ids: np.ndarray) -> None:
-        """Append ids to their hosts' rows (hosts may repeat)."""
-        order = np.argsort(hosts, kind="stable")
-        rows = hosts[order]
-        cols = self._used_slots[rows] + (
-            np.arange(len(rows)) - np.searchsorted(rows, rows)
-        )
-        width = int(cols.max()) + 1
-        if width > self._members.shape[1]:
-            pad = np.full(
-                (len(self._members), width - self._members.shape[1]), -1,
-                dtype=np.int64,
-            )
-            self._members = np.concatenate((self._members, pad), axis=1)
-        self._members[rows, cols] = ids[order]
-        self._used_slots += np.bincount(hosts, minlength=len(self._members))
-
-    def _leave(self, hosts: np.ndarray, ids: np.ndarray) -> None:
-        """Drop ids from their hosts' rows, keeping each row compact."""
-        cols = np.argmax(self._members[hosts] == ids[:, None], axis=1)
-        self._members[hosts, cols] = -1
-        touched = np.unique(hosts)
-        block = self._members[touched]
-        self._members[touched] = np.take_along_axis(
-            block, np.argsort(block < 0, axis=1, kind="stable"), axis=1
-        )
-        self._used_slots -= np.bincount(hosts, minlength=len(self._members))
-
-    def _rebuild_members(self) -> None:
-        """Membership table and slot/RAM usage from the columns."""
-        n = self._cluster.n_servers
-        self._used_slots = np.zeros(n, dtype=np.int64)
-        self._members = np.full((n, 0), -1, dtype=np.int64)
-        if len(self._ids):
-            self._join(self._host, self._ids)
-        self._used_ram = np.bincount(
-            self._host, weights=self._ram, minlength=n
-        ).astype(np.int64)
 
     # -- mutation -----------------------------------------------------------------
 
@@ -355,7 +313,7 @@ class Allocation:
         self._host = splice(self._host, hosts[order])
         self._ram = splice(self._ram, ram[order])
         self._cpu = splice(self._cpu, cpu[order])
-        self._join(hosts, ids)
+        self._used_slots += need_slots
         self._used_ram += need_ram.astype(np.int64)
         np.add.at(self._used_cpu, hosts, cpu)
         self._version += 1
@@ -391,7 +349,7 @@ class Allocation:
     def _remove(self, ids: np.ndarray) -> None:
         at = self._index(ids)
         hosts = self._host[at]
-        self._leave(hosts, ids)
+        np.subtract.at(self._used_slots, hosts, 1)
         n = self._cluster.n_servers
         self._used_ram -= np.bincount(
             hosts, weights=self._ram[at], minlength=n
@@ -444,14 +402,12 @@ class Allocation:
                 f"host {host}: {self._headroom(host)}"
             )
         source = self._host[at]
-        ids = self._ids[at]
-        self._leave(source, ids)
-        self._join(target, ids)
         self._host[at] = target
         # Source and target updates interleave per move, in wave order.
         hosts = np.column_stack((source, target)).reshape(-1)
         ram = self._ram[at]
         cpu = self._cpu[at]
+        np.add.at(self._used_slots, hosts, np.tile((-1, 1), len(at)))
         np.add.at(self._used_ram, hosts, np.column_stack((-ram, ram)).reshape(-1))
         np.add.at(self._used_cpu, hosts, np.column_stack((-cpu, cpu)).reshape(-1))
         self._version += 1
@@ -528,9 +484,8 @@ class Allocation:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Internal-consistency check; raises AssertionError on corruption.
 
-        Array compares only: ids strictly ascending, every VM in its
-        host's membership row and no stray ids there, and per host
-        (ascending, first failure reported) slots, slot/RAM/CPU
+        Array compares only: ids strictly ascending, hosts in range, and
+        per host (ascending, first failure reported) slots, slot/RAM/CPU
         accounting and RAM capacity hold.
 
         Returns :meth:`columns`, so a caller that goes on to compare the
@@ -543,29 +498,13 @@ class Allocation:
             raise AssertionError("VM ids are not strictly ascending")
         if len(host) and (host.min() < 0 or host.max() >= n_hosts):
             raise AssertionError("host column out of range")
-        table = self._members
-        row, col = np.nonzero(table >= 0)
-        members = table[row, col]
-        at = ids.searchsorted(members).clip(max=max(len(ids) - 1, 0))
-        stray = members[ids[at] != members] if len(ids) else members
-        if stray.size:
-            raise KeyError(int(stray[0]))
-        in_its_row = np.zeros(len(ids), dtype=bool)
-        in_its_row[at[host[at] == row]] = True
-        if not in_its_row.all():
-            lost = int(np.argmin(in_its_row))
-            raise AssertionError(
-                f"VM {int(ids[lost])} mapped to host {int(host[lost])} "
-                f"but missing from its set"
-            )
         count = np.bincount(host, minlength=n_hosts)
-        filled = np.bincount(row, minlength=n_hosts)
         cap_slots, cap_ram, _cap_cpu, _nic = self._cluster.capacity_arrays()
         ram_sum = np.bincount(host, weights=ram, minlength=n_hosts).astype(np.int64)
         cpu_sum = np.bincount(host, weights=cpu, minlength=n_hosts)
         checks = (
             (self._used_slots > cap_slots, "over slot capacity"),
-            ((self._used_slots != count) | (filled != count), "slot accounting drift"),
+            (self._used_slots != count, "slot accounting drift"),
             (ram_sum != self._used_ram, "RAM accounting drift"),
             (~(np.abs(cpu_sum - self._used_cpu) < 1e-9), "CPU accounting drift"),
             (self._used_ram > cap_ram, "over RAM capacity"),
@@ -576,20 +515,6 @@ class Allocation:
             what = next(text for failed, text in checks if failed[host_id])
             raise AssertionError(f"host {host_id} {what}")
         return ids, host, ram, cpu
-
-    # -- pickling ------------------------------------------------------------------
-
-    #: What a pickle holds: the columns and the per-host CPU usage (its
-    #: float bits carry the accumulation history).  The membership table
-    #: and slot/RAM usage are rebuilt exactly from the columns.
-    _OF_RECORD = ("_cluster", "_ids", "_host", "_ram", "_cpu", "_used_cpu", "_version")
-
-    def __getstate__(self):
-        return {name: self.__dict__[name] for name in self._OF_RECORD}
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._rebuild_members()
 
     def __repr__(self) -> str:
         return f"Allocation(vms={len(self._ids)}, servers={self._cluster.n_servers})"

@@ -1,36 +1,57 @@
-"""A cluster couples a topology with one server per host."""
+"""A cluster couples a topology with one capacity record per host.
+
+Capacity lives in four per-host columns — VM slots, RAM, CPU and NIC
+line rate (the §V-B5 capacity response plus the §V-C link budget) — and
+nowhere else: :meth:`Cluster.capacity` reads one host's record from
+them, and :meth:`Cluster.set_host_capacity` replaces the columns.  What
+runs where is :class:`repro.cluster.allocation.Allocation`'s.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.cluster.server import Server, ServerCapacity
+from repro.cluster.server import ServerCapacity
 from repro.topology.base import Topology
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class Cluster:
     """All servers of a data center, one per topology host.
 
-    The cluster owns the :class:`Server` objects; what runs where is
-    :class:`repro.cluster.allocation.Allocation`'s, which keeps placement
-    and per-host usage as columns.
+    The four capacity columns are read-only and replaced, never written:
+    a resize builds new arrays, so a holder of the old ones keeps a
+    consistent (stale) view and a cluster unpickled over immutable bytes
+    resizes like a live one.
     """
 
     def __init__(
-        self,
-        topology: Topology,
-        capacity: ServerCapacity = ServerCapacity(),
-        per_host_capacity: Optional[Dict[int, ServerCapacity]] = None,
+        self, topology: Topology, capacity: ServerCapacity = ServerCapacity()
     ) -> None:
+        n = topology.n_hosts
         self._topology = topology
-        overrides = per_host_capacity or {}
-        self._servers: List[Server] = [
-            Server(host, overrides.get(host, capacity))
-            for host in topology.hosts
-        ]
-        self._total_slots = sum(s.capacity.max_vms for s in self._servers)
+        self._columns = (
+            _frozen(np.full(n, capacity.max_vms, dtype=np.int64)),
+            _frozen(np.full(n, capacity.ram_mb, dtype=np.int64)),
+            _frozen(np.full(n, capacity.cpu, dtype=float)),
+            _frozen(np.full(n, capacity.nic_bps, dtype=float)),
+        )
+
+    def subset(self, topology: Topology, hosts: np.ndarray) -> "Cluster":
+        """A cluster over ``topology`` whose host ``i`` has this cluster's
+        capacity of ``hosts[i]`` (a shard domain's sub-cluster)."""
+        cluster = Cluster.__new__(Cluster)
+        cluster._topology = topology
+        cluster._columns = tuple(
+            _frozen(column[hosts]) for column in self._columns
+        )
+        return cluster
 
     @property
     def topology(self) -> Topology:
@@ -40,90 +61,56 @@ class Cluster:
     @property
     def n_servers(self) -> int:
         """Number of physical servers."""
-        return len(self._servers)
+        return len(self._columns[0])
 
     @property
     def total_vm_slots(self) -> int:
         """Aggregate VM capacity across all servers."""
-        return self._total_slots
+        return int(self._columns[0].sum())
 
-    def server(self, host: int) -> Server:
-        """The server on topology host ``host``."""
-        return self._servers[host]
+    def capacity(self, host: int) -> ServerCapacity:
+        """The capacity of topology host ``host``; ``ValueError`` when
+        ``host`` is out of range (the one range check of every capacity
+        path)."""
+        if not 0 <= host < self.n_servers:
+            raise ValueError(f"host index {host} out of range")
+        slots, ram, cpu, nic = self._columns
+        return ServerCapacity(
+            max_vms=int(slots[host]),
+            ram_mb=int(ram[host]),
+            cpu=float(cpu[host]),
+            nic_bps=float(nic[host]),
+        )
 
     def capacity_arrays(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-host (max_vms, ram_mb, cpu, nic_bps) capacity as flat arrays.
 
-        The single source the vectorized feasibility checks (fast-cost
-        engine, ``place_random``) build their mirrors from, so a new
-        capacity dimension only needs wiring here.  Arrays are cached and
-        read-only for callers; :meth:`set_host_capacity` is the one
-        writer, patching them in place so every holder of a reference
-        (live views by design) sees a resize immediately.
+        The state of record itself, read-only: the single source every
+        vectorized feasibility check (allocation, fast-cost engine,
+        ``place_random``) reads, so a new capacity dimension only needs
+        wiring here.  A resize replaces the arrays, so callers fetch them
+        again rather than keep them.
         """
-        if not hasattr(self, "_capacity_arrays"):
-            n = len(self._servers)
-            slots = np.fromiter(
-                (s.capacity.max_vms for s in self._servers), dtype=np.int64, count=n
-            )
-            ram = np.fromiter(
-                (s.capacity.ram_mb for s in self._servers), dtype=np.int64, count=n
-            )
-            cpu = np.fromiter(
-                (s.capacity.cpu for s in self._servers), dtype=float, count=n
-            )
-            nic = np.fromiter(
-                (s.capacity.nic_bps for s in self._servers), dtype=float, count=n
-            )
-            for array in (slots, ram, cpu, nic):
-                array.setflags(write=False)
-            self._capacity_arrays = (slots, ram, cpu, nic)
-        return self._capacity_arrays
+        return self._columns
 
     def set_host_capacity(self, host: int, capacity: ServerCapacity) -> None:
-        """Resize one server in place and patch the cached capacity arrays.
+        """Resize one server (upgrade, maintenance offlining via
+        ``max_vms=0``): copy-on-write of the four columns.
 
-        The ROADMAP capacity-gap fix: per-host capacity changes (server
-        resize, heterogeneous upgrades, maintenance offlining via
-        ``max_vms=0``) no longer require rebuilding every consumer —
-        the cached arrays are shared views, so the fast-cost engine's
-        feasibility probes see the change without a rebuild.  Whether an
-        allocation's usage still fits is checked by
+        Whether an allocation's usage still fits is checked by
         :meth:`repro.cluster.allocation.Allocation.set_host_capacity`,
         the one caller that knows it.
         """
-        if not 0 <= host < len(self._servers):
-            raise ValueError(f"host index {host} out of range")
-        old_slots = self._servers[host].capacity.max_vms
-        self._servers[host].set_capacity(capacity)
-        self._total_slots += capacity.max_vms - old_slots
-        if hasattr(self, "_capacity_arrays"):
-            slots, ram, cpu, nic = self._capacity_arrays
-            for array, value in (
-                (slots, capacity.max_vms),
-                (ram, capacity.ram_mb),
-                (cpu, capacity.cpu),
-                (nic, capacity.nic_bps),
-            ):
-                array.setflags(write=True)
-                array[host] = value
-                array.setflags(write=False)
-
-    def __getstate__(self):
-        # The capacity arrays and the slot total are caches of the
-        # servers' capacities.  Rebuilt after a restore, the arrays are
-        # owned ones that set_host_capacity can patch (unpickled read-only
-        # arrays sit on immutable bytes and refuse the write flag).
-        state = self.__dict__.copy()
-        state.pop("_capacity_arrays", None)
-        state.pop("_total_slots", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._total_slots = sum(s.capacity.max_vms for s in self._servers)
+        self.capacity(host)
+        values = (capacity.max_vms, capacity.ram_mb, capacity.cpu, capacity.nic_bps)
+        columns = []
+        for column, value in zip(self._columns, values):
+            column = column.copy()
+            column[host] = value
+            columns.append(_frozen(column))
+        self._columns = tuple(columns)
 
     def __repr__(self) -> str:
         return (

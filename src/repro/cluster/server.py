@@ -1,4 +1,4 @@
-"""Physical server model: identity and capacity.
+"""Physical server capacity: one host's record.
 
 The paper caps each host at 16 VMs "to model a typical DC server's capacity"
 (§VI) and additionally checks residual RAM and bandwidth on migration
@@ -44,37 +44,3 @@ class ServerCapacity:
         if self.nic_bps <= 0:
             raise ValueError(f"nic_bps must be positive, got {self.nic_bps}")
 
-
-class Server:
-    """A physical host: identity and capacity.
-
-    What runs where, and how much of a server it uses, is the
-    :class:`~repro.cluster.allocation.Allocation`'s.
-    """
-
-    def __init__(self, host: int, capacity: ServerCapacity = ServerCapacity()) -> None:
-        if host < 0:
-            raise ValueError(f"host index must be >= 0, got {host}")
-        self._host = host
-        self._capacity = capacity
-
-    @property
-    def host(self) -> int:
-        """Host (topology) index of this server."""
-        return self._host
-
-    @property
-    def capacity(self) -> ServerCapacity:
-        """Static capacity of this server."""
-        return self._capacity
-
-    def set_capacity(self, capacity: ServerCapacity) -> None:
-        """Resize this server in place (maintenance, hardware upgrade).
-
-        Whether the allocation's usage still fits is checked by
-        :meth:`repro.cluster.allocation.Allocation.set_host_capacity`.
-        """
-        self._capacity = capacity
-
-    def __repr__(self) -> str:
-        return f"Server(host={self._host}, slots={self._capacity.max_vms})"

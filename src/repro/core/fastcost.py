@@ -285,34 +285,20 @@ class FastCostEngine:
         # (the `Topology.hosts_in_rack` contract), which is what lets the
         # batched candidate generation enumerate rack mates arithmetically.
         self._hosts_per_rack = topology.n_hosts // topology.n_racks
-        self._slot_cap, self._ram_cap, self._cpu_cap, self._nic_cap = (
-            allocation.cluster.capacity_arrays()
-        )
-        # Persistent per-owner round-score cache (lazy; see round_cache()).
-        self._round_cache = None
         self.rebuild()
 
-    #: What a pickle holds: state of record only — the binding, the
-    #: Eq. 2 and egress caches and the sync ledger; λ travels once, in
-    #: the matrix.  Not the round cache: every valid row equals a fresh
-    #: candidate_batch, so a restored engine re-scores on its first round
-    #: without changing the trajectory.  Not the capacity arrays: they
-    #: are the cluster's live views, re-bound on restore.
-    _OF_RECORD = (
-        "_weights", "_topology", "_allocation", "_traffic", "_path_weight",
-        "_rack_of", "_pod_of", "_hosts_per_rack", "_uniform_vm", "_total",
-        "_egress", "_alloc_version", "_traffic_version",
-    )
+    #: Persistent per-owner round-score cache (lazy; see round_cache()).
+    _round_cache = None
 
     def __getstate__(self):
-        return {name: self.__dict__[name] for name in self._OF_RECORD}
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._round_cache = None
-        self._slot_cap, self._ram_cap, self._cpu_cap, self._nic_cap = (
-            self._allocation.cluster.capacity_arrays()
-        )
+        # A pickle holds the binding, the Eq. 2 and egress caches and the
+        # sync ledger; λ travels once, in the matrix.  Not the round
+        # cache: every valid row equals a fresh candidate_batch, so a
+        # restored engine re-scores on its first round without changing
+        # the trajectory.  Capacity is read from the cluster at each use.
+        state = self.__dict__.copy()
+        state.pop("_round_cache", None)
+        return state
 
     # -- binding -----------------------------------------------------------
 
@@ -465,7 +451,7 @@ class FastCostEngine:
         placement arrays in one vectorized pass."""
         snap = self._snap
         host_of = self._host_of
-        n_hosts = len(self._slot_cap)
+        n_hosts = len(self._rack_of)
         levels = pair_levels(
             host_of[snap.row], host_of[snap.peer], self._rack_of, self._pod_of
         )
@@ -705,7 +691,7 @@ class FastCostEngine:
         snap = self._snap
         vms = np.asarray(dense_vms, dtype=np.int64)
         n = len(vms)
-        n_hosts = len(self._slot_cap)
+        n_hosts = len(self._rack_of)
         # Directed edges of the requested VMs, grouped by owner position.
         cum, owner_e, edge_idx = snap.edges(vms)
         deg = np.diff(cum)
@@ -928,6 +914,9 @@ class FastCostEngine:
         :func:`repro.reference.evaluate_naive` in one mask.
         """
         hosts = batch.host
+        slot_cap, ram_cap, cpu_cap, nic_cap = (
+            self._allocation.cluster.capacity_arrays()
+        )
         if self._uniform_vm:
             ok = self.uniform_host_ok()[hosts]
         else:
@@ -935,12 +924,12 @@ class FastCostEngine:
             slot_used, ram_used, cpu_used = self._allocation.usage()
             dense = batch.vms[batch.owner]
             ok = (
-                (self._slot_cap[hosts] - slot_used[hosts] >= 1)
-                & (self._ram_cap[hosts] - ram_used[hosts] >= ram[dense])
-                & (self._cpu_cap[hosts] - cpu_used[hosts] >= cpu[dense])
+                (slot_cap[hosts] - slot_used[hosts] >= 1)
+                & (ram_cap[hosts] - ram_used[hosts] >= ram[dense])
+                & (cpu_cap[hosts] - cpu_used[hosts] >= cpu[dense])
             )
         if bandwidth_threshold is not None:
-            budget = bandwidth_threshold * self._nic_cap[hosts]
+            budget = bandwidth_threshold * nic_cap[hosts]
             load_after = self._egress[hosts] + (
                 batch.total_rate[batch.owner] - batch.onto_rate
             ) - batch.onto_rate
@@ -960,10 +949,13 @@ class FastCostEngine:
             return None
         _ids, _host, ram, cpu = self._allocation.columns()
         slot_used, ram_used, cpu_used = self._allocation.usage()
+        slot_cap, ram_cap, cpu_cap, _nic = (
+            self._allocation.cluster.capacity_arrays()
+        )
         return (
-            (self._slot_cap - slot_used >= 1)
-            & (self._ram_cap - ram_used >= ram[0])
-            & (self._cpu_cap - cpu_used >= cpu[0])
+            (slot_cap - slot_used >= 1)
+            & (ram_cap - ram_used >= ram[0])
+            & (cpu_cap - cpu_used >= cpu[0])
         )
 
     def best_candidates(
@@ -1113,6 +1105,6 @@ class FastCostEngine:
     def __repr__(self) -> str:
         return (
             f"FastCostEngine(vms={self._snap.n_vms}, "
-            f"pairs={self._snap.n_pairs}, hosts={len(self._slot_cap)})"
+            f"pairs={self._snap.n_pairs}, hosts={len(self._rack_of)})"
         )
 

@@ -782,8 +782,8 @@ class SCOREScheduler:
         nowhere (the drain stops at that VM).
 
         With ``offline=True`` the drained hosts are additionally taken
-        out of service — their slot capacity drops to zero via the
-        in-place capacity patch (:meth:`set_host_capacity`), so no later
+        out of service — their slot capacity drops to zero via
+        :meth:`set_host_capacity`, so no later
         round migrates anything back onto them — until
         :meth:`restore_hosts` brings the saved capacity back.
         """
@@ -815,7 +815,7 @@ class SCOREScheduler:
                 moves.append((vm_id, target))
         if offline:
             for host in sorted(drained):
-                capacity = self._allocation.cluster.server(host).capacity
+                capacity = self._allocation.cluster.capacity(host)
                 self._saved_capacity.setdefault(host, capacity)
                 self.set_host_capacity(host, max_vms=0)
         return moves
@@ -854,8 +854,8 @@ class SCOREScheduler:
         :meth:`Allocation.set_host_capacity
         <repro.cluster.allocation.Allocation.set_host_capacity>` checks
         the new size against the host's slot, RAM and CPU usage (shrinking
-        below it raises; drain first) and patches the cluster's shared
-        capacity arrays, which the engine reads live, so nothing
+        below it raises; drain first) and replaces the cluster's capacity
+        columns, which the engine reads at each use, so nothing
         rebuilds.  Values left ``None`` keep their current setting.
         """
         self._apply(

@@ -63,9 +63,11 @@ from repro.sim.eventqueue import EventQueueRunner
 #: pickle the token as two arrays; v5: the scenario run and the service
 #: share one tag and one core (v4 had ``score-journal/v4`` and
 #: ``score-service/v4``); v6: snapshots load only the current pickle
-#: layout (no restore hook converts an older one).  Any other tag is
-#: refused at resume, before a snapshot is unpickled.
-JOURNAL_FORMAT = "score-journal/v6"
+#: layout (no restore hook converts an older one); v7: capacity and
+#: placement pickle once, as columns (no ``Server`` objects, no restore
+#: hook at all).  Any other tag is refused at resume, before a snapshot
+#: is unpickled.
+JOURNAL_FORMAT = "score-journal/v7"
 
 #: Commit-record keys whose recorded and re-executed values are floats,
 #: compared with :data:`REPLAY_RELTOL` instead of exactly (JSON

@@ -223,7 +223,7 @@ def bandwidth_feasible(
     threshold = engine.bandwidth_threshold
     if threshold is None:
         return True
-    capacity = allocation.cluster.server(target_host).capacity.nic_bps
+    capacity = allocation.cluster.capacity(target_host).nic_bps
     load = host_egress_rate(allocation, traffic, target_host)
     # After the move, u's flows to VMs already on the target become
     # intra-host (drop off the NIC); the rest are added to it.

@@ -158,18 +158,6 @@ def count_returning_migrations(moves, former_hosts: Dict[int, Set[int]]) -> int:
 
 
 def _scenario_from_dict(data: Dict[str, Any]) -> Scenario:
-    events = tuple(
-        EventSpec(
-            **{
-                **spec,
-                "vm_ids": tuple(spec.get("vm_ids", ())),
-                "racks": tuple(spec.get("racks", ())),
-                "pods": tuple(spec.get("pods", ())),
-                "hosts": tuple(spec.get("hosts", ())),
-            }
-        )
-        for spec in data["events"]
-    )
     return Scenario(
         name=data["name"],
         description=data["description"],
@@ -178,7 +166,7 @@ def _scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         iterations_per_epoch=data["iterations_per_epoch"],
         drift=DriftSpec(**data["drift"]),
         churn=ChurnSpec(**data["churn"]),
-        events=events,
+        events=tuple(EventSpec.from_dict(spec) for spec in data["events"]),
     )
 
 

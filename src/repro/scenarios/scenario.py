@@ -14,7 +14,7 @@ catalogue lives in :mod:`repro.scenarios.catalogue`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.eventqueue import Arrival
 from repro.sim.experiment import ExperimentConfig
@@ -196,8 +196,8 @@ class FlashCrowdChurn(ChurnProcess):
 class RollingDrainChurn(ChurnProcess):
     """Rolling maintenance: evacuate one rack per epoch, cycling.
 
-    The drained rack is taken *offline* (slot capacity zeroed through the
-    in-place capacity patch, so the optimizer cannot migrate anything
+    The drained rack is taken *offline* (slot capacity zeroed through
+    ``set_host_capacity``, so the optimizer cannot migrate anything
     back mid-maintenance) and restored at the next epoch when the crew
     moves on — the ``drain_hosts``/``restore_hosts`` capacity cycle.
     """
@@ -269,6 +269,20 @@ class EventSpec:
             )
         if self.at_round < 0:
             raise ValueError(f"at_round must be >= 0, got {self.at_round}")
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "EventSpec":
+        """An event spec from its ``asdict`` form, as JSON carries it
+        (tuple fields as lists)."""
+        return cls(
+            **{
+                **data,
+                **{
+                    name: tuple(data.get(name, ()))
+                    for name in ("vm_ids", "racks", "pods", "hosts")
+                },
+            }
+        )
 
     def build(self, round_seconds: float):
         """Instantiate the runtime :class:`~repro.sim.eventqueue.Event`."""

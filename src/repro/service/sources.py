@@ -232,16 +232,7 @@ class JsonLinesSource(EventSource):
                     at_round = float(obj.pop("at_s")) / round_seconds
                 else:
                     at_round = float(obj.pop("at_round"))
-                spec = EventSpec(
-                    **{
-                        **obj,
-                        "at_round": at_round,
-                        "vm_ids": tuple(obj.get("vm_ids", ())),
-                        "racks": tuple(obj.get("racks", ())),
-                        "pods": tuple(obj.get("pods", ())),
-                        "hosts": tuple(obj.get("hosts", ())),
-                    }
-                )
+                spec = EventSpec.from_dict({**obj, "at_round": at_round})
                 event = spec.build(round_seconds)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
@@ -294,18 +285,7 @@ def source_from_spec(
     kind = spec.get("kind")
     if kind == "scripted":
         return ScriptedSource.from_specs(
-            [
-                EventSpec(
-                    **{
-                        **entry,
-                        "vm_ids": tuple(entry.get("vm_ids", ())),
-                        "racks": tuple(entry.get("racks", ())),
-                        "pods": tuple(entry.get("pods", ())),
-                        "hosts": tuple(entry.get("hosts", ())),
-                    }
-                )
-                for entry in spec["specs"]
-            ],
+            [EventSpec.from_dict(entry) for entry in spec["specs"]],
             round_seconds,
         )
     if kind == "poisson":

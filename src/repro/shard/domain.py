@@ -29,8 +29,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.allocation import Allocation
-from repro.cluster.cluster import Cluster
-from repro.cluster.server import ServerCapacity
 from repro.core.cost import CostModel
 from repro.core.migration import MigrationEngine
 from repro.core.policies import TokenPolicy
@@ -96,34 +94,9 @@ class ShardDomain:
             n_cores=topology.n_cores,
         )
         # Mirror the global per-host capacities (drained hosts included).
-        # One shared base capacity plus overrides only where a host
-        # deviates — hyperscale clusters are near-uniform, and building
-        # tens of thousands of identical ServerCapacity objects per
-        # domain fleet dominates the construction profile otherwise.
-        slots, ram, cpu, nic = global_allocation.cluster.capacity_arrays()
-        g = self.global_hosts
-        base = ServerCapacity(
-            max_vms=int(slots[g[0]]),
-            ram_mb=int(ram[g[0]]),
-            cpu=float(cpu[g[0]]),
-            nic_bps=float(nic[g[0]]),
+        cluster = global_allocation.cluster.subset(
+            sub_topology, self.global_hosts
         )
-        deviants = np.flatnonzero(
-            (slots[g] != slots[g[0]])
-            | (ram[g] != ram[g[0]])
-            | (cpu[g] != cpu[g[0]])
-            | (nic[g] != nic[g[0]])
-        )
-        overrides = {
-            int(i): ServerCapacity(
-                max_vms=int(slots[g[i]]),
-                ram_mb=int(ram[g[i]]),
-                cpu=float(cpu[g[i]]),
-                nic_bps=float(nic[g[i]]),
-            )
-            for i in deviants
-        }
-        cluster = Cluster(sub_topology, base, per_host_capacity=overrides)
         # A partition never builds an empty domain.
         vm_ids = np.asarray(vm_ids, dtype=np.int64)
         global_hosts_of_vms, _, _ = global_allocation.mapping_arrays(vm_ids)

@@ -267,7 +267,9 @@ class CapacityChange(Event):
 
     ``max_vms`` is clamped to each host's current occupancy — a shrink
     below usage models a *capacity budget* change, not an eviction, so
-    it never raises; pair with :class:`Outage` for evacuations.
+    usage never makes it raise; pair with :class:`Outage` for
+    evacuations.  An out-of-range host raises ``ValueError`` before any
+    host is resized.
     """
 
     def __init__(
@@ -284,17 +286,18 @@ class CapacityChange(Event):
 
     def apply(self, runner: "EventQueueRunner", now: float) -> bool:
         scheduler = runner.scheduler
-        changed = False
+        # Every host is range-checked before the first one is resized.
+        for host in self.hosts:
+            scheduler.allocation.cluster.capacity(host)
+        in_use = scheduler.allocation.usage()[0]
         for host in self.hosts:
             max_vms = self.max_vms
             if max_vms is not None:
-                in_use = len(scheduler.allocation.vms_on(host))
-                max_vms = max(int(max_vms), in_use)
+                max_vms = max(int(max_vms), int(in_use[host]))
             scheduler.set_host_capacity(
                 host, max_vms=max_vms, nic_bps=self.nic_bps
             )
-            changed = True
-        return changed
+        return True
 
     def describe(self) -> str:
         return f"capacity {list(self.hosts)} -> max_vms={self.max_vms}"

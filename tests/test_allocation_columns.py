@@ -1,7 +1,7 @@
 """The columnar ``Allocation`` against a dict-backed model of it.
 
 ``Allocation`` keeps its state as columns (ids ascending, host, RAM,
-CPU), per-host usage arrays and a membership table.  The state machine
+CPU) and per-host usage arrays.  The state machine
 below drives it and :class:`DictAllocation` — a small model with the
 dict/set layout and element-by-element accounting the allocation used
 to have — through the whole mutation API, and after every step demands
@@ -12,11 +12,11 @@ that accumulated in another order than one-by-one placement would show.
 Every rejected batch must raise the model's error type and leave the
 state untouched.
 
-The rest pins what a pickle round trip owes the current layout:
-allocations, managers, clusters, servers and engines restore what
-their pickles drop and run on, a restored scheduler re-scores without
-changing its trajectory, and a paper-scale allocation pickles without
-a single ``VM``.
+The rest pins what a pickle round trip owes the current layout.
+Allocations, clusters and engines pickle by default (no restore hook
+rebuilds a copy) and run on, a manager restores what its pickle drops, a
+restored scheduler re-scores without changing its trajectory, and a
+paper-scale allocation pickles without a single ``VM``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from hypothesis.stateful import (
 )
 
 from repro import CanonicalTree, Cluster, ServerCapacity
-from repro.cluster import Server
 from repro.cluster.allocation import Allocation, CapacityError
 from repro.cluster.manager import PlacementManager
 from repro.cluster.vm import VM
@@ -325,7 +324,7 @@ class AllocationMachine(RuleBasedStateMachine):
     @rule()
     def pickle_round_trip(self):
         # The restored cluster is a copy: later resizes go to it (and must
-        # be accepted by its rebuilt capacity arrays).
+        # be accepted over its unpickled capacity columns).
         self.allocation = pickle.loads(
             pickle.dumps(self.allocation, protocol=pickle.HIGHEST_PROTOCOL)
         )
@@ -367,19 +366,28 @@ def _reload(obj):
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def test_a_restored_allocation_rebuilds_its_members_from_the_columns():
+def _no_restore_hook(cls):
+    return not {"__getstate__", "__setstate__"} & set(vars(cls))
+
+
+def test_a_restored_allocation_answers_validates_and_migrates():
     allocation = Allocation(small_cluster())
     allocation.add_vms(
         [VM(v, 512, cpu) for v, cpu in zip((9, 3, 5, 7), CPUS)], [1, 1, 4, 6]
     )
     allocation.migrate_many([(3, 2), (5, 1)])
-    assert set(allocation.__getstate__()) == set(Allocation._OF_RECORD)
+    assert _no_restore_hook(Allocation)
     restored = _reload(allocation)
+    assert set(vars(restored)) == set(vars(allocation))
     assert allocation_state(restored) == allocation_state(allocation)
     assert restored._used_cpu.tolist() == allocation._used_cpu.tolist()
+    assert restored.vms_on(1) == {9, 5}
     restored.validate()
+    restored.migrate_many([(9, 2)])
     restored.add_vm(VM(11, 256, 0.3), 1)
-    assert restored.vms_on(1) == {9, 5, 11}
+    assert (restored.vms_on(1), restored.vms_on(2)) == ({5, 11}, {3, 9})
+    restored.validate()
+    assert allocation.vms_on(1) == {9, 5}
 
 
 def test_a_restored_manager_issues_on_from_its_runs():
@@ -391,42 +399,64 @@ def test_a_restored_manager_issues_on_from_its_runs():
     assert restored.create_vm().vm_id == 4
 
 
-def test_a_restored_cluster_resizes_its_rebuilt_capacity_arrays():
+def test_a_restored_cluster_resizes_its_unpickled_columns():
     cluster = small_cluster()
-    cluster.capacity_arrays()  # the cached read-only views stay behind
+    assert _no_restore_hook(Cluster)
     restored = _reload(cluster)
-    assert "_capacity_arrays" not in vars(restored)
+    # The columns come back over the pickle's immutable bytes.
+    assert not restored.capacity_arrays()[0].flags.writeable
     restored.set_host_capacity(3, ServerCapacity(max_vms=0))
     assert restored.capacity_arrays()[0].tolist() == [4, 4, 4, 0, 4, 4, 4, 4]
     assert restored.total_vm_slots == 28
+    assert cluster.total_vm_slots == 32
 
 
-def test_a_restored_server_holds_its_host_and_capacity_only():
-    capacity = ServerCapacity(max_vms=3, ram_mb=2048, cpu=2.0)
-    restored = _reload(Server(5, capacity))
-    assert (restored.host, restored.capacity) == (5, capacity)
-    assert set(vars(restored)) == {"_host", "_capacity"}
+def test_a_restored_cluster_answers_each_hosts_capacity():
+    cluster = small_cluster()
+    cluster.set_host_capacity(
+        5, ServerCapacity(max_vms=3, ram_mb=1024, cpu=1.5, nic_bps=2e9)
+    )
+    restored = _reload(cluster)
+    assert [restored.capacity(h) for h in range(N_HOSTS)] == [
+        cluster.capacity(h) for h in range(N_HOSTS)
+    ]
+    for host in (-1, N_HOSTS):
+        with pytest.raises(ValueError, match="out of range"):
+            restored.capacity(host)
 
 
-def test_a_restored_engine_reads_the_allocation_columns_and_runs_on():
-    """An engine pickles its state of record only; restored, it binds the
-    cluster's capacity views and scores and migrates as the live one."""
+def test_a_restored_engine_reads_a_later_resize_and_runs_on():
+    """An engine pickles everything but its round cache; restored, it
+    reads capacity from its cluster at each use, so a resize made after
+    the restore is seen, and it scores and migrates as the live one."""
     scheduler = _scheduler(seed=4)
     scheduler.run(n_iterations=1)
     fast = scheduler.fastcost
     allocation = scheduler.allocation
+    assert "__setstate__" not in vars(type(fast))
     restored = _reload(fast)
-    assert set(restored.__getstate__()) == set(type(fast)._OF_RECORD)
     assert restored._round_cache is None
-    assert restored._slot_cap is restored.allocation.cluster.capacity_arrays()[0]
     assert restored.snapshot is restored.traffic.store
     assert restored.in_sync
     assert restored.total_cost() == fast.total_cost()
     ids = allocation.columns()[0]
     every = np.arange(len(ids))
+    batch = restored.candidate_batch(every)
+    feasible = restored.candidate_feasible(batch)
+    assert feasible.any()
+    host = int(batch.host[np.argmax(feasible)])
+    # Fill that target's slots on both sides, after the restore.
+    for engine in (fast, restored):
+        used = int(engine.allocation.usage()[0][host])
+        engine.allocation.set_host_capacity(host, max_vms=used)
     ours, theirs = fast.candidate_batch(every), restored.candidate_batch(every)
     assert np.array_equal(ours.host, theirs.host)
     assert np.array_equal(ours.delta, theirs.delta)
+    feasible = restored.candidate_feasible(theirs, bandwidth_threshold=0.9)
+    assert not feasible[theirs.host == host].any()
+    assert np.array_equal(
+        feasible, fast.candidate_feasible(ours, bandwidth_threshold=0.9)
+    )
     vm_id = int(ids[0])
     target = next(
         h for h in range(allocation.cluster.n_servers)
@@ -456,8 +486,6 @@ def test_a_restored_scheduler_rescores_without_changing_the_trajectory():
         pickle.dumps(scheduler, protocol=pickle.HIGHEST_PROTOCOL)
     )
     assert restored.fastcost._round_cache is None
-    cluster = restored.allocation.cluster
-    assert restored.fastcost._slot_cap is cluster.capacity_arrays()[0]
     ours = scheduler.run(n_iterations=3)
     theirs = restored.run(n_iterations=3)
     assert theirs.final_cost == ours.final_cost

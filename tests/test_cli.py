@@ -212,9 +212,9 @@ class TestServeCommand:
             ["serve", "--state-dir", where, "--scale", "toy", "--rounds", "1"]
         ) == 0
         capsys.readouterr()
-        _restamp_begin(where, "score-journal/v5")
+        _restamp_begin(where, "score-journal/v6")
         line = _refused(capsys, ["serve", "--state-dir", where, "--resume"])
-        assert "score-journal/v5" in line
+        assert "score-journal/v6" in line
 
     def test_resume_of_a_scenario_directory_is_one_error_line(
         self, tmp_path, capsys

@@ -1,8 +1,8 @@
-"""Tests for VM and Server models."""
+"""Tests for the VM and server-capacity models."""
 
 import pytest
 
-from repro.cluster import Server, ServerCapacity, VM
+from repro.cluster import ServerCapacity, VM
 
 
 class TestVM:
@@ -43,9 +43,3 @@ class TestServerCapacity:
 
     def test_zero_slots_models_an_offline_host(self):
         assert ServerCapacity(max_vms=0).max_vms == 0
-
-
-class TestServer:
-    def test_negative_host_rejected(self):
-        with pytest.raises(ValueError):
-            Server(-1)

@@ -1,5 +1,6 @@
 """Tests for the S-CORE scheduler control loop."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -12,6 +13,7 @@ from repro import (
     SPARSE,
     TrafficMatrix,
 )
+from repro.sim.eventqueue import CapacityChange, EventQueueRunner
 from repro.topology import CanonicalTree
 
 
@@ -242,14 +244,41 @@ class TestHostResize:
         )
         with pytest.raises(ValueError) as direct:
             allocation.copy().set_host_capacity(host, **kwargs)
-        capacity = allocation.cluster.server(host).capacity
+        capacity = allocation.cluster.capacity(host)
         placement = allocation.as_dict()
         total = scheduler.fastcost.total_cost()
         with pytest.raises(ValueError) as caught:
             scheduler.set_host_capacity(host, **kwargs)
         assert str(caught.value) == str(direct.value)
-        assert allocation.cluster.server(host).capacity == capacity
+        assert allocation.cluster.capacity(host) == capacity
         assert allocation.as_dict() == placement
         assert scheduler.fastcost.total_cost() == total
         assert scheduler.fastcost.in_sync
         allocation.validate()
+
+    @pytest.mark.parametrize(
+        "host_of", [lambda n: n, lambda n: -1], ids=["n_hosts", "minus_one"]
+    )
+    def test_an_out_of_range_host_is_refused_before_any_write(
+        self, populated, cost_model, host_of
+    ):
+        """The allocation's resize and a pumped ``CapacityChange`` (whose
+        first host is in range) both refuse a host outside the cluster
+        with the cluster's ``ValueError`` and write nothing."""
+        allocation = populated[0]
+        scheduler = build_scheduler(populated, cost_model)
+        host = host_of(allocation.cluster.n_servers)
+        runner = EventQueueRunner(scheduler)
+        runner.schedule(0.0, CapacityChange([0, host], max_vms=1))
+        before = [
+            array.copy()
+            for array in allocation.cluster.capacity_arrays() + allocation.usage()
+        ]
+        for refused in (
+            lambda: allocation.set_host_capacity(host, max_vms=1),
+            lambda: runner.pump(0.0),
+        ):
+            with pytest.raises(ValueError, match=f"host index {host} out of range"):
+                refused()
+            after = allocation.cluster.capacity_arrays() + allocation.usage()
+            assert all(map(np.array_equal, before, after))

@@ -256,7 +256,7 @@ class TestSetHostCapacity:
         allocation.set_host_capacity(0, max_vms=6, nic_bps=2e9)
         slots, _, _, nic = allocation.cluster.capacity_arrays()
         assert slots[0] == 6 and nic[0] == 2e9
-        assert allocation.cluster.server(0).capacity.max_vms == 6
+        assert allocation.cluster.capacity(0).max_vms == 6
         # The engine agrees with a freshly built one (no rebuild needed).
         fresh = FastCostEngine(allocation, traffic)
         ids = sorted(allocation.vm_ids())
@@ -290,7 +290,7 @@ class TestSetHostCapacity:
             assert all(t not in hosts for _, t in moves)
         for env in (env_c, env_u):
             for h in hosts:
-                assert env.allocation.cluster.server(h).capacity.max_vms == 0
+                assert env.allocation.cluster.capacity(h).max_vms == 0
         assert_reports_equal(
             sched_c.run(n_iterations=2), sched_u.run(n_iterations=2)
         )
@@ -301,7 +301,7 @@ class TestSetHostCapacity:
             sched.restore_hosts(hosts)
         for env in (env_c, env_u):
             for h in hosts:
-                assert env.allocation.cluster.server(h).capacity.max_vms > 0
+                assert env.allocation.cluster.capacity(h).max_vms > 0
         assert_reports_equal(
             sched_c.run(n_iterations=3), sched_u.run(n_iterations=3)
         )
@@ -426,7 +426,7 @@ class TestMidRoundChurn:
         assert_reports_equal(rep_c, rep_u)
         for env, sched in ((env_c, sched_c), (env_u, sched_u)):
             assert len(env.allocation.vms_on(target)) == 0
-            assert env.allocation.cluster.server(target).capacity.max_vms == 0
+            assert env.allocation.cluster.capacity(target).max_vms == 0
             assert_exact_vs_fresh(env, sched)
 
     def test_admit_vms_between_waves(self):
@@ -720,7 +720,7 @@ def test_scheduled_epochs_keep_the_cache_equal_to_a_fresh_score(seed):
             for h in rng.choice(allocation.cluster.n_servers, 6, replace=False):
                 h = int(h)
                 used = len(allocation.vms_on(h))
-                slots = allocation.cluster.server(h).capacity.max_vms
+                slots = allocation.cluster.capacity(h).max_vms
                 if h not in rack and h not in squeezed and 0 < used < slots:
                     squeezed[h] = slots
                     for s in schedulers:

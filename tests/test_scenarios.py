@@ -182,7 +182,7 @@ class TestScenarioSmoke:
         env = result.environment
         topology = env.allocation.topology
         for host in topology.hosts_in_rack(0):
-            assert env.cluster.server(host).capacity.max_vms > 0
+            assert env.cluster.capacity(host).max_vms > 0
 
     def test_scenario_by_value(self):
         scenario = Scenario(

@@ -12,7 +12,9 @@ identical to the original (the cold-rebuild rung of service recovery).
 from __future__ import annotations
 
 import io
+import json
 import pickle
+from dataclasses import asdict
 
 import pytest
 
@@ -94,6 +96,19 @@ class TestPoissonSource:
         clone = pickle.loads(pickle.dumps(source))
         rest = [2 * ROUND_S, 3 * ROUND_S, 4 * ROUND_S]
         assert _drain(clone, rest) == _drain(source, rest)
+
+
+def test_event_spec_from_its_json_form():
+    spec = EventSpec(
+        kind="outage", at_round=1.5, racks=(2, 3), pods=(1,),
+        restore_after_rounds=2.0,
+    )
+    data = json.loads(json.dumps(asdict(spec)))
+    assert isinstance(data["racks"], list)
+    assert EventSpec.from_dict(data) == spec
+    assert EventSpec.from_dict({"kind": "restore", "at_round": 0, "hosts": [4]}) == (
+        EventSpec(kind="restore", at_round=0, hosts=(4,))
+    )
 
 
 class TestScriptedSource:

@@ -471,7 +471,7 @@ def test_every_mutation_kind_retires_the_fleet_and_stays_exact(seed):
     def local_capacity(fleet, host):
         domain = next(d for d in fleet.domains if host in d.global_hosts)
         local = int(np.searchsorted(domain.global_hosts, host))
-        return domain.allocation.cluster.server(local).capacity.max_vms
+        return domain.allocation.cluster.capacity(local).max_vms
 
     full_load = max(loads())
     full = loads().index(full_load)
