@@ -24,8 +24,8 @@ executes the whole round in *waves* instead:
    deferral) ever happens, and the outcome is identical to the
    sequential loop's.
 3. **Batched apply.**  Each wave lands as one ``FastCostEngine.apply_moves``
-   call, which moves the VMs with one ``Allocation.migrate_many`` and
-   updates the engine's caches.
+   call, in visit order, which moves the VMs with one
+   ``Allocation.migrate_many`` and updates the engine's caches.
 4. **Deferral + re-evaluation.**  Proposals the wave could not admit are
    re-evaluated against the post-wave state: feasibility is re-masked
    from the allocation's live usage every wave, and the deltas of every
@@ -39,6 +39,13 @@ accounted migrations as the sequential loop: when no decision interacts
 with another the outcomes are identical, and when they do interact the
 round still only applies exact positive deltas (``tests/test_wave_rounds``
 pins both properties, plus the interference rule itself on live waves).
+
+A round's outcome is its :class:`DecisionColumns`, one row per hold
+(§V-A, Algorithm 1), plus three counters.  A migrated row carries its
+exact applied delta and the wave it moved in, so the round's moves
+grouped by ``wave`` (visit order within a wave) are the very
+``apply_moves`` calls it made; the sharded coordinator replays a
+domain's round from them.
 
 **Incremental round cache.**  A round whose order covers the engine's
 whole population scores against the
@@ -79,10 +86,16 @@ class DecisionColumns:
     :class:`~repro.core.migration.MigrationDecision` tuples are built
     only when someone actually reads them (reports, tests, analyses).
     Behaves as an immutable sequence.  ``target`` is meaningful on
-    migrated rows only (``reason`` code 3).
+    migrated rows only (``reason`` code 3).  ``wave`` is the 1-based wave
+    a migrated hold moved in (−1 on every other row): a round's moves,
+    grouped by ``wave`` ascending and in hold order within a wave, are
+    the ``apply_moves`` calls that made them.  It is not part of the
+    decision sequence a :class:`MigrationDecision` carries.
     """
 
-    __slots__ = ("vm", "source", "target", "delta", "reason", "_materialized")
+    __slots__ = (
+        "vm", "source", "target", "delta", "reason", "wave", "_materialized",
+    )
 
     def __init__(self, n: int) -> None:
         self.vm = np.zeros(n, dtype=np.int64)
@@ -90,6 +103,7 @@ class DecisionColumns:
         self.target = np.full(n, -1, dtype=np.int64)
         self.delta = np.zeros(n)
         self.reason = np.full(n, -1, dtype=np.int8)
+        self.wave = np.full(n, -1, dtype=np.int32)
         self._materialized: Optional[List[MigrationDecision]] = None
 
     @classmethod
@@ -97,11 +111,14 @@ class DecisionColumns:
         cls, decisions: Sequence[MigrationDecision]
     ) -> "DecisionColumns":
         """Pack settled decision tuples (the per-hold oracle's output)
-        into columns; the inverse of materializing."""
+        into columns; the inverse of materializing.  Each migration is
+        its own wave of one, numbered in hold order."""
         decisions = list(decisions)
         cols = cls(len(decisions))
         for pos, decision in enumerate(decisions):
             cols.set(pos, decision)
+        migrated = cols.reason == 3
+        cols.wave[migrated] = np.arange(1, int(migrated.sum()) + 1)
         return cols
 
     @classmethod
@@ -110,7 +127,7 @@ class DecisionColumns:
     ) -> "DecisionColumns":
         """One record holding the given blocks' holds, in order."""
         cols = cls(0)
-        for name in ("vm", "source", "target", "delta", "reason"):
+        for name in ("vm", "source", "target", "delta", "reason", "wave"):
             parts = [getattr(block, name) for block in (cols, *blocks)]
             setattr(cols, name, np.concatenate(parts))
         return cols
@@ -171,38 +188,36 @@ class DecisionColumns:
             )
         )
 
+    def waves(self) -> List[np.ndarray]:
+        """Row indices of each wave's migrated holds, waves ascending and
+        hold order within a wave: one array per ``apply_moves`` call the
+        round made."""
+        rows = np.flatnonzero(self.reason == 3)
+        if not rows.size:
+            return []
+        rows = rows[np.argsort(self.wave[rows], kind="stable")]
+        waves = self.wave[rows]
+        return np.split(rows, np.flatnonzero(waves[1:] != waves[:-1]) + 1)
+
 
 @dataclass
 class RoundResult:
-    """Outcome of one wave-batched token round."""
+    """Outcome of one wave-batched token round: its decision columns and
+    the counters the round's telemetry reads."""
 
     #: Final per-hold decisions, aligned with the round's visit order —
-    #: an array-backed lazy sequence (see :class:`DecisionColumns`).
+    #: an array-backed lazy sequence (see :class:`DecisionColumns`).  A
+    #: migrated hold's ``delta`` is its applied exact delta and its
+    #: ``wave`` the wave it moved in.
     decisions: DecisionColumns = field(
         default_factory=lambda: DecisionColumns(0)
     )
-    #: Per-hold migrated flags / applied deltas, aligned with the order —
-    #: the array form the scheduler builds its time series from.
-    hold_migrated: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
-    hold_delta: np.ndarray = field(default_factory=lambda: np.empty(0))
     #: Number of migrations performed.
     migrations: int = 0
     #: Number of waves the round took (1 when nothing interfered).
     waves: int = 0
     #: Total deferral events (a hold deferred over k waves counts k times).
     deferrals: int = 0
-    #: Per-wave applied moves, ``(vm_id, source_host, target_host)`` — the
-    #: raw material of the wave-disjointness property test.  Populated only
-    #: when the engine was built with ``record_waves=True``.
-    wave_moves: List[List[Tuple[int, int, int]]] = field(default_factory=list)
-
-    @classmethod
-    def for_round(cls, n: int) -> "RoundResult":
-        return cls(
-            decisions=DecisionColumns(n),
-            hold_migrated=np.zeros(n, dtype=bool),
-            hold_delta=np.zeros(n),
-        )
 
     @property
     def interference_free(self) -> bool:
@@ -223,7 +238,6 @@ class BatchedRoundEngine:
         self,
         engine: MigrationEngine,
         fast: FastCostEngine,
-        record_waves: bool = False,
         profile=None,
     ) -> None:
         """``profile``, when given, is a
@@ -232,7 +246,6 @@ class BatchedRoundEngine:
         settle)."""
         self._engine = engine
         self._fast = fast
-        self._record_waves = record_waves
         self._profile = profile
 
     # -- profiling hooks -----------------------------------------------------
@@ -296,9 +309,11 @@ class BatchedRoundEngine:
     ) -> RoundResult:
         """The wave loop over a batch scoring the whole round;
         ``positions`` maps each batch owner to its visit position."""
-        result = RoundResult.for_round(len(order))
+        result = RoundResult(decisions=DecisionColumns(len(order)))
         if self._wave_segment(result, batch, positions, injector):
-            self._finish_round_live(result, list(order), injector)
+            self._finish_round_live(
+                result, np.asarray(order, dtype=np.int64), injector
+            )
         assert result.decisions.complete
         return result
 
@@ -379,7 +394,7 @@ class BatchedRoundEngine:
         return int((result.decisions.reason >= 0).sum())
 
     def _settle_retired(
-        self, result: RoundResult, vm_ids: List[int], positions: List[int]
+        self, result: RoundResult, vm_ids: np.ndarray, positions: np.ndarray
     ) -> None:
         """Consume the holds of VMs that left the allocation mid-round.
 
@@ -389,14 +404,13 @@ class BatchedRoundEngine:
         timeline — fixed at the visit-order snapshot's length.
         """
         cols = result.decisions
-        pos = np.asarray(positions, dtype=np.int64)
-        cols.vm[pos] = np.asarray(vm_ids, dtype=np.int64)
-        cols.source[pos] = -1
-        cols.delta[pos] = 0.0
-        cols.reason[pos] = 4  # retired
+        cols.vm[positions] = vm_ids
+        cols.source[positions] = -1
+        cols.delta[positions] = 0.0
+        cols.reason[positions] = 4  # retired
 
     def _finish_round_live(
-        self, result: RoundResult, order_ids: List[int], injector
+        self, result: RoundResult, order_ids: np.ndarray, injector
     ) -> None:
         """Finish a round whose in-flight batch an injected event staled.
 
@@ -411,32 +425,23 @@ class BatchedRoundEngine:
         fast = self._fast
         allocation = fast.allocation
         while True:
-            undecided = np.nonzero(result.decisions.reason < 0)[0]
+            undecided = np.flatnonzero(result.decisions.reason < 0)
             if undecided.size == 0:
                 return
-            alive_pos: List[int] = []
-            alive_ids: List[int] = []
-            gone_pos: List[int] = []
-            gone_ids: List[int] = []
-            for pos in undecided.tolist():
-                vm_id = order_ids[pos]
-                if vm_id in allocation:
-                    alive_pos.append(pos)
-                    alive_ids.append(vm_id)
-                else:
-                    gone_pos.append(pos)
-                    gone_ids.append(vm_id)
-            if gone_pos:
-                self._settle_retired(result, gone_ids, gone_pos)
-            if not alive_pos:
-                return
+            ids = order_ids[undecided]
+            alive = np.isin(ids, allocation.columns()[0])
+            if not alive.all():
+                self._settle_retired(result, ids[~alive], undecided[~alive])
+                if not alive.any():
+                    return
             t0 = self._tick()
             batch = fast.candidate_batch(
-                fast.dense_indices(alive_ids), self._engine.max_candidates
+                fast.dense_indices(ids[alive]), self._engine.max_candidates
             )
             self._lap("score", t0)
-            positions = np.asarray(alive_pos, dtype=np.int64)
-            if not self._wave_segment(result, batch, positions, injector):
+            if not self._wave_segment(
+                result, batch, undecided[alive], injector
+            ):
                 return
 
     # -- wave planning ------------------------------------------------------
@@ -586,23 +591,17 @@ class BatchedRoundEngine:
             dense = dense[genuine]
             sources = sources[genuine]
             targets = targets[genuine]
-        moved_vms = vm_ids[dense]
         if dense.size:
             deltas, _ = fast.apply_moves(dense, targets)
             pos_arr = positions[wave]
-            result.hold_migrated[pos_arr] = True
-            result.hold_delta[pos_arr] = deltas
             cols = result.decisions
-            cols.vm[pos_arr] = moved_vms
+            cols.vm[pos_arr] = vm_ids[dense]
             cols.source[pos_arr] = sources
             cols.target[pos_arr] = targets
             cols.delta[pos_arr] = deltas
             cols.reason[pos_arr] = 3  # migrated
+            cols.wave[pos_arr] = result.waves
             result.migrations += int(dense.size)
-        if self._record_waves:
-            result.wave_moves.append(
-                list(zip(moved_vms.tolist(), sources.tolist(), targets.tolist()))
-            )
         return dense, sources, targets
 
     # -- staleness ----------------------------------------------------------

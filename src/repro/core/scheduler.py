@@ -233,7 +233,7 @@ class SCOREScheduler:
         self._policy = policy
         self._engine = engine
         self._interval = token_interval_s
-        self._token = Token(allocation.vm_ids())
+        self._token = Token(allocation.columns()[0])
         self._clock = 0.0
         self._use_sharding = use_sharding
         self._n_domains = n_domains
@@ -466,7 +466,10 @@ class SCOREScheduler:
             report.decisions.extend(result.decisions)
             # Per-hold cost series, attributed at each migrated hold in
             # visit order (cumulative exact deltas).
-            costs = cost - np.cumsum(result.hold_delta)
+            hit = result.decisions.reason == 3
+            costs = cost - np.cumsum(
+                np.where(hit, result.decisions.delta, 0.0)
+            )
             clocks = self._clock + self._interval * np.arange(
                 1, len(order) + 1
             )
@@ -483,7 +486,6 @@ class SCOREScheduler:
                     zip(clocks.tolist(), costs.tolist())
                 )
             else:
-                hit = result.hold_migrated
                 report.time_series.extend(
                     zip(clocks[hit].tolist(), costs[hit].tolist())
                 )
@@ -583,14 +585,16 @@ class SCOREScheduler:
                     (mutation.us, mutation.vs, mutation.rates)
                 )
             elif isinstance(mutation, Admit):
-                # The allocation validates the whole batch before placing.
+                # The allocation validates the whole batch before placing;
+                # the token then circulates its new id column.
                 fast.add_vms(mutation.vms, mutation.hosts)
-                for vm in mutation.vms:
-                    token.add_vm(vm.vm_id)
+                token.admit(
+                    [vm.vm_id for vm in mutation.vms],
+                    self._allocation.columns()[0],
+                )
             elif isinstance(mutation, Retire):
                 fast.remove_vms(mutation.vm_ids)
-                for vm_id in mutation.vm_ids:
-                    token.remove_vm(vm_id)
+                token.retire(mutation.vm_ids, self._allocation.columns()[0])
             elif isinstance(mutation, Capacity):
                 self._allocation.set_host_capacity(
                     mutation.host, max_vms=mutation.max_vms,

@@ -26,6 +26,25 @@ MAX_LEVEL_VALUE = 255
 _WIRE = np.dtype([("id", ">u4"), ("level", "u1")])
 
 
+def _is_id_column(vm_ids) -> bool:
+    """Whether ``vm_ids`` is a strictly ascending ``int64`` array."""
+    return (
+        isinstance(vm_ids, np.ndarray)
+        and vm_ids.dtype == np.int64
+        and vm_ids.ndim == 1
+        and not (vm_ids[1:] <= vm_ids[:-1]).any()
+    )
+
+
+def _check_ids(ids: np.ndarray) -> None:
+    """Refuse an empty population or an id outside the 32-bit field."""
+    if not ids.size:
+        raise ValueError("a token must carry at least one VM entry")
+    for vm_id in (ids[0], ids[-1]):
+        if not 0 <= vm_id <= MAX_VM_ID:
+            raise ValueError(f"vm_id must fit in 32 bits, got {vm_id}")
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.flags.writeable = False
@@ -41,14 +60,14 @@ class Token:
     """
 
     def __init__(self, vm_ids: Iterable[int]) -> None:
-        ids = np.unique(np.fromiter(vm_ids, dtype=np.int64))
-        if not ids.size:
-            raise ValueError("a token must carry at least one VM entry")
-        for vm_id in (ids[0], ids[-1]):
-            if not 0 <= vm_id <= MAX_VM_ID:
-                raise ValueError(f"vm_id must fit in 32 bits, got {vm_id}")
-        self._ids = ids
-        self._levels = np.zeros(len(ids), dtype=np.uint8)
+        """Entries for ``vm_ids`` (any order, duplicates dropped), all at
+        level 0.  An ascending ``int64`` array — an allocation's id
+        column — is kept by reference, not copied."""
+        if not _is_id_column(vm_ids):
+            vm_ids = np.unique(np.fromiter(vm_ids, dtype=np.int64))
+        _check_ids(vm_ids)
+        self._ids = vm_ids
+        self._levels = np.zeros(len(vm_ids), dtype=np.uint8)
 
     # -- entry access ----------------------------------------------------------
 
@@ -111,27 +130,47 @@ class Token:
 
     # -- membership management ---------------------------------------------------
 
-    def add_vm(self, vm_id: int, level: int = 0) -> None:
-        """Insert a (new) VM entry keeping ascending ID order."""
-        if vm_id in self:
-            raise ValueError(f"VM {vm_id} is already in the token")
-        if not 0 <= vm_id <= MAX_VM_ID:
-            raise ValueError(f"vm_id must fit in 32 bits, got {vm_id}")
-        if not 0 <= level <= MAX_LEVEL_VALUE:
-            raise ValueError(f"level must fit in 8 bits, got {level}")
-        index = int(np.searchsorted(self._ids, vm_id))
-        self._ids = np.insert(self._ids, index, vm_id)
-        self._levels = np.insert(self._levels, index, level)
+    def admit(self, vm_ids, column: np.ndarray) -> None:
+        """Add one batch of arrivals at level 0.
 
-    def remove_vm(self, vm_id: int) -> None:
-        """Drop a VM entry (e.g. the VM terminated)."""
-        index = self._find(vm_id)
-        if index < 0:
-            raise KeyError(f"VM {vm_id} is not in the token")
-        if len(self._ids) == 1:
-            raise ValueError("cannot remove the last entry of a token")
-        self._ids = np.delete(self._ids, index)
-        self._levels = np.delete(self._levels, index)
+        ``column`` is the population's ascending ``int64`` id column once
+        ``vm_ids`` have joined (an allocation's own, kept by reference);
+        entries already in the token keep their level.  An id already in
+        the token, or one outside the 32-bit field, raises and leaves the
+        token unchanged.
+        """
+        vm_ids = np.asarray(vm_ids, dtype=np.int64).reshape(-1)
+        at = self._ids.searchsorted(vm_ids)
+        taken = self._ids[at.clip(max=len(self._ids) - 1)] == vm_ids
+        if taken.any():
+            raise ValueError(f"VM {vm_ids[taken][0]} is already in the token")
+        self._rebase(column, np.insert(self._levels, at, 0))
+
+    def retire(self, vm_ids, column: np.ndarray) -> None:
+        """Drop one batch of departures.
+
+        ``column`` is the population's id column once ``vm_ids`` have
+        left; the remaining entries keep their level.  An id not in the
+        token raises ``KeyError``, and emptying the token ``ValueError``,
+        leaving it unchanged.
+        """
+        vm_ids = np.asarray(vm_ids, dtype=np.int64).reshape(-1)
+        at = self._ids.searchsorted(vm_ids).clip(max=len(self._ids) - 1)
+        missing = self._ids[at] != vm_ids
+        if missing.any():
+            raise KeyError(f"VM {vm_ids[missing][0]} is not in the token")
+        self._rebase(column, np.delete(self._levels, at))
+
+    def _rebase(self, column: np.ndarray, levels: np.ndarray) -> None:
+        """Point the token at ``column`` with ``levels`` aligned to it."""
+        if not _is_id_column(column) or len(column) != len(levels):
+            raise ValueError(
+                "the token's ids must be the population's ascending int64 "
+                "id column"
+            )
+        _check_ids(column)
+        self._ids = column
+        self._levels = levels
 
     # -- circulation ----------------------------------------------------------------
 

@@ -12,11 +12,11 @@ scheduler's *global* state:
    each domain's waves into the global allocation and fast engine *as
    the domain's outcome arrives*, in ascending domain-id order (the
    canonical merge order every executor reproduces, so serial and
-   parallel runs apply bit-identical move sequences).  Waves from
-   different domains touch disjoint host sets, so each merged wave
-   satisfies the interference-free contract of
-   :meth:`~repro.core.fastcost.FastCostEngine.apply_moves` and the
-   global incremental cost stays exact move for move.  With a process
+   parallel runs apply bit-identical move sequences).  A domain's
+   waves are its migrated decisions grouped by their ``wave`` column,
+   replayed in the order the domain applied them; each is one
+   interference-free :meth:`~repro.core.fastcost.FastCostEngine.apply_moves`
+   call, so the global incremental cost stays exact move for move.  With a process
    executor the merge is **pipelined**: early domains merge while later
    domains still solve, and (when another iteration is known to follow)
    workers start round ``k+1`` the moment their round-``k`` frames are
@@ -40,8 +40,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.shard.domain import ShardDomain
 from repro.shard.executor import make_executor
@@ -157,14 +155,7 @@ class ShardedCoordinator:
         decision_blocks: List[object] = []
         for outcome in self._executor.run_all(more_coming):
             t0 = time.perf_counter()
-            for wave in outcome.wave_moves:
-                if not wave:
-                    continue
-                vm_src_tgt = np.array(wave, dtype=np.int64)
-                self._fast.apply_moves(
-                    self._fast.dense_indices(vm_src_tgt[:, 0]),
-                    vm_src_tgt[:, 2],
-                )
+            self._merge_waves(outcome.decisions)
             migrations += outcome.migrations
             waves = max(waves, outcome.waves)
             decision_blocks.append(outcome.decisions)
@@ -181,6 +172,15 @@ class ShardedCoordinator:
             cost_at_end=float(self._fast.total_cost()),
             decision_blocks=decision_blocks,
         )
+
+    def _merge_waves(self, cols) -> None:
+        """Replay one domain round on the global engine: the
+        ``apply_moves`` calls the domain made, one per wave
+        (:meth:`~repro.core.rounds.DecisionColumns.waves`)."""
+        for rows in cols.waves():
+            self._fast.apply_moves(
+                self._fast.dense_indices(cols.vm[rows]), cols.target[rows]
+            )
 
     def _measure_imbalance(self) -> float:
         """Slowest worker's measured solve seconds over the mean."""

@@ -24,7 +24,7 @@ for those VMs — the differential suite pins this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.cluster.allocation import Allocation
 from repro.core.cost import CostModel
 from repro.core.migration import MigrationEngine
 from repro.core.policies import TokenPolicy
-from repro.core.rounds import BatchedRoundEngine, RoundResult
+from repro.core.rounds import BatchedRoundEngine, DecisionColumns
 from repro.core.token import Token
 from repro.topology.tree import CanonicalTree
 from repro.traffic.matrix import TrafficMatrix
@@ -48,13 +48,12 @@ class DomainRoundOutcome:
     """
 
     domain_id: int
-    #: Per-wave applied moves ``(vm_id, source_host, target_host)``.
-    wave_moves: List[List[Tuple[int, int, int]]]
+    #: Final per-hold decision columns (global hosts); the migrated
+    #: rows, grouped by their ``wave``, are the round's applied waves.
+    decisions: DecisionColumns
     migrations: int
     waves: int
     deferrals: int
-    #: Final per-hold decision columns (global hosts).
-    decisions: object
 
 
 class ShardDomain:
@@ -112,7 +111,7 @@ class ShardDomain:
             intra_pairs[0], intra_pairs[1], intra_pairs[2]
         )
         self.policy = policy
-        self.token = Token(self.allocation.vm_ids())
+        self.token = Token(self.allocation.columns()[0])
         self.engine = MigrationEngine(
             CostModel(sub_topology, weights),
             migration_cost=migration_cost,
@@ -120,9 +119,7 @@ class ShardDomain:
             max_candidates=max_candidates,
         )
         self.fast = self.engine.bind(self.allocation, self.traffic)
-        self.rounds = BatchedRoundEngine(
-            self.engine, self.fast, record_waves=True
-        )
+        self.rounds = BatchedRoundEngine(self.engine, self.fast)
         self.holder: Optional[int] = None
         self._n_intra_pairs = int(len(intra_pairs[0]))
         self._n_local_racks = int(sub_topology.n_racks)
@@ -151,33 +148,14 @@ class ShardDomain:
         self.holder = self.policy.end_round(self.token, order, self.fast)
         return DomainRoundOutcome(
             domain_id=self.domain_id,
-            wave_moves=[
-                self._globalize_wave(wave) for wave in result.wave_moves
-            ],
+            decisions=self._globalize_decisions(result.decisions),
             migrations=result.migrations,
             waves=result.waves,
             deferrals=result.deferrals,
-            decisions=self._globalize_decisions(result),
         )
 
-    def _globalize_wave(
-        self, wave: List[Tuple[int, int, int]]
-    ) -> List[Tuple[int, int, int]]:
-        """Translate one wave's (vm, src, tgt) moves to global hosts."""
-        if not wave:
-            return []
-        moves = np.asarray(wave, dtype=np.int64)
-        return list(
-            zip(
-                moves[:, 0].tolist(),
-                self.global_hosts[moves[:, 1]].tolist(),
-                self.global_hosts[moves[:, 2]].tolist(),
-            )
-        )
-
-    def _globalize_decisions(self, result: RoundResult):
+    def _globalize_decisions(self, cols: DecisionColumns) -> DecisionColumns:
         """Rewrite the round's decision columns to global host ids."""
-        cols = result.decisions
         cols.source = self.global_hosts[cols.source]
         migrated = cols.target >= 0
         cols.target[migrated] = self.global_hosts[cols.target[migrated]]

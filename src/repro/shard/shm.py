@@ -1,15 +1,14 @@
 """Zero-copy slab transport for sharded round outcomes.
 
-The fork-pool executor of PR 9 pickled every
-:class:`~repro.shard.domain.DomainRoundOutcome` — lists of move tuples
-and five decision columns per domain — through a pipe each round.  At
-hyperscale that serializes megabytes per iteration through the pickle
-machinery on both ends.  This module replaces the payload path with
-preallocated ``multiprocessing.shared_memory`` slabs:
+Pickling every :class:`~repro.shard.domain.DomainRoundOutcome` — six
+decision columns per domain — through a pipe each round serializes
+megabytes per iteration through the pickle machinery on both ends at
+hyperscale.  This module replaces the payload path with preallocated
+``multiprocessing.shared_memory`` slabs:
 
 * The parent creates **one slab per worker** before forking, sized from
-  the worker's owned populations (a round mints at most one decision
-  and one move per VM, so the bound is static).  Workers inherit the
+  the worker's owned populations (a round mints exactly one decision
+  per VM, so the bound is static).  Workers inherit the
   open mapping through ``fork`` — no re-attach, so the segment is
   registered with the resource tracker exactly once, in the parent.
 * Each slab is split into **two buffers**; round ``k`` lands in buffer
@@ -19,12 +18,13 @@ preallocated ``multiprocessing.shared_memory`` slabs:
   before round ``k+2``, which the parent only commands after fully
   decoding round ``k``.
 * A domain outcome is packed as one contiguous **frame** of aligned
-  arrays — wave lengths ``int32``, moves ``int32 (vm, src, tgt)``,
-  decision ids ``int32``, deltas ``float64``, reasons ``int8`` — and
-  the pipe carries only a tiny header tuple (offsets, counts, scalar
-  stats).  Decoding copies the columns out of the slab into fresh
-  arrays, so the buffer is free for reuse the moment the header is
-  processed.
+  decision columns — vm / source / target / wave ``int32``, delta
+  ``float64``, reason ``int8``: 25 bytes per hold — and the pipe
+  carries only a tiny header tuple (offset, count, scalar stats).  The
+  migrated rows' ``wave`` column carries the round's moves, so no
+  separate move list travels.  Decoding copies the columns out of the
+  slab into fresh arrays, so the buffer is free for reuse the moment
+  the header is processed.
 
 Frames fall back to the pickled pipe path (a ``bulk`` header) when a
 round outgrows its buffer — churn can grow a domain past its build-time
@@ -60,11 +60,9 @@ def _align(offset: int) -> int:
     return (offset + 7) & ~7
 
 
-def frame_bytes(n_waves: int, n_moves: int, n_decisions: int) -> int:
-    """Worst-case bytes one packed outcome frame occupies."""
-    total = _align(4 * n_waves)  # wave lengths, int32
-    total += _align(12 * n_moves)  # (vm, src, tgt) int32 triples
-    total += 3 * _align(4 * n_decisions)  # vm / source / target, int32
+def frame_bytes(n_decisions: int) -> int:
+    """Bytes one packed outcome frame of ``n_decisions`` holds occupies."""
+    total = 4 * _align(4 * n_decisions)  # vm / source / target / wave, int32
     total += _align(8 * n_decisions)  # delta, float64
     total += _align(n_decisions)  # reason, int8
     return total
@@ -74,13 +72,13 @@ def buffer_bytes(n_vms_of_domains: List[int]) -> int:
     """Per-buffer capacity for a worker owning the given populations.
 
     A wave-batched round visits every VM once, so per domain a round
-    emits at most ``n_vms`` moves, exactly ``n_vms`` decision rows and
-    at most ``n_vms`` waves.  Slack covers post-build churn.
+    emits exactly ``n_vms`` decision rows.  Slack covers post-build
+    churn.
     """
     total = 0
     for n_vms in n_vms_of_domains:
         bound = int(n_vms * _CAPACITY_SLACK) + 64
-        total += frame_bytes(bound, bound, bound) + _CAPACITY_FLOOR
+        total += frame_bytes(bound) + _CAPACITY_FLOOR
     return max(total, _CAPACITY_FLOOR)
 
 
@@ -114,31 +112,17 @@ def pack_outcome(
     ``None`` means the frame does not fit (or an id overflows int32) and
     the caller must ship the outcome through the pickled ``bulk`` path.
     """
-    moves = [move for wave in outcome.wave_moves for move in wave]
-    wave_lens = np.array(
-        [len(wave) for wave in outcome.wave_moves], dtype=np.int32
-    )
-    move_arr = (
-        np.array(moves, dtype=np.int64).reshape(-1, 3)
-        if moves
-        else np.empty((0, 3), dtype=np.int64)
-    )
     decisions = outcome.decisions
     n_dec = len(decisions)
-    if offset + frame_bytes(len(wave_lens), len(move_arr), n_dec) > capacity_end:
+    if offset + frame_bytes(n_dec) > capacity_end:
         return None
-    if move_arr.size and int(move_arr.max()) > _I32_MAX:
+    ids = (decisions.vm, decisions.source, decisions.target)
+    if n_dec and max(int(column.max()) for column in ids) > _I32_MAX:
         return None
 
     start = offset
-    offset = _put(buf, offset, wave_lens)
-    offset = _put(buf, offset, move_arr.astype(np.int32))
-    ids = np.stack([decisions.vm, decisions.source, decisions.target])
-    if ids.size and int(ids.max()) > _I32_MAX:
-        return None
-    offset = _put(buf, offset, decisions.vm.astype(np.int32))
-    offset = _put(buf, offset, decisions.source.astype(np.int32))
-    offset = _put(buf, offset, decisions.target.astype(np.int32))
+    for column in (*ids, decisions.wave):
+        offset = _put(buf, offset, column.astype(np.int32))
     offset = _put(buf, offset, np.ascontiguousarray(decisions.delta))
     offset = _put(buf, offset, np.ascontiguousarray(decisions.reason))
     header = (
@@ -150,8 +134,6 @@ def pack_outcome(
         outcome.deferrals,
         solve_s,
         start,
-        len(wave_lens),
-        len(move_arr),
         n_dec,
     )
     return header, offset
@@ -168,37 +150,21 @@ def unpack_outcome(buf: memoryview, header: tuple) -> DomainRoundOutcome:
         deferrals,
         _solve_s,
         offset,
-        n_waves,
-        n_moves,
         n_dec,
     ) = header
-    wave_lens, offset = _take(buf, offset, n_waves, np.int32)
-    flat, offset = _take(buf, offset, n_moves * 3, np.int32)
-    moves = flat.reshape(-1, 3).astype(np.int64)
-    wave_moves: List[List[Tuple[int, int, int]]] = []
-    cursor = 0
-    for length in wave_lens.tolist():
-        chunk = moves[cursor : cursor + length]
-        wave_moves.append(list(map(tuple, chunk.tolist())))
-        cursor += length
     decisions = DecisionColumns(n_dec)
-    vm, offset = _take(buf, offset, n_dec, np.int32)
-    source, offset = _take(buf, offset, n_dec, np.int32)
-    target, offset = _take(buf, offset, n_dec, np.int32)
-    delta, offset = _take(buf, offset, n_dec, np.float64)
-    reason, offset = _take(buf, offset, n_dec, np.int8)
-    decisions.vm = vm.astype(np.int64)
-    decisions.source = source.astype(np.int64)
-    decisions.target = target.astype(np.int64)
-    decisions.delta = delta
-    decisions.reason = reason
+    for name in ("vm", "source", "target"):
+        column, offset = _take(buf, offset, n_dec, np.int32)
+        setattr(decisions, name, column.astype(np.int64))
+    decisions.wave, offset = _take(buf, offset, n_dec, np.int32)
+    decisions.delta, offset = _take(buf, offset, n_dec, np.float64)
+    decisions.reason, _ = _take(buf, offset, n_dec, np.int8)
     return DomainRoundOutcome(
         domain_id=domain_id,
-        wave_moves=wave_moves,
+        decisions=decisions,
         migrations=migrations,
         waves=waves,
         deferrals=deferrals,
-        decisions=decisions,
     )
 
 

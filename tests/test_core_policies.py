@@ -215,8 +215,7 @@ class TestLeastRecentlyVisitedRoundOrder:
         order = policy.round_order(token, 1)
         assert order == [1, 2, 3]
         assert policy.end_round(token, order, None) == 1
-        token.add_vm(9)
-        token.add_vm(4)
+        token.admit([9, 4], np.array([1, 2, 3, 4, 9]))
         # Never-visited arrivals wait longest: they follow the holder.
         assert policy.round_order(token, 1) == [1, 4, 9, 2, 3]
 
@@ -224,8 +223,8 @@ class TestLeastRecentlyVisitedRoundOrder:
         token, policy = Token([1, 2, 3, 4, 5]), LeastRecentlyVisitedPolicy()
         holder = 3
         for arrivals in ([], [9], [6, 7], []):
-            for vm_id in arrivals:
-                token.add_vm(vm_id)
+            column = np.union1d(token.ids, arrivals).astype(np.int64)
+            token.admit(arrivals, column)
             order = policy.round_order(token, holder)
             assert order[0] == holder
             assert sorted(order) == list(token.vm_ids)
@@ -235,7 +234,7 @@ class TestLeastRecentlyVisitedRoundOrder:
     def test_end_round_stamps_only_token_members(self):
         token, policy = Token([1, 2, 3]), LeastRecentlyVisitedPolicy()
         order = policy.round_order(token, 1)
-        token.remove_vm(2)
+        token.retire([2], np.array([1, 3]))
         assert policy.end_round(token, order, None) == 1
         assert sorted(policy._last_visit) == [1, 3]
         assert policy.round_order(token, 2) == [1, 3]

@@ -10,6 +10,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.cluster.vm import MAX_VM_ID
 from repro.core.token import MAX_LEVEL_VALUE, Token
 
 
@@ -67,37 +68,64 @@ class TestTokenBasics:
         with pytest.raises(ValueError):
             Token([-1, 3])
         with pytest.raises(ValueError):
-            Token([1]).add_vm(2**32)
+            Token([1]).admit([2**32], np.array([1, 2**32]))
 
-    def test_level_range(self):
-        token = Token([1])
-        with pytest.raises(ValueError):
-            token.add_vm(2, level=256)
-        assert token.vm_ids == (1,)
+    def test_refusals_leave_the_token_unchanged(self):
+        token = Token([1, 5])
+        token.set_levels([5], [2])
+        for call, vm_ids, column, error in (
+            (token.admit, [2**32], np.array([1, 5, 2**32]), ValueError),
+            (token.admit, [5], np.array([1, 5, 5]), ValueError),
+            (token.admit, [3], np.array([1, 5, 3]), ValueError),
+            (token.admit, [3], np.array([1, 3, 5], np.int32), ValueError),
+            (token.retire, [9], np.array([1, 5]), KeyError),
+            (token.retire, [1, 5], np.empty(0, np.int64), ValueError),
+        ):
+            with pytest.raises(error):
+                call(vm_ids, column)
+            assert token.vm_ids == (1, 5) and token.levels.tolist() == [0, 2]
 
     def test_levels_follow_membership_changes(self):
         token = Token([1, 5])
         token.set_levels([5], [2])
-        token.add_vm(3, level=1)
+        token.admit([3], np.array([1, 3, 5]))
+        token.set_levels([3], [1])
         assert token.levels.tolist() == [0, 1, 2]
-        token.remove_vm(1)
+        token.retire([1], np.array([3, 5]))
         assert token.vm_ids == (3, 5) and token.levels.tolist() == [1, 2]
 
     def test_membership_management(self):
         token = Token([1, 3])
-        token.add_vm(2, level=1)
+        token.admit([2], np.array([1, 2, 3]))
         assert token.vm_ids == (1, 2, 3)
-        token.remove_vm(3)
+        token.retire([3], np.array([1, 2]))
         assert token.vm_ids == (1, 2)
+        assert 3 not in token
         with pytest.raises(ValueError):
-            token.add_vm(2)
+            token.admit([2], np.array([1, 2, 2]))
         with pytest.raises(KeyError):
-            token.remove_vm(99)
+            token.retire([99], np.array([1, 2]))
 
     def test_cannot_remove_last(self):
         token = Token([1])
         with pytest.raises(ValueError):
-            token.remove_vm(1)
+            token.retire([1], np.empty(0, dtype=np.int64))
+
+    def test_an_id_column_is_kept_not_copied(self):
+        column = np.array([2, 4, 9], dtype=np.int64)
+        token = Token(column)
+        assert np.shares_memory(token.ids, column)
+        grown = np.array([2, 4, 7, 9], dtype=np.int64)
+        token.admit([7], grown)
+        assert np.shares_memory(token.ids, grown)
+        shrunk = np.array([2, 9], dtype=np.int64)
+        token.retire([4, 7], shrunk)
+        assert np.shares_memory(token.ids, shrunk)
+        # Any other input is sorted and de-duplicated into a fresh array.
+        unsorted = np.array([9, 2, 4, 2], dtype=np.int64)
+        token = Token(unsorted)
+        assert token.vm_ids == (2, 4, 9)
+        assert not np.shares_memory(token.ids, unsorted)
 
 
 class TestCirculation:
@@ -154,6 +182,7 @@ class TestWireFormat:
 
 IDS = st.integers(0, 40)
 LEVELS = st.integers(0, 300)  # beyond 255 must raise
+WIDE = MAX_VM_ID + 1  # an id the 32-bit field cannot carry
 
 
 class TokenMachine(RuleBasedStateMachine):
@@ -168,26 +197,45 @@ class TokenMachine(RuleBasedStateMachine):
         self.token = Token(ids)
         self.model = {vm_id: 0 for vm_id in ids}
 
-    @rule(vm_id=IDS, level=LEVELS)
-    def add_vm(self, vm_id, level):
-        if vm_id in self.model or level > MAX_LEVEL_VALUE:
+    @rule(data=st.data())
+    def admit(self, data):
+        new = data.draw(
+            st.lists(
+                st.sampled_from(sorted(self.model)) | IDS | st.just(WIDE),
+                unique=True,
+                max_size=4,
+            )
+        )
+        grown = sorted(self.model.keys() | set(new))
+        column = np.array(grown, dtype=np.int64)
+        if self.model.keys() & set(new) or WIDE in new:
             with pytest.raises(ValueError):
-                self.token.add_vm(vm_id, level)
+                self.token.admit(new, column)
             return
-        self.token.add_vm(vm_id, level)
-        self.model[vm_id] = level
+        self.token.admit(new, column)
+        self.model.update(dict.fromkeys(new, 0))
 
-    @rule(vm_id=IDS)
-    def remove_vm(self, vm_id):
-        if vm_id not in self.model:
+    @rule(data=st.data())
+    def retire(self, data):
+        gone = data.draw(
+            st.lists(
+                st.sampled_from(sorted(self.model)) | IDS,
+                unique=True,
+                max_size=4,
+            )
+        )
+        kept = sorted(self.model.keys() - set(gone))
+        column = np.array(kept, dtype=np.int64)
+        if set(gone) - self.model.keys():
             with pytest.raises(KeyError):
-                self.token.remove_vm(vm_id)
-        elif len(self.model) == 1:
+                self.token.retire(gone, column)
+        elif not column.size:
             with pytest.raises(ValueError):
-                self.token.remove_vm(vm_id)
+                self.token.retire(gone, column)
         else:
-            self.token.remove_vm(vm_id)
-            del self.model[vm_id]
+            self.token.retire(gone, column)
+            for vm_id in gone:
+                del self.model[vm_id]
 
     @rule(data=st.data())
     def set_levels(self, data):

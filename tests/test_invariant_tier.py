@@ -51,15 +51,17 @@ def _busy_host(scheduler):
 # Each corruption mutates the stack and returns (invariant, indices,
 # message fragment).
 def ids_out_of_order(s):
-    ids = s.token._ids
+    # The token's id column is the allocation's: swap in a private copy.
+    ids = s.token._ids.copy()
     a, b = int(ids[2]), int(ids[3])
     ids[2], ids[3] = b, a
+    s.token._ids = ids
     return "token-order", (a,), f"vm {a} follows vm {b}"
 
 
 def token_membership(s):
     vm = s.token.vm_ids[1]
-    s.token.remove_vm(vm)
+    s.token.retire([vm], np.delete(s.token.ids, 1))
     return "token-membership", (vm,), "allocation places"
 
 

@@ -1,5 +1,6 @@
 """Tests for VM arrival/departure during S-CORE operation (tenant churn)."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -88,6 +89,30 @@ class TestRetirement:
             model.total_cost(allocation, traffic), rel=1e-9
         )
         allocation.validate()
+
+
+class TestTokenColumn:
+    def test_the_token_circulates_the_allocations_id_column(
+        self, scheduler_env
+    ):
+        """One id column, so a snapshot pickles it once; kept VMs keep
+        their level across a batch and arrivals start at level 0."""
+        scheduler, allocation, traffic = scheduler_env
+        token = scheduler.token
+
+        def shared():
+            return np.shares_memory(token.ids, allocation.columns()[0])
+
+        assert shared()
+        token.set_levels([1, 3], [2, 1])
+        scheduler.admit_vms(
+            [VM(4, ram_mb=256, cpu=0.25), VM(9, ram_mb=256, cpu=0.25)], [1, 5]
+        )
+        assert shared() and token.vm_ids == (1, 2, 3, 4, 9)
+        assert token.levels.tolist() == [2, 0, 1, 0, 0]
+        scheduler.retire_vms([2, 9])
+        assert shared() and token.vm_ids == (1, 3, 4)
+        assert token.levels.tolist() == [2, 1, 0]
 
 
 class TestChurnEdges:

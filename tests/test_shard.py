@@ -27,10 +27,13 @@ from repro import VM
 from repro.core.cost import CostModel
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
+from repro.core.rounds import DecisionColumns
 from repro.core.scheduler import SCOREScheduler
 from repro.reference import NaiveScheduler
 from repro.shard import ShardedCoordinator, build_partition
 from repro.shard import coordinator as coordinator_module
+from repro.shard import shm
+from repro.shard.domain import DomainRoundOutcome
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
@@ -314,6 +317,69 @@ class TestCrossDomainReconciliation:
         )
         exact = env.cost_model.total_cost(env.allocation, scheduler.traffic)
         assert report.final_cost == pytest.approx(exact, rel=1e-9)
+
+
+class TestDomainOutcomeFrame:
+    """A domain round ships as its decision columns, ``wave`` included."""
+
+    COLUMNS = ("vm", "source", "target", "delta", "reason", "wave")
+
+    def _fleet(self, seed=21):
+        env = build_environment(SMALL.with_(seed=seed))
+        traffic = mixed_traffic(env, seed)
+        scheduler = sharded_scheduler(env, traffic, n_domains=4, n_workers=1)
+        return scheduler, scheduler._ensure_shard_fleet()
+
+    def test_a_domain_token_circulates_its_allocations_id_column(self):
+        scheduler, fleet = self._fleet()
+        for domain in fleet.domains:
+            assert np.shares_memory(
+                domain.token.ids, domain.allocation.columns()[0]
+            )
+        scheduler.close()
+
+    def test_a_real_round_survives_the_slab_round_trip(self):
+        scheduler, fleet = self._fleet()
+        domain = max(fleet.domains, key=lambda d: d.n_vms)
+        outcome = domain.run_round()
+        assert outcome.migrations > 0
+        buf = memoryview(bytearray(shm.buffer_bytes([domain.n_vms])))
+        header, end = shm.pack_outcome(buf, 0, len(buf), outcome, 0, 0.5)
+        assert end <= len(buf)
+        back = shm.unpack_outcome(buf, header)
+        assert (back.domain_id, back.migrations, back.waves, back.deferrals) == (
+            outcome.domain_id, outcome.migrations, outcome.waves,
+            outcome.deferrals,
+        )
+        for name in self.COLUMNS:
+            sent = getattr(outcome.decisions, name)
+            got = getattr(back.decisions, name)
+            assert got.dtype == sent.dtype, name
+            np.testing.assert_array_equal(got, sent, err_msg=name)
+        scheduler.close()
+
+    @pytest.mark.parametrize("n_vms", [1, 100, 5000])
+    def test_the_worst_case_frame_fits_its_buffer(self, n_vms):
+        """Every hold migrates, each in its own wave, on ids at the int32
+        bound: the frame still fits, so no ``bulk`` fallback."""
+        capacity = shm.buffer_bytes([n_vms])
+        n = int(n_vms * shm._CAPACITY_SLACK) + 64
+        cols = DecisionColumns(n)
+        cols.vm[:] = shm._I32_MAX - np.arange(n)
+        cols.source[:] = shm._I32_MAX
+        cols.target[:] = shm._I32_MAX - 1
+        cols.delta[:] = 1.0
+        cols.reason[:] = 3
+        cols.wave[:] = np.arange(1, n + 1)
+        outcome = DomainRoundOutcome(0, cols, n, n, 0)
+        buf = memoryview(bytearray(capacity))
+        packed = shm.pack_outcome(buf, 0, capacity, outcome, 0, 0.0)
+        assert packed is not None
+        back = shm.unpack_outcome(buf, packed[0])
+        for name in self.COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(back.decisions, name), getattr(cols, name)
+            )
 
 
 class TestShardingRefusals:

@@ -31,6 +31,7 @@ from repro import (
     Cluster,
     CostModel,
     DCTrafficGenerator,
+    DENSE,
     FatTree,
     MigrationEngine,
     PlacementManager,
@@ -74,11 +75,26 @@ def build_scenario(seed, fattree=False, scale=1, pattern=SPARSE, fill=0.85):
 
 
 def run_batched_round(allocation, traffic, model, **engine_kw):
-    """One recorded wave-batched round (RR order) over a fresh engine stack."""
+    """One wave-batched round (RR order) over a fresh engine stack."""
     engine = MigrationEngine(model, **engine_kw)
     fast = FastCostEngine(allocation, traffic, weights=model.weights)
-    rounds = BatchedRoundEngine(engine, fast, record_waves=True)
+    rounds = BatchedRoundEngine(engine, fast)
     return rounds.run_round(sorted(allocation.vm_ids()))
+
+
+def waves_of(decisions):
+    """Per wave (``DecisionColumns.waves``), the migrated holds'
+    ``(vm_id, source_host, target_host)`` triples."""
+    return [
+        list(
+            zip(
+                decisions.vm[rows].tolist(),
+                decisions.source[rows].tolist(),
+                decisions.target[rows].tolist(),
+            )
+        )
+        for rows in decisions.waves()
+    ]
 
 
 class TestWaveDisjointness:
@@ -91,8 +107,9 @@ class TestWaveDisjointness:
         model = CostModel(topology)
         result = run_batched_round(allocation.copy(), traffic, model)
         assert result.migrations > 0
-        assert result.wave_moves, "record_waves must capture the waves"
-        for wave in result.wave_moves:
+        waves = waves_of(result.decisions)
+        assert waves, "the migrated holds must carry their waves"
+        for wave in waves:
             hosts: set = set()
             movers = [vm for vm, _, _ in wave]
             for vm, src, tgt in wave:
@@ -105,16 +122,32 @@ class TestWaveDisjointness:
                     f"VM {vm} migrated alongside one of its traffic peers"
                 )
 
-    def test_wave_moves_match_migrated_decisions(self):
-        topology, allocation, traffic = build_scenario(7)
-        result = run_batched_round(allocation.copy(), traffic, CostModel(topology))
-        from_waves = sorted(
-            (vm, tgt) for wave in result.wave_moves for vm, _, tgt in wave
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_the_wave_column_replays_the_applied_waves(
+        self, seed, monkeypatch
+    ):
+        topology, allocation, traffic = build_scenario(seed, pattern=DENSE)
+        calls = []
+        real = FastCostEngine.apply_moves
+
+        def spy(fast, dense, targets):
+            vm_ids = fast.snapshot.vm_ids
+            calls.append(
+                (vm_ids[np.asarray(dense)].tolist(), np.asarray(targets).tolist())
+            )
+            return real(fast, dense, targets)
+
+        monkeypatch.setattr(FastCostEngine, "apply_moves", spy)
+        result = run_batched_round(
+            allocation.copy(), traffic, CostModel(topology)
         )
-        from_decisions = sorted(
-            (d.vm_id, d.target_host) for d in result.decisions if d.migrated
-        )
-        assert from_waves == from_decisions
+        replay = [
+            ([vm for vm, _, _ in wave], [tgt for _, _, tgt in wave])
+            for wave in waves_of(result.decisions)
+        ]
+        assert result.waves > 1, "the round must interfere to test the order"
+        assert calls == replay
+        assert sum(len(vms) for vms, _ in calls) == result.migrations
 
 
 class TestPlanWave:
