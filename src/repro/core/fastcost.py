@@ -102,6 +102,51 @@ def assignment_cost(
 _CANDIDATE_CHUNK_ELEMS = 8_000_000
 
 
+def segment_rows(ptr: np.ndarray, owners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(flat row indices, segment ptr) of the given owners' CSR segments.
+
+    The standard expansion: ``rows`` walks each owner's ``ptr[i]:ptr[i+1]``
+    slice in order, ``seg_ptr`` delimits them in the output.
+    """
+    owners = np.asarray(owners, dtype=np.int64)
+    counts = (ptr[owners + 1] - ptr[owners]).astype(np.int64)
+    seg_ptr = np.zeros(len(owners) + 1, dtype=np.int64)
+    np.cumsum(counts, out=seg_ptr[1:])
+    rows = np.repeat(ptr[owners] - seg_ptr[:-1], counts) + np.arange(
+        int(seg_ptr[-1])
+    )
+    return rows, seg_ptr
+
+
+def _block_rows(
+    per: int,
+    phost: np.ndarray,
+    rack_base: np.ndarray,
+    src: np.ndarray,
+    has_front: np.ndarray,
+    src_in_rack: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(host, block)`` of every row of the given candidate blocks, in
+    probing order.
+
+    A block lists the peer's server first, then its rack ascending —
+    minus the peer's own column (listed up front) and the owner's source
+    host.  The dense (block × rack) grid and its mask live only inside
+    this call, so they are freed before the rows are scored.
+    """
+    m = len(phost)
+    grid = np.empty((m, per + 1), dtype=np.int64)
+    grid[:, 0] = phost
+    grid[:, 1:] = rack_base[:, None] + np.arange(per, dtype=np.int64)
+    keep = np.ones((m, per + 1), dtype=bool)
+    keep[:, 0] = has_front
+    keep[np.arange(m), phost - rack_base + 1] = False
+    sir = np.nonzero(src_in_rack & has_front)[0]
+    keep[sir, src[sir] - rack_base[sir] + 1] = False
+    rows_flat = np.nonzero(keep.ravel())[0]
+    return grid.ravel()[rows_flat].astype(np.int32), rows_flat // (per + 1)
+
+
 class TouchedSet(NamedTuple):
     """Compact dependency footprint of one engine state mutation.
 
@@ -143,6 +188,11 @@ class CandidateBatch:
     holds each move's Lemma 3 gain and ``onto_rate`` the owner's traffic
     onto the candidate host (what the §V-C probe subtracts twice), both
     computed against the engine state the batch was built from.
+
+    Only owners that can gain hold rows: an owner none of whose candidates
+    has a delta > 0 has an empty segment (Theorem 1 can never move it,
+    whatever the masks say), so every owner of a fresh batch has a row
+    with delta > 0 or none.
 
     A batch is *not* live: it goes stale for an owner as soon as one of
     the owner's peers migrates (deltas and the candidate set itself depend
@@ -687,6 +737,13 @@ class FastCostEngine:
         scores every (VM, candidate) move in one chunked vectorized pass.
         The expansion is ``Σ_u candidates(u) × degree(u)`` rows, chunked
         to stay bounded.
+
+        Only owners that can gain get rows: an owner none of whose
+        (capped) candidates has a delta > 0 keeps its segment empty, so
+        every owner of the batch has a row with delta > 0 or none.  Each
+        owner's best delta is known per (owner, peer rack) block and per
+        (owner, peer host) fix-up before any row exists, so the rows of
+        a gainless owner are never built.
         """
         snap = self._snap
         vms = np.asarray(dense_vms, dtype=np.int64)
@@ -697,20 +754,19 @@ class FastCostEngine:
         deg = np.diff(cum)
         host_of = self._host_of
         source = host_of[vms]
-        empty = CandidateBatch(
-            vms=vms,
-            source=source,
-            degree=deg,
-            total_rate=np.zeros(n),
-            ptr=np.zeros(n + 1, dtype=np.int64),
-            owner=np.empty(0, dtype=np.int64),
-            host=np.empty(0, dtype=np.int64),
-            delta=np.empty(0),
-            onto_rate=np.empty(0),
-        )
         total_e = len(edge_idx)
         if total_e == 0:
-            return empty
+            return CandidateBatch(
+                vms=vms,
+                source=source,
+                degree=deg,
+                total_rate=np.zeros(n),
+                ptr=np.zeros(n + 1, dtype=np.int64),
+                owner=np.empty(0, dtype=np.int64),
+                host=np.empty(0, dtype=np.int64),
+                delta=np.empty(0),
+                onto_rate=np.empty(0),
+            )
         peer_host = host_of[snap.peer[edge_idx]]
         rate = snap.rate[edge_idx]
         before = pair_levels(
@@ -764,42 +820,17 @@ class FastCostEngine:
         b_src = source[b_owner]
         src_in_rack = (b_src >= b_rack_base) & (b_src < b_rack_base + per)
         has_front = b_phost != b_src
-        # Block layout: the peer's server first, then its rack ascending —
-        # minus the peer's own column (listed up front) and the owner's
-        # source host.
-        grid = np.empty((m, per + 1), dtype=np.int64)
-        grid[:, 0] = b_phost
-        grid[:, 1:] = b_rack_base[:, None] + np.arange(per, dtype=np.int64)
-        keep = np.ones((m, per + 1), dtype=bool)
-        keep[:, 0] = has_front
-        rows_m = np.arange(m)
-        keep[rows_m, b_phost - b_rack_base + 1] = False
-        sir = np.nonzero(src_in_rack & has_front)[0]
-        keep[sir, b_src[sir] - b_rack_base[sir] + 1] = False
-        block_len = keep.sum(axis=1).astype(np.int64)
-        rows_flat = np.nonzero(keep.ravel())[0]
-        host_c = grid.ravel()[rows_flat].astype(np.int32)
-        block_of_row = rows_flat // (per + 1)
-        owner_c = b_owner[block_of_row]
-
-        # Untrimmed segment offsets (the onto-rate fix-ups below need each
-        # block's row position inside its owner's segment).
-        counts = np.bincount(owner_c, minlength=n)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
+        # A block holds its rack less the owner's source host
+        # (`_block_rows` lays it out).  Offsets are taken inside the
+        # owner's segment: the prune below drops whole owners, so they
+        # still hold after it.
+        block_len = per - src_in_rack.astype(np.int64)
         block_start = np.cumsum(block_len) - block_len
-        block_pos_in_seg = block_start - ptr[b_owner]
-        if max_candidates:
-            position = np.arange(len(owner_c)) - ptr[owner_c]
-            trim = position < max_candidates
-            owner_c = owner_c[trim]
-            host_c = host_c[trim]
-            block_of_row = block_of_row[trim]
-            counts = np.bincount(owner_c, minlength=n)
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=ptr[1:])
-        if len(owner_c) == 0:
-            return empty
+        new_owner = np.ones(m, dtype=bool)
+        new_owner[1:] = b_owner[1:] != b_owner[:-1]
+        block_pos_in_seg = block_start - np.maximum.accumulate(
+            np.where(new_owner, block_start, 0)
+        )
 
         # Lemma 3 deltas without expanding candidates × peers: the post-
         # move sum decomposes over the level hierarchy,
@@ -811,7 +842,6 @@ class FastCostEngine:
         # maps bound memory) and broadcast to rows; the R_host term is
         # zero except on peer-hosting servers, patched per (owner, peer
         # host) below with the identical left-to-right float chain.
-        n_pairs = len(owner_c)
         pw = self._path_weight
         w3 = pw[3] if len(pw) > 3 else pw[-1]
         w2d, w1d, w0d = pw[2] - w3, pw[1] - pw[2], pw[0] - pw[1]
@@ -844,12 +874,12 @@ class FastCostEngine:
                 + w2d * r_pod[lo_local * n_pods + b_pod]
                 + w1d * r_rack[lo_local * n_racks + b_rack]
             )
-        delta = local_cost[owner_c] - base[block_of_row]
-        onto = np.zeros(n_pairs)
+        # Every host of a block that hosts no peer scores this.
+        block_delta = local_cost[b_owner] - base
 
         # (owner, peer host) fix-ups: locate each peer-hosting row inside
         # its block arithmetically, sum co-hosted peers' rates with the
-        # same sorted-key reduction as before, and rewrite those rows with
+        # same sorted-key reduction as before, and score those rows with
         # the full four-term chain so values stay bit-compatible with the
         # row-expanded formula.
         hkey = owner_e * np.int64(n_hosts) + peer_host
@@ -857,33 +887,69 @@ class FastCostEngine:
         hk = hkey[horder]
         hfirst = np.ones(len(hk), dtype=bool)
         hfirst[1:] = hk[1:] != hk[:-1]
-        hsums = np.add.reduceat(rate[horder], np.flatnonzero(hfirst))
+        onto_fix = np.add.reduceat(rate[horder], np.flatnonzero(hfirst))
         rep = horder[hfirst]  # earliest-rank edge per (owner, host)
         rb = block_of_edge[rep]
         ph = peer_host[rep]
-        base_rack = b_rack_base[rb]
         bph = b_phost[rb]
         bsrc = b_src[rb]
-        hf = has_front[rb]
-        is_front = ph == bph
         pos = (
-            hf.astype(np.int64)
-            + (ph - base_rack)
+            has_front[rb].astype(np.int64)
+            + (ph - b_rack_base[rb])
             - (bph < ph)
             - (src_in_rack[rb] & (bsrc < ph) & (bsrc != bph))
         )
-        pos[is_front] = 0
-        valid = ph != bsrc  # rows on the owner's source host don't exist
-        row_pos = block_pos_in_seg[rb] + pos
+        pos[ph == bph] = 0
+        fix_pos = block_pos_in_seg[rb] + pos
+        fix_owner = owner_e[rep]
+        fix_delta = local_cost[fix_owner] - (base[rb] + w0d * onto_fix)
+        # Rows on the owner's source host don't exist, nor rows past the
+        # cap; a block enters the bound only if one of its rows survives.
+        fix_live = ph != bsrc
+        block_live = block_len > 0
         if max_candidates:
-            valid &= row_pos < max_candidates
-        target_rows = ptr[owner_e[rep]] + row_pos
-        target_rows = target_rows[valid]
-        onto_v = hsums[valid]
-        onto[target_rows] = onto_v
-        delta[target_rows] = local_cost[owner_e[rep][valid]] - (
-            base[rb[valid]] + w0d * onto_v
+            fix_live &= fix_pos < max_candidates
+            block_live &= block_pos_in_seg < max_candidates
+
+        # The prune.  A fix-up row only lowers its block's post-move sum
+        # (w0 < w1), so a block whose surviving rows are all fix-ups
+        # scores no more than they do: an owner has a row with delta > 0
+        # iff a live block base or a live fix-up is > 0, and only those
+        # owners' blocks are expanded into rows.
+        gaining = np.zeros(n, dtype=bool)
+        gaining[b_owner[block_live & (block_delta > 0)]] = True
+        gaining[fix_owner[fix_live & (fix_delta > 0)]] = True
+        kept = np.flatnonzero(gaining[b_owner])
+        host_c, block_of_row = _block_rows(
+            per,
+            b_phost[kept],
+            b_rack_base[kept],
+            b_src[kept],
+            has_front[kept],
+            src_in_rack[kept],
         )
+        owner_c = b_owner[kept][block_of_row]
+        block_delta = block_delta[kept]
+        fix_live &= gaining[fix_owner]
+
+        counts = np.bincount(owner_c, minlength=n)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        if max_candidates:
+            position = np.arange(len(owner_c)) - ptr[owner_c]
+            trim = position < max_candidates
+            owner_c = owner_c[trim]
+            host_c = host_c[trim]
+            block_of_row = block_of_row[trim]
+            counts = np.bincount(owner_c, minlength=n)
+            ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=ptr[1:])
+
+        delta = block_delta[block_of_row]
+        onto = np.zeros(len(owner_c))
+        target_rows = ptr[fix_owner[fix_live]] + fix_pos[fix_live]
+        onto[target_rows] = onto_fix[fix_live]
+        delta[target_rows] = fix_delta[fix_live]
         return CandidateBatch(
             vms=vms,
             source=source,
@@ -1008,6 +1074,29 @@ class FastCostEngine:
         if return_ties:
             return choice, best, any_feasible, ties
         return choice, best, any_feasible
+
+    def gaining(
+        self, batch: CandidateBatch, positions: np.ndarray
+    ) -> np.ndarray:
+        """Whether each given owner of ``batch`` has a candidate that gains.
+
+        The gain-first reason rule reads this: an owner with peers but no
+        gaining candidate is ``no_gain`` whatever the masks say.  A row
+        gains when its exact per-peer delta (:meth:`exact_deltas`) is
+        > 0; only rows the batch scores > 0 are re-checked, so a move
+        whose true gain is zero (peers split evenly between the source
+        and the target) does not count on the aggregated score's
+        rounding noise.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        rows, seg_ptr = segment_rows(batch.ptr, positions)
+        at = np.repeat(np.arange(len(positions)), np.diff(seg_ptr))
+        hot = batch.delta[rows] > 0
+        rows, at = rows[hot], at[hot]
+        exact = self.exact_deltas(batch.vms[positions[at]], batch.host[rows])
+        out = np.zeros(len(positions), dtype=bool)
+        out[at[exact > 0]] = True
+        return out
 
     def exact_deltas(
         self, dense_vms: np.ndarray, targets: np.ndarray

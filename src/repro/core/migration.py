@@ -225,10 +225,16 @@ class MigrationEngine:
         Applies the current feasibility mask, the first-max tie-breaking
         and the Theorem 1 threshold — decision-for-decision the outcome of
         :func:`repro.reference.evaluate_naive` on each VM against the same
-        state (the batch differential suite pins this).
+        state (the batch differential suite pins this).  Reasons are
+        gain-first: an owner none of whose candidates gains
+        (:meth:`FastCostEngine.gaining`) is ``no_gain``, whatever the
+        masks say.
         """
         feasible = fast.candidate_feasible(batch, self._bandwidth_threshold)
         choice, best_delta, _ = fast.best_candidates(batch, feasible)
+        unplaced = np.flatnonzero(choice < 0)
+        blocked = np.zeros(batch.n_owners, dtype=bool)
+        blocked[unplaced] = fast.gaining(batch, unplaced)
         # Theorem 1's strict inequality is decided on the exact per-peer
         # delta of each tentative winner (the batch scores with the
         # aggregated level-hierarchy formula, which can differ in the last
@@ -252,7 +258,7 @@ class MigrationEngine:
                 )
                 continue
             row = int(choice[i])
-            if row < 0:
+            if blocked[i]:
                 decisions.append(
                     MigrationDecision(
                         vm_id, source, None, 0.0, False, "no_feasible_target"

@@ -17,6 +17,12 @@ Host-side state — free slots, RAM, CPU, egress — is deliberately *not*
 part of the scored footprint: capacity never enters a Lemma 3 delta, and
 feasibility is re-probed from the allocation's live usage at every use.
 
+A cached row exists only for an owner that can gain: ``candidate_batch``
+keeps no rows for an owner none of whose candidates has a delta > 0, so
+at convergence most owners hold an empty segment, and a re-scored owner
+that starts or stops gaining changes its row count (a splice, not a
+scatter).
+
 :class:`RoundScoreCache` keeps one scored candidate CSR over the whole
 VM population, owned by the :class:`~repro.core.fastcost.FastCostEngine`
 and invalidated through the engine's mutation paths
@@ -43,23 +49,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.fastcost import CandidateBatch, FastCostEngine, TouchedSet
-
-
-def segment_rows(ptr: np.ndarray, owners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(flat row indices, segment ptr) of the given owners' CSR segments.
-
-    The standard expansion: ``rows`` walks each owner's ``ptr[i]:ptr[i+1]``
-    slice in order, ``seg_ptr`` delimits them in the output.
-    """
-    owners = np.asarray(owners, dtype=np.int64)
-    counts = (ptr[owners + 1] - ptr[owners]).astype(np.int64)
-    seg_ptr = np.zeros(len(owners) + 1, dtype=np.int64)
-    np.cumsum(counts, out=seg_ptr[1:])
-    rows = np.repeat(ptr[owners] - seg_ptr[:-1], counts) + np.arange(
-        int(seg_ptr[-1])
-    )
-    return rows, seg_ptr
+from repro.core.fastcost import (
+    CandidateBatch,
+    FastCostEngine,
+    TouchedSet,
+    segment_rows,
+)
 
 
 class RoundScoreCache:

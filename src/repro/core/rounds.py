@@ -290,6 +290,7 @@ class BatchedRoundEngine:
             if self._profile is not None:
                 self._profile.bump("owners", n)
                 self._profile.bump("owners_rescored", int(dirty.size))
+                self._profile.bump("rows", batch.n_pairs)
             positions = np.empty(n, dtype=np.int64)
             positions[dense_order] = np.arange(n, dtype=np.int64)
         else:
@@ -735,13 +736,20 @@ class BatchedRoundEngine:
         """Record final decisions for owners without a beneficial move.
 
         ``rows`` are owner indices into the batch; ``positions`` maps
-        owner index → visit position.
+        owner index → visit position.  Reasons are gain-first: an owner
+        with peers but no gaining candidate
+        (:meth:`~repro.core.fastcost.FastCostEngine.gaining`) is
+        ``no_gain`` (delta 0) whatever the masks say; only an owner that
+        could gain but has no feasible row is ``no_feasible_target``.
         """
         if rows.size == 0:
             return
         vm_ids = self._fast.snapshot.vm_ids
+        unplaced = np.flatnonzero(choice[rows] < 0)
+        blocked = np.zeros(len(rows), dtype=bool)
+        blocked[unplaced] = self._fast.gaining(batch, rows[unplaced])
         reason_code = np.where(
-            batch.degree[rows] == 0, 0, np.where(choice[rows] < 0, 1, 2)
+            batch.degree[rows] == 0, 0, np.where(blocked, 1, 2)
         )
         deltas = np.where(reason_code == 2, np.maximum(best[rows], 0.0), 0.0)
         vms = vm_ids[batch.vms[rows]]

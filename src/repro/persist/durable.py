@@ -65,9 +65,11 @@ from repro.sim.eventqueue import EventQueueRunner
 #: ``score-service/v4``); v6: snapshots load only the current pickle
 #: layout (no restore hook converts an older one); v7: capacity and
 #: placement pickle once, as columns (no ``Server`` objects, no restore
-#: hook at all).  Any other tag is refused at resume, before a snapshot
-#: is unpickled.
-JOURNAL_FORMAT = "score-journal/v7"
+#: hook at all); v8: hold reasons are gain-first (an owner with no
+#: candidate of delta > 0 is ``no_gain`` whatever the masks say), which
+#: changes the hashed reason code of a gainless owner that does not fit.
+#: Any other tag is refused at resume, before a snapshot is unpickled.
+JOURNAL_FORMAT = "score-journal/v8"
 
 #: Commit-record keys whose recorded and re-executed values are floats,
 #: compared with :data:`REPLAY_RELTOL` instead of exactly (JSON

@@ -260,21 +260,25 @@ def evaluate_naive(
 
     Returns a decision with ``migrated=False``; ``target_host`` is the
     best feasible candidate when its Lemma 3 delta exceeds
-    ``engine.migration_cost``, else ``None``.
+    ``engine.migration_cost``, else ``None``.  Reasons are gain-first:
+    with no candidate of delta > 0, feasible or not, the VM is
+    ``no_gain``; ``no_feasible_target`` means some candidate would gain
+    but none fits.
     """
     source = allocation.server_of(vm_u)
     if not traffic.peers_of(vm_u):
         return MigrationDecision(vm_u, source, None, 0.0, False, "no_peers")
     best_host: Optional[int] = None
     best_delta = 0.0
-    saw_candidate = False
+    saw_candidate = saw_gain = False
     for host in candidate_hosts(engine, allocation, traffic, vm_u):
-        if not feasible(engine, allocation, traffic, vm_u, host):
-            continue
-        saw_candidate = True
         delta = engine.cost_model.migration_delta(
             allocation, traffic, vm_u, host
         )
+        saw_gain = saw_gain or delta > 0
+        if not feasible(engine, allocation, traffic, vm_u, host):
+            continue
+        saw_candidate = True
         if delta > best_delta:
             best_delta = delta
             best_host = host
@@ -282,7 +286,8 @@ def evaluate_naive(
         return MigrationDecision(
             vm_u, source, best_host, best_delta, False, "beneficial"
         )
-    reason = "no_gain" if saw_candidate else "no_feasible_target"
+    blocked = saw_gain and not saw_candidate
+    reason = "no_feasible_target" if blocked else "no_gain"
     return MigrationDecision(vm_u, source, None, best_delta, False, reason)
 
 

@@ -164,6 +164,59 @@ class TestDecisions:
         assert decision.reason == "no_gain"
 
     @both_paths
+    def test_full_cluster_without_a_gaining_target_is_no_gain(self, path):
+        """Reasons are gain-first: VM 1 sits with its only peer, so no
+        candidate gains, and that decides the reason before any capacity
+        probe — every host being full does not make it unplaceable."""
+        topo, cluster, allocation, model = build_env(max_vms=2)
+        for vm_id in range(1, 2 * topo.n_hosts + 1):
+            allocation.add_vm(VM(vm_id, ram_mb=128, cpu=0.1), (vm_id - 1) // 2)
+        tm = TrafficMatrix()
+        tm.set_rate(1, 2, 100)  # both on host 0
+        engine = MigrationEngine(model)
+        decision = decide(engine, allocation, tm, 1, path)
+        assert (decision.reason, decision.delta) == ("no_gain", 0.0)
+        assert allocation.server_of(1) == 0
+
+    @both_paths
+    def test_a_rounding_gain_does_not_make_a_vm_unplaceable(self, path):
+        """VM 1's peers sit on host 0 (its own) and host 1 at equal rates,
+        so moving to host 1 gains exactly 0.  Under the paper's weights
+        the batch's aggregated score of that row is a few ulp above 0;
+        the exact per-peer delta decides, and the VM is ``no_gain``."""
+        topo, cluster, allocation, _ = build_env(max_vms=2)
+        model = CostModel(topo, LinkWeights.paper())
+        # VMs 1 and 2 fill host 0, VM 3 and a filler host 1, fillers the rest.
+        hosts = [0, 0] + sorted(list(range(1, topo.n_hosts)) * 2)
+        for vm_id, host in enumerate(hosts, start=1):
+            allocation.add_vm(VM(vm_id, ram_mb=128, cpu=0.1), host)
+        tm = TrafficMatrix()
+        tm.set_rate(1, 2, 1.0)
+        tm.set_rate(1, 3, 1.0)
+        engine = MigrationEngine(model)
+        fast = bind(engine, allocation, tm)
+        batch = fast.candidate_batch(fast.dense_indices([1]))
+        assert batch.host.tolist() == [1] and batch.delta[0] > 0  # premise
+        assert model.migration_delta(allocation, tm, 1, 1) == 0.0
+        decision = decide(engine, allocation, tm, 1, path)
+        assert (decision.reason, decision.delta) == ("no_gain", 0.0)
+
+    @both_paths
+    def test_full_cluster_with_a_gaining_target_is_unplaceable(self, path):
+        """Host 4 (the peer's) and its rack-mate 5 would both gain, but
+        every host is full: ``no_feasible_target``, delta 0."""
+        topo, cluster, allocation, model = build_env(max_vms=1)
+        hosts = [0, 4, 1, 2, 3, 5, 6, 7]  # VM 1 on 0, its peer on 4
+        for vm_id, host in enumerate(hosts, start=1):
+            allocation.add_vm(VM(vm_id, ram_mb=128, cpu=0.1), host)
+        tm = TrafficMatrix()
+        tm.set_rate(1, 2, 100)
+        engine = MigrationEngine(model)
+        decision = decide(engine, allocation, tm, 1, path)
+        assert (decision.reason, decision.delta) == ("no_feasible_target", 0.0)
+        assert allocation.server_of(1) == 0
+
+    @both_paths
     def test_migration_cost_blocks_marginal_moves(self, path):
         topo, cluster, allocation, model = build_env()
         allocation.add_vm(VM(1, ram_mb=128, cpu=0.1), 0)

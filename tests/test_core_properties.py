@@ -9,10 +9,15 @@ These are the load-bearing invariants of the reproduction:
   when ``cm = 0``, and every performed migration strictly decreases it.
 * **Capacity safety** — no sequence of S-CORE decisions ever violates
   server capacity.
+* **Only gaining owners hold rows** — every owner of a scored candidate
+  batch has a row with delta > 0 or no row at all, and an owner left
+  without rows has no candidate the naive Lemma 3 delta says gains
+  beyond rounding.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -30,6 +35,7 @@ from repro import (
     VM,
 )
 from repro.cluster.allocation import Allocation
+from repro.reference import candidate_hosts
 
 TOPOLOGIES = st.sampled_from(
     [
@@ -124,3 +130,42 @@ def test_theorem1_respects_migration_cost(data, cm):
     for decision in report.decisions:
         if decision.migrated:
             assert decision.delta > cm
+
+
+CAPS = st.sampled_from([None, 1, 2, 3, 7])
+
+
+def scored_batch(data, cap):
+    topology, allocation, traffic, _, _ = data
+    model = CostModel(topology, LinkWeights.paper())
+    engine = MigrationEngine(model, max_candidates=cap)
+    fast = engine.bind(allocation, traffic)
+    batch = fast.candidate_batch(np.arange(fast.snapshot.n_vms), cap)
+    return engine, fast, batch
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+@given(scenario(), CAPS)
+def test_every_batch_owner_can_gain_or_has_no_row(data, cap):
+    _engine, _fast, batch = scored_batch(data, cap)
+    for i in range(batch.n_owners):
+        rows = batch.delta[batch.ptr[i] : batch.ptr[i + 1]]
+        assert rows.size == 0 or (rows > 0).any()
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+@given(scenario(), CAPS)
+def test_an_owner_without_rows_has_no_gaining_candidate(data, cap):
+    """The oracle's probing list (capped alike), scored by the naive
+    per-peer delta, holds no gain for an owner the batch left empty.
+    The naive sum runs in another order, so a true zero may read a few
+    ulp either side of it: no gain may exceed 1e-12 of the owner's
+    Eq. 1 cost, which bounds every delta it has."""
+    _topology, allocation, traffic, _, _ = data
+    engine, fast, batch = scored_batch(data, cap)
+    model = engine.cost_model
+    empty = np.flatnonzero(batch.ptr[1:] == batch.ptr[:-1])
+    for vm in fast.snapshot.vm_ids[empty].tolist():
+        noise = 1e-12 * max(1.0, model.vm_cost(allocation, traffic, vm))
+        for host in candidate_hosts(engine, allocation, traffic, vm):
+            assert model.migration_delta(allocation, traffic, vm, host) <= noise

@@ -166,7 +166,7 @@ class TestOneFormatTwoDrivers:
     (``scenario`` or ``experiment``) says which driver owns it."""
 
     def test_one_format_tag(self, tmp_path):
-        assert JOURNAL_FORMAT == "score-journal/v7"
+        assert JOURNAL_FORMAT == "score-journal/v8"
         for make, key in (
             (_scenario_dir, "scenario"),
             (_service_dir, "experiment"),
@@ -184,6 +184,7 @@ class TestOneFormatTwoDrivers:
     @pytest.mark.parametrize(
         "old",
         [
+            "score-journal/v7",
             "score-journal/v6",
             "score-journal/v5",
             "score-service/v4",
@@ -196,8 +197,10 @@ class TestOneFormatTwoDrivers:
     ):
         """Older snapshots pickled layouts no restore path reads (a v3
         one the dict-and-buckets token, a v5 one possibly a dict-backed
-        allocation or matrix, a v6 one ``Server`` objects); the tag
-        check refuses the directory before any snapshot is unpickled."""
+        allocation or matrix, a v6 one ``Server`` objects), and a v7
+        journal hashed mask-first reasons that replay would not match;
+        the tag check refuses the directory before any snapshot is
+        unpickled."""
         directory = _service_dir(str(tmp_path))
         _rewrite_begin_format(directory, old)
         with pytest.raises(RecoveryError, match=old):
@@ -206,6 +209,7 @@ class TestOneFormatTwoDrivers:
     @pytest.mark.parametrize(
         "old",
         [
+            "score-journal/v7",
             "score-journal/v6",
             "score-journal/v5",
             "score-journal/v4",
