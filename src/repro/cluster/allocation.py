@@ -327,6 +327,20 @@ class Allocation:
         allocation.add_vms(vms, hosts)
         return allocation
 
+    def subset(
+        self, cluster: Cluster, vm_ids: Sequence[int], hosts: np.ndarray
+    ) -> "Allocation":
+        """An allocation over ``cluster`` holding the given VMs of this one
+        (same RAM and CPU) on ``hosts`` (a shard domain's sub-allocation):
+        :meth:`from_placement` straight from the columns."""
+        at = self._index(vm_ids)
+        allocation = Allocation(cluster)
+        allocation._add(
+            self._ids[at], self._ram[at], self._cpu[at],
+            np.asarray(hosts, dtype=np.int64),
+        )
+        return allocation
+
     def remove_vm(self, vm_id: int) -> VM:
         """Remove a VM from the allocation entirely and return it."""
         return self.remove_vms([vm_id])[0]

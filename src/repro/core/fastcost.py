@@ -97,9 +97,46 @@ def assignment_cost(
     return float(np.dot(snapshot.pair_rate, path_weight[levels]))
 
 
-#: Element budget for the (candidate x peer) expansion of one batched
-#: delta pass; bounds peak memory of `FastCostEngine.candidate_batch`.
-_CANDIDATE_CHUNK_ELEMS = 8_000_000
+#: Hosts one candidate row can cover: its ``cover`` is one uint64 bitmask.
+BLOCK_WIDTH = 64
+_ONE = np.uint64(1)
+_ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def low_masks(counts: np.ndarray) -> np.ndarray:
+    """uint64 words whose ``counts`` lowest bits are set (clipped to 0..64)."""
+    k = np.clip(counts, 0, BLOCK_WIDTH).astype(np.uint64)
+    out = (_ONE << np.minimum(k, np.uint64(BLOCK_WIDTH - 1))) - _ONE
+    out[k == BLOCK_WIDTH] = _ALL
+    return out
+
+
+def lowest_offsets(bits: np.ndarray) -> np.ndarray:
+    """Offset of each word's lowest set bit (64 for an empty word)."""
+    return np.bitwise_count((bits & (~bits + _ONE)) - _ONE).astype(np.int64)
+
+
+def peer_rank_order(
+    owner: np.ndarray, level: np.ndarray, rate: np.ndarray
+) -> np.ndarray:
+    """§V-B5 peer ranking of directed edges: owner ascending, level
+    descending, rate descending, then the given (CSR, peer id) order.
+
+    The permutation of ``np.lexsort((-rate, owner * 4 + (3 - level)))``,
+    from one stable argsort: each rate is replaced by its dense rank
+    (equal rates, equal ranks) and folded into one int64 key with the
+    owner and the level, so ties keep the input order as lexsort does.
+    """
+    neg = -rate
+    by_rate = np.argsort(neg)
+    ranked = neg[by_rate]
+    step = np.zeros(len(rate), dtype=np.int64)
+    step[1:] = ranked[1:] != ranked[:-1]
+    dense = np.empty(len(rate), dtype=np.int64)
+    dense[by_rate] = np.cumsum(step)
+    n_ranks = int(dense.max()) + 1 if len(rate) else 1
+    key = (owner * 4 + (3 - level)) * n_ranks + dense
+    return np.argsort(key, kind="stable")
 
 
 def segment_rows(ptr: np.ndarray, owners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -118,33 +155,20 @@ def segment_rows(ptr: np.ndarray, owners: np.ndarray) -> Tuple[np.ndarray, np.nd
     return rows, seg_ptr
 
 
-def _block_rows(
-    per: int,
-    phost: np.ndarray,
-    rack_base: np.ndarray,
-    src: np.ndarray,
-    has_front: np.ndarray,
-    src_in_rack: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(host, block)`` of every row of the given candidate blocks, in
-    probing order.
+class _BlockGeometry(NamedTuple):
+    """Per-host lookups of the block-row layout (derived from the
+    topology; rebuilt after unpickling, never stored)."""
 
-    A block lists the peer's server first, then its rack ascending —
-    minus the peer's own column (listed up front) and the owner's source
-    host.  The dense (block × rack) grid and its mask live only inside
-    this call, so they are freed before the rows are scored.
-    """
-    m = len(phost)
-    grid = np.empty((m, per + 1), dtype=np.int64)
-    grid[:, 0] = phost
-    grid[:, 1:] = rack_base[:, None] + np.arange(per, dtype=np.int64)
-    keep = np.ones((m, per + 1), dtype=bool)
-    keep[:, 0] = has_front
-    keep[np.arange(m), phost - rack_base + 1] = False
-    sir = np.nonzero(src_in_rack & has_front)[0]
-    keep[sir, src[sir] - rack_base[sir] + 1] = False
-    rows_flat = np.nonzero(keep.ravel())[0]
-    return grid.ravel()[rows_flat].astype(np.int32), rows_flat // (per + 1)
+    #: Offset of each host inside its BLOCK_WIDTH-host chunk of its rack.
+    shift: np.ndarray
+    #: Chunk id of each host, and the first host of every chunk.
+    chunk_of: np.ndarray
+    chunk_starts: np.ndarray
+    #: Chunks per rack (1 unless a rack holds more than BLOCK_WIDTH hosts).
+    chunks_per_rack: int
+    #: Rack id → position in (pod, rack) order, and pod of each rack.
+    rack_rank: np.ndarray
+    pod_of_rack: np.ndarray
 
 
 class TouchedSet(NamedTuple):
@@ -180,25 +204,41 @@ class TouchedSet(NamedTuple):
 class CandidateBatch:
     """Flat-array snapshot of one batched §V-B5 candidate evaluation.
 
-    Rows ("pairs") are (owner, candidate host) combinations, grouped by
-    owner position — ``ptr[i]:ptr[i+1]`` is the candidate slice of the
-    ``i``-th requested VM — and ordered within a group by the naive probing
-    rank (peers by level desc / rate desc / id asc, each contributing its
-    own server then the rest of its rack, first occurrence wins).  ``delta``
-    holds each move's Lemma 3 gain and ``onto_rate`` the owner's traffic
-    onto the candidate host (what the §V-C probe subtracts twice), both
-    computed against the engine state the batch was built from.
+    Rows are grouped by owner position — ``ptr[i]:ptr[i+1]`` is the
+    segment of the ``i``-th requested VM.  A row stands for one or more
+    candidate hosts of one rack that share one Lemma 3 delta: ``cover``
+    is a bitmask over the hosts ``host + j`` (``j < BLOCK_WIDTH``), and
+    covered host ``host + j`` is probed at rank ``rank + j``.  Ranks
+    order an owner's candidates in the naive probing order (peers by
+    level desc / rate desc / id asc, each contributing its own server
+    then the rest of its rack, first occurrence wins); they are distinct
+    within an owner, and lower probes first.  ``delta`` holds the move's
+    Lemma 3 gain and ``onto_rate`` the owner's traffic onto the host
+    (what the §V-C probe subtracts twice), the same for every covered
+    host, both computed against the engine state the batch was built
+    from.  Two kinds of row come out of :meth:`FastCostEngine.candidate_batch`:
 
-    Only owners that can gain hold rows: an owner none of whose candidates
-    has a delta > 0 has an empty segment (Theorem 1 can never move it,
-    whatever the masks say), so every owner of a fresh batch has a row
-    with delta > 0 or none.
+    * a *host row* (``cover == 1``) per (owner, peer host): a server that
+      holds some of the owner's peers;
+    * a *block row* per (owner, peer rack): every other candidate host of
+      the rack — its hosts in probing order, cut at the candidate cap,
+      minus the source and every host with its own row.  Under Lemma 3
+      a move's delta depends on the target only through its level to
+      each peer, so these hosts all score the block's delta, and
+      ``onto_rate`` is 0.
+
+    A segment lists its host rows first (ascending host), then its block
+    rows (probing order); nothing reads the row order within a segment,
+    only the ranks.  Only owners that can gain hold rows: an owner none
+    of whose candidates has a delta > 0 has an empty segment (Theorem 1
+    can never move it, whatever the masks say), so every owner of a
+    fresh batch has a row with delta > 0 or none.
 
     A batch is *not* live: it goes stale for an owner as soon as one of
     the owner's peers migrates (deltas and the candidate set itself depend
     on peer placement).  Capacity/bandwidth feasibility is deliberately
     NOT part of the batch — it changes with every applied wave — and is
-    recomputed from the allocation's live usage via
+    resolved from the allocation's live usage via
     :meth:`FastCostEngine.candidate_feasible`.
     """
 
@@ -210,9 +250,14 @@ class CandidateBatch:
         "ptr",
         "_owner",
         "host",
+        "cover",
+        "rank",
         "delta",
         "onto_rate",
     )
+
+    #: The per-row columns, in the order the constructor takes them.
+    ROW_FIELDS = ("host", "cover", "rank", "delta", "onto_rate")
 
     def __init__(
         self,
@@ -223,6 +268,8 @@ class CandidateBatch:
         ptr: np.ndarray,
         owner: Optional[np.ndarray],
         host: np.ndarray,
+        cover: np.ndarray,
+        rank: np.ndarray,
         delta: np.ndarray,
         onto_rate: np.ndarray,
     ) -> None:
@@ -233,12 +280,14 @@ class CandidateBatch:
         self.ptr = ptr
         self._owner = owner
         self.host = host
+        self.cover = cover
+        self.rank = rank
         self.delta = delta
         self.onto_rate = onto_rate
 
     @property
     def owner(self) -> np.ndarray:
-        """Owner position of every pair row (materialized on demand)."""
+        """Owner position of every row (materialized on demand)."""
         if self._owner is None:
             self._owner = np.repeat(
                 np.arange(self.n_owners, dtype=np.int64),
@@ -252,8 +301,8 @@ class CandidateBatch:
         return len(self.vms)
 
     @property
-    def n_pairs(self) -> int:
-        """Number of (owner, candidate host) rows."""
+    def n_rows(self) -> int:
+        """Number of rows (host rows plus block rows)."""
         return len(self.host)
 
     def select(
@@ -283,11 +332,53 @@ class CandidateBatch:
             ptr=new_ptr,
             owner=None,
             host=self.host[rows],
+            cover=self.cover[rows],
+            rank=self.rank[rows],
             delta=self.delta[rows],
             onto_rate=self.onto_rate[rows]
             if with_onto
             else np.empty(0),
         )
+
+    def with_rows(self, owners: np.ndarray, **columns) -> "CandidateBatch":
+        """This batch plus new rows that join the end of their owners'
+        segments — ``owners`` (owner positions, ascending) and one array
+        per row column — less its emptied rows (``cover == 0``)."""
+        counts = np.diff(self.ptr) + np.bincount(
+            owners, minlength=self.n_owners
+        )
+        at = self.ptr[owners + 1]
+        rows = {
+            name: np.insert(getattr(self, name), at, columns[name])
+            if len(getattr(self, name)) == self.n_rows
+            else getattr(self, name)  # a skipped onto column
+            for name in self.ROW_FIELDS
+        }
+        ptr = np.zeros(self.n_owners + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        empty = np.flatnonzero(rows["cover"] == 0)
+        if empty.size:
+            counts -= np.bincount(
+                np.searchsorted(ptr, empty, side="right") - 1,
+                minlength=self.n_owners,
+            )
+            np.cumsum(counts, out=ptr[1:])
+            rows = {
+                name: np.delete(column, empty)
+                if len(column) == len(rows["cover"])
+                else column
+                for name, column in rows.items()
+            }
+        return CandidateBatch(
+            vms=self.vms,
+            source=self.source,
+            degree=self.degree,
+            total_rate=self.total_rate,
+            ptr=ptr,
+            owner=None,
+            **rows,
+        )
+
 
 class FastCostEngine:
     """Incremental, vectorized cost engine bound to one allocation.
@@ -339,16 +430,44 @@ class FastCostEngine:
 
     #: Persistent per-owner round-score cache (lazy; see round_cache()).
     _round_cache = None
+    #: Block-row lookups (lazy; see _geometry()).
+    _block_geometry = None
 
     def __getstate__(self):
         # A pickle holds the binding, the Eq. 2 and egress caches and the
         # sync ledger; λ travels once, in the matrix.  Not the round
         # cache: every valid row equals a fresh candidate_batch, so a
         # restored engine re-scores on its first round without changing
-        # the trajectory.  Capacity is read from the cluster at each use.
+        # the trajectory.  Nor the block geometry, which the topology
+        # determines.  Capacity is read from the cluster at each use.
         state = self.__dict__.copy()
         state.pop("_round_cache", None)
+        state.pop("_block_geometry", None)
         return state
+
+    def _geometry(self) -> _BlockGeometry:
+        """The block-row lookups of the bound topology (built once)."""
+        if self._block_geometry is None:
+            per = self._hosts_per_rack
+            n_racks = self._topology.n_racks
+            offset = np.arange(len(self._rack_of)) - self._rack_of * per
+            shift = offset % BLOCK_WIDTH
+            chunks_per_rack = -(-per // BLOCK_WIDTH)
+            pod_of_rack = self._pod_of[np.arange(n_racks) * per]
+            rack_rank = np.empty(n_racks, dtype=np.int64)
+            rack_rank[np.argsort(pod_of_rack, kind="stable")] = np.arange(
+                n_racks
+            )
+            self._block_geometry = _BlockGeometry(
+                shift=shift.astype(np.uint64),
+                chunk_of=self._rack_of * chunks_per_rack
+                + offset // BLOCK_WIDTH,
+                chunk_starts=np.flatnonzero(shift == 0),
+                chunks_per_rack=chunks_per_rack,
+                rack_rank=rack_rank,
+                pod_of_rack=pod_of_rack,
+            )
+        return self._block_geometry
 
     # -- binding -----------------------------------------------------------
 
@@ -733,10 +852,11 @@ class FastCostEngine:
 
         For every VM in ``dense_vms`` (dense snapshot indices), enumerates
         the candidate targets in the exact naive probing order of
-        :func:`repro.reference.evaluate_naive` and
-        scores every (VM, candidate) move in one chunked vectorized pass.
-        The expansion is ``Σ_u candidates(u) × degree(u)`` rows, chunked
-        to stay bounded.
+        :func:`repro.reference.evaluate_naive` and scores every move
+        without expanding candidates × peers: one host row per (owner,
+        peer host) and one block row per (owner, peer rack), the layout
+        :class:`CandidateBatch` describes.  Every sort and reduction
+        runs over the owners' ~|E| edges.
 
         Only owners that can gain get rows: an owner none of whose
         (capped) candidates has a delta > 0 keeps its segment empty, so
@@ -752,8 +872,7 @@ class FastCostEngine:
         # Directed edges of the requested VMs, grouped by owner position.
         cum, owner_e, edge_idx = snap.edges(vms)
         deg = np.diff(cum)
-        host_of = self._host_of
-        source = host_of[vms]
+        source = self._host_of[vms]
         total_e = len(edge_idx)
         if total_e == 0:
             return CandidateBatch(
@@ -763,19 +882,20 @@ class FastCostEngine:
                 total_rate=np.zeros(n),
                 ptr=np.zeros(n + 1, dtype=np.int64),
                 owner=np.empty(0, dtype=np.int64),
-                host=np.empty(0, dtype=np.int64),
+                host=np.empty(0, dtype=np.int32),
+                cover=np.empty(0, dtype=np.uint64),
+                rank=np.empty(0, dtype=np.int32),
                 delta=np.empty(0),
                 onto_rate=np.empty(0),
             )
-        peer_host = host_of[snap.peer[edge_idx]]
+        peer_host = self._host_of[snap.peer[edge_idx]]
         rate = snap.rate[edge_idx]
         before = pair_levels(
             source[owner_e], peer_host, self._rack_of, self._pod_of
         )
         # §V-B5 peer ranking: level desc, rate desc, VM id asc (CSR slices
-        # are ascending by peer id, and lexsort is stable).  (owner, level)
-        # pack into one integer key, halving the lexsort passes.
-        order = np.lexsort((-rate, owner_e * 4 + (3 - before)))
+        # are ascending by peer id).
+        order = peer_rank_order(owner_e, before, rate)
         owner_e = owner_e[order]
         peer_host = peer_host[order]
         rate = rate[order]
@@ -792,17 +912,15 @@ class FastCostEngine:
         # collapses to rack granularity — a later peer in an already-
         # probed rack adds nothing (its server already sits inside the
         # earlier block).  One block per (owner, earliest-ranked peer
-        # rack) is enumerated and rows are written directly in probing
-        # order: dedup sorts run over the ~|E| edges, never over the
-        # ~|E|·rack row grid.
+        # rack), in probing order.  Keys order (owner, pod, rack), so
+        # every (owner, pod) is one run of the same sort.
+        geo = self._geometry()
         per = self._hosts_per_rack
         rack_e = self._rack_of[peer_host]
-        n_racks = int(self._rack_of.max()) + 1
-        n_pods = int(self._pod_of.max()) + 1
-        key = owner_e * np.int64(n_racks) + rack_e
+        key = owner_e * np.int64(len(geo.rack_rank)) + geo.rack_rank[rack_e]
         korder = np.argsort(key, kind="stable")
         ks = key[korder]
-        kfirst = np.ones(len(ks), dtype=bool)
+        kfirst = np.ones(total_e, dtype=bool)
         kfirst[1:] = ks[1:] != ks[:-1]
         lead_key = korder[kfirst]  # leader edge per block, key order
         bperm = np.argsort(lead_key)  # key order -> probing order
@@ -813,6 +931,12 @@ class FastCostEngine:
         block_key_of_edge = np.empty(total_e, dtype=np.int64)
         block_key_of_edge[korder] = np.cumsum(kfirst) - 1
         block_of_edge = inv_b[block_key_of_edge]
+        k_owner = owner_e[korder]
+        k_pod = geo.pod_of_rack[rack_e[korder]]
+        pfirst = np.ones(total_e, dtype=bool)
+        pfirst[1:] = (k_owner[1:] != k_owner[:-1]) | (k_pod[1:] != k_pod[:-1])
+        pod_group_of_edge = np.empty(total_e, dtype=np.int64)
+        pod_group_of_edge[korder] = np.cumsum(pfirst) - 1
 
         b_owner = owner_e[leaders]
         b_phost = peer_host[leaders]
@@ -820,68 +944,48 @@ class FastCostEngine:
         b_src = source[b_owner]
         src_in_rack = (b_src >= b_rack_base) & (b_src < b_rack_base + per)
         has_front = b_phost != b_src
-        # A block holds its rack less the owner's source host
-        # (`_block_rows` lays it out).  Offsets are taken inside the
-        # owner's segment: the prune below drops whole owners, so they
-        # still hold after it.
+        # A block probes its peer's server, then its rack ascending less
+        # that server and the owner's source host.  Offsets are taken
+        # inside the owner's segment: the prune below drops whole owners,
+        # so they still hold after it.
         block_len = per - src_in_rack.astype(np.int64)
         block_start = np.cumsum(block_len) - block_len
         new_owner = np.ones(m, dtype=bool)
         new_owner[1:] = b_owner[1:] != b_owner[:-1]
-        block_pos_in_seg = block_start - np.maximum.accumulate(
-            np.where(new_owner, block_start, 0)
+        first_block = np.maximum.accumulate(
+            np.where(new_owner, np.arange(m, dtype=np.int64), 0)
         )
+        block_pos_in_seg = block_start - block_start[first_block]
+        # Probing rank of the block's peer server; its other hosts follow
+        # at 1 + their offset in the rack.
+        block_rank = (np.arange(m, dtype=np.int64) - first_block) * (per + 1)
 
         # Lemma 3 deltas without expanding candidates × peers: the post-
         # move sum decomposes over the level hierarchy,
         #   Σ_p λ_p·w[l(x, p)] = w3·R_total + (w2−w3)·R_pod(pod_x)
         #                      + (w1−w2)·R_rack(rack_x) + (w0−w1)·R_host(x),
-        # where R_* are the owner's peer-rate aggregates per pod/rack/host.
-        # Every host of a block shares its pod and rack, so the first
-        # three terms are computed once per *block* (chunked dense scatter
-        # maps bound memory) and broadcast to rows; the R_host term is
-        # zero except on peer-hosting servers, patched per (owner, peer
-        # host) below with the identical left-to-right float chain.
+        # where R_* are the owner's peer-rate aggregates per pod/rack/host,
+        # each summed over its edges in rank order.  Every host of a block
+        # shares its pod and rack, so the first three terms are one
+        # *block* base; the R_host term is zero except on peer-hosting
+        # servers, scored per (owner, peer host) below with the full
+        # left-to-right four-term chain.
         pw = self._path_weight
         w3 = pw[3] if len(pw) > 3 else pw[-1]
         w2d, w1d, w0d = pw[2] - w3, pw[1] - pw[2], pw[0] - pw[1]
-        peer_pod = self._pod_of[peer_host]
-        base = np.empty(m)
-        chunk = max(1, _CANDIDATE_CHUNK_ELEMS // max(1, n_racks))
-        for o_lo in range(0, n, chunk):
-            o_hi = min(n, o_lo + chunk)
-            width = o_hi - o_lo
-            e_lo, e_hi = cum[o_lo], cum[o_hi]
-            local_owner = owner_e[e_lo:e_hi] - o_lo
-            e_rate = rate[e_lo:e_hi]
-            r_rack = np.bincount(
-                local_owner * n_racks + rack_e[e_lo:e_hi],
-                weights=e_rate,
-                minlength=width * n_racks,
-            )
-            r_pod = np.bincount(
-                local_owner * n_pods + peer_pod[e_lo:e_hi],
-                weights=e_rate,
-                minlength=width * n_pods,
-            )
-            b_lo, b_hi = np.searchsorted(b_owner, [o_lo, o_hi])
-            bo = b_owner[b_lo:b_hi]
-            lo_local = bo - o_lo
-            b_rack = rack_e[leaders[b_lo:b_hi]]
-            b_pod = self._pod_of[b_rack_base[b_lo:b_hi]]
-            base[b_lo:b_hi] = (
-                w3 * total_rate[bo]
-                + w2d * r_pod[lo_local * n_pods + b_pod]
-                + w1d * r_rack[lo_local * n_racks + b_rack]
-            )
+        r_rack = np.bincount(block_of_edge, weights=rate, minlength=m)
+        r_pod = np.bincount(pod_group_of_edge, weights=rate)
+        base = (
+            w3 * total_rate[b_owner]
+            + w2d * r_pod[pod_group_of_edge[leaders]]
+            + w1d * r_rack
+        )
         # Every host of a block that hosts no peer scores this.
         block_delta = local_cost[b_owner] - base
 
-        # (owner, peer host) fix-ups: locate each peer-hosting row inside
-        # its block arithmetically, sum co-hosted peers' rates with the
-        # same sorted-key reduction as before, and score those rows with
-        # the full four-term chain so values stay bit-compatible with the
-        # row-expanded formula.
+        # (owner, peer host) fix-ups: locate each peer-hosting host inside
+        # its block arithmetically and sum co-hosted peers' rates with a
+        # sorted-key reduction.
         hkey = owner_e * np.int64(n_hosts) + peer_host
         horder = np.argsort(hkey, kind="stable")
         hk = hkey[horder]
@@ -893,71 +997,130 @@ class FastCostEngine:
         ph = peer_host[rep]
         bph = b_phost[rb]
         bsrc = b_src[rb]
+        front = ph == bph
         pos = (
             has_front[rb].astype(np.int64)
             + (ph - b_rack_base[rb])
             - (bph < ph)
             - (src_in_rack[rb] & (bsrc < ph) & (bsrc != bph))
         )
-        pos[ph == bph] = 0
+        pos[front] = 0
         fix_pos = block_pos_in_seg[rb] + pos
         fix_owner = owner_e[rep]
         fix_delta = local_cost[fix_owner] - (base[rb] + w0d * onto_fix)
-        # Rows on the owner's source host don't exist, nor rows past the
-        # cap; a block enters the bound only if one of its rows survives.
+        # Hosts on the owner's source host don't exist, nor hosts past the
+        # cap; a block enters the bound only if one of its hosts survives.
         fix_live = ph != bsrc
         block_live = block_len > 0
         if max_candidates:
             fix_live &= fix_pos < max_candidates
             block_live &= block_pos_in_seg < max_candidates
 
-        # The prune.  A fix-up row only lowers its block's post-move sum
-        # (w0 < w1), so a block whose surviving rows are all fix-ups
-        # scores no more than they do: an owner has a row with delta > 0
-        # iff a live block base or a live fix-up is > 0, and only those
-        # owners' blocks are expanded into rows.
+        # The prune.  A fix-up only lowers its block's post-move sum
+        # (w0 < w1), so a block whose surviving hosts are all fix-ups
+        # scores no more than they do: an owner has a candidate with
+        # delta > 0 iff a live block base or a live fix-up is > 0, and
+        # only those owners get rows.
         gaining = np.zeros(n, dtype=bool)
         gaining[b_owner[block_live & (block_delta > 0)]] = True
         gaining[fix_owner[fix_live & (fix_delta > 0)]] = True
-        kept = np.flatnonzero(gaining[b_owner])
-        host_c, block_of_row = _block_rows(
-            per,
-            b_phost[kept],
-            b_rack_base[kept],
-            b_src[kept],
-            has_front[kept],
-            src_in_rack[kept],
+
+        # Host rows: the live fix-ups of gaining owners (hkey order, so
+        # owner-major and ascending host).
+        live = fix_live & gaining[fix_owner]
+        h_owner = fix_owner[live]
+        h_host = ph[live]
+        h_block = rb[live]
+        h_rank = block_rank[h_block] + np.where(
+            front[live], 0, 1 + h_host - b_rack_base[h_block]
         )
-        owner_c = b_owner[kept][block_of_row]
-        block_delta = block_delta[kept]
-        fix_live &= gaining[fix_owner]
 
-        counts = np.bincount(owner_c, minlength=n)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
+        # Block rows: per gaining owner's block, one per BLOCK_WIDTH-host
+        # chunk of its rack, covering the listed hosts that survive the
+        # cap minus the source and every peer host (each has a host row
+        # or is cut).
+        kept = np.flatnonzero(gaining[b_owner])
+        k = len(kept)
+        k_base = b_rack_base[kept]
+        k_src_off = b_src[kept] - k_base
+        k_sir = src_in_rack[kept]
         if max_candidates:
-            position = np.arange(len(owner_c)) - ptr[owner_c]
-            trim = position < max_candidates
-            owner_c = owner_c[trim]
-            host_c = host_c[trim]
-            block_of_row = block_of_row[trim]
-            counts = np.bincount(owner_c, minlength=n)
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=ptr[1:])
+            # The first `end` offsets hold the non-front hosts the cap
+            # keeps: the slots left after the block's front, pushed past
+            # the unlisted offsets (the front's and the source's) below.
+            end = max_candidates - block_pos_in_seg[kept] - has_front[kept]
+            front_off = b_phost[kept] - k_base
+            src_off = np.where(k_sir & has_front[kept], k_src_off, per)
+            skip_lo = np.minimum(front_off, src_off)
+            skip_hi = np.maximum(front_off, src_off)
+            end = end + (skip_lo < end)
+            end = end + (skip_hi < end)
+        else:
+            end = np.full(k, per, dtype=np.int64)
+        cpr = geo.chunks_per_rack
+        chunk = np.tile(np.arange(cpr, dtype=np.int64), k)
+        of_kept = np.repeat(np.arange(k, dtype=np.int64), cpr)
+        chunk_lo = chunk * BLOCK_WIDTH
+        cover = low_masks(np.minimum(end[of_kept], per) - chunk_lo)
+        sir = np.flatnonzero(k_sir)
+        cover[sir * cpr + k_src_off[sir] // BLOCK_WIDTH] &= ~(
+            _ONE << (k_src_off[sir] % BLOCK_WIDTH).astype(np.uint64)
+        )
+        kept_of_block = np.full(m, -1, dtype=np.int64)
+        kept_of_block[kept] = np.arange(k, dtype=np.int64)
+        fk = kept_of_block[rb]
+        peer_in_kept = fk >= 0
+        f_off = (ph - b_rack_base[rb])[peer_in_kept]
+        np.bitwise_and.at(
+            cover,
+            fk[peer_in_kept] * cpr + f_off // BLOCK_WIDTH,
+            ~(_ONE << (f_off % BLOCK_WIDTH).astype(np.uint64)),
+        )
+        nz = np.flatnonzero(cover)
+        c_block = kept[of_kept[nz]]
+        c_owner = b_owner[c_block]
 
-        delta = block_delta[block_of_row]
-        onto = np.zeros(len(owner_c))
-        target_rows = ptr[fix_owner[fix_live]] + fix_pos[fix_live]
-        onto[target_rows] = onto_fix[fix_live]
-        delta[target_rows] = fix_delta[fix_live]
+        # Layout: each owner's host rows, then its block rows.
+        nh = np.bincount(h_owner, minlength=n)
+        nc = np.bincount(c_owner, minlength=n)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(nh + nc, out=ptr[1:])
+        h_at = (
+            ptr[h_owner] + np.arange(len(h_owner))
+            - (np.cumsum(nh) - nh)[h_owner]
+        )
+        c_at = (
+            ptr[c_owner] + nh[c_owner] + np.arange(len(c_owner))
+            - (np.cumsum(nc) - nc)[c_owner]
+        )
+        n_rows = int(ptr[-1])
+        row_owner = np.empty(n_rows, dtype=np.int64)
+        row_owner[h_at] = h_owner
+        row_owner[c_at] = c_owner
+        host = np.empty(n_rows, dtype=np.int32)
+        host[h_at] = h_host
+        host[c_at] = b_rack_base[c_block] + chunk_lo[nz]
+        row_cover = np.empty(n_rows, dtype=np.uint64)
+        row_cover[h_at] = _ONE
+        row_cover[c_at] = cover[nz]
+        rank = np.empty(n_rows, dtype=np.int32)
+        rank[h_at] = h_rank
+        rank[c_at] = block_rank[c_block] + 1 + chunk_lo[nz]
+        delta = np.empty(n_rows)
+        delta[h_at] = fix_delta[live]
+        delta[c_at] = block_delta[c_block]
+        onto = np.zeros(n_rows)
+        onto[h_at] = onto_fix[live]
         return CandidateBatch(
             vms=vms,
             source=source,
             degree=deg,
             total_rate=total_rate,
             ptr=ptr,
-            owner=owner_c,
-            host=host_c,
+            owner=row_owner,
+            host=host,
+            cover=row_cover,
+            rank=rank,
             delta=delta,
             onto_rate=onto,
         )
@@ -967,39 +1130,105 @@ class FastCostEngine:
         batch: CandidateBatch,
         bandwidth_threshold: Optional[float] = None,
     ) -> np.ndarray:
-        """Capacity (§V-B5) + bandwidth (§V-C) mask over a batch's pairs.
+        """Each row's feasible target under capacity (§V-B5) and bandwidth
+        (§V-C): its first covered host, in probing order, that passes the
+        live (owner, host) test, or −1 when none does.
 
         Evaluated against the allocation's *current* usage, so the same
-        batch can be re-masked wave after wave.  Capacity is written as
+        batch can be re-resolved wave after wave.  Capacity is written as
         ``cap - used >= need``, the exact float expression of
         ``Allocation.can_host`` and of ``Allocation.migrate_many``'s
         validation; §V-C is the target's egress plus the owner's flows
         that would start crossing its NIC, minus those to VMs already
         there (which drop off it), against ``bandwidth_threshold`` of the
         line rate — the per-candidate §V-C probe of
-        :func:`repro.reference.evaluate_naive` in one mask.
+        :func:`repro.reference.evaluate_naive`.  The host-only part of the
+        test (free slot, and RAM/CPU when every VM is identical) is one
+        bitmask per rack chunk; the owner's part is probed host by host
+        from each row's lowest open bit.
         """
-        hosts = batch.host
-        slot_cap, ram_cap, cpu_cap, nic_cap = (
-            self._allocation.cluster.capacity_arrays()
+        bits = batch.cover & self.host_window(self.open_hosts())[batch.host]
+        return self.first_passing(
+            batch, np.arange(batch.n_rows), bits, bandwidth_threshold
+        )[0]
+
+    def open_hosts(self) -> np.ndarray:
+        """Hosts that pass every owner's capacity test's host-only part:
+        a free slot, plus RAM and CPU when every VM is identical."""
+        uniform = self.uniform_host_ok()
+        if uniform is not None:
+            return uniform
+        slot_cap = self._allocation.cluster.capacity_arrays()[0]
+        return slot_cap - self._allocation.usage()[0] >= 1
+
+    def host_window(self, flags: np.ndarray) -> np.ndarray:
+        """Per host ``h``, the bits of ``flags`` over ``h`` and the hosts
+        after it in its chunk (bit ``j`` is host ``h + j``): what a row
+        whose window starts at ``h`` masks its cover with."""
+        geo = self._geometry()
+        words = np.bitwise_or.reduceat(
+            flags.astype(np.uint64) << geo.shift, geo.chunk_starts
         )
-        if self._uniform_vm:
-            ok = self.uniform_host_ok()[hosts]
-        else:
+        return words[geo.chunk_of] >> geo.shift
+
+    def first_passing(
+        self,
+        batch: CandidateBatch,
+        rows: np.ndarray,
+        bits: np.ndarray,
+        bandwidth_threshold: Optional[float],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The first host of ``bits`` (one word per given row, relative to
+        the row's host) that passes the owner's own capacity and §V-C
+        test, or −1.  A bounded forward scan: a failing host's bit is
+        cleared from ``bits`` (in place) and the next one probed.
+        Returns ``(hosts, bits)``."""
+        hosts = np.full(len(rows), -1, dtype=np.int64)
+        live = np.flatnonzero(bits)
+        while live.size:
+            word = bits[live]
+            low = word & (~word + _ONE)
+            at = rows[live]
+            host = batch.host[at].astype(np.int64) + np.bitwise_count(
+                low - _ONE
+            )
+            ok = self._owner_fits(batch, at, host, bandwidth_threshold)
+            hosts[live[ok]] = host[ok]
+            failed = live[~ok]
+            bits[failed] ^= low[~ok]
+            live = failed[bits[failed] != 0]
+        return hosts, bits
+
+    def _owner_fits(
+        self,
+        batch: CandidateBatch,
+        rows: np.ndarray,
+        hosts: np.ndarray,
+        bandwidth_threshold: Optional[float],
+    ) -> np.ndarray:
+        """The owner-dependent part of the feasibility test of moving each
+        given row's owner onto ``hosts``: RAM and CPU unless every VM is
+        identical (the host-only part has them then), and the §V-C
+        budget."""
+        ok = np.ones(len(rows), dtype=bool)
+        if not self._uniform_vm or bandwidth_threshold is not None:
+            owner = batch.owner[rows]
+            _slot, ram_cap, cpu_cap, nic_cap = (
+                self._allocation.cluster.capacity_arrays()
+            )
+        if not self._uniform_vm:
             _ids, _host, ram, cpu = self._allocation.columns()
-            slot_used, ram_used, cpu_used = self._allocation.usage()
-            dense = batch.vms[batch.owner]
-            ok = (
-                (slot_cap[hosts] - slot_used[hosts] >= 1)
-                & (ram_cap[hosts] - ram_used[hosts] >= ram[dense])
-                & (cpu_cap[hosts] - cpu_used[hosts] >= cpu[dense])
+            _slot_used, ram_used, cpu_used = self._allocation.usage()
+            dense = batch.vms[owner]
+            ok &= (ram_cap[hosts] - ram_used[hosts] >= ram[dense]) & (
+                cpu_cap[hosts] - cpu_used[hosts] >= cpu[dense]
             )
         if bandwidth_threshold is not None:
-            budget = bandwidth_threshold * nic_cap[hosts]
+            onto = batch.onto_rate[rows]
             load_after = self._egress[hosts] + (
-                batch.total_rate[batch.owner] - batch.onto_rate
-            ) - batch.onto_rate
-            ok &= load_after <= budget
+                batch.total_rate[owner] - onto
+            ) - onto
+            ok &= load_after <= bandwidth_threshold * nic_cap[hosts]
         return ok
 
     def uniform_host_ok(self) -> Optional[np.ndarray]:
@@ -1007,9 +1236,9 @@ class FastCostEngine:
 
         With a uniform VM population, slot/RAM/CPU feasibility of *any*
         move collapses to one boolean per host, which
-        :meth:`candidate_feasible` gathers per row.  Returns ``None``
-        when the population is not uniform (or empty) — callers must
-        then fall back to per-row probing.
+        :meth:`candidate_feasible` folds into its per-chunk bitmasks.
+        Returns ``None`` when the population is not uniform (or empty) —
+        RAM and CPU are then probed per (owner, host).
         """
         if not self._uniform_vm:
             return None
@@ -1027,48 +1256,56 @@ class FastCostEngine:
     def best_candidates(
         self,
         batch: CandidateBatch,
-        feasible: np.ndarray,
+        targets: np.ndarray,
         return_ties: bool = False,
     ):
         """Per-owner best feasible candidate, first-in-probing-order ties.
 
+        ``targets`` is :meth:`candidate_feasible`'s per-row resolution.
         Returns ``(choice, best_delta, any_feasible)``: ``choice[i]`` is a
-        row index into the batch's pair arrays (or -1 when owner ``i`` has
-        no feasible candidate), ``best_delta[i]`` the winning Lemma 3 delta
-        (``-inf`` when none).  Mirrors the naive loop's tie-breaking: the
-        first candidate in probing order achieving the maximum wins.
+        row index into the batch (its host is ``targets[choice[i]]``; −1
+        when owner ``i`` has no feasible candidate), ``best_delta[i]`` the
+        winning Lemma 3 delta (``-inf`` when none).  Mirrors the naive
+        loop's tie-breaking: of the rows achieving the maximum, the one
+        whose target probes first (lowest rank) wins.
 
         With ``return_ties`` a fourth element is appended: the row indices
-        of every feasible candidate whose delta exactly equals its owner's
-        best (in row order) — the exact-tie alternatives the wave planner
-        may retarget to.
+        of every feasible row whose delta exactly equals its owner's best
+        (in row order) — the exact-tie alternatives the wave planner may
+        retarget to.
         """
         n = batch.n_owners
         choice = np.full(n, -1, dtype=np.int64)
         best = np.full(n, -np.inf)
         any_feasible = np.zeros(n, dtype=bool)
         ties = np.empty(0, dtype=np.int64)
-        if batch.n_pairs == 0 or not np.any(batch.ptr[1:] > batch.ptr[:-1]):
+        if batch.n_rows == 0:
             return (
                 (choice, best, any_feasible, ties)
                 if return_ties
                 else (choice, best, any_feasible)
             )
+        feasible = targets >= 0
         masked = np.where(feasible, batch.delta, -np.inf)
         starts = batch.ptr[:-1]
         nonempty = batch.ptr[1:] > starts
-        ne_starts = starts[nonempty]
-        seg_max = np.maximum.reduceat(masked, ne_starts)
+        seg_max = np.maximum.reduceat(masked, starts[nonempty])
         seg_len = (batch.ptr[1:] - starts)[nonempty]
-        # Exactly-best feasible rows; their first-per-owner row IS the
-        # naive first-max choice, and an owner has a tie iff it has any
-        # feasible candidate at all.
+        # Exactly-best feasible rows; an owner has one iff it has any
+        # feasible candidate at all, and its lowest-rank one IS the naive
+        # first-max choice.
         hit = feasible & (masked == np.repeat(seg_max, seg_len))
-        ties = np.nonzero(hit)[0]
+        ties = np.flatnonzero(hit)
         tied_owner = batch.owner[ties]
         first = np.ones(len(ties), dtype=bool)
         first[1:] = tied_owner[1:] != tied_owner[:-1]
-        choice[tied_owner[first]] = ties[first]
+        tied_rank = batch.rank[ties] + (targets[ties] - batch.host[ties])
+        group = np.flatnonzero(first)
+        lowest = np.minimum.reduceat(tied_rank, group)
+        wins = tied_rank == np.repeat(
+            lowest, np.diff(np.append(group, len(ties)))
+        )
+        choice[tied_owner[wins]] = ties[wins]
         any_feasible[tied_owner[first]] = True
         best[nonempty] = seg_max
         if return_ties:
@@ -1082,18 +1319,21 @@ class FastCostEngine:
 
         The gain-first reason rule reads this: an owner with peers but no
         gaining candidate is ``no_gain`` whatever the masks say.  A row
-        gains when its exact per-peer delta (:meth:`exact_deltas`) is
-        > 0; only rows the batch scores > 0 are re-checked, so a move
-        whose true gain is zero (peers split evenly between the source
-        and the target) does not count on the aggregated score's
-        rounding noise.
+        gains when its exact per-peer delta (:meth:`exact_deltas`, at any
+        covered host — they all share it) is > 0; only rows the batch
+        scores > 0 are re-checked, so a move whose true gain is zero
+        (peers split evenly between the source and the target) does not
+        count on the aggregated score's rounding noise.
         """
         positions = np.asarray(positions, dtype=np.int64)
         rows, seg_ptr = segment_rows(batch.ptr, positions)
         at = np.repeat(np.arange(len(positions)), np.diff(seg_ptr))
         hot = batch.delta[rows] > 0
         rows, at = rows[hot], at[hot]
-        exact = self.exact_deltas(batch.vms[positions[at]], batch.host[rows])
+        exact = self.exact_deltas(
+            batch.vms[positions[at]],
+            batch.host[rows] + lowest_offsets(batch.cover[rows]),
+        )
         out = np.zeros(len(positions), dtype=bool)
         out[at[exact > 0]] = True
         return out

@@ -230,8 +230,8 @@ class MigrationEngine:
         (:meth:`FastCostEngine.gaining`) is ``no_gain``, whatever the
         masks say.
         """
-        feasible = fast.candidate_feasible(batch, self._bandwidth_threshold)
-        choice, best_delta, _ = fast.best_candidates(batch, feasible)
+        targets = fast.candidate_feasible(batch, self._bandwidth_threshold)
+        choice, best_delta, _ = fast.best_candidates(batch, targets)
         unplaced = np.flatnonzero(choice < 0)
         blocked = np.zeros(batch.n_owners, dtype=bool)
         blocked[unplaced] = fast.gaining(batch, unplaced)
@@ -246,7 +246,7 @@ class MigrationEngine:
         exact = np.zeros(batch.n_owners)
         if rows.size:
             exact[rows] = fast.exact_deltas(
-                batch.vms[rows], batch.host[choice[rows]]
+                batch.vms[rows], targets[choice[rows]]
             )
         decisions: List[MigrationDecision] = []
         for i in range(batch.n_owners):
@@ -270,7 +270,7 @@ class MigrationEngine:
                 if delta > 0 and delta > self._migration_cost:
                     decisions.append(
                         MigrationDecision(
-                            vm_id, source, int(batch.host[row]), delta, False,
+                            vm_id, source, int(targets[row]), delta, False,
                             "beneficial",
                         )
                     )

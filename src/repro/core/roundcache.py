@@ -56,7 +56,6 @@ from repro.core.fastcost import (
     segment_rows,
 )
 
-
 class RoundScoreCache:
     """One scored candidate CSR over the full population, owner-invalidated.
 
@@ -71,11 +70,14 @@ class RoundScoreCache:
         self._engine = engine
         self.max_candidates = max_candidates
         self._valid: Optional[np.ndarray] = None
-        # Scored CSR over the dense VM index (owner i == dense VM i).
+        # Scored CSR over the dense VM index (owner i == dense VM i); row
+        # column ``name`` of ``CandidateBatch.ROW_FIELDS`` is ``_name``.
         self._ptr: Optional[np.ndarray] = None
         self._host: Optional[np.ndarray] = None
+        self._cover: Optional[np.ndarray] = None
+        self._rank: Optional[np.ndarray] = None
         self._delta: Optional[np.ndarray] = None
-        self._onto: Optional[np.ndarray] = None
+        self._onto_rate: Optional[np.ndarray] = None
         self._source: Optional[np.ndarray] = None
         self._degree: Optional[np.ndarray] = None
         self._total_rate: Optional[np.ndarray] = None
@@ -143,9 +145,8 @@ class RoundScoreCache:
                     # rack-local moves): scatter the fresh scores into
                     # the existing segments — no row renumbering.
                     rows, _ = segment_rows(self._ptr, dirty)
-                    self._host[rows] = fresh.host
-                    self._delta[rows] = fresh.delta
-                    self._onto[rows] = fresh.onto_rate
+                    for name, column in self._row_columns():
+                        column[rows] = getattr(fresh, name)
                     self._source[dirty] = fresh.source
                     self._degree[dirty] = fresh.degree
                     self._total_rate[dirty] = fresh.total_rate
@@ -163,9 +164,8 @@ class RoundScoreCache:
                         src_rows, _ = segment_rows(
                             fresh.ptr, np.nonzero(same)[0]
                         )
-                        self._host[dst_rows] = fresh.host[src_rows]
-                        self._delta[dst_rows] = fresh.delta[src_rows]
-                        self._onto[dst_rows] = fresh.onto_rate[src_rows]
+                        for name, column in self._row_columns():
+                            column[dst_rows] = getattr(fresh, name)[src_rows]
                         self._source[keep] = fresh.source[same]
                         self._degree[keep] = fresh.degree[same]
                         self._total_rate[keep] = fresh.total_rate[same]
@@ -194,18 +194,22 @@ class RoundScoreCache:
             total_rate=self._total_rate,
             ptr=self._ptr,
             owner=None,
-            host=self._host,
-            delta=self._delta,
-            onto_rate=self._onto,
+            **dict(self._row_columns()),
         )
+
+    def _row_columns(self):
+        """``(name, cached column)`` per ``CandidateBatch.ROW_FIELDS``."""
+        return [
+            (name, getattr(self, "_" + name))
+            for name in CandidateBatch.ROW_FIELDS
+        ]
 
     def _adopt(self, batch: CandidateBatch) -> None:
         """Install a full-population batch wholesale."""
         n = batch.n_owners
         self._ptr = batch.ptr
-        self._host = batch.host
-        self._delta = batch.delta
-        self._onto = batch.onto_rate
+        for name in CandidateBatch.ROW_FIELDS:
+            setattr(self, "_" + name, getattr(batch, name))
         self._source = batch.source
         self._degree = batch.degree
         self._total_rate = batch.total_rate
@@ -227,21 +231,16 @@ class RoundScoreCache:
         new_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=new_ptr[1:])
         total = int(new_ptr[-1])
-        keep = np.ones(len(self._host), dtype=bool)
+        keep = np.ones(int(old_ptr[-1]), dtype=bool)
         keep[segment_rows(old_ptr, dirty)[0]] = False
         fresh_dst = segment_rows(new_ptr, dirty)[0]
         stay = np.ones(total, dtype=bool)
         stay[fresh_dst] = False
-        for name, scored in (
-            ("_host", fresh.host),
-            ("_delta", fresh.delta),
-            ("_onto", fresh.onto_rate),
-        ):
-            old = getattr(self, name)
+        for name, old in self._row_columns():
             out = np.empty(total, dtype=old.dtype)
             out[stay] = old[keep]
-            out[fresh_dst] = scored
-            setattr(self, name, out)
+            out[fresh_dst] = getattr(fresh, name)
+            setattr(self, "_" + name, out)
         self._ptr = new_ptr
         self._source[dirty] = fresh.source
         self._degree[dirty] = fresh.degree

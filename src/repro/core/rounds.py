@@ -68,7 +68,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fastcost import CandidateBatch, FastCostEngine, pair_levels
+from repro.core.fastcost import (
+    BLOCK_WIDTH,
+    CandidateBatch,
+    FastCostEngine,
+    low_masks,
+    lowest_offsets,
+    pair_levels,
+    segment_rows,
+)
 from repro.core.migration import MigrationDecision, MigrationEngine
 
 
@@ -290,7 +298,7 @@ class BatchedRoundEngine:
             if self._profile is not None:
                 self._profile.bump("owners", n)
                 self._profile.bump("owners_rescored", int(dirty.size))
-                self._profile.bump("rows", batch.n_pairs)
+                self._profile.bump("rows", batch.n_rows)
             positions = np.empty(n, dtype=np.int64)
             positions[dense_order] = np.arange(n, dtype=np.int64)
         else:
@@ -346,11 +354,13 @@ class BatchedRoundEngine:
 
         while positions.size:
             t0 = self._tick()
-            feasible = fast.candidate_feasible(batch, threshold)
+            targets = fast.candidate_feasible(batch, threshold)
             choice, best, _, ties = fast.best_candidates(
-                batch, feasible, return_ties=True
+                batch, targets, return_ties=True
             )
             self._lap("re-mask", t0)
+            if self._profile is not None:
+                self._profile.bump("rows_remasked", batch.n_rows)
             beneficial = (choice >= 0) & (best > 0) & (best > cm)
             t0 = self._tick()
             self._settle_owners(
@@ -365,7 +375,7 @@ class BatchedRoundEngine:
             result.waves += 1
             t0 = self._tick()
             accepted, target = self._plan_wave(
-                batch, best, prop, ties, n_hosts
+                batch, best, prop, ties, targets, n_hosts
             )
             self._lap("plan", t0)
             t0 = self._tick()
@@ -383,7 +393,7 @@ class BatchedRoundEngine:
             keep_positions = positions[deferred]
             if moved.size:
                 t0 = self._tick()
-                self._adjust_stale(keep, moved, old_hosts, new_hosts)
+                keep = self._adjust_stale(keep, moved, old_hosts, new_hosts)
                 self._lap("adjust", t0)
             batch = keep
             positions = keep_positions
@@ -453,6 +463,7 @@ class BatchedRoundEngine:
         best: np.ndarray,
         prop: np.ndarray,
         ties: np.ndarray,
+        targets: np.ndarray,
         n_hosts: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Greedy interference-free admission with exact-tie retargeting.
@@ -460,26 +471,37 @@ class BatchedRoundEngine:
         Returns ``(accepted, target)`` over ``prop``: the admission mask
         and each admitted proposal's target host.  Priority is descending
         Lemma 3 gain (stable on visit position — callers pass ``prop`` in
-        visit order).  Each proposal may land on any candidate whose
-        delta *exactly equals* its best (``ties``, from
-        :meth:`FastCostEngine.best_candidates`) — the first such host in
-        probing order not yet claimed this wave — so an already-claimed
-        host only defers a VM when no equally-good alternative exists.
+        visit order).  Each proposal may land on any feasible host whose
+        delta *exactly equals* its best (the covered hosts of ``ties``,
+        from :meth:`FastCostEngine.best_candidates`) — the first such
+        host in probing order not yet claimed this wave — so an
+        already-claimed host only defers a VM when no equally-good
+        alternative exists.  A tied block row offers its covered hosts
+        from its resolved target (``targets``) on, each probed with the
+        live feasibility test when the ones before it are claimed.
         """
         fast = self._fast
         snap = fast.snapshot
+        threshold = self._engine.bandwidth_threshold
         n_prop = len(prop)
         order = np.argsort(-best[prop], kind="stable")
         rank_of = np.empty(n_prop, dtype=np.int64)
         rank_of[order] = np.arange(n_prop)
 
-        # Tied rows of the proposal owners only, mapped to proposal index.
+        # Tied rows of the proposal owners only, mapped to proposal index
+        # (grouped by owner).  Each offers its covered hosts from its
+        # resolved target (its first candidate) on; the host-only test
+        # narrows them when a claim moves the row past its target.
         prop_index = np.full(batch.n_owners, -1, dtype=np.int64)
         prop_index[prop] = np.arange(n_prop)
         t_owner = prop_index[batch.owner[ties]]
         in_prop = t_owner >= 0
         t_owner = t_owner[in_prop]
-        t_host = batch.host[ties[in_prop]]
+        t_row = ties[in_prop]
+        t_base = batch.host[t_row].astype(np.int64)
+        cand = targets[t_row]
+        t_bits = batch.cover[t_row] & ~low_masks(cand - t_base)
+        open_window = None
 
         sources = batch.source[prop]
         vms = batch.vms[prop]
@@ -492,28 +514,50 @@ class BatchedRoundEngine:
 
         while True:
             alive &= ~host_used[sources] & ~vm_blocked[vms]
-            # Compact the tied rows to the still-contending owners; rows of
-            # admitted/claimed hosts and settled owners never return.
-            open_rows = alive[t_owner] & ~host_used[t_host]
+            # A row whose candidate was claimed moves on to its next open
+            # host; claimed hosts and settled owners never return.
+            claimed = np.flatnonzero(host_used[cand])
+            if claimed.size:
+                if open_window is None:
+                    open_window = fast.host_window(fast.open_hosts())
+                at = t_base[claimed]
+                t_bits[claimed] &= open_window[at] & ~fast.host_window(
+                    host_used
+                )[at]
+                cand[claimed], t_bits[claimed] = fast.first_passing(
+                    batch, t_row[claimed], t_bits[claimed], threshold
+                )
+            open_rows = alive[t_owner] & (cand >= 0)
             t_owner = t_owner[open_rows]
-            t_host = t_host[open_rows]
+            t_row = t_row[open_rows]
+            t_base = t_base[open_rows]
+            t_bits = t_bits[open_rows]
+            cand = cand[open_rows]
             if t_owner.size == 0:
                 break
-            # First open tied row per owner (probing order).
+            # First open tied host per owner: the lowest probing rank
+            # over the owner's rows.
+            first = np.ones(len(t_owner), dtype=bool)
+            first[1:] = t_owner[1:] != t_owner[:-1]
+            if not first.all():
+                t_rank = batch.rank[t_row] + (cand - t_base)
+                starts = np.flatnonzero(first)
+                lowest = np.minimum.reduceat(t_rank, starts)
+                first = t_rank == np.repeat(
+                    lowest, np.diff(np.append(starts, len(t_rank)))
+                )
             pick = np.full(n_prop, -1, dtype=np.int64)
-            # rows are grouped by owner ascending; first occurrence wins.
-            first_of_owner = np.ones(len(t_owner), dtype=bool)
-            first_of_owner[1:] = t_owner[1:] != t_owner[:-1]
-            pick[t_owner[first_of_owner]] = np.nonzero(first_of_owner)[0]
+            pick[t_owner[first]] = np.flatnonzero(first)
             contenders = np.nonzero(pick >= 0)[0]
+            picked = cand[pick[contenders]]
             # Host claims resolve by gain priority (then visit order).
             claim = np.full(n_hosts, big, dtype=np.int64)
             np.minimum.at(claim, sources[contenders], rank_of[contenders])
-            np.minimum.at(claim, t_host[pick[contenders]], rank_of[contenders])
-            winners = contenders[
-                (claim[sources[contenders]] == rank_of[contenders])
-                & (claim[t_host[pick[contenders]]] == rank_of[contenders])
-            ]
+            np.minimum.at(claim, picked, rank_of[contenders])
+            wins = (claim[sources[contenders]] == rank_of[contenders]) & (
+                claim[picked] == rank_of[contenders]
+            )
+            winners = contenders[wins]
             # Peer filter, vectorized: a winner yields when one of its
             # peers is a higher-priority winner (the loser stays alive for
             # the next admission round — conservative vs the sequential
@@ -534,7 +578,7 @@ class BatchedRoundEngine:
                 break
             accepted[chosen] = True
             alive[chosen] = False
-            target[chosen] = t_host[pick[chosen]]
+            target[chosen] = picked[wins][ok]
             host_used[sources[chosen]] = True
             host_used[target[chosen]] = True
             c_ptr, c_peers = self._peer_slices(vms[chosen])
@@ -613,7 +657,7 @@ class BatchedRoundEngine:
         moved: np.ndarray,
         old_hosts: np.ndarray,
         new_hosts: np.ndarray,
-    ) -> None:
+    ) -> CandidateBatch:
         """Correct the batch's deltas for this wave's peer movements.
 
         For owner u with candidate x and moved peer p (rate λ):
@@ -623,9 +667,17 @@ class BatchedRoundEngine:
 
         and the §V-C landing rate gains/loses λ as p lands on / leaves x.
         Only the moved peers' terms change, so the correction touches
-        ``Σ_u |candidates(u)| × |moved peers(u)|`` rows — a tiny slice of
-        a full re-score — and keeps every retained delta exact against
-        the post-wave placement (candidate sets stay the round snapshot).
+        ``Σ_u rows(u) × |moved peers(u)|`` terms — a tiny slice of a full
+        re-score — and keeps every retained delta exact against the
+        post-wave placement (candidate sets stay the round snapshot).
+
+        A row's covered hosts hold none of the owner's peers, so every
+        term is the same at each of them, bit for bit, and is taken at
+        the first one.  Where a moved peer lands on a covered host of a
+        row that covers several, that host first splits off as a row of
+        its own (the row's delta, then its own terms); a split row never
+        merges back.  Returns the adjusted batch: the given one, written
+        in place, or a rebuilt one when a host split off.
         """
         fast = self._fast
         snap = fast.snapshot
@@ -649,7 +701,7 @@ class BatchedRoundEngine:
         peer = snap.peer[edge]
         hit = moved_flag[peer]
         if not np.any(hit):
-            return
+            return batch
         m_owner = owner_e[hit]
         m_peer = peer[hit]
         m_rate = snap.rate[edge[hit]]
@@ -662,21 +714,16 @@ class BatchedRoundEngine:
             - pw[pair_levels(src, m_old, rack_of, pod_of)]
         )
         # Work in the compact row space of the stale owners only (their
-        # candidate segments), then scatter once into the batch arrays.
+        # segments), then write the batch once.
         stale, inv = np.unique(m_owner, return_inverse=True)
-        seg_len = (batch.ptr[stale + 1] - batch.ptr[stale]).astype(np.int64)
-        c_ptr = np.zeros(len(stale) + 1, dtype=np.int64)
-        np.cumsum(seg_len, out=c_ptr[1:])
-        n_stale_rows = int(c_ptr[-1])
+        stale_rows, c_ptr = segment_rows(batch.ptr, stale)
+        seg_len = np.diff(c_ptr)
+        n_stale_rows = len(stale_rows)
         if n_stale_rows == 0:
-            return
-        stale_rows = np.repeat(
-            batch.ptr[stale] - c_ptr[:-1], seg_len
-        ) + np.arange(n_stale_rows)
+            return batch
         # Source-side term: one per-owner aggregate over its whole segment.
         src_adjust = np.zeros(len(stale))
         np.add.at(src_adjust, inv, src_term)
-        adjust = np.repeat(src_adjust, seg_len)
 
         # Candidate-side term: expand each incidence over the owner's rows.
         inc_rows = seg_len[inv]
@@ -686,8 +733,8 @@ class BatchedRoundEngine:
         row_local = np.repeat(c_ptr[inv] - i_ptr[:-1], inc_rows) + np.arange(
             total
         )
-        row_hosts = batch.host[stale_rows]
-        # The level-weight difference vanishes unless the candidate host
+        row_base = batch.host[stale_rows].astype(np.int64)
+        # The level-weight difference vanishes unless the row's rack
         # shares a pod with the peer's old or new placement (both levels
         # are 3 otherwise) — which prunes the expensive part of the
         # expansion to a couple of pods' worth of rows.  Pods (narrowed
@@ -695,32 +742,88 @@ class BatchedRoundEngine:
         # stale row and once per incidence, then expanded; only the near
         # rows gather their incidence's values.
         pod32 = pod_of.astype(np.int32)
-        host_pod = pod32[row_hosts][row_local]
+        host_pod = pod32[row_base][row_local]
         near = (host_pod == np.repeat(pod32[m_new], inc_rows)) | (
             host_pod == np.repeat(pod32[m_old], inc_rows)
         )
         at_near = np.flatnonzero(near)
         row_near = row_local[at_near]
         inc_near = np.searchsorted(i_ptr, at_near, side="right") - 1
-        hosts_n = row_hosts[row_near]
-        new_n = m_new[inc_near]
-        old_n = m_old[inc_near]
-        rate_n = m_rate[inc_near]
-        cand_term = rate_n * (
-            pw[pair_levels(hosts_n, new_n, rack_of, pod_of)]
-            - pw[pair_levels(hosts_n, old_n, rack_of, pod_of)]
+
+        # Splits: a peer landing on one of several covered hosts (a near
+        # term: the landing host shares the row's pod).
+        cover = batch.cover[stale_rows]
+        land = m_new[inc_near] - row_base[row_near]
+        bit = np.uint64(1) << np.clip(land, 0, BLOCK_WIDTH - 1).astype(
+            np.uint64
         )
-        adjust -= np.bincount(row_near, weights=cand_term, minlength=n_stale_rows)
-        batch.delta[stale_rows] += adjust
-        if self._engine.bandwidth_threshold is not None:
-            # The §V-C landing rate is only consumed when the threshold is
-            # in force; skip the correction otherwise.
+        row_cover = cover[row_near]
+        splits = np.flatnonzero(
+            (land >= 0) & (land < BLOCK_WIDTH) & (row_cover & bit != 0)
+            & (np.bitwise_count(row_cover) > 1)
+        )
+        parent = row_near[splits]
+        np.bitwise_and.at(cover, parent, ~bit[splits])
+        split_host = m_new[inc_near[splits]]
+        # A split row's terms are its parent's near terms, in the same
+        # (incidence) order, taken at the split host.
+        split_terms = n_terms = np.empty(0, dtype=np.int64)
+        if splits.size:
+            by_row = np.argsort(row_near, kind="stable")
+            sorted_rows = row_near[by_row]
+            lo = np.searchsorted(sorted_rows, parent, side="left")
+            n_terms = np.searchsorted(sorted_rows, parent, side="right") - lo
+            split_terms = by_row[
+                np.repeat(lo - (np.cumsum(n_terms) - n_terms), n_terms)
+                + np.arange(int(n_terms.sum()))
+            ]
+        term_row = np.concatenate((
+            row_near,
+            n_stale_rows + np.repeat(np.arange(len(splits)), n_terms),
+        ))
+        term_inc = np.concatenate((inc_near, inc_near[split_terms]))
+        first = np.where(cover != 0, lowest_offsets(cover), 0)
+        at_host = np.concatenate((row_base + first, split_host))[term_row]
+        new_n = m_new[term_inc]
+        old_n = m_old[term_inc]
+        rate_n = m_rate[term_inc]
+        cand_term = rate_n * (
+            pw[pair_levels(at_host, new_n, rack_of, pod_of)]
+            - pw[pair_levels(at_host, old_n, rack_of, pod_of)]
+        )
+        # Row r of the extended space adjusts stale row `of_row[r]`'s
+        # values (a split row starts from its parent's).
+        of_row = np.concatenate((np.arange(n_stale_rows), parent))
+        n_ext = len(of_row)
+        owner_local = np.repeat(np.arange(len(stale)), seg_len)
+        adjust = src_adjust[owner_local[of_row]] - np.bincount(
+            term_row, weights=cand_term, minlength=n_ext
+        )
+        delta = batch.delta[stale_rows[of_row]] + adjust
+        batch.delta[stale_rows] = delta[:n_stale_rows]
+        with_onto = len(batch.onto_rate) == batch.n_rows
+        onto = np.empty(0)
+        if with_onto:
+            # The §V-C landing rate is only carried (and consumed) when
+            # the threshold is in force.
             onto_term = rate_n * (
-                (new_n == hosts_n).astype(float) - (old_n == hosts_n)
+                (new_n == at_host).astype(float) - (old_n == at_host)
             )
-            batch.onto_rate[stale_rows] += np.bincount(
-                row_near, weights=onto_term, minlength=n_stale_rows
+            onto = batch.onto_rate[stale_rows[of_row]] + np.bincount(
+                term_row, weights=onto_term, minlength=n_ext
             )
+            batch.onto_rate[stale_rows] = onto[:n_stale_rows]
+        if not splits.size:
+            return batch
+        batch.cover[stale_rows] = cover
+        return batch.with_rows(
+            owners=stale[owner_local[parent]],
+            host=split_host,
+            cover=np.ones(len(splits), dtype=np.uint64),
+            rank=batch.rank[stale_rows[parent]] + land[splits],
+            delta=delta[n_stale_rows:],
+            onto_rate=onto[n_stale_rows:],
+        )
 
     # -- settlement ---------------------------------------------------------
 

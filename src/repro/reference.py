@@ -23,6 +23,12 @@ The readable versions they replaced survive here, once each:
   :meth:`MigrationEngine.evaluate
   <repro.core.migration.MigrationEngine.evaluate>`, which scores on the
   fast engine's candidate batch.
+* :func:`score_rows_reference` / :func:`adjust_rows_reference` — the
+  per-host candidate scorer and stale-delta correction, one row per
+  candidate host: the twins of the block rows of
+  :meth:`FastCostEngine.candidate_batch
+  <repro.core.fastcost.FastCostEngine.candidate_batch>` and of the round
+  engine's correction, compared through :func:`host_rows`.
 * :class:`UncachedScheduler` — wave rounds through the uncached wave
   loop, the twin the round cache is pinned bit-exact against.
 * :func:`run_at_boundaries` — an event runner whose due events all
@@ -47,6 +53,12 @@ import numpy as np
 
 from repro.cluster.allocation import Allocation
 from repro.core.cost import CostModel
+from repro.core.fastcost import (
+    BLOCK_WIDTH,
+    CandidateBatch,
+    FastCostEngine,
+    path_weight_table,
+)
 from repro.core.migration import MigrationDecision, MigrationEngine
 from repro.core.mutation import Migrate
 from repro.core.rounds import BatchedRoundEngine, DecisionColumns, RoundResult
@@ -289,6 +301,172 @@ def evaluate_naive(
     blocked = saw_gain and not saw_candidate
     reason = "no_feasible_target" if blocked else "no_gain"
     return MigrationDecision(vm_u, source, None, best_delta, False, reason)
+
+
+def host_rows(batch: CandidateBatch):
+    """A candidate batch expanded to one row per candidate host, each
+    owner's in probing order: ``(owner, host, delta, onto, row)`` arrays,
+    ``row`` being the batch row that covers the host."""
+    row = np.repeat(np.arange(batch.n_rows), BLOCK_WIDTH)
+    offset = np.tile(np.arange(BLOCK_WIDTH), batch.n_rows)
+    covered = (batch.cover[row] >> offset.astype(np.uint64)) & np.uint64(1)
+    row, offset = row[covered == 1], offset[covered == 1]
+    owner = batch.owner[row]
+    order = np.lexsort((batch.rank[row] + offset, owner))
+    onto = batch.onto_rate if len(batch.onto_rate) else np.zeros(batch.n_rows)
+    row = row[order]
+    return (
+        owner[order],
+        batch.host[row].astype(np.int64) + offset[order],
+        batch.delta[row],
+        onto[row],
+        row,
+    )
+
+
+def _level(rack_of, pod_of, a: int, b: int) -> int:
+    return (
+        3 - int(pod_of[a] == pod_of[b]) - int(rack_of[a] == rack_of[b])
+        - int(a == b)
+    )
+
+
+def score_rows_reference(
+    fast: FastCostEngine,
+    dense_vms: Sequence[int],
+    max_candidates: Optional[int] = None,
+):
+    """The per-host candidate scorer, owner by owner: ``(owner, host,
+    delta, onto)`` of every (owner, candidate host) in probing order (the
+    :func:`candidate_hosts` order, capped), owners none of whose
+    candidates gains dropped.
+
+    Each delta is ``Eq. 1 restricted to the owner's peers`` minus the
+    post-move sum, the latter decomposed over the level hierarchy
+    (``w3·R_total + (w2−w3)·R_pod + (w1−w2)·R_rack``, plus
+    ``(w0−w1)·R_host`` on a host that holds peers) with every aggregate
+    summed over the ranked peers in rank order — the float chain of
+    :meth:`FastCostEngine.candidate_batch`, which must expand
+    (:func:`host_rows`) to these rows bit for bit.
+    """
+    snap = fast.snapshot
+    host_of = fast.allocation.columns()[1]
+    topology = fast.topology
+    rack_of, pod_of = topology.host_rack_ids(), topology.host_pod_ids()
+    pw = [float(w) for w in path_weight_table(fast.weights, topology.max_level)]
+    w3 = pw[3] if len(pw) > 3 else pw[-1]
+    w2d, w1d, w0d = pw[2] - w3, pw[1] - pw[2], pw[0] - pw[1]
+    per = topology.n_hosts // topology.n_racks
+    out = ([], [], [], [])
+    for position, dense in enumerate(dense_vms):
+        source = int(host_of[dense])
+        lo, hi = int(snap.ptr[dense]), int(snap.ptr[dense + 1])
+        peers = [
+            (
+                _level(rack_of, pod_of, source, int(host_of[snap.peer[e]])),
+                float(snap.rate[e]),
+                e,
+                int(host_of[snap.peer[e]]),
+            )
+            for e in range(lo, hi)
+        ]
+        # Level desc, rate desc, peer id asc (CSR order).
+        peers.sort(key=lambda p: (-p[0], -p[1], p[2]))
+        total = local = 0.0
+        r_pod: Dict[int, float] = {}
+        r_rack: Dict[int, float] = {}
+        on_host: Dict[int, List[float]] = {}
+        for level, rate, _e, peer_host in peers:
+            total += rate
+            local += rate * pw[level]
+            pod, rack = int(pod_of[peer_host]), int(rack_of[peer_host])
+            r_pod[pod] = r_pod.get(pod, 0.0) + rate
+            r_rack[rack] = r_rack.get(rack, 0.0) + rate
+            on_host.setdefault(peer_host, []).append(rate)
+        seen = {source}
+        hosts: List[int] = []
+        for _level_, _rate, _e, peer_host in peers:
+            rack = int(rack_of[peer_host])
+            for host in [peer_host, *range(rack * per, (rack + 1) * per)]:
+                if host not in seen:
+                    seen.add(host)
+                    hosts.append(host)
+        if max_candidates:
+            hosts = hosts[:max_candidates]
+        rows = []
+        for host in hosts:
+            base = (
+                w3 * total
+                + w2d * r_pod[int(pod_of[host])]
+                + w1d * r_rack[int(rack_of[host])]
+            )
+            if host in on_host:
+                # Co-hosted peers' rates sum as one segment reduction.
+                onto = float(np.add.reduceat(np.array(on_host[host]), [0])[0])
+                rows.append((host, local - (base + w0d * onto), onto))
+            else:
+                rows.append((host, local - base, 0.0))
+        if any(delta > 0 for _h, delta, _o in rows):
+            for host, delta, onto in rows:
+                for column, value in zip(out, (position, host, delta, onto)):
+                    column.append(value)
+    return tuple(
+        np.array(column, dtype=dtype)
+        for column, dtype in zip(out, (np.int64, np.int64, float, float))
+    )
+
+
+def adjust_rows_reference(
+    fast: FastCostEngine,
+    batch: CandidateBatch,
+    rows,
+    moved: np.ndarray,
+    old_hosts: np.ndarray,
+    new_hosts: np.ndarray,
+):
+    """The per-host stale-delta correction of one wave, row by row:
+    ``(delta, onto)`` of the per-host ``rows`` (:func:`host_rows` of
+    ``batch``) after the ``moved`` peers went from ``old_hosts`` to
+    ``new_hosts``.  A row gains ``λ·(w[l(src, new)] − w[l(src, old)])``
+    summed over the owner's moved peers (CSR order), less the same terms
+    at the row's host over the peers whose old or new host shares its pod,
+    and its landing rate ``λ`` per peer landing on it (less per peer
+    leaving it): the float chain of the round engine's adjustment."""
+    snap = fast.snapshot
+    topology = fast.topology
+    rack_of, pod_of = topology.host_rack_ids(), topology.host_pod_ids()
+    pw = [float(w) for w in path_weight_table(fast.weights, topology.max_level)]
+    where = {
+        int(v): (int(o), int(n)) for v, o, n in zip(moved, old_hosts, new_hosts)
+    }
+    owner, host, delta, onto = rows[:4]
+    delta, onto = delta.copy(), onto.copy()
+    for i in range(len(owner)):
+        o = int(owner[i])
+        vm, source, x = int(batch.vms[o]), int(batch.source[o]), int(host[i])
+        lo, hi = int(snap.ptr[vm]), int(snap.ptr[vm + 1])
+        moves = [
+            (float(snap.rate[e]),) + where[int(snap.peer[e])]
+            for e in range(lo, hi)
+            if int(snap.peer[e]) in where
+        ]
+        if not moves:
+            continue
+        src_adjust = cand = landing = 0.0
+        for rate, old, new in moves:
+            src_adjust += rate * (
+                pw[_level(rack_of, pod_of, source, new)]
+                - pw[_level(rack_of, pod_of, source, old)]
+            )
+            if pod_of[x] in (pod_of[new], pod_of[old]):
+                cand += rate * (
+                    pw[_level(rack_of, pod_of, x, new)]
+                    - pw[_level(rack_of, pod_of, x, old)]
+                )
+                landing += rate * (float(new == x) - float(old == x))
+        delta[i] = delta[i] + (src_adjust - cand)
+        onto[i] = onto[i] + landing
+    return delta, onto
 
 
 class _UncachedRounds(BatchedRoundEngine):

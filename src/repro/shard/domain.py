@@ -7,11 +7,12 @@ pods, a :class:`~repro.cluster.cluster.Cluster`/
 capacities and placement, a :class:`~repro.traffic.matrix.TrafficMatrix`
 holding only intra-domain pairs, and its own policy + token +
 :class:`~repro.core.fastcost.FastCostEngine` +
-:class:`~repro.core.rounds.BatchedRoundEngine`.  Host renumbering is the
-whole trick: the dense candidate grids of ``candidate_batch`` are sized
-by the *local* rack/host counts, so D domains do ~1/D of the single
-engine's grid work between them — the decomposition is a speedup even on
-one core, and embarrassingly parallel across workers.
+:class:`~repro.core.rounds.BatchedRoundEngine`.  Host renumbering keeps
+every array a domain's engine sizes by hosts or racks local; the
+candidate rows themselves (one per (owner, peer host) and per (owner,
+peer rack)) do not depend on the rack count, so on one core the
+decomposition pays only where the waves it splits are large, and the
+domains are embarrassingly parallel across workers.
 
 Because pods keep their ascending global order, local host ``i`` is the
 ``i``-th host of the domain's sorted global host list; rack and pod
@@ -102,8 +103,8 @@ class ShardDomain:
         # Ascending pods × contiguous per-pod blocks: a local host id is
         # the searchsorted position.
         local_hosts = np.searchsorted(self.global_hosts, global_hosts_of_vms)
-        self.allocation = Allocation.from_placement(
-            cluster, global_allocation.vms_of(vm_ids.tolist()), local_hosts
+        self.allocation = global_allocation.subset(
+            cluster, vm_ids, local_hosts
         )
         # Slices of the global pair_arrays are unique and canonical, so
         # the bulk constructor applies; the engine binds its store.
@@ -122,19 +123,17 @@ class ShardDomain:
         self.rounds = BatchedRoundEngine(self.engine, self.fast)
         self.holder: Optional[int] = None
         self._n_intra_pairs = int(len(intra_pairs[0]))
-        self._n_local_racks = int(sub_topology.n_racks)
         assert len(self.global_hosts) == sub_topology.n_hosts
 
     def work_estimate(self) -> float:
-        """Static solve-cost proxy for LPT worker packing.
-
-        The wave loop's dominant term is candidate scoring: one row per
-        intra-domain pair endpoint against a candidate grid whose width
-        scales with the local rack count.  Measured ``domain-solve``
-        seconds supersede this estimate once a fleet has run
+        """Static solve-cost proxy for LPT worker packing: the domain's
+        intra-domain pair count.  A domain's candidate rows, and so its
+        scoring and wave work, grow with its pairs, not with its rack
+        count.  Measured ``domain-solve`` seconds supersede this
+        estimate once a fleet has run
         (:func:`repro.shard.executor.pack_workers` hints).
         """
-        return float(max(1, self._n_intra_pairs) * max(1, self._n_local_racks))
+        return float(max(1, self._n_intra_pairs))
 
     @property
     def n_vms(self) -> int:

@@ -73,8 +73,8 @@ def pack_workers(
 ) -> List[List[ShardDomain]]:
     """LPT bin packing of domains onto workers.
 
-    The work estimate is the domain's intra-pair count times its local
-    candidate-grid width (:meth:`ShardDomain.work_estimate`), overridden
+    The work estimate is the domain's intra-pair count
+    (:meth:`ShardDomain.work_estimate`), overridden
     by a measured ``domain-solve`` seconds hint when the caller has one
     from a previous fleet.  Heaviest domain first onto the lightest
     worker — the classic 4/3-approximation, which is what keeps the

@@ -242,15 +242,11 @@ def check_engine_invariants(
             "valid owners' candidate counts diverged",
             indices=valid[np.nonzero(np.diff(fresh.ptr) != np.diff(seg_ptr))[0]],
         )
-    if not np.array_equal(fresh.host, cache._host[rows]):
-        fail(
-            "round-cache-hosts",
-            "valid owners' candidate hosts diverged",
-            indices=np.nonzero(fresh.host != cache._host[rows])[0],
-        )
-    if not np.array_equal(fresh.delta, cache._delta[rows]):
-        fail(
-            "round-cache-deltas",
-            "valid owners' scored deltas diverged",
-            indices=np.nonzero(fresh.delta != cache._delta[rows])[0],
-        )
+    for column in ("host", "cover", "rank", "delta"):
+        cached, what = getattr(cache, "_" + column), getattr(fresh, column)
+        if not np.array_equal(what, cached[rows]):
+            fail(
+                f"round-cache-{column}s",
+                f"valid owners' scored {column}s diverged",
+                indices=np.nonzero(what != cached[rows])[0],
+            )

@@ -180,6 +180,25 @@ class TestCopyAndMappings:
         assert allocation.mapping_is_feasible({1: 0, 2: 0, 3: 1})
         assert not allocation.mapping_is_feasible({1: 0, 2: 0, 3: 0})
 
+    def test_subset_mirrors_from_placement(self, allocation, cluster):
+        allocation.add_vms([vm(1, 512, 1.0), vm(2), vm(3, 1024, 2.0)], [0, 1, 2])
+        sub = allocation.subset(cluster, [3, 1], [5, 5])
+        twin = Allocation.from_placement(
+            cluster, [vm(3, 1024, 2.0), vm(1, 512, 1.0)], [5, 5]
+        )
+        assert [(v.vm_id, v.ram_mb, v.cpu) for v in sub.vms()] == [
+            (v.vm_id, v.ram_mb, v.cpu) for v in twin.vms()
+        ]
+        assert sub.as_dict() == twin.as_dict() == {1: 5, 3: 5}
+        assert [a.tolist() for a in sub.usage()] == [
+            a.tolist() for a in twin.usage()
+        ]
+        sub.validate()
+        with pytest.raises(KeyError):
+            allocation.subset(cluster, [9], [0])
+        with pytest.raises(CapacityError):
+            allocation.subset(cluster, [1, 2, 3], [0, 0, 0])
+
 
 class TestBatchChurn:
     """First-class VM arrival/departure batches (tenant churn)."""

@@ -17,6 +17,7 @@ from repro.reference import (
     evaluate_naive,
     feasible,
     host_egress_rate,
+    host_rows,
 )
 from repro.topology import CanonicalTree
 from repro.traffic import TrafficMatrix
@@ -196,7 +197,8 @@ class TestDecisions:
         engine = MigrationEngine(model)
         fast = bind(engine, allocation, tm)
         batch = fast.candidate_batch(fast.dense_indices([1]))
-        assert batch.host.tolist() == [1] and batch.delta[0] > 0  # premise
+        _owner, hosts, deltas, _onto, _row = host_rows(batch)
+        assert hosts.tolist() == [1] and deltas[0] > 0  # premise
         assert model.migration_delta(allocation, tm, 1, 1) == 0.0
         decision = decide(engine, allocation, tm, 1, path)
         assert (decision.reason, decision.delta) == ("no_gain", 0.0)

@@ -120,12 +120,11 @@ def test_a_partial_order_leaves_the_round_cache_untouched():
     assert (cache.owners_seen, cache.owners_rescored) == (seen, rescored)
 
 
-CACHE_ARRAYS = (
-    "_ptr", "_host", "_delta", "_onto", "_source", "_degree", "_total_rate"
-)
 BATCH_ARRAYS = (
-    "ptr", "host", "delta", "onto_rate", "source", "degree", "total_rate"
+    "ptr", "host", "cover", "rank", "delta", "onto_rate", "source",
+    "degree", "total_rate",
 )
+CACHE_ARRAYS = tuple("_" + name for name in BATCH_ARRAYS)
 
 
 @pytest.mark.parametrize("threshold", [None, 0.9], ids=["uniform", "budget"])

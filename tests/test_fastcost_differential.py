@@ -28,7 +28,12 @@ from repro import (
 from repro.cluster.placement import place_by_name
 from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationEngine
-from repro.reference import bandwidth_feasible, evaluate_naive, host_egress_rate
+from repro.reference import (
+    bandwidth_feasible,
+    evaluate_naive,
+    host_egress_rate,
+    host_rows,
+)
 from repro.traffic.generator import PATTERNS
 
 REL = 1e-9
@@ -98,11 +103,10 @@ def assert_engines_agree(naive, fast, allocation, traffic, rng):
     # the owner's traffic, not with the (possibly zero) delta.
     batch = fast.candidate_batch(fast.dense_indices(sample))
     w_top = naive.weights.path_weight(naive.topology.max_level)
-    for row in range(batch.n_pairs):
-        owner = batch.owner[row]
-        assert batch.delta[row] == pytest.approx(
+    for owner, host, delta, _onto, _row in zip(*host_rows(batch)):
+        assert delta == pytest.approx(
             naive.migration_delta(
-                allocation, traffic, int(sample[owner]), int(batch.host[row])
+                allocation, traffic, int(sample[owner]), int(host)
             ),
             rel=REL,
             abs=REL * w_top * batch.total_rate[owner],
@@ -203,25 +207,39 @@ def test_engine_egress_matches_naive_host_egress_rate(topo_name, pattern):
     # The batched scorer's §V-C mask == the naive per-candidate check,
     # over every candidate row of the sampled VMs.
     sample = rng.choice(vm_ids, size=15, replace=False)
+    # Each row resolves to its first covered host, in probing order,
+    # that passes the naive probe.
     batch = fast.candidate_batch(fast.dense_indices(sample))
-    owners = sample[batch.owner]
-    capacity = fast.candidate_feasible(batch)
-    for owner, host, ok in zip(owners, batch.host, capacity):
-        assert ok == allocation.can_host(int(host), allocation.vm(int(owner)))
+    owner, host, _delta, _onto, row = host_rows(batch)
+    owners = sample[owner]
+    capacity = np.array([
+        allocation.can_host(int(h), allocation.vm(int(vm)))
+        for vm, h in zip(owners, host)
+    ], dtype=bool)
+
+    def first_passing(fits):
+        want = np.full(batch.n_rows, -1)
+        for r, h, ok in zip(row[::-1], host[::-1], fits[::-1]):
+            if ok:
+                want[r] = h
+        return want
+
+    assert np.array_equal(
+        fast.candidate_feasible(batch), first_passing(capacity)
+    )
     for threshold in (0.2, 0.5, 0.9):
-        masked = fast.candidate_feasible(batch, threshold)
         naive_engine = MigrationEngine(
             CostModel(topology), bandwidth_threshold=threshold
         )
-        for owner, host, cap_ok, ok in zip(
-            owners, batch.host, capacity, masked
-        ):
-            assert ok == (
-                cap_ok
-                and bandwidth_feasible(
-                    naive_engine, allocation, traffic, int(owner), int(host)
-                )
+        fits = capacity & np.array([
+            bandwidth_feasible(
+                naive_engine, allocation, traffic, int(vm), int(h)
             )
+            for vm, h in zip(owners, host)
+        ], dtype=bool)
+        assert np.array_equal(
+            fast.candidate_feasible(batch, threshold), first_passing(fits)
+        )
 
 
 def test_bandwidth_threshold_decisions_match_naive_path():
