@@ -171,36 +171,6 @@ class _BlockGeometry(NamedTuple):
     pod_of_rack: np.ndarray
 
 
-class TouchedSet(NamedTuple):
-    """Compact dependency footprint of one engine state mutation.
-
-    Returned by the engine's mutating batch ops and consumed by the
-    persistent round cache (:mod:`repro.core.roundcache`):
-
-    ``hosts``
-        Hosts whose free slots / RAM / CPU / egress changed — candidate
-        *feasibility* on these hosts must be re-probed, but scored Lemma 3
-        rows stay valid (capacity never enters a delta).
-    ``owners``
-        Dense VM indices whose scored candidate rows went stale: the VMs
-        that moved (source + probing order change), every communication
-        peer of a mover (their Lemma 3 terms reference the mover's
-        placement), and both endpoints of every λ change.
-    ``structural``
-        The dense VM index itself was remapped (arrivals/departures);
-        owner-keyed caches must flush.
-    """
-
-    hosts: np.ndarray
-    owners: np.ndarray
-    structural: bool = False
-
-    @classmethod
-    def empty(cls, structural: bool = False) -> "TouchedSet":
-        empty = np.empty(0, dtype=np.int64)
-        return cls(hosts=empty, owners=empty.copy(), structural=structural)
-
-
 class CandidateBatch:
     """Flat-array snapshot of one batched §V-B5 candidate evaluation.
 
@@ -531,11 +501,7 @@ class FastCostEngine:
 
     # -- persistent round-score cache ----------------------------------------
 
-    #: Sentinel distinguishing "no cap requested" from "keep the current
-    #: cache whatever its cap" in :meth:`round_cache`.
-    _CACHE_CAP_UNSET = object()
-
-    def round_cache(self, max_candidates=_CACHE_CAP_UNSET):
+    def round_cache(self, max_candidates: Optional[int]):
         """The engine's persistent per-owner round-score cache.
 
         Created on first use for the given candidate cap and kept alive
@@ -544,15 +510,10 @@ class FastCostEngine:
         dependency footprint it touched (see
         :class:`repro.core.roundcache.RoundScoreCache`).  Requesting a
         different ``max_candidates`` replaces the cache (candidate sets
-        depend on the cap); omit the argument to read the current cache
-        without risking that replacement (introspection, stats).
+        depend on the cap).
         """
         from repro.core.roundcache import RoundScoreCache
 
-        if max_candidates is FastCostEngine._CACHE_CAP_UNSET:
-            if self._round_cache is None:
-                self._round_cache = RoundScoreCache(self, None)
-            return self._round_cache
         if (
             self._round_cache is None
             or self._round_cache.max_candidates != max_candidates
@@ -573,16 +534,8 @@ class FastCostEngine:
     ) -> np.ndarray:
         """Dense owners whose scored rows a batch of moves makes stale:
         the movers themselves plus ``peers``, every communication peer of
-        a mover."""
-        snap = self._snap
-        candidates = np.concatenate((movers, peers))
-        # Sorted-unique either way; the dense bitmap only pays off when
-        # the footprint is a sizable fraction of the snapshot.
-        if len(candidates) * 8 < snap.n_vms:
-            return np.unique(candidates)
-        hit = np.zeros(snap.n_vms, dtype=bool)
-        hit[candidates] = True
-        return np.nonzero(hit)[0]
+        a mover (repeats allowed: the cache clears a mask)."""
+        return np.concatenate((movers, peers))
 
     @property
     def _host_of(self) -> np.ndarray:
@@ -718,7 +671,7 @@ class FastCostEngine:
                 minlength=len(self._egress),
             )
 
-    def add_vms(self, vms: Sequence, hosts: Sequence[int]) -> TouchedSet:
+    def add_vms(self, vms: Sequence, hosts: Sequence[int]) -> None:
         """Place one batch of arriving VMs: the allocation, then the index.
 
         :meth:`Allocation.add_vms` validates the whole batch (capacity,
@@ -732,7 +685,7 @@ class FastCostEngine:
         aligned = self._aligned()
         self._write(self._allocation.add_vms, vms, hosts)
         if not vms:
-            return TouchedSet.empty()
+            return
         ids = self._allocation.columns()[0]
         self._snap.insert_ids(
             np.sort(np.array([vm.vm_id for vm in vms], dtype=np.int64)),
@@ -741,9 +694,8 @@ class FastCostEngine:
         self._adopt_population()
         # Arrivals remap the dense VM index; owner-keyed caches flush.
         self._flush_round_cache()
-        return TouchedSet.empty(structural=True)
 
-    def remove_vms(self, vm_ids: Sequence[int]) -> TouchedSet:
+    def remove_vms(self, vm_ids: Sequence[int]) -> None:
         """Remove one batch of departing VMs: the allocation, then the index.
 
         Unknown ids raise ``KeyError`` and duplicates ``ValueError``
@@ -756,7 +708,7 @@ class FastCostEngine:
         """
         ids = np.asarray(list(vm_ids), dtype=np.int64)
         if ids.size == 0:
-            return TouchedSet.empty()
+            return
         snap = self._snap
         dense = self.dense_indices(ids)  # KeyError on unknowns
         aligned = self._aligned()
@@ -775,7 +727,6 @@ class FastCostEngine:
         self._adopt_population()
         # Departures remap the dense VM index; owner-keyed caches flush.
         self._flush_round_cache()
-        return TouchedSet.empty(structural=True)
 
     # -- CostModel-compatible queries --------------------------------------
 
@@ -1375,7 +1326,7 @@ class FastCostEngine:
 
     def apply_moves(
         self, dense_vms: np.ndarray, targets: np.ndarray
-    ) -> Tuple[np.ndarray, TouchedSet]:
+    ) -> np.ndarray:
         """Apply one interference-free wave of moves: allocation and caches.
 
         Requires the wave contract of the round engine's planner
@@ -1389,11 +1340,9 @@ class FastCostEngine:
         invalidation, delta 0.  The sources and Lemma 3 terms are taken
         first; then ``Allocation.migrate_many`` moves the VMs, validating
         the whole wave before any write, so a :class:`CapacityError`
-        leaves the allocation and the engine untouched.  Returns
-        ``(deltas, touched)``: the per-move applied deltas plus the
-        wave's :class:`TouchedSet` (hosts whose slots/egress changed,
-        owners whose scored rows went stale); the engine's round cache is
-        invalidated with the same set before returning.
+        leaves the allocation and the engine untouched.  Returns the
+        per-move applied deltas; the round cache has dropped the movers'
+        and their peers' scored rows (:meth:`_movers_footprint`).
         """
         movers = np.asarray(dense_vms, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -1402,8 +1351,8 @@ class FastCostEngine:
         if stays.any():
             deltas = np.zeros(len(movers))
             moves = ~stays
-            deltas[moves], touched = self.apply_moves(movers[moves], targets[moves])
-            return deltas, touched
+            deltas[moves] = self.apply_moves(movers[moves], targets[moves])
+            return deltas
         n_moves = len(movers)
         owner, peers, rates, before, after, deltas = self._move_terms(
             movers, targets
@@ -1423,13 +1372,9 @@ class FastCostEngine:
             # adjustments independent, so indexed writes are safe.
             self._egress[sources] += colocated_src - (move_rate - colocated_src)
             self._egress[targets] += (move_rate - colocated_tgt) - colocated_tgt
-        touched = TouchedSet(
-            hosts=np.unique(np.concatenate((sources, targets))),
-            owners=self._movers_footprint(movers, peers),
-        )
         if n_moves:
-            self._invalidate_owners(touched.owners)
-        return deltas, touched
+            self._invalidate_owners(self._movers_footprint(movers, peers))
+        return deltas
 
     def __repr__(self) -> str:
         return (

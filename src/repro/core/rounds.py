@@ -637,7 +637,7 @@ class BatchedRoundEngine:
             sources = sources[genuine]
             targets = targets[genuine]
         if dense.size:
-            deltas, _ = fast.apply_moves(dense, targets)
+            deltas = fast.apply_moves(dense, targets)
             pos_arr = positions[wave]
             cols = result.decisions
             cols.vm[pos_arr] = vm_ids[dense]

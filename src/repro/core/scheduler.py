@@ -239,7 +239,6 @@ class SCOREScheduler:
         self._n_domains = n_domains
         self._n_workers = n_workers
         self._shard_coordinator = None
-        self._shard_solve_hints: dict = {}
         self._profile = None
         self._saved_capacity: dict = {}
         self._recovered_from: Optional[str] = None
@@ -541,7 +540,6 @@ class SCOREScheduler:
                 self._policy,
                 n_domains=n_domains,
                 n_workers=self._n_workers,
-                solve_hints=self._shard_solve_hints,
                 profile=self._profile,
             )
             self._shard_coordinator = coordinator
@@ -553,10 +551,9 @@ class SCOREScheduler:
             self._shard_coordinator.stale = True
 
     def _close_shard_fleet(self) -> None:
-        """Tear the live fleet down, keeping its solve times as hints."""
+        """Tear the live fleet down."""
         coordinator = self._shard_coordinator
         if coordinator is not None:
-            self._shard_solve_hints.update(coordinator.solve_hints)
             self._shard_coordinator = None
             coordinator.close()
 
@@ -705,7 +702,6 @@ class SCOREScheduler:
                 )
             )
             report.time_series.append((self._clock, cost))
-        self._shard_solve_hints.update(coordinator.solve_hints)
         label = coordinator.executor_kind
         if coordinator.n_workers > 1:
             label = f"{label} ×{coordinator.n_workers}"

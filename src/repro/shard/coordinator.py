@@ -28,8 +28,7 @@ scheduler's *global* state:
 A fleet serves run after run only while nothing changes under it: any
 mutation through the scheduler, and a reconcile that moved a VM, mark
 it ``stale``.  The scheduler tears a stale fleet down at its next run
-(or ``close()``) and rebuilds it from the global state, seeding the
-worker packing with the measured per-domain solve times.
+(or ``close()``) and rebuilds it from the global state.
 
 The global cost is tracked by the global fast engine throughout, so the
 coordinator's reported costs are exact (not a per-domain approximation).
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.shard.domain import ShardDomain
 from repro.shard.executor import make_executor
@@ -69,7 +68,6 @@ class ShardedCoordinator:
         policy,
         n_domains: int,
         n_workers: int = 1,
-        solve_hints: Optional[Dict[int, float]] = None,
         profile=None,
     ) -> None:
         self._engine = engine
@@ -100,9 +98,7 @@ class ShardedCoordinator:
             for d in range(self.partition.n_domains)
         ]
         self._lap("domain-build", t0)
-        self._executor = make_executor(
-            self.domains, n_workers, hints=solve_hints
-        )
+        self._executor = make_executor(self.domains, n_workers)
 
     # -- executor surface --------------------------------------------------
 
@@ -117,11 +113,6 @@ class ShardedCoordinator:
     @property
     def executor_fallback(self) -> Optional[str]:
         return self._executor.fallback_reason
-
-    @property
-    def solve_hints(self) -> Dict[int, float]:
-        """Measured per-domain solve seconds (packing hints on rebuild)."""
-        return dict(self._executor.solve_seconds)
 
     def _partition(self):
         """Partition the live global state into pod-aligned domains."""

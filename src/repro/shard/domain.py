@@ -54,7 +54,6 @@ class DomainRoundOutcome:
     decisions: DecisionColumns
     migrations: int
     waves: int
-    deferrals: int
 
 
 class ShardDomain:
@@ -129,9 +128,7 @@ class ShardDomain:
         """Static solve-cost proxy for LPT worker packing: the domain's
         intra-domain pair count.  A domain's candidate rows, and so its
         scoring and wave work, grow with its pairs, not with its rack
-        count.  Measured ``domain-solve`` seconds supersede this
-        estimate once a fleet has run
-        (:func:`repro.shard.executor.pack_workers` hints).
+        count (:func:`repro.shard.executor.pack_workers`).
         """
         return float(max(1, self._n_intra_pairs))
 
@@ -150,7 +147,6 @@ class ShardDomain:
             decisions=self._globalize_decisions(result.decisions),
             migrations=result.migrations,
             waves=result.waves,
-            deferrals=result.deferrals,
         )
 
     def _globalize_decisions(self, cols: DecisionColumns) -> DecisionColumns:

@@ -22,9 +22,8 @@ to); their gather raises :class:`ShardWorkerError` instead of blocking
 forever on a dead or stalled worker.
 
 Domains are packed onto workers by **LPT bin packing** over a
-per-domain work estimate (:func:`pack_workers`) — measured solve times
-from a previous fleet refine the estimates on rebuild — so the gather
-no longer waits on a round-robin straggler.
+per-domain work estimate (:func:`pack_workers`), so the gather no longer
+waits on a round-robin straggler.
 """
 
 from __future__ import annotations
@@ -67,27 +66,17 @@ def fork_available() -> bool:
 
 
 def pack_workers(
-    domains: List[ShardDomain],
-    n_workers: int,
-    hints: Optional[Dict[int, float]] = None,
+    domains: List[ShardDomain], n_workers: int
 ) -> List[List[ShardDomain]]:
     """LPT bin packing of domains onto workers.
 
     The work estimate is the domain's intra-pair count
-    (:meth:`ShardDomain.work_estimate`), overridden
-    by a measured ``domain-solve`` seconds hint when the caller has one
-    from a previous fleet.  Heaviest domain first onto the lightest
-    worker — the classic 4/3-approximation, which is what keeps the
-    slowest worker's load near the mean.
+    (:meth:`ShardDomain.work_estimate`).  Heaviest domain first onto the
+    lightest worker — the classic 4/3-approximation, which is what keeps
+    the slowest worker's load near the mean.
     """
     n_workers = max(1, min(int(n_workers), len(domains)))
-    hints = hints or {}
-    weight = {
-        d.domain_id: float(
-            hints.get(d.domain_id, 0.0) or d.work_estimate()
-        )
-        for d in domains
-    }
+    weight = {d.domain_id: d.work_estimate() for d in domains}
     ordered = sorted(domains, key=lambda d: (-weight[d.domain_id], d.domain_id))
     loads = [0.0] * n_workers
     owned: List[List[ShardDomain]] = [[] for _ in range(n_workers)]
@@ -207,7 +196,6 @@ class _ProcessExecutor:
         self,
         domains: List[ShardDomain],
         n_workers: int,
-        hints: Optional[Dict[int, float]] = None,
         stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
     ) -> None:
         if not fork_available():
@@ -215,7 +203,7 @@ class _ProcessExecutor:
                 "the 'fork' start method is unavailable on this platform; "
                 "use SerialExecutor"
             )
-        owned = pack_workers(domains, n_workers, hints)
+        owned = pack_workers(domains, n_workers)
         self._stall_timeout_s = float(stall_timeout_s)
         self._domain_ids = sorted(d.domain_id for d in domains)
         self._owned_ids: List[List[int]] = []
@@ -309,7 +297,7 @@ class _ProcessExecutor:
         if tag == slab.FRAME:
             round_index = message[1]
             outcome = self._readers[w].unpack(message)
-            solve_s = message[6]
+            solve_s = message[5]
         elif tag == slab.BULK:
             round_index, outcome, solve_s = message[1], message[2], message[3]
         else:  # pragma: no cover - protocol violation
@@ -415,7 +403,6 @@ class ShmExecutor(_ProcessExecutor):
 def make_executor(
     domains: List[ShardDomain],
     n_workers: int,
-    hints: Optional[Dict[int, float]] = None,
     stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
 ):
     """The right executor for ``n_workers``, with any fallback recorded.
@@ -436,13 +423,12 @@ def make_executor(
     elif not fork_available():
         reason = "the 'fork' start method is unavailable"
     else:
-        options = dict(hints=hints, stall_timeout_s=stall_timeout_s)
         try:
-            return ShmExecutor(domains, n_workers, **options)
+            return ShmExecutor(domains, n_workers, stall_timeout_s)
         except OSError as error:
             reason = f"shared memory unavailable: {error}"
         try:
-            executor = ForkExecutor(domains, n_workers, **options)
+            executor = ForkExecutor(domains, n_workers, stall_timeout_s)
         except OSError as error:
             reason = f"worker pool unavailable: {error}"
         else:

@@ -131,7 +131,6 @@ def pack_outcome(
         outcome.domain_id,
         outcome.migrations,
         outcome.waves,
-        outcome.deferrals,
         solve_s,
         start,
         n_dec,
@@ -147,7 +146,6 @@ def unpack_outcome(buf: memoryview, header: tuple) -> DomainRoundOutcome:
         domain_id,
         migrations,
         waves,
-        deferrals,
         _solve_s,
         offset,
         n_dec,
@@ -164,7 +162,6 @@ def unpack_outcome(buf: memoryview, header: tuple) -> DomainRoundOutcome:
         decisions=decisions,
         migrations=migrations,
         waves=waves,
-        deferrals=deferrals,
     )
 
 

@@ -227,15 +227,15 @@ def check_engine_invariants(
     # Round cache: every still-valid scored row must be exactly what a
     # fresh candidate_batch over its owner would produce right now.
     cache = fast._round_cache
-    if cache is None or cache._valid is None:
+    if cache is None or cache.valid is None:
         return
-    valid = np.nonzero(cache._valid)[0]
+    valid = np.nonzero(cache.valid)[0]
     if valid.size == 0:
         return
-    from repro.core.roundcache import segment_rows
+    from repro.core.fastcost import segment_rows
 
     fresh = fast.candidate_batch(valid, cache.max_candidates)
-    rows, seg_ptr = segment_rows(cache._ptr, valid)
+    rows, seg_ptr = segment_rows(cache.batch.ptr, valid)
     if not np.array_equal(fresh.ptr, seg_ptr):
         fail(
             "round-cache-counts",
@@ -243,7 +243,7 @@ def check_engine_invariants(
             indices=valid[np.nonzero(np.diff(fresh.ptr) != np.diff(seg_ptr))[0]],
         )
     for column in ("host", "cover", "rank", "delta"):
-        cached, what = getattr(cache, "_" + column), getattr(fresh, column)
+        cached, what = getattr(cache.batch, column), getattr(fresh, column)
         if not np.array_equal(what, cached[rows]):
             fail(
                 f"round-cache-{column}s",

@@ -46,12 +46,12 @@ def test_the_policy_picks_the_loop(policy):
     """Every policy supplies a round order, so every policy runs waves
     on the round cache."""
     scheduler = make_scheduler(build_environment(SMALL.with_(policy=policy)))
+    profile = scheduler.enable_profiling()
     report = scheduler.run(n_iterations=2)
-    cache = scheduler.fastcost.round_cache()
     n_vms = scheduler.allocation.n_vms
     assert report.iterations[0].waves > 0
     # The cached loop refreshes every owner once per round.
-    assert cache.owners_seen == 2 * n_vms
+    assert profile.counts["owners"] == 2 * n_vms
     assert report.shard_executor is None
 
 
@@ -109,22 +109,25 @@ def test_a_partial_order_leaves_the_round_cache_untouched():
     scheduler = SCOREScheduler(
         env.allocation, env.traffic, policy_by_name("rr"), engine
     )
+    profile = scheduler.enable_profiling()
     scheduler.run(n_iterations=1)
     fast = scheduler.fastcost
-    cache = fast.round_cache()
-    seen, rescored = cache.owners_seen, cache.owners_rescored
+    cache = fast.round_cache(engine.max_candidates)
+    batch = cache.batch
+    seen, rescored = profile.counts["owners"], profile.counts["owners_rescored"]
     order = sorted(env.allocation.vm_ids())[::2]
-    rounds = BatchedRoundEngine(engine, fast)
+    rounds = BatchedRoundEngine(engine, fast, profile=profile)
     result = rounds.run_round(order)
     assert len(result.decisions) == len(order)
-    assert (cache.owners_seen, cache.owners_rescored) == (seen, rescored)
+    assert cache.batch is batch  # never refreshed
+    assert profile.counts["owners"] == seen
+    assert profile.counts["owners_rescored"] == rescored
 
 
 BATCH_ARRAYS = (
     "ptr", "host", "cover", "rank", "delta", "onto_rate", "source",
     "degree", "total_rate",
 )
-CACHE_ARRAYS = tuple("_" + name for name in BATCH_ARRAYS)
 
 
 @pytest.mark.parametrize("threshold", [None, 0.9], ids=["uniform", "budget"])
@@ -140,7 +143,8 @@ def test_every_full_round_runs_the_wave_loop_over_the_cache_rows(
         env.allocation, env.traffic, policy_by_name("rr"),
         MigrationEngine(env.cost_model, bandwidth_threshold=threshold),
     )
-    cache = scheduler.fastcost.round_cache()
+    profile = scheduler.enable_profiling()
+    cache = scheduler.fastcost.round_cache(None)
     n_vms = env.allocation.n_vms
     if phase == "converged":
         scheduler.run(n_iterations=1)
@@ -150,8 +154,8 @@ def test_every_full_round_runs_the_wave_loop_over_the_cache_rows(
 
     def spy(self, order, batch, positions, injector=None):
         arrays = [getattr(batch, name) for name in BATCH_ARRAYS]
-        for name, array in zip(CACHE_ARRAYS, arrays):
-            assert array is getattr(cache, name), name
+        for name, array in zip(BATCH_ARRAYS, arrays):
+            assert array is getattr(cache.batch, name), name
         before = [array.copy() for array in arrays]
         result = run_batch(self, order, batch, positions, injector)
         for name, array, copy in zip(BATCH_ARRAYS, arrays, before):
@@ -161,14 +165,14 @@ def test_every_full_round_runs_the_wave_loop_over_the_cache_rows(
         return result
 
     monkeypatch.setattr(BatchedRoundEngine, "_run_batch", spy)
-    rescored = cache.owners_rescored
+    rescored = profile.counts.get("owners_rescored", 0)
     scheduler.run(n_iterations=1)
     if phase == "cold":
-        assert cache.owners_rescored == n_vms  # every owner scored
+        assert profile.counts["owners_rescored"] == n_vms  # every owner scored
         assert rounds[0][0] == n_vms and rounds[0][1] > 0
     else:
         assert rounds == [(n_vms, 0)]  # the round moves nobody
-        assert cache.owners_rescored - rescored < n_vms
+        assert profile.counts["owners_rescored"] - rescored < n_vms
 
 
 def test_sharding_labels_the_report_with_its_executor():

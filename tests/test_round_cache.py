@@ -37,7 +37,7 @@ from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
 from repro.core.scheduler import SCOREScheduler
-from repro.reference import UncachedScheduler, host_rows
+from repro.reference import UncachedScheduler
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
@@ -124,15 +124,15 @@ class TestMatchedSeedBattery:
     def test_cache_actually_caches(self):
         """A converged re-run re-scores a small fraction of owners."""
         (env_c, sched_c), _ = build_twins(seed=4, policy="rr", n_iterations=4)
+        profile = sched_c.enable_profiling()
         sched_c.run(n_iterations=6)
-        cache = sched_c.fastcost.round_cache()
-        before = cache.owners_rescored
-        seen_before = cache.owners_seen
+        before = profile.counts["owners_rescored"]
+        seen_before = profile.counts["owners"]
         sched_c.run(n_iterations=2)
-        rescored = cache.owners_rescored - before
-        seen = cache.owners_seen - seen_before
+        rescored = profile.counts["owners_rescored"] - before
+        seen = profile.counts["owners"] - seen_before
         assert rescored < seen * 0.5
-        assert 0.0 < cache.hit_ratio <= 1.0
+        assert 0.0 < profile.cache_hit_ratio <= 1.0
 
 
 class TestChurnAndDeltas:
@@ -474,11 +474,13 @@ class TestMidRoundChurn:
             assert_exact_vs_fresh(env, sched)
 
 
-class TestEngineTouchedSets:
-    def test_apply_moves_reports_footprint(self):
+class TestEngineInvalidation:
+    def test_a_move_invalidates_exactly_its_mover_and_peers(self):
         allocation, traffic, fast = TestSetHostCapacity().make_engine()
-        ids = sorted(allocation.vm_ids())
-        vm_id = ids[0]
+        cache = fast.round_cache(None)
+        cache.refresh()
+        assert cache.valid.all()
+        vm_id = sorted(allocation.vm_ids())[0]
         dense = fast.dense_indices([vm_id])
         source = allocation.server_of(vm_id)
         target = next(
@@ -486,128 +488,49 @@ class TestEngineTouchedSets:
             for h in range(8)
             if h != source and allocation.can_host(h, allocation.vm(vm_id))
         )
-        deltas, touched = fast.apply_moves(
-            dense, np.array([target], dtype=np.int64)
-        )
+        deltas = fast.apply_moves(dense, np.array([target], dtype=np.int64))
         assert len(deltas) == 1
-        assert source in touched.hosts and target in touched.hosts
-        assert dense[0] in touched.owners
         peers, _ = fast.snapshot.peers_slice(int(dense[0]))
-        assert set(peers.tolist()) <= set(touched.owners.tolist())
-        assert not touched.structural
+        assert len(peers) > 0
+        assert set(np.flatnonzero(~cache.valid).tolist()) == {
+            int(dense[0]), *peers.tolist()
+        }
 
     def test_structural_ops_flush(self):
         allocation, traffic, fast = TestSetHostCapacity().make_engine()
-        cache = fast.round_cache()
+        cache = fast.round_cache(None)
         cache.refresh()
-        assert cache._valid is not None
+        assert cache.valid is not None and cache.batch is not None
         new_vm = VM(100, ram_mb=1024, cpu=1.0)
-        touched = fast.add_vms([new_vm], [0])
-        assert touched.structural
-        assert cache._valid is None  # flushed
+        assert fast.add_vms([new_vm], [0]) is None
+        assert cache.valid is None and cache.batch is None  # flushed
 
 
-class TestHybridSplice:
-    """The hybrid refresh splice: same-candidate-count owners take an
-    in-place scatter, only the changed-count subset pays the renumbering
-    splice — pinned bit-exact against a from-scratch full batch."""
-
-    def make_engine(self, seed=12):
-        env = build_environment(
-            ExperimentConfig(
-                n_racks=8,
-                hosts_per_rack=4,
-                tors_per_agg=2,
-                n_cores=2,
-                vms_per_host=4,
-                seed=seed,
-            )
+def test_trajectory_stays_exact_across_rate_and_structural_deltas():
+    """Cached vs uncached twins agree over epochs mixing rate-only and
+    pair-removing deltas, each refresh re-scoring only dirty owners."""
+    (env_c, sched_c), (env_u, sched_u) = build_twins(
+        seed=14, policy="rr", n_iterations=2
+    )
+    profile = sched_c.enable_profiling()
+    rng = make_rng(14)
+    for epoch in range(4):
+        us, vs, rates = env_c.traffic.pair_arrays()
+        picked = rng.choice(len(us), 10, replace=False)
+        delta = []
+        for j, i in enumerate(picked):
+            if j < 5:
+                delta.append(
+                    (int(us[i]), int(vs[i]), float(rates[i]) * 1.3)
+                )
+            else:
+                delta.append((int(us[i]), int(vs[i]), 0.0))
+        sched_c.apply_traffic_delta(delta)
+        sched_u.apply_traffic_delta(delta)
+        assert_reports_equal(
+            sched_c.run(n_iterations=2), sched_u.run(n_iterations=2)
         )
-        fast = FastCostEngine(env.allocation, env.traffic)
-        cache = fast.round_cache()
-        cache.refresh()
-        return env, fast, cache
-
-    @staticmethod
-    def assert_pinned(fast, cache):
-        """The cache's full batch must equal a from-scratch re-score."""
-        n = fast.snapshot.n_vms
-        cached, _ = cache.refresh()
-        fresh = fast.candidate_batch(
-            np.arange(n, dtype=np.int64), cache.max_candidates
-        )
-        assert np.array_equal(cached.ptr, fresh.ptr)
-        for mine, theirs in zip(host_rows(cached), host_rows(fresh)):
-            assert np.array_equal(mine, theirs)
-        assert np.array_equal(cached.host, fresh.host)
-        assert np.array_equal(cached.cover, fresh.cover)
-        assert np.array_equal(cached.rank, fresh.rank)
-        assert np.array_equal(cached.delta, fresh.delta)
-        assert np.array_equal(cached.onto_rate, fresh.onto_rate)
-        assert np.array_equal(cached.source, fresh.source)
-        assert np.array_equal(cached.degree, fresh.degree)
-        assert np.array_equal(cached.total_rate, fresh.total_rate)
-
-    def test_rate_only_delta_takes_scatter_path(self):
-        env, fast, cache = self.make_engine()
-        us, vs, rates = env.traffic.pair_arrays()
-        delta = [
-            (int(us[i]), int(vs[i]), float(rates[i]) * 1.7) for i in range(6)
-        ]
-        env.traffic.apply_delta(delta)
-        fast.apply_traffic_delta(delta)
-        spliced_before = cache.owners_spliced
-        self.assert_pinned(fast, cache)
-        assert cache.owners_scattered > 0
-        assert cache.owners_spliced == spliced_before  # no renumbering paid
-
-    def test_mixed_delta_takes_hybrid_path(self):
-        env, fast, cache = self.make_engine()
-        us, vs, rates = env.traffic.pair_arrays()
-        # Rate-only changes keep those owners' candidate counts; removing
-        # pairs entirely shrinks the endpoints' candidate racks — one
-        # refresh sees both kinds of dirty owner at once.
-        rate_only = [
-            (int(us[i]), int(vs[i]), float(rates[i]) * 2.1) for i in range(5)
-        ]
-        removed = [
-            (int(us[i]), int(vs[i]), 0.0) for i in range(len(us) - 4, len(us))
-        ]
-        delta = rate_only + removed
-        env.traffic.apply_delta(delta)
-        fast.apply_traffic_delta(delta)
-        scattered_before = cache.owners_scattered
-        spliced_before = cache.owners_spliced
-        self.assert_pinned(fast, cache)
-        assert cache.owners_scattered > scattered_before
-        assert cache.owners_spliced > spliced_before
-
-    def test_hybrid_trajectory_stays_exact_across_rounds(self):
-        """Cached vs uncached twins agree over epochs alternating rate-only
-        and structural deltas — the hybrid path is exercised by the former,
-        the splice by the latter, and the trajectory must not drift."""
-        (env_c, sched_c), (env_u, sched_u) = build_twins(
-            seed=14, policy="rr", n_iterations=2
-        )
-        rng = make_rng(14)
-        for epoch in range(4):
-            us, vs, rates = env_c.traffic.pair_arrays()
-            picked = rng.choice(len(us), 10, replace=False)
-            delta = []
-            for j, i in enumerate(picked):
-                if j < 5:
-                    delta.append(
-                        (int(us[i]), int(vs[i]), float(rates[i]) * 1.3)
-                    )
-                else:
-                    delta.append((int(us[i]), int(vs[i]), 0.0))
-            sched_c.apply_traffic_delta(delta)
-            sched_u.apply_traffic_delta(delta)
-            assert_reports_equal(
-                sched_c.run(n_iterations=2), sched_u.run(n_iterations=2)
-            )
-        cache = sched_c.fastcost.round_cache()
-        assert cache.owners_scattered > 0
+    assert profile.counts["owners_rescored"] < profile.counts["owners"]
 
 
 # -- splice differential -------------------------------------------------------
@@ -616,7 +539,6 @@ BATCH_ARRAYS = (
     "ptr", "host", "cover", "rank", "delta", "onto_rate", "source",
     "degree", "total_rate",
 )
-CACHE_ARRAYS = tuple("_" + name for name in BATCH_ARRAYS)
 
 
 def small_config(seed, **overrides):
@@ -644,14 +566,68 @@ def drift_delta(traffic, rng, n_rate, n_removed=0):
 
 
 def assert_cache_equals_fresh_scores(fast, cache):
-    cache.refresh()
+    """Refresh, pin the cache against a from-scratch re-score and return
+    the owners the refresh re-scored."""
+    _, dirty = cache.refresh()
     fresh = fast.candidate_batch(
         np.arange(fast.snapshot.n_vms, dtype=np.int64), cache.max_candidates
     )
-    for mine, theirs in zip(CACHE_ARRAYS, BATCH_ARRAYS):
-        got, want = getattr(cache, mine), getattr(fresh, theirs)
-        assert got.dtype == want.dtype, mine
-        assert np.array_equal(got, want), mine
+    for name in BATCH_ARRAYS:
+        got, want = getattr(cache.batch, name), getattr(fresh, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    return dirty
+
+
+def _refreshed_cache(seed):
+    """A small environment, its engine and a fully scored round cache."""
+    env = build_environment(small_config(seed))
+    fast = FastCostEngine(env.allocation, env.traffic)
+    cache = fast.round_cache(None)
+    cache.refresh()
+    return env, fast, cache
+
+
+@pytest.mark.roundcache
+@pytest.mark.parametrize("seed", _cache_seeds([12]))
+def test_refresh_splices_a_rate_only_delta(seed):
+    """After a delta that only re-rates pairs, the refreshed cache equals
+    a from-scratch re-score, array for array, having re-scored only the
+    dirty owners."""
+    env, fast, cache = _refreshed_cache(seed)
+    us, vs, rates = env.traffic.pair_arrays()
+    rate_only = [
+        (int(us[i]), int(vs[i]), float(rates[i]) * 1.7) for i in range(6)
+    ]
+    env.traffic.apply_delta(rate_only)
+    fast.apply_traffic_delta(rate_only)
+    dirty = assert_cache_equals_fresh_scores(fast, cache)
+    assert 0 < dirty.size < fast.snapshot.n_vms
+
+
+@pytest.mark.roundcache
+@pytest.mark.parametrize("seed", _cache_seeds([12]))
+def test_refresh_splices_a_count_changing_delta(seed):
+    """A delta that re-rates pairs and removes every pair of an owner
+    holding rows (so its row count drops to 0): the refreshed cache
+    equals a from-scratch re-score, array for array, having re-scored
+    only the dirty owners, that owner among them."""
+    env, fast, cache = _refreshed_cache(seed)
+    n = fast.snapshot.n_vms
+    owner = int(np.flatnonzero(np.diff(cache.batch.ptr))[0])
+    vm = int(fast.snapshot.vm_ids[owner])
+    us, vs, rates = env.traffic.pair_arrays()
+    removed = [(int(u), int(v), 0.0) for u, v in zip(us, vs) if vm in (u, v)]
+    others = [
+        (int(u), int(v), float(r) * 1.7)
+        for u, v, r in zip(us, vs, rates) if vm not in (u, v)
+    ][:6]
+    mixed = others + removed
+    env.traffic.apply_delta(mixed)
+    fast.apply_traffic_delta(mixed)
+    dirty = assert_cache_equals_fresh_scores(fast, cache)
+    assert 0 < dirty.size < n and owner in dirty
+    assert cache.batch.ptr[owner + 1] == cache.batch.ptr[owner]
 
 
 @pytest.mark.roundcache
@@ -660,11 +636,12 @@ def test_spliced_cache_equals_a_fresh_score(seed):
     env = build_environment(small_config(seed))
     allocation, traffic = env.allocation, env.traffic
     fast = FastCostEngine(allocation, traffic)
-    cache = fast.round_cache()
+    cache = fast.round_cache(None)
     rng = make_rng(seed)
     vm_ids = sorted(allocation.vm_ids())
     n_hosts = allocation.cluster.n_servers
     assert_cache_equals_fresh_scores(fast, cache)
+    partial = 0
     for step in range(12):
         for _ in range(int(rng.integers(0, 4))):
             vm_id = vm_ids[int(rng.integers(len(vm_ids)))]
@@ -675,8 +652,9 @@ def test_spliced_cache_equals_a_fresh_score(seed):
             delta = drift_delta(traffic, rng, n_rate=4, n_removed=step % 2)
             traffic.apply_delta(delta)
             fast.apply_traffic_delta(delta)
-        assert_cache_equals_fresh_scores(fast, cache)
-    assert cache.owners_spliced > 0 and cache.owners_scattered > 0
+        dirty = assert_cache_equals_fresh_scores(fast, cache)
+        partial += 0 < dirty.size < len(vm_ids)
+    assert partial > 0
 
 
 @pytest.mark.roundcache
@@ -694,12 +672,13 @@ def test_scheduled_epochs_keep_the_cache_equal_to_a_fresh_score(seed):
     schedulers = (sched, twin)
     assert_reports_equal(sched.run(n_iterations=4), twin.run(n_iterations=4))
     fast = sched.fastcost
-    cache = fast.round_cache()
+    cache = fast.round_cache(None)
     allocation = env.allocation
+    n = allocation.n_vms
     rng = make_rng(seed)
     rack = env.topology.hosts_in_rack(1)
     squeezed = {}
-    spliced = cache.owners_spliced
+    partial = 0
     for epoch in range(14):
         delta = drift_delta(env.traffic, rng, n_rate=5, n_removed=epoch % 2)
         for s in schedulers:
@@ -737,8 +716,9 @@ def test_scheduled_epochs_keep_the_cache_equal_to_a_fresh_score(seed):
         assert_reports_equal(
             sched.run(n_iterations=1), twin.run(n_iterations=1)
         )
-        assert_cache_equals_fresh_scores(fast, cache)
-    assert cache.owners_spliced > spliced
+        dirty = assert_cache_equals_fresh_scores(fast, cache)
+        partial += 0 < dirty.size < n
+    assert partial > 0
 
 
 def test_profile_counts_the_rows_each_cached_round_holds():
@@ -752,7 +732,7 @@ def test_profile_counts_the_rows_each_cached_round_holds():
     profile = sched.enable_profiling()
     sched.run(n_iterations=1)
     cold = profile.counts["rows"]
-    assert cold == len(sched.fastcost.round_cache()._host) > 0
+    assert cold == sched.fastcost.round_cache(None).batch.n_rows > 0
     assert profile.counts["rows_remasked"] >= cold
     sched.run(n_iterations=3)
     assert profile.counts["rows"] - cold < 3 * cold
@@ -777,7 +757,7 @@ def test_converged_epochs_never_sort_the_whole_cache(monkeypatch):
     sched = make_scheduler(env)
     sched.run(n_iterations=5)
     sched.quiesce()
-    cache = sched.fastcost.round_cache()
+    cache = sched.fastcost.round_cache(None)
     n = env.allocation.n_vms
     rng = make_rng(9)
     largest = {}
@@ -800,14 +780,15 @@ def test_converged_epochs_never_sort_the_whole_cache(monkeypatch):
         sched.apply_traffic_delta(
             drift_delta(env.traffic, rng, n_rate=6, n_removed=1)
         )
-        held = len(cache._host)
+        held = cache.batch.n_rows
         assert held > 0
-        spliced = cache.owners_spliced
+        counts = np.diff(cache.batch.ptr)
         largest.clear()
         sched.run(n_iterations=1)
         # A whole-cache sort trips this whichever way the refresh moved
         # the cache's size.
-        bound = min(held, len(cache._host), n)
+        bound = min(held, cache.batch.n_rows, n)
         assert max(largest.values()) < bound, largest
-        spliced_epochs += cache.owners_spliced > spliced
+        # A renumbering splice: some re-scored owner's row count changed.
+        spliced_epochs += not np.array_equal(counts, np.diff(cache.batch.ptr))
     assert spliced_epochs >= 4

@@ -347,9 +347,8 @@ class TestDomainOutcomeFrame:
         header, end = shm.pack_outcome(buf, 0, len(buf), outcome, 0, 0.5)
         assert end <= len(buf)
         back = shm.unpack_outcome(buf, header)
-        assert (back.domain_id, back.migrations, back.waves, back.deferrals) == (
+        assert (back.domain_id, back.migrations, back.waves) == (
             outcome.domain_id, outcome.migrations, outcome.waves,
-            outcome.deferrals,
         )
         for name in self.COLUMNS:
             sent = getattr(outcome.decisions, name)
@@ -371,7 +370,7 @@ class TestDomainOutcomeFrame:
         cols.delta[:] = 1.0
         cols.reason[:] = 3
         cols.wave[:] = np.arange(1, n + 1)
-        outcome = DomainRoundOutcome(0, cols, n, n, 0)
+        outcome = DomainRoundOutcome(0, cols, n, n)
         buf = memoryview(bytearray(capacity))
         packed = shm.pack_outcome(buf, 0, capacity, outcome, 0, 0.0)
         assert packed is not None
