@@ -139,6 +139,14 @@ def peer_rank_order(
     return np.argsort(key, kind="stable")
 
 
+def _run_ids(change: np.ndarray) -> np.ndarray:
+    """Run id of each element, given whether each element after the
+    first starts a new run."""
+    ids = np.zeros(len(change) + 1, dtype=np.int64)
+    np.cumsum(change, out=ids[1:])
+    return ids
+
+
 def segment_rows(ptr: np.ndarray, owners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(flat row indices, segment ptr) of the given owners' CSR segments.
 
@@ -169,6 +177,38 @@ class _BlockGeometry(NamedTuple):
     #: Rack id → position in (pod, rack) order, and pod of each rack.
     rack_rank: np.ndarray
     pod_of_rack: np.ndarray
+    #: Host id → position in (pod, rack, host) order: sorting hosts by it
+    #: makes every rack one run and every pod one run of racks.
+    host_rank: np.ndarray
+
+
+class _OwnerEdges(NamedTuple):
+    """The directed edges of a batch's owners, grouped by owner position
+    (each owner's in CSR order, ascending peer id)."""
+
+    #: Per owner: its source host and its number of peers.
+    source: np.ndarray
+    degree: np.ndarray
+    #: Per edge: owner position, the peer's host, λ, and the level
+    #: between the owner's source and the peer's host.
+    owner: np.ndarray
+    peer_host: np.ndarray
+    rate: np.ndarray
+    level: np.ndarray
+
+    def subset(self, keep: np.ndarray) -> "_OwnerEdges":
+        """The edges of the owners ``keep`` (a mask over owners) marks,
+        owners renumbered in order."""
+        at = keep[self.owner]
+        renumber = np.cumsum(keep) - 1
+        return _OwnerEdges(
+            self.source[keep],
+            self.degree[keep],
+            renumber[self.owner[at]],
+            self.peer_host[at],
+            self.rate[at],
+            self.level[at],
+        )
 
 
 class CandidateBatch:
@@ -202,7 +242,9 @@ class CandidateBatch:
     only the ranks.  Only owners that can gain hold rows: an owner none
     of whose candidates has a delta > 0 has an empty segment (Theorem 1
     can never move it, whatever the masks say), so every owner of a
-    fresh batch has a row with delta > 0 or none.
+    fresh batch has a row with delta > 0 or none.  ``bounded`` counts
+    the owners whose segment the gain bound emptied before any ranking
+    (0 on a batch derived by :meth:`select` or :meth:`with_rows`).
 
     A batch is *not* live: it goes stale for an owner as soon as one of
     the owner's peers migrates (deltas and the candidate set itself depend
@@ -224,6 +266,7 @@ class CandidateBatch:
         "rank",
         "delta",
         "onto_rate",
+        "bounded",
     )
 
     #: The per-row columns, in the order the constructor takes them.
@@ -242,6 +285,7 @@ class CandidateBatch:
         rank: np.ndarray,
         delta: np.ndarray,
         onto_rate: np.ndarray,
+        bounded: int = 0,
     ) -> None:
         self.vms = vms
         self.source = source
@@ -254,6 +298,7 @@ class CandidateBatch:
         self.rank = rank
         self.delta = delta
         self.onto_rate = onto_rate
+        self.bounded = bounded
 
     @property
     def owner(self) -> np.ndarray:
@@ -436,6 +481,7 @@ class FastCostEngine:
                 chunks_per_rack=chunks_per_rack,
                 rack_rank=rack_rank,
                 pod_of_rack=pod_of_rack,
+                host_rank=rack_rank[self._rack_of] * per + offset,
             )
         return self._block_geometry
 
@@ -811,20 +857,146 @@ class FastCostEngine:
 
         Only owners that can gain get rows: an owner none of whose
         (capped) candidates has a delta > 0 keeps its segment empty, so
-        every owner of the batch has a row with delta > 0 or none.  Each
-        owner's best delta is known per (owner, peer rack) block and per
-        (owner, peer host) fix-up before any row exists, so the rows of
-        a gainless owner are never built.
+        every owner of the batch has a row with delta > 0 or none.  Two
+        filters decide it.  :meth:`_gain_bound` bounds every owner's best
+        delta from above with one sort, and only the owners it cannot
+        rule out are ranked and scored (:meth:`_score_owners`); there,
+        each owner's best delta is known per (owner, peer rack) block and
+        per (owner, peer host) fix-up before any row exists.  The result
+        equals :meth:`_score_owners` over every owner row for row; a
+        rowless owner's ``total_rate`` is the same sum taken in CSR order.
         """
-        snap = self._snap
         vms = np.asarray(dense_vms, dtype=np.int64)
+        edges = self._owner_edges(vms)
+        may_gain, total_rate = self._gain_bound(edges)
+        if may_gain.all():
+            return self._score_owners(vms, max_candidates, edges)
+        ranked = np.flatnonzero(may_gain)
+        scored = self._score_owners(
+            vms[ranked], max_candidates, edges.subset(may_gain)
+        )
+        counts = np.zeros(len(vms), dtype=np.int64)
+        counts[ranked] = np.diff(scored.ptr)
+        ptr = np.zeros(len(vms) + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        total_rate[ranked] = scored.total_rate
+        return CandidateBatch(
+            vms=vms,
+            source=edges.source,
+            degree=edges.degree,
+            total_rate=total_rate,
+            ptr=ptr,
+            owner=ranked[scored.owner],
+            host=scored.host,
+            cover=scored.cover,
+            rank=scored.rank,
+            delta=scored.delta,
+            onto_rate=scored.onto_rate,
+            bounded=len(vms) - len(ranked),
+        )
+
+    def _owner_edges(self, vms: np.ndarray) -> _OwnerEdges:
+        """The directed edges of the given dense owners."""
+        snap = self._snap
+        cum, owner, edge = snap.edges(vms)
+        source = self._host_of[vms]
+        peer_host = self._host_of[snap.peer[edge]]
+        return _OwnerEdges(
+            source,
+            np.diff(cum),
+            owner,
+            peer_host,
+            snap.rate[edge],
+            pair_levels(source[owner], peer_host, self._rack_of, self._pod_of),
+        )
+
+    def _gain_bound(self, edges: _OwnerEdges) -> Tuple[np.ndarray, np.ndarray]:
+        """``(may gain, total rate)`` of each owner: whether an upper
+        bound on its best Lemma 3 delta clears the rounding slack, and
+        its peers' summed rate (CSR order).
+
+        The bound is taken over every host of the owner's peer racks but
+        its source — a superset of its candidates at any cap.  Under
+        Lemma 3 a host ``x`` scores ``local − post(x)`` with
+        ``post(x) = w3·R + (w2−w3)·R_pod + (w1−w2)·R_rack + (w0−w1)·R_host``
+        (:meth:`_score_owners`), and every weight difference is ≤ 0, so
+        a peer-hosting server of a rack scores at least what its other
+        hosts do (``R_host = 0``).  Each (owner, peer host) is therefore
+        scored once, the source with ``R_host = 0`` to stand for its
+        rack's other hosts.  One stable sort of the owner's edges by
+        (owner, host in (pod, rack, host) order) makes hosts, racks and
+        pods nested runs, and their peer-rate sums three ``bincount``s.
+
+        The bound and the scorer sum the same nonnegative terms in
+        different orders, so each may be off by rounding.  To first
+        order one evaluation of ``local − post`` over ``d`` peers errs by
+        at most ``(5d + 20)·u·W·R`` (``u`` the unit roundoff, ``W`` the
+        largest path weight, ``R`` the owner's total rate): ``d·u·W·R``
+        for each of the five sums and ``u·5W·R`` for each of the four
+        operations joining them.  The slack is twice that for the two
+        evaluations, doubled again for the higher-order terms:
+        ``10·(d + 4)·ε·W·R`` with ``ε = 2u`` (float64 epsilon).  An owner
+        the scorer would give a row with delta > 0 therefore always
+        passes.
+        """
+        n = len(edges.degree)
+        total_rate = _weighted_bincount(edges.owner, edges.rate, n)
+        may_gain = np.zeros(n, dtype=bool)
+        if not len(edges.owner):
+            return may_gain, total_rate
+        pw = self._path_weight
+        local = _weighted_bincount(
+            edges.owner, edges.rate * pw[edges.level], n
+        )
+        by_host = np.argsort(
+            edges.owner * np.int64(len(self._rack_of))
+            + self._geometry().host_rank[edges.peer_host],
+            kind="stable",
+        )
+        e_owner = edges.owner[by_host]
+        e_host = edges.peer_host[by_host]
+        e_rate = edges.rate[by_host]
+        new_owner = e_owner[1:] != e_owner[:-1]
+        new_host = new_owner | (e_host[1:] != e_host[:-1])
+        rack = self._rack_of[e_host]
+        pod = self._pod_of[e_host]
+        host_run = _run_ids(new_host)
+        rack_run = _run_ids(new_owner | (rack[1:] != rack[:-1]))
+        pod_run = _run_ids(new_owner | (pod[1:] != pod[:-1]))
+        r_host = np.bincount(host_run, weights=e_rate)
+        r_rack = np.bincount(rack_run, weights=e_rate)
+        r_pod = np.bincount(pod_run, weights=e_rate)
+        first = np.flatnonzero(np.concatenate(([True], new_host)))
+        owner = e_owner[first]
+        w3 = pw[3] if len(pw) > 3 else pw[-1]
+        w2d, w1d, w0d = pw[2] - w3, pw[1] - pw[2], pw[0] - pw[1]
+        # Per host run: local − post, with the far term per owner.
+        gain = (local - w3 * total_rate)[owner] - (
+            w2d * r_pod[pod_run[first]]
+            + w1d * r_rack[rack_run[first]]
+            + w0d * np.where(e_host[first] == edges.source[owner], 0.0, r_host)
+        )
+        slack = (
+            10.0 * (edges.degree + 4) * np.finfo(float).eps
+            * float(pw.max()) * total_rate
+        )
+        may_gain[owner[gain > -slack[owner]]] = True
+        return may_gain, total_rate
+
+    def _score_owners(
+        self,
+        vms: np.ndarray,
+        max_candidates: Optional[int],
+        edges: _OwnerEdges,
+    ) -> CandidateBatch:
+        """The exact scorer behind :meth:`candidate_batch`: ranks every
+        given owner's peers (``edges``, from :meth:`_owner_edges`) and
+        scores its rows, with no gain bound."""
         n = len(vms)
         n_hosts = len(self._rack_of)
         # Directed edges of the requested VMs, grouped by owner position.
-        cum, owner_e, edge_idx = snap.edges(vms)
-        deg = np.diff(cum)
-        source = self._host_of[vms]
-        total_e = len(edge_idx)
+        source, deg, owner_e, peer_host, rate, before = edges
+        total_e = len(owner_e)
         if total_e == 0:
             return CandidateBatch(
                 vms=vms,
@@ -839,11 +1011,6 @@ class FastCostEngine:
                 delta=np.empty(0),
                 onto_rate=np.empty(0),
             )
-        peer_host = self._host_of[snap.peer[edge_idx]]
-        rate = snap.rate[edge_idx]
-        before = pair_levels(
-            source[owner_e], peer_host, self._rack_of, self._pod_of
-        )
         # §V-B5 peer ranking: level desc, rate desc, VM id asc (CSR slices
         # are ascending by peer id).
         order = peer_rank_order(owner_e, before, rate)

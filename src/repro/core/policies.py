@@ -26,7 +26,7 @@ overwrites every entry — so HLF keeps no mid-round token state.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
@@ -52,15 +52,15 @@ class TokenPolicy(ABC):
         return type(self)()
 
     @abstractmethod
-    def round_order(self, token: Token, holder: int) -> List[int]:
+    def round_order(self, token: Token, holder: int) -> np.ndarray:
         """Snapshot of one full round's visit order starting at ``holder``.
 
-        The |V|-entry visit list a round runs: every VM of the token
-        exactly once, ``holder`` first when it is in the token.
+        The |V|-entry ``int64`` id array a round runs: every VM of the
+        token exactly once, ``holder`` first when it is in the token.
         """
 
     def end_round(
-        self, token: Token, order: List[int], fast: "FastCostEngine"
+        self, token: Token, order: np.ndarray, fast: "FastCostEngine"
     ) -> int:
         """Close a round and return the next round's first holder.
 
@@ -76,7 +76,7 @@ class RoundRobinPolicy(TokenPolicy):
 
     name = "round_robin"
 
-    def round_order(self, token: Token, holder: int) -> List[int]:
+    def round_order(self, token: Token, holder: int) -> np.ndarray:
         """RR's order is exactly the ascending cyclic rotation from the
         holder."""
         return token.rotation_from(holder)
@@ -101,7 +101,7 @@ class HighestLevelFirstPolicy(TokenPolicy):
 
     name = "highest_level_first"
 
-    def round_order(self, token: Token, holder: int) -> List[int]:
+    def round_order(self, token: Token, holder: int) -> np.ndarray:
         """Priority snapshot of Algorithm 1's order for one round.
 
         The holder first, then every other VM by recorded level
@@ -112,11 +112,10 @@ class HighestLevelFirstPolicy(TokenPolicy):
         """
         ids, levels = token.ids, token.levels
         order = ids[np.lexsort((ids, ids <= holder, -levels.astype(np.int64)))]
-        head = [holder] if holder in token else []
-        return head + order[order != holder].tolist()
+        return _holder_first(token, holder, order[order != holder])
 
     def end_round(
-        self, token: Token, order: List[int], fast: "FastCostEngine"
+        self, token: Token, order: np.ndarray, fast: "FastCostEngine"
     ) -> int:
         """Refresh every level estimate; restart at the top level's lowest ID.
 
@@ -153,12 +152,13 @@ class RandomPolicy(TokenPolicy):
     def spawn(self) -> "RandomPolicy":
         return type(self)(self._seed)
 
-    def round_order(self, token: Token, holder: int) -> List[int]:
+    def round_order(self, token: Token, holder: int) -> np.ndarray:
         """``holder``, then a uniform permutation of every other VM."""
         ids = token.ids
         others = ids[ids != holder]
-        shuffled = others[self._rng.permutation(len(others))].tolist()
-        return ([holder] if holder in token else []) + shuffled
+        return _holder_first(
+            token, holder, others[self._rng.permutation(len(others))]
+        )
 
 
 class LeastRecentlyVisitedPolicy(TokenPolicy):
@@ -178,24 +178,26 @@ class LeastRecentlyVisitedPolicy(TokenPolicy):
         self._last_visit: Dict[int, int] = {}
         self._clock = 0
 
-    def round_order(self, token: Token, holder: int) -> List[int]:
+    def round_order(self, token: Token, holder: int) -> np.ndarray:
         """``holder``, then every other VM by ``(last visit, id)``."""
+        ids = token.ids
         last = self._last_visit.get
-        others = sorted(
-            (vm for vm in token.vm_ids if vm != holder),
-            key=lambda vm: (last(vm, 0), vm),
+        stamps = np.fromiter(
+            (last(vm, 0) for vm in ids.tolist()), dtype=np.int64,
+            count=len(ids),
         )
-        return ([holder] if holder in token else []) + others
+        order = ids[np.lexsort((ids, stamps))]
+        return _holder_first(token, holder, order[order != holder])
 
     def end_round(
-        self, token: Token, order: List[int], fast: "FastCostEngine"
+        self, token: Token, order: np.ndarray, fast: "FastCostEngine"
     ) -> int:
         """Stamp the round's visits in order and forget retired VMs; the
         next holder is the VM other than the round's last that has waited
-        longest."""
+        longest.  Stamps are kept as python ints."""
         members = set(token.vm_ids)
         stamps = self._last_visit
-        for vm in order:
+        for vm in order.tolist():
             if vm in members:
                 self._clock += 1
                 stamps[vm] = self._clock
@@ -203,8 +205,16 @@ class LeastRecentlyVisitedPolicy(TokenPolicy):
             vm: stamp for vm, stamp in stamps.items() if vm in members
         }
         last = self._last_visit.get
-        candidates = [vm for vm in token.vm_ids if vm != order[-1]]
+        candidates = [vm for vm in token.vm_ids if vm != int(order[-1])]
         return min(candidates or token.vm_ids, key=lambda vm: (last(vm, 0), vm))
+
+
+def _holder_first(token: Token, holder: int, others: np.ndarray) -> np.ndarray:
+    """``others`` (``int64`` ids without ``holder``), after ``holder``
+    when it is in the token."""
+    if holder in token:
+        return np.concatenate((np.array([holder], dtype=np.int64), others))
+    return others
 
 
 def policy_by_name(name: str, seed: SeedLike = None) -> TokenPolicy:

@@ -96,17 +96,21 @@ class RoundScoreCache:
             self.valid = np.zeros(n, dtype=bool)
         dirty = np.flatnonzero(~self.valid)
         score = self._engine.candidate_batch
+        fresh = None
         if dirty.size == n:  # first use, after a flush, or all stale
-            self.batch = score(dirty, self.max_candidates)
+            self.batch = fresh = score(dirty, self.max_candidates)
         elif dirty.size:
-            self._splice(dirty, score(dirty, self.max_candidates))
+            fresh = score(dirty, self.max_candidates)
+            self._splice(dirty, fresh)
         self.valid[dirty] = True
         # The cache keeps neither derived column (``vms`` is the identity,
         # and a round materializes the row → owner one): both live on
-        # this shallow copy and die with the round.
+        # this shallow copy and die with the round, as does the count of
+        # re-scored owners the gain bound settled (``bounded``).
         self.batch.vms = self.batch._owner = None
         batch = copy.copy(self.batch)
         batch.vms = np.arange(n, dtype=np.int64)
+        batch.bounded = fresh.bounded if fresh is not None else 0
         return batch, dirty
 
     def _splice(self, dirty: np.ndarray, fresh: CandidateBatch) -> None:

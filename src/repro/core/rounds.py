@@ -265,8 +265,10 @@ class BatchedRoundEngine:
         if self._profile is not None:
             self._profile.add(phase, time.perf_counter() - t0)
 
-    def run_round(self, order: Sequence[int], injector=None) -> RoundResult:
-        """Run one full token round over ``order`` (a visit-order snapshot).
+    def run_round(self, order: np.ndarray, injector=None) -> RoundResult:
+        """Run one full token round over ``order`` (a visit-order snapshot:
+        the ``int64`` id array a policy's ``round_order`` returns, or any
+        sequence of ids).
 
         When ``order`` covers the engine's whole population, the round
         runs over the round cache's refreshed rows (keyed by dense VM,
@@ -288,6 +290,7 @@ class BatchedRoundEngine:
         """
         fast = self._fast
         n = fast.snapshot.n_vms
+        order = np.asarray(order, dtype=np.int64)
         dense_order = fast.dense_indices(order)
         t0 = self._tick()
         if len(order) == n and bool(
@@ -298,6 +301,7 @@ class BatchedRoundEngine:
             if self._profile is not None:
                 self._profile.bump("owners", n)
                 self._profile.bump("owners_rescored", int(dirty.size))
+                self._profile.bump("owners_bounded", batch.bounded)
                 self._profile.bump("rows", batch.n_rows)
             positions = np.empty(n, dtype=np.int64)
             positions[dense_order] = np.arange(n, dtype=np.int64)
@@ -311,7 +315,7 @@ class BatchedRoundEngine:
 
     def _run_batch(
         self,
-        order: Sequence[int],
+        order: np.ndarray,
         batch: CandidateBatch,
         positions: np.ndarray,
         injector=None,
@@ -320,9 +324,7 @@ class BatchedRoundEngine:
         ``positions`` maps each batch owner to its visit position."""
         result = RoundResult(decisions=DecisionColumns(len(order)))
         if self._wave_segment(result, batch, positions, injector):
-            self._finish_round_live(
-                result, np.asarray(order, dtype=np.int64), injector
-            )
+            self._finish_round_live(result, order, injector)
         assert result.decisions.complete
         return result
 
@@ -339,9 +341,11 @@ class BatchedRoundEngine:
         the round; owners are settled and proposed in visit order, so the
         batch itself may be in any owner order (the round cache's is
         dense-VM order, and deferred owners are carried in batch order so
-        the next wave's batch is one mask compress of this one).  Returns
-        ``True`` when the injector fired
-        mid-segment: the batch (round-snapshot candidate sets,
+        the next wave's batch is one mask compress of this one).  An owner
+        without rows cannot gain, so it settles before the first wave
+        (:meth:`_settle_rowless`) and the waves resolve and settle only
+        the owners that hold rows.  Returns ``True`` when the injector
+        fired mid-segment: the batch (round-snapshot candidate sets,
         incrementally adjusted deltas) no longer describes the live
         engine state, so the caller must re-score whatever is still
         undecided and run a new segment.
@@ -352,6 +356,12 @@ class BatchedRoundEngine:
         threshold = engine.bandwidth_threshold
         n_hosts = self._fast.allocation.cluster.n_servers
 
+        t0 = self._tick()
+        has_rows = batch.ptr[1:] > batch.ptr[:-1]
+        self._settle_rowless(
+            result, batch, np.flatnonzero(~has_rows), positions
+        )
+        self._lap("settle", t0)
         while positions.size:
             t0 = self._tick()
             targets = fast.candidate_feasible(batch, threshold)
@@ -364,8 +374,8 @@ class BatchedRoundEngine:
             beneficial = (choice >= 0) & (best > 0) & (best > cm)
             t0 = self._tick()
             self._settle_owners(
-                result, batch, np.nonzero(~beneficial)[0], positions, choice,
-                best,
+                result, batch, np.flatnonzero(has_rows & ~beneficial),
+                positions, choice, best,
             )
             self._lap("settle", t0)
             prop = np.nonzero(beneficial)[0]
@@ -397,6 +407,7 @@ class BatchedRoundEngine:
                 self._lap("adjust", t0)
             batch = keep
             positions = keep_positions
+            has_rows = batch.ptr[1:] > batch.ptr[:-1]
         return False
 
     @staticmethod
@@ -510,6 +521,9 @@ class BatchedRoundEngine:
         alive = np.ones(n_prop, dtype=bool)
         host_used = np.zeros(n_hosts, dtype=bool)
         vm_blocked = np.zeros(snap.n_vms, dtype=bool)
+        # Each admission iteration's winners, by ``big − rank`` (higher
+        # wins; 0 for every other VM), written and cleared in place.
+        winner_top = np.zeros(snap.n_vms, dtype=np.int64)
         big = n_prop  # sentinel priority rank
 
         while True:
@@ -562,17 +576,18 @@ class BatchedRoundEngine:
             # peers is a higher-priority winner (the loser stays alive for
             # the next admission round — conservative vs the sequential
             # sweep, but converging to the same admitted set).
-            winner_rank = np.full(snap.n_vms, big, dtype=np.int64)
-            winner_rank[vms[winners]] = rank_of[winners]
+            top = big - rank_of[winners]
+            winner_top[vms[winners]] = top
             w_ptr, w_peers = self._peer_slices(vms[winners])
-            peer_best = np.full(len(winners), big, dtype=np.int64)
+            peer_top = np.zeros(len(winners), dtype=np.int64)
             starts = w_ptr[:-1]
             nonempty = w_ptr[1:] > starts
             if np.any(nonempty):
-                peer_best[nonempty] = np.minimum.reduceat(
-                    winner_rank[w_peers], starts[nonempty]
+                peer_top[nonempty] = np.maximum.reduceat(
+                    winner_top[w_peers], starts[nonempty]
                 )
-            ok = (peer_best > rank_of[winners]) & ~vm_blocked[vms[winners]]
+            winner_top[vms[winners]] = 0
+            ok = (peer_top < top) & ~vm_blocked[vms[winners]]
             chosen = winners[ok]
             if chosen.size == 0:
                 break
@@ -581,8 +596,7 @@ class BatchedRoundEngine:
             target[chosen] = picked[wins][ok]
             host_used[sources[chosen]] = True
             host_used[target[chosen]] = True
-            c_ptr, c_peers = self._peer_slices(vms[chosen])
-            vm_blocked[c_peers] = True
+            vm_blocked[w_peers[np.repeat(ok, np.diff(w_ptr))]] = True
         return accepted, target
 
     def _peer_slices(self, dense_vms: np.ndarray):
@@ -826,6 +840,28 @@ class BatchedRoundEngine:
         )
 
     # -- settlement ---------------------------------------------------------
+
+    def _settle_rowless(
+        self,
+        result: RoundResult,
+        batch: CandidateBatch,
+        rows: np.ndarray,
+        positions: np.ndarray,
+    ) -> None:
+        """Record the decisions of owners the batch holds no rows for.
+
+        The batch keeps no rows for an owner none of whose candidates
+        gains (:meth:`~repro.core.fastcost.FastCostEngine.candidate_batch`),
+        so each is ``no_peers`` or ``no_gain`` with delta 0 whatever the
+        masks say — what :meth:`_settle_owners` would record, in one
+        write and without a feasibility probe.
+        """
+        pos = positions[rows]
+        cols = result.decisions
+        cols.vm[pos] = self._fast.snapshot.vm_ids[batch.vms[rows]]
+        cols.source[pos] = batch.source[rows]
+        cols.delta[pos] = 0.0
+        cols.reason[pos] = np.where(batch.degree[rows] == 0, 0, 2)
 
     def _settle_owners(
         self,

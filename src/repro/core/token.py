@@ -13,7 +13,7 @@ implementation ships it between dom0 token servers.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -185,16 +185,16 @@ class Token:
             index = 0
         return int(self._ids[index])
 
-    def rotation_from(self, vm_id: int) -> List[int]:
+    def rotation_from(self, vm_id: int) -> np.ndarray:
         """The full token round starting at ``vm_id``, in visit order.
 
         This is the round-order *snapshot* the wave-batched scheduler
         consumes: the cyclic ascending-ID sequence a Round-Robin token
         would traverse over one iteration (``vm_id`` itself first when it
-        is in the token, else its successor).
+        is in the token, else its successor), as a fresh ``int64`` array.
         """
         index = int(np.searchsorted(self._ids, vm_id))
-        return np.roll(self._ids, -index).tolist()
+        return np.roll(self._ids, -index)
 
     # -- wire format --------------------------------------------------------------------
 

@@ -108,7 +108,7 @@ class PerHoldScheduler(SCOREScheduler):
         for iteration in range(1, n_iterations + 1):
             order = self._policy.round_order(self._token, holder)
             decisions = []
-            for vm in order:
+            for vm in order.tolist():
                 decision = self._hold(vm)
                 decisions.append(decision)
                 if decision.migrated:

@@ -49,10 +49,10 @@ def reconcile_boundary(
     max_passes: int = 4,
 ) -> ReconcileOutcome:
     """Re-score and re-gate the boundary VMs on the global engine."""
-    boundary = np.asarray(boundary_vms, dtype=np.int64).tolist()
+    boundary = np.asarray(boundary_vms, dtype=np.int64)
     outcome = ReconcileOutcome(boundary_vms=len(boundary), passes=0,
                                migrations=0)
-    if not boundary:
+    if not boundary.size:
         return outcome
     rounds = BatchedRoundEngine(engine, fast)
     for _ in range(max_passes):

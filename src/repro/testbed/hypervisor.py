@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cluster.allocation import Allocation
 from repro.cluster.manager import PlacementManager, vm_ip
 from repro.core.migration import MigrationDecision, MigrationEngine
@@ -130,7 +132,7 @@ class TestbedDeployment:
         self.nodes: Dict[int, HypervisorNode] = {}
         self._hops_remaining = 0
         self._pending_vm: Optional[int] = None
-        self._order: List[int] = []
+        self._order = np.empty(0, dtype=np.int64)
         self._cursor = 0
         for host in allocation.cluster.topology.hosts:
             node = HypervisorNode(host, self)
@@ -151,7 +153,7 @@ class TestbedDeployment:
     def _begin_round(self, token: Token, holder: int) -> None:
         self._order = self.policy.round_order(token, holder)
         self._cursor = 0
-        self._pending_vm = self._order[0]
+        self._pending_vm = int(self._order[0])
 
     def pass_token(self, token: Token) -> Optional[str]:
         """Step the round's walk past the current holder.
@@ -169,7 +171,7 @@ class TestbedDeployment:
         if self._hops_remaining <= 0:
             self._pending_vm = None
             return None
-        self._pending_vm = self._order[self._cursor]
+        self._pending_vm = int(self._order[self._cursor])
         return self.manager.dom0_ip(self.allocation.server_of(self._pending_vm))
 
     def populate_flow_tables(self, window_s: float = 10.0) -> None:

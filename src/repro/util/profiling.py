@@ -52,7 +52,9 @@ class PhaseTimings:
             out.append(
                 f"{'cache':12s} {self.counts.get('owners_rescored', 0)}"
                 f"/{self.counts['owners']} owners re-scored "
-                f"(hit rate {self.cache_hit_ratio:.1%}), "
+                f"(hit rate {self.cache_hit_ratio:.1%}; "
+                f"{self.counts.get('owners_bounded', 0)} settled by the "
+                f"gain bound), "
                 f"{self.counts.get('rows', 0)} rows held, "
                 f"{self.counts.get('rows_remasked', 0)} rows re-masked"
             )

@@ -13,6 +13,14 @@ the §V-C budget, on a uniform and a mixed VM population, three rounds
 each; ``pytest -m roundcache`` widens the seeds (``REPRO_CACHE_SEEDS``).
 Plus the peer ranking's one-sort key against ``np.lexsort``, and one
 wave that lands a peer on a covered host of a deferred owner.
+
+The gain bound that settles owners before any ranking
+(:meth:`~repro.core.fastcost.FastCostEngine._gain_bound`) runs the same
+matrix plus a fat-tree: every owner the per-host scorer gives a row with
+delta > 0 passes it, and the bounded batch equals the unbounded one
+(``_score_owners``) row for row; a hypothesis case covers the owner
+whose peers split evenly between its host and a rack-mate's, which the
+aggregated score reads a few ulp above 0.
 """
 
 from __future__ import annotations
@@ -21,12 +29,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import CanonicalTree, Cluster, PlacementManager, ServerCapacity
 from repro.cluster.allocation import Allocation
 from repro.cluster.placement import place_by_name
 from repro.cluster.vm import VM
-from repro.core.cost import CostModel
+from repro.core.cost import CostModel, LinkWeights
 from repro.core.fastcost import peer_rank_order
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
@@ -37,6 +47,7 @@ from repro.reference import (
     host_rows,
     score_rows_reference,
 )
+from repro.topology.fattree import FatTree
 from repro.traffic import TrafficMatrix
 from repro.traffic.generator import PATTERNS, DCTrafficGenerator
 
@@ -85,11 +96,13 @@ class CheckedScheduler(SCOREScheduler):
     _rounds_class = CheckedRounds
 
 
-def environment(seed: int, n_racks: int, uniform: bool):
-    """A canonical tree, 80 % full; a mixed population's RAM binds."""
-    topology = CanonicalTree(
-        n_racks=n_racks, hosts_per_rack=4, tors_per_agg=4, n_cores=2
-    )
+def environment(seed: int, n_racks: int, uniform: bool, topology=None):
+    """A canonical tree (or the given topology), 80 % full; a mixed
+    population's RAM binds."""
+    if topology is None:
+        topology = CanonicalTree(
+            n_racks=n_racks, hosts_per_rack=4, tors_per_agg=4, n_cores=2
+        )
     cluster = Cluster(topology, ServerCapacity(max_vms=4, ram_mb=2560, cpu=4.0))
     manager = PlacementManager(cluster)
     n_vms = int(cluster.total_vm_slots * 0.8)
@@ -153,6 +166,147 @@ def test_the_differential_covers_adjusted_and_split_rows():
     run_differential(1, 8, None, True)
     assert CheckedRounds.adjusted > 0
     assert CheckedRounds.splits > 0
+
+
+BATCH_COLUMNS = (
+    "vms", "source", "degree", "ptr", "owner", "host", "cover", "rank",
+    "delta", "onto_rate",
+)
+
+
+def assert_bound_sound(fast, owners, cap):
+    """The gain bound passes every owner the per-host scorer gives a row
+    with delta > 0, and the bounded batch is the unbounded one row for
+    row.  Returns how many owners the bound settled."""
+    edges = fast._owner_edges(owners)
+    may_gain = fast._gain_bound(edges)[0]
+    ref_owner, _host, ref_delta, _onto = score_rows_reference(fast, owners, cap)
+    assert may_gain[ref_owner[ref_delta > 0]].all()
+    got = fast.candidate_batch(owners, cap)
+    want = fast._score_owners(owners, cap, edges)
+    for name in BATCH_COLUMNS:
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype, name
+        assert np.array_equal(mine, theirs), name
+    # A rowless owner's total rate is summed in CSR order, a scored one's
+    # in rank order: equal for every owner with rows, to rounding else.
+    rows = got.ptr[1:] > got.ptr[:-1]
+    assert np.array_equal(got.total_rate[rows], want.total_rate[rows])
+    np.testing.assert_allclose(got.total_rate, want.total_rate, rtol=1e-12)
+    assert got.bounded == int((~may_gain).sum())
+    return got.bounded
+
+
+def run_bound_differential(seed, n_racks, threshold, uniform, topology=None):
+    bounded = 0
+    for cap in CAPS:
+        _topo, allocation, traffic = environment(
+            seed, n_racks, uniform, topology
+        )
+        engine = MigrationEngine(
+            CostModel(allocation.topology), bandwidth_threshold=threshold,
+            max_candidates=cap,
+        )
+        scheduler = SCOREScheduler(
+            allocation, traffic, policy_by_name("rr", seed=seed), engine
+        )
+        fast = scheduler.fastcost
+        every = np.arange(fast.snapshot.n_vms)
+        for _ in range(3):
+            bounded += assert_bound_sound(fast, every, cap)
+            # A round-local request: a shuffled subset, repeats allowed.
+            some = np.random.default_rng(seed).choice(every, len(every) // 2)
+            bounded += assert_bound_sound(fast, some, cap)
+            scheduler.run(n_iterations=1)
+    return bounded
+
+
+@pytest.mark.roundcache
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "mixed"])
+@pytest.mark.parametrize("threshold", [None, 0.6], ids=["free", "budget"])
+@pytest.mark.parametrize("n_racks", [4, 8, "fattree"])
+@pytest.mark.parametrize("seed", _cache_seeds([1, 2, 5, 9]))
+def test_the_gain_bound_passes_every_owner_that_can_gain(
+    seed, n_racks, threshold, uniform
+):
+    """Every cap, three rounds, on canonical trees and a fat-tree: the
+    one-sort gain bound never settles an owner the exact scorer would
+    give a row, so pruning by it leaves the batch unchanged."""
+    if n_racks == "fattree":
+        run_bound_differential(seed, 0, threshold, uniform, FatTree(k=4))
+    else:
+        run_bound_differential(seed, n_racks, threshold, uniform)
+
+
+def test_the_differential_covers_bounded_owners():
+    """The bound differential's premise: the bound settles owners, so it
+    compares pruned batches, not copies."""
+    assert run_bound_differential(1, 8, None, True) > 0
+
+
+@settings(
+    max_examples=80, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    rates=st.lists(
+        st.floats(min_value=1e-3, max_value=1e9, allow_nan=False),
+        min_size=1, max_size=4,
+    ),
+    weights=st.sampled_from(
+        [LinkWeights.paper(), LinkWeights(weights=(1.0, 2.0, 4.0))]
+    ),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_an_owner_with_peers_split_evenly_passes_the_bound(
+    rates, weights, shuffle
+):
+    """VM 1's peers sit on its own host 0 and on rack-mate host 1 at the
+    same rates, so moving to host 1 gains exactly 0 — which the
+    aggregated score may read a few ulp above 0 and give a row.  The
+    bound's slack keeps such an owner, so the batch is unchanged."""
+    topology = CanonicalTree(
+        n_racks=4, hosts_per_rack=4, tors_per_agg=2, n_cores=2
+    )
+    cluster = Cluster(topology, ServerCapacity(max_vms=16, ram_mb=8192, cpu=16.0))
+    allocation = Allocation(cluster)
+    allocation.add_vm(VM(1, ram_mb=128, cpu=0.1), 0)
+    other = list(rates)
+    shuffle.shuffle(other)
+    traffic = TrafficMatrix()
+    vm_id = 2
+    for host, group in ((0, rates), (1, other)):
+        for rate in group:
+            allocation.add_vm(VM(vm_id, ram_mb=128, cpu=0.1), host)
+            traffic.set_rate(1, vm_id, rate)
+            vm_id += 1
+    engine = MigrationEngine(CostModel(topology, weights))
+    fast = engine.bind(allocation, traffic)
+    every = np.arange(fast.snapshot.n_vms)
+    for cap in (None, 1, 3):
+        assert_bound_sound(fast, every, cap)
+
+
+def test_an_evenly_split_owner_reads_a_rounding_gain():
+    """The case above is live: under the paper's weights one peer on
+    each host scores a row a few ulp above 0."""
+    topology = CanonicalTree(
+        n_racks=4, hosts_per_rack=4, tors_per_agg=2, n_cores=2
+    )
+    cluster = Cluster(topology, ServerCapacity(max_vms=4, ram_mb=8192, cpu=16.0))
+    allocation = Allocation(cluster)
+    for vm_id, host in ((1, 0), (2, 0), (3, 1)):
+        allocation.add_vm(VM(vm_id, ram_mb=128, cpu=0.1), host)
+    traffic = TrafficMatrix()
+    traffic.set_rate(1, 2, 1.0)
+    traffic.set_rate(1, 3, 1.0)
+    fast = MigrationEngine(CostModel(topology, LinkWeights.paper())).bind(
+        allocation, traffic
+    )
+    _owner, host, delta, _onto = score_rows_reference(fast, [0])
+    assert 0 < delta[host == 1][0] < 1e-9
+    assert (delta[host != 1] < 0).all()
+    assert assert_bound_sound(fast, np.array([0]), None) == 0
 
 
 def test_racks_wider_than_a_row_window_split_into_chunks():

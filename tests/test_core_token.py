@@ -268,7 +268,10 @@ class TokenMachine(RuleBasedStateMachine):
     def rotation_from(self, value):
         ids = sorted(self.model)
         head = [v for v in ids if v >= value]
-        assert self.token.rotation_from(value) == head + ids[: len(ids) - len(head)]
+        rotation = self.token.rotation_from(value)
+        assert rotation.dtype == np.int64
+        assert np.array_equal(rotation, head + ids[: len(ids) - len(head)])
+        assert not np.shares_memory(rotation, self.token.ids)
 
     @rule()
     def wire_round_trip(self):

@@ -24,6 +24,7 @@ comma-separated ints; CI runs it as its own job).
 from __future__ import annotations
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -36,8 +37,9 @@ from repro.core.cost import CostModel
 from repro.core.fastcost import FastCostEngine
 from repro.core.migration import MigrationEngine
 from repro.core.policies import policy_by_name
+from repro.core.rounds import BatchedRoundEngine
 from repro.core.scheduler import SCOREScheduler
-from repro.reference import UncachedScheduler
+from repro.reference import PerHoldScheduler, UncachedScheduler
 from repro.sim.experiment import (
     ExperimentConfig,
     build_environment,
@@ -741,6 +743,87 @@ def test_profile_counts_the_rows_each_cached_round_holds():
         f"{profile.counts['rows']} rows held, "
         f"{profile.counts['rows_remasked']} rows re-masked"
     )
+
+
+@pytest.mark.parametrize("phase", ["cold", "drift"])
+def test_rowless_owners_settle_at_round_start_as_every_twin_decides(
+    phase, monkeypatch
+):
+    """An owner the round's batch holds no rows for is decided before the
+    first wave, in one write (``no_peers`` or ``no_gain``, delta 0), and
+    the waves settle only owners with rows.  Its decision row is the
+    uncached twin's, and the per-hold oracle's wherever the round moved
+    none of its peers (Lemma 3: nothing else enters its decision)."""
+    env = build_environment(small_config(4))
+    sched = make_scheduler(env)
+    if phase == "drift":
+        sched.run(n_iterations=4)
+        sched.quiesce()
+        # Boost a few pairs split across hosts, so some owners gain.
+        us, vs, rates = env.traffic.pair_arrays()
+        split = [
+            i for i in range(len(us))
+            if env.allocation.server_of(int(us[i]))
+            != env.allocation.server_of(int(vs[i]))
+        ]
+        sched.apply_traffic_delta([
+            (int(us[i]), int(vs[i]), float(rates[i]) * 100.0)
+            for i in split[::7][:12]
+        ])
+    state = pickle.dumps(sched)
+    twins = [sched]
+    for scheduler_class in (UncachedScheduler, PerHoldScheduler):
+        copy = pickle.loads(state)
+        twins.append(
+            scheduler_class(
+                copy.allocation, copy.traffic, copy._policy, copy._engine
+            )
+        )
+
+    rowless, settled = [], []
+    settle_rowless = BatchedRoundEngine._settle_rowless
+    settle_owners = BatchedRoundEngine._settle_owners
+
+    def spy_rowless(self, result, batch, rows, positions):
+        assert (batch.ptr[rows + 1] == batch.ptr[rows]).all()
+        rowless.append(positions[rows])
+        settle_rowless(self, result, batch, rows, positions)
+
+    def spy_owners(self, result, batch, rows, positions, choice, best):
+        assert (batch.ptr[rows + 1] > batch.ptr[rows]).all()
+        settled.append(len(rows))
+        settle_owners(self, result, batch, rows, positions, choice, best)
+
+    monkeypatch.setattr(BatchedRoundEngine, "_settle_rowless", spy_rowless)
+    monkeypatch.setattr(BatchedRoundEngine, "_settle_owners", spy_owners)
+    first = sched.token.lowest_id
+    cached, uncached, per_hold = (
+        twin.run(n_iterations=1, first_holder=first) for twin in twins
+    )
+    assert len(rowless) == 2 and settled  # one segment per batched twin
+    assert np.array_equal(np.sort(rowless[0]), np.sort(rowless[1]))
+    positions = rowless[0].tolist()
+    assert positions
+    want = decisions_key(uncached)
+    got = decisions_key(cached)
+    assert [got[i] for i in positions] == [want[i] for i in positions]
+    for i in positions:
+        _vm, target, migrated, reason, delta = got[i]
+        assert (target, migrated, delta) == (None, False, 0.0)
+        assert reason in ("no_peers", "no_gain")
+    moved = {
+        d.vm_id for report in (cached, per_hold)
+        for d in report.decisions if d.migrated
+    }
+    oracle = decisions_key(per_hold)
+    untouched = [
+        i for i in positions
+        if not env.traffic.peers_of(got[i][0]) & moved
+    ]
+    assert untouched
+    assert [got[i] for i in untouched] == [oracle[i] for i in untouched]
+    if phase == "drift":
+        assert cached.total_migrations > 0  # the round is not trivial
 
 
 def test_converged_epochs_never_sort_the_whole_cache(monkeypatch):
